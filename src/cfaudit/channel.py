@@ -76,6 +76,10 @@ class Channel:
     def pending(self) -> int:
         return len(self._heap)
 
+    def next_due(self) -> int | None:
+        """Delivery time of the earliest datagram in flight, or None."""
+        return self._heap[0][0] if self._heap else None
+
 
 @dataclass
 class Link:

@@ -36,6 +36,14 @@ rejected so a typo cannot silently weaken an expectation. The runner
 keeps a single monotonic clock: device work, link delays, and resets all
 count in the same ticks, and a reset never rewinds the clock or clears
 datagrams already in flight.
+
+The clock still counts every tick, but it does not visit each one. Within
+a tick a power cut and deliveries to the device come first, then one unit
+of device work, then deliveries to the auditor and its request re-send.
+Until the next of those scheduled moments only the device can act, so the
+runner hands it the whole stretch in one ``Prover.advance`` call and polls
+the link only where something is due. Results are tick for tick those of
+stepping the device once per tick.
 """
 
 from __future__ import annotations
@@ -223,23 +231,50 @@ class ScenarioResult:
 
 
 def _check_expectations(spec: ScenarioSpec, res: ScenarioResult) -> list[str]:
+    def equal(got, want):
+        return got == want
+
+    def flag(got, want):
+        return got == (want == "true")
+
+    def at_least(got, want):
+        return got >= int(want)
+
+    # expectation -> (the value it is checked against, the check)
     checks = {
-        "verdict": lambda want: res.verdict == want,
-        "violation": lambda want: res.violation == want,
-        "violation_index": lambda want: res.violation_index == int(want),
-        "device_state": lambda want: res.device_state == want,
-        "pmem_zeroed": lambda want: res.pmem_zeroed == (want == "true"),
-        "heal_issued": lambda want: res.heal_issued == (want == "true"),
-        "min_retransmissions": lambda want: res.retransmissions >= int(want),
-        "min_slices": lambda want: res.slices_audited >= int(want),
-        "settled": lambda want: res.settled == (want == "true"),
+        "verdict": (res.verdict, equal),
+        "violation": (res.violation, equal),
+        "violation_index": (res.violation_index, lambda got, want: got == int(want)),
+        "device_state": (res.device_state, equal),
+        "pmem_zeroed": (res.pmem_zeroed, flag),
+        "heal_issued": (res.heal_issued, flag),
+        "min_retransmissions": (res.retransmissions, at_least),
+        "min_slices": (res.slices_audited, at_least),
+        "settled": (res.settled, flag),
     }
     failures = []
     for key, want in spec.expect.items():
-        if not checks[key](want):
-            failures.append(f"{key}: wanted {want}, got "
-                            f"{getattr(res, key, res.verdict)}")
+        got, check = checks[key]
+        if not check(got, want):
+            failures.append(f"{key}: wanted {want}, got {got}")
     return failures
+
+
+def _quiet_until(now: int, spec: ScenarioSpec, link: Link, vrf: Verifier,
+                 did_reset: bool) -> int:
+    """Last tick, from ``now`` on, on which only the device can act: a
+    delivery to the device or a power cut happens before the device's
+    work in a tick, a delivery to the auditor or a request re-send after."""
+    last = spec.max_ticks
+    due = link.to_device.next_due()
+    if due is not None:
+        last = min(last, due - 1)
+    for due in (link.to_verifier.next_due(), vrf.next_resend()):
+        if due is not None:
+            last = min(last, due)
+    if spec.reset_at is not None and not did_reset and spec.reset_at > now:
+        last = min(last, spec.reset_at - 1)
+    return max(last, now)
 
 
 def run(spec: ScenarioSpec) -> ScenarioResult:
@@ -256,7 +291,8 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
     if spec.pmem_flip is not None:
         if not 0 <= spec.pmem_flip < len(machine.pmem):
             raise ScenarioError("pmem_flip offset outside the image")
-        machine.pmem[spec.pmem_flip] ^= spec.pmem_flip_mask
+        flipped = machine.pmem[spec.pmem_flip] ^ spec.pmem_flip_mask
+        machine.write_pmem(isa.PMEM_BASE + spec.pmem_flip, bytes([flipped]))
 
     vrf = Verifier(asm2, VerifierConfig(
         app_id=spec.app_id, delta=spec.delta, policy=spec.policy,
@@ -278,21 +314,30 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
 
     while now < spec.max_ticks:
         now += 1
+        busy = False
         if spec.reset_at is not None and now == spec.reset_at and not did_reset:
-            did_reset = True
+            busy = did_reset = True
             ns_at_reset = prover.metrics.total_ns
             seen_at_reset = len(vrf.slices) + vrf.duplicates
             machine.reset()
             for msg in prover.boot():
                 link.to_verifier.send(now, msg)
         for data in link.to_device.poll(now):
+            busy = True
             if ns_at_heal is None \
                     and wire.message_type(data) == wire.MSG_RESPONSE \
                     and wire.Response.parse(data).result == wire.RESULT_HEAL:
                 ns_at_heal = prover.metrics.total_ns
             for out in prover.handle_message(data):
                 link.to_verifier.send(now, out)
-        for out in prover.step():
+        # the device runs alone up to the next scheduled moment, stopping
+        # early on a tick that emits output or changes its state; a tick
+        # that delivered something or cut power runs alone, so the settle
+        # check below sees its effect on that very tick
+        last_tick = now if busy else _quiet_until(now, spec, link, vrf, did_reset)
+        ticks, outs = prover.advance(last_tick - now + 1)
+        now += ticks - 1
+        for out in outs:
             link.to_verifier.send(now, out)
         for data in link.to_verifier.poll(now):
             for out in vrf.handle(data, now):
@@ -387,8 +432,10 @@ def measure_attack_window(asm_text: str, input_words: list[int] | None = None,
     chal = 1
     prover.handle_message(
         wire.AttestRequest(config.app_id, delta, chal).pack(config.key))
-    for _ in range(max_steps):
-        out = prover.step()
+    steps = 0
+    while steps < max_steps:
+        ticks, out = prover.advance(max_steps - steps)
+        steps += ticks
         if not out:
             continue
         report = wire.Report.parse(out[0])

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from . import isa, wire
 from .cfa_engine import AppendResult, CfLog, DEFAULT_LOG_MAX
 from .resolver import (POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE, Resolver)
-from .vm import Executed, Fault, Halted, Machine, NscEntry, TimerTrigger, World
+from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger, World
 
 # --- gateway service -------------------------------------------------------
 
@@ -372,36 +372,60 @@ class Prover:
     # -- execution ------------------------------------------------------------
 
     def step(self) -> list[bytes]:
-        """Advance the device by one unit of work."""
-        st = self.state
-        if st is ProverState.EXECUTING:
-            return self._step_app()
-        if st is ProverState.TRANSMIT_WAIT:
-            self._resend_clock += 1
-            if self._resend_clock >= self.config.resend_interval \
-                    and self.current_report is not None:
-                self._resend_clock = 0
-                self.metrics.retransmissions += 1
-                self.metrics.report_sends += 1
-                return [self.current_report]
-            return []
-        if st is ProverState.REMEDIATE:
-            done = self._resolver.step(self.ctx, self.m.retained_mem)
-            if not done:
-                return []
-            if self.ctx.flag(F_FROZEN):
-                self.state = ProverState.FROZEN
-                self.m.halted = True
-                return []
-            return self._post_heal_report()
-        return []
+        """Advance the device by one tick."""
+        return self.advance(1)[1]
 
-    def _step_app(self) -> list[bytes]:
-        ev = self.m.step()
-        if isinstance(ev, Executed):
-            self.metrics.total_ns += 1
-            self.ns_since_trigger += 1
+    def advance(self, budget: int) -> tuple[int, list[bytes]]:
+        """Advance the device by up to ``budget`` ticks, one tick being one
+        unit of work: an app cycle, a wait, or a remediation chunk.
+
+        Stops after the first tick that emits output or changes the
+        protocol state, so a caller that only acts on those sees exactly
+        what per-tick stepping would show. Returns the ticks used and the
+        output of the last one.
+        """
+        state = self.state
+        ticks, out = 0, []
+        while ticks < budget and not out and self.state is state:
+            left = budget - ticks
+            if state is ProverState.EXECUTING:
+                n, ev = self.m.run(left)
+                self.metrics.total_ns += n
+                self.ns_since_trigger += n
+                ticks += n
+                if ev is not None:
+                    ticks += 1
+                    out = self._on_app_event(ev)
+            elif state is ProverState.TRANSMIT_WAIT:
+                # silent ticks only wind the resend clock forward
+                wait = max(self.config.resend_interval - self._resend_clock, 1)
+                if self.current_report is None or wait > left:
+                    self._resend_clock += left
+                    ticks += left
+                else:
+                    ticks += wait
+                    self._resend_clock = 0
+                    self.metrics.retransmissions += 1
+                    self.metrics.report_sends += 1
+                    out = [self.current_report]
+            elif state is ProverState.REMEDIATE:
+                ticks += 1
+                out = self._remediate()
+            else:                          # waiting or frozen: nothing to do
+                ticks = budget
+        return ticks, out
+
+    def _remediate(self) -> list[bytes]:
+        done = self._resolver.step(self.ctx, self.m.retained_mem)
+        if not done:
             return []
+        if self.ctx.flag(F_FROZEN):
+            self.state = ProverState.FROZEN
+            self.m.halted = True
+            return []
+        return self._post_heal_report()
+
+    def _on_app_event(self, ev: TimerTrigger | NscEntry | Fault | Halted) -> list[bytes]:
         if isinstance(ev, TimerTrigger):
             return self._trigger_report("deadline")
         if isinstance(ev, NscEntry):
@@ -419,13 +443,11 @@ class Prover:
                 self._stalled = ("event", ev)
                 return self._trigger_report("capacity")
             return []
-        if isinstance(ev, (Fault, Halted)):
-            # hardware faults reset the device outright; the boot path then
-            # re-reports whatever evidence the retained region holds
-            self.metrics.triggers["fault"] += 1
-            self.m.reset()
-            return self.boot()
-        return []
+        # hardware faults reset the device outright; the boot path then
+        # re-reports whatever evidence the retained region holds
+        self.metrics.triggers["fault"] += 1
+        self.m.reset()
+        return self.boot()
 
     def _finish_execution(self) -> list[bytes]:
         self.ctx.set_flag(F_EXEC_DONE)

@@ -313,12 +313,18 @@ class Verifier:
 
     def tick(self, now: int) -> list[bytes]:
         """Re-send the request until the first report lands."""
-        if self._request is not None and not self.first_report_seen \
-                and not self.session_over \
-                and now - self._last_send >= self.config.resend_interval:
+        due = self.next_resend()
+        if due is not None and now >= due:
             self._last_send = now
             return [self._request]
         return []
+
+    def next_resend(self) -> int | None:
+        """The first time ``tick`` will re-send the request, or None while
+        no re-send is pending."""
+        if self._request is None or self.first_report_seen or self.session_over:
+            return None
+        return self._last_send + self.config.resend_interval
 
     # -- inbound ------------------------------------------------------------
 

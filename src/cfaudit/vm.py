@@ -8,6 +8,14 @@ yields an ``NscEntry`` event instead, standing in for gateway veneer code.
 
 Faults never raise: they come back as ``Fault`` events so the caller can
 route them through the reset path the way the hardware would.
+
+``Machine.run`` is the interpreter: it executes a block of instructions
+until the first event that is not a plain execution, or until its limit.
+Inside a block the world and the permissions cannot change, so the
+watchdog deadline becomes a bound on the block, a fetch from program
+memory is a lookup in a per-word predecoded table (any program-memory
+write invalidates the words it touches), and no event object is built per
+instruction. ``Machine.step`` is ``run(1)``.
 """
 
 from __future__ import annotations
@@ -15,13 +23,16 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import isa
 from .isa import (
     DMEM_BASE, DMEM_SIZE, INSTR_WIDTH, LR, NSC_BASE, NSC_SIZE, PC,
     PMEM_BASE, PMEM_CAPACITY, RETAINED_BASE, RETAINED_SIZE, SECURE_BASE,
     SECURE_SIZE, SP, STACK_TOP,
+    OP_ADD_RI, OP_ADD_RR, OP_B, OP_BCOND, OP_BL, OP_BLX, OP_BX_LR, OP_CMP_RI,
+    OP_CMP_RR, OP_HALT, OP_LDR, OP_MOV_IMM, OP_MOV_REG, OP_NSC_CALL, OP_POP,
+    OP_PUSH, OP_STR, OP_SUB_RI, OP_SUB_RR,
 )
 
 MASK32 = 0xFFFFFFFF
@@ -143,7 +154,6 @@ class PermissionMap:
             "secure": Region("secure", SECURE_BASE, SECURE_SIZE, World.SECURE, True, True, False),
             "retained": Region("retained", RETAINED_BASE, RETAINED_SIZE, World.SECURE, True, True, False),
         }
-        self.ns_reconfigurable = True
         self.pmem_locked = False
 
     def region_at(self, addr: int) -> Region | None:
@@ -166,10 +176,6 @@ class PermissionMap:
         if kind is AccessKind.WRITE:
             return r.write
         return r.execute
-
-
-def check_access(pm: PermissionMap, addr: int, kind: AccessKind, world: World) -> bool:
-    return pm.check_access(addr, kind, world)
 
 
 # --- secure timer --------------------------------------------------------
@@ -203,10 +209,6 @@ class SecureTimer:
         self.paused = False
         self.elapsed = 0
 
-    @property
-    def expired(self) -> bool:
-        return self.active and not self.paused and self.elapsed >= self.delta
-
 
 # --- machine -------------------------------------------------------------
 
@@ -234,8 +236,8 @@ class Machine:
         self.last_exec_pc = 0
         self.prev_exec_pc = 0
         self.prev_lr = 0
-        self._decode_cache: dict[int, isa.Instruction | None] = {}
-        self.access_trace: list[tuple[World, AccessKind, int, bool]] | None = None
+        # predecoded program words by address, filled on first fetch
+        self._decode_cache: dict[int, tuple] = {}
 
     # -- registers ------------------------------------------------------
 
@@ -262,14 +264,10 @@ class Machine:
         try:
             ok = self.perm.check_access(addr, kind, self.world)
         except UnmappedAddress:
-            if self.access_trace is not None:
-                self.access_trace.append((self.world, kind, addr, False))
             return FaultKind.UNMAPPED
         if self.world is World.NONSECURE and self.perm.pmem_locked \
                 and kind is AccessKind.WRITE and self.perm.regions["pmem"].contains(addr):
             ok = False
-        if self.access_trace is not None:
-            self.access_trace.append((self.world, kind, addr, ok))
         if not ok:
             return {
                 AccessKind.READ: FaultKind.READ_VIOLATION,
@@ -308,14 +306,12 @@ class Machine:
         self.perm.pmem_locked = True
         self.perm.regions["pmem"].write = False
         self.perm.regions["dmem"].execute = False
-        self.perm.ns_reconfigurable = False
 
     def unlock_pmem(self) -> None:
         if self.world is not World.SECURE:
             raise WorldViolation("unlock_pmem requires Secure World")
         self.perm.pmem_locked = False
         self.perm.regions["pmem"].write = True
-        self.perm.ns_reconfigurable = True
 
     def reset(self) -> None:
         """Warm reset: volatile state cleared, pmem and retained preserved."""
@@ -346,176 +342,251 @@ class Machine:
 
     # -- execution --------------------------------------------------------
 
-    def _fetch(self, addr: int) -> isa.Instruction | None:
-        inst = self._decode_cache.get(addr)
-        if inst is None and addr not in self._decode_cache:
-            store, off = self._backing(addr)
-            inst = isa.decode(bytes(store[off:off + INSTR_WIDTH]))
-            self._decode_cache[addr] = inst
-        return inst
-
-    def _set_lr(self, value: int) -> None:
-        self.prev_lr = self.regs[LR]
-        self.regs[LR] = value & MASK32
-
-    def step(self) -> Event:
-        """Execute one cycle. Never raises for program behavior: bad accesses
-        and bad encodings come back as Fault events with pc unchanged."""
-        self.cycle_count += 1
-        if self.halted:
-            return Halted()
-
-        if self.world is World.NONSECURE:
-            if self.timer.expired:
-                # deadline wins before the next instruction executes
-                self.world = World.SECURE
-                return TimerTrigger()
-            if NSC_BASE <= self.pc < NSC_BASE + NSC_SIZE:
-                snap = NscSnapshot(tuple(self.regs), self.last_exec_pc,
-                                   self.prev_exec_pc, self.prev_lr)
-                self.world = World.SECURE
-                return NscEntry(self.pc, snap)
-
-        pc = self.pc
+    def _predecode_at(self, pc: int) -> tuple | Fault:
+        """Fetch the word at ``pc`` for execution in the current world.
+        Program-memory words are kept in the predecoded table."""
         if pc % INSTR_WIDTH:
             return Fault(FaultKind.UNALIGNED, pc)
         fk = self._checked(pc, AccessKind.EXECUTE)
         if fk is not None:
             return Fault(fk, pc)
-        inst = self._fetch(pc)
-        if inst is None:
-            return Fault(FaultKind.ILLEGAL_INSTRUCTION, pc)
+        store, off = self._backing(pc)
+        inst = _predecode(bytes(store[off:off + INSTR_WIDTH]))
+        if store is self.pmem:
+            self._decode_cache[pc] = inst
+        return inst
 
-        ev = self._execute(inst, pc)
-        if isinstance(ev, (Executed, Halted)) and not isinstance(ev, Fault):
-            self.prev_exec_pc = self.last_exec_pc
-            self.last_exec_pc = pc
-            if self.world is World.NONSECURE and self.timer.active and not self.timer.paused:
-                self.timer.elapsed += 1
-        return ev
+    def step(self) -> Event:
+        """Execute one cycle. Never raises for program behavior: bad accesses
+        and bad encodings come back as Fault events with pc unchanged."""
+        _, ev = self.run(1)
+        return Executed(self.last_exec_pc) if ev is None else ev
 
-    def _execute(self, inst: isa.Instruction, pc: int) -> Event:
-        op, ra, rb, imm = inst.op, inst.ra, inst.rb, inst.imm
+    def run(self, limit: int | None = None) -> tuple[int, Event | None]:
+        """Execute up to ``limit`` cycles (no limit when None).
+
+        Returns how many instructions executed and the event that ended
+        the block, or None when the limit was reached first. The ending
+        event takes one cycle of its own, exactly as under ``step``.
+        Without a limit or an armed watchdog, a program that never leaves
+        its loop never returns.
+        """
+        limit = _UNBOUNDED if limit is None else limit
+        if limit <= 0:
+            return 0, None
+        if self.halted:
+            self.cycle_count += 1
+            return 0, Halted()
+
         regs = self.regs
-        next_pc = pc + INSTR_WIDTH
+        ns = self.world is World.NONSECURE
+        timer = self.timer
+        counting = ns and timer.active and not timer.paused
+        budget = limit
+        if counting and timer.delta - timer.elapsed < limit:
+            budget = timer.delta - timer.elapsed     # the deadline ends the block
+        fetch = self._decode_cache.get
+        dmem = self.dmem
+        # data accesses inside these windows skip the permission check; a
+        # window opens after one checked access to dmem succeeds, since
+        # permissions are per region and fixed for the block
+        rd_lo = rd_hi = wr_lo = wr_hi = 0
+        pc = regs[PC]
+        last, prev, prev_lr = self.last_exec_pc, self.prev_exec_pc, self.prev_lr
+        flags = (self.flag_z << 1) | self.flag_n
+        n = 0
+        halt_counted = 0
+        ev: Event | None = None
 
-        if op == isa.OP_MOV_IMM:
-            if ra == LR:
-                self._set_lr(imm)
-            else:
+        while n < budget:
+            inst = fetch(pc)
+            if inst is None:
+                if ns and NSC_BASE <= pc < _NSC_END:
+                    regs[PC] = pc
+                    self.world = World.SECURE
+                    ev = NscEntry(pc, NscSnapshot(tuple(regs), last, prev, prev_lr))
+                    break
+                inst = self._predecode_at(pc)
+                if inst.__class__ is Fault:
+                    ev = inst
+                    break
+            op, ra, rb, imm = inst
+            regs[PC] = pc
+            nxt = pc + INSTR_WIDTH
+
+            if op == OP_ADD_RI:
+                regs[ra] = (regs[rb] + imm) & MASK32
+            elif op == OP_CMP_RI:
+                a = regs[ra] ^ _SIGN          # imm is predecoded the same way
+                flags = 2 if a == imm else 1 if a < imm else 0
+            elif op == OP_BCOND:
+                if ra[flags]:                 # ra is the condition's truth table
+                    nxt = imm
+            elif op == OP_MOV_IMM:
+                if ra == LR:
+                    prev_lr = regs[LR]
                 regs[ra] = imm
-        elif op == isa.OP_MOV_REG:
-            if ra == LR:
-                self._set_lr(regs[rb])
+            elif op == OP_B:
+                nxt = imm
+            elif op == OP_CMP_RR:
+                a, b = regs[ra] ^ _SIGN, regs[rb] ^ _SIGN
+                flags = 2 if a == b else 1 if a < b else 0
+            elif op == OP_BL:
+                prev_lr = regs[LR]
+                regs[LR] = nxt
+                nxt = imm
+            elif op == OP_LDR:
+                addr = (regs[rb] + imm) & MASK32
+                if addr % 4:
+                    ev = Fault(FaultKind.UNALIGNED, addr)
+                    break
+                if rd_lo <= addr < rd_hi:
+                    regs[ra] = _load(dmem, addr - DMEM_BASE)[0]
+                else:
+                    fk = self._checked(addr, AccessKind.READ)
+                    if fk is not None:
+                        ev = Fault(fk, addr)
+                        break
+                    regs[ra] = self.load_word(addr)
+                    if DMEM_BASE <= addr < _DMEM_END:
+                        rd_lo, rd_hi = DMEM_BASE, _DMEM_END
+            elif op == OP_STR:
+                addr = (regs[rb] + imm) & MASK32
+                if addr % 4:
+                    ev = Fault(FaultKind.UNALIGNED, addr)
+                    break
+                if wr_lo <= addr < wr_hi:
+                    _store(dmem, addr - DMEM_BASE, regs[ra] & MASK32)
+                else:
+                    fk = self._checked(addr, AccessKind.WRITE)
+                    if fk is not None:
+                        ev = Fault(fk, addr)
+                        break
+                    self.store_word(addr, regs[ra])
+                    if DMEM_BASE <= addr < _DMEM_END:
+                        wr_lo, wr_hi = DMEM_BASE, _DMEM_END
+            elif op == OP_SUB_RI:
+                regs[ra] = (regs[rb] - imm) & MASK32
+            elif op == OP_ADD_RR:
+                regs[ra] = (regs[rb] + regs[imm]) & MASK32
+            elif op == OP_SUB_RR:
+                regs[ra] = (regs[rb] - regs[imm]) & MASK32
+            elif op == OP_MOV_REG:
+                if ra == LR:
+                    prev_lr = regs[LR]
+                    regs[LR] = regs[rb] & MASK32
+                else:
+                    regs[ra] = regs[rb]
+            elif op == OP_PUSH:
+                addr = (regs[SP] - 4) & MASK32
+                if addr % 4:
+                    ev = Fault(FaultKind.UNALIGNED, addr)
+                    break
+                if wr_lo <= addr < wr_hi:
+                    regs[SP] = addr
+                    _store(dmem, addr - DMEM_BASE, regs[ra] & MASK32)
+                else:
+                    fk = self._checked(addr, AccessKind.WRITE)
+                    if fk is not None:
+                        ev = Fault(fk, addr)
+                        break
+                    regs[SP] = addr
+                    self.store_word(addr, regs[ra])
+                    if DMEM_BASE <= addr < _DMEM_END:
+                        wr_lo, wr_hi = DMEM_BASE, _DMEM_END
+            elif op == OP_POP:
+                addr = regs[SP]
+                if addr % 4:
+                    ev = Fault(FaultKind.UNALIGNED, addr)
+                    break
+                if rd_lo <= addr < rd_hi:
+                    val = _load(dmem, addr - DMEM_BASE)[0]
+                else:
+                    fk = self._checked(addr, AccessKind.READ)
+                    if fk is not None:
+                        ev = Fault(fk, addr)
+                        break
+                    val = self.load_word(addr)
+                    if DMEM_BASE <= addr < _DMEM_END:
+                        rd_lo, rd_hi = DMEM_BASE, _DMEM_END
+                regs[SP] = (addr + 4) & MASK32
+                if ra == PC:
+                    nxt = val
+                elif ra == LR:
+                    prev_lr = regs[LR]
+                    regs[LR] = val
+                else:
+                    regs[ra] = val
+            elif op == OP_BX_LR:
+                nxt = regs[LR]
+            elif op == OP_BLX:
+                prev_lr = regs[LR]
+                regs[LR] = nxt
+                nxt = regs[ra] & MASK32
+            elif op == OP_NSC_CALL and ns:
+                nxt = isa.NSC_EXIT            # protected return; traps next cycle
+            elif op == OP_NSC_CALL or op == OP_HALT:
+                # without a monitor attached the gateway return ends execution
+                prev, last = last, pc
+                self.halted = True
+                halt_counted = 1
+                ev = Halted()
+                break
             else:
-                regs[ra] = regs[rb]
-        elif op == isa.OP_LDR:
-            addr = (regs[rb] + imm) & MASK32
-            if addr % 4:
-                return Fault(FaultKind.UNALIGNED, addr)
-            fk = self._checked(addr, AccessKind.READ)
-            if fk is not None:
-                return Fault(fk, addr)
-            regs[ra] = self.load_word(addr)
-        elif op == isa.OP_STR:
-            addr = (regs[rb] + imm) & MASK32
-            if addr % 4:
-                return Fault(FaultKind.UNALIGNED, addr)
-            fk = self._checked(addr, AccessKind.WRITE)
-            if fk is not None:
-                return Fault(fk, addr)
-            self.store_word(addr, regs[ra])
-        elif op == isa.OP_ADD_RI:
-            regs[ra] = (regs[rb] + imm) & MASK32
-        elif op == isa.OP_ADD_RR:
-            regs[ra] = (regs[rb] + regs[imm]) & MASK32
-        elif op == isa.OP_SUB_RI:
-            regs[ra] = (regs[rb] - imm) & MASK32
-        elif op == isa.OP_SUB_RR:
-            regs[ra] = (regs[rb] - regs[imm]) & MASK32
-        elif op == isa.OP_CMP_RI:
-            self._set_flags(regs[ra], imm)
-        elif op == isa.OP_CMP_RR:
-            self._set_flags(regs[ra], regs[rb])
-        elif op == isa.OP_B:
-            self.pc = imm
-            return Executed(pc)
-        elif op == isa.OP_BCOND:
-            if self._cond(ra):
-                self.pc = imm
-            else:
-                self.pc = next_pc
-            return Executed(pc)
-        elif op == isa.OP_BL:
-            self._set_lr(next_pc)
-            self.pc = imm
-            return Executed(pc)
-        elif op == isa.OP_BLX:
-            self._set_lr(next_pc)
-            self.pc = regs[ra] & MASK32
-            return Executed(pc)
-        elif op == isa.OP_BX_LR:
-            self.pc = regs[LR]
-            return Executed(pc)
-        elif op == isa.OP_PUSH:
-            addr = (regs[SP] - 4) & MASK32
-            if addr % 4:
-                return Fault(FaultKind.UNALIGNED, addr)
-            fk = self._checked(addr, AccessKind.WRITE)
-            if fk is not None:
-                return Fault(fk, addr)
-            regs[SP] = addr
-            self.store_word(addr, regs[ra])
-        elif op == isa.OP_POP:
-            addr = regs[SP]
-            if addr % 4:
-                return Fault(FaultKind.UNALIGNED, addr)
-            fk = self._checked(addr, AccessKind.READ)
-            if fk is not None:
-                return Fault(fk, addr)
-            val = self.load_word(addr)
-            regs[SP] = (addr + 4) & MASK32
-            if ra == PC:
-                self.pc = val
-                return Executed(pc)
-            if ra == LR:
-                self._set_lr(val)
-            else:
-                regs[ra] = val
-        elif op == isa.OP_NSC_CALL:
-            if self.world is World.NONSECURE:
-                # protected return into the Secure World; traps next step
-                self.pc = isa.NSC_EXIT
-                return Executed(pc)
-            # without a monitor attached the gateway return ends execution
-            self.halted = True
-            return Halted()
-        elif op == isa.OP_HALT:
-            self.halted = True
-            return Halted()
-        else:  # pragma: no cover - decode() filters unknown opcodes
-            return Fault(FaultKind.ILLEGAL_INSTRUCTION, pc)
+                ev = Fault(FaultKind.ILLEGAL_INSTRUCTION, pc)
+                break
 
-        self.pc = next_pc
-        return Executed(pc)
+            prev, last = last, pc
+            pc = nxt
+            n += 1
+        else:
+            if budget < limit:
+                # deadline wins before the next instruction executes
+                self.world = World.SECURE
+                ev = TimerTrigger()
 
-    def _set_flags(self, a: int, b: int) -> None:
-        sa = a - (1 << 32) if a & 0x80000000 else a
-        sb = b - (1 << 32) if b & 0x80000000 else b
-        self.flag_z = sa == sb
-        self.flag_n = sa < sb
+        regs[PC] = pc
+        self.last_exec_pc, self.prev_exec_pc, self.prev_lr = last, prev, prev_lr
+        self.flag_z, self.flag_n = bool(flags & 2), bool(flags & 1)
+        if counting:
+            timer.elapsed += n + halt_counted
+        self.cycle_count += n if ev is None else n + 1
+        return n, ev
 
-    def _cond(self, code: int) -> bool:
-        z, n = self.flag_z, self.flag_n
-        return {
-            isa.COND_EQ: z,
-            isa.COND_NE: not z,
-            isa.COND_LT: n,
-            isa.COND_GE: not n,
-            isa.COND_GT: not n and not z,
-            isa.COND_LE: n or z,
-        }[code]
 
+# --- predecoding -----------------------------------------------------------
+
+_UNBOUNDED = 1 << 62
+_NSC_END = NSC_BASE + NSC_SIZE
+_DMEM_END = DMEM_BASE + DMEM_SIZE
+_U32 = struct.Struct(">I")
+_load, _store = _U32.unpack_from, _U32.pack_into
+
+# Signed 32-bit order is unsigned order with the sign bit flipped. Flags are
+# kept as one int, z << 1 | n, and a condition is a truth table over it.
+_SIGN = 0x80000000
+_COND_TAKEN = {
+    isa.COND_EQ: (False, False, True, True),
+    isa.COND_NE: (True, True, False, False),
+    isa.COND_LT: (False, True, False, True),
+    isa.COND_GE: (True, False, True, False),
+    isa.COND_GT: (True, False, False, False),
+    isa.COND_LE: (False, True, True, True),
+}
+_ILLEGAL = (isa.OP_ILLEGAL, 0, 0, 0)
+
+
+def _predecode(word: bytes) -> tuple:
+    """(op, ra, rb, imm) for the interpreter; a conditional branch carries
+    its truth table as ra and a compare its immediate with the sign flipped."""
+    inst = isa.decode(word)
+    if inst is None:
+        return _ILLEGAL
+    if inst.op == OP_BCOND:
+        return (OP_BCOND, _COND_TAKEN[inst.ra], 0, inst.imm)
+    if inst.op == OP_CMP_RI:
+        return (OP_CMP_RI, inst.ra, 0, inst.imm ^ _SIGN)
+    return (inst.op, inst.ra, inst.rb, inst.imm)
 
 def load_program(asm_text: str) -> Machine:
     """Assemble and install a program; machine starts in the Secure World
@@ -524,7 +595,3 @@ def load_program(asm_text: str) -> Machine:
     m = Machine(prog.image)
     m.pc = prog.entry
     return m
-
-
-def hash_pmem(m: Machine) -> bytes:
-    return m.hash_pmem()

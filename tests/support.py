@@ -1,5 +1,6 @@
 """Shared test machinery: reference trace oracle, structured program
-generator, and a minimal gateway-service harness.
+generator, a minimal gateway-service harness, and a per-tick reference
+scenario driver.
 
 The oracle runs the ORIGINAL (uninstrumented) program and predicts the raw
 dynamic destination sequence the instrumented twin must log, expressed in
@@ -11,13 +12,17 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from cfaudit import isa
+from cfaudit import isa, wire
 from cfaudit.isa import DMEM_BASE, INSTR_WIDTH, NSC_EXIT, PMEM_BASE
 from cfaudit.cfa_engine import AppendResult, CfLog
+from cfaudit.channel import Link
 from cfaudit.instrument import InstrumentationMap, detect_static_loops, instrument
-from cfaudit.supervisor import service_gateway
+from cfaudit.scenario import (ScenarioError, ScenarioResult, ScenarioSpec,
+                              _check_expectations, resolve_input)
+from cfaudit.supervisor import Prover, ProverConfig, ProverState, service_gateway
+from cfaudit.verifier import Verifier, VerifierConfig
 from cfaudit import vm
 from cfaudit.vm import Machine, World
 
@@ -349,3 +354,117 @@ def generate_program(rng: random.Random, allow_reserved: bool = True) -> tuple[s
         body += chunk
     body.append("    nsc_call")
     return "\n".join(body + g.funcs) + "\n", g.input_words
+
+
+# --- per-tick reference scenario driver -------------------------------------
+
+def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
+    """``scenario.run`` as a plain per-tick loop: every tick polls both
+    channels, steps the device once and ticks the auditor. The scenario
+    clock must give the same result while skipping quiet ticks."""
+    asm2, _ = instrument(spec.asm_text)
+    prog2 = isa.assemble(asm2)
+    machine = Machine(prog2.image)
+    prover = Prover(machine,
+                    ProverConfig(policy=spec.policy, log_max=spec.log_max,
+                                 app_id=spec.app_id,
+                                 resend_interval=spec.device_resend),
+                    prog2.entry)
+    prover.boot()
+    load_input(machine, resolve_input(spec.input_tokens, prog2.labels))
+    if spec.pmem_flip is not None:
+        if not 0 <= spec.pmem_flip < len(machine.pmem):
+            raise ScenarioError("pmem_flip offset outside the image")
+        machine.pmem[spec.pmem_flip] ^= spec.pmem_flip_mask
+
+    vrf = Verifier(asm2, VerifierConfig(
+        app_id=spec.app_id, delta=spec.delta, policy=spec.policy,
+        initial_chal=spec.initial_chal, resend_interval=spec.verifier_resend,
+        heal_on_mac_mismatch=spec.heal_on_mac_mismatch))
+    link = Link.create(spec.channel)
+
+    verdicts: list[str] = []
+    now = 0
+    for msg in vrf.start(now):
+        link.to_device.send(now, msg)
+
+    did_reset = False
+    ns_at_reset = 0
+    seen_at_reset = 0
+    post_reset_ns: int | None = None
+    ns_at_heal: int | None = None
+    settled = False
+
+    while now < spec.max_ticks:
+        now += 1
+        if spec.reset_at is not None and now == spec.reset_at and not did_reset:
+            did_reset = True
+            ns_at_reset = prover.metrics.total_ns
+            seen_at_reset = len(vrf.slices) + vrf.duplicates
+            machine.reset()
+            for msg in prover.boot():
+                link.to_verifier.send(now, msg)
+        for data in link.to_device.poll(now):
+            if ns_at_heal is None \
+                    and wire.message_type(data) == wire.MSG_RESPONSE \
+                    and wire.Response.parse(data).result == wire.RESULT_HEAL:
+                ns_at_heal = prover.metrics.total_ns
+            for out in prover.handle_message(data):
+                link.to_verifier.send(now, out)
+        for out in prover.step():
+            link.to_verifier.send(now, out)
+        for data in link.to_verifier.poll(now):
+            for out in vrf.handle(data, now):
+                verdicts.append(wire.RESULT_NAMES[wire.Response.parse(out).result])
+                link.to_device.send(now, out)
+            if did_reset and post_reset_ns is None \
+                    and len(vrf.slices) + vrf.duplicates > seen_at_reset:
+                post_reset_ns = prover.metrics.total_ns - ns_at_reset
+        for out in vrf.tick(now):
+            link.to_device.send(now, out)
+
+        if link.to_device.pending() or link.to_verifier.pending():
+            continue
+        if prover.state is ProverState.FROZEN:
+            settled = True
+            break
+        if prover.state is ProverState.WAITING \
+                and (vrf.session_over or vrf.first_report_seen):
+            settled = True
+            break
+
+    last = vrf.slices[-1] if vrf.slices else None
+    result = ScenarioResult(
+        name=spec.name,
+        settled=settled,
+        ticks=now,
+        verdicts=verdicts,
+        verdict=verdicts[-1] if verdicts else "none",
+        heal_issued="heal" in verdicts,
+        violation=vrf.violation.kind if vrf.violation else "none",
+        violation_index=vrf.violation.index if vrf.violation else None,
+        device_state=prover.state.value,
+        pmem_zeroed=not any(machine.pmem),
+        slices_audited=len(vrf.slices),
+        device_slices=prover.metrics.slices_sent,
+        log_bytes=sum(s.size for s in vrf.slices),
+        destinations_seen=vrf.destinations_seen,
+        duplicates=vrf.duplicates,
+        rejected=vrf.rejected,
+        reports_transmitted=prover.metrics.report_sends,
+        reports_received=len(vrf.slices) + vrf.duplicates + vrf.rejected,
+        retransmissions=prover.metrics.retransmissions,
+        remnant_reports=prover.metrics.remnant_reports,
+        triggers=dict(prover.metrics.triggers),
+        windows=list(prover.metrics.windows),
+        max_window=max(prover.metrics.windows, default=0),
+        post_heal_ns=None if ns_at_heal is None
+        else prover.metrics.total_ns - ns_at_heal,
+        post_reset_ns=post_reset_ns,
+        final_digest=last.digest.hex() if last else "",
+        channel_stats={
+            "to_device": asdict(link.to_device.stats),
+            "to_verifier": asdict(link.to_verifier.stats)},
+        failures=[])
+    result.failures = _check_expectations(spec, result)
+    return result

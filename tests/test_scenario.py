@@ -1,13 +1,19 @@
 """End-to-end runs driven by scenario files, and the file format itself."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from cfaudit.resolver import POLICY_DISABLE, POLICY_FREEZE
 from cfaudit.scenario import (ScenarioError, measure_attack_window,
                               parse_scenario, resolve_input, run,
                               run_scenario)
+from cfaudit.supervisor import AuditContext, F_REMEDIATION
+from cfaudit.vm import Machine
+
+from support import run_per_tick
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PROGRAM_DIR = SCENARIO_DIR / "programs"
@@ -256,3 +262,86 @@ def test_halving_branch_density_doubles_the_window():
                                    delta=10_000_000).max_window
     assert 1.5 <= mid / dense <= 2.5
     assert 1.5 <= sparse / mid <= 2.5
+
+
+def test_count_expectation_failures_print_the_count(tmp_path):
+    scn = write_scn(tmp_path, """
+[scenario]
+program = prog.asm
+
+[expect]
+min_slices = 3
+min_retransmissions = 2
+""")
+    res = run(parse_scenario(scn))
+    assert res.failures == ["min_slices: wanted 3, got 1",
+                            "min_retransmissions: wanted 2, got 0"]
+
+
+# -- the event-driven clock matches the per-tick loop --------------------------
+
+def bundled(name):
+    return parse_scenario(SCENARIO_DIR / f"{name}.scn")
+
+
+def assert_same_as_per_tick(spec):
+    assert run(spec).to_json() == run_per_tick(spec).to_json(), spec.name
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")))
+def test_clock_matches_per_tick_loop_under_power_cuts(name):
+    spec = bundled(name)
+    assert_same_as_per_tick(spec)
+    for reset_at in range(1, run(spec).ticks + 1, 16):
+        assert_same_as_per_tick(replace(spec, reset_at=reset_at))
+
+
+def test_clock_matches_per_tick_loop_over_channel_seeds():
+    spec = bundled("lossy_fold")
+    for seed in range(20):
+        assert_same_as_per_tick(replace(spec, channel=replace(spec.channel, seed=seed)))
+
+
+@pytest.mark.parametrize("name", ["image_tamper", "overflow_hijack"])
+@pytest.mark.parametrize("policy", [POLICY_FREEZE, POLICY_DISABLE],
+                         ids=["freeze", "disable"])
+def test_clock_matches_per_tick_loop_under_other_policies(name, policy):
+    # a disabled image that still carries the tamper never attests clean,
+    # so the session runs to max_ticks; keep that short for the per-tick loop
+    spec = replace(bundled(name), policy=policy, max_ticks=5000)
+    res = run(spec)
+    assert res.heal_issued
+    if policy == POLICY_FREEZE:
+        assert res.settled and res.device_state == "frozen"
+    assert_same_as_per_tick(spec)
+    for reset_at in range(1, min(res.ticks, 200) + 1, 16):
+        assert_same_as_per_tick(replace(spec, reset_at=reset_at))
+
+
+def test_clock_matches_per_tick_loop_on_a_reset_mid_wipe(monkeypatch):
+    # padding makes the wipe take three chunks, one per tick
+    base = bundled("image_tamper")
+    spec = replace(base, asm_text=base.asm_text + "unused_pad:\n"
+                   + "    mov r0, #0\n" * 600 + "    bx lr\n")
+    mid_wipe = []
+    reset = Machine.reset
+
+    def recording_reset(machine):
+        ctx = AuditContext.load(machine.retained_mem)
+        mid_wipe.append(ctx is not None and ctx.flag(F_REMEDIATION)
+                        and 0 < ctx.wipe_cursor < ctx.image_len)
+        reset(machine)
+
+    monkeypatch.setattr(Machine, "reset", recording_reset)
+    for reset_at in range(1, run(spec).ticks + 1):
+        assert_same_as_per_tick(replace(spec, reset_at=reset_at))
+    assert any(mid_wipe)
+
+
+def test_window_measurement_budget_counts_ticks():
+    text = probe("window_dense")
+    wm = measure_attack_window(text, log_max=1024, delta=10_000_000)
+    ticks = wm.total_ns + sum(wm.triggers.values())      # lower bound
+    with pytest.raises(RuntimeError, match="did not converge"):
+        measure_attack_window(text, log_max=1024, delta=10_000_000,
+                              max_steps=ticks // 2)

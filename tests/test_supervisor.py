@@ -498,3 +498,71 @@ def test_boot_with_blank_retained_memory_waits():
     assert p.boot() == []
     assert p.state is ProverState.WAITING
     assert p.metrics.remnant_reports == 0
+
+
+# --- advance: many ticks per call -------------------------------------------------
+
+def drive(p, ticks, budget=None):
+    """Run the device for ``ticks`` ticks, answering every report with exec
+    (end once the log holds the exit) and leaving every third one unanswered
+    so resends show. Returns (tick, output) for every tick that emitted.
+    ``budget`` None steps one tick per call; otherwise ticks go by
+    ``advance``."""
+    p.boot()
+    p.handle_message(request(chal=1, delta=37))
+    chal, now, seen = 1, 0, []
+    while now < ticks:
+        if budget is None:
+            now, out = now + 1, p.step()
+        else:
+            n, out = p.advance(min(budget, ticks - now))
+            now += n
+        if not out:
+            continue
+        seen.append((now, out))
+        rep = wire.Report.parse(out[0])
+        if len(seen) % 3 == 0:
+            continue
+        done = decompress(rep.log)[-1:] == [NSC_EXIT]
+        chal += 1
+        p.handle_message(wire.Response.make(
+            KEY, wire.RESULT_END if done else wire.RESULT_EXEC, chal).pack())
+    return seen
+
+
+CALLING_LOOP = """
+main:
+    mov r0, #0
+again:
+    bl fn
+    add r0, r0, #2
+    cmp r0, #300
+    blt again
+    nsc_call
+fn:
+    bx lr
+"""
+
+
+@pytest.mark.parametrize("resend", [50, 0])
+@pytest.mark.parametrize("budget", [7, 1000])
+def test_advance_matches_stepping_tick_for_tick(budget, resend):
+    stepped, _, _ = build(CALLING_LOOP, log_max=16)
+    advanced, _, _ = build(CALLING_LOOP, log_max=16)
+    stepped.config.resend_interval = advanced.config.resend_interval = resend
+    expected = drive(stepped, 3000)
+    assert len(expected) > 5
+    assert drive(advanced, 3000, budget) == expected
+    assert advanced.metrics == stepped.metrics
+    assert advanced._resend_clock == stepped._resend_clock
+
+
+def test_advance_stops_on_a_silent_state_change():
+    p, m, _ = build(DIAMOND, policy=POLICY_FREEZE)
+    p.boot()
+    p.handle_message(request(chal=1))
+    pump(p)
+    p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, 2).pack())
+    assert p.advance(100) == (1, [])
+    assert p.state is ProverState.FROZEN
+    assert p.advance(100) == (100, [])

@@ -1,14 +1,20 @@
 """Machine-model unit tests: worlds, permissions, faults, timer, gateway window."""
 
 import hashlib
+import random
 
 import pytest
 
 from cfaudit import isa, vm
+from cfaudit.cfa_engine import CfLog
+from cfaudit.instrument import instrument
+from cfaudit.supervisor import service_gateway
 from cfaudit.isa import DMEM_BASE, NSC_EXIT, PMEM_BASE, STACK_TOP, TRAMP_COND
 from cfaudit.vm import (AccessKind, Fault, FaultKind, Halted, Machine, NscEntry,
                         TimerTrigger, World, WorldViolation, Executed,
                         load_program)
+
+from support import generate_program, load_input
 
 
 def run_until(m, cls, limit=10_000):
@@ -338,3 +344,166 @@ def test_illegal_instruction_fault():
     ev = m.step()
     assert isinstance(ev, Fault)
     assert ev.kind is FaultKind.ILLEGAL_INSTRUCTION
+
+
+# --- blocks: run(n) against repeated step() ----------------------------------
+
+UNBOUNDED = None
+
+
+def machine_state(m):
+    return (list(m.regs), m.flag_z, m.flag_n, m.cycle_count, m.last_exec_pc,
+            m.prev_exec_pc, m.prev_lr, m.timer.elapsed, m.world, m.halted)
+
+
+def resume_after(m, ev, log):
+    """What a monitor does with an event; False when the run is over."""
+    if isinstance(ev, TimerTrigger):
+        m.timer.resume()
+        m.enter_nonsecure(m.pc)
+        return True
+    if isinstance(ev, NscEntry) and ev.addr != NSC_EXIT:
+        return service_gateway(m, log, ev) is None
+    return False
+
+
+def assert_blocks_match_steps(make, limit, max_cycles=50_000):
+    """Run one machine in blocks of ``limit`` and a twin one step at a time;
+    after every block both must hold the same event and the same state.
+    Returns the events, up to the end of the run or ``max_cycles``."""
+    stepped, batched = make(), make()
+    logs = CfLog(capacity=1 << 20), CfLog(capacity=1 << 20)
+    events = []
+    while batched.cycle_count < max_cycles:
+        n, ev = batched.run(limit)
+        for _ in range(n):
+            assert stepped.step() == Executed(stepped.last_exec_pc)
+        if ev is not None:
+            assert stepped.step() == ev
+            events.append(ev)
+        assert machine_state(stepped) == machine_state(batched)
+        if ev is not None:
+            go_on = resume_after(stepped, ev, logs[0])
+            assert resume_after(batched, ev, logs[1]) == go_on
+            if not go_on:
+                break
+    return events
+
+
+def deployed(asm, words, delta=None):
+    asm2, _ = instrument(asm)
+    prog2 = isa.assemble(asm2)
+
+    def make():
+        m = Machine(prog2.image)
+        load_input(m, words)
+        m.lock_pmem()
+        if delta is not None:
+            m.timer.arm(delta)
+        m.enter_nonsecure(prog2.entry)
+        return m
+    return make
+
+
+@pytest.mark.parametrize("limit", [1, 7, UNBOUNDED])
+def test_run_matches_step_on_generated_programs(limit):
+    for seed in range(40):
+        rng = random.Random(seed)
+        asm, words = generate_program(rng)
+        # deadlines that fall mid-block, except on a few unarmed runs
+        delta = None if seed % 5 == 0 else rng.randint(3, 40)
+        events = assert_blocks_match_steps(deployed(asm, words, delta=delta), limit)
+        assert events[-1] == NscEntry(NSC_EXIT, events[-1].snapshot)
+
+
+@pytest.mark.parametrize("limit", [1, 7, UNBOUNDED])
+def test_run_matches_step_on_corrupted_images(limit):
+    # random byte flips give illegal words, unaligned and unmapped
+    # accesses, and jumps out of the image: each must end the block at
+    # the same cycle with the same fault
+    kinds = set()
+    for seed in range(60):
+        rng = random.Random(1000 + seed)
+        asm, words = generate_program(rng)
+        image = bytearray(isa.assemble(asm).image)
+        for _ in range(3):
+            image[rng.randrange(len(image))] ^= 1 << rng.randrange(8)
+        delta = rng.randint(5, 500)
+        entry = PMEM_BASE + 4 * rng.randrange(len(image) // 4)
+
+        def make():
+            m = Machine(bytes(image))
+            load_input(m, words)
+            m.lock_pmem()
+            m.timer.arm(delta)
+            m.enter_nonsecure(entry)
+            return m
+        events = assert_blocks_match_steps(make, limit, max_cycles=5_000)
+        kinds.update(ev.kind for ev in events if isinstance(ev, Fault))
+    assert {FaultKind.UNMAPPED, FaultKind.UNALIGNED,
+            FaultKind.ILLEGAL_INSTRUCTION} <= kinds
+
+
+def test_run_stops_at_a_deadline_inside_the_block():
+    m = load_program("main:\n mov r0, #0\nspin:\n add r0, r0, #1\n b spin\n")
+    m.enter_nonsecure(PMEM_BASE)
+    m.timer.arm(10)
+    assert m.run(7) == (7, None)
+    n, ev = m.run(7)
+    assert (n, ev) == (3, TimerTrigger())
+    assert m.timer.elapsed == 10 and m.cycle_count == 11
+    assert m.world is World.SECURE
+    assert m.run(0) == (0, None)
+
+
+SELF_PATCH = """
+main:
+    mov r1, #patch
+    mov r2, #input_base
+    ldr r3, [r2]
+    mov r4, #0
+patch:
+    mov r0, #1
+    add r4, r4, #1
+    str r3, [r1]
+    cmp r4, #2
+    blt patch
+    nsc_call
+"""
+
+
+@pytest.mark.parametrize("limit", [1, 7, UNBOUNDED])
+def test_pmem_store_invalidates_the_predecoded_word(limit):
+    # unlocked pmem: the app overwrites an instruction it already ran
+    patched = int.from_bytes(isa.Instruction(isa.OP_MOV_IMM, 0, 0, 2).encode(), "big")
+
+    def make():
+        m = load_program(SELF_PATCH)
+        load_input(m, [patched])
+        m.enter_nonsecure(m.pc)
+        return m
+    (ev,) = assert_blocks_match_steps(make, limit)
+    assert ev.addr == NSC_EXIT
+    assert ev.snapshot.regs[0] == 2
+
+
+@pytest.mark.parametrize("limit", [1, 7, UNBOUNDED])
+def test_fetch_from_dmem(limit):
+    # dmem is never executable for the app, locked or not; the Secure
+    # World runs it from outside the predecoded table
+    code = [isa.Instruction(isa.OP_MOV_IMM, 0, 0, 7), isa.Instruction(isa.OP_BX_LR)]
+    words = [int.from_bytes(i.encode(), "big") for i in code]
+    asm = "main:\n mov r4, #dmem_base\n blx r4\n nsc_call\n"
+
+    def make(world):
+        def build():
+            m = load_program(asm)
+            load_input(m, words)
+            if world is World.NONSECURE:
+                m.enter_nonsecure(m.pc)
+            return m
+        return build
+    (ev,) = assert_blocks_match_steps(make(World.NONSECURE), limit)
+    assert ev == Fault(FaultKind.EXEC_VIOLATION, DMEM_BASE)
+    (ev,) = assert_blocks_match_steps(make(World.SECURE), limit)
+    assert ev == Halted()
