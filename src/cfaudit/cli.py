@@ -2,12 +2,15 @@
 
 Three subcommands cover the workflows the library supports:
 
-    cfaudit run scenario.scn          drive one scenario to completion
+    cfaudit run a.scn [b.scn ...]     drive each scenario to completion
     cfaudit window program.asm        sweep evidence capacity vs exposure
     cfaudit instrument program.asm    show a program as it will be deployed
 
-``run`` exits 0 when the scenario settled and met every expectation, 1
-when it ran but missed one, and 2 when the scenario file itself is bad.
+``run`` applies its overrides to each scenario and writes one JSON line
+per scenario with ``--json`` or ``--output``. It exits 0 when every
+scenario settled and met every expectation, 1 when one missed one, and 2
+when a scenario file is bad. ``window`` runs the program as a scenario
+over an ideal link per capacity; a run that does not settle exits 2.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from pathlib import Path
 
 from .instrument import UnsupportedPattern, instrument
 from .isa import LinkError, ParseError
-from .scenario import (ScenarioError, measure_attack_window, parse_scenario,
-                       run)
+from .scenario import ScenarioError, ScenarioSpec, parse_scenario, run
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
 EXIT_USAGE = 2
+
+WINDOW_MAX_TICKS = 5_000_000
 
 
 def _format_run(res) -> str:
@@ -55,20 +59,29 @@ def _format_run(res) -> str:
     return "\n".join(lines)
 
 
-def _cmd_run(args) -> int:
-    spec = parse_scenario(args.scenario)
+def _load_spec(path: str, args):
+    spec = parse_scenario(path)
     if args.seed is not None:
         spec = replace(spec, channel=replace(spec.channel, seed=args.seed))
     if args.delta is not None:
         spec = replace(spec, delta=args.delta)
     if args.log_max is not None:
         spec = replace(spec, log_max=args.log_max)
-    res = run(spec)
+    return spec
+
+
+def _cmd_run(args) -> int:
+    specs = [_load_spec(path, args) for path in args.scenarios]
+    results = [run(spec) for spec in specs]
+    records = "".join(res.to_json() + "\n" for res in results)
     if args.output:
-        Path(args.output).write_text(res.to_json() + "\n")
+        Path(args.output).write_text(records)
     if not args.quiet:
-        print(res.to_json() if args.json else _format_run(res))
-    return EXIT_OK if res.ok else EXIT_EXPECT
+        if args.json:
+            print(records, end="")
+        else:
+            print("\n".join(_format_run(res) for res in results))
+    return EXIT_OK if all(res.ok for res in results) else EXIT_EXPECT
 
 
 def _parse_capacities(text: str) -> list[int]:
@@ -82,22 +95,25 @@ def _parse_capacities(text: str) -> list[int]:
 
 
 def _cmd_window(args) -> int:
-    asm_text = Path(args.program).read_text()
-    words = [int(tok, 0) for tok in args.input.split()] if args.input else None
+    path = Path(args.program)
+    asm_text = path.read_text()
+    tokens = tuple(args.input.split())
     rows = []
     for cap in _parse_capacities(args.log_max):
-        wm = measure_attack_window(asm_text, words, log_max=cap,
-                                   delta=args.delta)
-        rows.append((cap, wm))
+        res = run(ScenarioSpec(path.stem, asm_text, delta=args.delta, log_max=cap,
+                               input_tokens=tokens, max_ticks=WINDOW_MAX_TICKS))
+        if not res.settled:
+            raise ScenarioError("window measurement did not converge")
+        rows.append((cap, res))
     if args.json:
-        print(json.dumps([{"log_max": cap, "max_window": wm.max_window,
-                           "slices": wm.slices, "triggers": wm.triggers}
-                          for cap, wm in rows]))
+        print(json.dumps([{"log_max": cap, "max_window": res.max_window,
+                           "slices": res.device_slices, "triggers": res.triggers}
+                          for cap, res in rows]))
         return EXIT_OK
     print(f"{'log_max':>8} {'max_window':>11} {'slices':>7}  triggers")
-    for cap, wm in rows:
-        trig = " ".join(f"{k}={v}" for k, v in wm.triggers.items() if v)
-        print(f"{cap:>8} {wm.max_window:>11} {wm.slices:>7}  {trig}")
+    for cap, res in rows:
+        trig = " ".join(f"{k}={v}" for k, v in res.triggers.items() if v)
+        print(f"{cap:>8} {res.max_window:>11} {res.device_slices:>7}  {trig}")
     return EXIT_OK
 
 
@@ -113,10 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="deterministic control-flow auditing simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="drive one scenario file to completion")
-    p_run.add_argument("scenario", help="path to a .scn file")
+    p_run = sub.add_parser("run", help="drive scenario files to completion")
+    p_run.add_argument("scenarios", nargs="+", metavar="scenario",
+                       help="path to a .scn file")
     p_run.add_argument("--json", action="store_true",
-                       help="emit the result record as one JSON line")
+                       help="emit each result record as one JSON line")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the channel seed")
     p_run.add_argument("--delta", type=int, default=None,
@@ -124,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--log-max", type=int, default=None,
                        help="override the evidence buffer capacity")
     p_run.add_argument("--output", default=None,
-                       help="also write the JSON record to this file")
+                       help="also write the JSON records to this file")
     p_run.add_argument("--quiet", action="store_true",
                        help="no stdout; the exit code carries the outcome")
     p_run.set_defaults(func=_cmd_run)

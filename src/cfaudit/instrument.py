@@ -42,16 +42,6 @@ KIND_INDIRECT_CALL = "indirect_call"
 KIND_RETURN_BX_LR = "return_bx_lr"
 KIND_RETURN_POP_PC = "return_pop_pc"
 
-_TRAMP_FOR_KIND = {
-    KIND_COND_TAKEN: "trampoline_cond",
-    KIND_COND_NOT_TAKEN: "trampoline_cond",
-    KIND_STATIC_LOOP: "trampoline_loop",
-    KIND_INDIRECT_CALL: "trampoline_icall",
-    KIND_RETURN_BX_LR: "trampoline_ret",
-    KIND_RETURN_POP_PC: "trampoline_ret",
-}
-
-
 class UnsupportedPattern(Exception):
     """Program shape the rewriter cannot instrument soundly."""
 
@@ -92,7 +82,6 @@ class InstrumentationMap:
     renames: dict[str, str] = field(default_factory=dict)
     line_map: dict[int, int] = field(default_factory=dict)
     line_end: dict[int, int] = field(default_factory=dict)
-    orig_line_addrs: list[int] = field(default_factory=list)
     loops: list[LoopDescriptor] = field(default_factory=list)
 
     def to_text(self) -> str:
@@ -296,8 +285,8 @@ class _Plan:
     replacements: dict[int, list[SourceLine]] = field(default_factory=dict)
 
 
-def _build_plan(lines: list[SourceLine], loops: list[LoopDescriptor],
-                only_branch: int | None = None) -> tuple[_Plan, list[MapEntry]]:
+def _build_plan(lines: list[SourceLine],
+                loops: list[LoopDescriptor]) -> tuple[_Plan, list[MapEntry]]:
     labels = _label_lines(lines)
     loop_branches = {lp.branch_line: lp for lp in loops}
     plan = _Plan()
@@ -307,8 +296,6 @@ def _build_plan(lines: list[SourceLine], loops: list[LoopDescriptor],
         return isa.PMEM_BASE + i * isa.INSTR_WIDTH
 
     for i, sl in enumerate(lines):
-        if only_branch is not None and i != only_branch:
-            continue
         n = sl.mnemonic
         if n.startswith("b") and n[1:] in isa.COND_NAMES:
             if i + 1 >= len(lines):
@@ -387,8 +374,6 @@ def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
     Returns the rewritten assembly text and the sidecar map.
     """
     lines = parse_lines(asm_text)
-    orig_prog = isa.assemble([SourceLine(list(s.labels), s.mnemonic, list(s.args), s.lineno)
-                              for s in lines])
     renames = plan_renames(lines)
     lines = _apply_renames(lines, renames)
     loops = detect_static_loops(lines)
@@ -397,8 +382,7 @@ def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
     text2 = _render(out)
     prog2 = isa.assemble(text2)
 
-    imap = InstrumentationMap(entries=entries, renames=renames, loops=loops,
-                              orig_line_addrs=list(orig_prog.line_addrs))
+    imap = InstrumentationMap(entries=entries, renames=renames, loops=loops)
     for new_idx, origin in enumerate(origins):
         if origin is None:
             continue
@@ -408,16 +392,3 @@ def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
         imap.line_end[origin] = a + isa.INSTR_WIDTH
     return text2, imap
 
-
-def rewrite_conditional(lines: list[SourceLine], branch_index: int) -> list[SourceLine]:
-    """Instrument the two destinations of one conditional branch."""
-    plan, _ = _build_plan(lines, [], only_branch=branch_index)
-    out, _ = _emit(lines, plan)
-    return out
-
-
-def rewrite_static_loop(lines: list[SourceLine], loop: LoopDescriptor) -> list[SourceLine]:
-    """Apply the three-instruction entry block for one detected loop."""
-    plan, _ = _build_plan(lines, [loop], only_branch=loop.branch_line)
-    out, _ = _emit(lines, plan)
-    return out

@@ -99,7 +99,6 @@ COND_NAMES = {"eq": COND_EQ, "ne": COND_NE, "lt": COND_LT,
 COND_REPR = {v: k for k, v in COND_NAMES.items()}
 
 # Opcodes that may redirect control flow when executed.
-CONTROL_OPCODES = frozenset({OP_B, OP_BCOND, OP_BL, OP_BLX, OP_BX_LR, OP_NSC_CALL})
 BRANCH_MNEMONICS = frozenset({"b", "bl", "blx", "bx", "nsc_call"} | {"b" + c for c in COND_NAMES})
 
 

@@ -15,20 +15,16 @@ device's claim.
 
 from __future__ import annotations
 
-import struct
-
 from . import isa
+from .context import (F_FROZEN, POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE,
+                      AuditContext, partial_store)
 from .vm import Machine
 
-POLICY_FREEZE = 0
-POLICY_DISABLE = 1
-POLICY_WIPE = 2
 POLICY_NAMES = {POLICY_FREEZE: "freeze", POLICY_DISABLE: "disable", POLICY_WIPE: "wipe"}
 
 _HALT = isa.Instruction(isa.OP_HALT).encode()
 
-# AuditContext field offsets this module touches (cursor persistence)
-_CURSOR_OFFSET = 0x78
+_store_cursor = partial_store("wipe_cursor")
 
 
 def healed_image(image: bytes, policy: int, entry_offset: int = 0) -> bytes:
@@ -54,14 +50,14 @@ class Resolver:
         self.policy = policy
         self.chunk = chunk
 
-    def start(self, ctx, retained: bytearray) -> None:
+    def start(self, ctx: AuditContext, retained: bytearray) -> None:
         ctx.wipe_cursor = 0
-        struct.pack_into(">I", retained, _CURSOR_OFFSET, 0)
+        _store_cursor(ctx, retained)
 
-    def step(self, ctx, retained: bytearray) -> bool:
+    def step(self, ctx: AuditContext, retained: bytearray) -> bool:
         """One chunk of remediation work. True when the image is healed."""
         if self.policy == POLICY_FREEZE:
-            ctx.flags |= 1 << 4              # F_FROZEN
+            ctx.set_flag(F_FROZEN)
             ctx.store(retained)
             return True
         if self.policy == POLICY_DISABLE:
@@ -74,5 +70,5 @@ class Resolver:
         end = min(start + self.chunk, ctx.image_len)
         self.m.write_pmem(isa.PMEM_BASE + start, bytes(end - start))
         ctx.wipe_cursor = end
-        struct.pack_into(">I", retained, _CURSOR_OFFSET, end)
+        _store_cursor(ctx, retained)
         return end >= ctx.image_len

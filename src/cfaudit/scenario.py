@@ -55,7 +55,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import isa, wire
-from .cfa_engine import DEFAULT_LOG_MAX, decompress
+from .cfa_engine import DEFAULT_LOG_MAX
+from .cfa_engine import decompress  # noqa: F401  perfbench/spans.py wraps scenario.decompress
 from .channel import ChannelConfig, Link
 from .instrument import instrument
 from .resolver import POLICY_NAMES
@@ -399,56 +400,3 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
 def run_scenario(path: str | Path) -> ScenarioResult:
     return run(parse_scenario(path))
 
-
-# --- attack window measurement -------------------------------------------------
-
-@dataclass
-class WindowMeasurement:
-    windows: list[int]
-    max_window: int
-    slices: int
-    triggers: dict[str, int]
-    total_ns: int
-
-
-def measure_attack_window(asm_text: str, input_words: list[int] | None = None,
-                          *, log_max: int = DEFAULT_LOG_MAX,
-                          delta: int = 500_000,
-                          max_steps: int = 5_000_000) -> WindowMeasurement:
-    """Longest stretch of unaudited app execution for one configuration.
-
-    Runs the device against an ideal zero-latency collector that authorizes
-    every slice, so the measured windows reflect the capacity and deadline
-    triggers alone, not link behavior.
-    """
-    asm2, _ = instrument(asm_text)
-    prog2 = isa.assemble(asm2)
-    machine = Machine(prog2.image)
-    config = ProverConfig(log_max=log_max)
-    prover = Prover(machine, config, prog2.entry)
-    prover.boot()
-    if input_words:
-        load_input(machine, input_words)
-    chal = 1
-    prover.handle_message(
-        wire.AttestRequest(config.app_id, delta, chal).pack(config.key))
-    steps = 0
-    while steps < max_steps:
-        ticks, out = prover.advance(max_steps - steps)
-        steps += ticks
-        if not out:
-            continue
-        report = wire.Report.parse(out[0])
-        dests = decompress(report.log)
-        done = bool(dests) and dests[-1] == isa.NSC_EXIT
-        chal += 1
-        result = wire.RESULT_END if done else wire.RESULT_EXEC
-        prover.handle_message(
-            wire.Response.make(config.key, result, chal).pack())
-        if done:
-            break
-    else:
-        raise RuntimeError("window measurement did not converge")
-    m = prover.metrics
-    return WindowMeasurement(list(m.windows), max(m.windows) if m.windows else 0,
-                             m.slices_sent, dict(m.triggers), m.total_ns)

@@ -20,12 +20,14 @@ re-reported from retained memory before the app could run again.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass, field
 
 from . import isa, wire
 from .cfa_engine import AppendResult, CfLog, DEFAULT_LOG_MAX
-from .resolver import (POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE, Resolver)
+from .context import (AuditContext, F_FINAL, F_FROZEN, F_REMEDIATION,
+                      F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, POLICY_WIPE,
+                      partial_store)
+from .resolver import Resolver
 from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger, World
 
 # --- gateway service -------------------------------------------------------
@@ -69,71 +71,11 @@ def service_gateway(m: Machine, log: CfLog, ev: NscEntry) -> str | None:
     return None
 
 
-# --- retained session context ------------------------------------------------
-
-CTX_MAGIC = b"ACTX"
-CTX_HEADER_SIZE = 256
-LOG_BUFFER_OFFSET = CTX_HEADER_SIZE
-
-F_VALID = 1 << 0
-F_EXEC_DONE = 1 << 1
-F_REPORT_PENDING = 1 << 2
-F_REMEDIATION = 1 << 3
-F_FROZEN = 1 << 4
-F_FINAL = 1 << 5          # session must end after the pending report is acked
-
-
-@dataclass
-class AuditContext:
-    """Fixed-layout header at the base of retained memory. The log buffer
-    sits right behind it, written in place by the engine."""
-
-    flags: int = 0
-    app_id: int = 0
-    policy: int = POLICY_WIPE
-    delta: int = 0
-    chal: int = 0
-    sigma: bytes = b"\x00" * wire.MAC_WIDTH
-    log_size: int = 0
-    wipe_cursor: int = 0
-    log_max: int = DEFAULT_LOG_MAX
-    entry: int = 0
-    image_len: int = 0
-    engine_state: bytes = b"\x00" * CfLog.STATE_WIDTH
-
-    def flag(self, bit: int) -> bool:
-        return bool(self.flags & bit)
-
-    def set_flag(self, bit: int, on: bool = True) -> None:
-        self.flags = (self.flags | bit) if on else (self.flags & ~bit)
-
-    def store(self, mem: bytearray) -> None:
-        struct.pack_into(">4sIHBxQ", mem, 0, CTX_MAGIC, self.flags,
-                         self.app_id, self.policy, self.delta)
-        mem[0x14:0x14 + wire.CHAL_WIDTH] = wire.chal_bytes(self.chal)
-        mem[0x54:0x54 + wire.MAC_WIDTH] = self.sigma
-        struct.pack_into(">IIIII", mem, 0x74, self.log_size, self.wipe_cursor,
-                         self.log_max, self.entry, self.image_len)
-        mem[0x88:0x88 + CfLog.STATE_WIDTH] = self.engine_state
-
-    @classmethod
-    def load(cls, mem: bytearray) -> "AuditContext | None":
-        if bytes(mem[0:4]) != CTX_MAGIC:
-            return None
-        _, flags, app_id, policy, delta = struct.unpack_from(">4sIHBxQ", mem, 0)
-        chal = wire.chal_value(bytes(mem[0x14:0x14 + wire.CHAL_WIDTH]))
-        sigma = bytes(mem[0x54:0x54 + wire.MAC_WIDTH])
-        log_size, cursor, log_max, entry, image_len = struct.unpack_from(">IIIII", mem, 0x74)
-        engine_state = bytes(mem[0x88:0x88 + CfLog.STATE_WIDTH])
-        return cls(flags, app_id, policy, delta, chal, sigma, log_size,
-                   cursor, log_max, entry, image_len, engine_state)
-
-    @staticmethod
-    def erase(mem: bytearray) -> None:
-        mem[0:4] = b"\x00" * 4
-
-
 # --- prover ------------------------------------------------------------------
+
+# what append acknowledged, persisted after every logged transfer
+_store_log_state = partial_store("log_size", "engine_state")
+
 
 class ProverState(enum.Enum):
     WAITING = "waiting"
@@ -210,8 +152,7 @@ class Prover:
         if self.log is not None:
             self.ctx.log_size = self.log.size
             self.ctx.engine_state = self.log.checkpoint()
-        struct.pack_into(">I", self.m.retained_mem, 0x74, self.ctx.log_size)
-        self.m.retained_mem[0x88:0x88 + CfLog.STATE_WIDTH] = self.ctx.engine_state
+        _store_log_state(self.ctx, self.m.retained_mem)
 
     def _slice_bytes(self) -> bytes:
         base = LOG_BUFFER_OFFSET
@@ -358,7 +299,7 @@ class Prover:
                     return self._trigger_report("capacity")
             else:                          # app end was waiting for room
                 self.log.append(_EXIT_SENTINEL)
-                return self._finish_execution()
+                return self._trigger_report("end")
         if self.m.world is World.SECURE:
             # deadline stall: the core was yanked out mid-run, so return it
             # to the interrupted instruction (gateway stalls re-entered the
@@ -436,7 +377,7 @@ class Prover:
                 if res is AppendResult.FULL:
                     self._stalled = ("exit", None)
                     return self._trigger_report("capacity")
-                return self._finish_execution()
+                return self._trigger_report("end")
             outcome = service_gateway(self.m, self.log, ev)
             self._persist_size()
             if outcome == "full":
@@ -448,10 +389,6 @@ class Prover:
         self.metrics.triggers["fault"] += 1
         self.m.reset()
         return self.boot()
-
-    def _finish_execution(self) -> list[bytes]:
-        self.ctx.set_flag(F_EXEC_DONE)
-        return self._trigger_report("end")
 
     def _trigger_report(self, reason: str) -> list[bytes]:
         self.metrics.triggers[reason] += 1
@@ -483,10 +420,7 @@ class Prover:
     def _post_heal_report(self) -> list[bytes]:
         """Attest the remediated image so the verifier can confirm the heal."""
         self.ctx.set_flag(F_REMEDIATION, False)
-        self.log = CfLog(capacity=self.ctx.log_max,
-                         buffer=memoryview(self.m.retained_mem)[
-                             LOG_BUFFER_OFFSET:LOG_BUFFER_OFFSET + self.ctx.log_max])
+        self._attach_log()
         self.log.append(_EXIT_SENTINEL)
-        self.ctx.set_flag(F_EXEC_DONE)
         self._persist_size()
         return self._generate_report()

@@ -31,7 +31,6 @@ RESULT_NAMES = {RESULT_EXEC: "exec", RESULT_END: "end", RESULT_HEAL: "heal"}
 
 CHAL_WIDTH = 64
 MAC_WIDTH = 32
-DIGEST_WIDTH = 32
 REQUEST_WIDTH = 1 + 2 + 8 + CHAL_WIDTH + MAC_WIDTH
 RESPONSE_WIDTH = 1 + 1 + CHAL_WIDTH + MAC_WIDTH
 REPORT_HEADER_WIDTH = 1 + MAC_WIDTH + 4

@@ -7,10 +7,24 @@ from pathlib import Path
 
 import pytest
 
+from cfaudit import cli
 from cfaudit.cli import EXIT_EXPECT, EXIT_OK, EXIT_USAGE, main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PROGRAM_DIR = SCENARIO_DIR / "programs"
+CORPUS = Path(__file__).resolve().parent / "data" / "corpus.jsonl"
+PROBES = ("window_dense", "window_mid", "window_sparse")
+
+# benign and endless: every pass logs the same return
+SPIN = "main:\n    bl tick\n    b main\ntick:\n    bx lr\n"
+
+
+def write_missed(tmp_path):
+    """A scenario that runs and settles but misses its expectation."""
+    (tmp_path / "p.asm").write_text("main:\n    nsc_call\n")
+    scn = tmp_path / "c.scn"
+    scn.write_text("[scenario]\nprogram = p.asm\n\n[expect]\nverdict = heal\n")
+    return scn
 
 
 def test_run_passing_scenario(capsys):
@@ -32,11 +46,7 @@ def test_run_json_is_one_parseable_line(capsys):
 
 
 def test_run_missed_expectation_exits_one(tmp_path, capsys):
-    prog = tmp_path / "p.asm"
-    prog.write_text("main:\n    nsc_call\n")
-    scn = tmp_path / "c.scn"
-    scn.write_text("[scenario]\nprogram = p.asm\n\n[expect]\nverdict = heal\n")
-    code = main(["run", str(scn)])
+    code = main(["run", str(write_missed(tmp_path))])
     out = capsys.readouterr().out
     assert code == EXIT_EXPECT
     assert "FAIL" in out
@@ -126,3 +136,65 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, cwd=str(SCENARIO_DIR.parent))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["post_reset_ns"] == 0
+
+
+def test_run_many_prints_one_json_line_per_scenario(tmp_path, capsys):
+    names = ["benign_pulse", "power_cut"]
+    out_file = tmp_path / "records.jsonl"
+    code = main(["run", "--json", "--output", str(out_file)]
+                + [str(SCENARIO_DIR / f"{name}.scn") for name in names])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert [json.loads(line)["name"] for line in out.splitlines()] == names
+    assert out_file.read_text() == out
+
+
+def test_run_many_exits_one_if_any_scenario_misses(tmp_path, capsys):
+    code = main(["run", str(SCENARIO_DIR / "benign_pulse.scn"),
+                 str(write_missed(tmp_path))])
+    out = capsys.readouterr().out
+    assert code == EXIT_EXPECT
+    assert "benign_pulse: PASS" in out
+    assert "c: FAIL" in out
+
+
+def test_run_many_exits_two_on_a_bad_file_before_running_any(capsys):
+    code = main(["run", "--json", str(SCENARIO_DIR / "benign_pulse.scn"),
+                 str(SCENARIO_DIR / "absent.scn")])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "absent.scn" in captured.err
+
+
+def test_run_overrides_apply_to_every_scenario(capsys):
+    code = main(["run", "--json", "--delta", "50",
+                 str(SCENARIO_DIR / "benign_pulse.scn"),
+                 str(SCENARIO_DIR / "lossy_fold.scn")])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == EXIT_OK
+    assert [r["max_window"] for r in records] == [50, 50]
+    assert all(r["triggers"]["deadline"] > 0 for r in records)
+
+
+def test_window_that_never_settles_exits_two(tmp_path, monkeypatch, capsys):
+    prog = tmp_path / "spin.asm"
+    prog.write_text(SPIN)
+    monkeypatch.setattr(cli, "WINDOW_MAX_TICKS", 20_000)
+    code = main(["window", str(prog), "--log-max", "1024", "--delta", "5000"])
+    assert code == EXIT_USAGE
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_output_matches_the_golden_corpus(capsys):
+    """``run --json`` over every bundled scenario, then ``window --json``
+    on each probe, byte for byte as recorded in tests/data/corpus.jsonl."""
+    scenarios = sorted(str(p) for p in SCENARIO_DIR.glob("*.scn"))
+    assert main(["run", "--json"] + scenarios) == EXIT_OK
+    for name in PROBES:
+        assert main(["window", "--json", str(PROGRAM_DIR / f"{name}.asm")]) == EXIT_OK
+    got = capsys.readouterr().out.splitlines()
+    want = CORPUS.read_text().splitlines()
+    assert len(got) == len(want) == len(scenarios) + len(PROBES)
+    for got_line, want_line in zip(got, want):
+        assert got_line == want_line

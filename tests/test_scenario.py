@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from cfaudit.resolver import POLICY_DISABLE, POLICY_FREEZE
-from cfaudit.scenario import (ScenarioError, measure_attack_window,
-                              parse_scenario, resolve_input, run,
-                              run_scenario)
-from cfaudit.supervisor import AuditContext, F_REMEDIATION
+from cfaudit.cli import WINDOW_MAX_TICKS
+from cfaudit.context import (AuditContext, F_REMEDIATION, POLICY_DISABLE,
+                             POLICY_FREEZE)
+from cfaudit.scenario import (ScenarioError, ScenarioSpec, parse_scenario,
+                              resolve_input, run, run_scenario)
 from cfaudit.vm import Machine
 
 from support import run_per_tick
@@ -235,31 +235,30 @@ verdict = heal
 
 # -- attack window measurement ----------------------------------------------
 
-def probe(name):
-    return (PROGRAM_DIR / f"{name}.asm").read_text()
+def window(name, log_max, delta, max_ticks=WINDOW_MAX_TICKS):
+    """A probe run over the default ideal link, as ``cfaudit window`` runs it."""
+    text = (PROGRAM_DIR / f"{name}.asm").read_text()
+    return run(ScenarioSpec(name, text, delta=delta, log_max=log_max,
+                            max_ticks=max_ticks))
 
 
 def test_window_grows_with_log_capacity():
-    text = probe("window_dense")
-    maxima = [measure_attack_window(text, log_max=cap, delta=10_000_000).max_window
+    maxima = [window("window_dense", cap, 10_000_000).max_window
               for cap in (1024, 2048, 4096)]
     assert maxima == sorted(maxima)
     assert maxima[0] < maxima[-1]
 
 
 def test_window_is_capped_by_the_deadline():
-    wm = measure_attack_window(probe("window_sparse"), log_max=16384, delta=1500)
-    assert wm.max_window == 1500
-    assert wm.triggers["deadline"] > 0
+    res = window("window_sparse", 16384, 1500)
+    assert res.max_window == 1500
+    assert res.triggers["deadline"] > 0
 
 
 def test_halving_branch_density_doubles_the_window():
-    dense = measure_attack_window(probe("window_dense"), log_max=2048,
-                                  delta=10_000_000).max_window
-    mid = measure_attack_window(probe("window_mid"), log_max=2048,
-                                delta=10_000_000).max_window
-    sparse = measure_attack_window(probe("window_sparse"), log_max=2048,
-                                   delta=10_000_000).max_window
+    dense, mid, sparse = (window(name, 2048, 10_000_000).max_window
+                          for name in ("window_dense", "window_mid",
+                                       "window_sparse"))
     assert 1.5 <= mid / dense <= 2.5
     assert 1.5 <= sparse / mid <= 2.5
 
@@ -339,9 +338,9 @@ def test_clock_matches_per_tick_loop_on_a_reset_mid_wipe(monkeypatch):
 
 
 def test_window_measurement_budget_counts_ticks():
-    text = probe("window_dense")
-    wm = measure_attack_window(text, log_max=1024, delta=10_000_000)
-    ticks = wm.total_ns + sum(wm.triggers.values())      # lower bound
-    with pytest.raises(RuntimeError, match="did not converge"):
-        measure_attack_window(text, log_max=1024, delta=10_000_000,
-                              max_steps=ticks // 2)
+    res = window("window_dense", 1024, 10_000_000)
+    assert res.settled
+    assert res.ticks >= sum(res.windows) + sum(res.triggers.values())
+    short = window("window_dense", 1024, 10_000_000, max_ticks=res.ticks // 2)
+    assert not short.settled
+    assert short.ticks == res.ticks // 2

@@ -11,10 +11,11 @@ from cfaudit import isa, wire
 from cfaudit.cfa_engine import CfLog, decompress
 from cfaudit.instrument import instrument
 from cfaudit.isa import LR, NSC_EXIT, TRAMP_COND, TRAMP_LOOP, TRAMP_RET
-from cfaudit.supervisor import (AuditContext, F_FINAL, F_REPORT_PENDING,
-                                F_VALID, LOG_BUFFER_OFFSET, POLICY_DISABLE,
-                                POLICY_FREEZE, POLICY_WIPE, Prover,
-                                ProverConfig, ProverState, service_gateway)
+from cfaudit.context import (AuditContext, F_FINAL, F_FROZEN, F_REPORT_PENDING,
+                             F_VALID, LOG_BUFFER_OFFSET, POLICY_DISABLE,
+                             POLICY_FREEZE, POLICY_WIPE)
+from cfaudit.supervisor import (Prover, ProverConfig, ProverState,
+                                service_gateway)
 from cfaudit.vm import Machine, NscEntry, World
 
 from support import load_input
@@ -163,6 +164,64 @@ def test_context_roundtrip():
     ctx.store(mem)
     back = AuditContext.load(mem)
     assert back == ctx
+
+
+# one row per 16 bytes of retained memory; the header ends at 0xa0 and
+# nothing behind it is written
+GOLDEN_HEADER = bytes.fromhex(
+    "41435458000000210203010004050607"  # magic flags app_id policy pad delta
+    "08090a0b0c0d00000000000000000000"  # delta, then chal
+    "00000000000000000000000000000000"
+    "00000000000000000000000000000000"
+    "00000000000000000000000000000000"
+    "00000e0f404142434445464748494a4b"  # chal ends, then sigma
+    "4c4d4e4f505152535455565758595a5b"
+    "5c5d5e5f000001110000022200002000"  # log_size wipe_cursor log_max
+    "00001004000003848081828384858687"  # entry image_len engine_state
+    "88898a8b8c8d8e8f9091929394959697"
+    "eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee")
+
+
+def test_context_layout_is_pinned():
+    ctx = AuditContext(flags=0x21, app_id=0x0203, policy=POLICY_DISABLE,
+                       delta=0x0405060708090a0b, chal=0x0c0d << 496 | 0x0e0f,
+                       sigma=bytes(range(0x40, 0x60)), log_size=0x111,
+                       wipe_cursor=0x222, log_max=0x2000, entry=0x1004,
+                       image_len=0x384, engine_state=bytes(range(0x80, 0x98)))
+    mem = bytearray(b"\xee") * 256
+    ctx.store(mem)
+    assert bytes(mem[:len(GOLDEN_HEADER)]) == GOLDEN_HEADER
+    assert AuditContext.load(mem) == ctx
+
+
+def test_partial_stores_agree_with_the_full_store():
+    # gateway events persist the log size and the engine checkpoint, here
+    # with a repetition count in flight
+    p, m, _ = build(SINGLETON_LOOP)
+    p.boot()
+    p.handle_message(request(chal=1))
+    while sum(p.metrics.gateway_calls.values()) < 3:
+        assert p.step() == []
+    assert p.ctx.log_size and p.log.pending.count
+    assert AuditContext.load(m.retained_mem) == p.ctx
+    # a wipe chunk persists the cursor
+    p, m, _ = build(BULKY, policy=POLICY_WIPE)
+    p.boot()
+    p.handle_message(request(chal=1))
+    pump(p)
+    p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, 2).pack())
+    assert p.step() == []
+    assert 0 < p.ctx.wipe_cursor < p.ctx.image_len
+    assert AuditContext.load(m.retained_mem) == p.ctx
+    # a freeze persists the flag
+    p, m, _ = build(DIAMOND, policy=POLICY_FREEZE)
+    p.boot()
+    p.handle_message(request(chal=1))
+    pump(p)
+    p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, 2).pack())
+    assert p.step() == []
+    assert p.ctx.flag(F_FROZEN)
+    assert AuditContext.load(m.retained_mem) == p.ctx
 
 
 def test_context_erase_and_blank_load():
