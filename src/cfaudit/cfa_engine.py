@@ -46,11 +46,13 @@ class InactiveEngine(Exception):
 
 
 class MalformedLog(Exception):
-    """Entry stream violates the format; carries the entry index."""
+    """Entry stream violates the format. ``index`` is the bad word's index;
+    ``decoded`` is the number of destinations the words before it encode."""
 
-    def __init__(self, index: int, msg: str = "malformed log"):
+    def __init__(self, index: int, msg: str = "malformed log", decoded: int = 0):
         super().__init__(f"{msg} at entry {index}")
         self.index = index
+        self.decoded = decoded
 
 
 class AppendResult:
@@ -230,37 +232,62 @@ def iter_entries(data: bytes):
         yield struct.unpack_from(">I", data, i)[0]
 
 
-def decompress(data: bytes) -> list[int]:
-    """Expand an entry stream back to the raw dynamic destination sequence.
+Run = tuple[tuple[int, ...], int]
 
-    Inverse of the append-side compression; raises MalformedLog when a
-    count record lacks the entries its unit refers to.
+
+def runs(data: bytes) -> list[Run]:
+    """Parse an entry stream into runs: ``(unit, count)`` stands for the
+    unit's destinations repeated ``count`` times, so a count record costs
+    one tuple however large its count. Runs with count 0 are dropped.
+
+    Raises MalformedLog at the first word that breaks the format (a
+    truncated trailing word first of all), or when a count record lacks
+    the address entries its unit refers to.
     """
-    words = list(iter_entries(data))
-    out: list[int] = []
+    n = len(data) // ENTRY_WIDTH
+    words = struct.unpack_from(f">{n}I", data)
+    out: list[Run] = []
+    decoded = 0
+    fault: tuple[int, str] | None = None
     i = 0
-    n = len(words)
     while i < n:
         w = words[i]
         if not w & TAG_BIT:
-            addr = w & ADDR_MASK
-            if i + 1 < n and words[i + 1] & TAG_BIT \
-                    and (words[i + 1] & UNIT_MASK) >> UNIT_SHIFT == UNIT_STATIC:
-                limit = words[i + 1] & COUNT_MASK
-                out.extend([addr] * max(limit - 1, 0))
+            unit = (w & ADDR_MASK,)
+            # followed by a static count record: a (header, limit) pair
+            if i + 1 < n and words[i + 1] & (TAG_BIT | UNIT_MASK) == TAG_BIT:
+                count = max((words[i + 1] & COUNT_MASK) - 1, 0)
                 i += 2
-                continue
-            out.append(addr)
+            else:
+                count = 1
+                i += 1
+        else:
+            unit_kind = (w & UNIT_MASK) >> UNIT_SHIFT
+            if unit_kind == UNIT_STATIC:
+                fault = (i, "static loop count without header entry")
+                break
+            width = 1 if unit_kind == UNIT_SINGLE else 2
+            if i < width or any(words[i - k] & TAG_BIT for k in range(1, width + 1)):
+                fault = (i, "count record lacks preceding unit")
+                break
+            unit = tuple(words[i - k] & ADDR_MASK for k in range(width, 0, -1))
+            count = w & COUNT_MASK
             i += 1
-            continue
-        unit_kind = (w & UNIT_MASK) >> UNIT_SHIFT
-        count = w & COUNT_MASK
-        if unit_kind == UNIT_STATIC:
-            raise MalformedLog(i, "static loop count without header entry")
-        width = 1 if unit_kind == UNIT_SINGLE else 2
-        if i < width or any(words[i - k] & TAG_BIT for k in range(1, width + 1)):
-            raise MalformedLog(i, "count record lacks preceding unit")
-        unit = [words[i - k] & ADDR_MASK for k in range(width, 0, -1)]
+        if count:
+            out.append((unit, count))
+            decoded += len(unit) * count
+    if len(data) % ENTRY_WIDTH:
+        fault = (n, "truncated entry")
+    if fault is not None:
+        raise MalformedLog(*fault, decoded)
+    return out
+
+
+def decompress(data: bytes) -> list[int]:
+    """Expand an entry stream back to the raw dynamic destination sequence,
+    one int per destination: the flattening of ``runs``. The auditor walks
+    runs directly; this is the tests' view of a log."""
+    out: list[int] = []
+    for unit, count in runs(data):
         out.extend(unit * count)
-        i += 1
     return out

@@ -280,7 +280,11 @@ def _quiet_until(now: int, spec: ScenarioSpec, link: Link, vrf: Verifier,
 
 def run(spec: ScenarioSpec) -> ScenarioResult:
     asm2, _ = instrument(spec.asm_text)
-    prog2 = isa.assemble(asm2)
+    vrf = Verifier(asm2, VerifierConfig(
+        app_id=spec.app_id, delta=spec.delta, policy=spec.policy,
+        initial_chal=spec.initial_chal, resend_interval=spec.verifier_resend,
+        heal_on_mac_mismatch=spec.heal_on_mac_mismatch))
+    prog2 = vrf.cfg.prog              # the verifier's golden image, not assembled again
     machine = Machine(prog2.image)
     prover = Prover(machine,
                     ProverConfig(policy=spec.policy, log_max=spec.log_max,
@@ -295,10 +299,6 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
         flipped = machine.pmem[spec.pmem_flip] ^ spec.pmem_flip_mask
         machine.write_pmem(isa.PMEM_BASE + spec.pmem_flip, bytes([flipped]))
 
-    vrf = Verifier(asm2, VerifierConfig(
-        app_id=spec.app_id, delta=spec.delta, policy=spec.policy,
-        initial_chal=spec.initial_chal, resend_interval=spec.verifier_resend,
-        heal_on_mac_mismatch=spec.heal_on_mac_mismatch))
     link = Link.create(spec.channel)
 
     verdicts: list[str] = []

@@ -1,27 +1,53 @@
 """Remote auditor: replays evidence slices against the program's graph.
 
 The verifier holds the golden rewritten image, so it knows where every
-gateway call sits and what each must log. Auditing is a linear walk: start
-at the entry point, follow deterministic instructions for free, and spend
-one logged destination at every non-deterministic point. A shadow stack
-built from the call sites checks every return. Anything the walk cannot
-explain is a violation, and the device is ordered to remediate.
+gateway call sits and what each must log. Auditing is a walk: start at the
+entry point, follow deterministic instructions for free, and spend one
+logged destination at every non-deterministic point. A shadow stack built
+from the call sites checks every return. Anything the walk cannot explain
+is a violation, and the device is ordered to remediate.
+
+The walk reads the log as the device wrote it, without expanding it:
+
+- Runs. ``cfa_engine.runs`` turns each slice into ``(unit, count)`` runs,
+  one per address word, count record or static pair, and the walker keeps
+  them in a queue. A count record costs one run however large its count.
+- Hops. ``Cfg.hop(pc)`` jumps from ``pc`` to the next instruction that
+  reads the log (or ends the walk) in one move, carrying the return
+  addresses the direct calls on the way push. Hops are computed on first
+  arrival and memoized, so a session pays only for the code it visits.
+- Repetition skipping. When a run has at least two repetitions of its
+  unit left, the walker notes its pc and shadow stack at the start of one
+  and walks it. If it is about to read the next repetition in the same
+  state, every remaining repetition would walk the same way, so the whole
+  rest of the run is consumed at once. Otherwise (under recursion, say) the
+  walk goes on repetition by repetition.
+
+Auditing thus costs O(log words), not O(instructions executed). A static
+loop record is matched to its loop site in one step the same way.
 
 Slices stitch: the walker keeps its position, stack, and consumed-entry
 count across reports, so verdicts and violation indices cannot depend on
 how the log was cut (the slice size is a transport knob, not a semantic
-one). Duplicate slices are recognized by their MAC and answered with the
-cached response without re-walking.
+one). Indices count destinations of the expanded stream, as if every run
+were written out. Duplicate slices are recognized by their MAC and answered
+with the cached response without re-walking.
+
+A program that spins in a cycle with no logging point is benign and sends
+empty slices: the walker parks in the cycle, and any destination that
+arrives while it is parked is an illegal edge.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
 
-from . import isa, wire
-from .cfa_engine import MalformedLog, decompress
+from . import cfa_engine, isa, wire
+from .cfa_engine import MalformedLog
+from .cfa_engine import decompress  # noqa: F401  perfbench/spans.py wraps verifier.decompress
 from .resolver import POLICY_WIPE, healed_image
 
 V_SHADOW = "ShadowStackMismatch"
@@ -31,6 +57,15 @@ V_MALFORMED = "Malformed"
 V_MAC = "MacMismatch"
 
 _SHADOW_LIMIT = 4096
+
+# What a hop stops on. The first six read the log; the rest end the walk or
+# park it. The detail a hop carries: for COND the arrival the site logs, for
+# ICALL the return address, for LOOP (header, copies, exit), for BRANCH
+# (taken arrival, taken pc, fall-through arrival, fall-through pc).
+COND, BRANCH, RET, ICALL, LOOP, EXIT = range(6)
+HALT, UNREWRITTEN, LEFT, PARK, OVERFLOW = range(6, 11)
+
+Hop = tuple[int, int, object, tuple[int, ...]]   # kind, stop pc, detail, pushes
 
 
 @dataclass(frozen=True)
@@ -50,10 +85,63 @@ class Cfg:
     loops: dict[int, LoopSite]               # addr of bl trampoline_loop -> info
     icall_targets: frozenset[int]
     edges: dict[int, tuple[str, tuple[int, ...]]] = field(default_factory=dict)
+    hops: dict[int, Hop] = field(default_factory=dict, repr=False)
 
-    def inst_at(self, addr: int) -> isa.Instruction | None:
-        line = self.prog.line_at_addr(addr)
-        return None if line is None else self.prog.instructions[line]
+    def hop(self, pc: int) -> Hop:
+        """Where the walk from ``pc`` next reads the log or stops, and the
+        return addresses it pushes on the way. Memoized."""
+        h = self.hops.get(pc)
+        if h is None:
+            h = self.hops[pc] = self._trace(pc)
+        return h
+
+    def _trace(self, pc: int) -> Hop:
+        prog = self.prog
+        pushes: list[int] = []
+        seen: dict[int, int] = {}             # visited pc -> pushes made before it
+        while pc not in seen:
+            seen[pc] = len(pushes)
+            line = prog.line_at_addr(pc)
+            if line is None:
+                return (LEFT, pc, None, tuple(pushes))
+            inst = prog.instructions[line]
+            op, imm = inst.op, inst.imm
+            nxt = pc + isa.INSTR_WIDTH
+            arg: object = None
+            if op == isa.OP_BL and imm == isa.TRAMP_COND:
+                kind, arg = COND, nxt
+            elif op == isa.OP_BL and imm == isa.TRAMP_ICALL:
+                kind, arg = ICALL, nxt
+            elif op == isa.OP_BL and imm == isa.TRAMP_LOOP:
+                site = self.loops[pc]
+                if site.limit <= 1:             # no copies to read
+                    pc = site.exit
+                    continue
+                kind, arg = LOOP, (site.header, site.limit - 1, site.exit)
+            elif op == isa.OP_BL:
+                pushes.append(nxt)
+                pc = imm
+                continue
+            elif op == isa.OP_B and imm == isa.TRAMP_RET:
+                kind = RET
+            elif op == isa.OP_B:
+                pc = imm
+                continue
+            elif op == isa.OP_BCOND:
+                kind, arg = BRANCH, (imm + isa.INSTR_WIDTH, imm, nxt + isa.INSTR_WIDTH, nxt)
+            elif op == isa.OP_NSC_CALL:
+                kind = EXIT
+            elif op == isa.OP_HALT:
+                kind = HALT
+            elif op == isa.OP_BLX or op == isa.OP_BX_LR:
+                kind = UNREWRITTEN
+            else:
+                pc = nxt
+                continue
+            return (kind, pc, arg, tuple(pushes))
+        # a cycle with no logging point: the program spins here for good, or
+        # recurses until its stack overflows
+        return (OVERFLOW if len(pushes) > seen[pc] else PARK, pc, None, tuple(pushes))
 
 
 def build_cfg(asm2_text: str) -> Cfg:
@@ -120,129 +208,201 @@ class Violation:
 
 
 class Walker:
-    """Linear trace walk with a shadow stack; pauses when the stream runs dry."""
+    """Trace walk over log runs with a shadow stack; pauses when the runs
+    run dry.
+
+    ``pos`` is the number of destinations consumed and ``fed`` the number
+    fed, both counted in the expanded stream. ``runs`` holds the runs not
+    yet consumed; ``head`` destinations of the first are consumed already.
+    """
 
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
         self.pc = cfg.entry
         self.shadow: list[int] = []
-        self.stream: list[int] = []
+        self.runs: deque[cfa_engine.Run] = deque()
+        self.head = 0
         self.pos = 0
+        self.fed = 0
         self.done = False
         self.violation: Violation | None = None
         self.steps = 0
+        # repetition under trial: (pos of the next repetition, pc, shadow)
+        self._trial: tuple[int, int, list[int]] | None = None
+        self._branch_sites = sum(kind == "branch" for kind, _ in cfg.edges.values())
 
     def _fail(self, kind: str, detail: str = "", index: int | None = None) -> None:
         self.violation = Violation(kind, self.pos if index is None else index, detail)
 
-    def feed(self, destinations: list[int]) -> None:
-        self.stream.extend(destinations)
+    def feed(self, runs: list[cfa_engine.Run]) -> None:
+        """Queue one slice's runs, as ``cfa_engine.runs`` parses them, and
+        walk as far as they reach."""
+        for unit, count in runs:
+            if count:
+                self.runs.append((unit, count))
+                self.fed += len(unit) * count
         self.advance()
 
-    @property
-    def budget(self) -> int:
-        return (len(self.stream) + 4) * (len(self.cfg.prog.instructions) + 8)
+    # -- run cursor ---------------------------------------------------------
+
+    def peek(self) -> int:
+        unit = self.runs[0][0]
+        return unit[self.head % len(unit)]
+
+    def _consume(self, n: int) -> None:
+        """Consume ``n`` destinations, all from the first run."""
+        self.pos += n
+        self.head += n
+        unit, count = self.runs[0]
+        if self.head == len(unit) * count:
+            self.runs.popleft()
+            self.head = 0
+
+    def take(self) -> int:
+        e = self.peek()
+        self._consume(1)
+        return e
+
+    def take_copies(self, k: int, header: int) -> int | None:
+        """Consume ``k`` destinations that must all be ``header``; a run
+        of header copies goes in one move. Returns the first other
+        destination, consumed like the ones before it, or None."""
+        while k:
+            unit, count = self.runs[0]
+            if unit.count(header) == len(unit):
+                n = min(k, len(unit) * count - self.head)
+                self._consume(n)
+                k -= n
+                continue
+            e = self.take()
+            if e != header:
+                return e
+            k -= 1
+        return None
+
+    def _repetition(self) -> None:
+        """At a read of the log: finish or start a repetition trial.
+
+        A trial starts at the first repetition of a run with two or more
+        left. When the walk first reads the next repetition and pc and the
+        shadow stack are those at the trial's start, the remaining
+        repetitions would replay the same walk, so they are skipped.
+        """
+        trial = self._trial
+        if trial is not None:
+            end, pc, shadow = trial
+            if self.pos < end:
+                return
+            self._trial = None
+            if self.pos == end and self.pc == pc and self.shadow == shadow:
+                unit, count = self.runs.popleft()
+                self.pos += len(unit) * count - self.head
+                self.head = 0
+        if self.runs:
+            unit, count = self.runs[0]
+            width = len(unit)
+            if self.head % width == 0 and count - self.head // width >= 2:
+                self._trial = (self.pos + width, self.pc, self.shadow.copy())
+
+    # -- the walk -----------------------------------------------------------
 
     def advance(self) -> None:
-        take = self._take
+        hops, hop = self.cfg.hops, self.cfg.hop
+        shadow, runs = self.shadow, self.runs
+        # branch decisions made without consuming; more than there are
+        # branches means the walk cycles without ever reading the log
+        peeked_at, peeks = -1, 0
         while self.violation is None and not self.done:
             self.steps += 1
-            if self.steps > self.budget:
-                self._fail(V_MALFORMED, "walk budget exhausted")
+            kind, at, arg, pushes = hops.get(self.pc) or hop(self.pc)
+            if pushes:
+                if len(shadow) + len(pushes) > _SHADOW_LIMIT:
+                    self._fail(V_MALFORMED, "shadow stack overflow")
+                    return
+                shadow.extend(pushes)
+            self.pc = at
+            if kind > EXIT:
+                if kind == PARK and self.pos == self.fed:
+                    return
+                self._stop(kind)
+                continue
+            if self.pos == self.fed:
                 return
-            inst = self.cfg.inst_at(self.pc)
-            if inst is None:
-                self._fail(V_MALFORMED, f"walk left the program at {self.pc:#x}")
-                return
-            op, imm = inst.op, inst.imm
-            if op == isa.OP_BL and imm == isa.TRAMP_COND:
-                if not self._avail(1):
+            if self._trial is not None or runs[0][1] > 1:
+                self._repetition()
+                if self.pos == self.fed:
                     return
-                e = take()
-                if e != self.pc + isa.INSTR_WIDTH:
-                    self._fail(V_EDGE, f"arrival {e:#x} does not match site "
-                               f"{self.pc + isa.INSTR_WIDTH:#x}", self.pos - 1)
+            if kind == LOOP:
+                header, copies, exit_pc = arg
+                if self.fed - self.pos < copies:
                     return
-                self.pc += isa.INSTR_WIDTH
-            elif op == isa.OP_BL and imm == isa.TRAMP_ICALL:
-                if not self._avail(1):
+                e = self.take_copies(copies, header)
+                if e is not None:
+                    self._fail(V_EDGE, f"loop record for {e:#x} does not match "
+                               f"header {header:#x}", self.pos - 1)
                     return
-                e = take()
+                self.pc = exit_pc
+                continue
+            e = self.peek()
+            if kind == BRANCH:
+                if self.pos != peeked_at:
+                    peeked_at, peeks = self.pos, 0
+                peeks += 1
+                if peeks > self._branch_sites:
+                    self._fail(V_MALFORMED, f"walk cycles at {at:#x} without reading the log")
+                    return
+                taken_site, taken_pc, fall_site, fall_pc = arg
+                if e == taken_site:
+                    self.pc = taken_pc
+                elif e == fall_site:
+                    self.pc = fall_pc
+                else:
+                    self._fail(V_EDGE, f"{e:#x} is neither destination of the "
+                               f"branch at {at:#x}")
+                    return
+                continue
+            self._consume(1)
+            if kind == COND:
+                if e != arg:
+                    self._fail(V_EDGE, f"arrival {e:#x} does not match site {arg:#x}",
+                               self.pos - 1)
+                    return
+                self.pc = arg
+            elif kind == RET:
+                if not shadow or shadow[-1] != e:
+                    self._fail(V_SHADOW, f"return to {e:#x}", self.pos - 1)
+                    return
+                shadow.pop()
+                self.pc = e
+            elif kind == ICALL:
                 if e not in self.cfg.icall_targets:
                     self._fail(V_ICALL, f"indirect call to {e:#x}", self.pos - 1)
                     return
-                if len(self.shadow) >= _SHADOW_LIMIT:
+                if len(shadow) >= _SHADOW_LIMIT:
                     self._fail(V_MALFORMED, "shadow stack overflow")
                     return
-                self.shadow.append(self.pc + isa.INSTR_WIDTH)
+                shadow.append(arg)
                 self.pc = e
-            elif op == isa.OP_BL and imm == isa.TRAMP_LOOP:
-                info = self.cfg.loops[self.pc]
-                copies = max(info.limit - 1, 0)
-                if not self._avail(copies):
-                    return
-                for _ in range(copies):
-                    e = take()
-                    if e != info.header:
-                        self._fail(V_EDGE, f"loop record for {e:#x} does not match "
-                                   f"header {info.header:#x}", self.pos - 1)
-                        return
-                self.pc = info.exit
-            elif op == isa.OP_B and imm == isa.TRAMP_RET:
-                if not self._avail(1):
-                    return
-                e = take()
-                if not self.shadow or self.shadow[-1] != e:
-                    self._fail(V_SHADOW, f"return to {e:#x}", self.pos - 1)
-                    return
-                self.shadow.pop()
-                self.pc = e
-            elif op == isa.OP_BL:
-                if len(self.shadow) >= _SHADOW_LIMIT:
-                    self._fail(V_MALFORMED, "shadow stack overflow")
-                    return
-                self.shadow.append(self.pc + isa.INSTR_WIDTH)
-                self.pc = imm
-            elif op == isa.OP_B:
-                self.pc = imm
-            elif op == isa.OP_BCOND:
-                if not self._avail(1):
-                    return
-                e = self.stream[self.pos]
-                taken_site = imm + isa.INSTR_WIDTH
-                fall_site = self.pc + 2 * isa.INSTR_WIDTH
-                if e == taken_site:
-                    self.pc = imm
-                elif e == fall_site:
-                    self.pc += isa.INSTR_WIDTH
-                else:
-                    self._fail(V_EDGE, f"{e:#x} is neither destination of the "
-                               f"branch at {self.pc:#x}")
-                    return
-            elif op == isa.OP_NSC_CALL:
-                if not self._avail(1):
-                    return
-                e = take()
-                if e != isa.NSC_EXIT:
-                    self._fail(V_EDGE, f"end-door arrival {e:#x}", self.pos - 1)
-                    return
-                self.done = True
-            elif op == isa.OP_HALT:
-                self.done = True
-            elif op == isa.OP_BLX or op == isa.OP_BX_LR:
-                self._fail(V_MALFORMED, f"unrewritten indirect at {self.pc:#x}")
+            elif e != isa.NSC_EXIT:
+                self._fail(V_EDGE, f"end-door arrival {e:#x}", self.pos - 1)
                 return
             else:
-                self.pc += isa.INSTR_WIDTH
-        if self.done and self.pos != len(self.stream):
+                self.done = True
+        if self.done and self.pos != self.fed:
             self._fail(V_MALFORMED, "entries beyond the end of execution")
 
-    def _avail(self, k: int) -> bool:
-        return len(self.stream) - self.pos >= k
-
-    def _take(self) -> int:
-        self.pos += 1
-        return self.stream[self.pos - 1]
+    def _stop(self, kind: int) -> None:
+        """A hop ended on something other than a read of the log."""
+        if kind == HALT:
+            self.done = True
+        elif kind == PARK:
+            self._fail(V_EDGE, f"arrival while the program spins at {self.pc:#x}")
+        elif kind == UNREWRITTEN:
+            self._fail(V_MALFORMED, f"unrewritten indirect at {self.pc:#x}")
+        elif kind == LEFT:
+            self._fail(V_MALFORMED, f"walk left the program at {self.pc:#x}")
+        else:
+            self._fail(V_MALFORMED, "shadow stack overflow")
 
 
 # --- protocol driver ---------------------------------------------------------
@@ -297,10 +457,14 @@ class Verifier:
         self.slices: list[SliceRecord] = []
         self.duplicates = 0
         self.rejected = 0
-        self.destinations_seen = 0
         self._matched_digest: bytes | None = None
         self._request: bytes | None = None
         self._last_send = 0
+
+    @property
+    def destinations_seen(self) -> int:
+        """Destinations in every audited slice, counted expanded."""
+        return self.walker.fed
 
     # -- outbound ---------------------------------------------------------
 
@@ -385,13 +549,14 @@ class Verifier:
             self.session_over = True
             return Verdict.END
         try:
-            destinations = decompress(report.log)
+            runs = cfa_engine.runs(report.log)
         except MalformedLog as exc:
-            self.violation = Violation(V_MALFORMED, self.walker.pos + exc.index, str(exc))
+            # the bad word's place in the stream of all destinations fed
+            self.violation = Violation(V_MALFORMED, self.walker.fed + exc.decoded,
+                                       str(exc))
             self.awaiting_remediation = True
             return Verdict.HEAL
-        self.destinations_seen += len(destinations)
-        self.walker.feed(destinations)
+        self.walker.feed(runs)
         if self.walker.violation is not None:
             self.violation = self.walker.violation
             self.awaiting_remediation = True

@@ -1,6 +1,7 @@
 """Shared test machinery: reference trace oracle, structured program
-generator, a minimal gateway-service harness, and a per-tick reference
-scenario driver.
+generator, a minimal gateway-service harness, a per-tick reference
+scenario driver, and the per-destination log decoder and walker the
+auditor used before it walked log runs.
 
 The oracle runs the ORIGINAL (uninstrumented) program and predicts the raw
 dynamic destination sequence the instrumented twin must log, expressed in
@@ -16,13 +17,16 @@ from dataclasses import asdict, dataclass, field
 
 from cfaudit import isa, wire
 from cfaudit.isa import DMEM_BASE, INSTR_WIDTH, NSC_EXIT, PMEM_BASE
-from cfaudit.cfa_engine import AppendResult, CfLog
+from cfaudit.cfa_engine import (ADDR_MASK, COUNT_MASK, TAG_BIT, UNIT_MASK,
+                                UNIT_SHIFT, UNIT_SINGLE, UNIT_STATIC, AppendResult,
+                                CfLog, MalformedLog, iter_entries)
 from cfaudit.channel import Link
 from cfaudit.instrument import InstrumentationMap, detect_static_loops, instrument
 from cfaudit.scenario import (ScenarioError, ScenarioResult, ScenarioSpec,
                               _check_expectations, resolve_input)
 from cfaudit.supervisor import Prover, ProverConfig, ProverState, service_gateway
-from cfaudit.verifier import Verifier, VerifierConfig
+from cfaudit.verifier import (V_EDGE, V_ICALL, V_MALFORMED, V_SHADOW, _SHADOW_LIMIT,
+                              Cfg, Verifier, VerifierConfig, Violation)
 from cfaudit import vm
 from cfaudit.vm import Machine, World
 
@@ -468,3 +472,176 @@ def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
         failures=[])
     result.failures = _check_expectations(spec, result)
     return result
+
+
+# --- reference decoder and walker -------------------------------------------
+
+def reference_decompress(data: bytes) -> list[int]:
+    """The log decoder the auditor used before ``cfa_engine.runs``: expand an
+    entry stream back to the raw dynamic destination sequence.
+
+    Inverse of the append-side compression; raises MalformedLog when a
+    count record lacks the entries its unit refers to.
+    """
+    words = list(iter_entries(data))
+    out: list[int] = []
+    i = 0
+    n = len(words)
+    while i < n:
+        w = words[i]
+        if not w & TAG_BIT:
+            addr = w & ADDR_MASK
+            if i + 1 < n and words[i + 1] & TAG_BIT \
+                    and (words[i + 1] & UNIT_MASK) >> UNIT_SHIFT == UNIT_STATIC:
+                limit = words[i + 1] & COUNT_MASK
+                out.extend([addr] * max(limit - 1, 0))
+                i += 2
+                continue
+            out.append(addr)
+            i += 1
+            continue
+        unit_kind = (w & UNIT_MASK) >> UNIT_SHIFT
+        count = w & COUNT_MASK
+        if unit_kind == UNIT_STATIC:
+            raise MalformedLog(i, "static loop count without header entry")
+        width = 1 if unit_kind == UNIT_SINGLE else 2
+        if i < width or any(words[i - k] & TAG_BIT for k in range(1, width + 1)):
+            raise MalformedLog(i, "count record lacks preceding unit")
+        unit = [words[i - k] & ADDR_MASK for k in range(width, 0, -1)]
+        out.extend(unit * count)
+        i += 1
+    return out
+
+
+def _inst_at(cfg: Cfg, addr: int) -> isa.Instruction | None:
+    line = cfg.prog.line_at_addr(addr)
+    return None if line is None else cfg.prog.instructions[line]
+
+
+class ReferenceWalker:
+    """The per-instruction walker the auditor used before it walked log
+    runs: it steps one instruction at a time over the expanded destination
+    list. Kept verbatim, except that it looks instructions up itself, as
+    the oracle the run walker is checked against."""
+
+    def __init__(self, cfg: Cfg):
+        self.cfg = cfg
+        self.pc = cfg.entry
+        self.shadow: list[int] = []
+        self.stream: list[int] = []
+        self.pos = 0
+        self.done = False
+        self.violation: Violation | None = None
+        self.steps = 0
+
+    def _fail(self, kind: str, detail: str = "", index: int | None = None) -> None:
+        self.violation = Violation(kind, self.pos if index is None else index, detail)
+
+    def feed(self, destinations: list[int]) -> None:
+        self.stream.extend(destinations)
+        self.advance()
+
+    @property
+    def budget(self) -> int:
+        return (len(self.stream) + 4) * (len(self.cfg.prog.instructions) + 8)
+
+    def advance(self) -> None:
+        take = self._take
+        while self.violation is None and not self.done:
+            self.steps += 1
+            if self.steps > self.budget:
+                self._fail(V_MALFORMED, "walk budget exhausted")
+                return
+            inst = _inst_at(self.cfg, self.pc)
+            if inst is None:
+                self._fail(V_MALFORMED, f"walk left the program at {self.pc:#x}")
+                return
+            op, imm = inst.op, inst.imm
+            if op == isa.OP_BL and imm == isa.TRAMP_COND:
+                if not self._avail(1):
+                    return
+                e = take()
+                if e != self.pc + isa.INSTR_WIDTH:
+                    self._fail(V_EDGE, f"arrival {e:#x} does not match site "
+                               f"{self.pc + isa.INSTR_WIDTH:#x}", self.pos - 1)
+                    return
+                self.pc += isa.INSTR_WIDTH
+            elif op == isa.OP_BL and imm == isa.TRAMP_ICALL:
+                if not self._avail(1):
+                    return
+                e = take()
+                if e not in self.cfg.icall_targets:
+                    self._fail(V_ICALL, f"indirect call to {e:#x}", self.pos - 1)
+                    return
+                if len(self.shadow) >= _SHADOW_LIMIT:
+                    self._fail(V_MALFORMED, "shadow stack overflow")
+                    return
+                self.shadow.append(self.pc + isa.INSTR_WIDTH)
+                self.pc = e
+            elif op == isa.OP_BL and imm == isa.TRAMP_LOOP:
+                info = self.cfg.loops[self.pc]
+                copies = max(info.limit - 1, 0)
+                if not self._avail(copies):
+                    return
+                for _ in range(copies):
+                    e = take()
+                    if e != info.header:
+                        self._fail(V_EDGE, f"loop record for {e:#x} does not match "
+                                   f"header {info.header:#x}", self.pos - 1)
+                        return
+                self.pc = info.exit
+            elif op == isa.OP_B and imm == isa.TRAMP_RET:
+                if not self._avail(1):
+                    return
+                e = take()
+                if not self.shadow or self.shadow[-1] != e:
+                    self._fail(V_SHADOW, f"return to {e:#x}", self.pos - 1)
+                    return
+                self.shadow.pop()
+                self.pc = e
+            elif op == isa.OP_BL:
+                if len(self.shadow) >= _SHADOW_LIMIT:
+                    self._fail(V_MALFORMED, "shadow stack overflow")
+                    return
+                self.shadow.append(self.pc + isa.INSTR_WIDTH)
+                self.pc = imm
+            elif op == isa.OP_B:
+                self.pc = imm
+            elif op == isa.OP_BCOND:
+                if not self._avail(1):
+                    return
+                e = self.stream[self.pos]
+                taken_site = imm + isa.INSTR_WIDTH
+                fall_site = self.pc + 2 * isa.INSTR_WIDTH
+                if e == taken_site:
+                    self.pc = imm
+                elif e == fall_site:
+                    self.pc += isa.INSTR_WIDTH
+                else:
+                    self._fail(V_EDGE, f"{e:#x} is neither destination of the "
+                               f"branch at {self.pc:#x}")
+                    return
+            elif op == isa.OP_NSC_CALL:
+                if not self._avail(1):
+                    return
+                e = take()
+                if e != isa.NSC_EXIT:
+                    self._fail(V_EDGE, f"end-door arrival {e:#x}", self.pos - 1)
+                    return
+                self.done = True
+            elif op == isa.OP_HALT:
+                self.done = True
+            elif op == isa.OP_BLX or op == isa.OP_BX_LR:
+                self._fail(V_MALFORMED, f"unrewritten indirect at {self.pc:#x}")
+                return
+            else:
+                self.pc += isa.INSTR_WIDTH
+        if self.done and self.pos != len(self.stream):
+            self._fail(V_MALFORMED, "entries beyond the end of execution")
+
+    def _avail(self, k: int) -> bool:
+        return len(self.stream) - self.pos >= k
+
+    def _take(self) -> int:
+        self.pos += 1
+        return self.stream[self.pos - 1]

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from cfaudit import cfa_engine as eng
 from cfaudit.cfa_engine import (AppendResult, CfLog, MalformedLog, decompress,
-                                encode_address, encode_count,
+                                encode_address, encode_count, runs,
                                 UNIT_PAIR, UNIT_SINGLE, UNIT_STATIC)
+
+from support import reference_decompress
 
 A, B, C = 0x1000, 0x2000, 0x3000
 
@@ -224,3 +226,48 @@ def test_static_records_round_trip(records):
         log.log_static_loop(dest, limit)
         expected += [dest] * max(limit - 1, 0)
     assert decompress(log.to_bytes()) == expected
+
+
+def test_runs_keep_counts_unexpanded():
+    data = (encode_address(A) + encode_count(UNIT_SINGLE, 5)
+            + encode_address(B) + encode_address(C) + encode_count(UNIT_PAIR, 1000)
+            + encode_address(A) + encode_count(UNIT_STATIC, 0)
+            + encode_address(B) + encode_count(UNIT_STATIC, 7))
+    assert runs(data) == [((A,), 1), ((A,), 5), ((B,), 1), ((C,), 1),
+                          ((B, C), 1000), ((B,), 6)]
+
+
+def test_malformed_log_counts_the_destinations_before_the_bad_word():
+    data = encode_address(A) + encode_count(UNIT_SINGLE, 5) + encode_count(UNIT_STATIC, 3)
+    with pytest.raises(MalformedLog) as exc:
+        runs(data)
+    assert exc.value.index == 2
+    assert exc.value.decoded == 6
+
+
+# words whose kinds and counts are drawn so that unit-less counts, orphan
+# static records, unknown unit kinds and truncated tails all turn up
+log_words = st.one_of(
+    st.sampled_from([A, B, C]),
+    st.builds(lambda unit, count: (1 << 31) | (unit << 29) | count,
+              st.integers(0, 3), st.integers(0, 4)))
+
+
+@given(st.lists(log_words, max_size=24), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_runs_decode_like_the_reference_decoder(words, tail):
+    data = b"".join(w.to_bytes(4, "big") for w in words) + b"\x01" * tail
+    try:
+        expected = reference_decompress(data)
+    except MalformedLog as exc:
+        with pytest.raises(MalformedLog) as got:
+            runs(data)
+        assert got.value.index == exc.index
+        if not tail:
+            prefix = data[:4 * exc.index]
+            assert got.value.decoded == len(reference_decompress(prefix))
+        with pytest.raises(MalformedLog):
+            decompress(data)
+        return
+    assert [d for unit, count in runs(data) for d in unit * count] == expected
+    assert decompress(data) == expected

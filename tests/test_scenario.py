@@ -219,6 +219,15 @@ def test_runs_are_deterministic():
     json.loads(first)  # and the report is valid JSON
 
 
+def test_benign_spin_without_logging_is_never_condemned():
+    # the program never ends and never logs: every deadline slice is empty
+    spin = "main:\n    mov r1, #0\nspin:\n    add r1, r1, #1\n    b spin\n"
+    res = run(ScenarioSpec(name="spin", asm_text=spin, delta=2000, max_ticks=9000))
+    assert res.violation == "none"
+    assert not res.heal_issued and not res.pmem_zeroed
+    assert len(res.verdicts) >= 3 and set(res.verdicts) == {"exec"}
+
+
 def test_expectation_failures_are_reported_not_raised(tmp_path):
     scn = write_scn(tmp_path, """
 [scenario]

@@ -3,10 +3,12 @@ walk with its shadow stack, violation localization, and the protocol
 driver's authentication, challenge window, and duplicate handling."""
 
 import struct
+import tracemalloc
 
 import pytest
 
 from cfaudit import isa, wire
+from cfaudit.cfa_engine import COUNT_MASK, TAG_BIT, UNIT_SHIFT, UNIT_SINGLE, UNIT_STATIC
 from cfaudit.instrument import instrument
 from cfaudit.supervisor import Prover, ProverConfig, ProverState
 from cfaudit.verifier import (Verdict, Verifier, VerifierConfig, V_EDGE,
@@ -25,13 +27,18 @@ def cfg_of(asm):
     return build_cfg(asm2)
 
 
+def as_runs(dests):
+    """A destination list as walker input: one run per destination."""
+    return [((d,), 1) for d in dests]
+
+
 def walked(asm, dests=None, input_words=None):
     asm2, _ = instrument(asm)
     cfg = build_cfg(asm2)
     if dests is None:
         _, _, dests = oracle_destinations(asm, input_words)
     w = Walker(cfg)
-    w.feed(list(dests))
+    w.feed(as_runs(dests))
     return w
 
 
@@ -137,7 +144,7 @@ def test_walker_accepts_reference_traces():
         w = walked(asm)
         assert w.violation is None
         assert w.done
-        assert w.pos == len(w.stream)
+        assert w.pos == w.fed
 
 
 def test_walker_pauses_on_truncated_trace():
@@ -202,13 +209,39 @@ def test_walker_rejects_entries_after_program_end():
     assert w.violation.kind == V_MALFORMED
 
 
-def test_walker_budget_stops_nonconsuming_cycles():
+def test_walker_parks_in_nonconsuming_cycles():
+    # a program spinning with no logging point is benign: the walker parks,
+    # and any destination arriving while it is parked is an illegal edge
     cfg = build_cfg("main:\nspin:\n    b spin\n")
     w = Walker(cfg)
     w.feed([])
+    w.feed([])
+    assert w.violation is None and not w.done
+    w.feed(as_runs([cfg.entry, cfg.entry]))
+    assert w.violation is not None
+    assert w.violation.kind == V_EDGE
+    assert w.violation.index == 0
+
+
+def test_walker_stops_recursion_without_logging_at_the_stack_limit():
+    w = Walker(build_cfg("main:\n    bl main\n"))
+    w.feed([])
     assert w.violation is not None
     assert w.violation.kind == V_MALFORMED
-    assert "budget" in w.violation.detail
+    assert w.violation.index == 0
+
+
+def test_walker_stops_branch_cycles_that_never_consume():
+    # an unrewritten branch back onto itself decides on the same entry for
+    # good: the reference walker ran out of budget there
+    cfg = build_cfg("main:\n    cmp r0, #0\nspin:\n    beq spin\n    nsc_call\n")
+    spin = cfg.prog.labels["spin"]
+    w, ref = Walker(cfg), support.ReferenceWalker(cfg)
+    w.feed(as_runs([spin + isa.INSTR_WIDTH]))
+    ref.feed([spin + isa.INSTR_WIDTH])
+    assert w.violation is not None and ref.violation is not None
+    assert w.violation.kind == ref.violation.kind == V_MALFORMED
+    assert w.violation.index == ref.violation.index == 0
 
 
 def test_walker_rejects_unrewritten_indirects():
@@ -227,9 +260,9 @@ def test_walk_outcome_is_independent_of_slicing():
         asm2, _ = instrument(asm)
         cfg = build_cfg(asm2)
         whole, drip = Walker(cfg), Walker(cfg)
-        whole.feed(list(dests))
+        whole.feed(as_runs(dests))
         for d in dests:
-            drip.feed([d])
+            drip.feed(as_runs([d]))
         assert (whole.done, whole.pos, whole.violation) == \
                (drip.done, drip.pos, drip.violation)
         assert whole.violation is None and whole.done
@@ -241,10 +274,10 @@ def test_violation_index_is_independent_of_slicing():
     bad[1] = walked(NESTED).cfg.entry
     cfg = build_cfg(instrument(NESTED)[0])
     whole, drip = Walker(cfg), Walker(cfg)
-    whole.feed(list(bad))
+    whole.feed(as_runs(bad))
     for d in bad:
         if drip.violation is None:
-            drip.feed([d])
+            drip.feed(as_runs([d]))
     assert whole.violation is not None and drip.violation is not None
     assert whole.violation.kind == drip.violation.kind
     assert whole.violation.index == drip.violation.index == 1
@@ -257,8 +290,12 @@ def raw_log(dests):
 
 
 def make_report(v, dests, chal):
-    sigma = wire.report_sigma(KEY, v.cfg.digest, raw_log(dests), chal)
-    return wire.Report(sigma, raw_log(dests)).pack()
+    return log_report(v, raw_log(dests), chal)
+
+
+def log_report(v, log, chal):
+    sigma = wire.report_sigma(KEY, v.cfg.digest, log, chal)
+    return wire.Report(sigma, log).pack()
 
 
 def fresh(asm=CALLS, **cfg):
@@ -418,3 +455,58 @@ def test_malformed_log_bytes_draw_heal():
     (resp_bytes,) = v.handle(wire.Report(sigma, bad).pack())
     assert wire.Response.parse(resp_bytes).result == wire.RESULT_HEAL
     assert v.violation is not None and v.violation.kind == V_MALFORMED
+
+
+def count_word(unit, count):
+    return TAG_BIT | (unit << UNIT_SHIFT) | count
+
+
+COUNTDOWN = """
+main:
+    mov r7, #input_base
+    ldr r6, [r7, #0]
+spin:
+    add r0, r0, #1
+    sub r6, r6, #1
+    cmp r6, #0
+    bgt spin
+    nsc_call
+"""
+
+
+def test_maximal_count_record_is_audited_in_constant_time_and_memory():
+    # the log a count-down loop of COUNT_MASK + 1 passes leaves: the first
+    # arrival at the loop header, a count record for the other passes, the
+    # exit arrival, the end door
+    _, run, _ = oracle_destinations(COUNTDOWN, [5])
+    words = [w for (w,) in struct.iter_unpack(">I", run.log.to_bytes())]
+    assert words[1] == count_word(UNIT_SINGLE, 4) and len(words) == 4
+    words[1] = count_word(UNIT_SINGLE, COUNT_MASK)
+    v = fresh(asm=COUNTDOWN)
+    report = log_report(v, raw_log(words), 1)
+    tracemalloc.start()
+    try:
+        (resp,) = v.handle(report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wire.Response.parse(resp).result == wire.RESULT_END
+    assert v.violation is None
+    assert v.destinations_seen == COUNT_MASK + 3
+    assert v.walker.steps < 100
+    assert peak < 1 << 20
+
+
+def test_malformed_slice_index_counts_destinations_not_words():
+    v = fresh(asm=COUNTDOWN)
+    _, _, dests = oracle_destinations(COUNTDOWN, [5])
+    a = dests[0]
+    (r1,) = v.handle(make_report(v, [a], 1))
+    assert wire.Response.parse(r1).result == wire.RESULT_EXEC
+    # a, then five more copies of it, then a static count with no header:
+    # the bad word comes after 1 + 1 + 5 destinations
+    bad = raw_log([a, count_word(UNIT_SINGLE, 5), count_word(UNIT_STATIC, 3)])
+    (r2,) = v.handle(log_report(v, bad, wire.Response.parse(r1).chal))
+    assert wire.Response.parse(r2).result == wire.RESULT_HEAL
+    assert v.violation.kind == V_MALFORMED
+    assert v.violation.index == 7
