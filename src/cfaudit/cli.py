@@ -21,6 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import isa
 from .instrument import UnsupportedPattern, instrument
 from .isa import LinkError, ParseError
 from .scenario import ScenarioError, ScenarioSpec, parse_scenario, run
@@ -119,6 +120,7 @@ def _cmd_window(args) -> int:
 
 def _cmd_instrument(args) -> int:
     asm2, imap = instrument(Path(args.program).read_text())
+    isa.assemble(asm2)              # rejects what the device could not load
     print(imap.to_text() if args.map else asm2, end="")
     return EXIT_OK
 

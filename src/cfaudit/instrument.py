@@ -65,7 +65,6 @@ class LoopDescriptor:
     limit_reg: int | None   # rL register, None when the limit is immediate
     limit_imm: int | None
     init_line: int          # index of the dominating ``mov ri, #0``
-    is_static: bool = True
 
 
 @dataclass
@@ -74,15 +73,14 @@ class InstrumentationMap:
 
     ``line_map`` gives, per source line, the address its instruction landed
     at in the rewritten image (insertions excluded); ``line_end`` the address
-    just past its last rewritten instruction. Consumed by the trace tooling
-    and by the verifier's CFG builder.
+    just past its last rewritten instruction. ``cfaudit instrument --map``
+    prints it; the verifier never reads it, it audits the rewritten image.
     """
 
     entries: list[MapEntry] = field(default_factory=list)
     renames: dict[str, str] = field(default_factory=dict)
     line_map: dict[int, int] = field(default_factory=dict)
     line_end: dict[int, int] = field(default_factory=dict)
-    loops: list[LoopDescriptor] = field(default_factory=list)
 
     def to_text(self) -> str:
         out = ["[entries]"]
@@ -95,27 +93,6 @@ class InstrumentationMap:
         for idx in sorted(self.line_map):
             out.append(f"{idx} {self.line_map[idx]:#x} {self.line_end[idx]:#x}")
         return "\n".join(out) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "InstrumentationMap":
-        m = cls()
-        section = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("["):
-                section = line.strip("[]")
-                continue
-            parts = line.split()
-            if section == "entries":
-                m.entries.append(MapEntry(int(parts[0], 0), parts[1], parts[2]))
-            elif section == "renames":
-                m.renames[parts[0]] = parts[1]
-            elif section == "line_map":
-                m.line_map[int(parts[0])] = int(parts[1], 0)
-                m.line_end[int(parts[0])] = int(parts[2], 0)
-        return m
 
 
 # --- register renaming ----------------------------------------------------
@@ -230,6 +207,8 @@ def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
                 limit_imm = int(limit_tok[1:], 0)
             except ValueError:
                 continue
+            if limit_imm == 0 and sl.mnemonic == "bne":
+                continue            # the counter wraps: ~2**32 passes, not 0
         else:
             limit_reg = limit_tok.lower()
             if limit_reg not in isa.REG_NAMES or limit_reg == counter:
@@ -371,7 +350,9 @@ def _render(lines: list[SourceLine]) -> str:
 def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
     """Rewrite a program for gateway-mediated control-flow logging.
 
-    Returns the rewritten assembly text and the sidecar map.
+    Returns the rewritten assembly text and the sidecar map. The text is
+    not assembled here: a program with an undefined label or too many
+    instructions is rejected when it is assembled.
     """
     lines = parse_lines(asm_text)
     renames = plan_renames(lines)
@@ -379,16 +360,14 @@ def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
     loops = detect_static_loops(lines)
     plan, entries = _build_plan(lines, loops)
     out, origins = _emit(lines, plan)
-    text2 = _render(out)
-    prog2 = isa.assemble(text2)
-
-    imap = InstrumentationMap(entries=entries, renames=renames, loops=loops)
+    imap = InstrumentationMap(entries=entries, renames=renames)
+    # the assembler places rewritten line i at PMEM_BASE + i * INSTR_WIDTH
     for new_idx, origin in enumerate(origins):
         if origin is None:
             continue
-        a = prog2.line_addrs[new_idx]
+        a = isa.PMEM_BASE + new_idx * isa.INSTR_WIDTH
         if origin not in imap.line_map:
             imap.line_map[origin] = a
         imap.line_end[origin] = a + isa.INSTR_WIDTH
-    return text2, imap
+    return _render(out), imap
 

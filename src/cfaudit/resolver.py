@@ -24,6 +24,9 @@ POLICY_NAMES = {POLICY_FREEZE: "freeze", POLICY_DISABLE: "disable", POLICY_WIPE:
 
 _HALT = isa.Instruction(isa.OP_HALT).encode()
 
+# bytes of program memory one wipe step zeroes
+WIPE_CHUNK = 1024
+
 _store_cursor = partial_store("wipe_cursor")
 
 
@@ -41,14 +44,11 @@ def healed_image(image: bytes, policy: int, entry_offset: int = 0) -> bytes:
 class Resolver:
     """Applies one policy to the machine, resumable across resets."""
 
-    def __init__(self, machine: Machine, policy: int, chunk: int = 1024):
+    def __init__(self, machine: Machine, policy: int):
         if policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {policy}")
-        if chunk < 4:
-            raise ValueError("chunk must cover at least one instruction")
         self.m = machine
         self.policy = policy
-        self.chunk = chunk
 
     def start(self, ctx: AuditContext, retained: bytearray) -> None:
         ctx.wipe_cursor = 0
@@ -67,7 +67,7 @@ class Resolver:
         start = ctx.wipe_cursor
         if start >= ctx.image_len:
             return True
-        end = min(start + self.chunk, ctx.image_len)
+        end = min(start + WIPE_CHUNK, ctx.image_len)
         self.m.write_pmem(isa.PMEM_BASE + start, bytes(end - start))
         ctx.wipe_cursor = end
         _store_cursor(ctx, retained)

@@ -396,7 +396,3 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
     result.failures = _check_expectations(spec, result)
     return result
 
-
-def run_scenario(path: str | Path) -> ScenarioResult:
-    return run(parse_scenario(path))
-

@@ -92,7 +92,6 @@ class ProverConfig:
     log_max: int = DEFAULT_LOG_MAX
     policy: int = POLICY_WIPE
     resend_interval: int = 1000
-    wipe_chunk: int = 1024
 
     def __post_init__(self):
         if self.log_max < 16:
@@ -176,7 +175,7 @@ class Prover:
             return []
         if ctx.flag(F_REMEDIATION):
             self._attach_log(ctx.log_size)
-            self._resolver = Resolver(self.m, ctx.policy, self.config.wipe_chunk)
+            self._resolver = Resolver(self.m, ctx.policy)
             self.state = ProverState.REMEDIATE
             self._post_heal = True
             return []
@@ -232,8 +231,6 @@ class Prover:
         self.ctx.set_flag(F_VALID)
         self._attach_log()
         self._persist()
-        if self.m.perm.pmem_locked:
-            self.m.unlock_pmem()
         self.m.lock_pmem()
         self.m.timer.arm(req.delta)
         self.m.enter_nonsecure(self.entry)
@@ -257,7 +254,7 @@ class Prover:
             self.ctx.set_flag(F_REPORT_PENDING, False)
             self.ctx.set_flag(F_REMEDIATION)
             self._persist()
-            self._resolver = Resolver(self.m, self.ctx.policy, self.config.wipe_chunk)
+            self._resolver = Resolver(self.m, self.ctx.policy)
             self._resolver.start(self.ctx, self.m.retained_mem)
             self.state = ProverState.REMEDIATE
             self._post_heal = True

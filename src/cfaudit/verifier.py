@@ -84,7 +84,6 @@ class Cfg:
     digest: bytes
     loops: dict[int, LoopSite]               # addr of bl trampoline_loop -> info
     icall_targets: frozenset[int]
-    edges: dict[int, tuple[str, tuple[int, ...]]] = field(default_factory=dict)
     hops: dict[int, Hop] = field(default_factory=dict, repr=False)
 
     def hop(self, pc: int) -> Hop:
@@ -145,59 +144,34 @@ class Cfg:
 
 
 def build_cfg(asm2_text: str) -> Cfg:
-    """Digest the rewritten program into walker tables.
-
-    ``edges`` classifies each control instruction with its successor set;
-    it doubles as a queryable program graph for tooling and tests.
-    """
+    """Digest the rewritten program into walker tables."""
     prog = isa.assemble(asm2_text)
     label_addrs = set(prog.labels.values())
-    loops: dict[int, LoopSite] = {}
-    icall_targets: set[int] = set()
-    edges: dict[int, tuple[str, tuple[int, ...]]] = {}
-
     code_lo, code_hi = isa.PMEM_BASE, isa.PMEM_BASE + len(prog.image)
-    back_branches: dict[int, list[int]] = {}
-
+    icall_targets: set[int] = set()
+    branches: dict[int, list[int]] = {}       # bcond target -> branch addrs
+    loop_calls: list[int] = []                # lines of bl trampoline_loop
     for line, inst in enumerate(prog.instructions):
-        addr = prog.line_addrs[line]
         if inst.op == isa.OP_BCOND:
-            back_branches.setdefault(inst.imm, []).append(addr)
-        if inst.op == isa.OP_MOV_IMM and code_lo <= inst.imm < code_hi \
+            branches.setdefault(inst.imm, []).append(prog.line_addrs[line])
+        elif inst.op == isa.OP_MOV_IMM and code_lo <= inst.imm < code_hi \
                 and inst.imm in label_addrs:
             icall_targets.add(inst.imm)
+        elif inst.op == isa.OP_BL and inst.imm == isa.TRAMP_LOOP:
+            loop_calls.append(line)
 
-    for line, inst in enumerate(prog.instructions):
+    loops: dict[int, LoopSite] = {}
+    for line in loop_calls:
         addr = prog.line_addrs[line]
-        nxt = addr + isa.INSTR_WIDTH
-        if inst.op == isa.OP_BL and inst.imm == isa.TRAMP_LOOP:
-            header = prog.instructions[line - 2].imm
-            limit = prog.instructions[line - 1].imm
-            exits = [b + isa.INSTR_WIDTH for b in back_branches.get(header, [])
-                     if b > addr]
-            if len(exits) != 1:
-                raise ValueError(f"loop at {addr:#x} lacks a unique backward branch")
-            loops[addr] = LoopSite(header, limit, exits[0])
-            edges[addr] = ("loop", (header, exits[0]))
-        elif inst.op == isa.OP_BL and inst.imm == isa.TRAMP_COND:
-            edges[addr] = ("site", (nxt,))
-        elif inst.op == isa.OP_BL and inst.imm == isa.TRAMP_ICALL:
-            edges[addr] = ("icall", ())
-        elif inst.op == isa.OP_B and inst.imm == isa.TRAMP_RET:
-            edges[addr] = ("return", ())
-        elif inst.op == isa.OP_BL:
-            edges[addr] = ("call", (inst.imm,))
-        elif inst.op == isa.OP_B:
-            edges[addr] = ("jump", (inst.imm,))
-        elif inst.op == isa.OP_BCOND:
-            edges[addr] = ("branch", (inst.imm, nxt))
-        elif inst.op == isa.OP_NSC_CALL:
-            edges[addr] = ("exit", (isa.NSC_EXIT,))
-        elif inst.op == isa.OP_HALT:
-            edges[addr] = ("halt", ())
+        header = prog.instructions[line - 2].imm
+        limit = prog.instructions[line - 1].imm
+        exits = [b + isa.INSTR_WIDTH for b in branches.get(header, []) if b > addr]
+        if len(exits) != 1:
+            raise ValueError(f"loop at {addr:#x} lacks a unique backward branch")
+        loops[addr] = LoopSite(header, limit, exits[0])
 
     return Cfg(prog, prog.entry, hashlib.sha256(bytes(prog.image)).digest(),
-               loops, frozenset(icall_targets), edges)
+               loops, frozenset(icall_targets))
 
 
 @dataclass
@@ -229,7 +203,7 @@ class Walker:
         self.steps = 0
         # repetition under trial: (pos of the next repetition, pc, shadow)
         self._trial: tuple[int, int, list[int]] | None = None
-        self._branch_sites = sum(kind == "branch" for kind, _ in cfg.edges.values())
+        self._branch_sites = sum(inst.op == isa.OP_BCOND for inst in cfg.prog.instructions)
 
     def _fail(self, kind: str, detail: str = "", index: int | None = None) -> None:
         self.violation = Violation(kind, self.pos if index is None else index, detail)

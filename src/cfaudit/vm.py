@@ -1,9 +1,19 @@
 """Two-world micro-machine: Non-Secure app execution under Secure-World control.
 
-The machine executes the toy ISA from :mod:`cfaudit.isa`. Non-Secure code is
-subject to a permission map and a secure watchdog timer; Secure-World code
-(the monitor, modeled at the Python level) has unrestricted access. Entering
-the secure-gateway window from the Non-Secure world never executes bytes, it
+The machine executes the toy ISA from :mod:`cfaudit.isa` over a fixed
+memory map. What the Non-Secure world may do there:
+
+    pmem       the app image     read and execute; write until ``lock_pmem``
+    dmem       data and stack    read and write, never execute
+    secure     Secure-World RAM  nothing
+    retained   audit context     nothing
+
+Program memory ends at the image's length, not at its capacity; every
+other address is unmapped. The Secure World (the monitor, modeled at the
+Python level) may read, write and execute any mapped address. The pmem
+lock is the only permission that changes, and only a warm reset clears it.
+A secure watchdog timer bounds Non-Secure execution. Entering the
+secure-gateway window from the Non-Secure world never executes bytes, it
 yields an ``NscEntry`` event instead, standing in for gateway veneer code.
 
 Faults never raise: they come back as ``Fault`` events so the caller can
@@ -14,8 +24,8 @@ until the first event that is not a plain execution, or until its limit.
 Inside a block the world and the permissions cannot change, so the
 watchdog deadline becomes a bound on the block, a fetch from program
 memory is a lookup in a per-word predecoded table (any program-memory
-write invalidates the words it touches), and no event object is built per
-instruction. ``Machine.step`` is ``run(1)``.
+write invalidates the words it touches), a dmem access is never checked,
+and no event object is built per instruction. ``Machine.step`` is ``run(1)``.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ class WorldViolation(Exception):
 
 
 class UnmappedAddress(Exception):
-    """Address belongs to no region."""
+    """Secure-side program-memory write outside the image."""
 
     def __init__(self, addr: int):
         super().__init__(f"unmapped address {addr:#x}")
@@ -124,60 +134,6 @@ class Halted:
 Event = Executed | TimerTrigger | NscEntry | Fault | Halted
 
 
-# --- permissions ---------------------------------------------------------
-
-@dataclass
-class Region:
-    name: str
-    base: int
-    size: int
-    world: World
-    read: bool
-    write: bool
-    execute: bool
-
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.size
-
-
-class PermissionMap:
-    """Per-region access flags enforced on Non-Secure accesses only.
-
-    The Secure World passes every check: on the modeled hardware the secure
-    side owns the attribution unit and is trusted with full access.
-    """
-
-    def __init__(self, pmem_size: int):
-        self.regions = {
-            "pmem": Region("pmem", PMEM_BASE, pmem_size, World.NONSECURE, True, True, True),
-            "dmem": Region("dmem", DMEM_BASE, DMEM_SIZE, World.NONSECURE, True, True, False),
-            "secure": Region("secure", SECURE_BASE, SECURE_SIZE, World.SECURE, True, True, False),
-            "retained": Region("retained", RETAINED_BASE, RETAINED_SIZE, World.SECURE, True, True, False),
-        }
-        self.pmem_locked = False
-
-    def region_at(self, addr: int) -> Region | None:
-        for r in self.regions.values():
-            if r.contains(addr):
-                return r
-        return None
-
-    def check_access(self, addr: int, kind: AccessKind, world: World) -> bool:
-        """True when allowed; False on a violation. Raises UnmappedAddress."""
-        r = self.region_at(addr)
-        if r is None:
-            raise UnmappedAddress(addr)
-        if world is World.SECURE:
-            return True
-        if r.world is not World.NONSECURE:
-            return False
-        if kind is AccessKind.READ:
-            return r.read
-        if kind is AccessKind.WRITE:
-            return r.write
-        return r.execute
-
-
 # --- secure timer --------------------------------------------------------
 
 @dataclass
@@ -213,7 +169,7 @@ class SecureTimer:
 # --- machine -------------------------------------------------------------
 
 class Machine:
-    """Registers, four memory regions, permission map, and secure timer."""
+    """Registers, the four memories of the fixed map, and secure timer."""
 
     def __init__(self, pmem: bytes):
         if len(pmem) > PMEM_CAPACITY:
@@ -222,7 +178,7 @@ class Machine:
         self.dmem = bytearray(DMEM_SIZE)
         self.secure_mem = bytearray(SECURE_SIZE)
         self.retained_mem = bytearray(RETAINED_SIZE)
-        self.perm = PermissionMap(len(self.pmem))
+        self.pmem_locked = False
         self.timer = SecureTimer()
         self.regs = [0] * 16
         self.regs[SP] = STACK_TOP
@@ -251,38 +207,35 @@ class Machine:
 
     # -- memory ---------------------------------------------------------
 
-    def _backing(self, addr: int) -> tuple[bytearray, int] | None:
-        r = self.perm.region_at(addr)
-        if r is None:
-            return None
-        store = {"pmem": self.pmem, "dmem": self.dmem,
-                 "secure": self.secure_mem, "retained": self.retained_mem}[r.name]
-        return store, addr - r.base
+    def _decode_addr(self, addr: int) -> tuple[bytearray, int, frozenset] | None:
+        """The memory behind ``addr``, the offset into it and the access
+        kinds the Non-Secure world has there; None when unmapped."""
+        if PMEM_BASE <= addr < PMEM_BASE + len(self.pmem):
+            return self.pmem, addr - PMEM_BASE, _RX if self.pmem_locked else _RWX
+        if DMEM_BASE <= addr < _DMEM_END:
+            return self.dmem, addr - DMEM_BASE, _RW
+        if SECURE_BASE <= addr < _SECURE_END:
+            return self.secure_mem, addr - SECURE_BASE, _NO_ACCESS
+        if RETAINED_BASE <= addr < _RETAINED_END:
+            return self.retained_mem, addr - RETAINED_BASE, _NO_ACCESS
+        return None
 
     def _checked(self, addr: int, kind: AccessKind) -> FaultKind | None:
         """Permission check for the current world; returns a fault kind or None."""
-        try:
-            ok = self.perm.check_access(addr, kind, self.world)
-        except UnmappedAddress:
+        mapped = self._decode_addr(addr)
+        if mapped is None:
             return FaultKind.UNMAPPED
-        if self.world is World.NONSECURE and self.perm.pmem_locked \
-                and kind is AccessKind.WRITE and self.perm.regions["pmem"].contains(addr):
-            ok = False
-        if not ok:
-            return {
-                AccessKind.READ: FaultKind.READ_VIOLATION,
-                AccessKind.WRITE: FaultKind.WRITE_VIOLATION,
-                AccessKind.EXECUTE: FaultKind.EXEC_VIOLATION,
-            }[kind]
+        if self.world is World.NONSECURE and kind not in mapped[2]:
+            return _VIOLATION[kind]
         return None
 
     def load_word(self, addr: int) -> int:
-        store, off = self._backing(addr)
-        return struct.unpack_from(">I", store, off)[0]
+        store, off, _ = self._decode_addr(addr)
+        return _load(store, off)[0]
 
     def store_word(self, addr: int, value: int) -> None:
-        store, off = self._backing(addr)
-        struct.pack_into(">I", store, off, value & MASK32)
+        store, off, _ = self._decode_addr(addr)
+        _store(store, off, value & MASK32)
         if store is self.pmem:
             self._decode_cache.pop(addr, None)
 
@@ -300,18 +253,10 @@ class Machine:
         return hashlib.sha256(bytes(self.pmem)).digest()
 
     def lock_pmem(self) -> None:
-        """Read/execute-only pmem, non-executable dmem, NS reconfig revoked."""
+        """Make pmem read/execute-only for the Non-Secure world."""
         if self.world is not World.SECURE:
             raise WorldViolation("lock_pmem requires Secure World")
-        self.perm.pmem_locked = True
-        self.perm.regions["pmem"].write = False
-        self.perm.regions["dmem"].execute = False
-
-    def unlock_pmem(self) -> None:
-        if self.world is not World.SECURE:
-            raise WorldViolation("unlock_pmem requires Secure World")
-        self.perm.pmem_locked = False
-        self.perm.regions["pmem"].write = True
+        self.pmem_locked = True
 
     def reset(self) -> None:
         """Warm reset: volatile state cleared, pmem and retained preserved."""
@@ -321,7 +266,7 @@ class Machine:
         self.dmem = bytearray(DMEM_SIZE)
         self.secure_mem = bytearray(SECURE_SIZE)
         self.timer = SecureTimer()
-        self.perm = PermissionMap(len(self.pmem))
+        self.pmem_locked = False
         self.world = World.SECURE
         self.halted = False
         self.cycle_count = 0
@@ -350,7 +295,7 @@ class Machine:
         fk = self._checked(pc, AccessKind.EXECUTE)
         if fk is not None:
             return Fault(fk, pc)
-        store, off = self._backing(pc)
+        store, off, _ = self._decode_addr(pc)
         inst = _predecode(bytes(store[off:off + INSTR_WIDTH]))
         if store is self.pmem:
             self._decode_cache[pc] = inst
@@ -386,11 +331,8 @@ class Machine:
         if counting and timer.delta - timer.elapsed < limit:
             budget = timer.delta - timer.elapsed     # the deadline ends the block
         fetch = self._decode_cache.get
-        dmem = self.dmem
-        # data accesses inside these windows skip the permission check; a
-        # window opens after one checked access to dmem succeeds, since
-        # permissions are per region and fixed for the block
-        rd_lo = rd_hi = wr_lo = wr_hi = 0
+        # dmem is read/write in both worlds, so its accesses are never checked
+        dmem, dmem_lo, dmem_hi = self.dmem, DMEM_BASE, _DMEM_END
         pc = regs[PC]
         last, prev, prev_lr = self.last_exec_pc, self.prev_exec_pc, self.prev_lr
         flags = (self.flag_z << 1) | self.flag_n
@@ -440,31 +382,27 @@ class Machine:
                 if addr % 4:
                     ev = Fault(FaultKind.UNALIGNED, addr)
                     break
-                if rd_lo <= addr < rd_hi:
-                    regs[ra] = _load(dmem, addr - DMEM_BASE)[0]
+                if dmem_lo <= addr < dmem_hi:
+                    regs[ra] = _load(dmem, addr - dmem_lo)[0]
                 else:
                     fk = self._checked(addr, AccessKind.READ)
                     if fk is not None:
                         ev = Fault(fk, addr)
                         break
                     regs[ra] = self.load_word(addr)
-                    if DMEM_BASE <= addr < _DMEM_END:
-                        rd_lo, rd_hi = DMEM_BASE, _DMEM_END
             elif op == OP_STR:
                 addr = (regs[rb] + imm) & MASK32
                 if addr % 4:
                     ev = Fault(FaultKind.UNALIGNED, addr)
                     break
-                if wr_lo <= addr < wr_hi:
-                    _store(dmem, addr - DMEM_BASE, regs[ra] & MASK32)
+                if dmem_lo <= addr < dmem_hi:
+                    _store(dmem, addr - dmem_lo, regs[ra] & MASK32)
                 else:
                     fk = self._checked(addr, AccessKind.WRITE)
                     if fk is not None:
                         ev = Fault(fk, addr)
                         break
                     self.store_word(addr, regs[ra])
-                    if DMEM_BASE <= addr < _DMEM_END:
-                        wr_lo, wr_hi = DMEM_BASE, _DMEM_END
             elif op == OP_SUB_RI:
                 regs[ra] = (regs[rb] - imm) & MASK32
             elif op == OP_ADD_RR:
@@ -482,9 +420,9 @@ class Machine:
                 if addr % 4:
                     ev = Fault(FaultKind.UNALIGNED, addr)
                     break
-                if wr_lo <= addr < wr_hi:
+                if dmem_lo <= addr < dmem_hi:
                     regs[SP] = addr
-                    _store(dmem, addr - DMEM_BASE, regs[ra] & MASK32)
+                    _store(dmem, addr - dmem_lo, regs[ra] & MASK32)
                 else:
                     fk = self._checked(addr, AccessKind.WRITE)
                     if fk is not None:
@@ -492,23 +430,19 @@ class Machine:
                         break
                     regs[SP] = addr
                     self.store_word(addr, regs[ra])
-                    if DMEM_BASE <= addr < _DMEM_END:
-                        wr_lo, wr_hi = DMEM_BASE, _DMEM_END
             elif op == OP_POP:
                 addr = regs[SP]
                 if addr % 4:
                     ev = Fault(FaultKind.UNALIGNED, addr)
                     break
-                if rd_lo <= addr < rd_hi:
-                    val = _load(dmem, addr - DMEM_BASE)[0]
+                if dmem_lo <= addr < dmem_hi:
+                    val = _load(dmem, addr - dmem_lo)[0]
                 else:
                     fk = self._checked(addr, AccessKind.READ)
                     if fk is not None:
                         ev = Fault(fk, addr)
                         break
                     val = self.load_word(addr)
-                    if DMEM_BASE <= addr < _DMEM_END:
-                        rd_lo, rd_hi = DMEM_BASE, _DMEM_END
                 regs[SP] = (addr + 4) & MASK32
                 if ra == PC:
                     nxt = val
@@ -554,11 +488,20 @@ class Machine:
         return n, ev
 
 
-# --- predecoding -----------------------------------------------------------
+# --- memory map and predecoding -------------------------------------------
 
 _UNBOUNDED = 1 << 62
 _NSC_END = NSC_BASE + NSC_SIZE
 _DMEM_END = DMEM_BASE + DMEM_SIZE
+_SECURE_END = SECURE_BASE + SECURE_SIZE
+_RETAINED_END = RETAINED_BASE + RETAINED_SIZE
+_RWX = frozenset(AccessKind)
+_RX = frozenset({AccessKind.READ, AccessKind.EXECUTE})
+_RW = frozenset({AccessKind.READ, AccessKind.WRITE})
+_NO_ACCESS = frozenset()
+_VIOLATION = {AccessKind.READ: FaultKind.READ_VIOLATION,
+              AccessKind.WRITE: FaultKind.WRITE_VIOLATION,
+              AccessKind.EXECUTE: FaultKind.EXEC_VIOLATION}
 _U32 = struct.Struct(">I")
 _load, _store = _U32.unpack_from, _U32.pack_into
 

@@ -116,6 +116,16 @@ def test_instrument_map_lists_rewritten_branches(capsys):
     assert "main:" not in out   # the map, not the program
 
 
+def test_instrument_rejects_an_undefined_label(tmp_path, capsys):
+    prog = tmp_path / "bad.asm"
+    prog.write_text("main: b nowhere\n")
+    code = main(["instrument", str(prog)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "undefined label: nowhere" in captured.err
+
+
 def test_run_overrides_and_output_file(tmp_path, capsys):
     out_file = tmp_path / "record.json"
     code = main(["run", str(SCENARIO_DIR / "lossy_fold.scn"),

@@ -10,7 +10,7 @@ from cfaudit.cli import WINDOW_MAX_TICKS
 from cfaudit.context import (AuditContext, F_REMEDIATION, POLICY_DISABLE,
                              POLICY_FREEZE)
 from cfaudit.scenario import (ScenarioError, ScenarioSpec, parse_scenario,
-                              resolve_input, run, run_scenario)
+                              resolve_input, run)
 from cfaudit.vm import Machine
 
 from support import run_per_tick
@@ -166,13 +166,13 @@ pmem_flip = 100000
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
 def test_shipped_scenario_meets_its_expectations(name):
-    res = run_scenario(SCENARIO_DIR / name)
+    res = run(parse_scenario(SCENARIO_DIR / name))
     assert res.settled, f"{name} never settled"
     assert res.ok, f"{name}: {res.failures}"
 
 
 def test_benign_scenario_accounting_balances():
-    res = run_scenario(SCENARIO_DIR / "benign_pulse.scn")
+    res = run(parse_scenario(SCENARIO_DIR / "benign_pulse.scn"))
     # a perfect link carries every send to the auditor, exactly once
     assert res.reports_transmitted == res.reports_received == res.slices_audited
     assert res.log_bytes == 4 * res.destinations_seen
@@ -182,7 +182,7 @@ def test_benign_scenario_accounting_balances():
 
 
 def test_hijack_scenario_details():
-    res = run_scenario(SCENARIO_DIR / "overflow_hijack.scn")
+    res = run(parse_scenario(SCENARIO_DIR / "overflow_hijack.scn"))
     assert res.verdicts == ["heal", "end"]
     assert res.violation == "ShadowStackMismatch"
     assert res.violation_index == 6
@@ -195,14 +195,14 @@ def test_hijack_scenario_details():
 
 
 def test_power_cut_scenario_runs_nothing_after_reset():
-    res = run_scenario(SCENARIO_DIR / "power_cut.scn")
+    res = run(parse_scenario(SCENARIO_DIR / "power_cut.scn"))
     assert res.post_reset_ns == 0
     assert res.remnant_reports == 1
     assert res.verdict == "exec"
 
 
 def test_lossy_scenario_shows_channel_damage():
-    res = run_scenario(SCENARIO_DIR / "lossy_fold.scn")
+    res = run(parse_scenario(SCENARIO_DIR / "lossy_fold.scn"))
     dropped = (res.channel_stats["to_device"]["dropped"]
                + res.channel_stats["to_verifier"]["dropped"])
     assert dropped > 0

@@ -10,6 +10,7 @@ import pytest
 from cfaudit import isa, wire
 from cfaudit.cfa_engine import CfLog, decompress
 from cfaudit.instrument import instrument
+from cfaudit.resolver import WIPE_CHUNK
 from cfaudit.isa import LR, NSC_EXIT, TRAMP_COND, TRAMP_LOOP, TRAMP_RET
 from cfaudit.context import (AuditContext, F_FINAL, F_FROZEN, F_REPORT_PENDING,
                              F_VALID, LOG_BUFFER_OFFSET, POLICY_DISABLE,
@@ -241,7 +242,7 @@ def test_full_session_end_to_end():
 
     assert p.handle_message(request(chal=1)) == []
     assert p.state is ProverState.EXECUTING
-    assert m.perm.pmem_locked
+    assert m.pmem_locked
 
     (report_bytes,) = pump(p)
     rep = wire.Report.parse(report_bytes)
@@ -408,7 +409,7 @@ def test_wipe_is_chunked_not_instant():
     p.handle_message(request(chal=1))
     pump(p)
     p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, 2).pack())
-    chunk = p.config.wipe_chunk
+    chunk = WIPE_CHUNK
     assert p.step() == []                             # first chunk only
     assert not any(m.pmem[:chunk])
     assert any(m.pmem[chunk:])

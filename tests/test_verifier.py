@@ -11,6 +11,7 @@ from cfaudit import isa, wire
 from cfaudit.cfa_engine import COUNT_MASK, TAG_BIT, UNIT_SHIFT, UNIT_SINGLE, UNIT_STATIC
 from cfaudit.instrument import instrument
 from cfaudit.supervisor import Prover, ProverConfig, ProverState
+from cfaudit import verifier as vf
 from cfaudit.verifier import (Verdict, Verifier, VerifierConfig, V_EDGE,
                               V_ICALL, V_MAC, V_MALFORMED, V_SHADOW, Walker,
                               build_cfg)
@@ -92,27 +93,42 @@ loop:
 
 # --- graph extraction ----------------------------------------------------------
 
+def control_stops(cfg):
+    """The kind of every instruction a hop from it stops on at once."""
+    stops = {}
+    for addr in cfg.prog.line_addrs:
+        kind, stop, _, _ = cfg.hop(addr)
+        if stop == addr:
+            stops[kind] = stops.get(kind, 0) + 1
+    return stops
+
+
 def test_cfg_classifies_every_control_instruction():
     cfg = cfg_of(CALLS)
-    kinds = {}
-    for kind, _ in cfg.edges.values():
-        kinds[kind] = kinds.get(kind, 0) + 1
-    assert kinds["branch"] == 1                       # the beq itself
-    assert kinds["site"] == 2                         # both arrival shims
-    assert kinds["call"] == 1                         # direct bl helper
-    assert kinds["icall"] == 1
-    assert kinds["return"] == 1
-    assert kinds["exit"] == 1
+    prog = cfg.prog
+    assert control_stops(cfg) == {vf.BRANCH: 1,   # the beq itself
+                                  vf.COND: 2,     # both arrival shims
+                                  vf.ICALL: 1, vf.RET: 1, vf.EXIT: 1}
+    # a direct bl is no stop: the hop runs through it and pushes its return
+    call = prog.labels["yes"] + isa.INSTR_WIDTH
+    assert prog.instructions[prog.line_at_addr(call)] \
+        == isa.Instruction(isa.OP_BL, imm=prog.labels["helper"])
+    assert cfg.hop(call) == (vf.RET, prog.labels["helper"], None,
+                             (call + isa.INSTR_WIDTH,))
 
 
 def test_cfg_branch_edge_names_both_successors():
     cfg = cfg_of(CALLS)
-    (addr, (kind, succ)) = next((a, e) for a, e in cfg.edges.items()
-                                if e[0] == "branch")
-    taken, fall = succ
-    assert cfg.edges[taken][0] == "site"
-    assert cfg.edges[fall][0] == "site"
+    prog = cfg.prog
+    (addr,) = [a for a, inst in zip(prog.line_addrs, prog.instructions)
+               if inst.op == isa.OP_BCOND]
+    kind, stop, (taken_arrival, taken, fall_arrival, fall), pushes = cfg.hop(addr)
+    assert (kind, stop, pushes) == (vf.BRANCH, addr, ())
+    assert taken == prog.labels["yes"]
     assert fall == addr + isa.INSTR_WIDTH
+    for site, arrival in ((taken, taken_arrival), (fall, fall_arrival)):
+        assert cfg.hop(site) == (vf.COND, site, arrival, ())
+        assert arrival == site + isa.INSTR_WIDTH
 
 
 def test_cfg_digest_and_icall_targets():
@@ -129,12 +145,11 @@ def test_cfg_loop_table():
     asm2, _ = instrument(LOOPED)
     cfg = build_cfg(asm2)
     prog2 = isa.assemble(asm2)
-    assert len(cfg.loops) == 1
-    info = next(iter(cfg.loops.values()))
+    ((site, info),) = cfg.loops.items()
     assert info.header == prog2.labels["loop"]
     assert info.limit == 5
-    kind, succ = next(e for e in cfg.edges.values() if e[0] == "loop")
-    assert succ == (info.header, info.exit)
+    assert cfg.hop(site) == (vf.LOOP, site, (info.header, 4, info.exit), ())
+    assert cfg.hop(info.exit)[:2] == (vf.COND, info.exit)    # the exit is logged
 
 
 # --- trace walking --------------------------------------------------------------

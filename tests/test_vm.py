@@ -507,3 +507,68 @@ def test_fetch_from_dmem(limit):
     assert ev == Fault(FaultKind.EXEC_VIOLATION, DMEM_BASE)
     (ev,) = assert_blocks_match_steps(make(World.SECURE), limit)
     assert ev == Halted()
+
+
+# --- the memory map, access by access through the interpreter ----------------
+
+MATRIX_UNMAPPED = 0xC000                 # between dmem and secure memory
+MATRIX_TARGETS = {
+    "pmem": PMEM_BASE + 12,              # the image's last word
+    "pmem_past_end": PMEM_BASE + 16,     # first word past the image
+    "dmem": DMEM_BASE,
+    "secure": isa.SECURE_BASE,
+    "retained": isa.RETAINED_BASE,
+    "unmapped": MATRIX_UNMAPPED,
+}
+# r1 holds the target; two data accesses so the first of the block is the
+# one under test and a second one follows it in the same block
+MATRIX_PROGRAMS = {
+    "ldr": "main:\n ldr r2, [r1]\n ldr r2, [r1]\n nsc_call\n nsc_call\n",
+    "str": "main:\n str r2, [r1]\n str r2, [r1]\n nsc_call\n nsc_call\n",
+    "fetch": "main:\n blx r1\n nsc_call\n nsc_call\n nsc_call\n",
+}
+FAULT_OF = {"ldr": FaultKind.READ_VIOLATION, "str": FaultKind.WRITE_VIOLATION,
+            "fetch": FaultKind.EXEC_VIOLATION}
+
+
+def expected_access(world, locked, target, access):
+    """The fault kind an access ends in, or None when it goes through."""
+    if target in ("pmem_past_end", "unmapped"):
+        return FaultKind.UNMAPPED
+    if world is World.SECURE:
+        # zero words are not instructions
+        if access == "fetch" and target != "pmem":
+            return FaultKind.ILLEGAL_INSTRUCTION
+        return None
+    if target in ("secure", "retained"):
+        return FAULT_OF[access]
+    if target == "dmem" and access == "fetch":
+        return FaultKind.EXEC_VIOLATION
+    if target == "pmem" and access == "str" and locked:
+        return FaultKind.WRITE_VIOLATION
+    return None
+
+
+@pytest.mark.parametrize("access", sorted(MATRIX_PROGRAMS))
+@pytest.mark.parametrize("target", list(MATRIX_TARGETS))
+@pytest.mark.parametrize("locked", [False, True], ids=["unlocked", "locked"])
+@pytest.mark.parametrize("world", [World.SECURE, World.NONSECURE], ids=["S", "NS"])
+def test_memory_map_through_the_interpreter(world, locked, target, access):
+    m = load_program(MATRIX_PROGRAMS[access])
+    assert len(m.pmem) == 16
+    if locked:
+        m.lock_pmem()
+    if world is World.NONSECURE:
+        m.enter_nonsecure(PMEM_BASE)
+    addr = MATRIX_TARGETS[target]
+    m.regs[1] = addr
+    n, ev = m.run()
+    kind = expected_access(world, locked, target, access)
+    if kind is not None:
+        assert ev == Fault(kind, addr)
+        # a data fault leaves pc on the access, a fetch fault on the target
+        assert (n, m.pc) == ((1, addr) if access == "fetch" else (0, PMEM_BASE))
+    elif world is World.SECURE:
+        assert ev == Halted()
+    else:
+        assert isinstance(ev, NscEntry) and ev.addr == NSC_EXIT
