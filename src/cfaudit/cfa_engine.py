@@ -92,16 +92,12 @@ class CfLog:
         self.size = 0
         self.active = True
         self.pending: PendingLoop | None = None
-        # kinds/values of the last two committed entries, for unit matching
-        self._tail: list[tuple[bool, int]] = []   # (is_address, value)
 
     # -- raw entry plumbing ----------------------------------------------
 
-    def _commit(self, word: bytes, is_addr: bool, value: int) -> None:
+    def _commit(self, word: bytes) -> None:
         self.buf[self.size:self.size + ENTRY_WIDTH] = word
         self.size += ENTRY_WIDTH
-        self._tail.append((is_addr, value))
-        del self._tail[:-2]
 
     def _flush_bytes_needed(self) -> int:
         if self.pending is None:
@@ -115,9 +111,9 @@ class CfLog:
             return
         if p.count > 0:
             unit_kind = UNIT_PAIR if len(p.unit) == 2 else UNIT_SINGLE
-            self._commit(encode_count(unit_kind, p.count), False, p.count)
+            self._commit(encode_count(unit_kind, p.count))
         for elem in p.unit[:p.pos]:
-            self._commit(encode_address(elem), True, elem)
+            self._commit(encode_address(elem))
         self.pending = None
 
     # -- public operations --------------------------------------------------
@@ -145,24 +141,28 @@ class CfLog:
         if backward:
             unit = self._match_tail(dest)
             if unit is not None and self.size + PENDING_RESERVE <= self.capacity:
-                self.pending = PendingLoop(unit, 0, 0)
-                p = self.pending
-                p.pos = 1
-                if p.pos == len(unit):
-                    p.count, p.pos = 1, 0
+                # dest matches the unit's first element: one element in
+                self.pending = PendingLoop(unit, 1, 0) if len(unit) == 1 \
+                    else PendingLoop(unit, 0, 1)
                 return AppendResult.OK
 
         if self.size + ENTRY_WIDTH > self.capacity:
             return AppendResult.FULL
-        self._commit(encode_address(dest), True, dest)
+        self._commit(encode_address(dest))
         return AppendResult.OK
 
     def _match_tail(self, dest: int) -> tuple[int, ...] | None:
-        t = self._tail
-        if t and t[-1] == (True, dest):
+        """The unit a backward ``dest`` repeats: the last committed word
+        when it is that address, else the last two when they are address
+        words and the first is ``dest``."""
+        buf, end, w = self.buf, self.size, ENTRY_WIDTH
+        last = int.from_bytes(buf[end - w:end], "big") if end else TAG_BIT
+        if last & TAG_BIT or dest > ADDR_MASK:
+            return None
+        if last == dest:
             return (dest,)
-        if len(t) == 2 and t[0] == (True, dest) and t[1][0]:
-            return (dest, t[1][1])
+        if end >= 2 * w and int.from_bytes(buf[end - 2 * w:end - w], "big") == dest:
+            return (dest, last)
         return None
 
     def log_static_loop(self, dest: int, limit: int) -> str:
@@ -173,8 +173,8 @@ class CfLog:
         if self.size + need > self.capacity:
             return AppendResult.FULL
         self._flush()
-        self._commit(encode_address(dest), True, dest)
-        self._commit(encode_count(UNIT_STATIC, limit), False, limit)
+        self._commit(encode_address(dest))
+        self._commit(encode_count(UNIT_STATIC, limit))
         return AppendResult.OK
 
     def flush_pending(self) -> None:
@@ -186,43 +186,33 @@ class CfLog:
         """Drop the acknowledged slice."""
         self.size = 0
         self.pending = None
-        self._tail = []
 
     def to_bytes(self) -> bytes:
         return bytes(self.buf[:self.size])
 
     # -- suspend/resume ----------------------------------------------------
     #
-    # The buffer itself can sit in retained memory, but the matcher state
-    # (in-flight repetition and committed tail) lives in engine RAM and
-    # would vanish on a power cycle, silently dropping destinations that
-    # were already acknowledged as appended. Checkpointing it alongside the
-    # buffer keeps the log complete across resets.
+    # The buffer itself can sit in retained memory, and the matcher reads
+    # the committed words it compares against from there. Only the
+    # in-flight repetition lives in engine RAM; it would vanish on a power
+    # cycle, silently dropping destinations that were already acknowledged
+    # as appended. Checkpointing it alongside the buffer's size keeps the
+    # log complete across resets.
 
     STATE_WIDTH = 24
+    _STATE = struct.Struct(">BBIII10x")     # unit length, pos, count, unit
+    assert _STATE.size == STATE_WIDTH
 
     def checkpoint(self) -> bytes:
         p = self.pending
-        unit = (p.unit + (0, 0))[:2] if p else (0, 0)
-        tail_flags = sum(1 << i for i, (is_addr, _) in enumerate(self._tail)
-                         if is_addr)
-        tail_vals = [v for _, v in self._tail] + [0, 0]
-        return struct.pack(">BBIIIBBII",
-                           len(p.unit) if p else 0,
-                           p.pos if p else 0,
-                           p.count if p else 0,
-                           unit[0], unit[1],
-                           len(self._tail), tail_flags,
-                           tail_vals[0], tail_vals[1])
+        if p is None:
+            return self._STATE.pack(0, 0, 0, 0, 0)
+        unit = p.unit + (0,) * (2 - len(p.unit))
+        return self._STATE.pack(len(p.unit), p.pos, p.count, *unit)
 
     def restore(self, state: bytes) -> None:
-        (unit_len, pos, count, u0, u1,
-         tail_len, tail_flags, t0, t1) = struct.unpack(">BBIIIBBII", state)
-        self.pending = None
-        if unit_len:
-            self.pending = PendingLoop((u0, u1)[:unit_len], count, pos)
-        self._tail = [(bool(tail_flags >> i & 1), v)
-                      for i, v in enumerate((t0, t1)[:tail_len])]
+        unit_len, pos, count, u0, u1 = self._STATE.unpack(state)
+        self.pending = PendingLoop((u0, u1)[:unit_len], count, pos) if unit_len else None
 
 
 def iter_entries(data: bytes):

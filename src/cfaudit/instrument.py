@@ -191,8 +191,11 @@ def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
         h = labels.get(target)
         if h is None or h >= i or i < 2:
             continue
-        # the header may only be entered by fall-in and this one branch
-        if len(_label_references(lines, target)) != 1:
+        # the header may only be entered by fall-in and this one branch: no
+        # other reference to any of its labels, and it is not the entry
+        header_labels = lines[h].labels
+        if "main" in header_labels or \
+                sum(len(_label_references(lines, lab)) for lab in header_labels) != 1:
             continue
         cmp_line = lines[i - 1]
         if cmp_line.mnemonic != "cmp" or len(cmp_line.args) != 2:

@@ -243,9 +243,6 @@ class Program:
     entry: int
     image: bytes = field(repr=False, default=b"")
 
-    def addr_of_line(self, idx: int) -> int:
-        return self.line_addrs[idx]
-
     def line_at_addr(self, addr: int) -> int | None:
         off = addr - PMEM_BASE
         if off % INSTR_WIDTH or not 0 <= off < len(self.image):

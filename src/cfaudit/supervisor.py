@@ -127,7 +127,7 @@ class Prover:
         self.ns_since_trigger = 0
         self.current_report: bytes | None = None
         self._resend_clock = 0
-        self._stalled: tuple[str, NscEntry | None] | None = None
+        self._stalled: NscEntry | None = None     # what a full log refused
         self._resolver: Resolver | None = None
         self._post_heal = False
         self.max_chal_seen = 0
@@ -157,6 +157,16 @@ class Prover:
         base = LOG_BUFFER_OFFSET
         return bytes(self.m.retained_mem[base:base + self.ctx.log_size])
 
+    def _sign_slice(self) -> None:
+        """Seal the log as the pending report: materialize any in-flight
+        repetition, persist it, and bind the slice to the image digest and
+        the challenge."""
+        self.log.flush_pending()
+        self._persist_size()
+        self.ctx.sigma = wire.report_sigma(self.config.key, self.m.hash_pmem(),
+                                           self._slice_bytes(), self.ctx.chal)
+        self.ctx.set_flag(F_REPORT_PENDING)
+
     # -- boot --------------------------------------------------------------
 
     def boot(self) -> list[bytes]:
@@ -184,12 +194,7 @@ class Prover:
         if not ctx.flag(F_REPORT_PENDING):
             # an in-flight repetition restored from the checkpoint still
             # needs materializing so the remnant covers every append
-            self.log.flush_pending()
-            self._persist_size()
-            digest = self.m.hash_pmem()
-            ctx.sigma = wire.report_sigma(self.config.key, digest,
-                                          self._slice_bytes(), ctx.chal)
-            ctx.set_flag(F_REPORT_PENDING)
+            self._sign_slice()
         ctx.set_flag(F_FINAL)
         self._persist()
         self.metrics.remnant_reports += 1
@@ -287,16 +292,9 @@ class Prover:
         self.current_report = None
         stalled, self._stalled = self._stalled, None
         if stalled is not None:
-            kind, ev = stalled
-            if kind == "event":
-                outcome = service_gateway(self.m, self.log, ev)
-                self._persist_size()
-                if outcome == "full":     # cannot happen: fresh slice
-                    self._stalled = stalled
-                    return self._trigger_report("capacity")
-            else:                          # app end was waiting for room
-                self.log.append(_EXIT_SENTINEL)
-                return self._trigger_report("end")
+            out = self._service(stalled)
+            if out:
+                return out
         if self.m.world is World.SECURE:
             # deadline stall: the core was yanked out mid-run, so return it
             # to the interrupted instruction (gateway stalls re-entered the
@@ -369,23 +367,28 @@ class Prover:
         if isinstance(ev, NscEntry):
             self.metrics.gateway_calls[ev.addr] = \
                 self.metrics.gateway_calls.get(ev.addr, 0) + 1
-            if ev.addr == isa.NSC_EXIT:
-                res = self.log.append(_EXIT_SENTINEL)
-                if res is AppendResult.FULL:
-                    self._stalled = ("exit", None)
-                    return self._trigger_report("capacity")
-                return self._trigger_report("end")
-            outcome = service_gateway(self.m, self.log, ev)
-            self._persist_size()
-            if outcome == "full":
-                self._stalled = ("event", ev)
-                return self._trigger_report("capacity")
-            return []
+            return self._service(ev)
         # hardware faults reset the device outright; the boot path then
         # re-reports whatever evidence the retained region holds
         self.metrics.triggers["fault"] += 1
         self.m.reset()
         return self.boot()
+
+    def _service(self, ev: NscEntry) -> list[bytes]:
+        """Log one gateway event, on arrival or replayed once the log has
+        room. A logged transfer resumes the app; the end-door, or an event
+        the full log refuses (kept to be replayed), cuts a report."""
+        if ev.addr == isa.NSC_EXIT:
+            if self.log.append(_EXIT_SENTINEL) is AppendResult.FULL:
+                self._stalled = ev
+                return self._trigger_report("capacity")
+            return self._trigger_report("end")
+        outcome = service_gateway(self.m, self.log, ev)
+        self._persist_size()
+        if outcome == "full":
+            self._stalled = ev
+            return self._trigger_report("capacity")
+        return []
 
     def _trigger_report(self, reason: str) -> list[bytes]:
         self.metrics.triggers[reason] += 1
@@ -396,13 +399,7 @@ class Prover:
         return self._generate_report()
 
     def _generate_report(self) -> list[bytes]:
-        self.log.flush_pending()
-        self._persist_size()
-        digest = self.m.hash_pmem()
-        slice_bytes = self.log.to_bytes()
-        self.ctx.sigma = wire.report_sigma(self.config.key, digest,
-                                           slice_bytes, self.ctx.chal)
-        self.ctx.set_flag(F_REPORT_PENDING)
+        self._sign_slice()
         self._persist()
         self.metrics.slices_sent += 1
         return self._emit_report()

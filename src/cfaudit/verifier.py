@@ -16,6 +16,9 @@ The walk reads the log as the device wrote it, without expanding it:
   reads the log (or ends the walk) in one move, carrying the return
   addresses the direct calls on the way push. Hops are computed on first
   arrival and memoized, so a session pays only for the code it visits.
+  Each hop reads at most one destination: a conditional branch checks the
+  entry against the arrivals both its successors log and resumes past the
+  site that entry names, so the site's own read is never repeated.
 - Repetition skipping. When a run has at least two repetitions of its
   unit left, the walker notes its pc and shadow stack at the start of one
   and walks it. If it is about to read the next repetition in the same
@@ -60,8 +63,9 @@ _SHADOW_LIMIT = 4096
 
 # What a hop stops on. The first six read the log; the rest end the walk or
 # park it. The detail a hop carries: for COND the arrival the site logs, for
-# ICALL the return address, for LOOP (header, copies, exit), for BRANCH
-# (taken arrival, taken pc, fall-through arrival, fall-through pc).
+# ICALL the return address, for LOOP (header, copies, exit), for BRANCH the
+# arrivals its (taken, fall-through) successor sites log. A conditional
+# branch with a successor that is no arrival site is UNREWRITTEN.
 COND, BRANCH, RET, ICALL, LOOP, EXIT = range(6)
 HALT, UNREWRITTEN, LEFT, PARK, OVERFLOW = range(6, 11)
 
@@ -127,7 +131,8 @@ class Cfg:
                 pc = imm
                 continue
             elif op == isa.OP_BCOND:
-                kind, arg = BRANCH, (imm + isa.INSTR_WIDTH, imm, nxt + isa.INSTR_WIDTH, nxt)
+                arrivals = (self._arrival(imm), self._arrival(nxt))
+                kind, arg = (UNREWRITTEN, None) if None in arrivals else (BRANCH, arrivals)
             elif op == isa.OP_NSC_CALL:
                 kind = EXIT
             elif op == isa.OP_HALT:
@@ -141,6 +146,17 @@ class Cfg:
         # a cycle with no logging point: the program spins here for good, or
         # recurses until its stack overflows
         return (OVERFLOW if len(pushes) > seen[pc] else PARK, pc, None, tuple(pushes))
+
+    def _arrival(self, site: int) -> int | None:
+        """The arrival a ``bl trampoline_cond`` at ``site`` logs, or None
+        when there is none."""
+        line = self.prog.line_at_addr(site)
+        if line is None:
+            return None
+        inst = self.prog.instructions[line]
+        if inst.op != isa.OP_BL or inst.imm != isa.TRAMP_COND:
+            return None
+        return site + isa.INSTR_WIDTH
 
 
 def build_cfg(asm2_text: str) -> Cfg:
@@ -169,6 +185,9 @@ def build_cfg(asm2_text: str) -> Cfg:
         if len(exits) != 1:
             raise ValueError(f"loop at {addr:#x} lacks a unique backward branch")
         loops[addr] = LoopSite(header, limit, exits[0])
+        # the rewriter's ``mov r10, #header`` is the only use of the header
+        # as a value, and the loop body is walked only through its record
+        icall_targets.discard(header)
 
     return Cfg(prog, prog.entry, hashlib.sha256(bytes(prog.image)).digest(),
                loops, frozenset(icall_targets))
@@ -203,7 +222,6 @@ class Walker:
         self.steps = 0
         # repetition under trial: (pos of the next repetition, pc, shadow)
         self._trial: tuple[int, int, list[int]] | None = None
-        self._branch_sites = sum(inst.op == isa.OP_BCOND for inst in cfg.prog.instructions)
 
     def _fail(self, kind: str, detail: str = "", index: int | None = None) -> None:
         self.violation = Violation(kind, self.pos if index is None else index, detail)
@@ -283,9 +301,6 @@ class Walker:
     def advance(self) -> None:
         hops, hop = self.cfg.hops, self.cfg.hop
         shadow, runs = self.shadow, self.runs
-        # branch decisions made without consuming; more than there are
-        # branches means the walk cycles without ever reading the log
-        peeked_at, peeks = -1, 0
         while self.violation is None and not self.done:
             self.steps += 1
             kind, at, arg, pushes = hops.get(self.pc) or hop(self.pc)
@@ -318,25 +333,15 @@ class Walker:
                 self.pc = exit_pc
                 continue
             e = self.peek()
-            if kind == BRANCH:
-                if self.pos != peeked_at:
-                    peeked_at, peeks = self.pos, 0
-                peeks += 1
-                if peeks > self._branch_sites:
-                    self._fail(V_MALFORMED, f"walk cycles at {at:#x} without reading the log")
-                    return
-                taken_site, taken_pc, fall_site, fall_pc = arg
-                if e == taken_site:
-                    self.pc = taken_pc
-                elif e == fall_site:
-                    self.pc = fall_pc
-                else:
-                    self._fail(V_EDGE, f"{e:#x} is neither destination of the "
-                               f"branch at {at:#x}")
-                    return
-                continue
+            if kind == BRANCH and e not in arg:
+                # refused before it is consumed: no arrival site read it
+                self._fail(V_EDGE, f"{e:#x} is neither destination of the "
+                           f"branch at {at:#x}")
+                return
             self._consume(1)
-            if kind == COND:
+            if kind == BRANCH:
+                self.pc = e           # past the arrival site e names
+            elif kind == COND:
                 if e != arg:
                     self._fail(V_EDGE, f"arrival {e:#x} does not match site {arg:#x}",
                                self.pos - 1)
@@ -372,7 +377,7 @@ class Walker:
         elif kind == PARK:
             self._fail(V_EDGE, f"arrival while the program spins at {self.pc:#x}")
         elif kind == UNREWRITTEN:
-            self._fail(V_MALFORMED, f"unrewritten indirect at {self.pc:#x}")
+            self._fail(V_MALFORMED, f"unrewritten transfer at {self.pc:#x}")
         elif kind == LEFT:
             self._fail(V_MALFORMED, f"walk left the program at {self.pc:#x}")
         else:

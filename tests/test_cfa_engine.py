@@ -228,6 +228,41 @@ def test_static_records_round_trip(records):
     assert decompress(log.to_bytes()) == expected
 
 
+logged_ops = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.sampled_from([A, B, C]), st.booleans()),
+    st.tuples(st.just("static"), st.sampled_from([A, B]), st.integers(0, 4))),
+    max_size=30)
+
+
+def replay(log, ops):
+    for kind, dest, arg in ops:
+        if kind == "append":
+            assert log.append(dest, backward=arg) is AppendResult.OK
+        else:
+            assert log.log_static_loop(dest, arg) is AppendResult.OK
+
+
+@given(logged_ops)
+@settings(max_examples=150, deadline=None)
+def test_checkpoint_restore_resumes_the_same_log(ops):
+    # a power cycle after any operation: only the buffer, its size and the
+    # checkpoint survive, and the log goes on as if never interrupted
+    whole = CfLog(capacity=1 << 12)
+    replay(whole, ops)
+    whole.flush_pending()
+    for cut in range(len(ops) + 1):
+        first = CfLog(capacity=1 << 12)
+        replay(first, ops[:cut])
+        state = first.checkpoint()
+        assert len(state) == CfLog.STATE_WIDTH
+        resumed = CfLog(capacity=1 << 12, buffer=memoryview(bytearray(first.buf)))
+        resumed.size = first.size
+        resumed.restore(state)
+        replay(resumed, ops[cut:])
+        resumed.flush_pending()
+        assert resumed.to_bytes() == whole.to_bytes(), f"cut after {cut} operations"
+
+
 def test_runs_keep_counts_unexpanded():
     data = (encode_address(A) + encode_count(UNIT_SINGLE, 5)
             + encode_address(B) + encode_address(C) + encode_count(UNIT_PAIR, 1000)

@@ -220,6 +220,23 @@ def test_header_with_second_reference_rejected():
     assert detect_static_loops(parse_lines(asm)) == []
 
 
+def test_header_entered_through_another_label_rejected():
+    # a second label on the header is a way in besides the back branch
+    asm = CANONICAL_LOOP.replace("loop:", "loop:\nalso:") \
+        .replace("main:", "main:\n    mov r8, #also")
+    assert detect_static_loops(parse_lines(asm)) == []
+    # an unreferenced second label changes nothing
+    assert len(detect_static_loops(parse_lines(
+        CANONICAL_LOOP.replace("loop:", "loop:\nalso:")))) == 1
+
+
+def test_header_at_the_entry_point_rejected():
+    # execution starts in the body, past the loop's record
+    asm = "    mov r2, #0\nmain:\n    add r2, r2, #1\n    cmp r2, #5\n" \
+          "    bne main\n    nsc_call\n"
+    assert detect_static_loops(parse_lines(asm)) == []
+
+
 def test_bne_loop_with_zero_limit_falls_back_to_conditional_logging():
     # ``cmp r2, #0 / bne`` first compares 1 with 0: the counter wraps and
     # the loop runs ~2**32 times, which a static record of limit 0 denies

@@ -228,6 +228,49 @@ def test_benign_spin_without_logging_is_never_condemned():
     assert len(res.verdicts) >= 3 and set(res.verdicts) == {"exec"}
 
 
+# D9: the rewriter's ``mov r10, #spin`` made the loop header a legal
+# indirect-call target, so a forged call into the loop body audited clean
+FORGED_INTO_LOOP = """
+main:
+    mov r7, #input_base
+    ldr r8, [r7, #0]
+    blx r8
+    nsc_call
+work:
+    mov r6, #0
+spin:
+    add r0, r0, #1
+    add r6, r6, #1
+    cmp r6, #3
+    bne spin
+    bx lr
+"""
+
+
+def test_indirect_call_into_a_counted_loop_header_is_illegal():
+    res = run(ScenarioSpec("forged", FORGED_INTO_LOOP, input_tokens=("@spin",)))
+    assert res.verdicts == ["heal", "end"]
+    assert (res.violation, res.violation_index) == ("IllegalIndirectTarget", 0)
+    # the function itself stays a legal target when the program names it
+    benign = FORGED_INTO_LOOP.replace(
+        "mov r7, #input_base\n    ldr r8, [r7, #0]", "mov r8, #work")
+    res = run(ScenarioSpec("benign", benign))
+    assert res.verdicts == ["end"] and res.violation == "none"
+
+
+@pytest.mark.parametrize("asm", [
+    # the header's second label is called indirectly
+    "main:\n    mov r8, #also\n    blx r8\n    nsc_call\nwork:\n    mov r6, #0\n"
+    "spin:\nalso:\n    add r6, r6, #1\n    cmp r6, #3\n    bne spin\n    bx lr\n",
+    # the header is the entry point
+    "    mov r6, #0\nmain:\n    add r6, r6, #1\n    cmp r6, #3\n    bne main\n"
+    "    nsc_call\n",
+], ids=["second_label", "entry_point"])
+def test_loop_entered_past_its_record_is_audited_clean(asm):
+    res = run(ScenarioSpec("x", asm))
+    assert res.verdicts == ["end"] and res.violation == "none"
+
+
 def test_expectation_failures_are_reported_not_raised(tmp_path):
     scn = write_scn(tmp_path, """
 [scenario]

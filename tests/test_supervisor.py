@@ -340,6 +340,28 @@ def test_exec_response_resumes_with_fresh_slice():
     assert len(set(stitched)) == 12                   # no entry lost or repeated
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_refused_events_are_replayed_and_counted_once(n):
+    # four entries per slice: with 11 arrivals a refused arrival waits for
+    # the next slice, with 12 the end-door itself does
+    p, _, _ = build(chained_conditionals(n), log_max=16)
+    p.boot()
+    p.handle_message(request(chal=1))
+    stitched = []
+    for chal in range(2, 20):
+        (report_bytes,) = pump(p)
+        stitched += decompress(wire.Report.parse(report_bytes).log)
+        if stitched[-1] == NSC_EXIT:
+            break
+        p.handle_message(wire.Response.make(KEY, wire.RESULT_EXEC, chal).pack())
+    else:
+        pytest.fail("no final slice")
+    assert len(stitched) == len(set(stitched)) == n + 1
+    assert p.metrics.gateway_calls == {TRAMP_COND: n, NSC_EXIT: 1}
+    assert p.metrics.triggers["end"] == 1
+    assert p.metrics.triggers["capacity"] == n // 4
+
+
 def test_deadline_trigger_fires_exactly_on_budget():
     delta = 7
     p, _, _ = build(DIAMOND)

@@ -4,10 +4,11 @@ driver's authentication, challenge window, and duplicate handling."""
 
 import struct
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from cfaudit import isa, wire
+from cfaudit import cfa_engine, isa, wire
 from cfaudit.cfa_engine import COUNT_MASK, TAG_BIT, UNIT_SHIFT, UNIT_SINGLE, UNIT_STATIC
 from cfaudit.instrument import instrument
 from cfaudit.supervisor import Prover, ProverConfig, ProverState
@@ -21,6 +22,7 @@ import support
 from support import oracle_destinations
 
 KEY = VerifierConfig().key
+PROGRAM_DIR = Path(__file__).resolve().parent.parent / "scenarios" / "programs"
 
 
 def cfg_of(asm):
@@ -122,13 +124,13 @@ def test_cfg_branch_edge_names_both_successors():
     prog = cfg.prog
     (addr,) = [a for a, inst in zip(prog.line_addrs, prog.instructions)
                if inst.op == isa.OP_BCOND]
-    kind, stop, (taken_arrival, taken, fall_arrival, fall), pushes = cfg.hop(addr)
+    kind, stop, (taken_arrival, fall_arrival), pushes = cfg.hop(addr)
     assert (kind, stop, pushes) == (vf.BRANCH, addr, ())
-    assert taken == prog.labels["yes"]
-    assert fall == addr + isa.INSTR_WIDTH
-    for site, arrival in ((taken, taken_arrival), (fall, fall_arrival)):
-        assert cfg.hop(site) == (vf.COND, site, arrival, ())
+    # each arrival is logged by the site just before it
+    for site, arrival in ((prog.labels["yes"], taken_arrival),
+                          (addr + isa.INSTR_WIDTH, fall_arrival)):
         assert arrival == site + isa.INSTR_WIDTH
+        assert cfg.hop(site) == (vf.COND, site, arrival, ())
 
 
 def test_cfg_digest_and_icall_targets():
@@ -257,6 +259,18 @@ def test_walker_stops_branch_cycles_that_never_consume():
     assert w.violation is not None and ref.violation is not None
     assert w.violation.kind == ref.violation.kind == V_MALFORMED
     assert w.violation.index == ref.violation.index == 0
+
+
+@pytest.mark.parametrize("name", ["window_dense", "window_mid", "window_sparse"])
+def test_walker_reads_each_destination_in_at_most_one_hop(name):
+    # a conditional branch reads its arrival itself; its site never reads
+    # the same destination again
+    asm2, _ = instrument((PROGRAM_DIR / f"{name}.asm").read_text())
+    run = support.run_instrumented(asm2)
+    w = Walker(build_cfg(asm2))
+    w.feed(cfa_engine.runs(run.log.to_bytes()))
+    assert w.done and w.violation is None
+    assert w.steps <= w.fed
 
 
 def test_walker_rejects_unrewritten_indirects():
