@@ -202,11 +202,12 @@ class CfLog:
     STATE_WIDTH = 24
     _STATE = struct.Struct(">BBIII10x")     # unit length, pos, count, unit
     assert _STATE.size == STATE_WIDTH
+    IDLE_STATE = _STATE.pack(0, 0, 0, 0, 0)  # no repetition in flight
 
     def checkpoint(self) -> bytes:
         p = self.pending
         if p is None:
-            return self._STATE.pack(0, 0, 0, 0, 0)
+            return self.IDLE_STATE
         unit = p.unit + (0,) * (2 - len(p.unit))
         return self._STATE.pack(len(p.unit), p.pos, p.count, *unit)
 

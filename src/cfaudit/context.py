@@ -2,7 +2,7 @@
 retained memory that lets an audit session survive any reset.
 
 The layout is written once, as the field table ``FIELDS``. Every offset,
-the whole-header ``store``/``load`` and the partial stores the prover and
+the whole-header ``store``/``load`` and the field writes the prover and
 the resolver make on their hot paths derive from it. The log buffer sits
 behind a reserved block of ``CTX_HEADER_SIZE`` bytes, written in place by
 the log engine.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from functools import partial
 
 from . import wire
 from .cfa_engine import CfLog, DEFAULT_LOG_MAX
@@ -111,15 +111,8 @@ class AuditContext:
 assert _VALUES == tuple(f.name for f in fields(AuditContext))
 
 
-def partial_store(*names: str):
-    """A function ``(ctx, mem)`` that writes only the named fields of
-    ``ctx`` to the header in ``mem``, leaving every other byte alone.
-    Built once per field set; ``chal`` is written only by ``store``."""
-    parts = tuple((attrgetter(name), _STRUCTS[name].pack_into, OFFSETS[name])
-                  for name in names)
-
-    def store(ctx: AuditContext, mem: bytearray) -> None:
-        for get, pack, offset in parts:
-            pack(mem, offset, get(ctx))
-
-    return store
+def field_writer(mem: bytearray, name: str):
+    """A function ``(value)`` that writes the one field ``name`` to the
+    header in ``mem``: its ``pack_into`` with the buffer and offset bound.
+    ``chal`` is written only by ``store``."""
+    return partial(_STRUCTS[name].pack_into, mem, OFFSETS[name])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import isa
 from .context import (F_FROZEN, POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE,
-                      AuditContext, partial_store)
+                      AuditContext, field_writer)
 from .vm import Machine
 
 POLICY_NAMES = {POLICY_FREEZE: "freeze", POLICY_DISABLE: "disable", POLICY_WIPE: "wipe"}
@@ -26,9 +26,6 @@ _HALT = isa.Instruction(isa.OP_HALT).encode()
 
 # bytes of program memory one wipe step zeroes
 WIPE_CHUNK = 1024
-
-_store_cursor = partial_store("wipe_cursor")
-
 
 def healed_image(image: bytes, policy: int, entry_offset: int = 0) -> bytes:
     """The image a correct remediation leaves behind."""
@@ -52,7 +49,7 @@ class Resolver:
 
     def start(self, ctx: AuditContext, retained: bytearray) -> None:
         ctx.wipe_cursor = 0
-        _store_cursor(ctx, retained)
+        field_writer(retained, "wipe_cursor")(0)
 
     def step(self, ctx: AuditContext, retained: bytearray) -> bool:
         """One chunk of remediation work. True when the image is healed."""
@@ -70,5 +67,5 @@ class Resolver:
         end = min(start + WIPE_CHUNK, ctx.image_len)
         self.m.write_pmem(isa.PMEM_BASE + start, bytes(end - start))
         ctx.wipe_cursor = end
-        _store_cursor(ctx, retained)
+        field_writer(retained, "wipe_cursor")(end)
         return end >= ctx.image_len

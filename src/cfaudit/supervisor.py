@@ -3,8 +3,9 @@ and the device-side attestation state machine.
 
 The supervisor owns everything the app must not touch: the audit log in
 retained memory, the watchdog timer, report generation, and the response
-handling that gates further execution. The app only ever re-enters through
-``service_gateway``, which logs the destination and resumes it.
+handling that gates further execution. Every logged transfer goes through
+``service_gateway``, which logs the destination and names the pc the app
+resumes at, inside ``Machine.run``'s block unless the log is full.
 
 Report cadence has three causes, all funneled through one path:
 
@@ -23,10 +24,10 @@ import enum
 from dataclasses import dataclass, field
 
 from . import isa, wire
-from .cfa_engine import AppendResult, CfLog, DEFAULT_LOG_MAX
+from .cfa_engine import ADDR_MASK, AppendResult, CfLog, DEFAULT_LOG_MAX
 from .context import (AuditContext, F_FINAL, F_FROZEN, F_REMEDIATION,
                       F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, POLICY_WIPE,
-                      partial_store)
+                      field_writer)
 from .resolver import Resolver
 from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger, World
 
@@ -35,47 +36,43 @@ from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger, World
 _EXIT_SENTINEL = isa.NSC_EXIT
 
 
-def service_gateway(m: Machine, log: CfLog, ev: NscEntry) -> str | None:
-    """Log one gateway event and resume the app.
-
-    Returns None on success, "exit" at the protected end-door (machine left
-    in the Secure World), or "full" when the log could not absorb the event
-    (machine left parked at the gateway so the event can be replayed).
-    """
-    snap = ev.snapshot
-    if ev.addr == isa.NSC_EXIT:
-        return "exit"
-    if ev.addr == isa.TRAMP_COND:
-        dest = snap.lr
-        res = log.append(dest, backward=dest < snap.pre_caller_pc)
-        resume, restore_lr = dest, True
-    elif ev.addr == isa.TRAMP_RET:
-        dest = snap.lr
-        res = log.append(dest, backward=dest < snap.caller_pc)
-        resume, restore_lr = dest, False
-    elif ev.addr == isa.TRAMP_ICALL:
-        dest = snap.r10
-        res = log.append(dest, backward=dest < snap.caller_pc)
-        resume, restore_lr = dest, False
-    elif ev.addr == isa.TRAMP_LOOP:
-        res = log.log_static_loop(snap.r10, snap.r11)
-        resume, restore_lr = snap.lr, True
+def service_gateway(m: Machine, log: CfLog, addr: int, caller_pc: int,
+                    pre_caller_pc: int, prev_lr: int) -> int | None:
+    """Log the transfer that entered logging gateway ``addr``; its
+    destination is in ``m.regs``. Returns the pc to resume the app at, its
+    lr given back, or None when the log is full (nothing changed). Nothing
+    is mapped at or above 2**31 and no log word holds such a destination:
+    it resumes unlogged, so the fetch faults as it would unrewritten."""
+    regs = m.regs
+    if addr == isa.TRAMP_COND:
+        dest = resume = regs[isa.LR]
+        origin, restore_lr = pre_caller_pc, True
+    elif addr == isa.TRAMP_RET:
+        dest = resume = regs[isa.LR]
+        origin, restore_lr = caller_pc, False
+    elif addr == isa.TRAMP_ICALL:
+        dest = resume = regs[10]
+        origin, restore_lr = caller_pc, False
+    elif addr == isa.TRAMP_LOOP:
+        dest, resume = regs[10], regs[isa.LR]
+        origin, restore_lr = None, True
     else:
-        raise ValueError(f"not a gateway entry point: {ev.addr:#x}")
+        raise ValueError(f"not a logging gateway entry: {addr:#x}")
+    if dest > ADDR_MASK:
+        return dest
+    if origin is None:
+        res = log.log_static_loop(dest, regs[11])
+    else:
+        res = log.append(dest, backward=dest < origin)
     if res is AppendResult.FULL:
-        return "full"
-    m.enter_nonsecure(resume)
+        return None
     if restore_lr:
         # the arrival call clobbered lr; give the app back its own
-        m.regs[isa.LR] = snap.prev_lr
-    return None
+        regs[isa.LR] = prev_lr
+    return resume
 
 
 # --- prover ------------------------------------------------------------------
-
-# what append acknowledged, persisted after every logged transfer
-_store_log_state = partial_store("log_size", "engine_state")
-
 
 class ProverState(enum.Enum):
     WAITING = "waiting"
@@ -131,6 +128,9 @@ class Prover:
         self._resolver: Resolver | None = None
         self._post_heal = False
         self.max_chal_seen = 0
+        # what append acknowledged, persisted after every logged transfer
+        self._put_log_size = field_writer(machine.retained_mem, "log_size")
+        self._put_engine_state = field_writer(machine.retained_mem, "engine_state")
 
     # -- helpers ----------------------------------------------------------
 
@@ -147,11 +147,14 @@ class Prover:
 
     def _persist_size(self) -> None:
         # size and matcher state together: what append acknowledged must
-        # survive a power cycle, including an in-flight repetition count
-        if self.log is not None:
-            self.ctx.log_size = self.log.size
-            self.ctx.engine_state = self.log.checkpoint()
-        _store_log_state(self.ctx, self.m.retained_mem)
+        # survive a power cycle, including an in-flight repetition count.
+        # With no repetition in flight, before or now, the state is unchanged.
+        log, ctx = self.log, self.ctx
+        ctx.log_size = log.size
+        self._put_log_size(log.size)
+        if log.pending is not None or ctx.engine_state != CfLog.IDLE_STATE:
+            ctx.engine_state = log.checkpoint()
+            self._put_engine_state(ctx.engine_state)
 
     def _slice_bytes(self) -> bytes:
         base = LOG_BUFFER_OFFSET
@@ -325,12 +328,13 @@ class Prover:
         while ticks < budget and not out and self.state is state:
             left = budget - ticks
             if state is ProverState.EXECUTING:
-                n, ev = self.m.run(left)
+                # a gateway serviced in the block is a tick, not an instruction
+                start = self.m.cycle_count
+                n, ev = self.m.run(left, self._service_inline)
                 self.metrics.total_ns += n
                 self.ns_since_trigger += n
-                ticks += n
+                ticks += self.m.cycle_count - start
                 if ev is not None:
-                    ticks += 1
                     out = self._on_app_event(ev)
             elif state is ProverState.TRANSMIT_WAIT:
                 # silent ticks only wind the resend clock forward
@@ -374,6 +378,18 @@ class Prover:
         self.m.reset()
         return self.boot()
 
+    def _service_inline(self, addr: int, caller_pc: int, pre_caller_pc: int,
+                        prev_lr: int) -> int | None:
+        """``Machine.run``'s gateway handler: log and persist one arrival.
+        A full log's refusal comes back as an event, counted there."""
+        resume = service_gateway(self.m, self.log, addr, caller_pc,
+                                 pre_caller_pc, prev_lr)
+        if resume is not None:
+            calls = self.metrics.gateway_calls
+            calls[addr] = calls.get(addr, 0) + 1
+            self._persist_size()
+        return resume
+
     def _service(self, ev: NscEntry) -> list[bytes]:
         """Log one gateway event, on arrival or replayed once the log has
         room. A logged transfer resumes the app; the end-door, or an event
@@ -383,11 +399,14 @@ class Prover:
                 self._stalled = ev
                 return self._trigger_report("capacity")
             return self._trigger_report("end")
-        outcome = service_gateway(self.m, self.log, ev)
+        snap = ev.snapshot
+        resume = service_gateway(self.m, self.log, ev.addr, snap.caller_pc,
+                                 snap.pre_caller_pc, snap.prev_lr)
         self._persist_size()
-        if outcome == "full":
+        if resume is None:
             self._stalled = ev
             return self._trigger_report("capacity")
+        self.m.enter_nonsecure(resume)
         return []
 
     def _trigger_report(self, reason: str) -> list[bytes]:

@@ -12,9 +12,10 @@ Program memory ends at the image's length, not at its capacity; every
 other address is unmapped. The Secure World (the monitor, modeled at the
 Python level) may read, write and execute any mapped address. The pmem
 lock is the only permission that changes, and only a warm reset clears it.
-A secure watchdog timer bounds Non-Secure execution. Entering the
-secure-gateway window from the Non-Secure world never executes bytes, it
-yields an ``NscEntry`` event instead, standing in for gateway veneer code.
+A secure watchdog timer bounds Non-Secure execution. A Non-Secure transfer
+to one of the five secure-gateway entry points never executes bytes, it
+stands in for gateway veneer code; any other address in the gateway window
+faults like an unmapped fetch.
 
 Faults never raise: they come back as ``Fault`` events so the caller can
 route them through the reset path the way the hardware would.
@@ -26,6 +27,9 @@ watchdog deadline becomes a bound on the block, a fetch from program
 memory is a lookup in a per-word predecoded table (any program-memory
 write invalidates the words it touches), a dmem access is never checked,
 and no event object is built per instruction. ``Machine.step`` is ``run(1)``.
+A gateway entry ends the block with an ``NscEntry`` event, unless ``run``
+is given a gateway handler: a logging entry the handler services stays
+inside the block.
 """
 
 from __future__ import annotations
@@ -33,11 +37,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import isa
 from .isa import (
-    DMEM_BASE, DMEM_SIZE, INSTR_WIDTH, LR, NSC_BASE, NSC_SIZE, PC,
+    DMEM_BASE, DMEM_SIZE, INSTR_WIDTH, LR, NSC_EXIT, PC,
     PMEM_BASE, PMEM_CAPACITY, RETAINED_BASE, RETAINED_SIZE, SECURE_BASE,
     SECURE_SIZE, SP, STACK_TOP,
     OP_ADD_RI, OP_ADD_RR, OP_B, OP_BCOND, OP_BL, OP_BLX, OP_BX_LR, OP_CMP_RI,
@@ -307,7 +312,9 @@ class Machine:
         _, ev = self.run(1)
         return Executed(self.last_exec_pc) if ev is None else ev
 
-    def run(self, limit: int | None = None) -> tuple[int, Event | None]:
+    def run(self, limit: int | None = None,
+            gateway: Callable[[int, int, int, int], int | None] | None = None,
+            ) -> tuple[int, Event | None]:
         """Execute up to ``limit`` cycles (no limit when None).
 
         Returns how many instructions executed and the event that ended
@@ -315,6 +322,12 @@ class Machine:
         event takes one cycle of its own, exactly as under ``step``.
         Without a limit or an armed watchdog, a program that never leaves
         its loop never returns.
+
+        ``gateway(addr, caller_pc, pre_caller_pc, prev_lr)``, if given,
+        services each logging gateway entry and returns the pc to resume
+        at, or None to end the block with the ``NscEntry`` event. A
+        serviced entry is one cycle of ``limit`` that the watchdog and the
+        returned count leave out.
         """
         limit = _UNBOUNDED if limit is None else limit
         if limit <= 0:
@@ -337,13 +350,23 @@ class Machine:
         last, prev, prev_lr = self.last_exec_pc, self.prev_exec_pc, self.prev_lr
         flags = (self.flag_z << 1) | self.flag_n
         n = 0
+        served = 0
         halt_counted = 0
         ev: Event | None = None
 
         while n < budget:
             inst = fetch(pc)
             if inst is None:
-                if ns and NSC_BASE <= pc < _NSC_END:
+                if ns and pc in _GATEWAY_ENTRIES:
+                    if gateway is not None and pc != NSC_EXIT:
+                        resume = gateway(pc, last, prev, prev_lr)
+                        if resume is not None:
+                            # one cycle of the limit, not of the deadline
+                            pc = resume
+                            served += 1
+                            limit -= 1
+                            budget = min(budget, limit)
+                            continue
                     regs[PC] = pc
                     self.world = World.SECURE
                     ev = NscEntry(pc, NscSnapshot(tuple(regs), last, prev, prev_lr))
@@ -458,7 +481,7 @@ class Machine:
                 regs[LR] = nxt
                 nxt = regs[ra] & MASK32
             elif op == OP_NSC_CALL and ns:
-                nxt = isa.NSC_EXIT            # protected return; traps next cycle
+                nxt = NSC_EXIT                # protected return; traps next cycle
             elif op == OP_NSC_CALL or op == OP_HALT:
                 # without a monitor attached the gateway return ends execution
                 prev, last = last, pc
@@ -484,14 +507,14 @@ class Machine:
         self.flag_z, self.flag_n = bool(flags & 2), bool(flags & 1)
         if counting:
             timer.elapsed += n + halt_counted
-        self.cycle_count += n if ev is None else n + 1
+        self.cycle_count += n + served if ev is None else n + served + 1
         return n, ev
 
 
 # --- memory map and predecoding -------------------------------------------
 
 _UNBOUNDED = 1 << 62
-_NSC_END = NSC_BASE + NSC_SIZE
+_GATEWAY_ENTRIES = frozenset(isa.NSC_SYMBOLS.values())
 _DMEM_END = DMEM_BASE + DMEM_SIZE
 _SECURE_END = SECURE_BASE + SECURE_SIZE
 _RETAINED_END = RETAINED_BASE + RETAINED_SIZE

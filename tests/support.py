@@ -1,7 +1,8 @@
 """Shared test machinery: reference trace oracle, structured program
-generator, a minimal gateway-service harness, a per-tick reference
-scenario driver, and the per-destination log decoder and walker the
-auditor used before it walked log runs.
+generator, a minimal gateway-service harness, the event-path reference
+for ``Prover.advance``, a per-tick reference scenario driver, and the
+per-destination log decoder and walker the auditor used before it walked
+log runs.
 
 The oracle runs the ORIGINAL (uninstrumented) program and predicts the raw
 dynamic destination sequence the instrumented twin must log, expressed in
@@ -179,6 +180,20 @@ class InstrumentedRun:
     gateway_calls: dict[int, int] = field(default_factory=dict)
 
 
+def service_event(m: Machine, log: CfLog, ev: vm.NscEntry) -> str | None:
+    """A logging gateway's ``NscEntry`` event serviced the way the prover
+    replays one: ``service_gateway`` on the snapshot, then back into the
+    app. Returns None once resumed, or "full" with the machine left parked
+    at the gateway."""
+    snap = ev.snapshot
+    resume = service_gateway(m, log, ev.addr, snap.caller_pc,
+                             snap.pre_caller_pc, snap.prev_lr)
+    if resume is None:
+        return "full"
+    m.enter_nonsecure(resume)
+    return None
+
+
 def run_instrumented(asm2_text: str, input_words: list[int] | None = None,
                      capacity: int = 1 << 22, max_steps: int = 500_000) -> InstrumentedRun:
     """Drive the rewritten program against a raw log, no protocol on top."""
@@ -195,11 +210,11 @@ def run_instrumented(asm2_text: str, input_words: list[int] | None = None,
         steps += 1
         if isinstance(ev, vm.NscEntry):
             calls[ev.addr] = calls.get(ev.addr, 0) + 1
-            outcome = service_gateway(m, log, ev)
-            if outcome == "exit":
+            if ev.addr == NSC_EXIT:
                 # seal the trace the way the attestation loop does
                 assert log.append(ev.addr) is AppendResult.OK
                 break
+            outcome = service_event(m, log, ev)
             assert outcome is None, f"unexpected gateway outcome {outcome}"
         elif isinstance(ev, (vm.Fault, vm.Halted)):
             faulted = isinstance(ev, vm.Fault)
@@ -358,6 +373,46 @@ def generate_program(rng: random.Random, allow_reserved: bool = True) -> tuple[s
         body += chunk
     body.append("    nsc_call")
     return "\n".join(body + g.funcs) + "\n", g.input_words
+
+
+# --- event-path reference for Prover.advance -----------------------------------
+
+def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
+    """``Prover.advance`` with every gateway entry taken as an event:
+    ``Machine.run`` gets no handler and each ``NscEntry`` goes through
+    ``_on_app_event``. The in-block gateway service must match it tick for
+    tick. The body is the method's from before the handler, verbatim."""
+    self = prover
+    state = self.state
+    ticks, out = 0, []
+    while ticks < budget and not out and self.state is state:
+        left = budget - ticks
+        if state is ProverState.EXECUTING:
+            n, ev = self.m.run(left)
+            self.metrics.total_ns += n
+            self.ns_since_trigger += n
+            ticks += n
+            if ev is not None:
+                ticks += 1
+                out = self._on_app_event(ev)
+        elif state is ProverState.TRANSMIT_WAIT:
+            # silent ticks only wind the resend clock forward
+            wait = max(self.config.resend_interval - self._resend_clock, 1)
+            if self.current_report is None or wait > left:
+                self._resend_clock += left
+                ticks += left
+            else:
+                ticks += wait
+                self._resend_clock = 0
+                self.metrics.retransmissions += 1
+                self.metrics.report_sends += 1
+                out = [self.current_report]
+        elif state is ProverState.REMEDIATE:
+            ticks += 1
+            out = self._remediate()
+        else:                          # waiting or frozen: nothing to do
+            ticks = budget
+    return ticks, out
 
 
 # --- per-tick reference scenario driver -------------------------------------

@@ -258,6 +258,31 @@ def test_indirect_call_into_a_counted_loop_header_is_illegal():
     assert res.verdicts == ["end"] and res.violation == "none"
 
 
+def forged_transfer(form):
+    return ("main:\n    mov r7, #input_base\n    ldr r8, [r7, #0]\n"
+            f"    {form}\n    nsc_call\n")
+
+
+@pytest.mark.parametrize("token", ["0x102", "0x114", "0x118", "0x11c"])
+def test_transfer_into_the_gateway_window_off_an_entry_faults(token):
+    # only the five entry points are gateways; any other window address
+    # has no gateway instruction and faults like an unmapped fetch
+    res = run(ScenarioSpec("x", forged_transfer("blx r8"), input_tokens=(token,)))
+    assert res.settled and res.triggers["fault"] == 1
+    assert res.verdicts == ["heal", "end"]
+    assert (res.violation, res.violation_index) == ("IllegalIndirectTarget", 0)
+
+
+@pytest.mark.parametrize("form", ["blx r8", "push r8\n    pop pc"],
+                         ids=["icall", "return"])
+def test_transfer_above_the_31_bit_range_faults(form):
+    # nothing is mapped at or above 2**31 and no log word can hold it: the
+    # gateway resumes it unlogged, so the fetch faults and the device resets
+    res = run(ScenarioSpec("x", forged_transfer(form), input_tokens=("0x80000000",)))
+    assert res.settled and res.triggers["fault"] == 1
+    assert res.remnant_reports == 1
+
+
 @pytest.mark.parametrize("asm", [
     # the header's second label is called indirectly
     "main:\n    mov r8, #also\n    blx r8\n    nsc_call\nwork:\n    mov r6, #0\n"

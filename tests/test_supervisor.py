@@ -4,6 +4,7 @@ reset/boot recovery path. Verifier-side messages are crafted by hand so
 each device behavior is pinned independently."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -15,11 +16,11 @@ from cfaudit.isa import LR, NSC_EXIT, TRAMP_COND, TRAMP_LOOP, TRAMP_RET
 from cfaudit.context import (AuditContext, F_FINAL, F_FROZEN, F_REPORT_PENDING,
                              F_VALID, LOG_BUFFER_OFFSET, POLICY_DISABLE,
                              POLICY_FREEZE, POLICY_WIPE)
-from cfaudit.supervisor import (Prover, ProverConfig, ProverState,
-                                service_gateway)
+from cfaudit.supervisor import Prover, ProverConfig, ProverState
 from cfaudit.vm import Machine, NscEntry, World
 
-from support import load_input
+from support import (advance_by_events, generate_program, load_input,
+                     service_event)
 
 KEY = ProverConfig().key
 
@@ -69,7 +70,7 @@ def run_to_gateway(asm, stop_addr=None, times=1):
                 return m, ev, prog2
         if ev.addr == NSC_EXIT:
             break                                     # app finished early
-        service_gateway(m, scratch, ev)
+        service_event(m, scratch, ev)
     raise AssertionError("no gateway entry")
 
 
@@ -107,7 +108,7 @@ def test_cond_service_logs_arrival_and_restores_lr():
     lr_of_app = ev.snapshot.prev_lr
     dest = ev.snapshot.lr
     log = CfLog(capacity=256)
-    assert service_gateway(m, log, ev) is None
+    assert service_event(m, log, ev) is None
     assert decompress(log.to_bytes()) == [dest]
     assert m.pc == dest
     assert m.regs[LR] == lr_of_app
@@ -118,7 +119,7 @@ def test_return_service_keeps_return_address_in_lr():
     m, ev, _ = run_to_gateway(DIAMOND, stop_addr=TRAMP_RET)
     dest = ev.snapshot.lr                             # app's own return address
     log = CfLog(capacity=256)
-    assert service_gateway(m, log, ev) is None
+    assert service_event(m, log, ev) is None
     assert decompress(log.to_bytes()) == [dest]
     assert m.pc == dest
     # the rewritten return enters through a plain jump, so lr was never
@@ -139,7 +140,7 @@ def test_loop_service_writes_counted_record():
     """
     m, ev, prog2 = run_to_gateway(asm, stop_addr=TRAMP_LOOP)
     log = CfLog(capacity=256)
-    assert service_gateway(m, log, ev) is None
+    assert service_event(m, log, ev) is None
     assert decompress(log.to_bytes()) == [prog2.labels["loop"]] * 5
     assert len(log.to_bytes()) == 8                   # address + count, once
     assert m.pc == ev.snapshot.lr
@@ -148,7 +149,7 @@ def test_loop_service_writes_counted_record():
 def test_full_log_parks_the_machine():
     m, ev, _ = run_to_gateway(DIAMOND, stop_addr=TRAMP_COND)
     log = CfLog(capacity=0)                           # nothing fits
-    assert service_gateway(m, log, ev) == "full"
+    assert service_event(m, log, ev) == "full"
     assert m.world is World.SECURE
     assert log.size == 0
 
@@ -223,6 +224,23 @@ def test_partial_stores_agree_with_the_full_store():
     assert p.step() == []
     assert p.ctx.flag(F_FROZEN)
     assert AuditContext.load(m.retained_mem) == p.ctx
+
+
+def test_retained_log_state_follows_the_log_at_every_tick():
+    # a repetition starts, grows and is flushed when the loop exits; the
+    # retained size and checkpoint must track each step, or a reset would
+    # restore a repetition the log no longer has
+    p, m, _ = build(SINGLETON_LOOP)
+    p.boot()
+    p.handle_message(request(chal=1))
+    seen_pending = False
+    while p.state is ProverState.EXECUTING:
+        p.step()
+        seen_pending |= p.log.pending is not None
+        stored = AuditContext.load(m.retained_mem)
+        assert stored.log_size == p.log.size
+        assert stored.engine_state == p.log.checkpoint()
+    assert seen_pending and p.metrics.triggers["end"] == 1
 
 
 def test_context_erase_and_blank_load():
@@ -637,6 +655,99 @@ def test_advance_matches_stepping_tick_for_tick(budget, resend):
     assert drive(advanced, 3000, budget) == expected
     assert advanced.metrics == stepped.metrics
     assert advanced._resend_clock == stepped._resend_clock
+
+
+GATEWAY_ENTRIES = frozenset(isa.NSC_SYMBOLS.values())
+
+# two forward arrivals per pass that never compress: fills any log
+DISTINCT_ARRIVALS = """
+main:
+    mov r6, #0
+spin:
+    cmp r6, #60
+    bge fin
+    cmp r6, #0
+    bge mark
+mark:
+    add r6, r6, #1
+    b spin
+fin:
+    nsc_call
+"""
+
+
+def device_state(p):
+    m = p.m
+    return (p.state, p.ctx, bytes(m.retained_mem), list(m.regs), m.flag_z,
+            m.flag_n, m.cycle_count, m.timer.elapsed, m.world, m.pc,
+            p.metrics, p.ns_since_trigger, p._resend_clock)
+
+
+def instructions_to_first_gateway(asm, words):
+    """App instructions a deployed program runs before its first gateway
+    entry: the delta whose first deadline falls on a gateway pc."""
+    prog2 = isa.assemble(instrument(asm)[0])
+    m = Machine(prog2.image)
+    load_input(m, words)
+    m.enter_nonsecure(prog2.entry)
+    n, ev = m.run(100_000)
+    assert isinstance(ev, NscEntry)
+    return n
+
+
+def drive_against_events(asm, words, log_max, delta, budget, ticks=1500):
+    """Drive one device by ``advance`` and a twin by ``advance_by_events``
+    over the same ticks, answering as ``drive`` does; after every call both
+    must have used the same ticks, emitted the same output and hold the
+    same state. Returns the deadlines that fell on a gateway pc and the
+    device's metrics."""
+    inline, _, _ = build(asm, log_max=log_max, input_words=words)
+    events, _, _ = build(asm, log_max=log_max, input_words=words)
+    for p in (inline, events):
+        p.config.resend_interval = 50
+        p.boot()
+        p.handle_message(request(chal=1, delta=delta))
+    chal, now, reports, deadlines, on_gateway = 1, 0, 0, 0, 0
+    while now < ticks and inline.state is not ProverState.WAITING:
+        n, out = inline.advance(min(budget, ticks - now))
+        assert advance_by_events(events, min(budget, ticks - now)) == (n, out)
+        assert device_state(inline) == device_state(events)
+        now += n
+        if inline.metrics.triggers["deadline"] > deadlines:
+            deadlines += 1
+            on_gateway += inline.m.pc in GATEWAY_ENTRIES
+        if not out:
+            continue
+        reports += 1
+        if reports % 3 == 0:
+            continue
+        done = decompress(wire.Report.parse(out[0]).log)[-1:] == [NSC_EXIT]
+        chal += 1
+        answer = wire.Response.make(
+            KEY, wire.RESULT_END if done else wire.RESULT_EXEC, chal).pack()
+        assert inline.handle_message(answer) == events.handle_message(answer)
+        assert device_state(inline) == device_state(events)
+    return on_gateway, inline.metrics
+
+
+@pytest.mark.parametrize("budget", [1, 7, 1000])
+@pytest.mark.parametrize("log_max", [16, 96, 160])
+def test_advance_services_gateways_in_block_as_the_event_path_does(log_max, budget):
+    programs = [(CALLING_LOOP, [])]
+    for seed in range(40):
+        programs.append(generate_program(random.Random(seed)))
+    on_gateway, served = 0, 0
+    for i, (asm, words) in enumerate(programs):
+        # every other program gets a deadline on its first gateway entry
+        delta = instructions_to_first_gateway(asm, words) if i % 2 == 0 \
+            else random.Random(i).randint(20, 400)
+        hits, metrics = drive_against_events(asm, words, log_max, delta, budget)
+        on_gateway += hits
+        served += sum(metrics.gateway_calls.values())
+    assert on_gateway >= len(programs) // 2 and served > 5 * len(programs)
+    # a log of any of these sizes fills up, and its refusal is replayed
+    _, metrics = drive_against_events(DISTINCT_ARRIVALS, [], log_max, 100_000, budget)
+    assert metrics.triggers["capacity"] > 0
 
 
 def test_advance_stops_on_a_silent_state_change():

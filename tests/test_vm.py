@@ -8,13 +8,12 @@ import pytest
 from cfaudit import isa, vm
 from cfaudit.cfa_engine import CfLog
 from cfaudit.instrument import instrument
-from cfaudit.supervisor import service_gateway
 from cfaudit.isa import DMEM_BASE, NSC_EXIT, PMEM_BASE, STACK_TOP, TRAMP_COND
 from cfaudit.vm import (AccessKind, Fault, FaultKind, Halted, Machine, NscEntry,
                         TimerTrigger, World, WorldViolation, Executed,
                         load_program)
 
-from support import generate_program, load_input
+from support import generate_program, load_input, service_event
 
 
 def run_until(m, cls, limit=10_000):
@@ -211,6 +210,85 @@ def test_snapshot_preserves_previous_link_register():
     assert ev.snapshot.prev_lr == first_lr
 
 
+def test_gateway_window_off_an_entry_point_faults():
+    # only the five entry points trap to the monitor; the rest of the
+    # window holds no gateway instruction, so fetching there faults
+    for addr, kind in ((isa.NSC_BASE + 2, FaultKind.UNALIGNED),
+                       (NSC_EXIT + 4, FaultKind.UNMAPPED),
+                       (isa.NSC_BASE + isa.NSC_SIZE - 4, FaultKind.UNMAPPED)):
+        m = load_program("main:\n halt\n")
+        m.enter_nonsecure(addr)
+        assert m.step() == Fault(kind, addr)
+        assert m.world is World.NONSECURE
+
+
+# --- run(limit, gateway): logged transfers serviced inside the block ----------
+
+GATEWAY_CALL = """
+main:
+    mov r0, #1
+    bl trampoline_cond
+    add r0, r0, #1
+    halt
+"""
+
+
+class CountingGateway:
+    """A gateway handler stub: records each call and resumes at lr, or
+    refuses every entry when ``resume`` is False."""
+
+    def __init__(self, m, resume=True):
+        self.m, self.resume, self.calls = m, resume, []
+
+    def __call__(self, addr, caller_pc, pre_caller_pc, prev_lr):
+        self.calls.append((addr, caller_pc, pre_caller_pc, prev_lr))
+        return self.m.regs[isa.LR] if self.resume else None
+
+
+def at_gateway_call(delta=None):
+    m = load_program(GATEWAY_CALL)
+    if delta is not None:
+        m.timer.arm(delta)
+    m.enter_nonsecure(PMEM_BASE)
+    return m, CountingGateway(m)
+
+
+def test_run_deadline_on_a_gateway_pc_wins_over_the_handler():
+    m, gw = at_gateway_call(delta=2)                  # mov, bl: then the deadline
+    assert m.run(100, gw) == (2, TimerTrigger())
+    assert gw.calls == []
+    assert m.pc == TRAMP_COND and m.world is World.SECURE
+
+
+def test_run_limit_before_a_gateway_entry_leaves_it_for_the_next_block():
+    m, gw = at_gateway_call()
+    assert m.run(2, gw) == (2, None)
+    assert gw.calls == [] and m.pc == TRAMP_COND
+    assert m.run(1, gw) == (0, None)                  # the entry is the one cycle
+    assert gw.calls == [(TRAMP_COND, PMEM_BASE + 4, PMEM_BASE, 0)]
+    assert m.pc == PMEM_BASE + 8 and m.world is World.NONSECURE
+
+
+def test_run_serviced_entry_is_a_cycle_but_not_a_watchdog_instruction():
+    m, gw = at_gateway_call(delta=1000)
+    assert m.run(3, gw) == (2, None)
+    assert len(gw.calls) == 1
+    assert (m.cycle_count, m.timer.elapsed) == (3, 2)
+    assert m.run(None, gw) == (1, Halted())           # add, then halt ends it
+    assert (m.cycle_count, m.timer.elapsed) == (5, 4)
+
+
+def test_run_handler_refusal_yields_the_event_of_no_handler():
+    plain, _ = at_gateway_call(delta=1000)
+    refused, gw = at_gateway_call(delta=1000)
+    gw.resume = False
+    expected = plain.run(100)
+    assert isinstance(expected[1], NscEntry)
+    assert refused.run(100, gw) == expected
+    assert len(gw.calls) == 1
+    assert machine_state(refused) == machine_state(plain)
+
+
 def test_nsc_call_from_nonsecure_lands_on_exit_door():
     m = load_program("main:\n nsc_call\n")
     m.enter_nonsecure(PMEM_BASE)
@@ -363,7 +441,7 @@ def resume_after(m, ev, log):
         m.enter_nonsecure(m.pc)
         return True
     if isinstance(ev, NscEntry) and ev.addr != NSC_EXIT:
-        return service_gateway(m, log, ev) is None
+        return service_event(m, log, ev) is None
     return False
 
 
