@@ -679,8 +679,8 @@ fin:
 def device_state(p):
     m = p.m
     return (p.state, p.ctx, bytes(m.retained_mem), list(m.regs), m.flag_z,
-            m.flag_n, m.cycle_count, m.timer.elapsed, m.world, m.pc,
-            p.metrics, p.ns_since_trigger, p._resend_clock)
+            m.flag_n, m.cycle_count, m.timer.elapsed, m.world, p.metrics,
+            p.ns_since_trigger, p._resend_clock)
 
 
 def instructions_to_first_gateway(asm, words):
@@ -733,7 +733,9 @@ def drive_against_events(asm, words, log_max, delta, budget, ticks=1500):
 @pytest.mark.parametrize("budget", [1, 7, 1000])
 @pytest.mark.parametrize("log_max", [16, 96, 160])
 def test_advance_services_gateways_in_block_as_the_event_path_does(log_max, budget):
-    programs = [(CALLING_LOOP, [])]
+    # forged transfers off a gateway entry and past 2**31 fault mid-block
+    forged = "main:\n mov r7, #input_base\n ldr r8, [r7, #0]\n blx r8\n nsc_call\n"
+    programs = [(CALLING_LOOP, []), (forged, [0x114]), (forged, [0x80000000])]
     for seed in range(40):
         programs.append(generate_program(random.Random(seed)))
     on_gateway, served = 0, 0

@@ -235,10 +235,10 @@ main:
 
 class CountingGateway:
     """A gateway handler stub: records each call and resumes at lr, or
-    refuses every entry when ``resume`` is False."""
+    refuses every entry once ``resume`` is set False."""
 
-    def __init__(self, m, resume=True):
-        self.m, self.resume, self.calls = m, resume, []
+    def __init__(self, m):
+        self.m, self.resume, self.calls = m, True, []
 
     def __call__(self, addr, caller_pc, pre_caller_pc, prev_lr):
         self.calls.append((addr, caller_pc, pre_caller_pc, prev_lr))
