@@ -8,7 +8,9 @@ Entries are 4-byte big-endian words. The MSB is a tag bit:
         2 = preceding pair of entries) and bits 28..0 hold the count.
 
 Count records for dynamic loops mean "the unit repeats COUNT additional
-times beyond its logged occurrence". A static-loop record is the pair
+times beyond its logged occurrence". A repetition whose count reaches
+COUNT_MASK commits its record there, and the next arrival starts afresh,
+so no repetition goes unlogged. A static-loop record is the pair
 (header address, limit) written atomically; it expands to max(limit-1, 0)
 occurrences of the header, the number of backward traversals a canonical
 counted loop performs.
@@ -60,15 +62,26 @@ class AppendResult:
     FULL = "full"
 
 
-def encode_address(addr: int) -> bytes:
+_WORD = struct.Struct(">I")
+_put_word = _WORD.pack_into
+
+
+def _address_word(addr: int) -> int:
     if not 0 <= addr < TAG_BIT:
         raise ValueError(f"address {addr:#x} exceeds 31 bits")
-    return struct.pack(">I", addr)
+    return addr
+
+
+def _count_word(unit: int, count: int) -> int:
+    return TAG_BIT | (unit << UNIT_SHIFT) | min(count, COUNT_MASK)
+
+
+def encode_address(addr: int) -> bytes:
+    return _WORD.pack(_address_word(addr))
 
 
 def encode_count(unit: int, count: int) -> bytes:
-    count = min(count, COUNT_MASK)
-    return struct.pack(">I", TAG_BIT | (unit << UNIT_SHIFT) | count)
+    return _WORD.pack(_count_word(unit, count))
 
 
 @dataclass
@@ -95,8 +108,8 @@ class CfLog:
 
     # -- raw entry plumbing ----------------------------------------------
 
-    def _commit(self, word: bytes) -> None:
-        self.buf[self.size:self.size + ENTRY_WIDTH] = word
+    def _commit(self, word: int) -> None:
+        _put_word(self.buf, self.size, word)
         self.size += ENTRY_WIDTH
 
     def _flush_bytes_needed(self) -> int:
@@ -111,9 +124,9 @@ class CfLog:
             return
         if p.count > 0:
             unit_kind = UNIT_PAIR if len(p.unit) == 2 else UNIT_SINGLE
-            self._commit(encode_count(unit_kind, p.count))
+            self._commit(_count_word(unit_kind, p.count))
         for elem in p.unit[:p.pos]:
-            self._commit(encode_address(elem))
+            self._commit(_address_word(elem))
         self.pending = None
 
     # -- public operations --------------------------------------------------
@@ -131,6 +144,8 @@ class CfLog:
                 if p.pos == len(p.unit):
                     p.count += 1
                     p.pos = 0
+                    if p.count >= COUNT_MASK:
+                        self._flush()     # its record is full; the reserve holds it
                 return AppendResult.OK
             # repetition broken: flush, then handle dest as a fresh append
             need = self._flush_bytes_needed() + ENTRY_WIDTH
@@ -148,7 +163,7 @@ class CfLog:
 
         if self.size + ENTRY_WIDTH > self.capacity:
             return AppendResult.FULL
-        self._commit(encode_address(dest))
+        self._commit(_address_word(dest))
         return AppendResult.OK
 
     def _match_tail(self, dest: int) -> tuple[int, ...] | None:
@@ -173,8 +188,8 @@ class CfLog:
         if self.size + need > self.capacity:
             return AppendResult.FULL
         self._flush()
-        self._commit(encode_address(dest))
-        self._commit(encode_count(UNIT_STATIC, limit))
+        self._commit(_address_word(dest))
+        self._commit(_count_word(UNIT_STATIC, limit))
         return AppendResult.OK
 
     def flush_pending(self) -> None:

@@ -57,6 +57,12 @@ BUILTIN_SYMBOLS = dict(
 
 INSTR_WIDTH = 4
 
+# What is derived from a program's text or image alone (its rewrite, the
+# auditor's graph, the predecoded words) is built once and shared by every
+# session of that program. Each such cache keeps the programs used last,
+# up to this many.
+IMAGE_CACHE_SIZE = 16
+
 # --- registers ----------------------------------------------------------
 
 SP = 13

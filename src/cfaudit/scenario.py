@@ -49,6 +49,7 @@ stepping the device once per tick.
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import struct
 from dataclasses import asdict, dataclass, field
@@ -278,9 +279,14 @@ def _quiet_until(now: int, spec: ScenarioSpec, link: Link, vrf: Verifier,
     return max(last, now)
 
 
+@functools.lru_cache(maxsize=isa.IMAGE_CACHE_SIZE)
+def _rewrite(asm_text: str) -> str:
+    """The deployable text of a program, rewritten once per source text."""
+    return instrument(asm_text)[0]
+
+
 def run(spec: ScenarioSpec) -> ScenarioResult:
-    asm2, _ = instrument(spec.asm_text)
-    vrf = Verifier(asm2, VerifierConfig(
+    vrf = Verifier(_rewrite(spec.asm_text), VerifierConfig(
         app_id=spec.app_id, delta=spec.delta, policy=spec.policy,
         initial_chal=spec.initial_chal, resend_interval=spec.verifier_resend,
         heal_on_mac_mismatch=spec.heal_on_mac_mismatch))
@@ -390,8 +396,8 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
         post_reset_ns=post_reset_ns,
         final_digest=last.digest.hex() if last else "",
         channel_stats={
-            "to_device": asdict(link.to_device.stats),
-            "to_verifier": asdict(link.to_verifier.stats)},
+            "to_device": vars(link.to_device.stats).copy(),
+            "to_verifier": vars(link.to_verifier.stats).copy()},
         failures=[])
     result.failures = _check_expectations(spec, result)
     return result

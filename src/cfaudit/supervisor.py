@@ -335,7 +335,7 @@ class Prover:
                 self.ns_since_trigger += n
                 ticks += self.m.cycle_count - start
                 if ev is not None:
-                    out = self._on_app_event(ev)
+                    out = self._on_app_event(ev, refused=True)
             elif state is ProverState.TRANSMIT_WAIT:
                 # silent ticks only wind the resend clock forward
                 wait = max(self.config.resend_interval - self._resend_clock, 1)
@@ -365,13 +365,16 @@ class Prover:
             return []
         return self._post_heal_report()
 
-    def _on_app_event(self, ev: TimerTrigger | NscEntry | Fault | Halted) -> list[bytes]:
+    def _on_app_event(self, ev: TimerTrigger | NscEntry | Fault | Halted,
+                      refused: bool = False) -> list[bytes]:
+        """``refused``: the block ran with the gateway handler, so a
+        logging entry that ends it is one the full log refused."""
         if isinstance(ev, TimerTrigger):
             return self._trigger_report("deadline")
         if isinstance(ev, NscEntry):
             self.metrics.gateway_calls[ev.addr] = \
                 self.metrics.gateway_calls.get(ev.addr, 0) + 1
-            return self._service(ev)
+            return self._service(ev, refused)
         # hardware faults reset the device outright; the boot path then
         # re-reports whatever evidence the retained region holds
         self.metrics.triggers["fault"] += 1
@@ -390,22 +393,26 @@ class Prover:
             self._persist_size()
         return resume
 
-    def _service(self, ev: NscEntry) -> list[bytes]:
+    def _service(self, ev: NscEntry, refused: bool = False) -> list[bytes]:
         """Log one gateway event, on arrival or replayed once the log has
         room. A logged transfer resumes the app; the end-door, or an event
-        the full log refuses (kept to be replayed), cuts a report."""
+        the full log refuses (kept to be replayed), cuts a report. An
+        arrival the log has ``refused`` already is not tried again: a
+        refused append changes nothing."""
         if ev.addr == isa.NSC_EXIT:
             if self.log.append(_EXIT_SENTINEL) is AppendResult.FULL:
                 self._stalled = ev
                 return self._trigger_report("capacity")
             return self._trigger_report("end")
-        snap = ev.snapshot
-        resume = service_gateway(self.m, self.log, ev.addr, snap.caller_pc,
-                                 snap.pre_caller_pc, snap.prev_lr)
-        self._persist_size()
+        resume = None
+        if not refused:
+            snap = ev.snapshot
+            resume = service_gateway(self.m, self.log, ev.addr, snap.caller_pc,
+                                     snap.pre_caller_pc, snap.prev_lr)
         if resume is None:
             self._stalled = ev
             return self._trigger_report("capacity")
+        self._persist_size()
         self.m.enter_nonsecure(resume)
         return []
 

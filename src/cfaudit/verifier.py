@@ -15,7 +15,8 @@ The walk reads the log as the device wrote it, without expanding it:
 - Hops. ``Cfg.hop(pc)`` jumps from ``pc`` to the next instruction that
   reads the log (or ends the walk) in one move, carrying the return
   addresses the direct calls on the way push. Hops are computed on first
-  arrival and memoized, so a session pays only for the code it visits.
+  arrival and memoized with the golden image's graph, which every session
+  auditing that image shares: the code a fleet visits is traced once.
   Each hop reads at most one destination: a conditional branch checks the
   entry against the arrivals both its successors log and resumes past the
   site that entry names, so the site's own read is never repeated.
@@ -44,6 +45,7 @@ arrives while it is parked is an illegal edge.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -89,6 +91,7 @@ class Cfg:
     loops: dict[int, LoopSite]               # addr of bl trampoline_loop -> info
     icall_targets: frozenset[int]
     hops: dict[int, Hop] = field(default_factory=dict, repr=False)
+    heal_digests: dict[int, bytes] = field(default_factory=dict, repr=False)
 
     def hop(self, pc: int) -> Hop:
         """Where the walk from ``pc`` next reads the log or stops, and the
@@ -97,6 +100,15 @@ class Cfg:
         if h is None:
             h = self.hops[pc] = self._trace(pc)
         return h
+
+    def healed_digest(self, policy: int) -> bytes:
+        """Digest of the image that remediation under ``policy`` leaves
+        behind. Memoized."""
+        d = self.heal_digests.get(policy)
+        if d is None:
+            image = healed_image(self.prog.image, policy, self.entry - isa.PMEM_BASE)
+            d = self.heal_digests[policy] = hashlib.sha256(image).digest()
+        return d
 
     def _trace(self, pc: int) -> Hop:
         prog = self.prog
@@ -191,6 +203,14 @@ def build_cfg(asm2_text: str) -> Cfg:
 
     return Cfg(prog, prog.entry, hashlib.sha256(bytes(prog.image)).digest(),
                loops, frozenset(icall_targets))
+
+
+@functools.lru_cache(maxsize=isa.IMAGE_CACHE_SIZE)
+def _golden_cfg(asm2_text: str) -> Cfg:
+    """``build_cfg`` once per rewritten text; every session auditing the
+    text shares the result. A Cfg only gains memoized hops and heal
+    digests, both pure functions of the golden image."""
+    return build_cfg(asm2_text)
 
 
 @dataclass
@@ -419,12 +439,10 @@ class Verifier:
     """Holds one attestation session against one device."""
 
     def __init__(self, asm2_text: str, config: VerifierConfig):
-        self.cfg = build_cfg(asm2_text)
+        self.cfg = _golden_cfg(asm2_text)
         self.config = config
         self.walker = Walker(self.cfg)
-        entry_off = self.cfg.entry - isa.PMEM_BASE
-        self.post_heal_digest = hashlib.sha256(
-            healed_image(bytes(self.cfg.prog.image), config.policy, entry_off)).digest()
+        self.post_heal_digest = self.cfg.healed_digest(config.policy)
         self.current_chal = config.initial_chal
         self.prev_chal: int | None = None
         self.chal_counter = config.initial_chal

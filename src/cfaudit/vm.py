@@ -24,9 +24,11 @@ route them through the reset path the way the hardware would.
 until the first event that is not a plain execution, or until its limit.
 Inside a block the world and the permissions cannot change, so the
 watchdog deadline becomes a bound on the block, a fetch from program
-memory is a lookup in a per-word predecoded table (any program-memory
-write invalidates the words it touches), a dmem access is never checked,
-and no event object is built per instruction. ``Machine.step`` is ``run(1)``.
+memory is a lookup in a per-word predecoded table, a dmem access is never
+checked, and no event object is built per instruction. The table of an
+image is built once and every machine loaded with that image starts from
+its own copy; a program-memory write invalidates, in that machine's copy
+only, the words it touches. ``Machine.step`` is ``run(1)``.
 A gateway entry ends the block with an ``NscEntry`` event, unless ``run``
 is given a gateway handler: a logging entry the handler services stays
 inside the block.
@@ -35,6 +37,7 @@ inside the block.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import struct
 from collections.abc import Callable
@@ -197,8 +200,9 @@ class Machine:
         self.last_exec_pc = 0
         self.prev_exec_pc = 0
         self.prev_lr = 0
-        # predecoded program words by address, filled on first fetch
-        self._decode_cache: dict[int, tuple] = {}
+        # predecoded program words by address: the image's shared table,
+        # copied; a word dropped by a pmem write is decoded again on fetch
+        self._decode_cache = _predecoded(bytes(pmem)).copy()
 
     # -- registers ------------------------------------------------------
 
@@ -542,6 +546,14 @@ _COND_TAKEN = {
 _ILLEGAL = (isa.OP_ILLEGAL, 0, 0, 0)
 
 
+@functools.lru_cache(maxsize=isa.IMAGE_CACHE_SIZE)
+def _predecoded(image: bytes) -> dict[int, tuple]:
+    """Every whole word of ``image`` predecoded, by address. Shared: a
+    machine copies it before its first fetch."""
+    return {PMEM_BASE + off: _predecode(image[off:off + INSTR_WIDTH])
+            for off in range(0, len(image) - INSTR_WIDTH + 1, INSTR_WIDTH)}
+
+
 def _predecode(word: bytes) -> tuple:
     """(op, ra, rb, imm) for the interpreter; a conditional branch carries
     its truth table as ra and a compare its immediate with the sign flipped."""
@@ -553,6 +565,7 @@ def _predecode(word: bytes) -> tuple:
     if inst.op == OP_CMP_RI:
         return (OP_CMP_RI, inst.ra, 0, inst.imm ^ _SIGN)
     return (inst.op, inst.ra, inst.rb, inst.imm)
+
 
 def load_program(asm_text: str) -> Machine:
     """Assemble and install a program; machine starts in the Secure World

@@ -15,7 +15,6 @@ it EXPECTS and a modified program or log surfaces as a MAC mismatch.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
@@ -41,10 +40,7 @@ class WireError(Exception):
 
 
 def mac(key: bytes, *chunks: bytes) -> bytes:
-    h = hmac.new(key, digestmod=hashlib.sha256)
-    for c in chunks:
-        h.update(c)
-    return h.digest()
+    return hmac.digest(key, b"".join(chunks), "sha256")
 
 
 def macs_equal(a: bytes, b: bytes) -> bool:

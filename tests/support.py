@@ -28,7 +28,7 @@ from cfaudit.scenario import (ScenarioError, ScenarioResult, ScenarioSpec,
 from cfaudit.supervisor import Prover, ProverConfig, ProverState, service_gateway
 from cfaudit.verifier import (V_EDGE, V_ICALL, V_MALFORMED, V_SHADOW, _SHADOW_LIMIT,
                               Cfg, Verifier, VerifierConfig, Violation)
-from cfaudit import vm
+from cfaudit import scenario, verifier, vm
 from cfaudit.vm import Machine, World
 
 SCRATCH_BASE = DMEM_BASE + 4096
@@ -415,6 +415,13 @@ def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
     return ticks, out
 
 
+def clear_image_caches() -> None:
+    """Forget every program's shared rewrite, graph and predecoded words."""
+    scenario._rewrite.cache_clear()
+    verifier._golden_cfg.cache_clear()
+    vm._predecoded.cache_clear()
+
+
 # --- per-tick reference scenario driver -------------------------------------
 
 def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
@@ -434,7 +441,8 @@ def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
     if spec.pmem_flip is not None:
         if not 0 <= spec.pmem_flip < len(machine.pmem):
             raise ScenarioError("pmem_flip offset outside the image")
-        machine.pmem[spec.pmem_flip] ^= spec.pmem_flip_mask
+        flipped = machine.pmem[spec.pmem_flip] ^ spec.pmem_flip_mask
+        machine.write_pmem(isa.PMEM_BASE + spec.pmem_flip, bytes([flipped]))
 
     vrf = Verifier(asm2, VerifierConfig(
         app_id=spec.app_id, delta=spec.delta, policy=spec.policy,

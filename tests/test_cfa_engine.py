@@ -137,6 +137,40 @@ def test_pending_reserve_guarantees_flush_fits():
     assert stream[0:2] == [A, B]
 
 
+def pending_at(log, unit, count):
+    """Restore a repetition of ``unit`` in flight with ``count`` done."""
+    log.restore(CfLog._STATE.pack(len(unit), 0, count, *unit, *(0,) * (2 - len(unit))))
+
+
+def destinations_in_order(data, unit):
+    """Destinations the log's runs stand for, checked to repeat ``unit``
+    in order without expanding a count."""
+    total = 0
+    for u, count in runs(data):
+        for i, d in enumerate(u):
+            assert d == unit[(total + i) % len(unit)]
+        total += len(u) * count
+    return total
+
+
+@pytest.mark.parametrize("unit", [(A,), (A, B)], ids=["single", "pair"])
+def test_a_repetition_reaching_the_count_limit_is_committed_not_truncated(unit):
+    log = CfLog(capacity=64)
+    for d in unit:
+        log.append(d)
+    pending_at(log, unit, eng.COUNT_MASK - 1)
+    for _ in range(3):
+        for d in unit:
+            assert log.append(d, backward=d == unit[0]) is AppendResult.OK
+    log.flush_pending()
+    # the unit once as addresses, COUNT_MASK - 1 restored repetitions, three more
+    assert destinations_in_order(log.to_bytes(), unit) \
+        == len(unit) * (eng.COUNT_MASK + 3)
+    counts = [w & eng.COUNT_MASK for w in eng.iter_entries(log.to_bytes())
+              if w & eng.TAG_BIT]
+    assert counts[0] == eng.COUNT_MASK
+
+
 def test_full_then_flush_pending_still_fits():
     log = CfLog(capacity=16)
     log.append(A)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cfaudit import isa, scenario, verifier
 from cfaudit.cli import WINDOW_MAX_TICKS
 from cfaudit.context import (AuditContext, F_REMEDIATION, POLICY_DISABLE,
                              POLICY_FREEZE)
@@ -13,7 +14,7 @@ from cfaudit.scenario import (ScenarioError, ScenarioSpec, parse_scenario,
                               resolve_input, run)
 from cfaudit.vm import Machine
 
-from support import run_per_tick
+from support import clear_image_caches, run_per_tick
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PROGRAM_DIR = SCENARIO_DIR / "programs"
@@ -421,3 +422,57 @@ def test_window_measurement_budget_counts_ticks():
     short = window("window_dense", 1024, 10_000_000, max_ticks=res.ticks // 2)
     assert not short.settled
     assert short.ticks == res.ticks // 2
+
+
+# -- static artefacts shared across sessions --------------------------------
+
+def test_sessions_of_one_program_build_its_image_once(monkeypatch):
+    calls = {"instrument": 0, "build_cfg": 0, "assemble": 0}
+    for owner, name in ((scenario, "instrument"), (verifier, "build_cfg"),
+                        (isa, "assemble")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    clear_image_caches()
+    programs = [f"main:\n    mov r0, #{i}\n    nsc_call\n"
+                for i in range(isa.IMAGE_CACHE_SIZE + 1)]
+    spec = ScenarioSpec(name="p0", asm_text=programs[0])
+    assert run(spec) == run(spec)
+    assert calls == {"instrument": 1, "build_cfg": 1, "assemble": 1}
+    # the caches are bounded: the least recently used program is rebuilt
+    for text in programs[1:]:
+        run(ScenarioSpec(name="p", asm_text=text))
+    run(spec)
+    assert calls["instrument"] == calls["build_cfg"] == isa.IMAGE_CACHE_SIZE + 2
+
+
+def test_a_tampered_and_a_benign_session_of_one_image_stay_apart():
+    tamper = parse_scenario(SCENARIO_DIR / "image_tamper.scn")
+    benign = replace(tamper, name="particle_count", pmem_flip=None, expect={})
+    fresh = {}
+    for spec in (tamper, benign):
+        clear_image_caches()
+        fresh[spec.name] = run(spec)
+    assert fresh["image_tamper"].pmem_zeroed and fresh["image_tamper"].ok
+    assert not fresh["particle_count"].heal_issued
+    for first, second in ((tamper, benign), (benign, tamper)):
+        clear_image_caches()
+        assert run(first) == fresh[first.name]
+        assert run(second) == fresh[second.name]
+
+
+def test_an_audit_over_hops_another_session_traced_gives_the_same_verdicts():
+    attack = parse_scenario(SCENARIO_DIR / "overflow_hijack.scn")
+    benign = replace(attack, name="benign", input_tokens=("4", "1", "2", "3", "4"),
+                     expect={})
+    clear_image_caches()
+    alone = run(attack)
+    assert alone.ok and alone.violation_index == 6
+    clear_image_caches()
+    assert run(benign).verdict == "end"
+    cfg = verifier._golden_cfg(scenario._rewrite(attack.asm_text))
+    traced = dict(cfg.hops)
+    assert traced
+    assert run(attack) == alone
+    assert cfg.hops.items() >= traced.items()

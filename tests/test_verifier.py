@@ -2,6 +2,7 @@
 walk with its shadow stack, violation localization, and the protocol
 driver's authentication, challenge window, and duplicate handling."""
 
+import hashlib
 import struct
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from cfaudit import cfa_engine, isa, wire
 from cfaudit.cfa_engine import COUNT_MASK, TAG_BIT, UNIT_SHIFT, UNIT_SINGLE, UNIT_STATIC
 from cfaudit.instrument import instrument
+from cfaudit.resolver import POLICY_NAMES, healed_image
 from cfaudit.supervisor import Prover, ProverConfig, ProverState
 from cfaudit import verifier as vf
 from cfaudit.verifier import (Verdict, Verifier, VerifierConfig, V_EDGE,
@@ -524,6 +526,37 @@ def test_maximal_count_record_is_audited_in_constant_time_and_memory():
     assert v.destinations_seen == COUNT_MASK + 3
     assert v.walker.steps < 100
     assert peak < 1 << 20
+
+
+def test_a_run_past_the_count_limit_is_walked_in_full():
+    # a count-down loop of COUNT_MASK + 3 passes, logged by the engine with
+    # the first COUNT_MASK - 1 repetitions restored from a checkpoint
+    _, _, dests = oracle_destinations(COUNTDOWN, [5])
+    header, exit_arrival, end = dests[0], dests[-2], dests[-1]
+    log = cfa_engine.CfLog(capacity=64)
+    log.append(header)
+    log.restore(cfa_engine.CfLog._STATE.pack(1, 0, COUNT_MASK - 1, header, 0))
+    for _ in range(3):
+        log.append(header, backward=True)
+    log.append(exit_arrival)
+    log.append(end)
+    runs = cfa_engine.runs(log.to_bytes())
+    assert sum(len(unit) * count for unit, count in runs) == COUNT_MASK + 5
+    w = Walker(cfg_of(COUNTDOWN))
+    w.feed(runs)
+    assert w.done and w.violation is None
+    assert w.pos == w.fed == COUNT_MASK + 5
+
+
+def test_verifiers_of_one_image_share_its_graph_and_heal_by_their_own_policy():
+    asm2, _ = instrument(CALLS)
+    shared = set()
+    for policy in POLICY_NAMES:
+        v = Verifier(asm2, VerifierConfig(policy=policy))
+        healed = healed_image(v.cfg.prog.image, policy, v.cfg.entry - isa.PMEM_BASE)
+        assert v.post_heal_digest == hashlib.sha256(healed).digest()
+        shared.add(id(v.cfg))
+    assert len(shared) == 1
 
 
 def test_malformed_slice_index_counts_destinations_not_words():

@@ -389,6 +389,23 @@ def test_write_pmem_refreshes_decode_cache():
     assert isinstance(m.step(), Halted)
 
 
+def test_machines_of_one_image_keep_their_own_predecoded_words():
+    prog = isa.assemble("main:\n mov r0, #7\n mov r1, #9\n halt\n")
+    a, b = Machine(prog.image), Machine(prog.image)
+    halt_word = isa.Instruction(isa.OP_HALT, 0, 0, 0).encode()
+    a.write_pmem(PMEM_BASE, halt_word)
+    a.store_word(PMEM_BASE + 4, int.from_bytes(halt_word, "big"))
+    for pc in (PMEM_BASE, PMEM_BASE + 4):     # a fetches its new words first
+        a.reset()
+        a.pc = pc
+        assert isinstance(a.step(), Halted)
+    for m in (b, Machine(prog.image)):        # an old and a new twin
+        m.pc = prog.entry
+        assert isinstance(m.step(), Executed) and isinstance(m.step(), Executed)
+        assert (m.regs[0], m.regs[1]) == (7, 9)
+        assert isinstance(m.step(), Halted)
+
+
 def test_push_pop_pair():
     m = load_program("""
     main:
