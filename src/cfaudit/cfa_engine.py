@@ -251,6 +251,12 @@ def runs(data: bytes) -> list[Run]:
     the address entries its unit refers to.
     """
     n = len(data) // ENTRY_WIDTH
+    if data[::ENTRY_WIDTH].isascii():
+        # no tag bit (the top bit of each word's first byte) is set: every
+        # word is an address and a run of its own, parsed in bulk
+        if len(data) % ENTRY_WIDTH:
+            raise MalformedLog(n, "truncated entry", n)
+        return [(unit, 1) for unit in _WORD.iter_unpack(data)]
     words = struct.unpack_from(f">{n}I", data)
     out: list[Run] = []
     decoded = 0

@@ -10,8 +10,10 @@ is a violation, and the device is ordered to remediate.
 The walk reads the log as the device wrote it, without expanding it:
 
 - Runs. ``cfa_engine.runs`` turns each slice into ``(unit, count)`` runs,
-  one per address word, count record or static pair, and the walker keeps
-  them in a queue. A count record costs one run however large its count.
+  one per address word, count record or static pair (a slice of address
+  words alone is parsed in bulk), and the walker queues them as they come.
+  A count record costs one run however large its count, and a run leaves
+  the queue once it is consumed.
 - Hops. ``Cfg.hop(pc)`` jumps from ``pc`` to the next instruction that
   reads the log (or ends the walk) in one move, carrying the return
   addresses the direct calls on the way push. Hops are computed on first
@@ -29,6 +31,14 @@ The walk reads the log as the device wrote it, without expanding it:
 
 Auditing thus costs O(log words), not O(instructions executed). A static
 loop record is matched to its loop site in one step the same way.
+
+The hop loop. ``Walker.advance`` is one loop that keeps the cursor (pc,
+position, the head run and the offset into it) in locals. A destination
+costs one memo lookup for its hop, a few comparisons, and a pop from the
+run queue when its run is done; the cursor goes back to the walker only
+where the loop leaves (a pause for evidence, a stop, a violation) and
+around the rare moves: a repetition trial, a loop record's copies. Nothing
+is kept per destination or per slice beyond the runs not yet consumed.
 
 Slices stitch: the walker keeps its position, stack, and consumed-entry
 count across reports, so verdicts and violation indices cannot depend on
@@ -224,9 +234,13 @@ class Walker:
     """Trace walk over log runs with a shadow stack; pauses when the runs
     run dry.
 
-    ``pos`` is the number of destinations consumed and ``fed`` the number
-    fed, both counted in the expanded stream. ``runs`` holds the runs not
-    yet consumed; ``head`` destinations of the first are consumed already.
+    ``runs`` holds the runs not yet consumed; ``head`` destinations of the
+    first are consumed already. ``pos`` is the number of destinations
+    consumed, counted in the expanded stream; ``fed`` adds those still
+    queued and is summed when read, so feeding a slice is one
+    ``deque.extend``. A consumed run leaves the queue at once, so a paused
+    walker holds its position, its shadow stack (and a repetition trial's
+    copy of it) and the runs still unread, nothing per destination.
     """
 
     def __init__(self, cfg: Cfg):
@@ -236,69 +250,69 @@ class Walker:
         self.runs: deque[cfa_engine.Run] = deque()
         self.head = 0
         self.pos = 0
-        self.fed = 0
         self.done = False
         self.violation: Violation | None = None
         self.steps = 0
         # repetition under trial: (pos of the next repetition, pc, shadow)
         self._trial: tuple[int, int, list[int]] | None = None
 
+    @property
+    def fed(self) -> int:
+        """Destinations fed: those consumed and those still queued."""
+        return self.pos - self.head + sum(len(unit) * count for unit, count in self.runs)
+
     def _fail(self, kind: str, detail: str = "", index: int | None = None) -> None:
         self.violation = Violation(kind, self.pos if index is None else index, detail)
 
     def feed(self, runs: list[cfa_engine.Run]) -> None:
-        """Queue one slice's runs, as ``cfa_engine.runs`` parses them, and
-        walk as far as they reach."""
-        for unit, count in runs:
-            if count:
-                self.runs.append((unit, count))
-                self.fed += len(unit) * count
+        """Queue one slice's runs, as ``cfa_engine.runs`` parses them (every
+        count at least 1), and walk as far as they reach."""
+        self.runs.extend(runs)
         self.advance()
 
-    # -- run cursor ---------------------------------------------------------
+    # -- rare moves ---------------------------------------------------------
 
-    def peek(self) -> int:
-        unit = self.runs[0][0]
-        return unit[self.head % len(unit)]
-
-    def _consume(self, n: int) -> None:
-        """Consume ``n`` destinations, all from the first run."""
-        self.pos += n
-        self.head += n
-        unit, count = self.runs[0]
-        if self.head == len(unit) * count:
-            self.runs.popleft()
-            self.head = 0
-
-    def take(self) -> int:
-        e = self.peek()
-        self._consume(1)
-        return e
+    def _queued(self, k: int) -> bool:
+        """Whether ``k`` destinations are queued unconsumed. Reads only the
+        runs that hold them."""
+        k += self.head
+        for unit, count in self.runs:
+            k -= len(unit) * count
+            if k <= 0:
+                return True
+        return False
 
     def take_copies(self, k: int, header: int) -> int | None:
         """Consume ``k`` destinations that must all be ``header``; a run
         of header copies goes in one move. Returns the first other
         destination, consumed like the ones before it, or None."""
+        runs = self.runs
         while k:
-            unit, count = self.runs[0]
-            if unit.count(header) == len(unit):
-                n = min(k, len(unit) * count - self.head)
-                self._consume(n)
-                k -= n
-                continue
-            e = self.take()
+            unit, count = runs[0]
+            width = len(unit)
+            if unit.count(header) == width:
+                n, e = min(k, width * count - self.head), header
+            else:
+                n, e = 1, unit[self.head % width]
+            self.pos += n
+            self.head += n
+            if self.head == width * count:
+                runs.popleft()
+                self.head = 0
             if e != header:
                 return e
-            k -= 1
+            k -= n
         return None
 
     def _repetition(self) -> None:
-        """At a read of the log: finish or start a repetition trial.
+        """At a read of a run with count two or more: finish or start a
+        repetition trial.
 
         A trial starts at the first repetition of a run with two or more
         left. When the walk first reads the next repetition and pc and the
         shadow stack are those at the trial's start, the remaining
-        repetitions would replay the same walk, so they are skipped.
+        repetitions would replay the same walk, so they are skipped. A
+        trial that a loop record's copies jumped past is dropped here.
         """
         trial = self._trial
         if trial is not None:
@@ -319,75 +333,106 @@ class Walker:
     # -- the walk -----------------------------------------------------------
 
     def advance(self) -> None:
-        hops, hop = self.cfg.hops, self.cfg.hop
+        """Hop until the runs run dry, the walk stops or a violation.
+
+        One loop with the cursor in locals: ``pc``, ``pos``, ``head``,
+        ``steps`` and the first run's unit, count and expanded length. They
+        go back to ``self`` where the loop leaves and around the rare moves
+        (a repetition trial, a loop record's copies, a stop).
+        """
+        cfg = self.cfg
+        hops, hop, icall_targets = cfg.hops, cfg.hop, cfg.icall_targets
         shadow, runs = self.shadow, self.runs
-        while self.violation is None and not self.done:
-            self.steps += 1
-            kind, at, arg, pushes = hops.get(self.pc) or hop(self.pc)
+        pc, pos, head, steps = self.pc, self.pos, self.head, self.steps
+        unit, count, width, length = _first_run(runs)
+        live = self.violation is None and not self.done
+        while live:
+            steps += 1
+            try:
+                kind, at, arg, pushes = hops[pc]
+            except KeyError:
+                kind, at, arg, pushes = hop(pc)
             if pushes:
                 if len(shadow) + len(pushes) > _SHADOW_LIMIT:
-                    self._fail(V_MALFORMED, "shadow stack overflow")
-                    return
+                    self._fail(V_MALFORMED, "shadow stack overflow", pos)
+                    break
                 shadow.extend(pushes)
-            self.pc = at
+            pc = at
             if kind > EXIT:
-                if kind == PARK and self.pos == self.fed:
-                    return
-                self._stop(kind)
-                continue
-            if self.pos == self.fed:
-                return
-            if self._trial is not None or runs[0][1] > 1:
+                if kind != PARK or runs:
+                    self.pc, self.pos = pc, pos
+                    self._stop(kind)
+                break
+            if not runs:
+                break
+            if count > 1:
+                # a repetition trial only ever spans a run of two or more
+                self.pc, self.pos, self.head = pc, pos, head
                 self._repetition()
-                if self.pos == self.fed:
-                    return
+                pos, head = self.pos, self.head
+                if not runs:
+                    break
+                unit, count, width, length = _first_run(runs)
             if kind == LOOP:
                 header, copies, exit_pc = arg
-                if self.fed - self.pos < copies:
-                    return
+                self.pos, self.head = pos, head
+                if not self._queued(copies):
+                    break
                 e = self.take_copies(copies, header)
+                pos, head = self.pos, self.head
                 if e is not None:
                     self._fail(V_EDGE, f"loop record for {e:#x} does not match "
-                               f"header {header:#x}", self.pos - 1)
-                    return
-                self.pc = exit_pc
+                               f"header {header:#x}", pos - 1)
+                    break
+                pc = exit_pc
+                unit, count, width, length = _first_run(runs)
                 continue
-            e = self.peek()
+            e = unit[head % width]
             if kind == BRANCH and e not in arg:
                 # refused before it is consumed: no arrival site read it
                 self._fail(V_EDGE, f"{e:#x} is neither destination of the "
-                           f"branch at {at:#x}")
-                return
-            self._consume(1)
+                           f"branch at {at:#x}", pos)
+                break
+            pos += 1
+            head += 1
+            if head == length:
+                runs.popleft()
+                head = 0
+                if runs:              # _first_run inlined: once per plain destination
+                    unit, count = runs[0]
+                    width = len(unit)
+                    length = width * count
             if kind == BRANCH:
-                self.pc = e           # past the arrival site e names
+                pc = e                # past the arrival site e names
+            elif kind == RET:
+                if not shadow or shadow[-1] != e:
+                    self._fail(V_SHADOW, f"return to {e:#x}", pos - 1)
+                    break
+                shadow.pop()
+                pc = e
+            elif kind == ICALL:
+                if e not in icall_targets:
+                    self._fail(V_ICALL, f"indirect call to {e:#x}", pos - 1)
+                    break
+                if len(shadow) >= _SHADOW_LIMIT:
+                    self._fail(V_MALFORMED, "shadow stack overflow", pos)
+                    break
+                shadow.append(arg)
+                pc = e
             elif kind == COND:
                 if e != arg:
                     self._fail(V_EDGE, f"arrival {e:#x} does not match site {arg:#x}",
-                               self.pos - 1)
-                    return
-                self.pc = arg
-            elif kind == RET:
-                if not shadow or shadow[-1] != e:
-                    self._fail(V_SHADOW, f"return to {e:#x}", self.pos - 1)
-                    return
-                shadow.pop()
-                self.pc = e
-            elif kind == ICALL:
-                if e not in self.cfg.icall_targets:
-                    self._fail(V_ICALL, f"indirect call to {e:#x}", self.pos - 1)
-                    return
-                if len(shadow) >= _SHADOW_LIMIT:
-                    self._fail(V_MALFORMED, "shadow stack overflow")
-                    return
-                shadow.append(arg)
-                self.pc = e
+                               pos - 1)
+                    break
+                pc = arg
             elif e != isa.NSC_EXIT:
-                self._fail(V_EDGE, f"end-door arrival {e:#x}", self.pos - 1)
-                return
+                self._fail(V_EDGE, f"end-door arrival {e:#x}", pos - 1)
+                break
             else:
                 self.done = True
-        if self.done and self.pos != self.fed:
+                break
+        self.pc, self.pos, self.head, self.steps = pc, pos, head, steps
+        if self.done and runs:
             self._fail(V_MALFORMED, "entries beyond the end of execution")
 
     def _stop(self, kind: int) -> None:
@@ -402,6 +447,12 @@ class Walker:
             self._fail(V_MALFORMED, f"walk left the program at {self.pc:#x}")
         else:
             self._fail(V_MALFORMED, "shadow stack overflow")
+
+
+def _first_run(runs: deque[cfa_engine.Run]) -> tuple[tuple[int, ...], int, int, int]:
+    """The first run's unit, count, unit width and expanded length."""
+    unit, count = runs[0] if runs else ((), 0)
+    return unit, count, len(unit), len(unit) * count
 
 
 # --- protocol driver ---------------------------------------------------------

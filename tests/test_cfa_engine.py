@@ -340,3 +340,47 @@ def test_runs_decode_like_the_reference_decoder(words, tail):
         return
     assert [d for unit, count in runs(data) for d in unit * count] == expected
     assert decompress(data) == expected
+
+
+def test_runs_of_an_empty_slice():
+    assert runs(b"") == []
+
+
+@pytest.mark.parametrize("words", [0, 1, 3])
+@pytest.mark.parametrize("tail", [b"\x01", b"\x00\x00", b"\x80\x00\x00"])
+def test_runs_of_addresses_with_a_truncated_tail(words, tail):
+    data = b"".join(encode_address(A + 4 * k) for k in range(words)) + tail
+    with pytest.raises(MalformedLog) as exc:
+        runs(data)
+    assert (exc.value.index, exc.value.decoded) == (words, words)
+    with pytest.raises(MalformedLog) as ref:
+        reference_decompress(data)
+    assert ref.value.index == words
+
+
+@pytest.mark.parametrize("last, expected", [
+    (encode_count(UNIT_SINGLE, 3), [((A,), 1), ((B,), 1), ((B,), 3)]),
+    (encode_count(UNIT_PAIR, 2), [((A,), 1), ((B,), 1), ((A, B), 2)]),
+    (encode_count(UNIT_STATIC, 4), [((A,), 1), ((B,), 3)]),
+], ids=["single", "pair", "static"])
+def test_runs_of_a_slice_whose_only_count_record_is_last(last, expected):
+    data = encode_address(A) + encode_address(B) + last
+    assert runs(data) == expected
+    assert [d for unit, count in expected for d in unit * count] == \
+        reference_decompress(data)
+
+
+def test_runs_at_the_tag_bit_boundary():
+    top = eng.ADDR_MASK                        # 0x7fffffff: the highest address
+    assert runs(struct.pack(">3I", A, top, B)) == [((A,), 1), ((top,), 1), ((B,), 1)]
+    # 0x80000000 is a static count record of limit 0: without a header it
+    # is malformed, after one it stands for no destination at all
+    with pytest.raises(MalformedLog) as exc:
+        runs(struct.pack(">2I", 0x8000_0000, A))
+    assert (exc.value.index, exc.value.decoded) == (0, 0)
+    with pytest.raises(MalformedLog) as exc:
+        runs(struct.pack(">4I", A, B, 0x8000_0000, 0x8000_0000))
+    assert (exc.value.index, exc.value.decoded) == (3, 1)
+    assert runs(struct.pack(">3I", top, 0x8000_0000, B)) == [((B,), 1)]
+    for data in (struct.pack(">3I", A, top, B), struct.pack(">3I", top, 0x8000_0000, B)):
+        assert decompress(data) == reference_decompress(data)
