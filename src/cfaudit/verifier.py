@@ -431,6 +431,8 @@ class Walker:
             else:
                 self.done = True
                 break
+        if live and self.violation is None and not self.done:
+            steps -= 1                # paused: the next slice takes this hop again
         self.pc, self.pos, self.head, self.steps = pc, pos, head, steps
         if self.done and runs:
             self._fail(V_MALFORMED, "entries beyond the end of execution")

@@ -20,18 +20,27 @@ faults like an unmapped fetch.
 Faults never raise: they come back as ``Fault`` events so the caller can
 route them through the reset path the way the hardware would.
 
-``Machine.run`` is the interpreter: it executes a block of instructions
-until the first event that is not a plain execution, or until its limit.
-Inside a block the world and the permissions cannot change, so the
-watchdog deadline becomes a bound on the block, a fetch from program
-memory is a lookup in a per-word predecoded table, a dmem access is never
-checked, and no event object is built per instruction. The table of an
-image is built once and every machine loaded with that image starts from
-its own copy; a program-memory write invalidates, in that machine's copy
-only, the words it touches. ``Machine.step`` is ``run(1)``.
-A gateway entry ends the block with an ``NscEntry`` event, unless ``run``
-is given a gateway handler: a logging entry the handler services stays
-inside the block.
+``Machine.run`` executes until the first event that is not a plain
+execution, or until its limit. Each program word becomes a closure,
+``f(regs, st)``, with its operands bound; ``st`` holds the flags, the lr
+before its last write, dmem, a weak handle on the machine for the checked
+path of a non-dmem access, and the world. A control instruction's closure
+returns the next pc; a fault, a halt, or a store into program memory (the
+rest of the block may be stale) raises ``_Stop``. A block is the closures
+from a pc through the first control instruction; it runs whole when it
+fits the limit and the watchdog budget, otherwise (and under ``step``) its
+closures run one at a time, so counters and faults are exactly those of
+one instruction at a time. A run of two or more ``add``/``sub`` immediates
+and ``mov``s (no pc operand, no lr target) folds into one closure that
+gives each register its final 32-bit value, and a ``cmp`` joins the
+``bcond`` after it. On straight-line loops an instruction costs a quarter
+to a half of what the opcode chain this replaced spent on it.
+
+An image's closures and blocks are built on first fetch and shared by
+every machine of it, for the ``isa.IMAGE_CACHE_SIZE`` images used last;
+a machine that writes its program memory builds its own from then on. A
+gateway entry ends the block with an ``NscEntry`` event, unless ``run``
+is given a gateway handler: a logging entry it services stays inside.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import itertools
 import struct
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -49,8 +60,8 @@ from .isa import (
     PMEM_BASE, PMEM_CAPACITY, RETAINED_BASE, RETAINED_SIZE, SECURE_BASE,
     SECURE_SIZE, SP, STACK_TOP,
     OP_ADD_RI, OP_ADD_RR, OP_B, OP_BCOND, OP_BL, OP_BLX, OP_BX_LR, OP_CMP_RI,
-    OP_CMP_RR, OP_HALT, OP_LDR, OP_MOV_IMM, OP_MOV_REG, OP_NSC_CALL, OP_POP,
-    OP_PUSH, OP_STR, OP_SUB_RI, OP_SUB_RR,
+    OP_CMP_RR, OP_HALT, OP_ILLEGAL, OP_LDR, OP_MOV_IMM, OP_MOV_REG, OP_NSC_CALL,
+    OP_POP, OP_PUSH, OP_STR, OP_SUB_RI, OP_SUB_RR,
 )
 
 MASK32 = 0xFFFFFFFF
@@ -183,26 +194,10 @@ class Machine:
         if len(pmem) > PMEM_CAPACITY:
             raise ValueError("program exceeds pmem capacity")
         self.pmem = bytearray(pmem)
-        self.dmem = bytearray(DMEM_SIZE)
-        self.secure_mem = bytearray(SECURE_SIZE)
         self.retained_mem = bytearray(RETAINED_SIZE)
-        self.pmem_locked = False
-        self.timer = SecureTimer()
-        self.regs = [0] * 16
-        self.regs[SP] = STACK_TOP
-        self.regs[PC] = PMEM_BASE
-        self.world = World.SECURE
-        self.halted = False
-        self.cycle_count = 0
-        self.flag_z = False
-        self.flag_n = False
-        # bookkeeping for gateway snapshots
-        self.last_exec_pc = 0
-        self.prev_exec_pc = 0
-        self.prev_lr = 0
-        # predecoded program words by address: the image's shared table,
-        # copied; a word dropped by a pmem write is decoded again on fetch
-        self._decode_cache = _predecoded(bytes(pmem)).copy()
+        self._st = [0, 0, None, weakref.ref(self), False]
+        self.reset()
+        self._code = _image_code(bytes(pmem))
 
     # -- registers ------------------------------------------------------
 
@@ -213,6 +208,11 @@ class Machine:
     @pc.setter
     def pc(self, v: int) -> None:
         self.regs[PC] = v & MASK32
+
+    flag_z = property(lambda self: bool(self._st[_FLAGS] & 2))
+    flag_n = property(lambda self: bool(self._st[_FLAGS] & 1))
+    # lr before its most recent write by mov, bl, blx or pop
+    prev_lr = property(lambda self: self._st[_PREV_LR])
 
     # -- memory ---------------------------------------------------------
 
@@ -246,7 +246,7 @@ class Machine:
         store, off, _ = self._decode_addr(addr)
         _store(store, off, value & MASK32)
         if store is self.pmem:
-            self._decode_cache.pop(addr, None)
+            self._code = _Code(self.pmem)
 
     def write_pmem(self, addr: int, data: bytes) -> None:
         """Secure-side program-memory write (provisioning, remediation)."""
@@ -254,7 +254,7 @@ class Machine:
         if not 0 <= off <= len(self.pmem) - len(data):
             raise UnmappedAddress(addr)
         self.pmem[off:off + len(data)] = data
-        self._decode_cache.clear()
+        self._code = _Code(self.pmem)
 
     # -- secure-world operations -----------------------------------------
 
@@ -279,11 +279,9 @@ class Machine:
         self.world = World.SECURE
         self.halted = False
         self.cycle_count = 0
-        self.flag_z = False
-        self.flag_n = False
         self.last_exec_pc = 0
         self.prev_exec_pc = 0
-        self.prev_lr = 0
+        self._st[:_MACHINE] = [0, 0, self.dmem]
 
     def enter_nonsecure(self, entry: int) -> None:
         if self.world is not World.SECURE:
@@ -296,19 +294,19 @@ class Machine:
 
     # -- execution --------------------------------------------------------
 
-    def _predecode_at(self, pc: int) -> tuple | Fault:
-        """Fetch the word at ``pc`` for execution in the current world.
-        Program-memory words are kept in the predecoded table."""
+    def _fetch(self, pc: int) -> Callable | Fault:
+        """The closure of the word at ``pc``, or the fault its fetch takes;
+        the Secure World's words outside pmem are translated every fetch."""
+        if (code := self._code).covers(pc):
+            return code.ops.setdefault(
+                pc, _translate(_decode(_load(code.pmem, pc - PMEM_BASE)[0]), pc))
         if pc % INSTR_WIDTH:
             return Fault(FaultKind.UNALIGNED, pc)
         fk = self._checked(pc, AccessKind.EXECUTE)
         if fk is not None:
             return Fault(fk, pc)
         store, off, _ = self._decode_addr(pc)
-        inst = _predecode(bytes(store[off:off + INSTR_WIDTH]))
-        if store is self.pmem:
-            self._decode_cache[pc] = inst
-        return inst
+        return _translate(_decode(_load(store, off)[0]), pc)
 
     def step(self) -> Event:
         """Execute one cycle. Never raises for program behavior: bad accesses
@@ -331,7 +329,8 @@ class Machine:
         services each logging gateway entry and returns the pc to resume
         at, or None to end the block with the ``NscEntry`` event. A
         serviced entry is one cycle of ``limit`` that the watchdog and the
-        returned count leave out.
+        returned count leave out. The handler must not write program
+        memory.
         """
         limit = _UNBOUNDED if limit is None else limit
         if limit <= 0:
@@ -340,182 +339,103 @@ class Machine:
             self.cycle_count += 1
             return 0, Halted()
 
-        regs = self.regs
-        ns = self.world is World.NONSECURE
+        regs, st = self.regs, self._st
+        ns = st[_NS] = self.world is World.NONSECURE
         timer = self.timer
         counting = ns and timer.active and not timer.paused
         budget = limit
         if counting and timer.delta - timer.elapsed < limit:
             budget = timer.delta - timer.elapsed     # the deadline ends the block
-        fetch = self._decode_cache.get
-        # dmem is read/write in both worlds, so its accesses are never checked
-        dmem, dmem_lo, dmem_hi = self.dmem, DMEM_BASE, _DMEM_END
+        blocks, ops = (code := self._code).blocks, code.ops
         pc = regs[PC]
-        last, prev, prev_lr = self.last_exec_pc, self.prev_exec_pc, self.prev_lr
-        flags = (self.flag_z << 1) | self.flag_n
-        n = 0
-        served = 0
-        halt_counted = 0
+        last, prev = self.last_exec_pc, self.prev_exec_pc
+        n = served = halt_counted = 0
         ev: Event | None = None
 
-        while n < budget:
-            inst = fetch(pc)
-            if inst is None:
-                if ns and pc in _GATEWAY_ENTRIES:
-                    if gateway is not None and pc != NSC_EXIT:
-                        resume = gateway(pc, last, prev, prev_lr)
-                        if resume is not None:
-                            # one cycle of the limit, not of the deadline
-                            pc = resume
-                            served += 1
-                            limit -= 1
-                            budget = min(budget, limit)
+        while True:
+            try:
+                while n < budget:
+                    blk = blocks.get(pc)
+                    if blk is None:
+                        if ns and pc in _GATEWAY_ENTRIES:
+                            if gateway is not None and pc != NSC_EXIT:
+                                resume = gateway(pc, last, prev, st[_PREV_LR])
+                                if resume is not None:
+                                    # one cycle of the limit, not of the deadline
+                                    pc = resume
+                                    served += 1
+                                    limit -= 1
+                                    budget = min(budget, limit)
+                                    continue
+                            regs[PC] = pc
+                            self.world = World.SECURE
+                            ev = NscEntry(pc, NscSnapshot(tuple(regs), last, prev,
+                                                          st[_PREV_LR]))
+                            break
+                        if budget - n > 1 and code.covers(pc):
+                            blk = code.block(pc)
+                        else:                 # one instruction, no block built
+                            f = ops.get(pc) or self._fetch(pc)
+                            if f.__class__ is Fault:
+                                ev = f
+                                break
+                            nxt = f(regs, st)
+                            prev, last = last, pc
+                            pc = pc + INSTR_WIDTH if nxt is None else nxt
+                            n += 1
                             continue
-                    regs[PC] = pc
-                    self.world = World.SECURE
-                    ev = NscEntry(pc, NscSnapshot(tuple(regs), last, prev, prev_lr))
-                    break
-                inst = self._predecode_at(pc)
-                if inst.__class__ is Fault:
-                    ev = inst
-                    break
-            op, ra, rb, imm = inst
-            regs[PC] = pc
-            nxt = pc + INSTR_WIDTH
-
-            if op == OP_ADD_RI:
-                regs[ra] = (regs[rb] + imm) & MASK32
-            elif op == OP_CMP_RI:
-                a = regs[ra] ^ _SIGN          # imm is predecoded the same way
-                flags = 2 if a == imm else 1 if a < imm else 0
-            elif op == OP_BCOND:
-                if ra[flags]:                 # ra is the condition's truth table
-                    nxt = imm
-            elif op == OP_MOV_IMM:
-                if ra == LR:
-                    prev_lr = regs[LR]
-                regs[ra] = imm
-            elif op == OP_B:
-                nxt = imm
-            elif op == OP_CMP_RR:
-                a, b = regs[ra] ^ _SIGN, regs[rb] ^ _SIGN
-                flags = 2 if a == b else 1 if a < b else 0
-            elif op == OP_BL:
-                prev_lr = regs[LR]
-                regs[LR] = nxt
-                nxt = imm
-            elif op == OP_LDR:
-                addr = (regs[rb] + imm) & MASK32
-                if addr % 4:
-                    ev = Fault(FaultKind.UNALIGNED, addr)
-                    break
-                if dmem_lo <= addr < dmem_hi:
-                    regs[ra] = _load(dmem, addr - dmem_lo)[0]
-                else:
-                    fk = self._checked(addr, AccessKind.READ)
-                    if fk is not None:
-                        ev = Fault(fk, addr)
-                        break
-                    regs[ra] = self.load_word(addr)
-            elif op == OP_STR:
-                addr = (regs[rb] + imm) & MASK32
-                if addr % 4:
-                    ev = Fault(FaultKind.UNALIGNED, addr)
-                    break
-                if dmem_lo <= addr < dmem_hi:
-                    _store(dmem, addr - dmem_lo, regs[ra] & MASK32)
-                else:
-                    fk = self._checked(addr, AccessKind.WRITE)
-                    if fk is not None:
-                        ev = Fault(fk, addr)
-                        break
-                    self.store_word(addr, regs[ra])
-            elif op == OP_SUB_RI:
-                regs[ra] = (regs[rb] - imm) & MASK32
-            elif op == OP_ADD_RR:
-                regs[ra] = (regs[rb] + regs[imm]) & MASK32
-            elif op == OP_SUB_RR:
-                regs[ra] = (regs[rb] - regs[imm]) & MASK32
-            elif op == OP_MOV_REG:
-                if ra == LR:
-                    prev_lr = regs[LR]
-                    regs[LR] = regs[rb] & MASK32
-                else:
-                    regs[ra] = regs[rb]
-            elif op == OP_PUSH:
-                addr = (regs[SP] - 4) & MASK32
-                if addr % 4:
-                    ev = Fault(FaultKind.UNALIGNED, addr)
-                    break
-                if dmem_lo <= addr < dmem_hi:
-                    regs[SP] = addr
-                    _store(dmem, addr - dmem_lo, regs[ra] & MASK32)
-                else:
-                    fk = self._checked(addr, AccessKind.WRITE)
-                    if fk is not None:
-                        ev = Fault(fk, addr)
-                        break
-                    regs[SP] = addr
-                    self.store_word(addr, regs[ra])
-            elif op == OP_POP:
-                addr = regs[SP]
-                if addr % 4:
-                    ev = Fault(FaultKind.UNALIGNED, addr)
-                    break
-                if dmem_lo <= addr < dmem_hi:
-                    val = _load(dmem, addr - dmem_lo)[0]
-                else:
-                    fk = self._checked(addr, AccessKind.READ)
-                    if fk is not None:
-                        ev = Fault(fk, addr)
-                        break
-                    val = self.load_word(addr)
-                regs[SP] = (addr + 4) & MASK32
-                if ra == PC:
-                    nxt = val
-                elif ra == LR:
-                    prev_lr = regs[LR]
-                    regs[LR] = val
-                else:
-                    regs[ra] = val
-            elif op == OP_BX_LR:
-                nxt = regs[LR]
-            elif op == OP_BLX:
-                prev_lr = regs[LR]
-                regs[LR] = nxt
-                nxt = regs[ra] & MASK32
-            elif op == OP_NSC_CALL and ns:
-                nxt = NSC_EXIT                # protected return; traps next cycle
-            elif op == OP_NSC_CALL or op == OP_HALT:
-                # without a monitor attached the gateway return ends execution
-                prev, last = last, pc
-                self.halted = True
-                halt_counted = 1
-                ev = Halted()
-                break
-            else:
-                ev = Fault(FaultKind.ILLEGAL_INSTRUCTION, pc)
-                break
-
-            prev, last = last, pc
-            pc = nxt
-            n += 1
-        else:
-            if budget < limit:
-                # deadline wins before the next instruction executes
-                self.world = World.SECURE
-                ev = TimerTrigger()
+                    body, term, size, b_last, b_prev = blk
+                    if size <= budget - n:
+                        for f in body:
+                            f(regs, st)
+                        pc = term(regs, st)
+                        n += size
+                        prev = b_prev or last     # None: a one-instruction block
+                        last = b_last
+                    else:
+                        # the limit falls inside the block: no control
+                        # instruction among the ones it leaves room for
+                        k = budget - n
+                        for at in range(pc, pc + k * INSTR_WIDTH, INSTR_WIDTH):
+                            (ops.get(at) or self._fetch(at))(regs, st)
+                        n = budget
+                        prev = pc + (k - 2) * INSTR_WIDTH if k > 1 else last
+                        last = pc + (k - 1) * INSTR_WIDTH
+                        pc += k * INSTR_WIDTH
+            except _Stop as stop:
+                at, ev = stop.args
+                k = (at - pc) // INSTR_WIDTH  # executed before it in this dispatch
+                if k:
+                    n += k
+                    prev, last = at - 2 * INSTR_WIDTH if k > 1 else last, at - INSTR_WIDTH
+                pc = at
+                if ev is None:
+                    # a store into program memory: done, but the rest of the
+                    # block may be stale, and the table is now the machine's own
+                    prev, last = last, at
+                    pc += INSTR_WIDTH
+                    n += 1
+                    blocks, ops = (code := self._code).blocks, code.ops
+                    continue
+                if ev.__class__ is Halted:
+                    prev, last = last, at
+                    self.halted = True
+                    halt_counted = 1
+            break
+        if ev is None and budget < limit:
+            # deadline wins before the next instruction executes
+            self.world = World.SECURE
+            ev = TimerTrigger()
 
         regs[PC] = pc
-        self.last_exec_pc, self.prev_exec_pc, self.prev_lr = last, prev, prev_lr
-        self.flag_z, self.flag_n = bool(flags & 2), bool(flags & 1)
+        self.last_exec_pc, self.prev_exec_pc = last, prev
         if counting:
             timer.elapsed += n + halt_counted
         self.cycle_count += n + served if ev is None else n + served + 1
         return n, ev
 
 
-# --- memory map and predecoding -------------------------------------------
+# --- memory map ------------------------------------------------------------
 
 _UNBOUNDED = 1 << 62
 _GATEWAY_ENTRIES = frozenset(isa.NSC_SYMBOLS.values())
@@ -543,28 +463,245 @@ _COND_TAKEN = {
     isa.COND_GT: (True, False, False, False),
     isa.COND_LE: (False, True, True, True),
 }
-_ILLEGAL = (isa.OP_ILLEGAL, 0, 0, 0)
 
 
-@functools.lru_cache(maxsize=isa.IMAGE_CACHE_SIZE)
-def _predecoded(image: bytes) -> dict[int, tuple]:
-    """Every whole word of ``image`` predecoded, by address. Shared: a
-    machine copies it before its first fetch."""
-    return {PMEM_BASE + off: _predecode(image[off:off + INSTR_WIDTH])
-            for off in range(0, len(image) - INSTR_WIDTH + 1, INSTR_WIDTH)}
+# --- translation: one closure per instruction ------------------------------
+
+_FLAGS, _PREV_LR, _DMEM, _MACHINE, _NS = range(5)     # the slots of ``st``
 
 
-def _predecode(word: bytes) -> tuple:
-    """(op, ra, rb, imm) for the interpreter; a conditional branch carries
-    its truth table as ra and a compare its immediate with the sign flipped."""
-    inst = isa.decode(word)
-    if inst is None:
-        return _ILLEGAL
-    if inst.op == OP_BCOND:
-        return (OP_BCOND, _COND_TAKEN[inst.ra], 0, inst.imm)
-    if inst.op == OP_CMP_RI:
-        return (OP_CMP_RI, inst.ra, 0, inst.imm ^ _SIGN)
-    return (inst.op, inst.ra, inst.rb, inst.imm)
+class _Stop(Exception):
+    """(pc, the fault or halt there, or None after a program-memory store)"""
+
+
+def _checked_machine(st: list, pc: int, addr: int, kind: AccessKind) -> Machine:
+    """The slow path of a data access outside dmem: the checked machine."""
+    if addr % 4:
+        raise _Stop(pc, Fault(FaultKind.UNALIGNED, addr))
+    m = st[_MACHINE]()
+    fk = m._checked(addr, kind)
+    if fk is not None:
+        raise _Stop(pc, Fault(fk, addr))
+    return m
+
+
+def _store_word(m: Machine, pc: int, addr: int, value: int) -> None:
+    m.store_word(addr, value)
+    if PMEM_BASE <= addr < PMEM_BASE + len(m.pmem):
+        raise _Stop(pc, None)
+
+
+def _translate(inst: tuple[int, int, int, int], pc: int) -> Callable:
+    """The factory table: the closure of one instruction at ``pc``, by
+    opcode. One that names pc as an operand sees the pc of the instruction,
+    as every read of it would; a data access outside dmem is checked."""
+    op, ra, rb, imm = inst
+    ret, taken = pc + INSTR_WIDTH, _COND_TAKEN.get(ra)
+    if (op == OP_MOV_IMM or op == OP_MOV_REG) and ra == LR:
+        def f(regs, st):
+            st[_PREV_LR] = regs[LR]
+            regs[LR] = imm if op == OP_MOV_IMM else regs[rb] & MASK32
+    elif op == OP_MOV_IMM:
+        def f(regs, st):
+            regs[ra] = imm
+    elif op == OP_MOV_REG:
+        def f(regs, st):
+            regs[ra] = regs[rb]
+    elif op == OP_ADD_RI or op == OP_SUB_RI:
+        imm = imm if op == OP_ADD_RI else -imm & MASK32
+
+        def f(regs, st):
+            regs[ra] = (regs[rb] + imm) & MASK32
+    elif op == OP_ADD_RR:
+        def f(regs, st):
+            regs[ra] = (regs[rb] + regs[imm]) & MASK32
+    elif op == OP_SUB_RR:
+        def f(regs, st):
+            regs[ra] = (regs[rb] - regs[imm]) & MASK32
+    elif op == OP_CMP_RI or op == OP_CMP_RR:
+        f = _compare(inst, (False,) * 4, ret, ret)    # a cmp alone goes on to pc + 4
+    elif op == OP_LDR:
+        def f(regs, st):
+            addr = (regs[rb] + imm) & MASK32
+            if DMEM_BASE <= addr < _DMEM_END and not addr & 3:
+                regs[ra] = _load(st[_DMEM], addr - DMEM_BASE)[0]
+            else:
+                regs[ra] = _checked_machine(st, pc, addr, AccessKind.READ).load_word(addr)
+    elif op == OP_STR:
+        def f(regs, st):
+            addr = (regs[rb] + imm) & MASK32
+            if DMEM_BASE <= addr < _DMEM_END and not addr & 3:
+                _store(st[_DMEM], addr - DMEM_BASE, regs[ra] & MASK32)
+            else:
+                _store_word(_checked_machine(st, pc, addr, AccessKind.WRITE), pc, addr,
+                            regs[ra])
+    elif op == OP_PUSH:
+        def f(regs, st):
+            addr = (regs[SP] - 4) & MASK32
+            if DMEM_BASE <= addr < _DMEM_END and not addr & 3:
+                regs[SP] = addr
+                _store(st[_DMEM], addr - DMEM_BASE, regs[ra] & MASK32)
+            else:
+                m = _checked_machine(st, pc, addr, AccessKind.WRITE)
+                regs[SP] = addr
+                _store_word(m, pc, addr, regs[ra])
+    elif op == OP_POP:
+        def pop(regs, st):            # popping pc: the value is the next pc
+            addr = regs[SP]
+            if DMEM_BASE <= addr < _DMEM_END and not addr & 3:
+                val = _load(st[_DMEM], addr - DMEM_BASE)[0]
+            else:
+                val = _checked_machine(st, pc, addr, AccessKind.READ).load_word(addr)
+            regs[SP] = (addr + 4) & MASK32
+            return val
+        f = pop
+        if ra == LR:
+            def f(regs, st):
+                val = pop(regs, st)
+                st[_PREV_LR] = regs[LR]
+                regs[LR] = val
+        elif ra != PC:
+            def f(regs, st):
+                regs[ra] = pop(regs, st)
+    elif op == OP_B:
+        def f(regs, st):
+            return imm
+    elif op == OP_BCOND:
+        def f(regs, st):
+            return imm if taken[st[_FLAGS]] else ret
+    elif op == OP_BL or op == OP_BLX:
+        def f(regs, st):
+            st[_PREV_LR] = regs[LR]
+            regs[LR] = ret
+            return imm if op == OP_BL else regs[ra] & MASK32
+    elif op == OP_BX_LR:
+        def f(regs, st):
+            return regs[LR]
+    elif op == OP_NSC_CALL or op == OP_HALT:
+        def f(regs, st):
+            if op == OP_NSC_CALL and st[_NS]:
+                return NSC_EXIT       # protected return; traps next cycle
+            # without a monitor attached the gateway return ends execution
+            raise _Stop(pc, Halted())
+    else:
+        def f(regs, st):
+            raise _Stop(pc, Fault(FaultKind.ILLEGAL_INSTRUCTION, pc))
+    if PC in (ra, rb) or (op in (OP_ADD_RR, OP_SUB_RR) and imm == PC):
+        inner = f
+
+        def f(regs, st):
+            regs[PC] = pc
+            return inner(regs, st)
+    return f
+
+
+def _compare(cmp: tuple[int, int, int, int], taken: tuple, target: int,
+             fall: int) -> Callable:
+    """A ``cmp`` and the ``bcond`` after it, with its condition's truth
+    table ``taken``, as one block terminator."""
+    op, ra, rb, imm = cmp
+    k = imm ^ _SIGN
+    if op == OP_CMP_RI:
+        def f(regs, st):
+            a = regs[ra] ^ _SIGN
+            st[_FLAGS] = flags = 2 if a == k else 1 if a < k else 0
+            return target if taken[flags] else fall
+    else:
+        def f(regs, st):
+            a, b = regs[ra] ^ _SIGN, regs[rb] ^ _SIGN
+            st[_FLAGS] = flags = 2 if a == b else 1 if a < b else 0
+            return target if taken[flags] else fall
+    return f
+
+
+_CONTROL = frozenset({OP_ILLEGAL, OP_B, OP_BCOND, OP_BL, OP_BLX, OP_BX_LR,
+                      OP_NSC_CALL, OP_HALT})
+_ARITH = frozenset({OP_ADD_RI, OP_SUB_RI, OP_MOV_REG})
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _decode(word: int) -> tuple[int, int, int, int]:
+    """(op, ra, rb, imm) of an instruction word; an illegal one has op 0."""
+    inst = isa.decode(word.to_bytes(INSTR_WIDTH, "big"))
+    return (OP_ILLEGAL, 0, 0, 0) if inst is None else (inst.op, inst.ra, inst.rb, inst.imm)
+
+
+def _fold(insts: list[tuple[int, int, int, int]]) -> Callable | None:
+    """One closure for a run of register arithmetic: each register it writes
+    gets its final value, an entry value plus a constant, or a constant.
+    None when the copies form a cycle."""
+    val: dict[int, tuple[int | None, int]] = {}
+    for op, ra, rb, imm in insts:
+        if op == OP_MOV_IMM:
+            val[ra] = (None, imm)
+            continue
+        src, c = val.get(rb) or (rb, 0)
+        val[ra] = (src, c if op == OP_MOV_REG else
+                   (c + imm if op == OP_ADD_RI else c - imm) & MASK32)
+    consts = tuple((d, c) for d, (s, c) in val.items() if s is None)
+    moves = {d: (s, c) for d, (s, c) in val.items() if s is not None and (s != d or c)}
+    adds = []
+    while moves:
+        # write a register once no pending move still reads its entry value
+        read = {s for d, (s, _) in moves.items() if s != d}
+        ready = [d for d in moves if d not in read]
+        if not ready:
+            return None
+        adds += [(d, *moves.pop(d)) for d in ready]
+    adds = tuple(adds)
+
+    def f(regs, st):
+        for d, s, c in adds:
+            regs[d] = (regs[s] + c) & MASK32
+        for d, c in consts:
+            regs[d] = c
+    return f
+
+
+class _Code:
+    """The closures of an image or a machine's own ``pmem``, by pc and block."""
+
+    def __init__(self, pmem: bytes | bytearray):
+        self.pmem, self.ops, self.blocks = pmem, {}, {}     # ops, blocks: by pc
+
+    def covers(self, pc: int) -> bool:
+        """Whether ``pc`` is a whole, aligned program-memory word."""
+        off = pc - PMEM_BASE
+        return 0 <= off <= len(self.pmem) - INSTR_WIDTH and not off % INSTR_WIDTH
+
+    def block(self, pc: int) -> tuple:
+        """(body, terminator returning the next pc, size, last pc, the pc
+        before it or None) of the block at ``pc``."""
+        insts, at, end = [], pc, PMEM_BASE + len(self.pmem) - INSTR_WIDTH
+        while at <= end:
+            insts.append(op := _decode(_load(self.pmem, at - PMEM_BASE)[0]))
+            at += INSTR_WIDTH
+            if op[0] in _CONTROL or op[:2] == (OP_POP, PC):
+                break
+        size, (op, ra, _, imm) = len(insts), insts[-1]
+        if op == OP_BCOND and size > 1 and insts[-2][0] in (OP_CMP_RI, OP_CMP_RR) \
+                and PC not in insts[-2][1:3]:
+            n, term = size - 2, _compare(insts[-2], _COND_TAKEN[ra], imm, at)
+        elif op in _CONTROL or (op == OP_POP and ra == PC):
+            n, term = size - 1, _translate(insts[-1], at - INSTR_WIDTH)
+        else:
+            n, term = size, lambda regs, st: at     # cut by the end of the image
+        # what folds: register arithmetic with no pc operand, no lr target
+        foldable = [(op in _ARITH and rb != PC or op == OP_MOV_IMM) and ra != PC and ra != LR
+                    for op, ra, rb, _ in insts]
+        body = []
+        for fold, run in itertools.groupby(range(n), foldable.__getitem__) if n else ():
+            run = list(run)
+            folded = fold and len(run) > 1 and _fold([insts[k] for k in run])
+            body += [folded] if folded else [_translate(insts[k], pc + k * INSTR_WIDTH)
+                                             for k in run]
+        blk = self.blocks[pc] = (tuple(body), term, size, at - INSTR_WIDTH,
+                                 at - 2 * INSTR_WIDTH if size > 1 else None)
+        return blk
+
+
+# The code of the images used last, shared by every machine loaded with one.
+_image_code = functools.lru_cache(maxsize=isa.IMAGE_CACHE_SIZE)(_Code)
 
 
 def load_program(asm_text: str) -> Machine:

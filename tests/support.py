@@ -1,8 +1,8 @@
 """Shared test machinery: reference trace oracle, structured program
 generator, a minimal gateway-service harness, the event-path reference
-for ``Prover.advance``, a per-tick reference scenario driver, and the
+for ``Prover.advance``, a per-tick reference scenario driver, the
 per-destination log decoder and walker the auditor used before it walked
-log runs.
+log runs, and the opcode chain the machine ran before it ran closures.
 
 The oracle runs the ORIGINAL (uninstrumented) program and predicts the raw
 dynamic destination sequence the instrumented twin must log, expressed in
@@ -29,7 +29,14 @@ from cfaudit.supervisor import Prover, ProverConfig, ProverState, service_gatewa
 from cfaudit.verifier import (V_EDGE, V_ICALL, V_MALFORMED, V_SHADOW, _SHADOW_LIMIT,
                               Cfg, Verifier, VerifierConfig, Violation)
 from cfaudit import scenario, verifier, vm
-from cfaudit.vm import Machine, World
+from cfaudit.isa import (
+    LR, PC, SP, OP_ADD_RI, OP_ADD_RR, OP_B, OP_BCOND, OP_BL, OP_BLX, OP_BX_LR,
+    OP_CMP_RI, OP_CMP_RR, OP_HALT, OP_LDR, OP_MOV_IMM, OP_MOV_REG, OP_NSC_CALL,
+    OP_POP, OP_PUSH, OP_STR, OP_SUB_RI, OP_SUB_RR,
+)
+from cfaudit.vm import (_COND_TAKEN, _DMEM_END, _GATEWAY_ENTRIES, _SIGN, _UNBOUNDED,
+                        MASK32, AccessKind, Event, Fault, FaultKind, Halted, Machine,
+                        NscEntry, NscSnapshot, TimerTrigger, World, _load, _store)
 
 SCRATCH_BASE = DMEM_BASE + 4096
 
@@ -416,10 +423,10 @@ def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
 
 
 def clear_image_caches() -> None:
-    """Forget every program's shared rewrite, graph and predecoded words."""
+    """Forget every program's shared rewrite, graph and code."""
     scenario._rewrite.cache_clear()
     verifier._golden_cfg.cache_clear()
-    vm._predecoded.cache_clear()
+    vm._image_code.cache_clear()
 
 
 # --- per-tick reference scenario driver -------------------------------------
@@ -708,3 +715,257 @@ class ReferenceWalker:
     def _take(self) -> int:
         self.pos += 1
         return self.stream[self.pos - 1]
+
+
+# --- reference machine ------------------------------------------------------
+
+class ReferenceMachine(Machine):
+    """The machine as it ran before its code became closures: ``run`` is
+    the opcode chain over per-word predecoded tuples, kept verbatim as the
+    oracle the closures are checked against. Flags and the previous lr are
+    plain attributes here."""
+
+    flag_z = flag_n = False
+    prev_lr = 0
+
+    def __init__(self, pmem: bytes):
+        super().__init__(pmem)
+        self._decode_cache = _predecoded(bytes(pmem))
+
+    def reset(self) -> None:
+        super().reset()
+        self.flag_z = self.flag_n = False
+        self.prev_lr = 0
+
+    def store_word(self, addr: int, value: int) -> None:
+        super().store_word(addr, value)
+        self._decode_cache.pop(addr, None)
+
+    def write_pmem(self, addr: int, data: bytes) -> None:
+        super().write_pmem(addr, data)
+        self._decode_cache.clear()
+
+    def _predecode_at(self, pc: int) -> tuple | Fault:
+        """Fetch the word at ``pc`` for execution in the current world.
+        Program-memory words are kept in the predecoded table."""
+        if pc % INSTR_WIDTH:
+            return Fault(FaultKind.UNALIGNED, pc)
+        fk = self._checked(pc, AccessKind.EXECUTE)
+        if fk is not None:
+            return Fault(fk, pc)
+        store, off, _ = self._decode_addr(pc)
+        inst = _predecode(bytes(store[off:off + INSTR_WIDTH]))
+        if store is self.pmem:
+            self._decode_cache[pc] = inst
+        return inst
+
+    def run(self, limit: int | None = None,
+            gateway=None,
+            ) -> tuple[int, Event | None]:
+        limit = _UNBOUNDED if limit is None else limit
+        if limit <= 0:
+            return 0, None
+        if self.halted:
+            self.cycle_count += 1
+            return 0, Halted()
+
+        regs = self.regs
+        ns = self.world is World.NONSECURE
+        timer = self.timer
+        counting = ns and timer.active and not timer.paused
+        budget = limit
+        if counting and timer.delta - timer.elapsed < limit:
+            budget = timer.delta - timer.elapsed     # the deadline ends the block
+        fetch = self._decode_cache.get
+        # dmem is read/write in both worlds, so its accesses are never checked
+        dmem, dmem_lo, dmem_hi = self.dmem, DMEM_BASE, _DMEM_END
+        pc = regs[PC]
+        last, prev, prev_lr = self.last_exec_pc, self.prev_exec_pc, self.prev_lr
+        flags = (self.flag_z << 1) | self.flag_n
+        n = 0
+        served = 0
+        halt_counted = 0
+        ev: Event | None = None
+
+        while n < budget:
+            inst = fetch(pc)
+            if inst is None:
+                if ns and pc in _GATEWAY_ENTRIES:
+                    if gateway is not None and pc != NSC_EXIT:
+                        resume = gateway(pc, last, prev, prev_lr)
+                        if resume is not None:
+                            # one cycle of the limit, not of the deadline
+                            pc = resume
+                            served += 1
+                            limit -= 1
+                            budget = min(budget, limit)
+                            continue
+                    regs[PC] = pc
+                    self.world = World.SECURE
+                    ev = NscEntry(pc, NscSnapshot(tuple(regs), last, prev, prev_lr))
+                    break
+                inst = self._predecode_at(pc)
+                if inst.__class__ is Fault:
+                    ev = inst
+                    break
+            op, ra, rb, imm = inst
+            regs[PC] = pc
+            nxt = pc + INSTR_WIDTH
+
+            if op == OP_ADD_RI:
+                regs[ra] = (regs[rb] + imm) & MASK32
+            elif op == OP_CMP_RI:
+                a = regs[ra] ^ _SIGN          # imm is predecoded the same way
+                flags = 2 if a == imm else 1 if a < imm else 0
+            elif op == OP_BCOND:
+                if ra[flags]:                 # ra is the condition's truth table
+                    nxt = imm
+            elif op == OP_MOV_IMM:
+                if ra == LR:
+                    prev_lr = regs[LR]
+                regs[ra] = imm
+            elif op == OP_B:
+                nxt = imm
+            elif op == OP_CMP_RR:
+                a, b = regs[ra] ^ _SIGN, regs[rb] ^ _SIGN
+                flags = 2 if a == b else 1 if a < b else 0
+            elif op == OP_BL:
+                prev_lr = regs[LR]
+                regs[LR] = nxt
+                nxt = imm
+            elif op == OP_LDR:
+                addr = (regs[rb] + imm) & MASK32
+                if addr % 4:
+                    ev = Fault(FaultKind.UNALIGNED, addr)
+                    break
+                if dmem_lo <= addr < dmem_hi:
+                    regs[ra] = _load(dmem, addr - dmem_lo)[0]
+                else:
+                    fk = self._checked(addr, AccessKind.READ)
+                    if fk is not None:
+                        ev = Fault(fk, addr)
+                        break
+                    regs[ra] = self.load_word(addr)
+            elif op == OP_STR:
+                addr = (regs[rb] + imm) & MASK32
+                if addr % 4:
+                    ev = Fault(FaultKind.UNALIGNED, addr)
+                    break
+                if dmem_lo <= addr < dmem_hi:
+                    _store(dmem, addr - dmem_lo, regs[ra] & MASK32)
+                else:
+                    fk = self._checked(addr, AccessKind.WRITE)
+                    if fk is not None:
+                        ev = Fault(fk, addr)
+                        break
+                    self.store_word(addr, regs[ra])
+            elif op == OP_SUB_RI:
+                regs[ra] = (regs[rb] - imm) & MASK32
+            elif op == OP_ADD_RR:
+                regs[ra] = (regs[rb] + regs[imm]) & MASK32
+            elif op == OP_SUB_RR:
+                regs[ra] = (regs[rb] - regs[imm]) & MASK32
+            elif op == OP_MOV_REG:
+                if ra == LR:
+                    prev_lr = regs[LR]
+                    regs[LR] = regs[rb] & MASK32
+                else:
+                    regs[ra] = regs[rb]
+            elif op == OP_PUSH:
+                addr = (regs[SP] - 4) & MASK32
+                if addr % 4:
+                    ev = Fault(FaultKind.UNALIGNED, addr)
+                    break
+                if dmem_lo <= addr < dmem_hi:
+                    regs[SP] = addr
+                    _store(dmem, addr - dmem_lo, regs[ra] & MASK32)
+                else:
+                    fk = self._checked(addr, AccessKind.WRITE)
+                    if fk is not None:
+                        ev = Fault(fk, addr)
+                        break
+                    regs[SP] = addr
+                    self.store_word(addr, regs[ra])
+            elif op == OP_POP:
+                addr = regs[SP]
+                if addr % 4:
+                    ev = Fault(FaultKind.UNALIGNED, addr)
+                    break
+                if dmem_lo <= addr < dmem_hi:
+                    val = _load(dmem, addr - dmem_lo)[0]
+                else:
+                    fk = self._checked(addr, AccessKind.READ)
+                    if fk is not None:
+                        ev = Fault(fk, addr)
+                        break
+                    val = self.load_word(addr)
+                regs[SP] = (addr + 4) & MASK32
+                if ra == PC:
+                    nxt = val
+                elif ra == LR:
+                    prev_lr = regs[LR]
+                    regs[LR] = val
+                else:
+                    regs[ra] = val
+            elif op == OP_BX_LR:
+                nxt = regs[LR]
+            elif op == OP_BLX:
+                prev_lr = regs[LR]
+                regs[LR] = nxt
+                nxt = regs[ra] & MASK32
+            elif op == OP_NSC_CALL and ns:
+                nxt = NSC_EXIT                # protected return; traps next cycle
+            elif op == OP_NSC_CALL or op == OP_HALT:
+                # without a monitor attached the gateway return ends execution
+                prev, last = last, pc
+                self.halted = True
+                halt_counted = 1
+                ev = Halted()
+                break
+            else:
+                ev = Fault(FaultKind.ILLEGAL_INSTRUCTION, pc)
+                break
+
+            prev, last = last, pc
+            pc = nxt
+            n += 1
+        else:
+            if budget < limit:
+                # deadline wins before the next instruction executes
+                self.world = World.SECURE
+                ev = TimerTrigger()
+
+        regs[PC] = pc
+        self.last_exec_pc, self.prev_exec_pc, self.prev_lr = last, prev, prev_lr
+        self.flag_z, self.flag_n = bool(flags & 2), bool(flags & 1)
+        if counting:
+            timer.elapsed += n + halt_counted
+        self.cycle_count += n + served if ev is None else n + served + 1
+        return n, ev
+
+
+def _predecoded(image: bytes) -> dict[int, tuple]:
+    """Every whole word of ``image`` predecoded, by address."""
+    return {PMEM_BASE + off: _predecode(image[off:off + INSTR_WIDTH])
+            for off in range(0, len(image) - INSTR_WIDTH + 1, INSTR_WIDTH)}
+
+
+def _predecode(word: bytes) -> tuple:
+    """(op, ra, rb, imm) for the interpreter; a conditional branch carries
+    its truth table as ra and a compare its immediate with the sign flipped."""
+    inst = isa.decode(word)
+    if inst is None:
+        return (isa.OP_ILLEGAL, 0, 0, 0)
+    if inst.op == OP_BCOND:
+        return (OP_BCOND, _COND_TAKEN[inst.ra], 0, inst.imm)
+    if inst.op == OP_CMP_RI:
+        return (OP_CMP_RI, inst.ra, 0, inst.imm ^ _SIGN)
+    return (inst.op, inst.ra, inst.rb, inst.imm)
+
+
+def load_reference(asm_text: str) -> ReferenceMachine:
+    """``vm.load_program`` on the reference machine."""
+    prog = isa.assemble(asm_text)
+    m = ReferenceMachine(prog.image)
+    m.pc = prog.entry
+    return m

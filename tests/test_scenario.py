@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cfaudit import isa, scenario, verifier
+from cfaudit import isa, scenario, verifier, vm
 from cfaudit.cli import WINDOW_MAX_TICKS
 from cfaudit.context import (AuditContext, F_REMEDIATION, POLICY_DISABLE,
                              POLICY_FREEZE)
@@ -434,12 +434,19 @@ def test_sessions_of_one_program_build_its_image_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
+    built = []
+
+    def block(code, pc, _fn=vm._Code.block):
+        built.append(pc)
+        return _fn(code, pc)
+    monkeypatch.setattr(vm._Code, "block", block)
     clear_image_caches()
     programs = [f"main:\n    mov r0, #{i}\n    nsc_call\n"
                 for i in range(isa.IMAGE_CACHE_SIZE + 1)]
     spec = ScenarioSpec(name="p0", asm_text=programs[0])
     assert run(spec) == run(spec)
     assert calls == {"instrument": 1, "build_cfg": 1, "assemble": 1}
+    assert built and len(built) == len(set(built))   # each block built once
     # the caches are bounded: the least recently used program is rebuilt
     for text in programs[1:]:
         run(ScenarioSpec(name="p", asm_text=text))

@@ -1,19 +1,27 @@
-"""Machine-model unit tests: worlds, permissions, faults, timer, gateway window."""
+"""Machine-model unit tests: worlds, permissions, faults, timer, gateway
+window, and the closures checked against the opcode chain they replaced."""
 
+import gc
 import hashlib
 import random
+import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cfaudit import isa, vm
+from cfaudit import isa, scenario, vm
 from cfaudit.cfa_engine import CfLog
+from cfaudit.context import POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE
 from cfaudit.instrument import instrument
 from cfaudit.isa import DMEM_BASE, NSC_EXIT, PMEM_BASE, STACK_TOP, TRAMP_COND
 from cfaudit.vm import (AccessKind, Fault, FaultKind, Halted, Machine, NscEntry,
                         TimerTrigger, World, WorldViolation, Executed,
                         load_program)
 
-from support import generate_program, load_input, service_event
+from support import (ReferenceMachine, clear_image_caches, generate_program, load_input,
+                     load_reference, service_event)
 
 
 def run_until(m, cls, limit=10_000):
@@ -392,6 +400,13 @@ def test_write_pmem_refreshes_decode_cache():
 def test_machines_of_one_image_keep_their_own_predecoded_words():
     prog = isa.assemble("main:\n mov r0, #7\n mov r1, #9\n halt\n")
     a, b = Machine(prog.image), Machine(prog.image)
+    shared = b._code
+    assert a._code is shared and shared is vm._image_code(prog.image)
+    probe = Machine(prog.image)                 # builds the image's block
+    probe.pc = prog.entry
+    assert probe.run() == (2, Halted())
+    built = dict(shared.blocks)
+    assert built
     halt_word = isa.Instruction(isa.OP_HALT, 0, 0, 0).encode()
     a.write_pmem(PMEM_BASE, halt_word)
     a.store_word(PMEM_BASE + 4, int.from_bytes(halt_word, "big"))
@@ -399,11 +414,14 @@ def test_machines_of_one_image_keep_their_own_predecoded_words():
         a.reset()
         a.pc = pc
         assert isinstance(a.step(), Halted)
+    assert a._code is not shared
+    assert b._code is shared and shared.blocks == built   # b's blocks stay in place
     for m in (b, Machine(prog.image)):        # an old and a new twin
         m.pc = prog.entry
         assert isinstance(m.step(), Executed) and isinstance(m.step(), Executed)
         assert (m.regs[0], m.regs[1]) == (7, 9)
         assert isinstance(m.step(), Halted)
+    assert b._code is shared and all(shared.blocks[pc] is blk for pc, blk in built.items())
 
 
 def test_push_pop_pair():
@@ -434,8 +452,7 @@ def test_stack_underrun_into_unmapped_faults():
 
 def test_illegal_instruction_fault():
     m = load_program("main:\n halt\n")
-    m.pmem[0:4] = b"\xee\x00\x00\x00"
-    m._decode_cache.clear()
+    m.write_pmem(PMEM_BASE, b"\xee\x00\x00\x00")
     ev = m.step()
     assert isinstance(ev, Fault)
     assert ev.kind is FaultKind.ILLEGAL_INSTRUCTION
@@ -463,34 +480,45 @@ def resume_after(m, ev, log):
 
 
 def assert_blocks_match_steps(make, limit, max_cycles=50_000):
-    """Run one machine in blocks of ``limit`` and a twin one step at a time;
-    after every block both must hold the same event and the same state.
-    Returns the events, up to the end of the run or ``max_cycles``."""
-    stepped, batched = make(), make()
-    logs = CfLog(capacity=1 << 20), CfLog(capacity=1 << 20)
+    """Run one machine in blocks of ``limit``, a twin one step at a time
+    and the reference machine in blocks of ``limit``; after every block
+    all three must hold the same event and the same state. ``make(cls)``
+    builds a machine of class ``cls``. Returns the events, up to the end
+    of the run or ``max_cycles``."""
+    stepped, batched, ref = make(Machine), make(Machine), make(ReferenceMachine)
+    logs = [CfLog(capacity=1 << 20) for _ in range(3)]
     events = []
     while batched.cycle_count < max_cycles:
         n, ev = batched.run(limit)
+        assert ref.run(limit) == (n, ev)
         for _ in range(n):
             assert stepped.step() == Executed(stepped.last_exec_pc)
         if ev is not None:
             assert stepped.step() == ev
             events.append(ev)
-        assert machine_state(stepped) == machine_state(batched)
+        assert machine_state(stepped) == machine_state(batched) == machine_state(ref)
+        assert stepped.dmem == batched.dmem == ref.dmem
+        assert stepped.pmem == batched.pmem == ref.pmem
         if ev is not None:
             go_on = resume_after(stepped, ev, logs[0])
             assert resume_after(batched, ev, logs[1]) == go_on
+            assert resume_after(ref, ev, logs[2]) == go_on
             if not go_on:
                 break
     return events
+
+
+def load_as(cls, asm):
+    """``load_program`` for a machine of class ``cls``."""
+    return load_program(asm) if cls is Machine else load_reference(asm)
 
 
 def deployed(asm, words, delta=None):
     asm2, _ = instrument(asm)
     prog2 = isa.assemble(asm2)
 
-    def make():
-        m = Machine(prog2.image)
+    def make(cls):
+        m = cls(prog2.image)
         load_input(m, words)
         m.lock_pmem()
         if delta is not None:
@@ -526,8 +554,8 @@ def test_run_matches_step_on_corrupted_images(limit):
         delta = rng.randint(5, 500)
         entry = PMEM_BASE + 4 * rng.randrange(len(image) // 4)
 
-        def make():
-            m = Machine(bytes(image))
+        def make(cls):
+            m = cls(bytes(image))
             load_input(m, words)
             m.lock_pmem()
             m.timer.arm(delta)
@@ -572,8 +600,8 @@ def test_pmem_store_invalidates_the_predecoded_word(limit):
     # unlocked pmem: the app overwrites an instruction it already ran
     patched = int.from_bytes(isa.Instruction(isa.OP_MOV_IMM, 0, 0, 2).encode(), "big")
 
-    def make():
-        m = load_program(SELF_PATCH)
+    def make(cls):
+        m = load_as(cls, SELF_PATCH)
         load_input(m, [patched])
         m.enter_nonsecure(m.pc)
         return m
@@ -591,8 +619,8 @@ def test_fetch_from_dmem(limit):
     asm = "main:\n mov r4, #dmem_base\n blx r4\n nsc_call\n"
 
     def make(world):
-        def build():
-            m = load_program(asm)
+        def build(cls):
+            m = load_as(cls, asm)
             load_input(m, words)
             if world is World.NONSECURE:
                 m.enter_nonsecure(m.pc)
@@ -667,3 +695,208 @@ def test_memory_map_through_the_interpreter(world, locked, target, access):
         assert ev == Halted()
     else:
         assert isinstance(ev, NscEntry) and ev.addr == NSC_EXIT
+
+
+# --- the closures against the reference opcode chain --------------------------
+
+I = isa.Instruction
+DATA_REGS = list(range(13))
+REG = st.sampled_from(DATA_REGS)
+OPERAND = st.sampled_from(DATA_REGS + [isa.LR, isa.PC])
+IMM = st.one_of(st.integers(0, 9), st.integers(0, 0xFFFF))
+OFFSET = st.sampled_from([0, 1, 2, 4, 8, 64, 0x7FFC, 0xFFFF])
+REG_VALUE = st.one_of(
+    st.sampled_from([DMEM_BASE + 64, DMEM_BASE + 66, STACK_TOP - 8, MATRIX_UNMAPPED,
+                     isa.SECURE_BASE, isa.RETAINED_BASE]),
+    st.integers(0, 12).map(lambda k: PMEM_BASE + 4 * k),
+    st.integers(0, vm.MASK32))
+CONTROL = frozenset({isa.OP_B, isa.OP_BCOND, isa.OP_BL, isa.OP_BLX, isa.OP_BX_LR,
+                     isa.OP_NSC_CALL, isa.OP_HALT})
+
+# each piece is a function of the program's length in words, so branch
+# targets can land anywhere in it, just past its end, or on a gateway entry
+ARITH = st.one_of(
+    st.builds(lambda d, s, i: lambda n: [I(isa.OP_ADD_RI, d, s, i)], OPERAND, OPERAND, IMM),
+    st.builds(lambda d, s, i: lambda n: [I(isa.OP_SUB_RI, d, s, i)], OPERAND, OPERAND, IMM),
+    st.builds(lambda d, i: lambda n: [I(isa.OP_MOV_IMM, d, 0, i)], OPERAND, IMM),
+    st.builds(lambda d, s: lambda n: [I(isa.OP_MOV_REG, d, s)], OPERAND, OPERAND),
+    st.builds(lambda d: lambda n: [I(isa.OP_MOV_REG, d, d)], REG),
+    st.builds(lambda a, b, t: lambda n: [I(isa.OP_MOV_REG, t, a), I(isa.OP_MOV_REG, a, b),
+                                         I(isa.OP_MOV_REG, b, t)], REG, REG, REG),
+    st.builds(lambda d, s, t: lambda n: [I(isa.OP_ADD_RR, d, s, t)], OPERAND, OPERAND, OPERAND),
+    st.builds(lambda d, s, t: lambda n: [I(isa.OP_SUB_RR, d, s, t)], OPERAND, OPERAND, OPERAND),
+)
+OTHER = st.one_of(
+    st.builds(lambda r, b, o: lambda n: [I(isa.OP_LDR, r, b, o)], OPERAND, OPERAND, OFFSET),
+    st.builds(lambda r, b, o: lambda n: [I(isa.OP_STR, r, b, o)], OPERAND, OPERAND, OFFSET),
+    st.builds(lambda r: lambda n: [I(isa.OP_PUSH, r)], OPERAND),
+    st.builds(lambda r: lambda n: [I(isa.OP_POP, r)], st.sampled_from(DATA_REGS + [isa.LR])),
+    st.builds(lambda a, i: lambda n: [I(isa.OP_CMP_RI, a, 0, i)], OPERAND, IMM),
+    st.builds(lambda a, b: lambda n: [I(isa.OP_CMP_RR, a, b)], OPERAND, OPERAND),
+)
+
+
+def _target(x, n):
+    return TRAMP_COND if x < 0 else PMEM_BASE + 4 * (x % (n + 1))
+
+
+TARGET = st.integers(-1, 1000)
+ENDING = st.one_of(
+    st.builds(lambda t: lambda n: [I(isa.OP_B, 0, 0, _target(t, n))], TARGET),
+    st.builds(lambda c, t: lambda n: [I(isa.OP_BCOND, c, 0, _target(t, n))],
+              st.sampled_from(range(6)), TARGET),
+    st.builds(lambda a, i, c, t: lambda n: [I(isa.OP_CMP_RI, a, 0, i),
+                                            I(isa.OP_BCOND, c, 0, _target(t, n))],
+              OPERAND, IMM, st.sampled_from(range(6)), TARGET),
+    st.builds(lambda t: lambda n: [I(isa.OP_BL, 0, 0, _target(t, n))], TARGET),
+    st.builds(lambda r: lambda n: [I(isa.OP_BLX, r)], OPERAND),
+    st.just(lambda n: [I(isa.OP_BX_LR)]),
+    st.just(lambda n: [I(isa.OP_POP, isa.PC)]),
+    st.just(lambda n: [I(isa.OP_NSC_CALL)]),
+    st.just(lambda n: [I(isa.OP_HALT)]),
+    st.just(lambda n: [I(0xEE)]),                    # an illegal word
+    st.just(lambda n: []),
+)
+CHUNK = st.tuples(st.lists(ARITH, max_size=6), st.lists(OTHER, max_size=2), ENDING)
+
+
+def build_image(chunks):
+    pieces = [p for arith, other, end in chunks for p in arith + other + [end]]
+    n = sum(len(p(0)) for p in pieces)
+    return b"".join(i.encode() for p in pieces for i in p(n))
+
+
+def first_block_length(image):
+    for k in range(len(image) // 4):
+        inst = isa.decode(image[4 * k:4 * k + 4])
+        if inst is None or inst.op in CONTROL or (inst.op == isa.OP_POP and inst.ra == isa.PC):
+            return k + 1
+    return len(image) // 4
+
+
+def full_state(m):
+    return machine_state(m), bytes(m.dmem), bytes(m.pmem)
+
+
+class BoundedGateway:
+    """Resumes at lr, for at most a few entries, so no run loops on
+    gateway entries alone."""
+
+    def __init__(self, m):
+        self.m, self.left = m, 8
+
+    def __call__(self, addr, caller_pc, pre_caller_pc, prev_lr):
+        self.left -= 1
+        return self.m.regs[isa.LR] if self.left >= 0 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunks=st.lists(CHUNK, min_size=1, max_size=5),
+       regs=st.lists(REG_VALUE, min_size=13, max_size=13),
+       world=st.sampled_from(["ns_locked", "ns", "secure"]),
+       delta=st.integers(1, 60), served=st.booleans())
+def test_closures_match_the_reference_chain(chunks, regs, world, delta, served):
+    image = build_image(chunks)
+
+    def make(cls):
+        m = cls(image)
+        m.regs[:13] = regs
+        if world == "ns_locked":
+            m.lock_pmem()
+        if world != "secure":
+            m.timer.arm(delta)
+            m.enter_nonsecure(PMEM_BASE)
+        return m
+
+    def run(m, limit):
+        return m.run(limit, BoundedGateway(m) if served else None)
+
+    # the watchdog ends a Non-Secure run; the Secure World needs a limit
+    whole = None if world != "secure" else 400
+    a, b = make(Machine), make(ReferenceMachine)
+    assert run(a, whole) == run(b, whole)
+    assert full_state(a) == full_state(b)
+    for k in range(1, first_block_length(image) + 1):
+        a, b = make(Machine), make(ReferenceMachine)
+        assert run(a, k) == run(b, k)
+        assert full_state(a) == full_state(b)
+        # the rest of the run, in the world the first part left
+        assert run(a, 400) == run(b, 400)
+        assert full_state(a) == full_state(b)
+    a, b = make(Machine), make(ReferenceMachine)
+    for _ in range(300):
+        ev = a.step()
+        assert ev == b.step()
+        assert full_state(a) == full_state(b)
+        if not isinstance(ev, Executed):
+            break
+
+
+LONG_BLOCK = """
+main:
+    mov r7, #dmem_base
+    mov r0, #0
+loop:
+    add r0, r0, #1
+    mov r1, r0
+    sub r2, r1, #3
+    ldr r3, [r7]
+    add r3, r3, r2
+    str r3, [r7, #4]
+    mov r4, r3
+    add r5, r5, #2
+    cmp r0, #30
+    blt loop
+    nsc_call
+"""
+
+
+@pytest.mark.parametrize("limit", [1, 5, UNBOUNDED])
+def test_a_deadline_at_every_offset_of_a_block(limit):
+    for delta in range(1, 15):
+        def make(cls):
+            m = load_as(cls, LONG_BLOCK)
+            m.timer.arm(delta)
+            m.enter_nonsecure(m.pc)
+            return m
+        events = assert_blocks_match_steps(make, limit)
+        assert TimerTrigger() in events
+        assert events[-1].addr == NSC_EXIT
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("policy", [POLICY_WIPE, POLICY_FREEZE, POLICY_DISABLE],
+                         ids=["wipe", "freeze", "disable"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")))
+def test_sessions_run_alike_on_the_reference_machine(monkeypatch, name, policy):
+    # bundled sessions with their program-memory writes: a flipped bit,
+    # the heal of each policy, and power cuts
+    spec = scenario.parse_scenario(SCENARIO_DIR / f"{name}.scn")
+    spec = replace(spec, policy=policy, max_ticks=min(spec.max_ticks, 20_000))
+    clear_image_caches()
+    expected = scenario.run(spec)
+    if name in ("image_tamper", "overflow_hijack"):
+        assert expected.heal_issued
+    monkeypatch.setattr(scenario, "Machine", ReferenceMachine)
+    assert scenario.run(spec) == expected
+
+
+def test_a_machine_is_freed_by_reference_counting_alone():
+    patched = int.from_bytes(isa.Instruction(isa.OP_MOV_IMM, 0, 0, 2).encode(), "big")
+    gc.disable()
+    try:
+        for asm, words, handler in ((SELF_PATCH, [patched], False),
+                                    (GATEWAY_CALL, [], True),
+                                    ("main:\n mov r1, #0\n ldr r0, [r1]\n", [], False)):
+            m = load_program(asm)
+            load_input(m, words)
+            m.enter_nonsecure(m.pc)
+            ends = m.run(None, CountingGateway(m) if handler else None)[1]
+            assert isinstance(ends, (NscEntry, Halted, Fault))
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+    finally:
+        gc.enable()

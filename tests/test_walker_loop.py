@@ -397,3 +397,23 @@ def test_a_long_benign_walk_holds_no_memory_per_destination():
         tracemalloc.stop()
     assert w.done and w.violation is None and w.pos == len(dests)
     assert after - before < 64 * 1024
+
+
+# --- steps -----------------------------------------------------------------------
+
+def test_a_hop_is_counted_once_however_the_log_is_sliced():
+    # a walk paused for the next slice takes its hop again when the slice
+    # arrives; the hop counts once, on the walk that reads
+    asm2, _ = instrument((PROGRAM_DIR / "window_dense.asm").read_text())
+    run = support.run_instrumented(asm2)
+    dests = reference_decompress(run.log.to_bytes())
+    cfg = build_cfg(asm2)
+    steps = {}
+    for parts in (1, 2, 500):
+        cuts = [len(dests) * k // parts for k in range(parts + 1)]
+        w = Walker(cfg)
+        for a, b in zip(cuts, cuts[1:]):
+            w.feed(cfa_engine.runs(pack(dests[a:b])))
+        assert w.done and w.violation is None
+        steps[parts] = w.steps
+    assert steps[1] == steps[2] == steps[500] == len(dests)
