@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -43,7 +43,6 @@ class Channel:
 
     def __init__(self, config: ChannelConfig, label: str = ""):
         self.config = config
-        self.label = label
         self.rng = random.Random(f"{config.seed}:{label}")
         self.stats = ChannelStats()
         self._heap: list[tuple[int, int, bytes]] = []
@@ -87,8 +86,7 @@ class Link:
 
     to_device: Channel
     to_verifier: Channel
-    config: ChannelConfig = field(repr=False, default_factory=ChannelConfig)
 
     @classmethod
     def create(cls, config: ChannelConfig) -> "Link":
-        return cls(Channel(config, "to_device"), Channel(config, "to_verifier"), config)
+        return cls(Channel(config, "to_device"), Channel(config, "to_verifier"))

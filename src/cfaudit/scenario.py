@@ -72,7 +72,7 @@ _KNOWN_KEYS = {
                  "app_id", "resend_interval"},
     "channel": {"loss", "duplicate", "delay_min", "delay_max", "seed"},
     "input": {"words"},
-    "attack": {"pmem_flip", "pmem_flip_mask", "reset_at"},
+    "attack": {"pmem_flip", "reset_at"},
     "verifier": {"heal_on_mac_mismatch", "resend_interval", "initial_chal"},
     "expect": {"verdict", "violation", "violation_index", "device_state",
                "pmem_zeroed", "heal_issued", "min_retransmissions",
@@ -97,7 +97,6 @@ class ScenarioSpec:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     input_tokens: tuple[str, ...] = ()
     pmem_flip: int | None = None
-    pmem_flip_mask: int = 0x01
     reset_at: int | None = None
     heal_on_mac_mismatch: bool = True
     verifier_resend: int = 1000
@@ -163,7 +162,6 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
         input_tokens=tuple(cp["input"].get("words", "").split())
         if "input" in cp else (),
         pmem_flip=int(at["pmem_flip"], 0) if "pmem_flip" in at else None,
-        pmem_flip_mask=int(str(at.get("pmem_flip_mask", "1")), 0),
         reset_at=int(at["reset_at"]) if "reset_at" in at else None,
         heal_on_mac_mismatch=str(vf.get("heal_on_mac_mismatch", "true")).lower()
         in ("1", "true", "yes", "on"),
@@ -302,7 +300,7 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
     if spec.pmem_flip is not None:
         if not 0 <= spec.pmem_flip < len(machine.pmem):
             raise ScenarioError("pmem_flip offset outside the image")
-        flipped = machine.pmem[spec.pmem_flip] ^ spec.pmem_flip_mask
+        flipped = machine.pmem[spec.pmem_flip] ^ 0x01
         machine.write_pmem(isa.PMEM_BASE + spec.pmem_flip, bytes([flipped]))
 
     link = Link.create(spec.channel)
@@ -325,7 +323,7 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
         if spec.reset_at is not None and now == spec.reset_at and not did_reset:
             busy = did_reset = True
             ns_at_reset = prover.metrics.total_ns
-            seen_at_reset = len(vrf.slices) + vrf.duplicates
+            seen_at_reset = vrf.audited + vrf.duplicates
             machine.reset()
             for msg in prover.boot():
                 link.to_verifier.send(now, msg)
@@ -351,7 +349,7 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
                 verdicts.append(wire.RESULT_NAMES[wire.Response.parse(out).result])
                 link.to_device.send(now, out)
             if did_reset and post_reset_ns is None \
-                    and len(vrf.slices) + vrf.duplicates > seen_at_reset:
+                    and vrf.audited + vrf.duplicates > seen_at_reset:
                 post_reset_ns = prover.metrics.total_ns - ns_at_reset
         for out in vrf.tick(now):
             link.to_device.send(now, out)
@@ -362,11 +360,10 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
             settled = True
             break
         if prover.state is ProverState.WAITING \
-                and (vrf.session_over or vrf.first_report_seen):
+                and (vrf.session_over or vrf.audited):
             settled = True
             break
 
-    last = vrf.slices[-1] if vrf.slices else None
     result = ScenarioResult(
         name=spec.name,
         settled=settled,
@@ -378,14 +375,14 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
         violation_index=vrf.violation.index if vrf.violation else None,
         device_state=prover.state.value,
         pmem_zeroed=not any(machine.pmem),
-        slices_audited=len(vrf.slices),
+        slices_audited=vrf.audited,
         device_slices=prover.metrics.slices_sent,
-        log_bytes=sum(s.size for s in vrf.slices),
+        log_bytes=vrf.log_bytes,
         destinations_seen=vrf.destinations_seen,
         duplicates=vrf.duplicates,
         rejected=vrf.rejected,
         reports_transmitted=prover.metrics.report_sends,
-        reports_received=len(vrf.slices) + vrf.duplicates + vrf.rejected,
+        reports_received=vrf.audited + vrf.duplicates + vrf.rejected,
         retransmissions=prover.metrics.retransmissions,
         remnant_reports=prover.metrics.remnant_reports,
         triggers=dict(prover.metrics.triggers),
@@ -394,7 +391,7 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
         post_heal_ns=None if ns_at_heal is None
         else prover.metrics.total_ns - ns_at_heal,
         post_reset_ns=post_reset_ns,
-        final_digest=last.digest.hex() if last else "",
+        final_digest=vrf.last_digest.hex(),
         channel_stats={
             "to_device": vars(link.to_device.stats).copy(),
             "to_verifier": vars(link.to_verifier.stats).copy()},

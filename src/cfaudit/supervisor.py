@@ -4,8 +4,10 @@ and the device-side attestation state machine.
 The supervisor owns everything the app must not touch: the audit log in
 retained memory, the watchdog timer, report generation, and the response
 handling that gates further execution. Every logged transfer goes through
-``service_gateway``, which logs the destination and names the pc the app
-resumes at, inside ``Machine.run``'s block unless the log is full.
+one function, ``service_gateway``, which logs the destination and names the
+pc the app resumes at. It has two callers, and both read the gateway state
+from the parked core: ``Machine.run``'s block, through the prover's handler,
+and the replay of an entry the full log refused, once the next slice starts.
 
 Report cadence has three causes, all funneled through one path:
 
@@ -29,7 +31,7 @@ from .context import (AuditContext, F_FINAL, F_FROZEN, F_REMEDIATION,
                       F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, POLICY_WIPE,
                       field_writer)
 from .resolver import Resolver
-from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger, World
+from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger
 
 # --- gateway service -------------------------------------------------------
 
@@ -124,7 +126,7 @@ class Prover:
         self.ns_since_trigger = 0
         self.current_report: bytes | None = None
         self._resend_clock = 0
-        self._stalled: NscEntry | None = None     # what a full log refused
+        self._stalled = False      # the full log refused the entry the core is at
         self._resolver: Resolver | None = None
         self._post_heal = False
         self.max_chal_seen = 0
@@ -175,7 +177,7 @@ class Prover:
     def boot(self) -> list[bytes]:
         """Cold or warm start. An interrupted session found in retained
         memory produces its evidence before the app could ever run again."""
-        self._stalled = None
+        self._stalled = False
         self.current_report = None
         ctx = AuditContext.load(self.m.retained_mem)
         if ctx is None or not ctx.flag(F_VALID):
@@ -225,8 +227,7 @@ class Prover:
         if self.state is ProverState.WAITING and req.chal > self.max_chal_seen:
             self.max_chal_seen = req.chal
             return self._setup_app(req)
-        if req.chal == self.ctx.chal and self.state is ProverState.TRANSMIT_WAIT \
-                and self.current_report is not None:
+        if req.chal == self.ctx.chal and self.state is ProverState.TRANSMIT_WAIT:
             self.metrics.retransmissions += 1
             self.metrics.report_sends += 1
             return [self.current_report]
@@ -293,17 +294,19 @@ class Prover:
         self.ctx.log_size = 0
         self._persist()
         self.current_report = None
-        stalled, self._stalled = self._stalled, None
-        if stalled is not None:
-            out = self._service(stalled)
-            if out:
-                return out
-        if self.m.world is World.SECURE:
-            # deadline stall: the core was yanked out mid-run, so return it
-            # to the interrupted instruction (gateway stalls re-entered the
-            # app already, inside service_gateway)
-            self.m.enter_nonsecure(self.m.pc)
-        self.m.timer.resume()
+        m = self.m
+        if self._stalled:
+            # replay the refused entry from the parked core; the cleared
+            # log has room for it. Its call was counted at the refusal.
+            self._stalled = False
+            if m.pc == isa.NSC_EXIT:
+                self.log.append(_EXIT_SENTINEL)
+                return self._trigger_report("end")
+            m.pc = service_gateway(m, self.log, m.pc, m.last_exec_pc,
+                                   m.prev_exec_pc, m.prev_lr)
+            self._persist_size()
+        m.enter_nonsecure(m.pc)    # every trigger left the core in the Secure World
+        m.timer.resume()
         self.state = ProverState.EXECUTING
         self.ns_since_trigger = 0
         return []
@@ -335,11 +338,11 @@ class Prover:
                 self.ns_since_trigger += n
                 ticks += self.m.cycle_count - start
                 if ev is not None:
-                    out = self._on_app_event(ev, refused=True)
+                    out = self._on_app_event(ev)
             elif state is ProverState.TRANSMIT_WAIT:
                 # silent ticks only wind the resend clock forward
                 wait = max(self.config.resend_interval - self._resend_clock, 1)
-                if self.current_report is None or wait > left:
+                if wait > left:
                     self._resend_clock += left
                     ticks += left
                 else:
@@ -365,16 +368,19 @@ class Prover:
             return []
         return self._post_heal_report()
 
-    def _on_app_event(self, ev: TimerTrigger | NscEntry | Fault | Halted,
-                      refused: bool = False) -> list[bytes]:
-        """``refused``: the block ran with the gateway handler, so a
-        logging entry that ends it is one the full log refused."""
+    def _on_app_event(self, ev: TimerTrigger | NscEntry | Fault | Halted) -> list[bytes]:
+        """The event that ended a block run with the gateway handler: a
+        logging entry there is one the full log refused."""
         if isinstance(ev, TimerTrigger):
             return self._trigger_report("deadline")
         if isinstance(ev, NscEntry):
             self.metrics.gateway_calls[ev.addr] = \
                 self.metrics.gateway_calls.get(ev.addr, 0) + 1
-            return self._service(ev, refused)
+            if ev.addr == isa.NSC_EXIT \
+                    and self.log.append(_EXIT_SENTINEL) is not AppendResult.FULL:
+                return self._trigger_report("end")
+            self._stalled = True
+            return self._trigger_report("capacity")
         # hardware faults reset the device outright; the boot path then
         # re-reports whatever evidence the retained region holds
         self.metrics.triggers["fault"] += 1
@@ -393,34 +399,10 @@ class Prover:
             self._persist_size()
         return resume
 
-    def _service(self, ev: NscEntry, refused: bool = False) -> list[bytes]:
-        """Log one gateway event, on arrival or replayed once the log has
-        room. A logged transfer resumes the app; the end-door, or an event
-        the full log refuses (kept to be replayed), cuts a report. An
-        arrival the log has ``refused`` already is not tried again: a
-        refused append changes nothing."""
-        if ev.addr == isa.NSC_EXIT:
-            if self.log.append(_EXIT_SENTINEL) is AppendResult.FULL:
-                self._stalled = ev
-                return self._trigger_report("capacity")
-            return self._trigger_report("end")
-        resume = None
-        if not refused:
-            snap = ev.snapshot
-            resume = service_gateway(self.m, self.log, ev.addr, snap.caller_pc,
-                                     snap.pre_caller_pc, snap.prev_lr)
-        if resume is None:
-            self._stalled = ev
-            return self._trigger_report("capacity")
-        self._persist_size()
-        self.m.enter_nonsecure(resume)
-        return []
-
     def _trigger_report(self, reason: str) -> list[bytes]:
         self.metrics.triggers[reason] += 1
         self.metrics.windows.append(self.ns_since_trigger)
         self.ns_since_trigger = 0
-        self.m.timer.clear_and_pause()
         self.m.enter_secure()
         return self._generate_report()
 

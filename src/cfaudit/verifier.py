@@ -480,14 +480,6 @@ class VerifierConfig:
     heal_on_mac_mismatch: bool = True
 
 
-@dataclass
-class SliceRecord:
-    verdict: Verdict
-    size: int
-    entries: int
-    digest: bytes = b""       # image digest the evidence authenticated under
-
-
 class Verifier:
     """Holds one attestation session against one device."""
 
@@ -498,16 +490,14 @@ class Verifier:
         self.post_heal_digest = self.cfg.healed_digest(config.policy)
         self.current_chal = config.initial_chal
         self.prev_chal: int | None = None
-        self.chal_counter = config.initial_chal
         self.sigma_cache: dict[bytes, bytes] = {}
-        self.awaiting_remediation = False
         self.session_over = False
-        self.first_report_seen = False
-        self.violation: Violation | None = None
-        self.slices: list[SliceRecord] = []
+        self.violation: Violation | None = None    # set: a heal is owed
+        self.audited = 0              # reports authenticated and audited
+        self.log_bytes = 0            # their evidence bytes
+        self.last_digest = b""        # image digest the last of them matched
         self.duplicates = 0
         self.rejected = 0
-        self._matched_digest: bytes | None = None
         self._request: bytes | None = None
         self._last_send = 0
 
@@ -536,7 +526,7 @@ class Verifier:
     def next_resend(self) -> int | None:
         """The first time ``tick`` will re-send the request, or None while
         no re-send is pending."""
-        if self._request is None or self.first_report_seen or self.session_over:
+        if self._request is None or self.audited or self.session_over:
             return None
         return self._last_send + self.config.resend_interval
 
@@ -554,8 +544,8 @@ class Verifier:
         if cached is not None:
             self.duplicates += 1
             return [cached]
-        matched = self._authenticate(report)
-        if matched is None:
+        digest = self._authenticate(report)
+        if digest is None:
             self.rejected += 1
             if not self.config.heal_on_mac_mismatch:
                 return []
@@ -563,25 +553,21 @@ class Verifier:
                 self.violation = Violation(
                     V_MAC, self.walker.pos,
                     "sigma matches no expected digest and challenge")
-            self.awaiting_remediation = True
             return [self._respond(report.sigma, Verdict.HEAL)]
-        self.first_report_seen = True
-        before = self.walker.pos
-        verdict = self._audit(report, matched)
-        self.slices.append(SliceRecord(verdict, len(report.log),
-                                       self.walker.pos - before,
-                                       self._matched_digest or b""))
-        return [self._respond(report.sigma, verdict)]
+        self.audited += 1
+        self.log_bytes += len(report.log)
+        self.last_digest = digest
+        return [self._respond(report.sigma, self._audit(report, digest))]
 
-    def _authenticate(self, report: wire.Report) -> int | None:
-        """Returns the challenge the evidence binds, or None.
+    def _authenticate(self, report: wire.Report) -> bytes | None:
+        """Returns the image digest the evidence binds, or None.
 
         The digest is never read from the message: sigma is recomputed with
         the digest the golden image (or its healed form) must produce, so a
         modified program can only ever produce a mismatch.
         """
         digests = [self.cfg.digest]
-        if self.awaiting_remediation:
+        if self.violation is not None:
             digests.insert(0, self.post_heal_digest)
         chals = [self.current_chal]
         if self.prev_chal is not None:
@@ -590,12 +576,11 @@ class Verifier:
             for chal in chals:
                 good = wire.report_sigma(self.config.key, digest, report.log, chal)
                 if wire.macs_equal(good, report.sigma):
-                    self._matched_digest = digest
-                    return chal
+                    return digest
         return None
 
-    def _audit(self, report: wire.Report, chal: int) -> Verdict:
-        if self.awaiting_remediation and self._matched_digest == self.post_heal_digest:
+    def _audit(self, report: wire.Report, digest: bytes) -> Verdict:
+        if self.violation is not None and digest == self.post_heal_digest:
             self.session_over = True
             return Verdict.END
         try:
@@ -604,12 +589,10 @@ class Verifier:
             # the bad word's place in the stream of all destinations fed
             self.violation = Violation(V_MALFORMED, self.walker.fed + exc.decoded,
                                        str(exc))
-            self.awaiting_remediation = True
             return Verdict.HEAL
         self.walker.feed(runs)
         if self.walker.violation is not None:
             self.violation = self.walker.violation
-            self.awaiting_remediation = True
             return Verdict.HEAL
         if self.walker.done:
             self.session_over = True
@@ -617,9 +600,7 @@ class Verifier:
         return Verdict.EXEC
 
     def _respond(self, sigma: bytes, verdict: Verdict) -> bytes:
-        self.chal_counter += 1
-        self.prev_chal = self.current_chal
-        self.current_chal = self.chal_counter
+        self.prev_chal, self.current_chal = self.current_chal, self.current_chal + 1
         resp = wire.Response.make(self.config.key, verdict.value, self.current_chal)
         data = resp.pack()
         self.sigma_cache[sigma] = data

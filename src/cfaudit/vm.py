@@ -12,7 +12,8 @@ Program memory ends at the image's length, not at its capacity; every
 other address is unmapped. The Secure World (the monitor, modeled at the
 Python level) may read, write and execute any mapped address. The pmem
 lock is the only permission that changes, and only a warm reset clears it.
-A secure watchdog timer bounds Non-Secure execution. A Non-Secure transfer
+A secure watchdog timer bounds Non-Secure execution; it counts only
+Non-Secure instructions, so it needs no pause. A Non-Secure transfer
 to one of the five secure-gateway entry points never executes bytes, it
 stands in for gateway veneer code; any other address in the gateway window
 faults like an unmapped fetch.
@@ -41,6 +42,9 @@ every machine of it, for the ``isa.IMAGE_CACHE_SIZE`` images used last;
 a machine that writes its program memory builds its own from then on. A
 gateway entry ends the block with an ``NscEntry`` event, unless ``run``
 is given a gateway handler: a logging entry it services stays inside.
+The event carries only the entry address; the parked core holds the
+gateway state, in ``regs``, ``last_exec_pc``, ``prev_exec_pc`` and
+``prev_lr``.
 """
 
 from __future__ import annotations
@@ -112,31 +116,11 @@ class TimerTrigger:
 
 
 @dataclass(frozen=True)
-class NscSnapshot:
-    """Register context captured at a secure-gateway entry."""
-
-    regs: tuple[int, ...]
-    caller_pc: int        # address of the branch that entered the gateway
-    pre_caller_pc: int    # address of the instruction executed before that
-    prev_lr: int          # lr value before the most recent lr write
-
-    @property
-    def lr(self) -> int:
-        return self.regs[LR]
-
-    @property
-    def r10(self) -> int:
-        return self.regs[10]
-
-    @property
-    def r11(self) -> int:
-        return self.regs[11]
-
-
-@dataclass(frozen=True)
 class NscEntry:
+    """A secure-gateway entry; the parked core holds the gateway state, with
+    the branch that entered it in ``last_exec_pc``."""
+
     addr: int             # which gateway entry point
-    snapshot: NscSnapshot
 
 
 @dataclass(frozen=True)
@@ -163,25 +147,17 @@ class SecureTimer:
     delta: int = 0
     elapsed: int = 0
     active: bool = False
-    paused: bool = False
 
     def arm(self, delta: int) -> None:
         self.delta = delta
         self.elapsed = 0
         self.active = True
-        self.paused = False
-
-    def clear_and_pause(self) -> None:
-        self.elapsed = 0
-        self.paused = True
 
     def resume(self) -> None:
         self.elapsed = 0
-        self.paused = False
 
     def deactivate(self) -> None:
         self.active = False
-        self.paused = False
         self.elapsed = 0
 
 
@@ -342,7 +318,7 @@ class Machine:
         regs, st = self.regs, self._st
         ns = st[_NS] = self.world is World.NONSECURE
         timer = self.timer
-        counting = ns and timer.active and not timer.paused
+        counting = ns and timer.active
         budget = limit
         if counting and timer.delta - timer.elapsed < limit:
             budget = timer.delta - timer.elapsed     # the deadline ends the block
@@ -369,8 +345,7 @@ class Machine:
                                     continue
                             regs[PC] = pc
                             self.world = World.SECURE
-                            ev = NscEntry(pc, NscSnapshot(tuple(regs), last, prev,
-                                                          st[_PREV_LR]))
+                            ev = NscEntry(pc)
                             break
                         if budget - n > 1 and code.covers(pc):
                             blk = code.block(pc)

@@ -36,7 +36,7 @@ from cfaudit.isa import (
 )
 from cfaudit.vm import (_COND_TAKEN, _DMEM_END, _GATEWAY_ENTRIES, _SIGN, _UNBOUNDED,
                         MASK32, AccessKind, Event, Fault, FaultKind, Halted, Machine,
-                        NscEntry, NscSnapshot, TimerTrigger, World, _load, _store)
+                        NscEntry, TimerTrigger, World, _load, _store)
 
 SCRATCH_BASE = DMEM_BASE + 4096
 
@@ -189,12 +189,11 @@ class InstrumentedRun:
 
 def service_event(m: Machine, log: CfLog, ev: vm.NscEntry) -> str | None:
     """A logging gateway's ``NscEntry`` event serviced the way the prover
-    replays one: ``service_gateway`` on the snapshot, then back into the
-    app. Returns None once resumed, or "full" with the machine left parked
-    at the gateway."""
-    snap = ev.snapshot
-    resume = service_gateway(m, log, ev.addr, snap.caller_pc,
-                             snap.pre_caller_pc, snap.prev_lr)
+    replays one: ``service_gateway`` on the parked core's state, then back
+    into the app. Returns None once resumed, or "full" with the machine
+    left parked at the gateway."""
+    resume = service_gateway(m, log, ev.addr, m.last_exec_pc, m.prev_exec_pc,
+                             m.prev_lr)
     if resume is None:
         return "full"
     m.enter_nonsecure(resume)
@@ -386,21 +385,29 @@ def generate_program(rng: random.Random, allow_reserved: bool = True) -> tuple[s
 
 def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
     """``Prover.advance`` with every gateway entry taken as an event:
-    ``Machine.run`` gets no handler and each ``NscEntry`` goes through
-    ``_on_app_event``. The in-block gateway service must match it tick for
-    tick. The body is the method's from before the handler, verbatim."""
+    ``Machine.run`` gets no handler, a logging entry is serviced through
+    ``_service_inline`` with the parked core's state, and ``_on_app_event``
+    gets only what that refuses, the exit door, deadlines and faults. The
+    in-block gateway service must match it tick for tick."""
     self = prover
     state = self.state
     ticks, out = 0, []
     while ticks < budget and not out and self.state is state:
         left = budget - ticks
         if state is ProverState.EXECUTING:
-            n, ev = self.m.run(left)
+            m = self.m
+            n, ev = m.run(left)
             self.metrics.total_ns += n
             self.ns_since_trigger += n
             ticks += n
             if ev is not None:
                 ticks += 1
+                if isinstance(ev, NscEntry) and ev.addr != NSC_EXIT:
+                    resume = self._service_inline(ev.addr, m.last_exec_pc,
+                                                  m.prev_exec_pc, m.prev_lr)
+                    if resume is not None:
+                        m.enter_nonsecure(resume)
+                        continue
                 out = self._on_app_event(ev)
         elif state is ProverState.TRANSMIT_WAIT:
             # silent ticks only wind the resend clock forward
@@ -448,7 +455,7 @@ def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
     if spec.pmem_flip is not None:
         if not 0 <= spec.pmem_flip < len(machine.pmem):
             raise ScenarioError("pmem_flip offset outside the image")
-        flipped = machine.pmem[spec.pmem_flip] ^ spec.pmem_flip_mask
+        flipped = machine.pmem[spec.pmem_flip] ^ 0x01
         machine.write_pmem(isa.PMEM_BASE + spec.pmem_flip, bytes([flipped]))
 
     vrf = Verifier(asm2, VerifierConfig(
@@ -474,7 +481,7 @@ def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
         if spec.reset_at is not None and now == spec.reset_at and not did_reset:
             did_reset = True
             ns_at_reset = prover.metrics.total_ns
-            seen_at_reset = len(vrf.slices) + vrf.duplicates
+            seen_at_reset = vrf.audited + vrf.duplicates
             machine.reset()
             for msg in prover.boot():
                 link.to_verifier.send(now, msg)
@@ -492,7 +499,7 @@ def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
                 verdicts.append(wire.RESULT_NAMES[wire.Response.parse(out).result])
                 link.to_device.send(now, out)
             if did_reset and post_reset_ns is None \
-                    and len(vrf.slices) + vrf.duplicates > seen_at_reset:
+                    and vrf.audited + vrf.duplicates > seen_at_reset:
                 post_reset_ns = prover.metrics.total_ns - ns_at_reset
         for out in vrf.tick(now):
             link.to_device.send(now, out)
@@ -503,11 +510,10 @@ def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
             settled = True
             break
         if prover.state is ProverState.WAITING \
-                and (vrf.session_over or vrf.first_report_seen):
+                and (vrf.session_over or vrf.audited):
             settled = True
             break
 
-    last = vrf.slices[-1] if vrf.slices else None
     result = ScenarioResult(
         name=spec.name,
         settled=settled,
@@ -519,14 +525,14 @@ def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
         violation_index=vrf.violation.index if vrf.violation else None,
         device_state=prover.state.value,
         pmem_zeroed=not any(machine.pmem),
-        slices_audited=len(vrf.slices),
+        slices_audited=vrf.audited,
         device_slices=prover.metrics.slices_sent,
-        log_bytes=sum(s.size for s in vrf.slices),
+        log_bytes=vrf.log_bytes,
         destinations_seen=vrf.destinations_seen,
         duplicates=vrf.duplicates,
         rejected=vrf.rejected,
         reports_transmitted=prover.metrics.report_sends,
-        reports_received=len(vrf.slices) + vrf.duplicates + vrf.rejected,
+        reports_received=vrf.audited + vrf.duplicates + vrf.rejected,
         retransmissions=prover.metrics.retransmissions,
         remnant_reports=prover.metrics.remnant_reports,
         triggers=dict(prover.metrics.triggers),
@@ -535,7 +541,7 @@ def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
         post_heal_ns=None if ns_at_heal is None
         else prover.metrics.total_ns - ns_at_heal,
         post_reset_ns=post_reset_ns,
-        final_digest=last.digest.hex() if last else "",
+        final_digest=vrf.last_digest.hex(),
         channel_stats={
             "to_device": asdict(link.to_device.stats),
             "to_verifier": asdict(link.to_verifier.stats)},
@@ -772,7 +778,7 @@ class ReferenceMachine(Machine):
         regs = self.regs
         ns = self.world is World.NONSECURE
         timer = self.timer
-        counting = ns and timer.active and not timer.paused
+        counting = ns and timer.active
         budget = limit
         if counting and timer.delta - timer.elapsed < limit:
             budget = timer.delta - timer.elapsed     # the deadline ends the block
@@ -802,7 +808,7 @@ class ReferenceMachine(Machine):
                             continue
                     regs[PC] = pc
                     self.world = World.SECURE
-                    ev = NscEntry(pc, NscSnapshot(tuple(regs), last, prev, prev_lr))
+                    ev = NscEntry(pc)
                     break
                 inst = self._predecode_at(pc)
                 if inst.__class__ is Fault:

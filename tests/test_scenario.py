@@ -54,7 +54,6 @@ words = 3 0x10 @main
 
 [attack]
 pmem_flip = 2
-pmem_flip_mask = 0x80
 reset_at = 100
 
 [verifier]
@@ -79,7 +78,6 @@ settled = true
     assert spec.channel.seed == 42
     assert spec.input_tokens == ("3", "0x10", "@main")
     assert spec.pmem_flip == 2
-    assert spec.pmem_flip_mask == 0x80
     assert spec.reset_at == 100
     assert spec.heal_on_mac_mismatch is False
     assert spec.verifier_resend == 77

@@ -12,7 +12,7 @@ from cfaudit import isa, wire
 from cfaudit.cfa_engine import CfLog, decompress
 from cfaudit.instrument import instrument
 from cfaudit.resolver import WIPE_CHUNK
-from cfaudit.isa import LR, NSC_EXIT, TRAMP_COND, TRAMP_LOOP, TRAMP_RET
+from cfaudit.isa import LR, NSC_EXIT, TRAMP_COND, TRAMP_ICALL, TRAMP_LOOP, TRAMP_RET
 from cfaudit.context import (AuditContext, F_FINAL, F_FROZEN, F_REPORT_PENDING,
                              F_VALID, LOG_BUFFER_OFFSET, POLICY_DISABLE,
                              POLICY_FREEZE, POLICY_WIPE)
@@ -20,7 +20,7 @@ from cfaudit.supervisor import Prover, ProverConfig, ProverState
 from cfaudit.vm import Machine, NscEntry, World
 
 from support import (advance_by_events, generate_program, load_input,
-                     service_event)
+                     run_instrumented, service_event)
 
 KEY = ProverConfig().key
 
@@ -105,8 +105,8 @@ spin:
 
 def test_cond_service_logs_arrival_and_restores_lr():
     m, ev, _ = run_to_gateway(DIAMOND, stop_addr=TRAMP_COND)
-    lr_of_app = ev.snapshot.prev_lr
-    dest = ev.snapshot.lr
+    lr_of_app = m.prev_lr
+    dest = m.regs[LR]
     log = CfLog(capacity=256)
     assert service_event(m, log, ev) is None
     assert decompress(log.to_bytes()) == [dest]
@@ -117,7 +117,7 @@ def test_cond_service_logs_arrival_and_restores_lr():
 
 def test_return_service_keeps_return_address_in_lr():
     m, ev, _ = run_to_gateway(DIAMOND, stop_addr=TRAMP_RET)
-    dest = ev.snapshot.lr                             # app's own return address
+    dest = m.regs[LR]                                 # app's own return address
     log = CfLog(capacity=256)
     assert service_event(m, log, ev) is None
     assert decompress(log.to_bytes()) == [dest]
@@ -139,11 +139,12 @@ def test_loop_service_writes_counted_record():
         nsc_call
     """
     m, ev, prog2 = run_to_gateway(asm, stop_addr=TRAMP_LOOP)
+    exit_pc = m.regs[LR]
     log = CfLog(capacity=256)
     assert service_event(m, log, ev) is None
     assert decompress(log.to_bytes()) == [prog2.labels["loop"]] * 5
     assert len(log.to_bytes()) == 8                   # address + count, once
-    assert m.pc == ev.snapshot.lr
+    assert m.pc == exit_pc
 
 
 def test_full_log_parks_the_machine():
@@ -380,6 +381,75 @@ def test_refused_events_are_replayed_and_counted_once(n):
     assert p.metrics.triggers["capacity"] == n // 4
 
 
+def run_sliced(asm, words, log_max):
+    """One session answered exec after every slice, until the exit door is
+    logged. Returns the device, the slices' destinations stitched and the
+    gateway entry each capacity slice was cut at."""
+    p, m, _ = build(asm, log_max=log_max, input_words=words)
+    p.boot()
+    p.handle_message(request(chal=1))
+    stitched, refused_at = [], []
+    for chal in range(2, 100_000):
+        _, (report_bytes,) = p.advance(10 ** 9)
+        stitched += decompress(wire.Report.parse(report_bytes).log)
+        if stitched[-1:] == [NSC_EXIT]:
+            return p, stitched, refused_at
+        refused_at.append(m.pc)
+        p.handle_message(wire.Response.make(KEY, wire.RESULT_EXEC, chal).pack())
+    pytest.fail("no final slice")
+
+
+def assert_sliced_matches_unbounded(asm, words, log_max):
+    """A session cut into slices by a full log, its refused entries
+    replayed, logs what one unbounded log does and ends in the same state."""
+    p, stitched, refused_at = run_sliced(asm, words, log_max)
+    whole = run_instrumented(instrument(asm)[0], words)
+    assert not whole.faulted
+    assert stitched == decompress(whole.log.to_bytes())
+    assert p.m.regs == whole.machine.regs
+    assert p.m.dmem == whole.machine.dmem
+    assert p.metrics.gateway_calls == whole.gateway_calls
+    assert p.metrics.triggers["capacity"] == len(refused_at)
+    return refused_at
+
+
+def test_sliced_session_replays_refused_entries_like_an_unbounded_log():
+    refused = set()
+    for log_max in range(16, 65, 4):
+        for seed in range(40):
+            asm, words = generate_program(random.Random(seed))
+            refused.update(assert_sliced_matches_unbounded(asm, words, log_max))
+    assert refused == GATEWAY_ENTRIES                 # every kind was replayed
+
+
+def arrivals(k):
+    """k distinct forward arrivals: one log word each."""
+    return "".join(f"    cmp r0, #1\n    beq fill{i}\n    mov r2, #0\nfill{i}:\n"
+                   for i in range(k))
+
+
+# each kind's entry where a 16-byte log has just filled: after four
+# arrivals, or after three for a loop record's two words
+KIND_ENTRY = {
+    TRAMP_COND: arrivals(5),
+    TRAMP_RET: arrivals(4) + "    bl fn\n",
+    TRAMP_ICALL: arrivals(4) + "    mov r5, #fn\n    blx r5\n",
+    TRAMP_LOOP: arrivals(3) + "    mov r3, #0\nspin:\n    add r3, r3, #1\n"
+                              "    cmp r3, #6\n    bne spin\n",
+    NSC_EXIT: arrivals(4),
+}
+
+
+@pytest.mark.parametrize("kind", list(KIND_ENTRY),
+                         ids=["cond", "ret", "icall", "loop", "exit"])
+def test_a_log_filled_at_each_gateway_kind_replays_that_entry(kind):
+    # lr starts nonzero: the cond and loop entries must give it back
+    asm = ("main:\n    mov r0, #1\n    mov r1, #9\n    mov lr, #4\n" + KIND_ENTRY[kind]
+           + "    nsc_call\nfn:\n    add r1, r1, #1\n    bx lr\n")
+    refused_at = assert_sliced_matches_unbounded(asm, [], 16)
+    assert refused_at[0] == kind
+
+
 def test_deadline_trigger_fires_exactly_on_budget():
     delta = 7
     p, _, _ = build(DIAMOND)
@@ -598,6 +668,27 @@ def test_boot_with_blank_retained_memory_waits():
     assert p.boot() == []
     assert p.state is ProverState.WAITING
     assert p.metrics.remnant_reports == 0
+
+
+@pytest.mark.xfail(strict=True, reason="D16: the freshness floor lives in the "
+                   "prover's RAM, which a power cut would clear")
+def test_a_request_replayed_after_a_power_cut_is_refused():
+    p, m, _ = build("main:\n    mov r0, #1\n    nsc_call\n")
+    p.boot()
+    first = request(chal=1)
+    p.handle_message(first)
+    pump(p)
+    p.handle_message(wire.Response.make(KEY, wire.RESULT_END, 2).pack())
+    assert p.state is ProverState.WAITING
+    m.reset()
+    assert p.boot() == []
+    p.handle_message(first)                # the prover kept across the cut refuses it
+    assert p.state is ProverState.WAITING
+    # a device that lost its RAM boots a new prover on the same memories
+    rebooted = Prover(m, p.config, p.entry)
+    rebooted.boot()
+    rebooted.handle_message(first)
+    assert rebooted.state is ProverState.WAITING
 
 
 # --- advance: many ticks per call -------------------------------------------------

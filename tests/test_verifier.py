@@ -15,7 +15,7 @@ from cfaudit.instrument import instrument
 from cfaudit.resolver import POLICY_NAMES, healed_image
 from cfaudit.supervisor import Prover, ProverConfig, ProverState
 from cfaudit import verifier as vf
-from cfaudit.verifier import (Verdict, Verifier, VerifierConfig, V_EDGE,
+from cfaudit.verifier import (Verifier, VerifierConfig, V_EDGE,
                               V_ICALL, V_MAC, V_MALFORMED, V_SHADOW, Walker,
                               build_cfg)
 from cfaudit.vm import Machine
@@ -357,7 +357,7 @@ def test_verifier_full_session_against_device():
                 p.handle_message(msg)
             break
     assert v.session_over and v.violation is None
-    assert v.slices and v.slices[-1].verdict is Verdict.END
+    assert v.audited and wire.Response.parse(inbound[-1]).result == wire.RESULT_END
     assert p.state is ProverState.WAITING
 
 
@@ -369,7 +369,7 @@ def test_duplicate_slice_answered_from_cache_without_rewalking():
     (again,) = v.handle(rep)
     assert again == first
     assert v.duplicates == 1
-    assert len(v.slices) == 1
+    assert v.audited == 1
     assert v.destinations_seen == len(dests)
 
 
@@ -382,7 +382,7 @@ def test_forged_sigma_draws_heal_and_is_counted():
     assert resp.result == wire.RESULT_HEAL
     assert v.rejected == 1
     assert v.violation is not None and v.violation.kind == V_MAC
-    assert not v.slices                               # never audited
+    assert not v.audited
 
 
 def test_mac_mismatch_can_be_silenced_per_config():
@@ -403,7 +403,7 @@ def test_every_report_bitflip_is_rejected_or_healed():
         flipped[i // 8] ^= 1 << (i % 8)
         v = fresh()
         out = v.handle(bytes(flipped))
-        assert not v.slices, f"bit {i} slipped through the MAC"
+        assert not v.audited, f"bit {i} slipped through the MAC"
         if out:
             (resp_bytes,) = out
             assert wire.Response.parse(resp_bytes).result == wire.RESULT_HEAL

@@ -194,10 +194,11 @@ def test_nsc_window_entry_yields_snapshot():
     assert isinstance(ev, NscEntry)
     assert ev.addr == TRAMP_COND
     assert m.world is World.SECURE
-    assert ev.snapshot.regs[0] == 41
-    assert ev.snapshot.lr == PMEM_BASE + 8
-    assert ev.snapshot.caller_pc == PMEM_BASE + 4
-    assert ev.snapshot.pre_caller_pc == PMEM_BASE
+    # the parked core holds the gateway state
+    assert m.regs[0] == 41
+    assert m.regs[isa.LR] == PMEM_BASE + 8
+    assert m.last_exec_pc == PMEM_BASE + 4           # the branch that entered
+    assert m.prev_exec_pc == PMEM_BASE
 
 
 def test_snapshot_preserves_previous_link_register():
@@ -215,7 +216,7 @@ def test_snapshot_preserves_previous_link_register():
     m.step()                       # bl trampoline_ret
     ev = m.step()
     assert isinstance(ev, NscEntry)
-    assert ev.snapshot.prev_lr == first_lr
+    assert m.prev_lr == first_lr
 
 
 def test_gateway_window_off_an_entry_point_faults():
@@ -536,7 +537,7 @@ def test_run_matches_step_on_generated_programs(limit):
         # deadlines that fall mid-block, except on a few unarmed runs
         delta = None if seed % 5 == 0 else rng.randint(3, 40)
         events = assert_blocks_match_steps(deployed(asm, words, delta=delta), limit)
-        assert events[-1] == NscEntry(NSC_EXIT, events[-1].snapshot)
+        assert events[-1] == NscEntry(NSC_EXIT)
 
 
 @pytest.mark.parametrize("limit", [1, 7, UNBOUNDED])
@@ -600,14 +601,17 @@ def test_pmem_store_invalidates_the_predecoded_word(limit):
     # unlocked pmem: the app overwrites an instruction it already ran
     patched = int.from_bytes(isa.Instruction(isa.OP_MOV_IMM, 0, 0, 2).encode(), "big")
 
+    made = []
+
     def make(cls):
         m = load_as(cls, SELF_PATCH)
         load_input(m, [patched])
         m.enter_nonsecure(m.pc)
+        made.append(m)
         return m
     (ev,) = assert_blocks_match_steps(make, limit)
     assert ev.addr == NSC_EXIT
-    assert ev.snapshot.regs[0] == 2
+    assert [m.regs[0] for m in made] == [2, 2, 2]
 
 
 @pytest.mark.parametrize("limit", [1, 7, UNBOUNDED])
