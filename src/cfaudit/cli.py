@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_win.add_argument("program", help="path to an assembly program")
     p_win.add_argument("--log-max", default="1024 2048 4096 8192",
                        help="capacities in bytes, space or comma separated")
-    p_win.add_argument("--delta", type=int, default=500_000,
+    p_win.add_argument("--delta", type=int, default=ScenarioSpec.delta,
                        help="instruction budget per authorization")
     p_win.add_argument("--input", default="",
                        help="input words, written to data memory before the run")

@@ -6,6 +6,11 @@ the whole-header ``store``/``load`` and the field writes the prover and
 the resolver make on their hot paths derive from it. The log buffer sits
 behind a reserved block of ``CTX_HEADER_SIZE`` bytes, written in place by
 the log engine.
+
+The header outlives a session: a concluded session clears its flags and
+keeps its ``chal``, the freshness floor a new request must exceed, so a
+device that loses its RAM still refuses a replayed request. A blank
+region, with no magic, loads as no context.
 """
 
 from __future__ import annotations
@@ -102,10 +107,6 @@ class AuditContext:
         values = list(HEADER.unpack_from(mem, 0)[1:])
         values[_CHAL] = wire.chal_value(values[_CHAL])
         return cls(*values)
-
-    @staticmethod
-    def erase(mem: bytearray) -> None:
-        mem[0:4] = b"\x00" * 4
 
 
 assert _VALUES == tuple(f.name for f in fields(AuditContext))

@@ -42,6 +42,11 @@ KIND_INDIRECT_CALL = "indirect_call"
 KIND_RETURN_BX_LR = "return_bx_lr"
 KIND_RETURN_POP_PC = "return_pop_pc"
 
+# the trampoline each kind of entry goes through
+_TRAMPOLINE = {KIND_COND_TAKEN: "trampoline_cond", KIND_COND_NOT_TAKEN: "trampoline_cond",
+               KIND_STATIC_LOOP: "trampoline_loop", KIND_INDIRECT_CALL: "trampoline_icall",
+               KIND_RETURN_BX_LR: "trampoline_ret", KIND_RETURN_POP_PC: "trampoline_ret"}
+
 class UnsupportedPattern(Exception):
     """Program shape the rewriter cannot instrument soundly."""
 
@@ -54,7 +59,6 @@ class RegisterPressure(Exception):
 class MapEntry:
     original_addr: int
     kind: str
-    trampoline: str
 
 
 @dataclass
@@ -85,7 +89,7 @@ class InstrumentationMap:
     def to_text(self) -> str:
         out = ["[entries]"]
         for e in self.entries:
-            out.append(f"{e.original_addr:#x} {e.kind} {e.trampoline}")
+            out.append(f"{e.original_addr:#x} {e.kind} {_TRAMPOLINE[e.kind]}")
         out.append("[renames]")
         for old, new in sorted(self.renames.items()):
             out.append(f"{old} {new}")
@@ -286,8 +290,8 @@ def _build_plan(lines: list[SourceLine],
             if lp is not None:
                 plan.loop_inserts[lp.header_line] = lp
                 plan.cond_sites.add(i + 1)
-                entries.append(MapEntry(addr(i), KIND_STATIC_LOOP, "trampoline_loop"))
-                entries.append(MapEntry(addr(i), KIND_COND_NOT_TAKEN, "trampoline_cond"))
+                entries.append(MapEntry(addr(i), KIND_STATIC_LOOP))
+                entries.append(MapEntry(addr(i), KIND_COND_NOT_TAKEN))
             else:
                 target = sl.args[0]
                 t = labels.get(target)
@@ -296,18 +300,18 @@ def _build_plan(lines: list[SourceLine],
                         f"line {sl.lineno}: conditional target {target!r} is not a program label")
                 plan.cond_sites.add(t)
                 plan.cond_sites.add(i + 1)
-                entries.append(MapEntry(addr(i), KIND_COND_TAKEN, "trampoline_cond"))
-                entries.append(MapEntry(addr(i), KIND_COND_NOT_TAKEN, "trampoline_cond"))
+                entries.append(MapEntry(addr(i), KIND_COND_TAKEN))
+                entries.append(MapEntry(addr(i), KIND_COND_NOT_TAKEN))
         elif n == "blx":
             reg = sl.args[0]
             plan.replacements[i] = [_mk("mov", "r10", reg), _mk("bl", "trampoline_icall")]
-            entries.append(MapEntry(addr(i), KIND_INDIRECT_CALL, "trampoline_icall"))
+            entries.append(MapEntry(addr(i), KIND_INDIRECT_CALL))
         elif n == "bx":
             plan.replacements[i] = [_mk("b", "trampoline_ret")]
-            entries.append(MapEntry(addr(i), KIND_RETURN_BX_LR, "trampoline_ret"))
+            entries.append(MapEntry(addr(i), KIND_RETURN_BX_LR))
         elif n == "pop" and sl.args and sl.args[0].strip("{}").lower() == "pc":
             plan.replacements[i] = [_mk("pop", "lr"), _mk("b", "trampoline_ret")]
-            entries.append(MapEntry(addr(i), KIND_RETURN_POP_PC, "trampoline_ret"))
+            entries.append(MapEntry(addr(i), KIND_RETURN_POP_PC))
     return plan, entries
 
 

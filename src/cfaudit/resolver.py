@@ -47,10 +47,6 @@ class Resolver:
         self.m = machine
         self.policy = policy
 
-    def start(self, ctx: AuditContext, retained: bytearray) -> None:
-        ctx.wipe_cursor = 0
-        field_writer(retained, "wipe_cursor")(0)
-
     def step(self, ctx: AuditContext, retained: bytearray) -> bool:
         """One chunk of remediation work. True when the image is healed."""
         if self.policy == POLICY_FREEZE:

@@ -31,10 +31,10 @@ the outcome the run is expected to produce:
     device_state = waiting
     pmem_zeroed = false
 
-Every knob except ``program`` has a default, and unknown keys are
-rejected so a typo cannot silently weaken an expectation. The runner
-keeps a single monotonic clock: device work, link delays, and resets all
-count in the same ticks, and a reset never rewinds the clock or clears
+Every knob except ``program`` has a default. Unknown keys and values that
+do not parse are rejected, so a typo cannot silently weaken a check. The
+runner keeps a single monotonic clock: device work, link delays, and resets
+all count in the same ticks, and a reset never rewinds the clock or clears
 datagrams already in flight.
 
 The clock still counts every tick, but it does not visit each one. Within
@@ -44,6 +44,9 @@ Until the next of those scheduled moments only the device can act, so the
 runner hands it the whole stretch in one ``Prover.advance`` call and polls
 the link only where something is due. Results are tick for tick those of
 stepping the device once per tick.
+
+A power cut resets the machine and builds a new ``Prover`` on it, so the
+device resumes from retained memory alone; only the counters carry over.
 """
 
 from __future__ import annotations
@@ -66,19 +69,6 @@ from .verifier import Verifier, VerifierConfig
 from .vm import Machine
 
 _POLICY_BY_NAME = {name: value for value, name in POLICY_NAMES.items()}
-
-_KNOWN_KEYS = {
-    "scenario": {"name", "program", "delta", "log_max", "policy", "max_ticks",
-                 "app_id", "resend_interval"},
-    "channel": {"loss", "duplicate", "delay_min", "delay_max", "seed"},
-    "input": {"words"},
-    "attack": {"pmem_flip", "reset_at"},
-    "verifier": {"heal_on_mac_mismatch", "resend_interval", "initial_chal"},
-    "expect": {"verdict", "violation", "violation_index", "device_state",
-               "pmem_zeroed", "heal_issued", "min_retransmissions",
-               "min_slices", "settled"},
-}
-
 
 class ScenarioError(Exception):
     """Scenario file cannot be parsed or applied."""
@@ -104,14 +94,46 @@ class ScenarioSpec:
     expect: dict[str, str] = field(default_factory=dict)
 
 
-def _check_keys(cp: configparser.ConfigParser, path: Path) -> None:
-    for section in cp.sections():
-        if section not in _KNOWN_KEYS:
-            raise ScenarioError(f"{path}: unknown section [{section}]")
-        unknown = set(cp[section]) - _KNOWN_KEYS[section]
-        if unknown:
-            raise ScenarioError(
-                f"{path}: unknown key {sorted(unknown)[0]!r} in [{section}]")
+def _flag(text: str) -> bool:
+    """A boolean in any spelling configparser takes, in any case."""
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {text!r}")
+    return value
+
+
+def _policy(text: str) -> int:
+    if text not in _POLICY_BY_NAME:
+        raise ValueError(f"unknown policy {text!r}")
+    return _POLICY_BY_NAME[text]
+
+
+# section -> key -> (its field, its parser). [channel] keys set
+# ``ChannelConfig`` fields; [expect] keys are kept as written once parsed and
+# name the ``ScenarioResult`` field they check, a floor for ``min_`` keys;
+# every other key sets a ``ScenarioSpec`` field. A key a file leaves out
+# keeps its field's default.
+_KEYS = {
+    "scenario": {"name": ("name", str), "program": ("program", str),
+                 "delta": ("delta", int), "log_max": ("log_max", int),
+                 "policy": ("policy", _policy), "max_ticks": ("max_ticks", int),
+                 "app_id": ("app_id", int), "resend_interval": ("device_resend", int)},
+    "channel": {"loss": ("loss", float), "duplicate": ("duplicate", float),
+                "delay_min": ("delay_min", int), "delay_max": ("delay_max", int),
+                "seed": ("seed", int)},
+    "input": {"words": ("input_tokens", lambda text: tuple(text.split()))},
+    "attack": {"pmem_flip": ("pmem_flip", lambda text: int(text, 0)),
+               "reset_at": ("reset_at", int)},
+    "verifier": {"heal_on_mac_mismatch": ("heal_on_mac_mismatch", _flag),
+                 "resend_interval": ("verifier_resend", int),
+                 "initial_chal": ("initial_chal", int)},
+    "expect": {"verdict": ("verdict", str), "violation": ("violation", str),
+               "violation_index": ("violation_index", int),
+               "device_state": ("device_state", str),
+               "pmem_zeroed": ("pmem_zeroed", _flag), "heal_issued": ("heal_issued", _flag),
+               "settled": ("settled", _flag), "min_retransmissions": ("retransmissions", int),
+               "min_slices": ("slices_audited", int)},
+}
 
 
 def parse_scenario(path: str | Path) -> ScenarioSpec:
@@ -122,52 +144,34 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
             cp.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    _check_keys(cp, path)
-    if "scenario" not in cp or "program" not in cp["scenario"]:
+    spec: dict = {"name": path.stem}
+    channel: dict = {}
+    expect: dict[str, str] = {}
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ScenarioError(f"{path}: unknown section [{section}]")
+        into = {"channel": channel, "expect": expect}.get(section, spec)
+        for key, text in cp[section].items():
+            if key not in _KEYS[section]:
+                raise ScenarioError(f"{path}: unknown key {key!r} in [{section}]")
+            name, parse = _KEYS[section][key]
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                raise ScenarioError(f"{path}: [{section}] {key}: {exc}") from None
+            if section == "expect":
+                expect[key] = text
+            else:
+                into[name] = value
+    if "program" not in spec:
         raise ScenarioError(f"{path}: [scenario] must name a program")
-
-    sc = cp["scenario"]
-    program = (path.parent / sc["program"]).resolve()
+    program = (path.parent / spec.pop("program")).resolve()
     try:
         asm_text = program.read_text()
     except OSError as exc:
         raise ScenarioError(f"{path}: cannot read program: {exc}") from exc
-
-    policy_name = sc.get("policy", "wipe")
-    if policy_name not in _POLICY_BY_NAME:
-        raise ScenarioError(f"{path}: unknown policy {policy_name!r}")
-
-    ch = cp["channel"] if "channel" in cp else {}
-    channel = ChannelConfig(
-        loss=float(ch.get("loss", 0.0)),
-        duplicate=float(ch.get("duplicate", 0.0)),
-        delay_min=int(ch.get("delay_min", 0)),
-        delay_max=int(ch.get("delay_max", 0)),
-        seed=int(ch.get("seed", 0)))
-
-    at = cp["attack"] if "attack" in cp else {}
-    vf = cp["verifier"] if "verifier" in cp else {}
-    expect = dict(cp["expect"]) if "expect" in cp else {}
-
-    return ScenarioSpec(
-        name=sc.get("name", path.stem),
-        asm_text=asm_text,
-        delta=int(sc.get("delta", 500_000)),
-        log_max=int(sc.get("log_max", DEFAULT_LOG_MAX)),
-        policy=_POLICY_BY_NAME[policy_name],
-        app_id=int(sc.get("app_id", 1)),
-        max_ticks=int(sc.get("max_ticks", 2_000_000)),
-        device_resend=int(sc.get("resend_interval", 1000)),
-        channel=channel,
-        input_tokens=tuple(cp["input"].get("words", "").split())
-        if "input" in cp else (),
-        pmem_flip=int(at["pmem_flip"], 0) if "pmem_flip" in at else None,
-        reset_at=int(at["reset_at"]) if "reset_at" in at else None,
-        heal_on_mac_mismatch=str(vf.get("heal_on_mac_mismatch", "true")).lower()
-        in ("1", "true", "yes", "on"),
-        verifier_resend=int(vf.get("resend_interval", 1000)),
-        initial_chal=int(vf.get("initial_chal", 1)),
-        expect=expect)
+    return ScenarioSpec(asm_text=asm_text, channel=ChannelConfig(**channel),
+                        expect=expect, **spec)
 
 
 def resolve_input(tokens: tuple[str, ...], labels: dict[str, int]) -> list[int]:
@@ -231,31 +235,11 @@ class ScenarioResult:
 
 
 def _check_expectations(spec: ScenarioSpec, res: ScenarioResult) -> list[str]:
-    def equal(got, want):
-        return got == want
-
-    def flag(got, want):
-        return got == (want == "true")
-
-    def at_least(got, want):
-        return got >= int(want)
-
-    # expectation -> (the value it is checked against, the check)
-    checks = {
-        "verdict": (res.verdict, equal),
-        "violation": (res.violation, equal),
-        "violation_index": (res.violation_index, lambda got, want: got == int(want)),
-        "device_state": (res.device_state, equal),
-        "pmem_zeroed": (res.pmem_zeroed, flag),
-        "heal_issued": (res.heal_issued, flag),
-        "min_retransmissions": (res.retransmissions, at_least),
-        "min_slices": (res.slices_audited, at_least),
-        "settled": (res.settled, flag),
-    }
     failures = []
     for key, want in spec.expect.items():
-        got, check = checks[key]
-        if not check(got, want):
+        name, parse = _KEYS["expect"][key]
+        got = getattr(res, name)
+        if not (got >= parse(want) if key.startswith("min_") else got == parse(want)):
             failures.append(f"{key}: wanted {want}, got {got}")
     return failures
 
@@ -325,6 +309,9 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
             ns_at_reset = prover.metrics.total_ns
             seen_at_reset = vrf.audited + vrf.duplicates
             machine.reset()
+            # the cut loses the prover's RAM: only its counters carry over
+            metrics, prover = prover.metrics, Prover(machine, prover.config, prover.entry)
+            prover.metrics = metrics
             for msg in prover.boot():
                 link.to_verifier.send(now, msg)
         for data in link.to_device.poll(now):
@@ -356,10 +343,11 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
 
         if link.to_device.pending() or link.to_verifier.pending():
             continue
-        if prover.state is ProverState.FROZEN:
+        state = prover.state
+        if state is ProverState.FROZEN:
             settled = True
             break
-        if prover.state is ProverState.WAITING \
+        if state is ProverState.WAITING \
                 and (vrf.session_over or vrf.audited):
             settled = True
             break

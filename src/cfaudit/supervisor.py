@@ -17,7 +17,9 @@ Report cadence has three causes, all funneled through one path:
 
 A report slice is only discarded after a fresh, authenticated response
 arrives, so evidence survives resets: on boot an interrupted session is
-re-reported from retained memory before the app could run again.
+re-reported from retained memory before the app could run again. The
+prover's state is the retained header's flags, so a prover built on the
+same memories after a power cut carries the session on.
 """
 
 from __future__ import annotations
@@ -112,27 +114,37 @@ class ProverMetrics:
 
 
 class Prover:
-    """Device-side protocol driver around one Machine."""
+    """Device-side protocol driver around one Machine. The retained header
+    ``ctx`` is its only record of a session: what else it holds in RAM is
+    what a power cut may lose."""
 
     def __init__(self, machine: Machine, config: ProverConfig, entry: int):
         self.m = machine
         self.config = config
         self.entry = entry
-        self.state = ProverState.WAITING
         self.ctx = AuditContext(log_max=config.log_max, entry=entry,
                                 image_len=len(machine.pmem), policy=config.policy)
         self.log: CfLog | None = None
         self.metrics = ProverMetrics()
-        self.ns_since_trigger = 0
-        self.current_report: bytes | None = None
         self._resend_clock = 0
         self._stalled = False      # the full log refused the entry the core is at
-        self._resolver: Resolver | None = None
-        self._post_heal = False
-        self.max_chal_seen = 0
         # what append acknowledged, persisted after every logged transfer
         self._put_log_size = field_writer(machine.retained_mem, "log_size")
         self._put_engine_state = field_writer(machine.retained_mem, "engine_state")
+
+    @property
+    def state(self) -> ProverState:
+        """The protocol state, read from the retained flags."""
+        flags = self.ctx.flags
+        if not flags & F_VALID:
+            return ProverState.WAITING
+        if flags & F_FROZEN:
+            return ProverState.FROZEN
+        if flags & F_REPORT_PENDING:
+            return ProverState.TRANSMIT_WAIT
+        if flags & F_REMEDIATION:
+            return ProverState.REMEDIATE
+        return ProverState.EXECUTING
 
     # -- helpers ----------------------------------------------------------
 
@@ -178,25 +190,18 @@ class Prover:
         """Cold or warm start. An interrupted session found in retained
         memory produces its evidence before the app could ever run again."""
         self._stalled = False
-        self.current_report = None
-        ctx = AuditContext.load(self.m.retained_mem)
-        if ctx is None or not ctx.flag(F_VALID):
-            self.state = ProverState.WAITING
+        ctx = self.ctx = AuditContext.load(self.m.retained_mem) or self.ctx
+        state = self.state
+        if state is ProverState.WAITING:
             return []
-        self.ctx = ctx
-        if ctx.flag(F_FROZEN):
-            self.state = ProverState.FROZEN
+        if state is ProverState.FROZEN:
             self.m.halted = True
             return []
-        if ctx.flag(F_REMEDIATION):
-            self._attach_log(ctx.log_size)
-            self._resolver = Resolver(self.m, ctx.policy)
-            self.state = ProverState.REMEDIATE
-            self._post_heal = True
+        self._attach_log(ctx.log_size)
+        if state is ProverState.REMEDIATE:
             return []
         # interrupted run: re-report the retained slice, session ends here
-        self._attach_log(ctx.log_size)
-        if not ctx.flag(F_REPORT_PENDING):
+        if state is ProverState.EXECUTING:
             # an in-flight repetition restored from the checkpoint still
             # needs materializing so the remnant covers every append
             self._sign_slice()
@@ -224,13 +229,13 @@ class Prover:
             return []
         if req.app_id != self.config.app_id:
             return []
-        if self.state is ProverState.WAITING and req.chal > self.max_chal_seen:
-            self.max_chal_seen = req.chal
+        state = self.state
+        if state is ProverState.WAITING and req.chal > self.ctx.chal:
             return self._setup_app(req)
-        if req.chal == self.ctx.chal and self.state is ProverState.TRANSMIT_WAIT:
+        if req.chal == self.ctx.chal and state is ProverState.TRANSMIT_WAIT:
             self.metrics.retransmissions += 1
             self.metrics.report_sends += 1
-            return [self.current_report]
+            return [self._report()]
         return []
 
     def _setup_app(self, req: wire.AttestRequest) -> list[bytes]:
@@ -243,8 +248,6 @@ class Prover:
         self.m.lock_pmem()
         self.m.timer.arm(req.delta)
         self.m.enter_nonsecure(self.entry)
-        self.state = ProverState.EXECUTING
-        self.ns_since_trigger = 0
         return []
 
     def _handle_response(self, data: bytes) -> list[bytes]:
@@ -254,37 +257,33 @@ class Prover:
             return []
         if not resp.verify(self.config.key):
             return []
-        if resp.chal <= self.ctx.chal or self.state is not ProverState.TRANSMIT_WAIT:
+        ctx = self.ctx
+        if resp.chal <= ctx.chal or self.state is not ProverState.TRANSMIT_WAIT:
             return []                     # stale, replayed, or unexpected
-        self.max_chal_seen = max(self.max_chal_seen, resp.chal)
-
-        if resp.result == wire.RESULT_HEAL and not self._post_heal:
-            self.ctx.chal = resp.chal
-            self.ctx.set_flag(F_REPORT_PENDING, False)
-            self.ctx.set_flag(F_REMEDIATION)
+        # F_REMEDIATION stays set from the heal order to the session's end
+        post_heal = ctx.flag(F_REMEDIATION)
+        if resp.result == wire.RESULT_HEAL and not post_heal:
+            ctx.chal = resp.chal
+            ctx.set_flag(F_REPORT_PENDING, False)
+            ctx.set_flag(F_REMEDIATION)
+            ctx.wipe_cursor = 0
             self._persist()
-            self._resolver = Resolver(self.m, self.ctx.policy)
-            self._resolver.start(self.ctx, self.m.retained_mem)
-            self.state = ProverState.REMEDIATE
-            self._post_heal = True
-            self.current_report = None
             return []
-        if resp.result == wire.RESULT_END or self.ctx.flag(F_FINAL) or self._post_heal:
-            return self._conclude()
+        if resp.result == wire.RESULT_END or ctx.flag(F_FINAL) or post_heal:
+            return self._conclude(resp.chal)
         if resp.result == wire.RESULT_EXEC:
             return self._resume_execution(resp.chal)
         return []
 
-    def _conclude(self) -> list[bytes]:
-        """Session over: scrub the retained context and await the next one."""
+    def _conclude(self, chal: int) -> list[bytes]:
+        """Session over: clear the retained flags and keep the concluding
+        challenge, the floor every later request must clear."""
         if self.log is not None:
             self.log.active = False
-        AuditContext.erase(self.m.retained_mem)
         self.ctx.flags = 0
+        self.ctx.chal = chal
+        self._persist()
         self.m.timer.deactivate()
-        self.state = ProverState.WAITING
-        self.current_report = None
-        self._post_heal = False
         return []
 
     def _resume_execution(self, new_chal: int) -> list[bytes]:
@@ -293,8 +292,8 @@ class Prover:
         self.ctx.set_flag(F_REPORT_PENDING, False)
         self.ctx.log_size = 0
         self._persist()
-        self.current_report = None
         m = self.m
+        m.timer.resume()           # a replayed exit door ends a window of 0
         if self._stalled:
             # replay the refused entry from the parked core; the cleared
             # log has room for it. Its call was counted at the refusal.
@@ -306,9 +305,6 @@ class Prover:
                                    m.prev_exec_pc, m.prev_lr)
             self._persist_size()
         m.enter_nonsecure(m.pc)    # every trigger left the core in the Secure World
-        m.timer.resume()
-        self.state = ProverState.EXECUTING
-        self.ns_since_trigger = 0
         return []
 
     # -- execution ------------------------------------------------------------
@@ -326,16 +322,16 @@ class Prover:
         what per-tick stepping would show. Returns the ticks used and the
         output of the last one.
         """
-        state = self.state
+        state, flags = self.state, self.ctx.flags
         ticks, out = 0, []
-        while ticks < budget and not out and self.state is state:
+        # the state is read from the flags: while they hold, it holds
+        while ticks < budget and not out and self.ctx.flags == flags:
             left = budget - ticks
             if state is ProverState.EXECUTING:
                 # a gateway serviced in the block is a tick, not an instruction
                 start = self.m.cycle_count
                 n, ev = self.m.run(left, self._service_inline)
                 self.metrics.total_ns += n
-                self.ns_since_trigger += n
                 ticks += self.m.cycle_count - start
                 if ev is not None:
                     out = self._on_app_event(ev)
@@ -350,7 +346,7 @@ class Prover:
                     self._resend_clock = 0
                     self.metrics.retransmissions += 1
                     self.metrics.report_sends += 1
-                    out = [self.current_report]
+                    out = [self._report()]
             elif state is ProverState.REMEDIATE:
                 ticks += 1
                 out = self._remediate()
@@ -359,11 +355,10 @@ class Prover:
         return ticks, out
 
     def _remediate(self) -> list[bytes]:
-        done = self._resolver.step(self.ctx, self.m.retained_mem)
+        done = Resolver(self.m, self.ctx.policy).step(self.ctx, self.m.retained_mem)
         if not done:
             return []
         if self.ctx.flag(F_FROZEN):
-            self.state = ProverState.FROZEN
             self.m.halted = True
             return []
         return self._post_heal_report()
@@ -401,8 +396,7 @@ class Prover:
 
     def _trigger_report(self, reason: str) -> list[bytes]:
         self.metrics.triggers[reason] += 1
-        self.metrics.windows.append(self.ns_since_trigger)
-        self.ns_since_trigger = 0
+        self.metrics.windows.append(self.m.timer.elapsed)
         self.m.enter_secure()
         return self._generate_report()
 
@@ -413,15 +407,16 @@ class Prover:
         return self._emit_report()
 
     def _emit_report(self) -> list[bytes]:
-        self.current_report = wire.Report(self.ctx.sigma, self._slice_bytes()).pack()
-        self.state = ProverState.TRANSMIT_WAIT
         self._resend_clock = 0
         self.metrics.report_sends += 1
-        return [self.current_report]
+        return [self._report()]
+
+    def _report(self) -> bytes:
+        """The pending report, packed from retained memory."""
+        return wire.Report(self.ctx.sigma, self._slice_bytes()).pack()
 
     def _post_heal_report(self) -> list[bytes]:
         """Attest the remediated image so the verifier can confirm the heal."""
-        self.ctx.set_flag(F_REMEDIATION, False)
         self._attach_log()
         self.log.append(_EXIT_SENTINEL)
         self._persist_size()

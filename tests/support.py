@@ -398,7 +398,6 @@ def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
             m = self.m
             n, ev = m.run(left)
             self.metrics.total_ns += n
-            self.ns_since_trigger += n
             ticks += n
             if ev is not None:
                 ticks += 1
@@ -412,7 +411,7 @@ def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
         elif state is ProverState.TRANSMIT_WAIT:
             # silent ticks only wind the resend clock forward
             wait = max(self.config.resend_interval - self._resend_clock, 1)
-            if self.current_report is None or wait > left:
+            if wait > left:
                 self._resend_clock += left
                 ticks += left
             else:
@@ -420,7 +419,7 @@ def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
                 self._resend_clock = 0
                 self.metrics.retransmissions += 1
                 self.metrics.report_sends += 1
-                out = [self.current_report]
+                out = [self._report()]
         elif state is ProverState.REMEDIATE:
             ticks += 1
             out = self._remediate()

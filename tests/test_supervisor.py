@@ -244,11 +244,7 @@ def test_retained_log_state_follows_the_log_at_every_tick():
     assert seen_pending and p.metrics.triggers["end"] == 1
 
 
-def test_context_erase_and_blank_load():
-    mem = bytearray(1024)
-    AuditContext(flags=F_VALID).store(mem)
-    AuditContext.erase(mem)
-    assert AuditContext.load(mem) is None
+def test_blank_retained_memory_loads_no_context():
     assert AuditContext.load(bytearray(512)) is None
 
 
@@ -273,7 +269,9 @@ def test_full_session_end_to_end():
 
     assert p.handle_message(wire.Response.make(KEY, wire.RESULT_END, 2).pack()) == []
     assert p.state is ProverState.WAITING
-    assert AuditContext.load(m.retained_mem) is None
+    # the header outlives the session: no flags, the concluding challenge
+    kept = AuditContext.load(m.retained_mem)
+    assert (kept.flags, kept.chal) == (0, 2)
     assert p.metrics.total_ns > 0
 
 
@@ -506,7 +504,8 @@ def test_wipe_heal_zeroes_image_and_attests_it():
     # any fresh non-heal answer closes the session
     p.handle_message(wire.Response.make(KEY, wire.RESULT_END, 3).pack())
     assert p.state is ProverState.WAITING
-    assert AuditContext.load(m.retained_mem) is None
+    kept = AuditContext.load(m.retained_mem)
+    assert (kept.flags, kept.chal) == (0, 3)
 
 
 # big enough that one wipe chunk cannot cover it
@@ -670,8 +669,6 @@ def test_boot_with_blank_retained_memory_waits():
     assert p.metrics.remnant_reports == 0
 
 
-@pytest.mark.xfail(strict=True, reason="D16: the freshness floor lives in the "
-                   "prover's RAM, which a power cut would clear")
 def test_a_request_replayed_after_a_power_cut_is_refused():
     p, m, _ = build("main:\n    mov r0, #1\n    nsc_call\n")
     p.boot()
@@ -689,6 +686,41 @@ def test_a_request_replayed_after_a_power_cut_is_refused():
     rebooted.boot()
     rebooted.handle_message(first)
     assert rebooted.state is ProverState.WAITING
+
+
+@pytest.mark.parametrize("answer", [wire.RESULT_END, wire.RESULT_HEAL, wire.RESULT_EXEC],
+                         ids=["end", "heal", "exec"])
+def test_a_power_cut_in_the_post_heal_wait_concludes_on_the_answer(answer):
+    p, m, _ = build(DIAMOND, policy=POLICY_WIPE)
+    p.boot()
+    p.handle_message(request(chal=1))
+    pump(p)
+    (post,) = heal_then_collect(p)
+    m.reset()
+    rebooted = Prover(m, p.config, p.entry)
+    assert rebooted.boot() == [post]                 # the post-heal report, as a remnant
+    assert rebooted.state is ProverState.TRANSMIT_WAIT
+    # the heal order is in the retained flags: any fresh answer ends the
+    # session, a heal included, and the wiped image is not healed again
+    assert rebooted.handle_message(wire.Response.make(KEY, answer, 3).pack()) == []
+    assert rebooted.state is ProverState.WAITING
+    kept = AuditContext.load(m.retained_mem)
+    assert (kept.flags, kept.chal) == (0, 3)
+
+
+def test_the_prover_keeps_in_ram_only_what_a_power_cut_may_lose():
+    """The retained header is the prover's only record of a session, and
+    ``scenario.run`` builds a new prover at every power cut. A field added
+    to the prover's RAM must therefore be something the device may lose at
+    a cut: the session must carry on from retained memory without it. Put
+    any session fact in the retained context instead."""
+    p, _, _ = build(DIAMOND)
+    p.boot()
+    p.handle_message(request(chal=1))
+    pump(p)
+    assert set(vars(p)) == {"m", "config", "entry", "ctx", "log", "metrics",
+                            "_stalled", "_resend_clock", "_put_log_size",
+                            "_put_engine_state"}
 
 
 # --- advance: many ticks per call -------------------------------------------------
@@ -771,7 +803,7 @@ def device_state(p):
     m = p.m
     return (p.state, p.ctx, bytes(m.retained_mem), list(m.regs), m.flag_z,
             m.flag_n, m.cycle_count, m.timer.elapsed, m.world, p.metrics,
-            p.ns_since_trigger, p._resend_clock)
+            p._resend_clock)
 
 
 def instructions_to_first_gateway(asm, words):
