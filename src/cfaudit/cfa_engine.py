@@ -19,6 +19,10 @@ Compression only collapses immediate repetition anchored at a backward
 edge whose destination matches the last one or two committed entries; no
 general pattern mining. Appends that merely extend a pending repetition
 do not grow the log, which is what bounds log size for hot loops.
+
+The log persists itself in place: its size and in-flight repetition go
+into a header beside the buffer, both retained on a device, in the
+operation that changes them, so what it acknowledged is durable on return.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ class AppendResult:
 
 _WORD = struct.Struct(">I")
 _put_word = _WORD.pack_into
+_put_progress = struct.Struct(">BI").pack_into   # a repetition's pos and count
 
 
 def _address_word(addr: int) -> int:
@@ -95,13 +100,34 @@ class PendingLoop:
 
 class CfLog:
     """Bounded append-only log, optionally backed by an external buffer
-    (the retained-memory window) so entries survive machine resets."""
+    (the retained-memory window) and header so entries, the size and the
+    in-flight repetition survive machine resets."""
 
-    def __init__(self, capacity: int = DEFAULT_LOG_MAX, buffer: memoryview | None = None):
+    # Besides the buffer, a reset must not lose its size and the in-flight
+    # repetition, or a power cycle would silently drop destinations already
+    # acknowledged as appended. The log writes both into the header it is
+    # handed, at the offsets it is given, in the operation that changes
+    # them: the size with each committed word; a repetition's pos and count
+    # as it grows, its whole state when it starts, flushes or is cleared.
+    # Without a header it writes a private one of the same shape. Building
+    # a log writes nothing; ``resume`` picks up what the header holds.
+
+    STATE_WIDTH = 24
+    _STATE = struct.Struct(">BBIII10x")     # unit length, pos, count, unit
+    assert _STATE.size == STATE_WIDTH
+    IDLE_STATE = _STATE.pack(0, 0, 0, 0, 0)  # no repetition in flight
+
+    def __init__(self, capacity: int = DEFAULT_LOG_MAX, buffer: memoryview | None = None,
+                 header: bytearray | None = None, size_at: int = 0,
+                 state_at: int = ENTRY_WIDTH):
         if buffer is not None and len(buffer) < capacity:
             raise ValueError("backing buffer smaller than capacity")
         self.capacity = capacity
         self.buf = buffer if buffer is not None else memoryview(bytearray(capacity))
+        self.header = header if header is not None \
+            else bytearray(ENTRY_WIDTH + self.STATE_WIDTH)
+        self._size_at = size_at
+        self._state_at = state_at
         self.size = 0
         self.active = True
         self.pending: PendingLoop | None = None
@@ -109,8 +135,14 @@ class CfLog:
     # -- raw entry plumbing ----------------------------------------------
 
     def _commit(self, word: int) -> None:
-        _put_word(self.buf, self.size, word)
-        self.size += ENTRY_WIDTH
+        size = self.size
+        _put_word(self.buf, size, word)
+        self.size = size = size + ENTRY_WIDTH
+        _put_word(self.header, self._size_at, size)
+
+    def _put_state(self, state: bytes) -> None:
+        at = self._state_at
+        self.header[at:at + self.STATE_WIDTH] = state
 
     def _flush_bytes_needed(self) -> int:
         if self.pending is None:
@@ -128,6 +160,7 @@ class CfLog:
         for elem in p.unit[:p.pos]:
             self._commit(_address_word(elem))
         self.pending = None
+        self._put_state(self.IDLE_STATE)
 
     # -- public operations --------------------------------------------------
 
@@ -136,7 +169,6 @@ class CfLog:
         leaving the log unmodified, when the entry cannot fit."""
         if not self.active:
             raise InactiveEngine("audit engine is inactive")
-
         p = self.pending
         if p is not None:
             if dest == p.unit[p.pos]:
@@ -146,6 +178,8 @@ class CfLog:
                     p.pos = 0
                     if p.count >= COUNT_MASK:
                         self._flush()     # its record is full; the reserve holds it
+                        return AppendResult.OK
+                _put_progress(self.header, self._state_at + 1, p.pos, p.count)
                 return AppendResult.OK
             # repetition broken: flush, then handle dest as a fresh append
             need = self._flush_bytes_needed() + ENTRY_WIDTH
@@ -159,11 +193,18 @@ class CfLog:
                 # dest matches the unit's first element: one element in
                 self.pending = PendingLoop(unit, 1, 0) if len(unit) == 1 \
                     else PendingLoop(unit, 0, 1)
+                self._put_state(self.checkpoint())
                 return AppendResult.OK
 
-        if self.size + ENTRY_WIDTH > self.capacity:
+        # a forward edge, or a backward one that starts no repetition
+        size = self.size
+        if size + ENTRY_WIDTH > self.capacity:
             return AppendResult.FULL
-        self._commit(_address_word(dest))
+        if not 0 <= dest < TAG_BIT:
+            raise ValueError(f"address {dest:#x} exceeds 31 bits")
+        _put_word(self.buf, size, dest)
+        self.size = size = size + ENTRY_WIDTH
+        _put_word(self.header, self._size_at, size)
         return AppendResult.OK
 
     def _match_tail(self, dest: int) -> tuple[int, ...] | None:
@@ -201,25 +242,16 @@ class CfLog:
         """Drop the acknowledged slice."""
         self.size = 0
         self.pending = None
+        _put_word(self.header, self._size_at, 0)
+        self._put_state(self.IDLE_STATE)
 
     def to_bytes(self) -> bytes:
         return bytes(self.buf[:self.size])
 
     # -- suspend/resume ----------------------------------------------------
-    #
-    # The buffer itself can sit in retained memory, and the matcher reads
-    # the committed words it compares against from there. Only the
-    # in-flight repetition lives in engine RAM; it would vanish on a power
-    # cycle, silently dropping destinations that were already acknowledged
-    # as appended. Checkpointing it alongside the buffer's size keeps the
-    # log complete across resets.
-
-    STATE_WIDTH = 24
-    _STATE = struct.Struct(">BBIII10x")     # unit length, pos, count, unit
-    assert _STATE.size == STATE_WIDTH
-    IDLE_STATE = _STATE.pack(0, 0, 0, 0, 0)  # no repetition in flight
 
     def checkpoint(self) -> bytes:
+        """The in-flight repetition as the header holds it."""
         p = self.pending
         if p is None:
             return self.IDLE_STATE
@@ -227,8 +259,16 @@ class CfLog:
         return self._STATE.pack(len(p.unit), p.pos, p.count, *unit)
 
     def restore(self, state: bytes) -> None:
+        """Put the repetition ``state`` describes in flight, in the header too."""
         unit_len, pos, count, u0, u1 = self._STATE.unpack(state)
         self.pending = PendingLoop((u0, u1)[:unit_len], count, pos) if unit_len else None
+        self._put_state(state)
+
+    def resume(self) -> None:
+        """Go on with the log the header holds: size and repetition."""
+        self.size = _WORD.unpack_from(self.header, self._size_at)[0]
+        at = self._state_at
+        self.restore(bytes(self.header[at:at + self.STATE_WIDTH]))
 
 
 def iter_entries(data: bytes):

@@ -2,10 +2,11 @@
 retained memory that lets an audit session survive any reset.
 
 The layout is written once, as the field table ``FIELDS``. Every offset,
-the whole-header ``store``/``load`` and the field writes the prover and
-the resolver make on their hot paths derive from it. The log buffer sits
-behind a reserved block of ``CTX_HEADER_SIZE`` bytes, written in place by
-the log engine.
+the whole-header ``store``/``load`` and the field writes made between
+stores derive from it: the resolver's wipe cursor, and the log engine's
+``log_size`` and ``engine_state``, which it writes itself at the offsets
+the prover hands it. The log buffer sits behind a reserved block of
+``CTX_HEADER_SIZE`` bytes, also written in place by the log engine.
 
 The header outlives a session: a concluded session clears its flags and
 keeps its ``chal``, the freshness floor a new request must exceed, so a

@@ -8,6 +8,8 @@ one function, ``service_gateway``, which logs the destination and names the
 pc the app resumes at. It has two callers, and both read the gateway state
 from the parked core: ``Machine.run``'s block, through the prover's handler,
 and the replay of an entry the full log refused, once the next slice starts.
+The log persists what it acknowledged in the retained header itself, so
+neither caller writes anything after it.
 
 Report cadence has three causes, all funneled through one path:
 
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field
 from . import isa, wire
 from .cfa_engine import ADDR_MASK, AppendResult, CfLog, DEFAULT_LOG_MAX
 from .context import (AuditContext, F_FINAL, F_FROZEN, F_REMEDIATION,
-                      F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, POLICY_WIPE,
-                      field_writer)
+                      F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, OFFSETS,
+                      POLICY_WIPE)
 from .resolver import Resolver
 from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger
 
@@ -128,9 +130,6 @@ class Prover:
         self.metrics = ProverMetrics()
         self._resend_clock = 0
         self._stalled = False      # the full log refused the entry the core is at
-        # what append acknowledged, persisted after every logged transfer
-        self._put_log_size = field_writer(machine.retained_mem, "log_size")
-        self._put_engine_state = field_writer(machine.retained_mem, "engine_state")
 
     @property
     def state(self) -> ProverState:
@@ -148,40 +147,33 @@ class Prover:
 
     # -- helpers ----------------------------------------------------------
 
-    def _attach_log(self, size: int = 0) -> None:
-        window = memoryview(self.m.retained_mem)[
-            LOG_BUFFER_OFFSET:LOG_BUFFER_OFFSET + self.ctx.log_max]
-        self.log = CfLog(capacity=self.ctx.log_max, buffer=window)
-        self.log.size = size
-        if size:
-            self.log.restore(self.ctx.engine_state)
+    def _attach_log(self, resume: bool = False) -> None:
+        """A log over the retained window that keeps its size and its
+        in-flight repetition in the header's own fields; ``resume`` goes on
+        with the log the header holds, else it starts empty."""
+        mem = self.m.retained_mem
+        window = memoryview(mem)[LOG_BUFFER_OFFSET:LOG_BUFFER_OFFSET + self.ctx.log_max]
+        self.log = CfLog(capacity=self.ctx.log_max, buffer=window, header=mem,
+                         size_at=OFFSETS["log_size"], state_at=OFFSETS["engine_state"])
+        if resume:
+            self.log.resume()
 
     def _persist(self) -> None:
-        self.ctx.store(self.m.retained_mem)
-
-    def _persist_size(self) -> None:
-        # size and matcher state together: what append acknowledged must
-        # survive a power cycle, including an in-flight repetition count.
-        # With no repetition in flight, before or now, the state is unchanged.
-        log, ctx = self.log, self.ctx
+        # the log writes its size and repetition to the header as it goes,
+        # and the RAM copy follows them only here, before the whole header
+        # is written over them
+        ctx, log = self.ctx, self.log
         ctx.log_size = log.size
-        self._put_log_size(log.size)
-        if log.pending is not None or ctx.engine_state != CfLog.IDLE_STATE:
-            ctx.engine_state = log.checkpoint()
-            self._put_engine_state(ctx.engine_state)
-
-    def _slice_bytes(self) -> bytes:
-        base = LOG_BUFFER_OFFSET
-        return bytes(self.m.retained_mem[base:base + self.ctx.log_size])
+        ctx.engine_state = log.checkpoint()
+        ctx.store(self.m.retained_mem)
 
     def _sign_slice(self) -> None:
         """Seal the log as the pending report: materialize any in-flight
-        repetition, persist it, and bind the slice to the image digest and
-        the challenge."""
+        repetition and bind the slice to the image digest and the
+        challenge."""
         self.log.flush_pending()
-        self._persist_size()
         self.ctx.sigma = wire.report_sigma(self.config.key, self.m.hash_pmem(),
-                                           self._slice_bytes(), self.ctx.chal)
+                                           self.log.to_bytes(), self.ctx.chal)
         self.ctx.set_flag(F_REPORT_PENDING)
 
     # -- boot --------------------------------------------------------------
@@ -197,7 +189,7 @@ class Prover:
         if state is ProverState.FROZEN:
             self.m.halted = True
             return []
-        self._attach_log(ctx.log_size)
+        self._attach_log(resume=True)
         if state is ProverState.REMEDIATE:
             return []
         # interrupted run: re-report the retained slice, session ends here
@@ -278,8 +270,7 @@ class Prover:
     def _conclude(self, chal: int) -> list[bytes]:
         """Session over: clear the retained flags and keep the concluding
         challenge, the floor every later request must clear."""
-        if self.log is not None:
-            self.log.active = False
+        self.log.active = False
         self.ctx.flags = 0
         self.ctx.chal = chal
         self._persist()
@@ -290,7 +281,6 @@ class Prover:
         self.log.clear()
         self.ctx.chal = new_chal
         self.ctx.set_flag(F_REPORT_PENDING, False)
-        self.ctx.log_size = 0
         self._persist()
         m = self.m
         m.timer.resume()           # a replayed exit door ends a window of 0
@@ -303,7 +293,6 @@ class Prover:
                 return self._trigger_report("end")
             m.pc = service_gateway(m, self.log, m.pc, m.last_exec_pc,
                                    m.prev_exec_pc, m.prev_lr)
-            self._persist_size()
         m.enter_nonsecure(m.pc)    # every trigger left the core in the Secure World
         return []
 
@@ -384,14 +373,14 @@ class Prover:
 
     def _service_inline(self, addr: int, caller_pc: int, pre_caller_pc: int,
                         prev_lr: int) -> int | None:
-        """``Machine.run``'s gateway handler: log and persist one arrival.
-        A full log's refusal comes back as an event, counted there."""
+        """``Machine.run``'s gateway handler: log one arrival, which the log
+        persists itself. A full log's refusal comes back as an event,
+        counted there."""
         resume = service_gateway(self.m, self.log, addr, caller_pc,
                                  pre_caller_pc, prev_lr)
         if resume is not None:
             calls = self.metrics.gateway_calls
             calls[addr] = calls.get(addr, 0) + 1
-            self._persist_size()
         return resume
 
     def _trigger_report(self, reason: str) -> list[bytes]:
@@ -413,11 +402,10 @@ class Prover:
 
     def _report(self) -> bytes:
         """The pending report, packed from retained memory."""
-        return wire.Report(self.ctx.sigma, self._slice_bytes()).pack()
+        return wire.Report(self.ctx.sigma, self.log.to_bytes()).pack()
 
     def _post_heal_report(self) -> list[bytes]:
         """Attest the remediated image so the verifier can confirm the heal."""
         self._attach_log()
         self.log.append(_EXIT_SENTINEL)
-        self._persist_size()
         return self._generate_report()

@@ -341,7 +341,8 @@ class Machine:
                                     pc = resume
                                     served += 1
                                     limit -= 1
-                                    budget = min(budget, limit)
+                                    if limit < budget:
+                                        budget = limit
                                     continue
                             regs[PC] = pc
                             self.world = World.SECURE

@@ -3,11 +3,11 @@
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfaudit import cfa_engine as eng
-from cfaudit.cfa_engine import (AppendResult, CfLog, MalformedLog, decompress,
-                                encode_address, encode_count, runs,
+from cfaudit.cfa_engine import (AppendResult, CfLog, InactiveEngine, MalformedLog,
+                                decompress, encode_address, encode_count, runs,
                                 UNIT_PAIR, UNIT_SINGLE, UNIT_STATIC)
 
 from support import reference_decompress
@@ -262,39 +262,134 @@ def test_static_records_round_trip(records):
     assert decompress(log.to_bytes()) == expected
 
 
+# a second append branch, backward over A and B, so repetitions start often
 logged_ops = st.lists(st.one_of(
     st.tuples(st.just("append"), st.sampled_from([A, B, C]), st.booleans()),
-    st.tuples(st.just("static"), st.sampled_from([A, B]), st.integers(0, 4))),
+    st.tuples(st.just("append"), st.sampled_from([A, B]), st.just(True)),
+    st.tuples(st.just("static"), st.sampled_from([A, B]), st.integers(0, 4)),
+    st.tuples(st.sampled_from(["flush", "clear", "saturate"]), st.just(0), st.just(0))),
     max_size=30)
+
+# the two fields sit inside a larger header, as in the retained context
+SIZE_AT, STATE_AT = 8, 20
+
+
+def header_log(capacity, buf=None, header=None):
+    return CfLog(capacity=capacity,
+                 buffer=memoryview(bytearray(capacity) if buf is None else buf),
+                 header=bytearray(64) if header is None else header,
+                 size_at=SIZE_AT, state_at=STATE_AT)
+
+
+def header_fields(log):
+    size, = struct.unpack_from(">I", log.header, SIZE_AT)
+    return size, bytes(log.header[STATE_AT:STATE_AT + CfLog.STATE_WIDTH])
+
+
+def apply(log, op):
+    kind, dest, arg = op
+    if kind == "append":
+        return log.append(dest, backward=arg)
+    if kind == "static":
+        return log.log_static_loop(dest, arg)
+    if kind == "flush":
+        log.flush_pending()
+    elif kind == "clear":
+        log.clear()
+    elif log.pending is not None:
+        # one repetition short of the count limit, then the repetition that
+        # commits its record
+        unit = log.pending.unit
+        pending_at(log, unit, eng.COUNT_MASK - 1)
+        for d in unit:
+            assert log.append(d, backward=d == unit[0]) is AppendResult.OK
+        assert log.pending is None
+    return AppendResult.OK
 
 
 def replay(log, ops):
-    for kind, dest, arg in ops:
-        if kind == "append":
-            assert log.append(dest, backward=arg) is AppendResult.OK
-        else:
-            assert log.log_static_loop(dest, arg) is AppendResult.OK
+    """Apply ``ops``, checking after each that the header holds the log's
+    size and checkpoint, and that a refused op left the header as it was."""
+    results = []
+    for op in ops:
+        before = bytes(log.header), log.to_bytes()
+        results.append(apply(log, op))
+        if results[-1] is AppendResult.FULL:
+            assert (bytes(log.header), log.to_bytes()) == before
+        assert header_fields(log) == (log.size, log.checkpoint()), op
+    return results
 
 
-@given(logged_ops)
-@settings(max_examples=150, deadline=None)
-def test_checkpoint_restore_resumes_the_same_log(ops):
-    # a power cycle after any operation: only the buffer, its size and the
-    # checkpoint survive, and the log goes on as if never interrupted
-    whole = CfLog(capacity=1 << 12)
-    replay(whole, ops)
+def _in_flight(unit, then):
+    """Ops that put a backward repetition of ``unit`` in flight, then ``then``."""
+    grow = [("append", d, d == unit[0]) for d in unit]
+    return [("append", d, False) for d in unit] + grow * 2 + then
+
+
+@given(logged_ops, st.sampled_from([16, 40, 1 << 12]))
+@example(_in_flight((A,), [("clear", 0, 0), ("append", A, False)]
+                    + _in_flight((B,), [("flush", 0, 0)])), 1 << 12)
+@example(_in_flight((A, B), [("saturate", 0, 0), ("append", A, False), ("append", B, False),
+                             ("append", A, True), ("clear", 0, 0)]
+                    + _in_flight((A, B), [("append", A, True), ("flush", 0, 0)])), 1 << 12)
+@example(_in_flight((A, B), [("append", A, True), ("append", C, False),
+                             ("static", A, 3), ("append", B, False)]), 16)
+@settings(max_examples=200, deadline=None)
+def test_checkpoint_restore_resumes_the_same_log(ops, capacity):
+    # a power cycle after any operation: only the buffer and the header
+    # survive, and the log goes on as if never interrupted
+    whole = header_log(capacity)
+    expected = replay(whole, ops)
     whole.flush_pending()
     for cut in range(len(ops) + 1):
-        first = CfLog(capacity=1 << 12)
+        first = header_log(capacity)
         replay(first, ops[:cut])
-        state = first.checkpoint()
-        assert len(state) == CfLog.STATE_WIDTH
-        resumed = CfLog(capacity=1 << 12, buffer=memoryview(bytearray(first.buf)))
-        resumed.size = first.size
-        resumed.restore(state)
-        replay(resumed, ops[cut:])
+        resumed = header_log(capacity, buf=bytearray(first.buf),
+                             header=bytearray(first.header))
+        resumed.resume()
+        assert (resumed.size, resumed.checkpoint()) == (first.size, first.checkpoint())
+        assert replay(resumed, ops[cut:]) == expected[cut:]
         resumed.flush_pending()
         assert resumed.to_bytes() == whole.to_bytes(), f"cut after {cut} operations"
+
+
+def test_building_a_log_writes_nothing_to_its_header():
+    header = bytearray(range(64))
+    log = header_log(32, header=header)
+    assert header == bytearray(range(64))
+    # a forward append writes its word and the size, nothing else
+    log.append(A)
+    expected = bytearray(range(64))
+    expected[SIZE_AT:SIZE_AT + 4] = (4).to_bytes(4, "big")
+    assert header == expected
+
+
+def test_the_forward_fast_path_keeps_every_check():
+    log = header_log(8)
+    log.append(A)
+    before = bytes(log.header), log.size
+    with pytest.raises(ValueError):
+        log.append(1 << 31)
+    assert (bytes(log.header), log.size) == before
+    assert log.append(B) is AppendResult.OK
+    before = bytes(log.header), log.to_bytes()
+    assert log.append(C) is AppendResult.FULL
+    assert (bytes(log.header), log.to_bytes()) == before
+    log.active = False
+    for backward in (False, True):
+        with pytest.raises(InactiveEngine):
+            log.append(A, backward=backward)
+    with pytest.raises(InactiveEngine):
+        log.log_static_loop(A, 3)
+    assert (bytes(log.header), log.to_bytes()) == before
+
+
+@pytest.mark.xfail(strict=True, reason="D3: a static record clamps its limit "
+                   "to COUNT_MASK, losing the traversals above it")
+def test_a_static_limit_past_the_count_limit_keeps_every_traversal():
+    log = CfLog(capacity=64)
+    assert log.log_static_loop(A, eng.COUNT_MASK + 5) is AppendResult.OK
+    assert destinations_in_order(log.to_bytes(), (A,)) == eng.COUNT_MASK + 4
 
 
 def test_runs_keep_counts_unexpanded():

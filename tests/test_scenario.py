@@ -424,6 +424,15 @@ def test_clock_matches_per_tick_loop_under_other_policies(name, policy):
         assert_same_as_per_tick(replace(spec, reset_at=reset_at))
 
 
+@pytest.mark.xfail(strict=True, reason="D7: disable overwrites only the entry "
+                   "word, so the tampered word stays and every post-heal report "
+                   "is condemned again")
+def test_a_tampered_image_under_disable_settles_healed():
+    res = run(replace(bundled("image_tamper"), policy=POLICY_DISABLE, max_ticks=20000))
+    assert res.heal_issued
+    assert res.settled and res.verdicts == ["heal", "end"]
+
+
 def test_clock_matches_per_tick_loop_on_a_reset_mid_wipe(monkeypatch):
     # padding makes the wipe take three chunks, one per tick
     base = bundled("image_tamper")

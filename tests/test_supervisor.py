@@ -5,6 +5,7 @@ each device behavior is pinned independently."""
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -198,15 +199,17 @@ def test_context_layout_is_pinned():
 
 
 def test_partial_stores_agree_with_the_full_store():
-    # gateway events persist the log size and the engine checkpoint, here
-    # with a repetition count in flight
+    # the log persists its size and checkpoint in the header itself, here
+    # with a repetition count in flight; the prover's RAM copy of the two
+    # follows them only at a whole-header store
     p, m, _ = build(SINGLETON_LOOP)
     p.boot()
     p.handle_message(request(chal=1))
     while sum(p.metrics.gateway_calls.values()) < 3:
         assert p.step() == []
-    assert p.ctx.log_size and p.log.pending.count
-    assert AuditContext.load(m.retained_mem) == p.ctx
+    assert p.log.size and p.log.pending.count
+    assert AuditContext.load(m.retained_mem) == replace(
+        p.ctx, log_size=p.log.size, engine_state=p.log.checkpoint())
     # a wipe chunk persists the cursor
     p, m, _ = build(BULKY, policy=POLICY_WIPE)
     p.boot()
@@ -719,8 +722,7 @@ def test_the_prover_keeps_in_ram_only_what_a_power_cut_may_lose():
     p.handle_message(request(chal=1))
     pump(p)
     assert set(vars(p)) == {"m", "config", "entry", "ctx", "log", "metrics",
-                            "_stalled", "_resend_clock", "_put_log_size",
-                            "_put_engine_state"}
+                            "_stalled", "_resend_clock"}
 
 
 # --- advance: many ticks per call -------------------------------------------------
