@@ -43,7 +43,9 @@ class Channel:
 
     def __init__(self, config: ChannelConfig, label: str = ""):
         self.config = config
-        self.rng = random.Random(f"{config.seed}:{label}")
+        # an ideal link draws nothing, so it holds no generator
+        ideal = not (config.loss or config.duplicate or config.delay_max)
+        self.rng = None if ideal else random.Random(f"{config.seed}:{label}")
         self.stats = ChannelStats()
         self._heap: list[tuple[int, int, bytes]] = []
         self._seq = 0
@@ -56,7 +58,7 @@ class Channel:
 
     def send(self, now: int, data: bytes) -> None:
         self.stats.sent += 1
-        if self.rng.random() < self.config.loss:
+        if self.rng is not None and self.rng.random() < self.config.loss:
             self.stats.dropped += 1
             return
         self._enqueue(now, data)

@@ -1,12 +1,14 @@
 """Retained session context: the fixed-layout header at the base of
 retained memory that lets an audit session survive any reset.
 
-The layout is written once, as the field table ``FIELDS``. Every offset,
-the whole-header ``store``/``load`` and the field writes made between
-stores derive from it: the resolver's wipe cursor, and the log engine's
-``log_size`` and ``engine_state``, which it writes itself at the offsets
-the prover hands it. The log buffer sits behind a reserved block of
-``CTX_HEADER_SIZE`` bytes, also written in place by the log engine.
+The layout is written once, as the field table ``FIELDS``. Every offset
+and every write derives from it. The header is written by ``store``, whole
+or by field: an operation stores the fields it changes, so a slice cut
+writes ``sigma`` and ``flags``, and a wipe chunk the resolver's
+``wipe_cursor``. The log engine writes ``log_size`` and ``engine_state``
+itself, at the offsets the prover hands it. The log buffer sits behind a
+reserved block of ``CTX_HEADER_SIZE`` bytes, also written in place by the
+log engine.
 
 The header outlives a session: a concluded session clears its flags and
 keeps its ``chal``, the freshness floor a new request must exceed, so a
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from functools import partial
 
 from . import wire
 from .cfa_engine import CfLog, DEFAULT_LOG_MAX
@@ -60,12 +61,12 @@ HEADER = struct.Struct(">" + "".join(fmt for _, fmt in FIELDS))
 assert HEADER.size <= CTX_HEADER_SIZE
 
 OFFSETS: dict[str, int] = {}
-_STRUCTS: dict[str, struct.Struct] = {}
+_WRITERS = {}       # name -> (its struct's pack_into, its offset)
 _offset = 0
 for _name, _fmt in FIELDS:
     if _name is not None:
         OFFSETS[_name] = _offset
-        _STRUCTS[_name] = struct.Struct(">" + _fmt)
+        _WRITERS[_name] = (struct.Struct(">" + _fmt).pack_into, _offset)
     _offset += struct.calcsize(">" + _fmt)
 
 # the header's values in pack order, the magic excluded
@@ -96,10 +97,18 @@ class AuditContext:
     def set_flag(self, bit: int, on: bool = True) -> None:
         self.flags = (self.flags | bit) if on else (self.flags & ~bit)
 
-    def store(self, mem: bytearray) -> None:
-        values = [getattr(self, name) for name in _VALUES]
-        values[_CHAL] = wire.chal_bytes(self.chal)
-        HEADER.pack_into(mem, 0, CTX_MAGIC, *values)
+    def store(self, mem: bytearray, *names: str) -> None:
+        """Write the fields ``names`` to the header in ``mem``, from this
+        context's values; with no names, the whole header and its magic."""
+        if not names:
+            values = [getattr(self, name) for name in _VALUES]
+            values[_CHAL] = wire.chal_bytes(self.chal)
+            HEADER.pack_into(mem, 0, CTX_MAGIC, *values)
+            return
+        for name in names:
+            pack_into, offset = _WRITERS[name]
+            value = getattr(self, name)
+            pack_into(mem, offset, wire.chal_bytes(value) if name == "chal" else value)
 
     @classmethod
     def load(cls, mem: bytearray) -> "AuditContext | None":
@@ -112,9 +121,3 @@ class AuditContext:
 
 assert _VALUES == tuple(f.name for f in fields(AuditContext))
 
-
-def field_writer(mem: bytearray, name: str):
-    """A function ``(value)`` that writes the one field ``name`` to the
-    header in ``mem``: its ``pack_into`` with the buffer and offset bound.
-    ``chal`` is written only by ``store``."""
-    return partial(_STRUCTS[name].pack_into, mem, OFFSETS[name])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import isa
 from .context import (F_FROZEN, POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE,
-                      AuditContext, field_writer)
+                      AuditContext)
 from .vm import Machine
 
 POLICY_NAMES = {POLICY_FREEZE: "freeze", POLICY_DISABLE: "disable", POLICY_WIPE: "wipe"}
@@ -63,5 +63,5 @@ class Resolver:
         end = min(start + WIPE_CHUNK, ctx.image_len)
         self.m.write_pmem(isa.PMEM_BASE + start, bytes(end - start))
         ctx.wipe_cursor = end
-        field_writer(retained, "wipe_cursor")(end)
+        ctx.store(retained, "wipe_cursor")
         return end >= ctx.image_len

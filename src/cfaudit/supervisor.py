@@ -22,6 +22,13 @@ arrives, so evidence survives resets: on boot an interrupted session is
 re-reported from retained memory before the app could run again. The
 prover's state is the retained header's flags, so a prover built on the
 same memories after a power cut carries the session on.
+
+Each operation writes the header fields it changes, through
+``AuditContext.store``: the whole header at set-up, at a heal order, at
+the session's conclusion and at boot; ``sigma`` and ``flags`` at a slice
+cut; ``chal`` and ``flags`` when a response resumes the app; the wipe
+cursor at each wipe chunk. The log engine writes ``log_size`` and
+``engine_state`` itself.
 """
 
 from __future__ import annotations
@@ -159,7 +166,9 @@ class Prover:
             self.log.resume()
 
     def _persist(self) -> None:
-        # the log writes its size and repetition to the header as it goes,
+        # the whole header, at set-up, heal, conclusion and boot; a slice
+        # cut and its acknowledgement store only the fields they change.
+        # The log writes its size and repetition to the header as it goes,
         # and the RAM copy follows them only here, before the whole header
         # is written over them
         ctx, log = self.ctx, self.log
@@ -281,8 +290,8 @@ class Prover:
         self.log.clear()
         self.ctx.chal = new_chal
         self.ctx.set_flag(F_REPORT_PENDING, False)
-        self._persist()
         m = self.m
+        self.ctx.store(m.retained_mem, "chal", "flags")
         m.timer.resume()           # a replayed exit door ends a window of 0
         if self._stalled:
             # replay the refused entry from the parked core; the cleared
@@ -391,7 +400,7 @@ class Prover:
 
     def _generate_report(self) -> list[bytes]:
         self._sign_slice()
-        self._persist()
+        self.ctx.store(self.m.retained_mem, "sigma", "flags")
         self.metrics.slices_sent += 1
         return self._emit_report()
 

@@ -566,16 +566,14 @@ class Verifier:
         the digest the golden image (or its healed form) must produce, so a
         modified program can only ever produce a mismatch.
         """
-        digests = [self.cfg.digest]
-        if self.violation is not None:
-            digests.insert(0, self.post_heal_digest)
-        chals = [self.current_chal]
-        if self.prev_chal is not None:
-            chals.append(self.prev_chal)
+        key, log, sigma = self.config.key, report.log, report.sigma
+        digests = (self.cfg.digest,) if self.violation is None \
+            else (self.post_heal_digest, self.cfg.digest)
+        chals = (self.current_chal,) if self.prev_chal is None \
+            else (self.current_chal, self.prev_chal)
         for digest in digests:
             for chal in chals:
-                good = wire.report_sigma(self.config.key, digest, report.log, chal)
-                if wire.macs_equal(good, report.sigma):
+                if wire.macs_equal(wire.report_sigma(key, digest, log, chal), sigma):
                     return digest
         return None
 

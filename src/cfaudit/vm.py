@@ -235,7 +235,12 @@ class Machine:
     # -- secure-world operations -----------------------------------------
 
     def hash_pmem(self) -> bytes:
-        return hashlib.sha256(bytes(self.pmem)).digest()
+        """SHA-256 of program memory, measured once per content: every
+        program-memory write replaces ``_code``, which keeps the digest."""
+        code = self._code
+        if code.digest is None:
+            code.digest = hashlib.sha256(self.pmem).digest()
+        return code.digest
 
     def lock_pmem(self) -> None:
         """Make pmem read/execute-only for the Non-Secure world."""
@@ -635,10 +640,12 @@ def _fold(insts: list[tuple[int, int, int, int]]) -> Callable | None:
 
 
 class _Code:
-    """The closures of an image or a machine's own ``pmem``, by pc and block."""
+    """The closures of an image or a machine's own ``pmem``, by pc and
+    block, and its SHA-256 once measured."""
 
     def __init__(self, pmem: bytes | bytearray):
         self.pmem, self.ops, self.blocks = pmem, {}, {}     # ops, blocks: by pc
+        self.digest: bytes | None = None
 
     def covers(self, pc: int) -> bool:
         """Whether ``pc`` is a whole, aligned program-memory word."""

@@ -15,6 +15,7 @@ it EXPECTS and a modified program or log surfaces as a MAC mismatch.
 
 from __future__ import annotations
 
+import functools
 import hmac
 import struct
 from dataclasses import dataclass
@@ -34,13 +35,31 @@ REQUEST_WIDTH = 1 + 2 + 8 + CHAL_WIDTH + MAC_WIDTH
 RESPONSE_WIDTH = 1 + 1 + CHAL_WIDTH + MAC_WIDTH
 REPORT_HEADER_WIDTH = 1 + MAC_WIDTH + 4
 
+_U32 = struct.Struct(">I")
+_REPORT_TAG = bytes((MSG_REPORT,))
+
 
 class WireError(Exception):
     """Structurally invalid message."""
 
 
+# keys kept keyed: a device's and its verifier's, with room to spare
+KEYED_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=KEYED_CACHE_SIZE)
+def _keyed(key: bytes) -> hmac.HMAC:
+    """HMAC-SHA256 keyed with ``key`` and fed nothing. Shared: only its
+    copies are fed."""
+    return hmac.new(key, digestmod="sha256")
+
+
 def mac(key: bytes, *chunks: bytes) -> bytes:
-    return hmac.digest(key, b"".join(chunks), "sha256")
+    """HMAC-SHA256 of the chunks' concatenation, started from a copy of the
+    key's keyed state instead of keying afresh."""
+    state = _keyed(key).copy()
+    state.update(b"".join(chunks))
+    return state.digest()
 
 
 def macs_equal(a: bytes, b: bytes) -> bool:
@@ -89,8 +108,7 @@ class Report:
     log: bytes
 
     def pack(self) -> bytes:
-        return struct.pack(">B", MSG_REPORT) + self.sigma \
-            + struct.pack(">I", len(self.log)) + self.log
+        return b"".join((_REPORT_TAG, self.sigma, _U32.pack(len(self.log)), self.log))
 
     @classmethod
     def parse(cls, data: bytes) -> "Report":
@@ -106,7 +124,7 @@ class Report:
 
 def report_sigma(key: bytes, digest: bytes, log: bytes, chal: int) -> bytes:
     """Evidence MAC: binds program digest, slice size, slice bytes, challenge."""
-    return mac(key, digest, struct.pack(">I", len(log)), log, chal_bytes(chal))
+    return mac(key, digest, _U32.pack(len(log)), log, chal_bytes(chal))
 
 
 @dataclass(frozen=True)
@@ -117,25 +135,32 @@ class Response:
 
     @classmethod
     def make(cls, key: bytes, result: int, chal: int) -> "Response":
-        sigma = mac(key, chal_bytes(chal), struct.pack(">B", result))
-        return cls(result, chal, sigma)
+        return cls(result, chal, mac(key, chal_bytes(chal), bytes((result,))))
 
     def pack(self) -> bytes:
-        return struct.pack(">BB", MSG_RESPONSE, self.result) \
-            + chal_bytes(self.chal) + self.sigma
+        return b"".join((bytes((MSG_RESPONSE, self.result)), chal_bytes(self.chal),
+                         self.sigma))
 
     @classmethod
     def parse(cls, data: bytes) -> "Response":
-        if len(data) != RESPONSE_WIDTH or data[0] != MSG_RESPONSE:
+        result = response_result(data)
+        if result is None:
             raise WireError("bad response framing")
-        result = data[1]
-        chal = chal_value(data[2:2 + CHAL_WIDTH])
-        return cls(result, chal, data[-MAC_WIDTH:])
+        return cls(result, int.from_bytes(data[2:2 + CHAL_WIDTH], "big"),
+                   data[-MAC_WIDTH:])
 
     def verify(self, key: bytes) -> bool:
-        good = mac(key, chal_bytes(self.chal), struct.pack(">B", self.result))
+        good = mac(key, chal_bytes(self.chal), bytes((self.result,)))
         return macs_equal(good, self.sigma)
 
 
 def message_type(data: bytes) -> int | None:
     return data[0] if data else None
+
+
+def response_result(data: bytes) -> int | None:
+    """The result byte of a well-framed response, read without parsing it;
+    None for any other message."""
+    if len(data) != RESPONSE_WIDTH or data[0] != MSG_RESPONSE:
+        return None
+    return data[1]

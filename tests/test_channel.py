@@ -25,6 +25,17 @@ def test_lossless_channel_delivers_everything_in_order():
     assert ch.stats.dropped == 0
 
 
+def test_an_ideal_link_draws_nothing_and_delivers_in_order():
+    link = Link.create(ChannelConfig(seed=5))
+    for ch in (link.to_device, link.to_verifier):
+        assert ch.rng is None
+        for i in range(10):
+            ch.send(i // 3, bytes([i]))
+        got = drain(ch, 10)
+        assert got == [(i // 3, bytes([i])) for i in range(10)]
+        assert ch.stats.sent == ch.stats.delivered == 10
+
+
 def test_total_loss_is_rejected():
     # a link that never delivers breaks the retransmission liveness argument,
     # so the config refuses it outright

@@ -246,6 +246,32 @@ def test_retained_log_state_follows_the_log_at_every_tick():
         assert stored.engine_state == p.log.checkpoint()
     assert seen_pending and p.metrics.triggers["end"] == 1
 
+    # a whole session on a 16-byte log: capacity slices, each answered, and
+    # the entry each one refused replayed as the next slice starts. Slices
+    # and responses write only the header fields they change, so a field
+    # one of them leaves out shows here, at the tick after
+    p, m, _ = build("main:\n" + "    bl fn\n" * 12 + "    nsc_call\nfn:\n    bx lr\n",
+                    log_max=16)
+
+    def header_follows_the_prover():
+        assert AuditContext.load(m.retained_mem) == replace(
+            p.ctx, log_size=p.log.size, engine_state=p.log.checkpoint())
+
+    p.boot()
+    p.handle_message(request(chal=1))
+    chal = 1
+    while p.state is not ProverState.WAITING:
+        out = p.step()
+        header_follows_the_prover()
+        if out:
+            done = decompress(wire.Report.parse(out[0]).log)[-1:] == [NSC_EXIT]
+            chal += 1
+            p.handle_message(wire.Response.make(
+                KEY, wire.RESULT_END if done else wire.RESULT_EXEC, chal).pack())
+            header_follows_the_prover()
+    assert p.metrics.triggers["capacity"] >= 2 and p.metrics.triggers["end"] == 1
+    assert AuditContext.load(m.retained_mem).chal == chal
+
 
 def test_blank_retained_memory_loads_no_context():
     assert AuditContext.load(bytearray(512)) is None

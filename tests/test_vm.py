@@ -408,9 +408,14 @@ def test_machines_of_one_image_keep_their_own_predecoded_words():
     assert probe.run() == (2, Halted())
     built = dict(shared.blocks)
     assert built
+    image_digest = hashlib.sha256(prog.image).digest()
+    assert a.hash_pmem() == b.hash_pmem() == image_digest    # measured once, shared
     halt_word = isa.Instruction(isa.OP_HALT, 0, 0, 0).encode()
     a.write_pmem(PMEM_BASE, halt_word)
+    assert a.hash_pmem() == hashlib.sha256(a.pmem).digest() != image_digest
     a.store_word(PMEM_BASE + 4, int.from_bytes(halt_word, "big"))
+    assert a.hash_pmem() == hashlib.sha256(a.pmem).digest()
+    assert b.hash_pmem() == image_digest != a.hash_pmem()   # the patched twin differs
     for pc in (PMEM_BASE, PMEM_BASE + 4):     # a fetches its new words first
         a.reset()
         a.pc = pc
@@ -606,12 +611,16 @@ def test_pmem_store_invalidates_the_predecoded_word(limit):
     def make(cls):
         m = load_as(cls, SELF_PATCH)
         load_input(m, [patched])
+        m.hash_pmem()                    # measured before the app patches itself
         m.enter_nonsecure(m.pc)
         made.append(m)
         return m
+    image_digest = hashlib.sha256(isa.assemble(SELF_PATCH).image).digest()
     (ev,) = assert_blocks_match_steps(make, limit)
     assert ev.addr == NSC_EXIT
     assert [m.regs[0] for m in made] == [2, 2, 2]
+    for m in made:
+        assert m.hash_pmem() == hashlib.sha256(m.pmem).digest() != image_digest
 
 
 @pytest.mark.parametrize("limit", [1, 7, UNBOUNDED])

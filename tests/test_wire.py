@@ -6,7 +6,7 @@ import hmac as stdlib_hmac
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cfaudit import wire
@@ -115,3 +115,24 @@ def test_report_parse_pack_roundtrip(log, chal):
     back = wire.Report.parse(rep.pack())
     assert back.sigma == sigma and back.log == log
     assert back.sigma == wire.report_sigma(KEY, digest, back.log, chal)
+
+
+MANY_KEYS = [bytes([i]) * (20 + 7 * i) for i in range(wire.KEYED_CACHE_SIZE + 3)]
+
+
+@given(st.lists(st.binary(max_size=100), min_size=2, max_size=2 * wire.KEYED_CACHE_SIZE,
+                unique=True),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=63),
+                          st.lists(st.binary(max_size=80), max_size=5)),
+                min_size=1, max_size=20))
+@example(keys=MANY_KEYS, calls=[(i, [b"chunk", bytes([i])]) for i in range(30)])
+def test_mac_equals_one_hmac_over_the_joined_chunks(keys, calls):
+    # keys short, at the block size and longer; a key's keyed state is
+    # copied for each MAC, never fed itself
+    def check(key, chunks):
+        assert wire.mac(key, *chunks) == stdlib_hmac.digest(key, b"".join(chunks), "sha256")
+    for pick, chunks in calls:
+        check(keys[pick % len(keys)], chunks)
+        check(keys[0], chunks)                  # interleaved with a second key
+    for key in keys + keys:                     # more keys than the cache holds, twice
+        check(key, [key[:3], b"", key[3:]])
