@@ -166,9 +166,7 @@ class Prover:
             self.log.resume()
 
     def _persist(self) -> None:
-        # the whole header, at set-up, heal, conclusion and boot; a slice
-        # cut and its acknowledgement store only the fields they change.
-        # The log writes its size and repetition to the header as it goes,
+        # the log writes its size and repetition to the header as it goes,
         # and the RAM copy follows them only here, before the whole header
         # is written over them
         ctx, log = self.ctx, self.log

@@ -93,6 +93,10 @@ def test_message_type_dispatch():
     assert wire.message_type(req) == wire.MSG_REQUEST
     assert wire.message_type(rep) == wire.MSG_REPORT
     assert wire.message_type(resp) == wire.MSG_RESPONSE
+    # a response's result byte is read without a parse, and only from a
+    # well-framed response
+    assert wire.response_result(resp) == wire.RESULT_END
+    assert [wire.response_result(m) for m in (req, rep, resp[:-1], b"")] == [None] * 4
 
 
 def test_challenge_is_64_byte_big_endian():
@@ -134,5 +138,5 @@ def test_mac_equals_one_hmac_over_the_joined_chunks(keys, calls):
     for pick, chunks in calls:
         check(keys[pick % len(keys)], chunks)
         check(keys[0], chunks)                  # interleaved with a second key
-    for key in keys + keys:                     # more keys than the cache holds, twice
+    for key in keys + keys:     # past the cache's size, each key is keyed again
         check(key, [key[:3], b"", key[3:]])
