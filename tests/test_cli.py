@@ -1,5 +1,6 @@
 """Command line behavior: output shape and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from cfaudit import cli
+from cfaudit import cli, isa
 from cfaudit.cli import EXIT_EXPECT, EXIT_OK, EXIT_USAGE, main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PROGRAM_DIR = SCENARIO_DIR / "programs"
 CORPUS = Path(__file__).resolve().parent / "data" / "corpus.jsonl"
+REWRITES = Path(__file__).resolve().parent / "data" / "rewrites.json"
 PROBES = ("window_dense", "window_mid", "window_sparse")
 
 # benign and endless: every pass logs the same return
@@ -208,3 +210,18 @@ def test_output_matches_the_golden_corpus(capsys):
     assert len(got) == len(want) == len(scenarios) + len(PROBES)
     for got_line, want_line in zip(got, want):
         assert got_line == want_line
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROGRAM_DIR.glob("*.asm")))
+def test_instrument_output_matches_the_golden_rewrites(name, capsys):
+    """``instrument``, ``instrument --map`` and the image the rewritten text
+    assembles to, for every bundled program, by SHA-256 as recorded in
+    tests/data/rewrites.json."""
+    program = str(PROGRAM_DIR / f"{name}.asm")
+    assert main(["instrument", program]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert main(["instrument", "--map", program]) == EXIT_OK
+    got = {"text": text.encode(), "map": capsys.readouterr().out.encode(),
+           "image": isa.assemble(text).image}
+    want = json.loads(REWRITES.read_text())[name]
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == want

@@ -139,3 +139,89 @@ def test_line_addr_round_trip():
         assert prog.line_at_addr(prog.line_addrs[i]) == i
     assert prog.line_at_addr(isa.PMEM_BASE - 4) is None
     assert prog.line_at_addr(isa.PMEM_BASE + 1) is None
+
+
+# Each bad form, written as line 3 of a program, and the message it is
+# rejected with.
+BAD_LINES = [
+    ("mov r1", "mov expects 2 operand(s), got 1"),
+    ("mov r1, #1, #2", "mov expects 2 operand(s), got 3"),
+    ("mov x1, #1", "expected register, got 'x1'"),
+    ("mov #1, r1", "expected register, got '#1'"),
+    ("mov r1, x2", "expected register, got 'x2'"),
+    ("mov r1, #70000", "immediate 70000 out of range 0..65535"),
+    ("mov r1, #-1", "immediate -1 out of range 0..65535"),
+    ("mov r1, #1x", "bad immediate '#1x'"),
+    ("ldr r1", "ldr expects rd, [rs(, #off)]"),
+    ("ldr #1, [r2]", "expected register, got '#1'"),
+    ("ldr r1, r2", "bad memory operand 'r2'"),
+    ("ldr r1, [x2]", "expected register, got 'x2'"),
+    ("ldr r1, [r2, #99999]", "offset 99999 out of range"),
+    ("ldr r1, [r2, #zz]", "bad offset in '[r2, #zz]'"),
+    ("ldr r1, [r2, r3]", "bad memory operand '[r2, r3]'"),
+    ("str r1", "str expects rs, [rb(, #off)]"),
+    ("str x1, [r2]", "expected register, got 'x1'"),
+    ("str r1, [r2, #70000]", "offset 70000 out of range"),
+    ("str r1, [r2", "bad memory operand '[r2'"),
+    ("add r1", "add expects 2 or 3 operands"),
+    ("add r1, r2, r3, r4", "add expects 2 or 3 operands"),
+    ("add r1, x2, #1", "expected register, got 'x2'"),
+    ("add #1, r2, r3", "expected register, got '#1'"),
+    ("add r1, r2, #70000", "immediate 70000 out of range 0..65535"),
+    ("add r1, r2, x3", "expected register, got 'x3'"),
+    ("sub r1", "sub expects 2 or 3 operands"),
+    ("sub r1, #1, r2", "expected register, got '#1'"),
+    ("sub r1, r2, #-5", "immediate -5 out of range 0..65535"),
+    ("cmp r1", "cmp expects 2 operand(s), got 1"),
+    ("cmp #1, r1", "expected register, got '#1'"),
+    ("cmp r1, #70000", "immediate 70000 out of range 0..65535"),
+    ("cmp r1, x2", "expected register, got 'x2'"),
+    ("b", "b expects 1 operand(s), got 0"),
+    ("b main, main", "b expects 1 operand(s), got 2"),
+    ("b #main", "bad branch target '#main'"),
+    ("b 0x1000", "bad branch target '0x1000'"),
+    ("beq", "beq expects 1 operand(s), got 0"),
+    ("bne main, x", "bne expects 1 operand(s), got 2"),
+    ("blt #5", "bad branch target '#5'"),
+    ("bl", "bl expects 1 operand(s), got 0"),
+    ("bl main, main", "bl expects 1 operand(s), got 2"),
+    ("bl [r1]", "bad branch target '[r1]'"),
+    ("blx", "blx expects 1 operand(s), got 0"),
+    ("blx #5", "expected register, got '#5'"),
+    ("blx r3, r4", "blx expects 1 operand(s), got 2"),
+    ("blx main", "expected register, got 'main'"),
+    ("bx", "bx expects 1 operand(s), got 0"),
+    ("bx r3", "only 'bx lr' is supported"),
+    ("bx lr, lr", "bx expects 1 operand(s), got 2"),
+    ("push", "push expects 1 operand(s), got 0"),
+    ("push #1", "expected register, got '#1'"),
+    ("push r1, r2", "push expects 1 operand(s), got 2"),
+    ("push {x}", "expected register, got 'x'"),
+    ("pop", "pop expects 1 operand(s), got 0"),
+    ("pop {pc}, r2", "pop expects 1 operand(s), got 2"),
+    ("pop #1", "expected register, got '#1'"),
+    ("nsc_call r1", "nsc_call expects 0 operand(s), got 1"),
+    ("halt r0", "halt expects 0 operand(s), got 1"),
+    ("jmp main", "unknown mnemonic 'jmp'"),
+    ("MOVE r1, r2", "unknown mnemonic 'move'"),
+]
+
+
+@pytest.mark.parametrize("bad, msg", BAD_LINES, ids=[bad for bad, _ in BAD_LINES])
+def test_a_malformed_line_is_rejected_at_its_line(bad, msg):
+    with pytest.raises(isa.ParseError) as caught:
+        isa.assemble(f"main:\n    nsc_call\n    {bad}\n    halt\n")
+    assert (caught.value.line, caught.value.msg) == (3, msg)
+
+
+@pytest.mark.parametrize("text, line, msg", [
+    ("main:\n    nsc_call\nend:\n", 3, "label at end of file has no instruction"),
+    ("main:\n    nsc_call\nmain:\n    halt\n", 4, "duplicate label 'main'"),
+    ("x:\ny:\nx:\n    halt\n", 4, "duplicate label 'x'"),
+    ("main:\n    nsc_call\nstack_top:\n    halt\n", 4, "duplicate label 'stack_top'"),
+    ("main:\n    nsc_call\ntrampoline_ret: halt\n", 3, "duplicate label 'trampoline_ret'"),
+], ids=["trailing", "duplicate", "duplicate-on-one-instruction", "builtin", "trampoline"])
+def test_a_misplaced_label_is_rejected_at_its_line(text, line, msg):
+    with pytest.raises(isa.ParseError) as caught:
+        isa.assemble(text)
+    assert (caught.value.line, caught.value.msg) == (line, msg)
