@@ -24,7 +24,7 @@ from pathlib import Path
 from . import isa
 from .instrument import UnsupportedPattern, instrument
 from .isa import LinkError, ParseError
-from .scenario import ScenarioError, ScenarioSpec, parse_scenario, run
+from .scenario import ScenarioError, ScenarioSpec, parse_input, parse_scenario, run
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
@@ -98,7 +98,7 @@ def _parse_capacities(text: str) -> list[int]:
 def _cmd_window(args) -> int:
     path = Path(args.program)
     asm_text = path.read_text()
-    tokens = tuple(args.input.split())
+    tokens = parse_input(args.input)
     rows = []
     for cap in _parse_capacities(args.log_max):
         res = run(ScenarioSpec(path.stem, asm_text, delta=args.delta, log_max=cap,

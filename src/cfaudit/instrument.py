@@ -23,11 +23,20 @@ shape exactly (``mov ri, #0`` init, a single ``add ri, ri, #1`` in the
 body, ``cmp ri, limit`` feeding a backward ``bne``/``blt``, no other
 branches, labels, or limit writes inside). Anything ambiguous falls back
 to plain conditional instrumentation, which is always safe.
+
+The rewriter reads only lines ``isa.parse_lines`` has checked, so a
+malformed line is rejected at its source line, as the assembler rejects
+it, and is never rewritten. What it checks itself is the program's shape:
+a conditional branch needs a fall-through and a program label to go to
+(``UnsupportedPattern``), and r10/r11 need free registers to move to
+(``RegisterPressure``). Symbols and capacity are checked when the
+rewritten text is assembled.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import isa
@@ -101,7 +110,7 @@ class InstrumentationMap:
 
 # --- register renaming ----------------------------------------------------
 
-_REG_TOKEN = re.compile(r"\b(r\d+|sp|lr|pc)\b")
+_REG_TOKEN = re.compile(r"\b(r\d+|sp|lr|pc)\b", re.IGNORECASE)
 
 
 def _registers_used(lines: list[SourceLine]) -> set[str]:
@@ -111,22 +120,8 @@ def _registers_used(lines: list[SourceLine]) -> set[str]:
             if arg.startswith("#"):
                 continue
             for tok in _REG_TOKEN.findall(arg):
-                used.add(tok)
+                used.add(tok.lower())
     return used
-
-
-def _apply_renames(lines: list[SourceLine], renames: dict[str, str]) -> list[SourceLine]:
-    if not renames:
-        return [SourceLine(list(sl.labels), sl.mnemonic, list(sl.args), sl.lineno)
-                for sl in lines]
-
-    def sub(arg: str) -> str:
-        if arg.startswith("#"):
-            return arg
-        return _REG_TOKEN.sub(lambda m: renames.get(m.group(1), m.group(1)), arg)
-
-    return [SourceLine(list(sl.labels), sl.mnemonic, [sub(a) for a in sl.args], sl.lineno)
-            for sl in lines]
 
 
 def plan_renames(lines: list[SourceLine]) -> dict[str, str]:
@@ -144,18 +139,22 @@ def plan_renames(lines: list[SourceLine]) -> dict[str, str]:
 
 # --- structural helpers ----------------------------------------------------
 
-def _writes_reg(sl: SourceLine) -> str | None:
-    """Register a data instruction writes, by name (post-parse, pre-assembly)."""
-    if sl.mnemonic in ("mov", "ldr", "add", "sub") and sl.args:
-        return sl.args[0].lower()
-    if sl.mnemonic == "pop" and sl.args:
-        return sl.args[0].strip("{}").lower()
-    return None
+# opcodes whose ``ra`` is the register they write
+_WRITES_RA = frozenset({isa.OP_MOV_IMM, isa.OP_MOV_REG, isa.OP_LDR, isa.OP_ADD_RI,
+                        isa.OP_ADD_RR, isa.OP_SUB_RI, isa.OP_SUB_RR, isa.OP_POP})
+
+
+def _writes_reg(sl: SourceLine) -> int | None:
+    """Register a data instruction writes."""
+    return sl.code[1] if sl.code[0] in _WRITES_RA else None
+
+
+def _is_pop_pc(sl: SourceLine) -> bool:
+    return sl.code[0] == isa.OP_POP and sl.code[1] == isa.PC
 
 
 def _is_branch(sl: SourceLine) -> bool:
-    return sl.mnemonic in BRANCH_MNEMONICS or sl.mnemonic == "halt" \
-        or (sl.mnemonic == "pop" and sl.args and sl.args[0].strip("{}").lower() == "pc")
+    return sl.mnemonic in BRANCH_MNEMONICS or sl.mnemonic == "halt" or _is_pop_pc(sl)
 
 
 def _label_lines(lines: list[SourceLine]) -> dict[str, int]:
@@ -166,60 +165,34 @@ def _label_lines(lines: list[SourceLine]) -> dict[str, int]:
     return out
 
 
-def _label_references(lines: list[SourceLine], label: str) -> list[int]:
-    """Lines whose operands mention the label (branch targets or #label)."""
-    refs = []
-    for i, sl in enumerate(lines):
-        for arg in sl.args:
-            if arg == label or arg == f"#{label}":
-                refs.append(i)
-                break
-    return refs
-
-
-def _is_canonical_increment(sl: SourceLine, reg: str) -> bool:
-    if sl.mnemonic != "add":
-        return False
-    a = [x.lower() for x in sl.args]
-    return a == [reg, "#1"] or a == [reg, reg, "#1"]
-
-
 def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
     """Find canonical counted loops eligible for single-record logging."""
     labels = _label_lines(lines)
+    # lines naming each symbol, as a branch target or a ``#label`` operand
+    mentions = Counter(sl.code[3] for sl in lines if isinstance(sl.code[3], str))
     loops: list[LoopDescriptor] = []
     for i, sl in enumerate(lines):
-        if sl.mnemonic not in ("bne", "blt") or len(sl.args) != 1:
+        if sl.mnemonic not in ("bne", "blt"):
             continue
-        target = sl.args[0]
-        h = labels.get(target)
+        h = labels.get(sl.args[0])
         if h is None or h >= i or i < 2:
             continue
         # the header may only be entered by fall-in and this one branch: no
         # other reference to any of its labels, and it is not the entry
         header_labels = lines[h].labels
-        if "main" in header_labels or \
-                sum(len(_label_references(lines, lab)) for lab in header_labels) != 1:
+        if "main" in header_labels or sum(mentions[lab] for lab in header_labels) != 1:
             continue
-        cmp_line = lines[i - 1]
-        if cmp_line.mnemonic != "cmp" or len(cmp_line.args) != 2:
-            continue
-        counter = cmp_line.args[0].lower()
-        if counter not in isa.REG_NAMES:
-            continue
-        limit_tok = cmp_line.args[1]
-        limit_reg = limit_imm = None
-        if limit_tok.startswith("#"):
-            try:
-                limit_imm = int(limit_tok[1:], 0)
-            except ValueError:
+        op, counter, limit_reg, limit_imm = lines[i - 1].code
+        if op == isa.OP_CMP_RI:
+            if isinstance(limit_imm, str):
                 continue
             if limit_imm == 0 and sl.mnemonic == "bne":
                 continue            # the counter wraps: ~2**32 passes, not 0
+            limit_reg = None
+        elif op == isa.OP_CMP_RR and limit_reg != counter:
+            limit_imm = None
         else:
-            limit_reg = limit_tok.lower()
-            if limit_reg not in isa.REG_NAMES or limit_reg == counter:
-                continue
+            continue
         # body checks: lines h .. i-1, no branches, no labels past the
         # header, exactly one canonical counter increment, limit untouched
         body = lines[h:i]
@@ -228,9 +201,9 @@ def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
         if any(b.labels for b in body[1:]) or sl.labels:
             continue
         increments = [b for b in body if _writes_reg(b) == counter]
-        if len(increments) != 1 or not _is_canonical_increment(increments[0], counter):
+        if len(increments) != 1 or increments[0].code != (isa.OP_ADD_RI, counter, counter, 1):
             continue
-        if limit_reg and any(_writes_reg(b) == limit_reg for b in body):
+        if limit_reg is not None and any(_writes_reg(b) == limit_reg for b in body):
             continue
         # dominating init: nearest preceding write to the counter must be
         # ``mov ri, #0`` reached by straight-line flow
@@ -239,11 +212,10 @@ def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
         while j >= 0:
             w = _writes_reg(lines[j])
             if w == counter:
-                a = [x.lower() for x in lines[j].args]
-                if lines[j].mnemonic == "mov" and a == [counter, "#0"]:
+                if lines[j].code == (isa.OP_MOV_IMM, counter, 0, 0):
                     init = j
                 break
-            if _is_branch(lines[j]) or (limit_reg and w == limit_reg):
+            if _is_branch(lines[j]) or (limit_reg is not None and w == limit_reg):
                 break
             if j != h - 1 and lines[j].labels:
                 break
@@ -252,129 +224,84 @@ def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
             continue
         if any(lines[k].labels for k in range(init + 1, h)):
             continue
-        loops.append(LoopDescriptor(i, h, isa.REG_NAMES[counter],
-                                    isa.REG_NAMES[limit_reg] if limit_reg else None,
-                                    limit_imm, init))
+        loops.append(LoopDescriptor(i, h, counter, limit_reg, limit_imm, init))
     return loops
 
 
 # --- rewriting -------------------------------------------------------------
 
-def _mk(mnemonic: str, *args: str) -> SourceLine:
-    return SourceLine([], mnemonic, list(args), 0)
-
-
-@dataclass
-class _Plan:
-    cond_sites: set[int] = field(default_factory=set)       # lines gaining a bl trampoline_cond
-    loop_inserts: dict[int, LoopDescriptor] = field(default_factory=dict)  # header line -> loop
-    replacements: dict[int, list[SourceLine]] = field(default_factory=dict)
-
-
-def _build_plan(lines: list[SourceLine],
-                loops: list[LoopDescriptor]) -> tuple[_Plan, list[MapEntry]]:
-    labels = _label_lines(lines)
-    loop_branches = {lp.branch_line: lp for lp in loops}
-    plan = _Plan()
-    entries: list[MapEntry] = []
-
-    def addr(i: int) -> int:
-        return isa.PMEM_BASE + i * isa.INSTR_WIDTH
-
-    for i, sl in enumerate(lines):
-        n = sl.mnemonic
-        if n.startswith("b") and n[1:] in isa.COND_NAMES:
-            if i + 1 >= len(lines):
-                raise UnsupportedPattern(f"line {sl.lineno}: conditional branch has no fall-through")
-            lp = loop_branches.get(i)
-            if lp is not None:
-                plan.loop_inserts[lp.header_line] = lp
-                plan.cond_sites.add(i + 1)
-                entries.append(MapEntry(addr(i), KIND_STATIC_LOOP))
-                entries.append(MapEntry(addr(i), KIND_COND_NOT_TAKEN))
-            else:
-                target = sl.args[0]
-                t = labels.get(target)
-                if t is None:
-                    raise UnsupportedPattern(
-                        f"line {sl.lineno}: conditional target {target!r} is not a program label")
-                plan.cond_sites.add(t)
-                plan.cond_sites.add(i + 1)
-                entries.append(MapEntry(addr(i), KIND_COND_TAKEN))
-                entries.append(MapEntry(addr(i), KIND_COND_NOT_TAKEN))
-        elif n == "blx":
-            reg = sl.args[0]
-            plan.replacements[i] = [_mk("mov", "r10", reg), _mk("bl", "trampoline_icall")]
-            entries.append(MapEntry(addr(i), KIND_INDIRECT_CALL))
-        elif n == "bx":
-            plan.replacements[i] = [_mk("b", "trampoline_ret")]
-            entries.append(MapEntry(addr(i), KIND_RETURN_BX_LR))
-        elif n == "pop" and sl.args and sl.args[0].strip("{}").lower() == "pc":
-            plan.replacements[i] = [_mk("pop", "lr"), _mk("b", "trampoline_ret")]
-            entries.append(MapEntry(addr(i), KIND_RETURN_POP_PC))
-    return plan, entries
-
-
-def _emit(lines: list[SourceLine], plan: _Plan) -> tuple[list[SourceLine], list[int | None]]:
-    out: list[SourceLine] = []
-    origins: list[int | None] = []
-
-    def push(sl: SourceLine, origin: int | None) -> None:
-        out.append(sl)
-        origins.append(origin)
-
-    for i, sl in enumerate(lines):
-        if i in plan.loop_inserts:
-            lp = plan.loop_inserts[i]
-            header_label = lines[i].labels[0]
-            limit_arg = f"#{lp.limit_imm}" if lp.limit_reg is None \
-                else isa.REG_REPR[lp.limit_reg]
-            push(_mk("mov", "r10", f"#{header_label}"), None)
-            push(_mk("mov", "r11", limit_arg), None)
-            push(_mk("bl", "trampoline_loop"), None)
-        if i in plan.cond_sites:
-            # the site label moves to the inserted call so branches land on it
-            push(SourceLine(list(sl.labels), "bl", ["trampoline_cond"], 0), None)
-            sl = SourceLine([], sl.mnemonic, list(sl.args), sl.lineno)
-        if i in plan.replacements:
-            repl = plan.replacements[i]
-            first = SourceLine(list(sl.labels), repl[0].mnemonic, list(repl[0].args), sl.lineno)
-            push(first, i)
-            for extra in repl[1:]:
-                push(extra, i)
-        else:
-            push(sl, i)
-    return out, origins
-
-
-def _render(lines: list[SourceLine]) -> str:
-    rows = []
-    for sl in lines:
-        rows.extend(sl.render())
-    return "\n".join(rows) + "\n"
-
-
 def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
     """Rewrite a program for gateway-mediated control-flow logging.
 
-    Returns the rewritten assembly text and the sidecar map. The text is
-    not assembled here: a program with an undefined label or too many
-    instructions is rejected when it is assembled.
+    Returns the rewritten assembly text and the sidecar map. The lines are
+    checked when they are parsed, so a malformed line is rejected at its
+    source line; the text is not assembled here, so a program with an
+    undefined label or too many instructions is rejected when it is.
     """
     lines = parse_lines(asm_text)
     renames = plan_renames(lines)
-    lines = _apply_renames(lines, renames)
     loops = detect_static_loops(lines)
-    plan, entries = _build_plan(lines, loops)
-    out, origins = _emit(lines, plan)
-    imap = InstrumentationMap(entries=entries, renames=renames)
-    # the assembler places rewritten line i at PMEM_BASE + i * INSTR_WIDTH
-    for new_idx, origin in enumerate(origins):
-        if origin is None:
-            continue
-        a = isa.PMEM_BASE + new_idx * isa.INSTR_WIDTH
-        if origin not in imap.line_map:
-            imap.line_map[origin] = a
-        imap.line_end[origin] = a + isa.INSTR_WIDTH
-    return _render(out), imap
 
+    # site scan: the lines that gain a ``bl trampoline_cond``
+    labels = _label_lines(lines)
+    headers = {lp.header_line: lp for lp in loops}
+    loop_branches = {lp.branch_line for lp in loops}
+    cond_sites: set[int] = set()
+    for i, sl in enumerate(lines):
+        if sl.code[0] != isa.OP_BCOND:
+            continue
+        if i + 1 == len(lines):
+            raise UnsupportedPattern(f"line {sl.lineno}: conditional branch has no fall-through")
+        if i not in loop_branches:
+            t = labels.get(sl.args[0])
+            if t is None:
+                raise UnsupportedPattern(
+                    f"line {sl.lineno}: conditional target {sl.args[0]!r} is not a program label")
+            cond_sites.add(t)
+        cond_sites.add(i + 1)
+
+    def rename(arg: str) -> str:
+        if arg.startswith("#"):
+            return arg
+        return _REG_TOKEN.sub(lambda m: renames.get(m.group(1).lower(), m.group(1)), arg)
+
+    # emit scan: each line as rewritten, with its map entries and addresses
+    imap = InstrumentationMap(renames=renames)
+    rows: list[str] = []
+    addr = isa.PMEM_BASE            # of the next instruction in the rewritten image
+    for i, sl in enumerate(lines):
+        lp = headers.get(i)
+        if lp is not None:
+            limit = f"#{lp.limit_imm}" if lp.limit_reg is None \
+                else rename(isa.REG_REPR[lp.limit_reg])
+            rows += [f"    mov r10, #{sl.labels[0]}", f"    mov r11, {limit}",
+                     "    bl trampoline_loop"]
+            addr += 3 * isa.INSTR_WIDTH
+        # the site label moves to the inserted call so branches land on it
+        rows += [f"{lab}:" for lab in sl.labels]
+        if i in cond_sites:
+            rows.append("    bl trampoline_cond")
+            addr += isa.INSTR_WIDTH
+        origin = isa.PMEM_BASE + i * isa.INSTR_WIDTH
+        args = [rename(a) for a in sl.args] if renames else sl.args
+        op = sl.code[0]
+        if op == isa.OP_BLX:
+            imap.entries.append(MapEntry(origin, KIND_INDIRECT_CALL))
+            body = [f"    mov r10, {args[0]}", "    bl trampoline_icall"]
+        elif op == isa.OP_BX_LR:
+            imap.entries.append(MapEntry(origin, KIND_RETURN_BX_LR))
+            body = ["    b trampoline_ret"]
+        elif _is_pop_pc(sl):
+            imap.entries.append(MapEntry(origin, KIND_RETURN_POP_PC))
+            body = ["    pop lr", "    b trampoline_ret"]
+        else:
+            body = [f"    {sl.mnemonic} {', '.join(args)}".rstrip()]
+            if op == isa.OP_BCOND:
+                imap.entries += [MapEntry(origin, KIND_STATIC_LOOP if i in loop_branches
+                                          else KIND_COND_TAKEN),
+                                 MapEntry(origin, KIND_COND_NOT_TAKEN)]
+        rows += body
+        imap.line_map[i] = addr
+        addr += len(body) * isa.INSTR_WIDTH
+        imap.line_end[i] = addr
+    return "\n".join(rows) + "\n", imap

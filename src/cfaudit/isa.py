@@ -8,6 +8,14 @@ Every instruction occupies exactly 4 bytes (big-endian word):
 
 All memory regions sit below 2**31 so any code address fits the 31-bit
 payload of an audit-log entry.
+
+Assembly syntax is known in one place, ``parse_lines``. It checks every
+line on its own: the mnemonic, operand count and form, register names,
+numeric immediates and offsets in range, and labels defined twice or
+shadowing a builtin symbol. A ``SourceLine`` is therefore well formed and
+carries its encoding fields. ``assemble`` only lays the lines out,
+resolves symbols (an undefined one is a ``LinkError``), checks capacity
+and encodes.
 """
 
 from __future__ import annotations
@@ -153,30 +161,42 @@ def decode(word: bytes) -> Instruction | None:
 
 @dataclass
 class SourceLine:
-    """One instruction with the labels attached to it."""
+    """One well-formed instruction with the labels attached to it.
+
+    ``code`` holds its encoding fields ``(op, ra, rb, imm)``; where ``imm``
+    comes from a symbol (a branch target or ``#label``) it holds the
+    symbol's name, which only ``assemble`` resolves.
+    """
 
     labels: list[str]
     mnemonic: str
     args: list[str]
     lineno: int
-
-    def render(self) -> list[str]:
-        out = [f"{lab}:" for lab in self.labels]
-        out.append(f"    {self.mnemonic} {', '.join(self.args)}".rstrip())
-        return out
+    code: tuple[int, int, int, int | str]
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):\s*(.*)$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_MEM_RE = re.compile(r"^\[\s*(\w+)\s*(?:,\s*#(\w+)\s*)?\]$")
+
+# branches to a symbol: mnemonic -> (opcode, ra)
+_BRANCHES = {"b": (OP_B, 0), "bl": (OP_BL, 0)}
+_BRANCHES.update({"b" + c: (OP_BCOND, cc) for c, cc in COND_NAMES.items()})
+
+# operand counts of the mnemonics that take a fixed number
+_ARITY = dict.fromkeys([*_BRANCHES, "blx", "bx", "push", "pop"], 1)
+_ARITY.update(mov=2, cmp=2, nsc_call=0, halt=0)
 
 
 def parse_lines(text: str) -> list[SourceLine]:
-    """Parse assembly text into SourceLines; raises ParseError."""
+    """Parse assembly text into well-formed SourceLines; raises ParseError
+    on any fault that can be found without a symbol's value."""
     lines: list[SourceLine] = []
     pending_labels: list[str] = []
+    defined: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split(";", 1)[0].strip()
-        while code:
+        while ":" in code:
             m = _LABEL_RE.match(code)
             if not m:
                 break
@@ -184,16 +204,65 @@ def parse_lines(text: str) -> list[SourceLine]:
             code = m.group(2).strip()
         if not code:
             continue
+        for lab in pending_labels:
+            if lab in defined or lab in BUILTIN_SYMBOLS:
+                raise ParseError(lineno, f"duplicate label {lab!r}")
+            defined.add(lab)
         parts = code.split(None, 1)
         mnemonic = parts[0].lower()
         rest = parts[1] if len(parts) > 1 else ""
         args = [a.strip() for a in rest.split(",")] if rest.strip() else []
-        lines.append(SourceLine(pending_labels, mnemonic, args, lineno))
+        lines.append(SourceLine(pending_labels, mnemonic, args, lineno,
+                                _encode(mnemonic, args, lineno)))
         pending_labels = []
     if pending_labels:
         # trailing labels attach to nothing
         raise ParseError(len(text.splitlines()), "label at end of file has no instruction")
     return lines
+
+
+def _encode(n: str, a: list[str], ln: int) -> tuple[int, int, int, int | str]:
+    """The ``SourceLine.code`` of one instruction; raises ParseError."""
+    k = _ARITY.get(n)
+    if k is not None and len(a) != k:
+        raise ParseError(ln, f"{n} expects {k} operand(s), got {len(a)}")
+    if n == "mov" or n == "cmp":
+        r = _parse_reg(a[0], ln)
+        if a[1].startswith("#"):
+            return (OP_MOV_IMM if n == "mov" else OP_CMP_RI), r, 0, _parse_imm(a[1], ln)
+        return (OP_MOV_REG if n == "mov" else OP_CMP_RR), r, _parse_reg(a[1], ln), 0
+    if n == "ldr" or n == "str":
+        if len(a) < 2:
+            raise ParseError(ln, "ldr expects rd, [rs(, #off)]" if n == "ldr"
+                             else "str expects rs, [rb(, #off)]")
+        r = _parse_reg(a[0], ln)
+        return (OP_LDR if n == "ldr" else OP_STR), r, *_parse_mem(a[1:], ln)
+    if n == "add" or n == "sub":
+        if len(a) == 2:          # add rd, #imm  =>  add rd, rd, #imm
+            a = [a[0], a[0], a[1]]
+        if len(a) != 3:
+            raise ParseError(ln, f"{n} expects 2 or 3 operands")
+        rd, rs = _parse_reg(a[0], ln), _parse_reg(a[1], ln)
+        if a[2].startswith("#"):
+            return (OP_ADD_RI if n == "add" else OP_SUB_RI), rd, rs, _parse_imm(a[2], ln)
+        return (OP_ADD_RR if n == "add" else OP_SUB_RR), rd, rs, _parse_reg(a[2], ln)
+    if n in _BRANCHES:
+        if not _NAME_RE.match(a[0]):
+            raise ParseError(ln, f"bad branch target {a[0]!r}")
+        return *_BRANCHES[n], 0, a[0]
+    if n == "blx":
+        return OP_BLX, _parse_reg(a[0], ln), 0, 0
+    if n == "bx":
+        if a[0].lower() != "lr":
+            raise ParseError(ln, "only 'bx lr' is supported")
+        return OP_BX_LR, 0, 0, 0
+    if n == "push" or n == "pop":
+        return (OP_PUSH if n == "push" else OP_POP), _parse_reg(a[0].strip("{}"), ln), 0, 0
+    if n == "nsc_call":
+        return OP_NSC_CALL, 0, 0, 0
+    if n == "halt":
+        return OP_HALT, 0, 0, 0
+    raise ParseError(ln, f"unknown mnemonic {n!r}")
 
 
 def _parse_reg(tok: str, line: int) -> int:
@@ -203,14 +272,11 @@ def _parse_reg(tok: str, line: int) -> int:
     return r
 
 
-def _parse_imm(tok: str, line: int, symbols: dict[str, int]) -> int:
-    if not tok.startswith("#"):
-        raise ParseError(line, f"expected immediate, got {tok!r}")
+def _parse_imm(tok: str, line: int) -> int | str:
+    """A ``#`` operand's value, or the name of the symbol it stands for."""
     body = tok[1:]
     if _NAME_RE.match(body):
-        if body in symbols:
-            return symbols[body]
-        raise LinkError(body)
+        return body
     try:
         val = int(body, 0)
     except ValueError:
@@ -223,7 +289,7 @@ def _parse_imm(tok: str, line: int, symbols: dict[str, int]) -> int:
 def _parse_mem(args: list[str], line: int) -> tuple[int, int]:
     """[rs] or [rs, #off] split across comma-separated args."""
     joined = ", ".join(args)
-    m = re.match(r"^\[\s*(\w+)\s*(?:,\s*#(\w+)\s*)?\]$", joined)
+    m = _MEM_RE.match(joined)
     if not m:
         raise ParseError(line, f"bad memory operand {joined!r}")
     base = _parse_reg(m.group(1), line)
@@ -257,109 +323,27 @@ class Program:
 
 
 def assemble(text: str | list[SourceLine]) -> Program:
-    """Two-pass assembly. Entry point is the label ``main`` when defined,
-    otherwise the first instruction."""
+    """Lay out, resolve symbols and encode; the lines come checked from
+    ``parse_lines``. Raises ParseError past program-memory capacity and
+    LinkError on an undefined symbol. Entry point is the label ``main``
+    when defined, otherwise the first instruction."""
     lines = parse_lines(text) if isinstance(text, str) else text
-    labels: dict[str, int] = {}
-    line_addrs: list[int] = []
-    addr = PMEM_BASE
-    for sl in lines:
-        for lab in sl.labels:
-            if lab in labels or lab in BUILTIN_SYMBOLS:
-                raise ParseError(sl.lineno, f"duplicate label {lab!r}")
-            labels[lab] = addr
-        line_addrs.append(addr)
-        addr += INSTR_WIDTH
-    if addr - PMEM_BASE > PMEM_CAPACITY:
+    size = len(lines) * INSTR_WIDTH
+    if size > PMEM_CAPACITY:
         raise ParseError(lines[-1].lineno, "program exceeds program-memory capacity")
-
+    line_addrs = list(range(PMEM_BASE, PMEM_BASE + size, INSTR_WIDTH))
+    labels = {lab: addr for sl, addr in zip(lines, line_addrs) for lab in sl.labels}
     symbols = dict(BUILTIN_SYMBOLS)
     symbols.update(labels)
 
-    def target(tok: str, line: int) -> int:
-        if tok in symbols:
-            return symbols[tok]
-        if _NAME_RE.match(tok):
-            raise LinkError(tok)
-        raise ParseError(line, f"bad branch target {tok!r}")
-
     instrs: list[Instruction] = []
     for sl in lines:
-        n, a, ln = sl.mnemonic, sl.args, sl.lineno
-
-        def need(k: int):
-            if len(a) != k:
-                raise ParseError(ln, f"{n} expects {k} operand(s), got {len(a)}")
-
-        if n == "mov":
-            need(2)
-            rd = _parse_reg(a[0], ln)
-            if a[1].startswith("#"):
-                instrs.append(Instruction(OP_MOV_IMM, rd, 0, _parse_imm(a[1], ln, symbols)))
-            else:
-                instrs.append(Instruction(OP_MOV_REG, rd, _parse_reg(a[1], ln)))
-        elif n == "ldr":
-            if len(a) < 2:
-                raise ParseError(ln, "ldr expects rd, [rs(, #off)]")
-            rd = _parse_reg(a[0], ln)
-            base, off = _parse_mem(a[1:], ln)
-            instrs.append(Instruction(OP_LDR, rd, base, off))
-        elif n == "str":
-            if len(a) < 2:
-                raise ParseError(ln, "str expects rs, [rb(, #off)]")
-            rs = _parse_reg(a[0], ln)
-            base, off = _parse_mem(a[1:], ln)
-            instrs.append(Instruction(OP_STR, rs, base, off))
-        elif n in ("add", "sub"):
-            if len(a) == 2:          # add rd, #imm  =>  add rd, rd, #imm
-                a = [a[0], a[0], a[1]]
-            if len(a) != 3:
-                raise ParseError(ln, f"{n} expects 2 or 3 operands")
-            rd, rs = _parse_reg(a[0], ln), _parse_reg(a[1], ln)
-            if a[2].startswith("#"):
-                op = OP_ADD_RI if n == "add" else OP_SUB_RI
-                instrs.append(Instruction(op, rd, rs, _parse_imm(a[2], ln, symbols)))
-            else:
-                op = OP_ADD_RR if n == "add" else OP_SUB_RR
-                instrs.append(Instruction(op, rd, rs, _parse_reg(a[2], ln)))
-        elif n == "cmp":
-            need(2)
-            rs = _parse_reg(a[0], ln)
-            if a[1].startswith("#"):
-                instrs.append(Instruction(OP_CMP_RI, rs, 0, _parse_imm(a[1], ln, symbols)))
-            else:
-                instrs.append(Instruction(OP_CMP_RR, rs, _parse_reg(a[1], ln)))
-        elif n == "b":
-            need(1)
-            instrs.append(Instruction(OP_B, 0, 0, target(a[0], ln)))
-        elif n in BRANCH_MNEMONICS and n.startswith("b") and n[1:] in COND_NAMES:
-            need(1)
-            instrs.append(Instruction(OP_BCOND, COND_NAMES[n[1:]], 0, target(a[0], ln)))
-        elif n == "bl":
-            need(1)
-            instrs.append(Instruction(OP_BL, 0, 0, target(a[0], ln)))
-        elif n == "blx":
-            need(1)
-            instrs.append(Instruction(OP_BLX, _parse_reg(a[0], ln)))
-        elif n == "bx":
-            need(1)
-            if a[0].lower() != "lr":
-                raise ParseError(ln, "only 'bx lr' is supported")
-            instrs.append(Instruction(OP_BX_LR))
-        elif n == "push":
-            need(1)
-            instrs.append(Instruction(OP_PUSH, _parse_reg(a[0].strip("{}"), ln)))
-        elif n == "pop":
-            need(1)
-            instrs.append(Instruction(OP_POP, _parse_reg(a[0].strip("{}"), ln)))
-        elif n == "nsc_call":
-            need(0)
-            instrs.append(Instruction(OP_NSC_CALL))
-        elif n == "halt":
-            need(0)
-            instrs.append(Instruction(OP_HALT))
-        else:
-            raise ParseError(ln, f"unknown mnemonic {n!r}")
+        op, ra, rb, imm = sl.code
+        if isinstance(imm, str):
+            if imm not in symbols:
+                raise LinkError(imm)
+            imm = symbols[imm]
+        instrs.append(Instruction(op, ra, rb, imm))
 
     image = b"".join(i.encode() for i in instrs)
     entry = labels.get("main", PMEM_BASE)

@@ -102,6 +102,26 @@ def _flag(text: str) -> bool:
     return value
 
 
+def parse_input(text: str) -> tuple[str, ...]:
+    """Input tokens, each ``@label`` or an integer a data word holds, no more
+    than data memory has words."""
+    tokens = tuple(text.split())
+    if len(tokens) > isa.DMEM_SIZE // 4:
+        raise ValueError(f"{len(tokens)} words exceed data memory's {isa.DMEM_SIZE // 4}")
+    for tok in tokens:
+        if tok.startswith("@"):
+            if not tok[1:].isidentifier():
+                raise ValueError(f"bad label token {tok!r}")
+            continue
+        try:
+            value = int(tok, 0)
+        except ValueError:
+            raise ValueError(f"not a number: {tok!r}") from None
+        if not -2 ** 31 <= value < 2 ** 32:
+            raise ValueError(f"{tok} does not fit a 32-bit word")
+    return tokens
+
+
 def _policy(text: str) -> int:
     if text not in _POLICY_BY_NAME:
         raise ValueError(f"unknown policy {text!r}")
@@ -121,7 +141,7 @@ _KEYS = {
     "channel": {"loss": ("loss", float), "duplicate": ("duplicate", float),
                 "delay_min": ("delay_min", int), "delay_max": ("delay_max", int),
                 "seed": ("seed", int)},
-    "input": {"words": ("input_tokens", lambda text: tuple(text.split()))},
+    "input": {"words": ("input_tokens", parse_input)},
     "attack": {"pmem_flip": ("pmem_flip", lambda text: int(text, 0)),
                "reset_at": ("reset_at", int)},
     "verifier": {"heal_on_mac_mismatch": ("heal_on_mac_mismatch", _flag),

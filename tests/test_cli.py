@@ -101,6 +101,13 @@ def test_window_rejects_bad_capacity_list(capsys):
     assert "bad capacity list" in capsys.readouterr().err
 
 
+def test_window_rejects_more_input_than_data_memory_holds(capsys):
+    code = main(["window", str(PROGRAM_DIR / "window_dense.asm"),
+                 "--input", " ".join(["1"] * (isa.DMEM_SIZE // 4 + 1))])
+    assert code == EXIT_USAGE
+    assert "exceed data memory" in capsys.readouterr().err
+
+
 def test_instrument_prints_deployable_source(capsys):
     code = main(["instrument", str(PROGRAM_DIR / "pulse_echo.asm")])
     out = capsys.readouterr().out
@@ -126,6 +133,21 @@ def test_instrument_rejects_an_undefined_label(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "undefined label: nowhere" in captured.err
+    # a malformed transfer is rejected at its source line, not rewritten
+    for bad, msg in [("bx r3", "only 'bx lr' is supported"),
+                     ("bx", "bx expects 1 operand(s), got 0"),
+                     ("blx", "blx expects 1 operand(s), got 0"),
+                     ("blx #5", "expected register, got '#5'"),
+                     ("blx r3, r4", "blx expects 1 operand(s), got 2"),
+                     ("pop {pc}, r2", "pop expects 1 operand(s), got 2"),
+                     ("bne", "bne expects 1 operand(s), got 0"),
+                     ("bne main, x", "bne expects 1 operand(s), got 2")]:
+        prog.write_text(f"main:\n    cmp r0, #0\n    beq out\n    {bad}\nout:\n    nsc_call\n")
+        code = main(["instrument", str(prog)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE, bad
+        assert captured.out == ""
+        assert f"line 4: {msg}" in captured.err
 
 
 def test_run_overrides_and_output_file(tmp_path, capsys):

@@ -272,6 +272,28 @@ def test_rename_pool_exhaustion_raises():
         plan_renames(parse_lines(asm))
 
 
+@pytest.mark.parametrize("bad", ["bx r3", "bx", "blx", "blx #5", "blx r3, r4",
+                                 "pop {pc}, r2", "bne", "bne main, x"])
+def test_a_malformed_transfer_is_rejected_as_the_assembler_rejects_it(bad):
+    # after a conditional branch, so the rewritten text's lines are shifted
+    asm = f"main:\n    cmp r0, #0\n    beq out\n    {bad}\nout:\n    nsc_call\n"
+    with pytest.raises(isa.ParseError) as want:
+        isa.assemble(asm)
+    with pytest.raises(isa.ParseError) as got:
+        instrument(asm)
+    assert want.value.line == 4
+    assert (got.value.line, got.value.msg) == (want.value.line, want.value.msg)
+
+
+def test_a_reserved_register_written_in_capitals_is_renamed():
+    asm = "main:\n    mov R10, #5\n    mov r3, #f\n    blx r3\n    mov r0, R10\n" \
+          "    nsc_call\nf:\n    bx lr\n"
+    asm2, imap = instrument(asm)
+    assert imap.renames == {"r10": "r1"}
+    ms = [(sl.mnemonic, sl.args) for sl in parse_lines(asm2)]
+    assert ("mov", ["r1", "#5"]) in ms and ("mov", ["r0", "r1"]) in ms
+
+
 def test_conditional_without_fall_through_rejected():
     asm = "main:\n cmp r0, #0\n beq main\n"
     with pytest.raises(UnsupportedPattern):

@@ -150,6 +150,32 @@ def test_parse_rejects_a_value_that_is_not_a_number(tmp_path):
     scn = write_scn(tmp_path, "[scenario]\nprogram = prog.asm\ndelta = lots\n")
     with pytest.raises(ScenarioError, match=r"case\.scn: \[scenario\] delta"):
         parse_scenario(scn)
+    # an input word must be @label or an integer a 32-bit word holds, and
+    # data memory must hold them all
+    too_many = " ".join(["0"] * (isa.DMEM_SIZE // 4 + 1))
+    for words in ("0xZZ", "4294967296", "4294967297", "-2147483649", "@", "@1x", too_many):
+        scn = write_scn(tmp_path, f"[scenario]\nprogram = prog.asm\n\n[input]\nwords = 1 {words}\n")
+        with pytest.raises(ScenarioError, match=r"case\.scn: \[input\] words"):
+            parse_scenario(scn)
+    fits = " ".join(["-2147483648", "4294967295", "0x10", "@main"]
+                    + ["0"] * (isa.DMEM_SIZE // 4 - 4))
+    scn = write_scn(tmp_path, f"[scenario]\nprogram = prog.asm\n\n[input]\nwords = {fits}\n")
+    spec = parse_scenario(scn)
+    assert len(spec.input_tokens) == isa.DMEM_SIZE // 4
+    assert run(spec).settled
+
+
+@pytest.mark.parametrize("bad, msg", [
+    ("    mov r1, #70000", "immediate 70000 out of range 0..65535"),
+    ("    mov r99, #1", "expected register, got 'r99'"),
+    ("main: mov r1, #1", "duplicate label 'main'"),
+], ids=["immediate", "register", "label"])
+def test_a_malformed_program_is_reported_at_its_source_line(bad, msg):
+    # line 4 follows a conditional branch: the rewritten text has it at 5
+    asm = f"main:\n    cmp r0, #0\n    beq out\n{bad}\nout:\n    nsc_call\n"
+    with pytest.raises(isa.ParseError) as caught:
+        run(ScenarioSpec("bad", asm))
+    assert (caught.value.line, caught.value.msg) == (4, msg)
 
 
 def test_expected_booleans_read_in_any_case(tmp_path):
