@@ -240,6 +240,8 @@ def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
     """
     lines = parse_lines(asm_text)
     renames = plan_renames(lines)
+    # renaming moves r10/r11 to registers the program never names, so the
+    # loops found before it are the loops found after it
     loops = detect_static_loops(lines)
 
     # site scan: the lines that gain a ``bl trampoline_cond``
