@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import struct
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from cfaudit import isa, wire
@@ -437,10 +438,12 @@ def clear_image_caches() -> None:
 
 # --- per-tick reference scenario driver -------------------------------------
 
-def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
+def run_per_tick(spec: ScenarioSpec,
+                 on_tick: Callable[[Machine], None] | None = None) -> ScenarioResult:
     """``scenario.run`` as a plain per-tick loop: every tick polls both
     channels, steps the device once and ticks the auditor. The scenario
-    clock must give the same result while skipping quiet ticks."""
+    clock must give the same result while skipping quiet ticks.
+    ``on_tick`` is handed the machine at the end of every tick."""
     asm2, _ = instrument(spec.asm_text)
     prog2 = isa.assemble(asm2)
     machine = Machine(prog2.image)
@@ -502,6 +505,8 @@ def run_per_tick(spec: ScenarioSpec) -> ScenarioResult:
                 post_reset_ns = prover.metrics.total_ns - ns_at_reset
         for out in vrf.tick(now):
             link.to_device.send(now, out)
+        if on_tick is not None:
+            on_tick(machine)
 
         if link.to_device.pending() or link.to_verifier.pending():
             continue

@@ -1,5 +1,6 @@
 """End-to-end runs driven by scenario files, and the file format itself."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 
 from cfaudit import isa, scenario, verifier, vm
 from cfaudit.cli import WINDOW_MAX_TICKS
-from cfaudit.context import (AuditContext, F_REMEDIATION, POLICY_DISABLE,
-                             POLICY_FREEZE)
+from cfaudit.context import (AuditContext, F_REMEDIATION, LOG_BUFFER_OFFSET,
+                             POLICY_DISABLE, POLICY_FREEZE)
+from cfaudit.resolver import POLICY_NAMES
 from cfaudit.scenario import (ScenarioError, ScenarioSpec, parse_scenario,
                               resolve_input, run)
 from cfaudit.vm import Machine
@@ -18,6 +20,7 @@ from support import clear_image_caches, run_per_tick
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PROGRAM_DIR = SCENARIO_DIR / "programs"
+RETAINED = Path(__file__).resolve().parent / "data" / "retained.json"
 
 
 def write_scn(tmp_path, body, program="main:\n    nsc_call\n"):
@@ -477,6 +480,35 @@ def test_clock_matches_per_tick_loop_on_a_reset_mid_wipe(monkeypatch):
     for reset_at in range(1, run(spec).ticks + 1):
         assert_same_as_per_tick(replace(spec, reset_at=reset_at))
     assert any(mid_wipe)
+
+
+# -- retained memory, tick for tick ------------------------------------------
+
+# the retained bytes each tick pins: the header block and the log's first 4 KiB
+PINNED_RETAINED = LOG_BUFFER_OFFSET + 4096
+
+
+def retained_digests() -> dict[str, str]:
+    """Every bundled scenario under each policy, at its own ``log_max`` and
+    at 16, run per tick for at most 40 000 ticks: one SHA-256 per run over
+    the pinned retained bytes as they stand after every tick. A change that
+    alters retained memory on purpose re-records tests/data/retained.json
+    with ``json.dumps(retained_digests(), indent=1, sort_keys=True)``."""
+    digests = {}
+    for name in sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")):
+        base = bundled(name)
+        for policy, policy_name in sorted(POLICY_NAMES.items()):
+            for log_max in sorted({base.log_max, 16}):
+                spec = replace(base, policy=policy, log_max=log_max,
+                               max_ticks=min(base.max_ticks, 40_000))
+                chain = hashlib.sha256()
+                run_per_tick(spec, lambda m: chain.update(m.retained_mem[:PINNED_RETAINED]))
+                digests[f"{name}/{policy_name}/{log_max}"] = chain.hexdigest()
+    return digests
+
+
+def test_retained_memory_matches_the_pinned_digests_at_every_tick():
+    assert retained_digests() == json.loads(RETAINED.read_text())
 
 
 def test_window_measurement_budget_counts_ticks():
