@@ -14,9 +14,9 @@ from cfaudit.cfa_engine import CfLog, decompress
 from cfaudit.instrument import instrument
 from cfaudit.resolver import WIPE_CHUNK
 from cfaudit.isa import LR, NSC_EXIT, TRAMP_COND, TRAMP_ICALL, TRAMP_LOOP, TRAMP_RET
-from cfaudit.context import (AuditContext, F_FINAL, F_FROZEN, F_REPORT_PENDING,
-                             F_VALID, LOG_BUFFER_OFFSET, POLICY_DISABLE,
-                             POLICY_FREEZE, POLICY_WIPE)
+from cfaudit.context import (AuditContext, CTX_HEADER_SIZE, F_FINAL, F_FROZEN,
+                             F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET,
+                             POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE)
 from cfaudit.supervisor import Prover, ProverConfig, ProverState
 from cfaudit.vm import Machine, NscEntry, World
 
@@ -696,6 +696,17 @@ def test_boot_with_blank_retained_memory_waits():
     assert p.boot() == []
     assert p.state is ProverState.WAITING
     assert p.metrics.remnant_reports == 0
+
+
+def test_a_header_without_the_magic_holds_no_session():
+    # retained memory may power up holding anything: without the magic, set
+    # flags and a high challenge are noise, not a session to resume
+    p, m, _ = build(DIAMOND)
+    m.retained_mem[:CTX_HEADER_SIZE] = b"\xff" * CTX_HEADER_SIZE
+    assert p.boot() == []
+    assert p.state is ProverState.WAITING
+    assert p.handle_message(request(chal=1)) == []
+    assert p.state is ProverState.EXECUTING
 
 
 def test_a_request_replayed_after_a_power_cut_is_refused():
