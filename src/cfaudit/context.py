@@ -1,28 +1,26 @@
 """Retained session context: the fixed-layout header at the base of
 retained memory that lets an audit session survive any reset.
 
-The layout is written once, as the field table ``FIELDS``. Every offset
-and every write derives from it. The header is written by ``store``, whole
-or by field: an operation stores the fields it changes, so a slice cut
-writes ``sigma`` and ``flags``, and a wipe chunk the resolver's
-``wipe_cursor``. The log engine writes ``log_size`` and ``engine_state``
-itself, at the offsets the prover hands it. The log buffer sits behind a
-reserved block of ``CTX_HEADER_SIZE`` bytes, also written in place by the
-log engine.
+The layout is written once, as the field table ``FIELDS``. ``AuditContext``
+is a view of the header, not a copy: each field is an attribute read from
+and written to its bytes in retained memory, so a write is durable when it
+returns and there is nothing to store or load. The log engine writes
+``log_size`` and ``engine_state`` itself, at the offsets the prover hands
+it. The log buffer sits behind a reserved block of ``CTX_HEADER_SIZE``
+bytes, also written in place by the log engine.
 
 The header outlives a session: a concluded session clears its flags and
 keeps its ``chal``, the freshness floor a new request must exceed, so a
-device that loses its RAM still refuses a replayed request. A blank
-region, with no magic, loads as no context.
+device that loses its RAM still refuses a replayed request. A region
+without the magic holds no session, whatever its other bytes say.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
 
 from . import wire
-from .cfa_engine import CfLog, DEFAULT_LOG_MAX
+from .cfa_engine import CfLog
 
 CTX_MAGIC = b"ACTX"
 CTX_HEADER_SIZE = 256
@@ -57,67 +55,48 @@ FIELDS = (
     ("engine_state", f"{CfLog.STATE_WIDTH}s"),
 )
 
-HEADER = struct.Struct(">" + "".join(fmt for _, fmt in FIELDS))
-assert HEADER.size <= CTX_HEADER_SIZE
 
-OFFSETS: dict[str, int] = {}
-_WRITERS = {}       # name -> (its struct's pack_into, its offset)
-_offset = 0
-for _name, _fmt in FIELDS:
-    if _name is not None:
-        OFFSETS[_name] = _offset
-        _WRITERS[_name] = (struct.Struct(">" + _fmt).pack_into, _offset)
-    _offset += struct.calcsize(">" + _fmt)
-
-# the header's values in pack order, the magic excluded
-_VALUES = tuple(name for name, _ in FIELDS if name not in (None, "magic"))
-_CHAL = _VALUES.index("chal")      # an int in memory, big-endian bytes here
+def _field(name: str, fmt: str, offset: int) -> property:
+    """Field ``name``, read and written in place. ``chal`` is an int here,
+    big-endian bytes in the header."""
+    codec = struct.Struct(">" + fmt)
+    unpack_from, pack_into = codec.unpack_from, codec.pack_into
+    if name == "chal":
+        return property(lambda ctx: wire.chal_value(unpack_from(ctx.mem, offset)[0]),
+                        lambda ctx, value: pack_into(ctx.mem, offset, wire.chal_bytes(value)))
+    return property(lambda ctx: unpack_from(ctx.mem, offset)[0],
+                    lambda ctx, value: pack_into(ctx.mem, offset, value))
 
 
-@dataclass
 class AuditContext:
-    """The header's values, the magic aside."""
+    """The header at the base of ``mem``, each field of ``FIELDS`` an
+    attribute."""
 
-    flags: int = 0
-    app_id: int = 0
-    policy: int = POLICY_WIPE
-    delta: int = 0
-    chal: int = 0
-    sigma: bytes = b"\x00" * wire.MAC_WIDTH
-    log_size: int = 0
-    wipe_cursor: int = 0
-    log_max: int = DEFAULT_LOG_MAX
-    entry: int = 0
-    image_len: int = 0
-    engine_state: bytes = b"\x00" * CfLog.STATE_WIDTH
+    __slots__ = ("mem",)   # no field value is kept anywhere but in ``mem``
+
+    def __init__(self, mem: bytearray):
+        self.mem = mem
+
+    def begin(self, **values) -> None:
+        """Write a fresh header: the magic, zeros, then ``values``."""
+        self.mem[:len(_BLANK)] = _BLANK
+        for name, value in values.items():
+            setattr(self, name, value)
 
     def flag(self, bit: int) -> bool:
         return bool(self.flags & bit)
 
     def set_flag(self, bit: int, on: bool = True) -> None:
-        self.flags = (self.flags | bit) if on else (self.flags & ~bit)
-
-    def store(self, mem: bytearray, *names: str) -> None:
-        """Write the fields ``names`` to the header in ``mem``, from this
-        context's values; with no names, the whole header and its magic."""
-        if not names:
-            values = [getattr(self, name) for name in _VALUES]
-            values[_CHAL] = wire.chal_bytes(self.chal)
-            HEADER.pack_into(mem, 0, CTX_MAGIC, *values)
-            return
-        for name in names:
-            pack_into, offset = _WRITERS[name]
-            value = getattr(self, name)
-            pack_into(mem, offset, wire.chal_bytes(value) if name == "chal" else value)
-
-    @classmethod
-    def load(cls, mem: bytearray) -> "AuditContext | None":
-        if mem[0:4] != CTX_MAGIC:
-            return None
-        values = list(HEADER.unpack_from(mem, 0)[1:])
-        values[_CHAL] = wire.chal_value(values[_CHAL])
-        return cls(*values)
+        flags = self.flags
+        self.flags = (flags | bit) if on else (flags & ~bit)
 
 
-assert _VALUES == tuple(f.name for f in fields(AuditContext))
-
+OFFSETS: dict[str, int] = {}
+_offset = 0
+for _name, _fmt in FIELDS:
+    if _name is not None:
+        OFFSETS[_name] = _offset
+        setattr(AuditContext, _name, _field(_name, _fmt, _offset))
+    _offset += struct.calcsize(">" + _fmt)
+_BLANK = CTX_MAGIC + bytes(_offset - len(CTX_MAGIC))    # magic, then zeros
+assert len(_BLANK) <= CTX_HEADER_SIZE

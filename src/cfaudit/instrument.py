@@ -77,7 +77,6 @@ class LoopDescriptor:
     counter: int            # ri register number
     limit_reg: int | None   # rL register, None when the limit is immediate
     limit_imm: int | None
-    init_line: int          # index of the dominating ``mov ri, #0``
 
 
 @dataclass
@@ -112,10 +111,16 @@ class InstrumentationMap:
 
 _REG_TOKEN = re.compile(r"\b(r\d+|sp|lr|pc)\b", re.IGNORECASE)
 
+# branches whose one operand is the symbol ``code[3]`` names, never a
+# register, however it is spelt
+_TARGET_OPS = frozenset({isa.OP_B, isa.OP_BL, isa.OP_BCOND})
+
 
 def _registers_used(lines: list[SourceLine]) -> set[str]:
     used = set()
     for sl in lines:
+        if sl.code[0] in _TARGET_OPS:
+            continue
         for arg in sl.args:
             if arg.startswith("#"):
                 continue
@@ -224,7 +229,7 @@ def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
             continue
         if any(lines[k].labels for k in range(init + 1, h)):
             continue
-        loops.append(LoopDescriptor(i, h, counter, limit_reg, limit_imm, init))
+        loops.append(LoopDescriptor(i, h, counter, limit_reg, limit_imm))
     return loops
 
 
@@ -285,8 +290,9 @@ def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
             rows.append("    bl trampoline_cond")
             addr += isa.INSTR_WIDTH
         origin = isa.PMEM_BASE + i * isa.INSTR_WIDTH
-        args = [rename(a) for a in sl.args] if renames else sl.args
         op = sl.code[0]
+        args = [rename(a) for a in sl.args] if renames and op not in _TARGET_OPS \
+            else sl.args
         if op == isa.OP_BLX:
             imap.entries.append(MapEntry(origin, KIND_INDIRECT_CALL))
             body = [f"    mov r10, {args[0]}", "    bl trampoline_icall"]

@@ -308,7 +308,6 @@ def _parse_mem(args: list[str], line: int) -> tuple[int, int]:
 class Program:
     """Assembled image plus the symbol and line bookkeeping the tooling needs."""
 
-    lines: list[SourceLine]
     instructions: list[Instruction]
     labels: dict[str, int]
     line_addrs: list[int]          # address of each SourceLine's instruction
@@ -347,4 +346,4 @@ def assemble(text: str | list[SourceLine]) -> Program:
 
     image = b"".join(i.encode() for i in instrs)
     entry = labels.get("main", PMEM_BASE)
-    return Program(lines, instrs, labels, line_addrs, entry, image)
+    return Program(instrs, labels, line_addrs, entry, image)

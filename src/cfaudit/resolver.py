@@ -47,11 +47,11 @@ class Resolver:
         self.m = machine
         self.policy = policy
 
-    def step(self, ctx: AuditContext, retained: bytearray) -> bool:
-        """One chunk of remediation work. True when the image is healed."""
+    def step(self, ctx: AuditContext) -> bool:
+        """One chunk of remediation work, its progress written to the
+        retained header ``ctx``. True when the image is healed."""
         if self.policy == POLICY_FREEZE:
             ctx.set_flag(F_FROZEN)
-            ctx.store(retained)
             return True
         if self.policy == POLICY_DISABLE:
             self.m.write_pmem(ctx.entry, _HALT)
@@ -63,5 +63,4 @@ class Resolver:
         end = min(start + WIPE_CHUNK, ctx.image_len)
         self.m.write_pmem(isa.PMEM_BASE + start, bytes(end - start))
         ctx.wipe_cursor = end
-        ctx.store(retained, "wipe_cursor")
         return end >= ctx.image_len

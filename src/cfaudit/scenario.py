@@ -102,16 +102,21 @@ def _flag(text: str) -> bool:
     return value
 
 
-def parse_input(text: str) -> tuple[str, ...]:
-    """Input tokens, each ``@label`` or an integer a data word holds, no more
-    than data memory has words."""
-    tokens = tuple(text.split())
+def _input_words(tokens: tuple[str, ...],
+                 labels: dict[str, int] | None = None) -> list[int | str]:
+    """Each input token's word; an ``@label`` token's is its address in
+    ``labels``, or its name without them. Raises ValueError unless every
+    token is ``@label`` or an integer a data word holds, no more than data
+    memory has words, and KeyError on a label ``labels`` lacks."""
     if len(tokens) > isa.DMEM_SIZE // 4:
         raise ValueError(f"{len(tokens)} words exceed data memory's {isa.DMEM_SIZE // 4}")
+    words: list[int | str] = []
     for tok in tokens:
         if tok.startswith("@"):
-            if not tok[1:].isidentifier():
+            name = tok[1:]
+            if not name.isidentifier():
                 raise ValueError(f"bad label token {tok!r}")
+            words.append(name if labels is None else labels[name])
             continue
         try:
             value = int(tok, 0)
@@ -119,6 +124,15 @@ def parse_input(text: str) -> tuple[str, ...]:
             raise ValueError(f"not a number: {tok!r}") from None
         if not -2 ** 31 <= value < 2 ** 32:
             raise ValueError(f"{tok} does not fit a 32-bit word")
+        words.append(value)
+    return words
+
+
+def parse_input(text: str) -> tuple[str, ...]:
+    """Input tokens, each ``@label`` or an integer a data word holds, no more
+    than data memory has words."""
+    tokens = tuple(text.split())
+    _input_words(tokens)
     return tokens
 
 
@@ -195,17 +209,14 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
 
 
 def resolve_input(tokens: tuple[str, ...], labels: dict[str, int]) -> list[int]:
-    """Input words, with @label tokens mapped to deployed code addresses."""
-    words = []
-    for tok in tokens:
-        if tok.startswith("@"):
-            name = tok[1:]
-            if name not in labels:
-                raise ScenarioError(f"input names unknown label {name!r}")
-            words.append(labels[name])
-        else:
-            words.append(int(tok, 0))
-    return words
+    """Input words, checked as ``parse_input`` checks them, with @label
+    tokens mapped to deployed code addresses."""
+    try:
+        return _input_words(tokens, labels)
+    except ValueError as exc:
+        raise ScenarioError(f"input: {exc}") from None
+    except KeyError as exc:
+        raise ScenarioError(f"input names unknown label {exc.args[0]!r}") from None
 
 
 def load_input(machine: Machine, words: list[int]) -> None:

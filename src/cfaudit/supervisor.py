@@ -19,16 +19,16 @@ Report cadence has three causes, all funneled through one path:
 
 A report slice is only discarded after a fresh, authenticated response
 arrives, so evidence survives resets: on boot an interrupted session is
-re-reported from retained memory before the app could run again. The
-prover's state is the retained header's flags, so a prover built on the
-same memories after a power cut carries the session on.
+re-reported from retained memory before the app could run again.
 
-Each operation writes the header fields it changes, through
-``AuditContext.store``: the whole header at set-up, at a heal order, at
-the session's conclusion and at boot; ``sigma`` and ``flags`` at a slice
-cut; ``chal`` and ``flags`` when a response resumes the app; the wipe
-cursor at each wipe chunk. The log engine writes ``log_size`` and
-``engine_state`` itself.
+The session lives in the retained header alone. The prover reads and
+writes it through ``AuditContext``, a view of those bytes, so each write
+is durable when it returns and the prover keeps no copy of it; the log
+engine writes its own ``log_size`` and ``engine_state`` there too. The
+prover's state is the header's flags, so a prover built on the same
+memories after a power cut carries the session on. A change of state
+writes the flags last. A region without the magic holds no session: boot
+clears its flags and its challenge floor, whatever else it holds.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from . import isa, wire
 from .cfa_engine import ADDR_MASK, AppendResult, CfLog, DEFAULT_LOG_MAX
-from .context import (AuditContext, F_FINAL, F_FROZEN, F_REMEDIATION,
+from .context import (CTX_MAGIC, AuditContext, F_FINAL, F_FROZEN, F_REMEDIATION,
                       F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, OFFSETS,
                       POLICY_WIPE)
 from .resolver import Resolver
@@ -131,8 +131,7 @@ class Prover:
         self.m = machine
         self.config = config
         self.entry = entry
-        self.ctx = AuditContext(log_max=config.log_max, entry=entry,
-                                image_len=len(machine.pmem), policy=config.policy)
+        self.ctx = AuditContext(machine.retained_mem)
         self.log: CfLog | None = None
         self.metrics = ProverMetrics()
         self._resend_clock = 0
@@ -165,15 +164,6 @@ class Prover:
         if resume:
             self.log.resume()
 
-    def _persist(self) -> None:
-        # the log writes its size and repetition to the header as it goes,
-        # and the RAM copy follows them only here, before the whole header
-        # is written over them
-        ctx, log = self.ctx, self.log
-        ctx.log_size = log.size
-        ctx.engine_state = log.checkpoint()
-        ctx.store(self.m.retained_mem)
-
     def _sign_slice(self) -> None:
         """Seal the log as the pending report: materialize any in-flight
         repetition and bind the slice to the image digest and the
@@ -189,7 +179,11 @@ class Prover:
         """Cold or warm start. An interrupted session found in retained
         memory produces its evidence before the app could ever run again."""
         self._stalled = False
-        ctx = self.ctx = AuditContext.load(self.m.retained_mem) or self.ctx
+        ctx = self.ctx
+        if ctx.magic != CTX_MAGIC:
+            # no session, whatever the region holds: no flags, no floor
+            ctx.flags = ctx.chal = 0
+            return []
         state = self.state
         if state is ProverState.WAITING:
             return []
@@ -205,7 +199,6 @@ class Prover:
             # needs materializing so the remnant covers every append
             self._sign_slice()
         ctx.set_flag(F_FINAL)
-        self._persist()
         self.metrics.remnant_reports += 1
         return self._emit_report()
 
@@ -238,12 +231,10 @@ class Prover:
         return []
 
     def _setup_app(self, req: wire.AttestRequest) -> list[bytes]:
-        self.ctx = AuditContext(app_id=req.app_id, delta=req.delta, chal=req.chal,
-                                log_max=self.config.log_max, entry=self.entry,
-                                image_len=len(self.m.pmem), policy=self.config.policy)
-        self.ctx.set_flag(F_VALID)
+        self.ctx.begin(app_id=req.app_id, policy=self.config.policy, delta=req.delta,
+                       chal=req.chal, log_max=self.config.log_max, entry=self.entry,
+                       image_len=len(self.m.pmem), flags=F_VALID)
         self._attach_log()
-        self._persist()
         self.m.lock_pmem()
         self.m.timer.arm(req.delta)
         self.m.enter_nonsecure(self.entry)
@@ -260,15 +251,15 @@ class Prover:
         if resp.chal <= ctx.chal or self.state is not ProverState.TRANSMIT_WAIT:
             return []                     # stale, replayed, or unexpected
         # F_REMEDIATION stays set from the heal order to the session's end
-        post_heal = ctx.flag(F_REMEDIATION)
+        flags = ctx.flags
+        post_heal = flags & F_REMEDIATION
         if resp.result == wire.RESULT_HEAL and not post_heal:
             ctx.chal = resp.chal
+            ctx.wipe_cursor = 0
             ctx.set_flag(F_REPORT_PENDING, False)
             ctx.set_flag(F_REMEDIATION)
-            ctx.wipe_cursor = 0
-            self._persist()
             return []
-        if resp.result == wire.RESULT_END or ctx.flag(F_FINAL) or post_heal:
+        if resp.result == wire.RESULT_END or flags & F_FINAL or post_heal:
             return self._conclude(resp.chal)
         if resp.result == wire.RESULT_EXEC:
             return self._resume_execution(resp.chal)
@@ -278,9 +269,8 @@ class Prover:
         """Session over: clear the retained flags and keep the concluding
         challenge, the floor every later request must clear."""
         self.log.active = False
-        self.ctx.flags = 0
         self.ctx.chal = chal
-        self._persist()
+        self.ctx.flags = 0
         self.m.timer.deactivate()
         return []
 
@@ -289,7 +279,6 @@ class Prover:
         self.ctx.chal = new_chal
         self.ctx.set_flag(F_REPORT_PENDING, False)
         m = self.m
-        self.ctx.store(m.retained_mem, "chal", "flags")
         m.timer.resume()           # a replayed exit door ends a window of 0
         if self._stalled:
             # replay the refused entry from the parked core; the cleared
@@ -320,8 +309,7 @@ class Prover:
         """
         state, flags = self.state, self.ctx.flags
         ticks, out = 0, []
-        # the state is read from the flags: while they hold, it holds
-        while ticks < budget and not out and self.ctx.flags == flags:
+        while ticks < budget and not out:
             left = budget - ticks
             if state is ProverState.EXECUTING:
                 # a gateway serviced in the block is a tick, not an instruction
@@ -348,10 +336,13 @@ class Prover:
                 out = self._remediate()
             else:                          # waiting or frozen: nothing to do
                 ticks = budget
+            # the state is read from the flags: while they hold, it holds
+            if self.ctx.flags != flags:
+                break
         return ticks, out
 
     def _remediate(self) -> list[bytes]:
-        done = Resolver(self.m, self.ctx.policy).step(self.ctx, self.m.retained_mem)
+        done = Resolver(self.m, self.ctx.policy).step(self.ctx)
         if not done:
             return []
         if self.ctx.flag(F_FROZEN):
@@ -398,7 +389,6 @@ class Prover:
 
     def _generate_report(self) -> list[bytes]:
         self._sign_slice()
-        self.ctx.store(self.m.retained_mem, "sigma", "flags")
         self.metrics.slices_sent += 1
         return self._emit_report()
 

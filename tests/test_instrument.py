@@ -7,6 +7,7 @@ from cfaudit import isa
 from cfaudit.instrument import (RegisterPressure, UnsupportedPattern,
                                 detect_static_loops, instrument, plan_renames)
 from cfaudit.isa import parse_lines
+from cfaudit.scenario import ScenarioSpec, run
 
 
 def text_of(asm):
@@ -292,6 +293,24 @@ def test_a_reserved_register_written_in_capitals_is_renamed():
     assert imap.renames == {"r10": "r1"}
     ms = [(sl.mnemonic, sl.args) for sl in parse_lines(asm2)]
     assert ("mov", ["r1", "#5"]) in ms and ("mov", ["r0", "r1"]) in ms
+
+
+def test_a_branch_target_spelt_like_a_reserved_register_is_not_renamed():
+    # a label is a symbol however it is spelt: only register operands move
+    kept = "main:\n    mov r1, #1\n    b r10\nr10:\n    nsc_call\n"
+    asm2, imap = instrument(kept)
+    assert imap.renames == {}
+    assert ("b", ["r10"]) in [(sl.mnemonic, sl.args) for sl in parse_lines(asm2)]
+    res = run(ScenarioSpec(name="kept", asm_text=kept))
+    assert res.settled and res.verdict == "end" and res.violation == "none"
+    moved = "main:\n    mov r10, #3\n    b r10\nr10:\n    add r10, r10, #1\n    nsc_call\n"
+    asm2, imap = instrument(moved)
+    assert imap.renames == {"r10": "r0"}
+    lines = parse_lines(asm2)
+    assert [(sl.labels, sl.mnemonic, sl.args) for sl in lines] == [
+        (["main"], "mov", ["r0", "#3"]), ([], "b", ["r10"]),
+        (["r10"], "add", ["r0", "r0", "#1"]), ([], "nsc_call", [])]
+    isa.assemble(asm2)
 
 
 def test_conditional_without_fall_through_rejected():

@@ -207,6 +207,19 @@ def test_resolve_input_rejects_unknown_label():
         resolve_input(("@ghost",), {"main": 0x1000})
 
 
+@pytest.mark.parametrize("tokens, msg", [
+    (("1",) * (isa.DMEM_SIZE // 4 + 1), "exceed data memory"),
+    (("0xZZ",), "not a number: '0xZZ'"),
+    (("4294967297",), "does not fit a 32-bit word"),
+], ids=["too_many", "not_a_number", "too_wide"])
+def test_input_built_in_code_is_checked_as_a_file_is(tokens, msg):
+    # a spec built in code skips parse_input; the run checks its input
+    with pytest.raises(ScenarioError, match=msg):
+        resolve_input(tokens, {})
+    with pytest.raises(ScenarioError, match=msg):
+        run(ScenarioSpec("coded", "main:\n    nsc_call\n", input_tokens=tokens))
+
+
 def test_pmem_flip_outside_image_is_an_error(tmp_path):
     scn = write_scn(tmp_path, """
 [scenario]
@@ -471,9 +484,8 @@ def test_clock_matches_per_tick_loop_on_a_reset_mid_wipe(monkeypatch):
     reset = Machine.reset
 
     def recording_reset(machine):
-        ctx = AuditContext.load(machine.retained_mem)
-        mid_wipe.append(ctx is not None and ctx.flag(F_REMEDIATION)
-                        and 0 < ctx.wipe_cursor < ctx.image_len)
+        ctx = AuditContext(machine.retained_mem)
+        mid_wipe.append(ctx.flag(F_REMEDIATION) and 0 < ctx.wipe_cursor < ctx.image_len)
         reset(machine)
 
     monkeypatch.setattr(Machine, "reset", recording_reset)

@@ -5,7 +5,6 @@ each device behavior is pinned independently."""
 
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -159,15 +158,17 @@ def test_full_log_parks_the_machine():
 # --- retained context block ---------------------------------------------------
 
 def test_context_roundtrip():
+    values = dict(flags=F_VALID | F_REPORT_PENDING, app_id=3,
+                  policy=POLICY_DISABLE, delta=12345, chal=77,
+                  sigma=b"\x42" * 32, log_size=400, wipe_cursor=2048,
+                  log_max=8192, entry=0x1004, image_len=900,
+                  engine_state=bytes(range(24)))
     mem = bytearray(1024)
-    ctx = AuditContext(flags=F_VALID | F_REPORT_PENDING, app_id=3,
-                       policy=POLICY_DISABLE, delta=12345, chal=77,
-                       sigma=b"\x42" * 32, log_size=400, wipe_cursor=2048,
-                       log_max=8192, entry=0x1004, image_len=900,
-                       engine_state=bytes(range(24)))
-    ctx.store(mem)
-    back = AuditContext.load(mem)
-    assert back == ctx
+    ctx = AuditContext(mem)
+    for name, value in values.items():
+        setattr(ctx, name, value)
+    back = AuditContext(mem)               # a second view reads the same bytes
+    assert {name: getattr(back, name) for name in values} == values
 
 
 # one row per 16 bytes of retained memory; the header ends at 0xa0 and
@@ -187,38 +188,38 @@ GOLDEN_HEADER = bytes.fromhex(
 
 
 def test_context_layout_is_pinned():
-    ctx = AuditContext(flags=0x21, app_id=0x0203, policy=POLICY_DISABLE,
-                       delta=0x0405060708090a0b, chal=0x0c0d << 496 | 0x0e0f,
-                       sigma=bytes(range(0x40, 0x60)), log_size=0x111,
-                       wipe_cursor=0x222, log_max=0x2000, entry=0x1004,
-                       image_len=0x384, engine_state=bytes(range(0x80, 0x98)))
+    values = dict(flags=0x21, app_id=0x0203, policy=POLICY_DISABLE,
+                  delta=0x0405060708090a0b, chal=0x0c0d << 496 | 0x0e0f,
+                  sigma=bytes(range(0x40, 0x60)), log_size=0x111,
+                  wipe_cursor=0x222, log_max=0x2000, entry=0x1004,
+                  image_len=0x384, engine_state=bytes(range(0x80, 0x98)))
     mem = bytearray(b"\xee") * 256
-    ctx.store(mem)
+    ctx = AuditContext(mem)
+    ctx.begin(**values)
     assert bytes(mem[:len(GOLDEN_HEADER)]) == GOLDEN_HEADER
-    assert AuditContext.load(mem) == ctx
+    assert {name: getattr(ctx, name) for name in values} == values
 
 
 def test_partial_stores_agree_with_the_full_store():
     # the log persists its size and checkpoint in the header itself, here
-    # with a repetition count in flight; the prover's RAM copy of the two
-    # follows them only at a whole-header store
+    # with a repetition count in flight
     p, m, _ = build(SINGLETON_LOOP)
     p.boot()
     p.handle_message(request(chal=1))
     while sum(p.metrics.gateway_calls.values()) < 3:
         assert p.step() == []
     assert p.log.size and p.log.pending.count
-    assert AuditContext.load(m.retained_mem) == replace(
-        p.ctx, log_size=p.log.size, engine_state=p.log.checkpoint())
-    # a wipe chunk persists the cursor
+    kept = AuditContext(m.retained_mem)
+    assert (kept.log_size, kept.engine_state) == (p.log.size, p.log.checkpoint())
+    # a wipe chunk persists the cursor: a prover that lost its RAM reads it
     p, m, _ = build(BULKY, policy=POLICY_WIPE)
     p.boot()
     p.handle_message(request(chal=1))
     pump(p)
     p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, 2).pack())
     assert p.step() == []
-    assert 0 < p.ctx.wipe_cursor < p.ctx.image_len
-    assert AuditContext.load(m.retained_mem) == p.ctx
+    cursor = Prover(m, p.config, p.entry).ctx.wipe_cursor
+    assert cursor == WIPE_CHUNK < p.ctx.image_len
     # a freeze persists the flag
     p, m, _ = build(DIAMOND, policy=POLICY_FREEZE)
     p.boot()
@@ -226,8 +227,9 @@ def test_partial_stores_agree_with_the_full_store():
     pump(p)
     p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, 2).pack())
     assert p.step() == []
-    assert p.ctx.flag(F_FROZEN)
-    assert AuditContext.load(m.retained_mem) == p.ctx
+    rebooted = Prover(m, p.config, p.entry)
+    assert rebooted.ctx.flag(F_FROZEN)
+    assert rebooted.state is ProverState.FROZEN
 
 
 def test_retained_log_state_follows_the_log_at_every_tick():
@@ -241,21 +243,21 @@ def test_retained_log_state_follows_the_log_at_every_tick():
     while p.state is ProverState.EXECUTING:
         p.step()
         seen_pending |= p.log.pending is not None
-        stored = AuditContext.load(m.retained_mem)
+        stored = AuditContext(m.retained_mem)
         assert stored.log_size == p.log.size
         assert stored.engine_state == p.log.checkpoint()
     assert seen_pending and p.metrics.triggers["end"] == 1
 
     # a whole session on a 16-byte log: capacity slices, each answered, and
-    # the entry each one refused replayed as the next slice starts. Slices
-    # and responses write only the header fields they change, so a field
-    # one of them leaves out shows here, at the tick after
+    # the entry each one refused replayed as the next slice starts, the
+    # log's size and repetition in the header at every tick and answer
     p, m, _ = build("main:\n" + "    bl fn\n" * 12 + "    nsc_call\nfn:\n    bx lr\n",
                     log_max=16)
+    stored = AuditContext(m.retained_mem)
 
     def header_follows_the_prover():
-        assert AuditContext.load(m.retained_mem) == replace(
-            p.ctx, log_size=p.log.size, engine_state=p.log.checkpoint())
+        assert stored.log_size == p.log.size
+        assert stored.engine_state == p.log.checkpoint()
 
     p.boot()
     p.handle_message(request(chal=1))
@@ -270,11 +272,7 @@ def test_retained_log_state_follows_the_log_at_every_tick():
                 KEY, wire.RESULT_END if done else wire.RESULT_EXEC, chal).pack())
             header_follows_the_prover()
     assert p.metrics.triggers["capacity"] >= 2 and p.metrics.triggers["end"] == 1
-    assert AuditContext.load(m.retained_mem).chal == chal
-
-
-def test_blank_retained_memory_loads_no_context():
-    assert AuditContext.load(bytearray(512)) is None
+    assert stored.chal == chal
 
 
 # --- session happy path ---------------------------------------------------------
@@ -299,7 +297,7 @@ def test_full_session_end_to_end():
     assert p.handle_message(wire.Response.make(KEY, wire.RESULT_END, 2).pack()) == []
     assert p.state is ProverState.WAITING
     # the header outlives the session: no flags, the concluding challenge
-    kept = AuditContext.load(m.retained_mem)
+    kept = AuditContext(m.retained_mem)
     assert (kept.flags, kept.chal) == (0, 2)
     assert p.metrics.total_ns > 0
 
@@ -533,7 +531,7 @@ def test_wipe_heal_zeroes_image_and_attests_it():
     # any fresh non-heal answer closes the session
     p.handle_message(wire.Response.make(KEY, wire.RESULT_END, 3).pack())
     assert p.state is ProverState.WAITING
-    kept = AuditContext.load(m.retained_mem)
+    kept = AuditContext(m.retained_mem)
     assert (kept.flags, kept.chal) == (0, 3)
 
 
@@ -551,7 +549,7 @@ def test_wipe_is_chunked_not_instant():
     assert p.step() == []                             # first chunk only
     assert not any(m.pmem[:chunk])
     assert any(m.pmem[chunk:])
-    assert AuditContext.load(m.retained_mem).wipe_cursor == chunk
+    assert AuditContext(m.retained_mem).wipe_cursor == chunk
     (post,) = pump(p)                                 # remaining chunk, then report
     assert not any(m.pmem)
     rep = wire.Report.parse(post)
@@ -744,7 +742,7 @@ def test_a_power_cut_in_the_post_heal_wait_concludes_on_the_answer(answer):
     # session, a heal included, and the wiped image is not healed again
     assert rebooted.handle_message(wire.Response.make(KEY, answer, 3).pack()) == []
     assert rebooted.state is ProverState.WAITING
-    kept = AuditContext.load(m.retained_mem)
+    kept = AuditContext(m.retained_mem)
     assert (kept.flags, kept.chal) == (0, 3)
 
 
@@ -840,7 +838,7 @@ fin:
 
 def device_state(p):
     m = p.m
-    return (p.state, p.ctx, bytes(m.retained_mem), list(m.regs), m.flag_z,
+    return (p.state, bytes(m.retained_mem), list(m.regs), m.flag_z,
             m.flag_n, m.cycle_count, m.timer.elapsed, m.world, p.metrics,
             p._resend_clock)
 
