@@ -1,13 +1,16 @@
 """End-to-end runs driven by scenario files, and the file format itself."""
 
+import functools
 import hashlib
+import heapq
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from cfaudit import isa, scenario, verifier, vm
+from cfaudit import isa, scenario, verifier, vm, wire
+from cfaudit.channel import Channel
 from cfaudit.cli import WINDOW_MAX_TICKS
 from cfaudit.context import (AuditContext, F_REMEDIATION, LOG_BUFFER_OFFSET,
                              POLICY_DISABLE, POLICY_FREEZE)
@@ -21,6 +24,7 @@ from support import clear_image_caches, run_per_tick
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PROGRAM_DIR = SCENARIO_DIR / "programs"
 RETAINED = Path(__file__).resolve().parent / "data" / "retained.json"
+MESSAGES = Path(__file__).resolve().parent / "data" / "messages.json"
 
 
 def write_scn(tmp_path, body, program="main:\n    nsc_call\n"):
@@ -521,6 +525,118 @@ def retained_digests() -> dict[str, str]:
 
 def test_retained_memory_matches_the_pinned_digests_at_every_tick():
     assert retained_digests() == json.loads(RETAINED.read_text())
+
+
+# -- every message, byte for byte ---------------------------------------------
+
+def message_digests(monkeypatch) -> dict[str, str]:
+    """Every bundled scenario under each policy, at its own ``log_max`` and
+    at 16 and 64, for at most 40 000 ticks: one SHA-256 per run over every
+    datagram handed to ``Channel.send``, as its tick, its length and its
+    bytes. A change that alters a message on purpose re-records
+    tests/data/messages.json with
+    ``json.dumps(message_digests(monkeypatch), indent=1, sort_keys=True)``."""
+    chain = hashlib.sha256()
+    send = Channel.send
+
+    def hashed_send(channel, now, data):
+        chain.update(now.to_bytes(8, "big") + len(data).to_bytes(4, "big") + data)
+        send(channel, now, data)
+
+    monkeypatch.setattr(Channel, "send", hashed_send)
+    digests = {}
+    for name in sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")):
+        base = bundled(name)
+        for policy, policy_name in sorted(POLICY_NAMES.items()):
+            for log_max in sorted({base.log_max, 16, 64}):
+                chain = hashlib.sha256()
+                run(replace(base, policy=policy, log_max=log_max,
+                            max_ticks=min(base.max_ticks, 40_000)))
+                digests[f"{name}/{policy_name}/{log_max}"] = chain.hexdigest()
+    return digests
+
+
+def test_every_message_matches_the_pinned_digests(monkeypatch):
+    assert message_digests(monkeypatch) == json.loads(MESSAGES.read_text())
+
+
+# -- pinned defects --------------------------------------------------------------
+
+# a report any sender can make: no key, 32 zero bytes of sigma, an empty log
+KEYLESS_REPORT = wire.Report(bytes(wire.MAC_WIDTH), b"").pack()
+FORGED_RUNS = [(name, log_max) for name in ("benign_pulse", "lossy_fold", "power_cut")
+               for log_max in (16, 32, 256)]
+
+
+@functools.cache
+def runs_with_a_keyless_report_first() -> dict[tuple[str, int], scenario.ScenarioResult]:
+    """Each of ``FORGED_RUNS`` with ``KEYLESS_REPORT`` queued for the
+    verifier at the tick of the device's first report, ahead of it. It is
+    queued as it stands, so the link rolls no fate for it and no other
+    datagram's fate moves."""
+    results = {}
+    for name, log_max in FORGED_RUNS:
+        queued = []
+        send = Channel.send
+
+        def forging_send(channel, now, data):
+            if not queued and wire.message_type(data) == wire.MSG_REPORT:
+                queued.append(now)
+                heapq.heappush(channel._heap, (now, channel._seq, KEYLESS_REPORT))
+                channel._seq += 1
+            send(channel, now, data)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Channel, "send", forging_send)
+            results[name, log_max] = run(replace(bundled(name), log_max=log_max))
+        assert queued, (name, log_max)
+    return results
+
+
+def test_a_keyless_report_ahead_of_the_first_reaches_the_verifier():
+    for key, res in runs_with_a_keyless_report_first().items():
+        assert res.rejected >= 1 and res.settled, key
+
+
+@pytest.mark.xfail(strict=True, reason="D17: the verifier answers a keyless report "
+                   "with a MAC-valid heal and the device obeys it, so a benign image "
+                   "is wiped; Direction 13 binds each response to the report it answers")
+def test_a_keyless_report_ahead_of_the_first_changes_nothing():
+    outcomes = {key: (res.violation, res.pmem_zeroed)
+                for key, res in runs_with_a_keyless_report_first().items()}
+    assert outcomes == {key: ("none", False) for key in FORGED_RUNS}
+
+
+REGISTER_LIMIT_LOOP = """main:
+    mov r5, #4
+    mov r1, #0
+loop:
+    add r1, r1, #1
+    cmp r1, {limit}
+    blt loop
+    nsc_call
+"""
+
+
+@pytest.mark.parametrize("limit", [
+    "#4",
+    pytest.param("r5", marks=pytest.mark.xfail(
+        strict=True, reason="D1: build_cfg takes the imm of the rewriter's "
+        "`mov r11, rL`, 0, as a register limit; the device logs the runtime limit")),
+])
+def test_a_benign_counted_loop_settles_end(limit):
+    res = run(ScenarioSpec(name="counted", asm_text=REGISTER_LIMIT_LOOP.format(limit=limit)))
+    assert res.settled and res.verdicts == ["end"]
+    assert res.violation == "none" and not res.pmem_zeroed
+
+
+@pytest.mark.xfail(strict=True, reason="D5: the remnant report sent at boot is not "
+                   "marked final, so a session cut before the forged return settles exec")
+def test_a_session_cut_short_never_settles_exec():
+    spec = bundled("overflow_hijack")
+    cut_to_exec = [reset_at for reset_at in range(2, 72)
+                   if run(replace(spec, reset_at=reset_at)).verdicts[-1:] == ["exec"]]
+    assert cut_to_exec == []
 
 
 def test_window_measurement_budget_counts_ticks():
