@@ -62,7 +62,7 @@ def _field(name: str, fmt: str, offset: int) -> property:
     codec = struct.Struct(">" + fmt)
     unpack_from, pack_into = codec.unpack_from, codec.pack_into
     if name == "chal":
-        return property(lambda ctx: wire.chal_value(unpack_from(ctx.mem, offset)[0]),
+        return property(lambda ctx: int.from_bytes(unpack_from(ctx.mem, offset)[0], "big"),
                         lambda ctx, value: pack_into(ctx.mem, offset, wire.chal_bytes(value)))
     return property(lambda ctx: unpack_from(ctx.mem, offset)[0],
                     lambda ctx, value: pack_into(ctx.mem, offset, value))

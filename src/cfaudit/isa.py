@@ -321,12 +321,12 @@ class Program:
         return off // INSTR_WIDTH
 
 
-def assemble(text: str | list[SourceLine]) -> Program:
+def assemble(text: str) -> Program:
     """Lay out, resolve symbols and encode; the lines come checked from
     ``parse_lines``. Raises ParseError past program-memory capacity and
     LinkError on an undefined symbol. Entry point is the label ``main``
     when defined, otherwise the first instruction."""
-    lines = parse_lines(text) if isinstance(text, str) else text
+    lines = parse_lines(text)
     size = len(lines) * INSTR_WIDTH
     if size > PMEM_CAPACITY:
         raise ParseError(lines[-1].lineno, "program exceeds program-memory capacity")

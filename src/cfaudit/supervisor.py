@@ -205,20 +205,18 @@ class Prover:
     # -- message handling ----------------------------------------------------
 
     def handle_message(self, data: bytes) -> list[bytes]:
-        kind = wire.message_type(data)
-        if kind == wire.MSG_REQUEST:
-            return self._handle_request(data)
-        if kind == wire.MSG_RESPONSE:
-            return self._handle_response(data)
+        """Act on a datagram only once it opens as a request or a response
+        under the device key: anything else changes nothing."""
+        key = self.config.key
+        req = wire.AttestRequest.open(key, data)
+        if req is not None:
+            return self._handle_request(req)
+        resp = wire.Response.open(key, data)
+        if resp is not None:
+            return self._handle_response(resp)
         return []
 
-    def _handle_request(self, data: bytes) -> list[bytes]:
-        try:
-            req, tag = wire.AttestRequest.parse(data)
-        except wire.WireError:
-            return []
-        if not req.verify(self.config.key, tag):
-            return []
+    def _handle_request(self, req: wire.AttestRequest) -> list[bytes]:
         if req.app_id != self.config.app_id:
             return []
         state = self.state
@@ -240,13 +238,7 @@ class Prover:
         self.m.enter_nonsecure(self.entry)
         return []
 
-    def _handle_response(self, data: bytes) -> list[bytes]:
-        try:
-            resp = wire.Response.parse(data)
-        except wire.WireError:
-            return []
-        if not resp.verify(self.config.key):
-            return []
+    def _handle_response(self, resp: wire.Response) -> list[bytes]:
         ctx = self.ctx
         if resp.chal <= ctx.chal or self.state is not ProverState.TRANSMIT_WAIT:
             return []                     # stale, replayed, or unexpected
@@ -327,10 +319,8 @@ class Prover:
                     ticks += left
                 else:
                     ticks += wait
-                    self._resend_clock = 0
                     self.metrics.retransmissions += 1
-                    self.metrics.report_sends += 1
-                    out = [self._report()]
+                    out = self._emit_report()
             elif state is ProverState.REMEDIATE:
                 ticks += 1
                 out = self._remediate()

@@ -54,7 +54,6 @@ arrives while it is parked is an illegal edge.
 
 from __future__ import annotations
 
-import enum
 import functools
 import hashlib
 from collections import deque
@@ -459,12 +458,6 @@ def _first_run(runs: deque[cfa_engine.Run]) -> tuple[tuple[int, ...], int, int, 
 
 # --- protocol driver ---------------------------------------------------------
 
-class Verdict(enum.Enum):
-    EXEC = wire.RESULT_EXEC
-    END = wire.RESULT_END
-    HEAL = wire.RESULT_HEAL
-
-
 @dataclass
 class VerifierConfig:
     key: bytes = b"\x11" * 32
@@ -553,7 +546,7 @@ class Verifier:
                 self.violation = Violation(
                     V_MAC, self.walker.pos,
                     "sigma matches no expected digest and challenge")
-            return [self._respond(report.sigma, Verdict.HEAL)]
+            return [self._respond(report.sigma, wire.RESULT_HEAL)]
         self.audited += 1
         self.log_bytes += len(report.log)
         self.last_digest = digest
@@ -577,29 +570,30 @@ class Verifier:
                     return digest
         return None
 
-    def _audit(self, report: wire.Report, digest: bytes) -> Verdict:
+    def _audit(self, report: wire.Report, digest: bytes) -> int:
+        """The result code the audited report earns."""
         if self.violation is not None and digest == self.post_heal_digest:
             self.session_over = True
-            return Verdict.END
+            return wire.RESULT_END
         try:
             runs = cfa_engine.runs(report.log)
         except MalformedLog as exc:
             # the bad word's place in the stream of all destinations fed
             self.violation = Violation(V_MALFORMED, self.walker.fed + exc.decoded,
                                        str(exc))
-            return Verdict.HEAL
+            return wire.RESULT_HEAL
         self.walker.feed(runs)
         if self.walker.violation is not None:
             self.violation = self.walker.violation
-            return Verdict.HEAL
+            return wire.RESULT_HEAL
         if self.walker.done:
             self.session_over = True
-            return Verdict.END
-        return Verdict.EXEC
+            return wire.RESULT_END
+        return wire.RESULT_EXEC
 
-    def _respond(self, sigma: bytes, verdict: Verdict) -> bytes:
+    def _respond(self, sigma: bytes, result: int) -> bytes:
         self.prev_chal, self.current_chal = self.current_chal, self.current_chal + 1
-        resp = wire.Response.make(self.config.key, verdict.value, self.current_chal)
+        resp = wire.Response.make(self.config.key, result, self.current_chal)
         data = resp.pack()
         self.sigma_cache[sigma] = data
         return data

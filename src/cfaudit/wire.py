@@ -11,6 +11,10 @@ freshness is enforced by requiring it to increase monotonically. The
 report's sigma binds the program-memory digest, the log slice, and the
 challenge under HMAC-SHA256, so the receiver recomputes it with the digest
 it EXPECTS and a modified program or log surfaces as a MAC mismatch.
+
+A request or a response is read in one call, ``open``: it checks the
+framing, then the MAC over the bytes received, and decodes only what
+authenticates. Anything else opens to None.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ RESPONSE_WIDTH = 1 + 1 + CHAL_WIDTH + MAC_WIDTH
 REPORT_HEADER_WIDTH = 1 + MAC_WIDTH + 4
 
 _U32 = struct.Struct(">I")
+_REQUEST_HEAD = struct.Struct(">BHQ")          # type, app_id, delta
 _REPORT_TAG = bytes((MSG_REPORT,))
 
 
@@ -70,36 +75,27 @@ def chal_bytes(value: int) -> bytes:
     return value.to_bytes(CHAL_WIDTH, "big")
 
 
-def chal_value(data: bytes) -> int:
-    if len(data) != CHAL_WIDTH:
-        raise WireError(f"challenge must be {CHAL_WIDTH} bytes")
-    return int.from_bytes(data, "big")
-
-
 @dataclass(frozen=True)
 class AttestRequest:
     app_id: int
     delta: int
     chal: int
 
-    def body(self) -> bytes:
-        return struct.pack(">BHQ", MSG_REQUEST, self.app_id, self.delta) \
-            + chal_bytes(self.chal)
-
     def pack(self, key: bytes) -> bytes:
-        body = self.body()
+        body = _REQUEST_HEAD.pack(MSG_REQUEST, self.app_id, self.delta) \
+            + chal_bytes(self.chal)
         return body + mac(key, body)
 
     @classmethod
-    def parse(cls, data: bytes) -> tuple["AttestRequest", bytes]:
-        if len(data) != REQUEST_WIDTH or data[0] != MSG_REQUEST:
-            raise WireError("bad request framing")
-        _, app_id, delta = struct.unpack_from(">BHQ", data)
-        chal = chal_value(data[11:11 + CHAL_WIDTH])
-        return cls(app_id, delta, chal), data[-MAC_WIDTH:]
-
-    def verify(self, key: bytes, tag: bytes) -> bool:
-        return macs_equal(mac(key, self.body()), tag)
+    def open(cls, key: bytes, data: bytes) -> "AttestRequest | None":
+        """The request ``data`` holds if its MAC over the body received
+        checks under ``key``; None for anything else."""
+        if len(data) != REQUEST_WIDTH or data[0] != MSG_REQUEST \
+                or not macs_equal(mac(key, data[:-MAC_WIDTH]), data[-MAC_WIDTH:]):
+            return None
+        _, app_id, delta = _REQUEST_HEAD.unpack_from(data)
+        chal = data[_REQUEST_HEAD.size:-MAC_WIDTH]
+        return cls(app_id, delta, int.from_bytes(chal, "big"))
 
 
 @dataclass(frozen=True)
@@ -142,16 +138,17 @@ class Response:
                          self.sigma))
 
     @classmethod
-    def parse(cls, data: bytes) -> "Response":
+    def open(cls, key: bytes, data: bytes) -> "Response | None":
+        """The response ``data`` holds if its MAC over the challenge and
+        result bytes received checks under ``key``; None for anything
+        else."""
         result = response_result(data)
         if result is None:
-            raise WireError("bad response framing")
-        return cls(result, int.from_bytes(data[2:2 + CHAL_WIDTH], "big"),
-                   data[-MAC_WIDTH:])
-
-    def verify(self, key: bytes) -> bool:
-        good = mac(key, chal_bytes(self.chal), bytes((self.result,)))
-        return macs_equal(good, self.sigma)
+            return None
+        chal, sigma = data[2:2 + CHAL_WIDTH], data[-MAC_WIDTH:]
+        if not macs_equal(mac(key, chal, data[1:2]), sigma):
+            return None
+        return cls(result, int.from_bytes(chal, "big"), sigma)
 
 
 def message_type(data: bytes) -> int | None:

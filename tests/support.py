@@ -488,9 +488,7 @@ def run_per_tick(spec: ScenarioSpec,
             for msg in prover.boot():
                 link.to_verifier.send(now, msg)
         for data in link.to_device.poll(now):
-            if ns_at_heal is None \
-                    and wire.message_type(data) == wire.MSG_RESPONSE \
-                    and wire.Response.parse(data).result == wire.RESULT_HEAL:
+            if ns_at_heal is None and wire.response_result(data) == wire.RESULT_HEAL:
                 ns_at_heal = prover.metrics.total_ns
             for out in prover.handle_message(data):
                 link.to_verifier.send(now, out)
@@ -498,7 +496,7 @@ def run_per_tick(spec: ScenarioSpec,
             link.to_verifier.send(now, out)
         for data in link.to_verifier.poll(now):
             for out in vrf.handle(data, now):
-                verdicts.append(wire.RESULT_NAMES[wire.Response.parse(out).result])
+                verdicts.append(wire.RESULT_NAMES[wire.response_result(out)])
                 link.to_device.send(now, out)
             if did_reset and post_reset_ns is None \
                     and vrf.audited + vrf.duplicates > seen_at_reset:

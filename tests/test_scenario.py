@@ -1,6 +1,5 @@
 """End-to-end runs driven by scenario files, and the file format itself."""
 
-import functools
 import hashlib
 import heapq
 import json
@@ -568,7 +567,6 @@ FORGED_RUNS = [(name, log_max) for name in ("benign_pulse", "lossy_fold", "power
                for log_max in (16, 32, 256)]
 
 
-@functools.cache
 def runs_with_a_keyless_report_first() -> dict[tuple[str, int], scenario.ScenarioResult]:
     """Each of ``FORGED_RUNS`` with ``KEYLESS_REPORT`` queued for the
     verifier at the tick of the device's first report, ahead of it. It is

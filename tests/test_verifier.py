@@ -357,7 +357,7 @@ def test_verifier_full_session_against_device():
                 p.handle_message(msg)
             break
     assert v.session_over and v.violation is None
-    assert v.audited and wire.Response.parse(inbound[-1]).result == wire.RESULT_END
+    assert v.audited and wire.response_result(inbound[-1]) == wire.RESULT_END
     assert p.state is ProverState.WAITING
 
 
@@ -378,7 +378,7 @@ def test_forged_sigma_draws_heal_and_is_counted():
     _, _, dests = oracle_destinations(CALLS)
     rep = wire.Report(b"\x5a" * 32, raw_log(dests)).pack()
     (resp_bytes,) = v.handle(rep)
-    resp = wire.Response.parse(resp_bytes)
+    resp = wire.Response.open(KEY, resp_bytes)
     assert resp.result == wire.RESULT_HEAL
     assert v.rejected == 1
     assert v.violation is not None and v.violation.kind == V_MAC
@@ -406,21 +406,21 @@ def test_every_report_bitflip_is_rejected_or_healed():
         assert not v.audited, f"bit {i} slipped through the MAC"
         if out:
             (resp_bytes,) = out
-            assert wire.Response.parse(resp_bytes).result == wire.RESULT_HEAL
+            assert wire.response_result(resp_bytes) == wire.RESULT_HEAL
 
 
 def test_challenge_window_is_one_deep():
     v = fresh(asm=NESTED)
     _, _, dests = oracle_destinations(NESTED)
     (r1,) = v.handle(make_report(v, dests[:1], 1))
-    assert wire.Response.parse(r1).result == wire.RESULT_EXEC
+    assert wire.response_result(r1) == wire.RESULT_EXEC
     # evidence still bound to the previous challenge is acceptable once
     (r2,) = v.handle(make_report(v, dests[1:2], 1))
-    assert wire.Response.parse(r2).result == wire.RESULT_EXEC
+    assert wire.response_result(r2) == wire.RESULT_EXEC
     assert v.rejected == 0
     # two challenges back is out of the window
     (r3,) = v.handle(make_report(v, dests[2:], 1))
-    assert wire.Response.parse(r3).result == wire.RESULT_HEAL
+    assert wire.response_result(r3) == wire.RESULT_HEAL
     assert v.rejected == 1
 
 
@@ -431,7 +431,7 @@ def test_responses_carry_strictly_increasing_challenges():
     chal = 1
     for i in range(len(dests)):
         (resp_bytes,) = v.handle(make_report(v, dests[i:i + 1], chal))
-        resp = wire.Response.parse(resp_bytes)
+        resp = wire.Response.open(KEY, resp_bytes)
         chals.append(resp.chal)
         chal = resp.chal
     assert chals == sorted(set(chals))
@@ -462,14 +462,14 @@ def test_verdict_and_index_survive_slice_splitting():
 
     v_whole = fresh(asm=NESTED)
     (resp,) = v_whole.handle(make_report(v_whole, bad, 1))
-    assert wire.Response.parse(resp).result == wire.RESULT_HEAL
+    assert wire.response_result(resp) == wire.RESULT_HEAL
 
     v_split = fresh(asm=NESTED)
     chal = 1
     final = None
     for i, d in enumerate(bad):
         (resp_bytes,) = v_split.handle(make_report(v_split, [d], chal))
-        resp = wire.Response.parse(resp_bytes)
+        resp = wire.Response.open(KEY, resp_bytes)
         chal = resp.chal
         if resp.result == wire.RESULT_HEAL:
             final = resp.result
@@ -484,7 +484,7 @@ def test_malformed_log_bytes_draw_heal():
     bad = struct.pack(">I", (1 << 31) | (3 << 29) | 7)  # unknown unit kind
     sigma = wire.report_sigma(KEY, v.cfg.digest, bad, 1)
     (resp_bytes,) = v.handle(wire.Report(sigma, bad).pack())
-    assert wire.Response.parse(resp_bytes).result == wire.RESULT_HEAL
+    assert wire.response_result(resp_bytes) == wire.RESULT_HEAL
     assert v.violation is not None and v.violation.kind == V_MALFORMED
 
 
@@ -521,7 +521,7 @@ def test_maximal_count_record_is_audited_in_constant_time_and_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert wire.Response.parse(resp).result == wire.RESULT_END
+    assert wire.response_result(resp) == wire.RESULT_END
     assert v.violation is None
     assert v.destinations_seen == COUNT_MASK + 3
     assert v.walker.steps < 100
@@ -564,11 +564,11 @@ def test_malformed_slice_index_counts_destinations_not_words():
     _, _, dests = oracle_destinations(COUNTDOWN, [5])
     a = dests[0]
     (r1,) = v.handle(make_report(v, [a], 1))
-    assert wire.Response.parse(r1).result == wire.RESULT_EXEC
+    assert wire.response_result(r1) == wire.RESULT_EXEC
     # a, then five more copies of it, then a static count with no header:
     # the bad word comes after 1 + 1 + 5 destinations
     bad = raw_log([a, count_word(UNIT_SINGLE, 5), count_word(UNIT_STATIC, 3)])
-    (r2,) = v.handle(log_report(v, bad, wire.Response.parse(r1).chal))
-    assert wire.Response.parse(r2).result == wire.RESULT_HEAL
+    (r2,) = v.handle(log_report(v, bad, wire.Response.open(KEY, r1).chal))
+    assert wire.response_result(r2) == wire.RESULT_HEAL
     assert v.violation.kind == V_MALFORMED
     assert v.violation.index == 7

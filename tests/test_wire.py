@@ -22,9 +22,7 @@ def test_request_roundtrip():
     req = wire.AttestRequest(app_id=7, delta=1 << 20, chal=41)
     data = req.pack(KEY)
     assert len(data) == wire.REQUEST_WIDTH
-    back, tag = wire.AttestRequest.parse(data)
-    assert back == req
-    assert back.verify(KEY, tag)
+    assert wire.AttestRequest.open(KEY, data) == req
 
 
 def test_request_mac_matches_independent_construction():
@@ -35,17 +33,16 @@ def test_request_mac_matches_independent_construction():
     assert data[-32:] == raw_hmac(KEY, body)
 
 
-def test_request_every_byte_is_authenticated():
-    data = bytearray(wire.AttestRequest(1, 65536, 9).pack(KEY))
+def flipped(data: bytes):
+    """``data`` with one bit flipped, at each byte in turn."""
     for i in range(len(data)):
-        data[i] ^= 0x01
-        try:
-            req, tag = wire.AttestRequest.parse(bytes(data))
-        except wire.WireError:
-            pass
-        else:
-            assert not req.verify(KEY, tag), f"byte {i} not covered"
-        data[i] ^= 0x01
+        yield i, data[:i] + bytes((data[i] ^ 0x01,)) + data[i + 1:]
+
+
+def test_request_every_byte_is_authenticated():
+    data = wire.AttestRequest(1, 65536, 9).pack(KEY)
+    for i, bad in flipped(data):
+        assert wire.AttestRequest.open(KEY, bad) is None, f"byte {i} not covered"
 
 
 def test_report_roundtrip_and_size_check():
@@ -72,13 +69,29 @@ def test_response_roundtrip_and_forgery():
     resp = wire.Response.make(KEY, wire.RESULT_EXEC, chal=12)
     data = resp.pack()
     assert len(data) == wire.RESPONSE_WIDTH
-    back = wire.Response.parse(data)
-    assert back.verify(KEY)
-    assert back.chal == 12 and back.result == wire.RESULT_EXEC
-    forged = wire.Response(wire.RESULT_END, 12, resp.sigma)
-    assert not forged.verify(KEY)
-    wrong_key = wire.Response.make(b"\xbb" * 32, wire.RESULT_EXEC, 12)
-    assert not wrong_key.verify(KEY)
+    assert wire.Response.open(KEY, data) == resp
+    assert resp.chal == 12 and resp.result == wire.RESULT_EXEC
+    forged = wire.Response(wire.RESULT_END, 12, resp.sigma).pack()
+    assert wire.Response.open(KEY, forged) is None
+
+
+def test_response_every_byte_is_authenticated():
+    data = wire.Response.make(KEY, wire.RESULT_HEAL, chal=77).pack()
+    for i, bad in flipped(data):
+        assert wire.Response.open(KEY, bad) is None, f"byte {i} not covered"
+
+
+def test_open_refuses_a_wrong_key_the_other_type_and_a_wrong_length():
+    req = wire.AttestRequest(1, 65536, 3).pack(KEY)
+    resp = wire.Response.make(KEY, wire.RESULT_END, 3).pack()
+    report = wire.Report(b"\x00" * 32, b"").pack()
+    other = b"\xbb" * 32
+    assert wire.AttestRequest.open(other, req) is None
+    assert wire.Response.open(other, resp) is None
+    for data in (resp, report, b"", req[:-1], req + b"\x00"):
+        assert wire.AttestRequest.open(KEY, data) is None
+    for data in (req, report, b"", resp[:-1], resp + b"\x00"):
+        assert wire.Response.open(KEY, data) is None
 
 
 def test_response_sigma_independent_construction():
@@ -103,12 +116,13 @@ def test_challenge_is_64_byte_big_endian():
     b = wire.chal_bytes(0x0102)
     assert len(b) == 64
     assert b[-2:] == b"\x01\x02" and not any(b[:-2])
-    assert wire.chal_value(b) == 0x0102
+    assert int.from_bytes(b, "big") == 0x0102
 
 
 @given(st.integers(min_value=0, max_value=(1 << 512) - 1))
 def test_chal_roundtrip(v):
-    assert wire.chal_value(wire.chal_bytes(v)) == v
+    b = wire.chal_bytes(v)
+    assert len(b) == wire.CHAL_WIDTH and int.from_bytes(b, "big") == v
 
 
 @given(st.binary(max_size=200), st.integers(min_value=0, max_value=1 << 64))
