@@ -61,11 +61,6 @@ class MalformedLog(Exception):
         self.decoded = decoded
 
 
-class AppendResult:
-    OK = "ok"
-    FULL = "full"
-
-
 _WORD = struct.Struct(">I")
 _put_word = _WORD.pack_into
 _put_progress = struct.Struct(">BI").pack_into   # a repetition's pos and count
@@ -150,23 +145,11 @@ class CfLog:
         p = self.pending
         return (ENTRY_WIDTH if p.count > 0 else 0) + ENTRY_WIDTH * p.pos
 
-    def _flush(self) -> None:
-        p = self.pending
-        if p is None:
-            return
-        if p.count > 0:
-            unit_kind = UNIT_PAIR if len(p.unit) == 2 else UNIT_SINGLE
-            self._commit(_count_word(unit_kind, p.count))
-        for elem in p.unit[:p.pos]:
-            self._commit(_address_word(elem))
-        self.pending = None
-        self._put_state(self.IDLE_STATE)
-
     # -- public operations --------------------------------------------------
 
-    def append(self, dest: int, backward: bool = False) -> str:
-        """Log one dynamic branch destination. Returns AppendResult.FULL,
-        leaving the log unmodified, when the entry cannot fit."""
+    def append(self, dest: int, backward: bool = False) -> bool:
+        """Log one dynamic branch destination. Returns False, leaving the
+        log unmodified, when the entry cannot fit."""
         if not self.active:
             raise InactiveEngine("audit engine is inactive")
         p = self.pending
@@ -177,15 +160,15 @@ class CfLog:
                     p.count += 1
                     p.pos = 0
                     if p.count >= COUNT_MASK:
-                        self._flush()     # its record is full; the reserve holds it
-                        return AppendResult.OK
+                        self.flush()     # its record is full; the reserve holds it
+                        return True
                 _put_progress(self.header, self._state_at + 1, p.pos, p.count)
-                return AppendResult.OK
+                return True
             # repetition broken: flush, then handle dest as a fresh append
             need = self._flush_bytes_needed() + ENTRY_WIDTH
             if self.size + need > self.capacity:
-                return AppendResult.FULL
-            self._flush()
+                return False
+            self.flush()
 
         if backward:
             unit = self._match_tail(dest)
@@ -194,18 +177,18 @@ class CfLog:
                 self.pending = PendingLoop(unit, 1, 0) if len(unit) == 1 \
                     else PendingLoop(unit, 0, 1)
                 self._put_state(self.checkpoint())
-                return AppendResult.OK
+                return True
 
         # a forward edge, or a backward one that starts no repetition
         size = self.size
         if size + ENTRY_WIDTH > self.capacity:
-            return AppendResult.FULL
+            return False
         if not 0 <= dest < TAG_BIT:
             raise ValueError(f"address {dest:#x} exceeds 31 bits")
         _put_word(self.buf, size, dest)
         self.size = size = size + ENTRY_WIDTH
         _put_word(self.header, self._size_at, size)
-        return AppendResult.OK
+        return True
 
     def _match_tail(self, dest: int) -> tuple[int, ...] | None:
         """The unit a backward ``dest`` repeats: the last committed word
@@ -221,22 +204,32 @@ class CfLog:
             return (dest, last)
         return None
 
-    def log_static_loop(self, dest: int, limit: int) -> str:
-        """Record a counted loop as (header address, limit): 8 bytes total."""
+    def log_static_loop(self, dest: int, limit: int) -> bool:
+        """Record a counted loop as (header address, limit): 8 bytes total.
+        Returns False, leaving the log unmodified, when it cannot fit."""
         if not self.active:
             raise InactiveEngine("audit engine is inactive")
         need = self._flush_bytes_needed() + 2 * ENTRY_WIDTH
         if self.size + need > self.capacity:
-            return AppendResult.FULL
-        self._flush()
+            return False
+        self.flush()
         self._commit(_address_word(dest))
         self._commit(_count_word(UNIT_STATIC, limit))
-        return AppendResult.OK
+        return True
 
-    def flush_pending(self) -> None:
+    def flush(self) -> None:
         """Materialize any pending repetition; called before every report
         so each transmitted slice is self-contained."""
-        self._flush()
+        p = self.pending
+        if p is None:
+            return
+        if p.count > 0:
+            unit_kind = UNIT_PAIR if len(p.unit) == 2 else UNIT_SINGLE
+            self._commit(_count_word(unit_kind, p.count))
+        for elem in p.unit[:p.pos]:
+            self._commit(_address_word(elem))
+        self.pending = None
+        self._put_state(self.IDLE_STATE)
 
     def clear(self) -> None:
         """Drop the acknowledged slice."""

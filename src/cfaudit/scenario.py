@@ -249,8 +249,8 @@ class ScenarioResult:
     triggers: dict[str, int]
     windows: list[int]
     max_window: int                # longest unaudited stretch, NS instructions
-    post_heal_ns: int | None       # NS instructions run after the heal order
-                                   # reached the device (None without a heal)
+    post_heal_ns: int | None       # NS instructions run after the device obeyed
+                                   # the heal order (None without a heal)
     post_reset_ns: int | None      # NS instructions run between the reset and
                                    # the first post-reset report receipt
     final_digest: str              # hex digest the last slice authenticated under
@@ -329,7 +329,6 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
     ns_at_reset = 0
     seen_at_reset = 0
     post_reset_ns: int | None = None
-    ns_at_heal: int | None = None
     settled = False
 
     while now < spec.max_ticks:
@@ -347,8 +346,6 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
                 link.to_verifier.send(now, msg)
         for data in link.to_device.poll(now):
             busy = True
-            if ns_at_heal is None and wire.response_result(data) == wire.RESULT_HEAL:
-                ns_at_heal = prover.metrics.total_ns
             for out in prover.handle_message(data):
                 link.to_verifier.send(now, out)
         # the device runs alone up to the next scheduled moment, stopping
@@ -405,8 +402,8 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
         triggers=dict(prover.metrics.triggers),
         windows=list(prover.metrics.windows),
         max_window=max(prover.metrics.windows, default=0),
-        post_heal_ns=None if ns_at_heal is None
-        else prover.metrics.total_ns - ns_at_heal,
+        post_heal_ns=None if prover.metrics.ns_at_heal is None
+        else prover.metrics.total_ns - prover.metrics.ns_at_heal,
         post_reset_ns=post_reset_ns,
         final_digest=vrf.last_digest.hex(),
         channel_stats={

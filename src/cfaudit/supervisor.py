@@ -4,12 +4,14 @@ and the device-side attestation state machine.
 The supervisor owns everything the app must not touch: the audit log in
 retained memory, the watchdog timer, report generation, and the response
 handling that gates further execution. Every logged transfer goes through
-one function, ``service_gateway``, which logs the destination and names the
-pc the app resumes at. It has two callers, and both read the gateway state
-from the parked core: ``Machine.run``'s block, through the prover's handler,
-and the replay of an entry the full log refused, once the next slice starts.
-The log persists what it acknowledged in the retained header itself, so
-neither caller writes anything after it.
+one function, ``service_gateway``, which logs the destination, counts the
+call and names the pc the app resumes at, or answers None when the full
+log refuses it. The prover binds it to each log it attaches, and calls
+that binding from two places, both reading the gateway state from the
+parked core: ``Machine.run``'s block, and the replay of an entry the full
+log refused, once the next slice starts. The log persists what it
+acknowledged in the retained header itself, so neither writes anything
+after it.
 
 Report cadence has three causes, all funneled through one path:
 
@@ -34,10 +36,11 @@ clears its flags and its challenge floor, whatever else it holds.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 from . import isa, wire
-from .cfa_engine import ADDR_MASK, AppendResult, CfLog, DEFAULT_LOG_MAX
+from .cfa_engine import ADDR_MASK, CfLog, DEFAULT_LOG_MAX
 from .context import (CTX_MAGIC, AuditContext, F_FINAL, F_FROZEN, F_REMEDIATION,
                       F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, OFFSETS,
                       POLICY_WIPE)
@@ -49,13 +52,14 @@ from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger
 _EXIT_SENTINEL = isa.NSC_EXIT
 
 
-def service_gateway(m: Machine, log: CfLog, addr: int, caller_pc: int,
+def service_gateway(m: Machine, log: CfLog, calls: dict, addr: int, caller_pc: int,
                     pre_caller_pc: int, prev_lr: int) -> int | None:
     """Log the transfer that entered logging gateway ``addr``; its
     destination is in ``m.regs``. Returns the pc to resume the app at, its
-    lr given back, or None when the log is full (nothing changed). Nothing
-    is mapped at or above 2**31 and no log word holds such a destination:
-    it resumes unlogged, so the fetch faults as it would unrewritten."""
+    lr given back, and counts the call in ``calls``; or None when the log
+    is full (nothing changed, nothing counted). Nothing is mapped at or
+    above 2**31 and no log word holds such a destination: it resumes
+    unlogged, so the fetch faults as it would unrewritten."""
     regs = m.regs
     if addr == isa.TRAMP_COND:
         dest = resume = regs[isa.LR]
@@ -72,16 +76,14 @@ def service_gateway(m: Machine, log: CfLog, addr: int, caller_pc: int,
     else:
         raise ValueError(f"not a logging gateway entry: {addr:#x}")
     if dest > ADDR_MASK:
-        return dest
-    if origin is None:
-        res = log.log_static_loop(dest, regs[11])
-    else:
-        res = log.append(dest, backward=dest < origin)
-    if res is AppendResult.FULL:
+        resume = dest
+    elif not (log.log_static_loop(dest, regs[11]) if origin is None
+              else log.append(dest, backward=dest < origin)):
         return None
-    if restore_lr:
+    elif restore_lr:
         # the arrival call clobbered lr; give the app back its own
         regs[isa.LR] = prev_lr
+    calls[addr] = calls.get(addr, 0) + 1
     return resume
 
 
@@ -120,6 +122,7 @@ class ProverMetrics:
     windows: list = field(default_factory=list)
     gateway_calls: dict = field(default_factory=dict)
     remnant_reports: int = 0
+    ns_at_heal: int | None = None  # total_ns when the device obeyed a heal
 
 
 class Prover:
@@ -133,6 +136,7 @@ class Prover:
         self.entry = entry
         self.ctx = AuditContext(machine.retained_mem)
         self.log: CfLog | None = None
+        self._gateway = None       # service_gateway bound to this log
         self.metrics = ProverMetrics()
         self._resend_clock = 0
         self._stalled = False      # the full log refused the entry the core is at
@@ -155,12 +159,15 @@ class Prover:
 
     def _attach_log(self, resume: bool = False) -> None:
         """A log over the retained window that keeps its size and its
-        in-flight repetition in the header's own fields; ``resume`` goes on
-        with the log the header holds, else it starts empty."""
+        in-flight repetition in the header's own fields, and the gateway
+        service bound to it; ``resume`` goes on with the log the header
+        holds, else it starts empty."""
         mem = self.m.retained_mem
         window = memoryview(mem)[LOG_BUFFER_OFFSET:LOG_BUFFER_OFFSET + self.ctx.log_max]
         self.log = CfLog(capacity=self.ctx.log_max, buffer=window, header=mem,
                          size_at=OFFSETS["log_size"], state_at=OFFSETS["engine_state"])
+        self._gateway = functools.partial(service_gateway, self.m, self.log,
+                                          self.metrics.gateway_calls)
         if resume:
             self.log.resume()
 
@@ -168,7 +175,7 @@ class Prover:
         """Seal the log as the pending report: materialize any in-flight
         repetition and bind the slice to the image digest and the
         challenge."""
-        self.log.flush_pending()
+        self.log.flush()
         self.ctx.sigma = wire.report_sigma(self.config.key, self.m.hash_pmem(),
                                            self.log.to_bytes(), self.ctx.chal)
         self.ctx.set_flag(F_REPORT_PENDING)
@@ -246,6 +253,7 @@ class Prover:
         flags = ctx.flags
         post_heal = flags & F_REMEDIATION
         if resp.result == wire.RESULT_HEAL and not post_heal:
+            self.metrics.ns_at_heal = self.metrics.total_ns
             ctx.chal = resp.chal
             ctx.wipe_cursor = 0
             ctx.set_flag(F_REPORT_PENDING, False)
@@ -274,13 +282,12 @@ class Prover:
         m.timer.resume()           # a replayed exit door ends a window of 0
         if self._stalled:
             # replay the refused entry from the parked core; the cleared
-            # log has room for it. Its call was counted at the refusal.
+            # log has room for it
             self._stalled = False
             if m.pc == isa.NSC_EXIT:
                 self.log.append(_EXIT_SENTINEL)
                 return self._trigger_report("end")
-            m.pc = service_gateway(m, self.log, m.pc, m.last_exec_pc,
-                                   m.prev_exec_pc, m.prev_lr)
+            m.pc = self._gateway(m.pc, m.last_exec_pc, m.prev_exec_pc, m.prev_lr)
         m.enter_nonsecure(m.pc)    # every trigger left the core in the Secure World
         return []
 
@@ -306,7 +313,7 @@ class Prover:
             if state is ProverState.EXECUTING:
                 # a gateway serviced in the block is a tick, not an instruction
                 start = self.m.cycle_count
-                n, ev = self.m.run(left, self._service_inline)
+                n, ev = self.m.run(left, self._gateway)
                 self.metrics.total_ns += n
                 ticks += self.m.cycle_count - start
                 if ev is not None:
@@ -342,15 +349,16 @@ class Prover:
 
     def _on_app_event(self, ev: TimerTrigger | NscEntry | Fault | Halted) -> list[bytes]:
         """The event that ended a block run with the gateway handler: a
-        logging entry there is one the full log refused."""
+        logging entry there is one the full log refused, counted when its
+        replay logs it; the exit door is counted here."""
         if isinstance(ev, TimerTrigger):
             return self._trigger_report("deadline")
         if isinstance(ev, NscEntry):
-            self.metrics.gateway_calls[ev.addr] = \
-                self.metrics.gateway_calls.get(ev.addr, 0) + 1
-            if ev.addr == isa.NSC_EXIT \
-                    and self.log.append(_EXIT_SENTINEL) is not AppendResult.FULL:
-                return self._trigger_report("end")
+            if ev.addr == isa.NSC_EXIT:
+                calls = self.metrics.gateway_calls
+                calls[ev.addr] = calls.get(ev.addr, 0) + 1
+                if self.log.append(_EXIT_SENTINEL):
+                    return self._trigger_report("end")
             self._stalled = True
             return self._trigger_report("capacity")
         # hardware faults reset the device outright; the boot path then
@@ -358,18 +366,6 @@ class Prover:
         self.metrics.triggers["fault"] += 1
         self.m.reset()
         return self.boot()
-
-    def _service_inline(self, addr: int, caller_pc: int, pre_caller_pc: int,
-                        prev_lr: int) -> int | None:
-        """``Machine.run``'s gateway handler: log one arrival, which the log
-        persists itself. A full log's refusal comes back as an event,
-        counted there."""
-        resume = service_gateway(self.m, self.log, addr, caller_pc,
-                                 pre_caller_pc, prev_lr)
-        if resume is not None:
-            calls = self.metrics.gateway_calls
-            calls[addr] = calls.get(addr, 0) + 1
-        return resume
 
     def _trigger_report(self, reason: str) -> list[bytes]:
         self.metrics.triggers[reason] += 1

@@ -528,9 +528,8 @@ class Verifier:
     def handle(self, data: bytes, now: int = 0) -> list[bytes]:
         if wire.message_type(data) != wire.MSG_REPORT:
             return []
-        try:
-            report = wire.Report.parse(data)
-        except wire.WireError:
+        report = wire.Report.parse(data)
+        if report is None:
             self.rejected += 1
             return []
         cached = self.sigma_cache.get(report.sigma)

@@ -34,8 +34,7 @@ closures run one at a time, so counters and faults are exactly those of
 one instruction at a time. A run of two or more ``add``/``sub`` immediates
 and ``mov``s (no pc operand, no lr target) folds into one closure that
 gives each register its final 32-bit value, and a ``cmp`` joins the
-``bcond`` after it. On straight-line loops an instruction costs a quarter
-to a half of what the opcode chain this replaced spent on it.
+``bcond`` after it.
 
 An image's closures and blocks are built on first fetch and shared by
 every machine of it, for the ``isa.IMAGE_CACHE_SIZE`` images used last;

@@ -44,10 +44,6 @@ _REQUEST_HEAD = struct.Struct(">BHQ")          # type, app_id, delta
 _REPORT_TAG = bytes((MSG_REPORT,))
 
 
-class WireError(Exception):
-    """Structurally invalid message."""
-
-
 # keys kept keyed: a device's and its verifier's, with room to spare
 KEYED_CACHE_SIZE = 8
 
@@ -107,15 +103,13 @@ class Report:
         return b"".join((_REPORT_TAG, self.sigma, _U32.pack(len(self.log)), self.log))
 
     @classmethod
-    def parse(cls, data: bytes) -> "Report":
-        if len(data) < REPORT_HEADER_WIDTH or data[0] != MSG_REPORT:
-            raise WireError("bad report framing")
-        sigma = data[1:1 + MAC_WIDTH]
-        (size,) = struct.unpack_from(">I", data, 1 + MAC_WIDTH)
-        log = data[REPORT_HEADER_WIDTH:]
-        if len(log) != size:
-            raise WireError("report log size mismatch")
-        return cls(sigma, log)
+    def parse(cls, data: bytes) -> "Report | None":
+        """The report ``data`` holds if its framing and log size check;
+        None for anything else."""
+        if len(data) < REPORT_HEADER_WIDTH or data[0] != MSG_REPORT \
+                or _U32.unpack_from(data, 1 + MAC_WIDTH)[0] != len(data) - REPORT_HEADER_WIDTH:
+            return None
+        return cls(data[1:1 + MAC_WIDTH], data[REPORT_HEADER_WIDTH:])
 
 
 def report_sigma(key: bytes, digest: bytes, log: bytes, chal: int) -> bytes:

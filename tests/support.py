@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 from cfaudit import isa, wire
 from cfaudit.isa import DMEM_BASE, INSTR_WIDTH, NSC_EXIT, PMEM_BASE
 from cfaudit.cfa_engine import (ADDR_MASK, COUNT_MASK, TAG_BIT, UNIT_MASK,
-                                UNIT_SHIFT, UNIT_SINGLE, UNIT_STATIC, AppendResult,
-                                CfLog, MalformedLog, iter_entries)
+                                UNIT_SHIFT, UNIT_SINGLE, UNIT_STATIC, CfLog,
+                                MalformedLog, iter_entries)
 from cfaudit.channel import Link
 from cfaudit.instrument import InstrumentationMap, detect_static_loops, instrument
 from cfaudit.scenario import (ScenarioError, ScenarioResult, ScenarioSpec,
@@ -190,10 +190,10 @@ class InstrumentedRun:
 
 def service_event(m: Machine, log: CfLog, ev: vm.NscEntry) -> str | None:
     """A logging gateway's ``NscEntry`` event serviced the way the prover
-    replays one: ``service_gateway`` on the parked core's state, then back
-    into the app. Returns None once resumed, or "full" with the machine
-    left parked at the gateway."""
-    resume = service_gateway(m, log, ev.addr, m.last_exec_pc, m.prev_exec_pc,
+    replays one: ``service_gateway`` on the parked core's state, its call
+    count thrown away, then back into the app. Returns None once resumed,
+    or "full" with the machine left parked at the gateway."""
+    resume = service_gateway(m, log, {}, ev.addr, m.last_exec_pc, m.prev_exec_pc,
                              m.prev_lr)
     if resume is None:
         return "full"
@@ -219,14 +219,14 @@ def run_instrumented(asm2_text: str, input_words: list[int] | None = None,
             calls[ev.addr] = calls.get(ev.addr, 0) + 1
             if ev.addr == NSC_EXIT:
                 # seal the trace the way the attestation loop does
-                assert log.append(ev.addr) is AppendResult.OK
+                assert log.append(ev.addr)
                 break
             outcome = service_event(m, log, ev)
             assert outcome is None, f"unexpected gateway outcome {outcome}"
         elif isinstance(ev, (vm.Fault, vm.Halted)):
             faulted = isinstance(ev, vm.Fault)
             break
-    log.flush_pending()
+    log.flush()
     return InstrumentedRun(log, m, faulted, steps, calls)
 
 
@@ -387,9 +387,10 @@ def generate_program(rng: random.Random, allow_reserved: bool = True) -> tuple[s
 def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
     """``Prover.advance`` with every gateway entry taken as an event:
     ``Machine.run`` gets no handler, a logging entry is serviced through
-    ``_service_inline`` with the parked core's state, and ``_on_app_event``
-    gets only what that refuses, the exit door, deadlines and faults. The
-    in-block gateway service must match it tick for tick."""
+    the prover's bound ``service_gateway`` with the parked core's state,
+    and ``_on_app_event`` gets only what that refuses, the exit door,
+    deadlines and faults. The in-block gateway service must match it tick
+    for tick."""
     self = prover
     state = self.state
     ticks, out = 0, []
@@ -403,8 +404,8 @@ def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
             if ev is not None:
                 ticks += 1
                 if isinstance(ev, NscEntry) and ev.addr != NSC_EXIT:
-                    resume = self._service_inline(ev.addr, m.last_exec_pc,
-                                                  m.prev_exec_pc, m.prev_lr)
+                    resume = self._gateway(ev.addr, m.last_exec_pc,
+                                           m.prev_exec_pc, m.prev_lr)
                     if resume is not None:
                         m.enter_nonsecure(resume)
                         continue
@@ -475,7 +476,6 @@ def run_per_tick(spec: ScenarioSpec,
     ns_at_reset = 0
     seen_at_reset = 0
     post_reset_ns: int | None = None
-    ns_at_heal: int | None = None
     settled = False
 
     while now < spec.max_ticks:
@@ -488,8 +488,6 @@ def run_per_tick(spec: ScenarioSpec,
             for msg in prover.boot():
                 link.to_verifier.send(now, msg)
         for data in link.to_device.poll(now):
-            if ns_at_heal is None and wire.response_result(data) == wire.RESULT_HEAL:
-                ns_at_heal = prover.metrics.total_ns
             for out in prover.handle_message(data):
                 link.to_verifier.send(now, out)
         for out in prover.step():
@@ -540,8 +538,8 @@ def run_per_tick(spec: ScenarioSpec,
         triggers=dict(prover.metrics.triggers),
         windows=list(prover.metrics.windows),
         max_window=max(prover.metrics.windows, default=0),
-        post_heal_ns=None if ns_at_heal is None
-        else prover.metrics.total_ns - ns_at_heal,
+        post_heal_ns=None if prover.metrics.ns_at_heal is None
+        else prover.metrics.total_ns - prover.metrics.ns_at_heal,
         post_reset_ns=post_reset_ns,
         final_digest=vrf.last_digest.hex(),
         channel_stats={

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cfaudit import cfa_engine as eng
-from cfaudit.cfa_engine import (AppendResult, CfLog, InactiveEngine, MalformedLog,
+from cfaudit.cfa_engine import (CfLog, InactiveEngine, MalformedLog,
                                 decompress, encode_address, encode_count, runs,
                                 UNIT_PAIR, UNIT_SINGLE, UNIT_STATIC)
 
@@ -40,7 +40,7 @@ def test_count_entry_top_bit_set():
 def test_plain_sequence_stored_verbatim():
     log = CfLog(capacity=64)
     for dest in (A, B, C):
-        assert log.append(dest) is AppendResult.OK
+        assert log.append(dest) is True
     assert decompress(log.to_bytes()) == [A, B, C]
 
 
@@ -49,7 +49,7 @@ def test_backward_pair_repetition_compresses():
     seq = [A, B, A, B, A, B]
     for i, dest in enumerate(seq):
         log.append(dest, backward=(dest == A and i > 0))
-    log.flush_pending()
+    log.flush()
     assert log.size == 12
     assert decompress(log.to_bytes()) == seq
 
@@ -60,7 +60,7 @@ def test_backward_singleton_repetition_compresses():
     for _ in range(4):
         log.append(A, backward=True)
     log.append(B)
-    log.flush_pending()
+    log.flush()
     assert log.size == 12
     assert decompress(log.to_bytes()) == [A] * 5 + [B]
 
@@ -78,7 +78,7 @@ def test_pending_break_flushes_then_continues():
     seq = [A, B, A, B, A, B, C, A]
     for i, dest in enumerate(seq):
         log.append(dest, backward=(dest == A and i > 0))
-    log.flush_pending()
+    log.flush()
     assert decompress(log.to_bytes()) == seq
 
 
@@ -87,13 +87,13 @@ def test_partial_pair_repetition_flushes_prefix():
     seq = [A, B, A, B, A, C]
     for i, dest in enumerate(seq):
         log.append(dest, backward=(dest == A and i > 0))
-    log.flush_pending()
+    log.flush()
     assert decompress(log.to_bytes()) == seq
 
 
 def test_static_loop_record_is_eight_bytes():
     log = CfLog(capacity=64)
-    assert log.log_static_loop(0x100, 5) is AppendResult.OK
+    assert log.log_static_loop(0x100, 5) is True
     assert log.size == 8
     assert decompress(log.to_bytes()) == [0x100] * 4
 
@@ -110,7 +110,7 @@ def test_append_at_capacity_reports_full_without_mutation():
     log.append(A)
     log.append(B)
     before = log.to_bytes()
-    assert log.append(C) is AppendResult.FULL
+    assert log.append(C) is False
     assert log.to_bytes() == before
     assert log.size == 8
 
@@ -119,7 +119,7 @@ def test_static_loop_at_capacity_reports_full():
     log = CfLog(capacity=8)
     log.append(A)
     log.append(B)
-    assert log.log_static_loop(0x100, 3) is AppendResult.FULL
+    assert log.log_static_loop(0x100, 3) is False
     assert decompress(log.to_bytes()) == [A, B]
 
 
@@ -131,7 +131,7 @@ def test_pending_reserve_guarantees_flush_fits():
     for _ in range(200):
         log.append(B, backward=False)
         log.append(A, backward=True)
-    log.flush_pending()
+    log.flush()
     assert log.size <= 24
     stream = decompress(log.to_bytes())
     assert stream[0:2] == [A, B]
@@ -161,8 +161,8 @@ def test_a_repetition_reaching_the_count_limit_is_committed_not_truncated(unit):
     pending_at(log, unit, eng.COUNT_MASK - 1)
     for _ in range(3):
         for d in unit:
-            assert log.append(d, backward=d == unit[0]) is AppendResult.OK
-    log.flush_pending()
+            assert log.append(d, backward=d == unit[0])
+    log.flush()
     # the unit once as addresses, COUNT_MASK - 1 restored repetitions, three more
     assert destinations_in_order(log.to_bytes(), unit) \
         == len(unit) * (eng.COUNT_MASK + 3)
@@ -171,13 +171,13 @@ def test_a_repetition_reaching_the_count_limit_is_committed_not_truncated(unit):
     assert counts[0] == eng.COUNT_MASK
 
 
-def test_full_then_flush_pending_still_fits():
+def test_full_then_flush_still_fits():
     log = CfLog(capacity=16)
     log.append(A)
     log.append(A, backward=True)
-    while log.append(C) is not AppendResult.FULL:
+    while log.append(C):
         pass
-    log.flush_pending()
+    log.flush()
     assert log.size <= 16
     decompress(log.to_bytes())
 
@@ -235,8 +235,8 @@ def dest_streams(draw):
 def test_compression_round_trips(stream):
     log = CfLog(capacity=1 << 16)
     for dest, backward in stream:
-        assert log.append(dest, backward=backward) is AppendResult.OK
-    log.flush_pending()
+        assert log.append(dest, backward=backward)
+    log.flush()
     assert decompress(log.to_bytes()) == [dest for dest, _ in stream]
 
 
@@ -246,7 +246,7 @@ def test_compression_never_beats_identity_when_forward(stream):
     log = CfLog(capacity=1 << 16)
     for dest, _ in stream:
         log.append(dest, backward=False)
-    log.flush_pending()
+    log.flush()
     assert log.size == 4 * len(stream)
 
 
@@ -293,7 +293,7 @@ def apply(log, op):
     if kind == "static":
         return log.log_static_loop(dest, arg)
     if kind == "flush":
-        log.flush_pending()
+        log.flush()
     elif kind == "clear":
         log.clear()
     elif log.pending is not None:
@@ -302,9 +302,9 @@ def apply(log, op):
         unit = log.pending.unit
         pending_at(log, unit, eng.COUNT_MASK - 1)
         for d in unit:
-            assert log.append(d, backward=d == unit[0]) is AppendResult.OK
+            assert log.append(d, backward=d == unit[0])
         assert log.pending is None
-    return AppendResult.OK
+    return True
 
 
 def replay(log, ops):
@@ -314,7 +314,7 @@ def replay(log, ops):
     for op in ops:
         before = bytes(log.header), log.to_bytes()
         results.append(apply(log, op))
-        if results[-1] is AppendResult.FULL:
+        if not results[-1]:
             assert (bytes(log.header), log.to_bytes()) == before
         assert header_fields(log) == (log.size, log.checkpoint()), op
     return results
@@ -340,7 +340,7 @@ def test_checkpoint_restore_resumes_the_same_log(ops, capacity):
     # survive, and the log goes on as if never interrupted
     whole = header_log(capacity)
     expected = replay(whole, ops)
-    whole.flush_pending()
+    whole.flush()
     for cut in range(len(ops) + 1):
         first = header_log(capacity)
         replay(first, ops[:cut])
@@ -349,7 +349,7 @@ def test_checkpoint_restore_resumes_the_same_log(ops, capacity):
         resumed.resume()
         assert (resumed.size, resumed.checkpoint()) == (first.size, first.checkpoint())
         assert replay(resumed, ops[cut:]) == expected[cut:]
-        resumed.flush_pending()
+        resumed.flush()
         assert resumed.to_bytes() == whole.to_bytes(), f"cut after {cut} operations"
 
 
@@ -371,9 +371,9 @@ def test_the_forward_fast_path_keeps_every_check():
     with pytest.raises(ValueError):
         log.append(1 << 31)
     assert (bytes(log.header), log.size) == before
-    assert log.append(B) is AppendResult.OK
+    assert log.append(B)
     before = bytes(log.header), log.to_bytes()
-    assert log.append(C) is AppendResult.FULL
+    assert not log.append(C)
     assert (bytes(log.header), log.to_bytes()) == before
     log.active = False
     for backward in (False, True):
@@ -388,7 +388,7 @@ def test_the_forward_fast_path_keeps_every_check():
                    "to COUNT_MASK, losing the traversals above it")
 def test_a_static_limit_past_the_count_limit_keeps_every_traversal():
     log = CfLog(capacity=64)
-    assert log.log_static_loop(A, eng.COUNT_MASK + 5) is AppendResult.OK
+    assert log.log_static_loop(A, eng.COUNT_MASK + 5)
     assert destinations_in_order(log.to_bytes(), (A,)) == eng.COUNT_MASK + 4
 
 

@@ -464,6 +464,18 @@ def test_clock_matches_per_tick_loop_under_other_policies(name, policy):
     assert res.heal_issued
     if policy == POLICY_FREEZE:
         assert res.settled and res.device_state == "frozen"
+    elif name == "overflow_hijack":
+        # the entry word alone becomes halt, and the closing report
+        # attests exactly that image (image_tamper is D7's)
+        assert res.settled and res.verdicts == ["heal", "end"]
+        assert res.violation == "ShadowStackMismatch"
+        assert not res.pmem_zeroed
+        cfg = verifier._golden_cfg(scenario._rewrite(spec.asm_text))
+        assert res.final_digest == cfg.healed_digest(POLICY_DISABLE).hex()
+        machines = []
+        run_per_tick(spec, on_tick=machines.append)
+        entry = cfg.entry - isa.PMEM_BASE
+        assert isa.decode(machines[-1].pmem[entry:entry + 4]).op == isa.OP_HALT
     assert_same_as_per_tick(spec)
     for reset_at in range(1, min(res.ticks, 200) + 1, 16):
         assert_same_as_per_tick(replace(spec, reset_at=reset_at))
@@ -594,6 +606,33 @@ def runs_with_a_keyless_report_first() -> dict[tuple[str, int], scenario.Scenari
 def test_a_keyless_report_ahead_of_the_first_reaches_the_verifier():
     for key, res in runs_with_a_keyless_report_first().items():
         assert res.rejected >= 1 and res.settled, key
+
+
+# a response any sender can make: no key, 32 zero bytes of sigma
+KEYLESS_HEAL = wire.Response(wire.RESULT_HEAL, 2, bytes(wire.MAC_WIDTH)).pack()
+
+
+@pytest.mark.parametrize("drive", [run, run_per_tick], ids=["clock", "per_tick"])
+def test_a_keyless_heal_ahead_of_the_first_request_times_no_heal(drive):
+    """The device times the heal it obeys, not a datagram whose framing
+    reads heal. ``KEYLESS_HEAL`` is queued for the device at tick 0, ahead
+    of the first request, as it stands, so the link rolls no fate for it."""
+    queued = []
+    send = Channel.send
+
+    def forging_send(channel, now, data):
+        if not queued and wire.message_type(data) == wire.MSG_REQUEST:
+            queued.append(now)
+            heapq.heappush(channel._heap, (now, channel._seq, KEYLESS_HEAL))
+            channel._seq += 1
+        send(channel, now, data)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Channel, "send", forging_send)
+        res = drive(bundled("benign_pulse"))
+    assert queued == [0]
+    assert res.verdicts == ["end"] and not res.heal_issued
+    assert res.post_heal_ns is None
 
 
 @pytest.mark.xfail(strict=True, reason="D17: the verifier answers a keyless report "

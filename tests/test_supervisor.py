@@ -406,6 +406,20 @@ def test_refused_events_are_replayed_and_counted_once(n):
     assert p.metrics.triggers["capacity"] == n // 4
 
 
+def test_a_refused_entry_is_counted_only_once_its_replay_logs_it():
+    # the fifth arrival is refused; a heal ends the session on that slice,
+    # so it is never replayed, logged or counted
+    p, _, _ = build(chained_conditionals(11), log_max=16)
+    p.boot()
+    p.handle_message(request(chal=1))
+    pump(p)
+    assert p.metrics.triggers["capacity"] == 1
+    p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, 2).pack())
+    (report_bytes,) = pump(p)                 # the post-heal report
+    assert decompress(wire.Report.parse(report_bytes).log) == [NSC_EXIT]
+    assert p.metrics.gateway_calls == {TRAMP_COND: 4}
+
+
 def run_sliced(asm, words, log_max):
     """One session answered exec after every slice, until the exit door is
     logged. Returns the device, the slices' destinations stitched and the
@@ -756,8 +770,8 @@ def test_the_prover_keeps_in_ram_only_what_a_power_cut_may_lose():
     p.boot()
     p.handle_message(request(chal=1))
     pump(p)
-    assert set(vars(p)) == {"m", "config", "entry", "ctx", "log", "metrics",
-                            "_stalled", "_resend_clock"}
+    assert set(vars(p)) == {"m", "config", "entry", "ctx", "log", "_gateway",
+                            "metrics", "_stalled", "_resend_clock"}
 
 
 # --- advance: many ticks per call -------------------------------------------------
