@@ -20,15 +20,16 @@ edge whose destination matches the last one or two committed entries; no
 general pattern mining. Appends that merely extend a pending repetition
 do not grow the log, which is what bounds log size for hot loops.
 
-The log persists itself in place: its size and in-flight repetition go
-into a header beside the buffer, both retained on a device, in the
-operation that changes them, so what it acknowledged is durable on return.
+The log is a view of retained memory: its words sit in a buffer and its
+size and in-flight repetition in a header beside it, and it keeps no other
+copy of them. Each operation reads them there and writes what it changes
+before it returns, so what the log acknowledged is durable on return and a
+log built over the same memory after a reset goes on with it.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 ENTRY_WIDTH = 4
 TAG_BIT = 1 << 31
@@ -62,6 +63,7 @@ class MalformedLog(Exception):
 
 
 _WORD = struct.Struct(">I")
+_get_word = _WORD.unpack_from
 _put_word = _WORD.pack_into
 _put_progress = struct.Struct(">BI").pack_into   # a repetition's pos and count
 
@@ -76,36 +78,14 @@ def _count_word(unit: int, count: int) -> int:
     return TAG_BIT | (unit << UNIT_SHIFT) | min(count, COUNT_MASK)
 
 
-def encode_address(addr: int) -> bytes:
-    return _WORD.pack(_address_word(addr))
-
-
-def encode_count(unit: int, count: int) -> bytes:
-    return _WORD.pack(_count_word(unit, count))
-
-
-@dataclass
-class PendingLoop:
-    """An in-flight repetition not yet flushed to the log."""
-
-    unit: tuple[int, ...]   # one or two destination addresses
-    count: int              # completed additional repetitions
-    pos: int                # elements of the current repetition matched
-
-
 class CfLog:
-    """Bounded append-only log, optionally backed by an external buffer
-    (the retained-memory window) and header so entries, the size and the
-    in-flight repetition survive machine resets."""
-
-    # Besides the buffer, a reset must not lose its size and the in-flight
-    # repetition, or a power cycle would silently drop destinations already
-    # acknowledged as appended. The log writes both into the header it is
-    # handed, at the offsets it is given, in the operation that changes
-    # them: the size with each committed word; a repetition's pos and count
-    # as it grows, its whole state when it starts, flushes or is cleared.
-    # Without a header it writes a private one of the same shape. Building
-    # a log writes nothing; ``resume`` picks up what the header holds.
+    """Bounded append-only log: a view of a buffer and a header, both
+    retained on a device. It keeps no copy of its size or in-flight
+    repetition, or a reset could part them from what it acknowledged: it
+    reads them in the header, at the offsets it is handed, and an operation
+    that changes one writes it there before it returns. Building a log
+    writes nothing, and two logs over one buffer and header are one log.
+    Without a header the log makes a private one, zeroed: empty and idle."""
 
     STATE_WIDTH = 24
     _STATE = struct.Struct(">BBIII10x")     # unit length, pos, count, unit
@@ -123,27 +103,30 @@ class CfLog:
             else bytearray(ENTRY_WIDTH + self.STATE_WIDTH)
         self._size_at = size_at
         self._state_at = state_at
-        self.size = 0
         self.active = True
-        self.pending: PendingLoop | None = None
+
+    @property
+    def size(self) -> int:
+        """Bytes of committed words, as the header holds it."""
+        return _get_word(self.header, self._size_at)[0]
 
     # -- raw entry plumbing ----------------------------------------------
 
-    def _commit(self, word: int) -> None:
-        size = self.size
-        _put_word(self.buf, size, word)
-        self.size = size = size + ENTRY_WIDTH
-        _put_word(self.header, self._size_at, size)
-
-    def _put_state(self, state: bytes) -> None:
-        at = self._state_at
-        self.header[at:at + self.STATE_WIDTH] = state
+    def _commit(self, *words: int) -> None:
+        """Write ``words`` after the committed ones, then the size that
+        takes them all in."""
+        header, at = self.header, self._size_at
+        size = _get_word(header, at)[0]
+        for word in words:
+            _put_word(self.buf, size, word)
+            size += ENTRY_WIDTH
+        _put_word(header, at, size)
 
     def _flush_bytes_needed(self) -> int:
-        if self.pending is None:
+        unit_len, pos, count, _, _ = _get_state(self.header, self._state_at)
+        if not unit_len:
             return 0
-        p = self.pending
-        return (ENTRY_WIDTH if p.count > 0 else 0) + ENTRY_WIDTH * p.pos
+        return (ENTRY_WIDTH if count > 0 else 0) + ENTRY_WIDTH * pos
 
     # -- public operations --------------------------------------------------
 
@@ -152,17 +135,16 @@ class CfLog:
         log unmodified, when the entry cannot fit."""
         if not self.active:
             raise InactiveEngine("audit engine is inactive")
-        p = self.pending
-        if p is not None:
-            if dest == p.unit[p.pos]:
-                p.pos += 1
-                if p.pos == len(p.unit):
-                    p.count += 1
-                    p.pos = 0
-                    if p.count >= COUNT_MASK:
-                        self.flush()     # its record is full; the reserve holds it
-                        return True
-                _put_progress(self.header, self._state_at + 1, p.pos, p.count)
+        header, at = self.header, self._state_at
+        if header[at]:                  # the unit length: a repetition in flight
+            unit_len, pos, count, u0, u1 = _get_state(header, at)
+            if dest == (u1 if pos else u0):
+                pos += 1
+                if pos == unit_len:
+                    pos, count = 0, count + 1
+                _put_progress(header, at + 1, pos, count)
+                if count >= COUNT_MASK:
+                    self.flush()     # its record is full; the reserve holds it
                 return True
             # repetition broken: flush, then handle dest as a fresh append
             need = self._flush_bytes_needed() + ENTRY_WIDTH
@@ -170,39 +152,36 @@ class CfLog:
                 return False
             self.flush()
 
-        if backward:
-            unit = self._match_tail(dest)
-            if unit is not None and self.size + PENDING_RESERVE <= self.capacity:
-                # dest matches the unit's first element: one element in
-                self.pending = PendingLoop(unit, 1, 0) if len(unit) == 1 \
-                    else PendingLoop(unit, 0, 1)
-                self._put_state(self.checkpoint())
-                return True
+        size = _get_word(header, self._size_at)[0]
+        if backward and size + PENDING_RESERVE <= self.capacity \
+                and self._start_repetition(dest, size):
+            return True
 
         # a forward edge, or a backward one that starts no repetition
-        size = self.size
         if size + ENTRY_WIDTH > self.capacity:
             return False
         if not 0 <= dest < TAG_BIT:
             raise ValueError(f"address {dest:#x} exceeds 31 bits")
         _put_word(self.buf, size, dest)
-        self.size = size = size + ENTRY_WIDTH
-        _put_word(self.header, self._size_at, size)
+        _put_word(header, self._size_at, size + ENTRY_WIDTH)
         return True
 
-    def _match_tail(self, dest: int) -> tuple[int, ...] | None:
-        """The unit a backward ``dest`` repeats: the last committed word
-        when it is that address, else the last two when they are address
-        words and the first is ``dest``."""
-        buf, end, w = self.buf, self.size, ENTRY_WIDTH
-        last = int.from_bytes(buf[end - w:end], "big") if end else TAG_BIT
+    def _start_repetition(self, dest: int, size: int) -> bool:
+        """Put in flight the repetition a backward ``dest`` starts, if any:
+        of the last committed word when it is that address, else of the last
+        two when they are address words and the first is ``dest``. ``dest``
+        is its first element matched."""
+        buf, w = self.buf, ENTRY_WIDTH
+        last = _get_word(buf, size - w)[0] if size else TAG_BIT
         if last & TAG_BIT or dest > ADDR_MASK:
-            return None
+            return False
         if last == dest:
-            return (dest,)
-        if end >= 2 * w and int.from_bytes(buf[end - 2 * w:end - w], "big") == dest:
-            return (dest, last)
-        return None
+            _put_state(self.header, self._state_at, 1, 0, 1, dest, 0)
+        elif size >= 2 * w and _get_word(buf, size - 2 * w)[0] == dest:
+            _put_state(self.header, self._state_at, 2, 1, 0, dest, last)
+        else:
+            return False
+        return True
 
     def log_static_loop(self, dest: int, limit: int) -> bool:
         """Record a counted loop as (header address, limit): 8 bytes total.
@@ -213,55 +192,40 @@ class CfLog:
         if self.size + need > self.capacity:
             return False
         self.flush()
-        self._commit(_address_word(dest))
-        self._commit(_count_word(UNIT_STATIC, limit))
+        self._commit(_address_word(dest), _count_word(UNIT_STATIC, limit))
         return True
 
     def flush(self) -> None:
         """Materialize any pending repetition; called before every report
         so each transmitted slice is self-contained."""
-        p = self.pending
-        if p is None:
+        header, at = self.header, self._state_at
+        unit_len, pos, count, u0, u1 = _get_state(header, at)
+        if not unit_len:
             return
-        if p.count > 0:
-            unit_kind = UNIT_PAIR if len(p.unit) == 2 else UNIT_SINGLE
-            self._commit(_count_word(unit_kind, p.count))
-        for elem in p.unit[:p.pos]:
-            self._commit(_address_word(elem))
-        self.pending = None
-        self._put_state(self.IDLE_STATE)
+        words = (u0, u1)[:pos]          # the next repetition's matched elements
+        if count > 0:
+            words = (_count_word(UNIT_PAIR if unit_len == 2 else UNIT_SINGLE, count),
+                     *words)
+        self._commit(*words)
+        header[at:at + self.STATE_WIDTH] = self.IDLE_STATE
 
     def clear(self) -> None:
         """Drop the acknowledged slice."""
-        self.size = 0
-        self.pending = None
         _put_word(self.header, self._size_at, 0)
-        self._put_state(self.IDLE_STATE)
+        at = self._state_at
+        self.header[at:at + self.STATE_WIDTH] = self.IDLE_STATE
 
     def to_bytes(self) -> bytes:
         return bytes(self.buf[:self.size])
 
-    # -- suspend/resume ----------------------------------------------------
-
     def checkpoint(self) -> bytes:
         """The in-flight repetition as the header holds it."""
-        p = self.pending
-        if p is None:
-            return self.IDLE_STATE
-        unit = p.unit + (0,) * (2 - len(p.unit))
-        return self._STATE.pack(len(p.unit), p.pos, p.count, *unit)
-
-    def restore(self, state: bytes) -> None:
-        """Put the repetition ``state`` describes in flight, in the header too."""
-        unit_len, pos, count, u0, u1 = self._STATE.unpack(state)
-        self.pending = PendingLoop((u0, u1)[:unit_len], count, pos) if unit_len else None
-        self._put_state(state)
-
-    def resume(self) -> None:
-        """Go on with the log the header holds: size and repetition."""
-        self.size = _WORD.unpack_from(self.header, self._size_at)[0]
         at = self._state_at
-        self.restore(bytes(self.header[at:at + self.STATE_WIDTH]))
+        return bytes(self.header[at:at + self.STATE_WIDTH])
+
+
+_get_state = CfLog._STATE.unpack_from
+_put_state = CfLog._STATE.pack_into
 
 
 def iter_entries(data: bytes):

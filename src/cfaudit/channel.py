@@ -25,8 +25,10 @@ class ChannelConfig:
             raise ValueError("loss must be in [0, 1)")
         if not 0.0 <= self.duplicate <= 1.0:
             raise ValueError("duplicate must be in [0, 1]")
-        if self.delay_min < 0 or self.delay_max < self.delay_min:
-            raise ValueError("bad delay bounds")
+        if self.delay_min < 0:
+            raise ValueError("delay_min must be at least 0")
+        if self.delay_max < self.delay_min:
+            raise ValueError("delay_max must be at least delay_min")
 
 
 @dataclass

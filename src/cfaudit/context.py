@@ -4,10 +4,11 @@ retained memory that lets an audit session survive any reset.
 The layout is written once, as the field table ``FIELDS``. ``AuditContext``
 is a view of the header, not a copy: each field is an attribute read from
 and written to its bytes in retained memory, so a write is durable when it
-returns and there is nothing to store or load. The log engine writes
-``log_size`` and ``engine_state`` itself, at the offsets the prover hands
-it. The log buffer sits behind a reserved block of ``CTX_HEADER_SIZE``
-bytes, also written in place by the log engine.
+returns and there is nothing to store or load. The log engine is a view
+too: ``log_size`` and ``engine_state`` are the only copy of its size and
+in-flight repetition, read and written by the engine itself at the offsets
+the prover hands it. The log buffer sits behind a reserved block of
+``CTX_HEADER_SIZE`` bytes, also written in place by the log engine.
 
 The header outlives a session: a concluded session clears its flags and
 keeps its ``chal``, the freshness floor a new request must exceed, so a

@@ -93,6 +93,30 @@ class ScenarioSpec:
     initial_chal: int = 1
     expect: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in _CHECKED:
+            try:
+                _check_field(name, getattr(self, name))
+            except ValueError as exc:
+                raise ScenarioError(f"{name}: {exc}") from None
+
+
+# the values an integer field must hold to fit the field it fills on the wire
+_RANGES = {"delta": (1, 2 ** 64 - 1), "app_id": (0, 0xFFFF),
+           "initial_chal": (1, 2 ** (8 * wire.CHAL_WIDTH) - 1)}
+_CHECKED = (*_RANGES, "log_max")
+
+
+def _check_field(name: str, value) -> None:
+    """Raise ValueError unless ``value`` fits ``ScenarioSpec`` field ``name``;
+    a field not in ``_CHECKED`` fits any value its parser gives."""
+    if name == "log_max":
+        ProverConfig(log_max=value)       # the device's own check
+    elif name in _RANGES:
+        low, high = _RANGES[name]
+        if not low <= value <= high:
+            raise ValueError(f"{value} out of range {low}..{high}")
+
 
 def _flag(text: str) -> bool:
     """A boolean in any spelling configparser takes, in any case."""
@@ -191,6 +215,7 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
             name, parse = _KEYS[section][key]
             try:
                 value = parse(text)
+                _check_field(name, value)
             except ValueError as exc:
                 raise ScenarioError(f"{path}: [{section}] {key}: {exc}") from None
             if section == "expect":
@@ -204,8 +229,11 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
         asm_text = program.read_text()
     except OSError as exc:
         raise ScenarioError(f"{path}: cannot read program: {exc}") from exc
-    return ScenarioSpec(asm_text=asm_text, channel=ChannelConfig(**channel),
-                        expect=expect, **spec)
+    try:
+        link = ChannelConfig(**channel)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: [channel] {exc}") from None
+    return ScenarioSpec(asm_text=asm_text, channel=link, expect=expect, **spec)
 
 
 def resolve_input(tokens: tuple[str, ...], labels: dict[str, int]) -> list[int]:
@@ -340,8 +368,7 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
             seen_at_reset = vrf.audited + vrf.duplicates
             machine.reset()
             # the cut loses the prover's RAM: only its counters carry over
-            metrics, prover = prover.metrics, Prover(machine, prover.config, prover.entry)
-            prover.metrics = metrics
+            prover = Prover(machine, prover.config, prover.entry, prover.metrics)
             for msg in prover.boot():
                 link.to_verifier.send(now, msg)
         for data in link.to_device.poll(now):

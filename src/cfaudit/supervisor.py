@@ -6,11 +6,12 @@ retained memory, the watchdog timer, report generation, and the response
 handling that gates further execution. Every logged transfer goes through
 one function, ``service_gateway``, which logs the destination, counts the
 call and names the pc the app resumes at, or answers None when the full
-log refuses it. The prover binds it to each log it attaches, and calls
-that binding from two places, both reading the gateway state from the
-parked core: ``Machine.run``'s block, and the replay of an entry the full
-log refused, once the next slice starts. The log persists what it
-acknowledged in the retained header itself, so neither writes anything
+log refuses it. The prover builds its log once, over the retained
+window, binds the service to it and calls that binding from two places,
+both reading the gateway state from the parked core: ``Machine.run``'s
+block, and the replay of an entry the full log refused, once the next
+slice starts. The log is a view of the retained header and window: what
+it acknowledged is there when it returns, so neither writes anything
 after it.
 
 Report cadence has three causes, all funneled through one path:
@@ -26,7 +27,7 @@ re-reported from retained memory before the app could run again.
 The session lives in the retained header alone. The prover reads and
 writes it through ``AuditContext``, a view of those bytes, so each write
 is durable when it returns and the prover keeps no copy of it; the log
-engine writes its own ``log_size`` and ``engine_state`` there too. The
+reads and writes its own ``log_size`` and ``engine_state`` there too. The
 prover's state is the header's flags, so a prover built on the same
 memories after a power cut carries the session on. A change of state
 writes the flags last. A region without the magic holds no session: boot
@@ -130,14 +131,21 @@ class Prover:
     ``ctx`` is its only record of a session: what else it holds in RAM is
     what a power cut may lose."""
 
-    def __init__(self, machine: Machine, config: ProverConfig, entry: int):
+    def __init__(self, machine: Machine, config: ProverConfig, entry: int,
+                 metrics: ProverMetrics | None = None):
         self.m = machine
         self.config = config
         self.entry = entry
-        self.ctx = AuditContext(machine.retained_mem)
-        self.log: CfLog | None = None
-        self._gateway = None       # service_gateway bound to this log
-        self.metrics = ProverMetrics()
+        mem = machine.retained_mem
+        self.ctx = AuditContext(mem)
+        self.metrics = ProverMetrics() if metrics is None else metrics
+        # the log over the retained window, its size and repetition in the
+        # header's own fields, and the gateway service bound to it
+        window = memoryview(mem)[LOG_BUFFER_OFFSET:LOG_BUFFER_OFFSET + config.log_max]
+        self.log = CfLog(capacity=config.log_max, buffer=window, header=mem,
+                         size_at=OFFSETS["log_size"], state_at=OFFSETS["engine_state"])
+        self._gateway = functools.partial(service_gateway, machine, self.log,
+                                          self.metrics.gateway_calls)
         self._resend_clock = 0
         self._stalled = False      # the full log refused the entry the core is at
 
@@ -156,20 +164,6 @@ class Prover:
         return ProverState.EXECUTING
 
     # -- helpers ----------------------------------------------------------
-
-    def _attach_log(self, resume: bool = False) -> None:
-        """A log over the retained window that keeps its size and its
-        in-flight repetition in the header's own fields, and the gateway
-        service bound to it; ``resume`` goes on with the log the header
-        holds, else it starts empty."""
-        mem = self.m.retained_mem
-        window = memoryview(mem)[LOG_BUFFER_OFFSET:LOG_BUFFER_OFFSET + self.ctx.log_max]
-        self.log = CfLog(capacity=self.ctx.log_max, buffer=window, header=mem,
-                         size_at=OFFSETS["log_size"], state_at=OFFSETS["engine_state"])
-        self._gateway = functools.partial(service_gateway, self.m, self.log,
-                                          self.metrics.gateway_calls)
-        if resume:
-            self.log.resume()
 
     def _sign_slice(self) -> None:
         """Seal the log as the pending report: materialize any in-flight
@@ -197,13 +191,12 @@ class Prover:
         if state is ProverState.FROZEN:
             self.m.halted = True
             return []
-        self._attach_log(resume=True)
         if state is ProverState.REMEDIATE:
             return []
         # interrupted run: re-report the retained slice, session ends here
         if state is ProverState.EXECUTING:
-            # an in-flight repetition restored from the checkpoint still
-            # needs materializing so the remnant covers every append
+            # a repetition in flight in the header still needs
+            # materializing so the remnant covers every append
             self._sign_slice()
         ctx.set_flag(F_FINAL)
         self.metrics.remnant_reports += 1
@@ -239,7 +232,7 @@ class Prover:
         self.ctx.begin(app_id=req.app_id, policy=self.config.policy, delta=req.delta,
                        chal=req.chal, log_max=self.config.log_max, entry=self.entry,
                        image_len=len(self.m.pmem), flags=F_VALID)
-        self._attach_log()
+        self.log.active = True     # begin zeroed its size and repetition
         self.m.lock_pmem()
         self.m.timer.arm(req.delta)
         self.m.enter_nonsecure(self.entry)
@@ -389,6 +382,6 @@ class Prover:
 
     def _post_heal_report(self) -> list[bytes]:
         """Attest the remediated image so the verifier can confirm the heal."""
-        self._attach_log()
+        self.log.clear()
         self.log.append(_EXIT_SENTINEL)
         return self._generate_report()

@@ -482,7 +482,6 @@ class Verifier:
         self.walker = Walker(self.cfg)
         self.post_heal_digest = self.cfg.healed_digest(config.policy)
         self.current_chal = config.initial_chal
-        self.prev_chal: int | None = None
         self.sigma_cache: dict[bytes, bytes] = {}
         self.session_over = False
         self.violation: Violation | None = None    # set: a heal is owed
@@ -561,8 +560,10 @@ class Verifier:
         key, log, sigma = self.config.key, report.log, report.sigma
         digests = (self.cfg.digest,) if self.violation is None \
             else (self.post_heal_digest, self.cfg.digest)
-        chals = (self.current_chal,) if self.prev_chal is None \
-            else (self.current_chal, self.prev_chal)
+        # once a response has gone out, a re-sent report still carries the
+        # challenge before it
+        chal = self.current_chal
+        chals = (chal,) if chal == self.config.initial_chal else (chal, chal - 1)
         for digest in digests:
             for chal in chals:
                 if wire.macs_equal(wire.report_sigma(key, digest, log, chal), sigma):
@@ -591,7 +592,7 @@ class Verifier:
         return wire.RESULT_EXEC
 
     def _respond(self, sigma: bytes, result: int) -> bytes:
-        self.prev_chal, self.current_chal = self.current_chal, self.current_chal + 1
+        self.current_chal += 1
         resp = wire.Response.make(self.config.key, result, self.current_chal)
         data = resp.pack()
         self.sigma_cache[sigma] = data

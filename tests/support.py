@@ -1,8 +1,9 @@
 """Shared test machinery: reference trace oracle, structured program
 generator, a minimal gateway-service harness, the event-path reference
-for ``Prover.advance``, a per-tick reference scenario driver, the
-per-destination log decoder and walker the auditor used before it walked
-log runs, and the opcode chain the machine ran before it ran closures.
+for ``Prover.advance``, a per-tick reference scenario runner, log-word
+encoders, the per-destination log decoder and walker the auditor used
+before it walked log runs, and the opcode chain the machine ran before
+it ran closures.
 
 The oracle runs the ORIGINAL (uninstrumented) program and predicts the raw
 dynamic destination sequence the instrumented twin must log, expressed in
@@ -551,6 +552,19 @@ def run_per_tick(spec: ScenarioSpec,
 
 
 # --- reference decoder and walker -------------------------------------------
+
+def encode_address(addr: int) -> bytes:
+    """The log word for destination ``addr``, its tag bit clear."""
+    if not 0 <= addr < TAG_BIT:
+        raise ValueError(f"address {addr:#x} exceeds 31 bits")
+    return struct.pack(">I", addr)
+
+
+def encode_count(unit: int, count: int) -> bytes:
+    """The count record of repetition unit kind ``unit``, its count
+    clamped to ``COUNT_MASK``."""
+    return struct.pack(">I", TAG_BIT | unit << UNIT_SHIFT | min(count, COUNT_MASK))
+
 
 def reference_decompress(data: bytes) -> list[int]:
     """The log decoder the auditor used before ``cfa_engine.runs``: expand an

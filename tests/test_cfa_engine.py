@@ -7,12 +7,39 @@ from hypothesis import example, given, settings, strategies as st
 
 from cfaudit import cfa_engine as eng
 from cfaudit.cfa_engine import (CfLog, InactiveEngine, MalformedLog,
-                                decompress, encode_address, encode_count, runs,
-                                UNIT_PAIR, UNIT_SINGLE, UNIT_STATIC)
+                                decompress, runs, UNIT_PAIR, UNIT_SINGLE, UNIT_STATIC)
 
-from support import reference_decompress
+from support import encode_address, encode_count, reference_decompress
 
 A, B, C = 0x1000, 0x2000, 0x3000
+
+# the two fields sit inside a larger header, as in the retained context
+SIZE_AT, STATE_AT = 8, 20
+
+
+def header_log(capacity, buf=None, header=None):
+    return CfLog(capacity=capacity,
+                 buffer=memoryview(bytearray(capacity) if buf is None else buf),
+                 header=bytearray(64) if header is None else header,
+                 size_at=SIZE_AT, state_at=STATE_AT)
+
+
+def put_repetition(header, unit, count, pos=0):
+    """Write into ``header`` a repetition of ``unit`` in flight, ``count``
+    repetitions done and ``pos`` elements of the next matched."""
+    header[STATE_AT:STATE_AT + CfLog.STATE_WIDTH] = CfLog._STATE.pack(
+        len(unit), pos, count, *unit, *(0,) * (2 - len(unit)))
+
+
+def log_in_flight(unit, count, capacity=64):
+    """A log built over a buffer holding ``unit`` once and a header with a
+    repetition of it in flight, ``count`` repetitions done."""
+    buf = bytearray(capacity)
+    struct.pack_into(f">{len(unit)}I", buf, 0, *unit)
+    header = bytearray(64)
+    struct.pack_into(">I", header, SIZE_AT, 4 * len(unit))
+    put_repetition(header, unit, count)
+    return header_log(capacity, buf, header)
 
 
 def test_every_entry_is_four_bytes():
@@ -24,14 +51,22 @@ def test_every_entry_is_four_bytes():
 
 
 def test_address_entry_top_bit_clear():
-    word = struct.unpack(">I", encode_address(0x7FFFFFFC))[0]
-    assert word >> 31 == 0
+    log = CfLog(capacity=64)
+    log.append(0x7FFFFFFC)
+    word = struct.unpack(">I", log.to_bytes())[0]
+    assert word == 0x7FFFFFFC and word >> 31 == 0
     with pytest.raises(ValueError):
-        encode_address(1 << 31)
+        log.append(1 << 31)
+    assert log.to_bytes() == encode_address(0x7FFFFFFC)
 
 
 def test_count_entry_top_bit_set():
-    word = struct.unpack(">I", encode_count(UNIT_SINGLE, 3))[0]
+    log = CfLog(capacity=64)
+    for _ in range(4):
+        log.append(A, backward=True)
+    log.flush()
+    word = struct.unpack(">2I", log.to_bytes())[1]
+    assert log.to_bytes()[4:] == encode_count(UNIT_SINGLE, 3)
     assert word >> 31 == 1
     assert (word >> 29) & 0x3 == UNIT_SINGLE
     assert word & eng.COUNT_MASK == 3
@@ -137,11 +172,6 @@ def test_pending_reserve_guarantees_flush_fits():
     assert stream[0:2] == [A, B]
 
 
-def pending_at(log, unit, count):
-    """Restore a repetition of ``unit`` in flight with ``count`` done."""
-    log.restore(CfLog._STATE.pack(len(unit), 0, count, *unit, *(0,) * (2 - len(unit))))
-
-
 def destinations_in_order(data, unit):
     """Destinations the log's runs stand for, checked to repeat ``unit``
     in order without expanding a count."""
@@ -155,15 +185,12 @@ def destinations_in_order(data, unit):
 
 @pytest.mark.parametrize("unit", [(A,), (A, B)], ids=["single", "pair"])
 def test_a_repetition_reaching_the_count_limit_is_committed_not_truncated(unit):
-    log = CfLog(capacity=64)
-    for d in unit:
-        log.append(d)
-    pending_at(log, unit, eng.COUNT_MASK - 1)
+    log = log_in_flight(unit, eng.COUNT_MASK - 1)
     for _ in range(3):
         for d in unit:
             assert log.append(d, backward=d == unit[0])
     log.flush()
-    # the unit once as addresses, COUNT_MASK - 1 restored repetitions, three more
+    # the unit once as addresses, COUNT_MASK - 1 repetitions in the header, three more
     assert destinations_in_order(log.to_bytes(), unit) \
         == len(unit) * (eng.COUNT_MASK + 3)
     counts = [w & eng.COUNT_MASK for w in eng.iter_entries(log.to_bytes())
@@ -270,22 +297,6 @@ logged_ops = st.lists(st.one_of(
     st.tuples(st.sampled_from(["flush", "clear", "saturate"]), st.just(0), st.just(0))),
     max_size=30)
 
-# the two fields sit inside a larger header, as in the retained context
-SIZE_AT, STATE_AT = 8, 20
-
-
-def header_log(capacity, buf=None, header=None):
-    return CfLog(capacity=capacity,
-                 buffer=memoryview(bytearray(capacity) if buf is None else buf),
-                 header=bytearray(64) if header is None else header,
-                 size_at=SIZE_AT, state_at=STATE_AT)
-
-
-def header_fields(log):
-    size, = struct.unpack_from(">I", log.header, SIZE_AT)
-    return size, bytes(log.header[STATE_AT:STATE_AT + CfLog.STATE_WIDTH])
-
-
 def apply(log, op):
     kind, dest, arg = op
     if kind == "append":
@@ -296,27 +307,28 @@ def apply(log, op):
         log.flush()
     elif kind == "clear":
         log.clear()
-    elif log.pending is not None:
-        # one repetition short of the count limit, then the repetition that
-        # commits its record
-        unit = log.pending.unit
-        pending_at(log, unit, eng.COUNT_MASK - 1)
-        for d in unit:
-            assert log.append(d, backward=d == unit[0])
-        assert log.pending is None
+    else:
+        unit_len, _, _, u0, u1 = CfLog._STATE.unpack(log.checkpoint())
+        if unit_len:
+            # one repetition short of the count limit, then the repetition
+            # that commits its record
+            unit = (u0, u1)[:unit_len]
+            put_repetition(log.header, unit, eng.COUNT_MASK - 1)
+            for d in unit:
+                assert log.append(d, backward=d == unit[0])
+            assert log.checkpoint() == CfLog.IDLE_STATE
     return True
 
 
 def replay(log, ops):
-    """Apply ``ops``, checking after each that the header holds the log's
-    size and checkpoint, and that a refused op left the header as it was."""
+    """Apply ``ops``, checking after each refused one that it left the
+    buffer and the header as they were."""
     results = []
     for op in ops:
         before = bytes(log.header), log.to_bytes()
         results.append(apply(log, op))
         if not results[-1]:
-            assert (bytes(log.header), log.to_bytes()) == before
-        assert header_fields(log) == (log.size, log.checkpoint()), op
+            assert (bytes(log.header), log.to_bytes()) == before, op
     return results
 
 
@@ -335,9 +347,9 @@ def _in_flight(unit, then):
 @example(_in_flight((A, B), [("append", A, True), ("append", C, False),
                              ("static", A, 3), ("append", B, False)]), 16)
 @settings(max_examples=200, deadline=None)
-def test_checkpoint_restore_resumes_the_same_log(ops, capacity):
+def test_a_log_built_over_a_cut_log_goes_on_with_it(ops, capacity):
     # a power cycle after any operation: only the buffer and the header
-    # survive, and the log goes on as if never interrupted
+    # survive, and a log built over them goes on as if never interrupted
     whole = header_log(capacity)
     expected = replay(whole, ops)
     whole.flush()
@@ -346,22 +358,60 @@ def test_checkpoint_restore_resumes_the_same_log(ops, capacity):
         replay(first, ops[:cut])
         resumed = header_log(capacity, buf=bytearray(first.buf),
                              header=bytearray(first.header))
-        resumed.resume()
         assert (resumed.size, resumed.checkpoint()) == (first.size, first.checkpoint())
         assert replay(resumed, ops[cut:]) == expected[cut:]
         resumed.flush()
         assert resumed.to_bytes() == whole.to_bytes(), f"cut after {cut} operations"
 
 
-def test_building_a_log_writes_nothing_to_its_header():
+def test_a_log_built_over_a_header_continues_it_and_writes_nothing():
+    # A and B committed, a repetition of the pair in flight: two done and
+    # A of the third matched; every other header byte is foreign
     header = bytearray(range(64))
-    log = header_log(32, header=header)
-    assert header == bytearray(range(64))
-    # a forward append writes its word and the size, nothing else
-    log.append(A)
-    expected = bytearray(range(64))
-    expected[SIZE_AT:SIZE_AT + 4] = (4).to_bytes(4, "big")
+    struct.pack_into(">I", header, SIZE_AT, 8)
+    put_repetition(header, (A, B), 2, pos=1)
+    kept = bytes(header)
+    log = header_log(32, buf=bytearray(encode_address(A) + encode_address(B) + bytes(24)),
+                     header=header)
+    assert header == kept
+    assert (log.size, log.to_bytes()) == (8, encode_address(A) + encode_address(B))
+    # B completes the third repetition: only its pos and count are written
+    assert log.append(B)
+    expected = bytearray(kept)
+    expected[STATE_AT + 1:STATE_AT + 6] = bytes([0]) + (3).to_bytes(4, "big")
     assert header == expected
+    # a forward append flushes the repetition, then writes its own word
+    assert log.append(C)
+    assert decompress(log.to_bytes()) == [A, B] * 4 + [C]
+    assert log.checkpoint() == CfLog.IDLE_STATE
+    assert header[:SIZE_AT] == kept[:SIZE_AT]
+    assert header[SIZE_AT + 4:STATE_AT] == kept[SIZE_AT + 4:STATE_AT]
+    assert header[STATE_AT + CfLog.STATE_WIDTH:] == kept[STATE_AT + CfLog.STATE_WIDTH:]
+
+
+def test_two_logs_over_one_buffer_and_header_are_one_log():
+    buf, header = bytearray(64), bytearray(64)
+    first, second = header_log(64, buf, header), header_log(64, buf, header)
+    first.append(A)
+    second.append(A, backward=True)       # repeats the word the first logged
+    assert first.checkpoint() != CfLog.IDLE_STATE
+    first.append(A, backward=True)
+    second.append(B)
+    assert first.to_bytes() == second.to_bytes()
+    assert decompress(first.to_bytes()) == [A, A, A, B]
+    first.clear()
+    assert (second.size, second.checkpoint()) == (0, CfLog.IDLE_STATE)
+
+
+def test_a_log_keeps_no_copy_of_its_size_or_repetition():
+    """The header is the only copy of the log's size and in-flight
+    repetition, or a power cut could part the two. An attribute added to
+    the log must be something a reset may lose."""
+    log = header_log(64)
+    log.append(A)
+    log.append(A, backward=True)
+    assert set(vars(log)) == {"capacity", "buf", "header", "_size_at", "_state_at",
+                              "active"}
 
 
 def test_the_forward_fast_path_keeps_every_check():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,19 @@ def test_run_missing_file_exits_two(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "cfaudit:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(SCENARIO_DIR / "benign_pulse.scn"), "--delta", "-1"],
+    ["run", str(SCENARIO_DIR / "benign_pulse.scn"), "--log-max", "8"],
+    ["window", str(PROGRAM_DIR / "window_dense.asm"), "--delta", "0"],
+], ids=["run-delta", "run-log-max", "window-delta"])
+def test_an_override_its_field_cannot_hold_exits_two(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("cfaudit: ") and "Traceback" not in err
+    assert argv[-2].lstrip("-").replace("-", "_") in err
 
 
 def test_run_malformed_scenario_exits_two(tmp_path, capsys):
@@ -164,10 +178,12 @@ def test_run_overrides_and_output_file(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # the package is found from the checkout's src/, not from an install
+    env = dict(os.environ, PYTHONPATH=str(SCENARIO_DIR.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "cfaudit", "run", "--json",
          str(SCENARIO_DIR / "power_cut.scn")],
-        capture_output=True, text=True, cwd=str(SCENARIO_DIR.parent))
+        capture_output=True, text=True, cwd=str(SCENARIO_DIR.parent), env=env)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["post_reset_ns"] == 0
 

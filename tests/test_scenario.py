@@ -16,6 +16,7 @@ from cfaudit.context import (AuditContext, F_REMEDIATION, LOG_BUFFER_OFFSET,
 from cfaudit.resolver import POLICY_NAMES
 from cfaudit.scenario import (ScenarioError, ScenarioSpec, parse_scenario,
                               resolve_input, run)
+from cfaudit.supervisor import Prover
 from cfaudit.vm import Machine
 
 from support import clear_image_caches, run_per_tick
@@ -235,6 +236,57 @@ pmem_flip = 100000
         run(parse_scenario(scn))
 
 
+@pytest.mark.parametrize("section, key, text", [
+    ("scenario", "delta", "-1"), ("scenario", "delta", "0"),
+    ("scenario", "delta", str(2 ** 64)),
+    ("scenario", "app_id", "70000"), ("scenario", "app_id", "-1"),
+    ("verifier", "initial_chal", "-3"), ("verifier", "initial_chal", "0"),
+    ("verifier", "initial_chal", str(2 ** 512)),
+    ("scenario", "log_max", "15"),
+    ("scenario", "log_max", str(isa.RETAINED_SIZE - LOG_BUFFER_OFFSET + 1)),
+    ("channel", "loss", "1.5"), ("channel", "delay_min", "-1"),
+])
+def test_parse_rejects_a_value_its_field_cannot_hold(tmp_path, section, key, text):
+    # a delta, app_id or challenge that the wire cannot carry, a log the
+    # device refuses, or a link the channel cannot model: an error naming
+    # the file, the section and the key, never a crash once the run starts
+    body = "[scenario]\nprogram = prog.asm\n"
+    body += f"{key} = {text}\n" if section == "scenario" else f"\n[{section}]\n{key} = {text}\n"
+    scn = write_scn(tmp_path, body)
+    with pytest.raises(ScenarioError, match=rf"case\.scn: \[{section}\] {key}"):
+        parse_scenario(scn)
+
+
+def test_parse_takes_each_field_at_its_bounds(tmp_path):
+    scn = write_scn(tmp_path, f"""
+[scenario]
+program = prog.asm
+delta = {2 ** 64 - 1}
+app_id = 65535
+log_max = {isa.RETAINED_SIZE - LOG_BUFFER_OFFSET}
+
+[verifier]
+initial_chal = {2 ** 512 - 1}
+""")
+    spec = parse_scenario(scn)
+    assert (spec.delta, spec.app_id, spec.initial_chal) == (2 ** 64 - 1, 0xFFFF, 2 ** 512 - 1)
+    for spec in (replace(spec, initial_chal=1),
+                 replace(spec, delta=1, app_id=0, log_max=16, initial_chal=1)):
+        res = run(spec)
+        assert res.ok and res.verdict == "end"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("delta", -1), ("delta", 0), ("app_id", 70000), ("initial_chal", -3),
+    ("log_max", 8)])
+def test_a_spec_is_checked_when_built_and_when_replaced(name, value):
+    spec = ScenarioSpec("s", "main:\n    nsc_call\n")
+    with pytest.raises(ScenarioError, match=rf"^{name}: "):
+        replace(spec, **{name: value})
+    with pytest.raises(ScenarioError, match=rf"^{name}: "):
+        ScenarioSpec("s", spec.asm_text, **{name: value})
+
+
 # -- the shipped scenario corpus -------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.scn")))
@@ -272,6 +324,29 @@ def test_power_cut_scenario_runs_nothing_after_reset():
     assert res.post_reset_ns == 0
     assert res.remnant_reports == 1
     assert res.verdict == "exec"
+
+
+def test_gateway_calls_carried_across_a_power_cut_are_counted(monkeypatch):
+    """A power cut builds a new prover that carries the counters on. The
+    gateway service it binds when it is built must count into those, not
+    into the counters the new prover started with."""
+    provers = []
+
+    class Recorded(Prover):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            provers.append(self)
+
+    monkeypatch.setattr(scenario, "Prover", Recorded)
+    spec = parse_scenario(SCENARIO_DIR / "benign_pulse.scn")
+    res = run(replace(spec, reset_at=1))
+    # the cut at tick 1 comes before the request, so the whole session runs
+    # on the second prover: each logged transfer, the exit door included,
+    # is one destination audited
+    assert len(provers) == 2 and res.verdicts == ["end"]
+    calls = provers[-1].metrics.gateway_calls
+    assert calls[isa.NSC_EXIT] == 1
+    assert sum(calls.values()) == res.destinations_seen == 26
 
 
 def test_lossy_scenario_shows_channel_damage():

@@ -201,14 +201,15 @@ def test_context_layout_is_pinned():
 
 
 def test_partial_stores_agree_with_the_full_store():
-    # the log persists its size and checkpoint in the header itself, here
-    # with a repetition count in flight
+    # the log keeps its size and repetition in the header's own fields,
+    # here with a repetition count in flight
     p, m, _ = build(SINGLETON_LOOP)
     p.boot()
     p.handle_message(request(chal=1))
     while sum(p.metrics.gateway_calls.values()) < 3:
         assert p.step() == []
-    assert p.log.size and p.log.pending.count
+    unit_len, _, count, _, _ = CfLog._STATE.unpack(p.log.checkpoint())
+    assert p.log.size and unit_len and count
     kept = AuditContext(m.retained_mem)
     assert (kept.log_size, kept.engine_state) == (p.log.size, p.log.checkpoint())
     # a wipe chunk persists the cursor: a prover that lost its RAM reads it
@@ -234,15 +235,15 @@ def test_partial_stores_agree_with_the_full_store():
 
 def test_retained_log_state_follows_the_log_at_every_tick():
     # a repetition starts, grows and is flushed when the loop exits; the
-    # retained size and checkpoint must track each step, or a reset would
-    # restore a repetition the log no longer has
+    # context's log_size and engine_state must be the bytes the log reads
+    # at each step, or a reset would go on with a log it never had
     p, m, _ = build(SINGLETON_LOOP)
     p.boot()
     p.handle_message(request(chal=1))
     seen_pending = False
     while p.state is ProverState.EXECUTING:
         p.step()
-        seen_pending |= p.log.pending is not None
+        seen_pending |= p.log.checkpoint() != CfLog.IDLE_STATE
         stored = AuditContext(m.retained_mem)
         assert stored.log_size == p.log.size
         assert stored.engine_state == p.log.checkpoint()

@@ -25,8 +25,9 @@ def test_every_traced_name_is_in_its_owners_namespace():
 
 
 def test_a_traced_session_reaches_the_bound_gateway_service():
-    """A prover binds ``service_gateway`` when it attaches its log, looking
-    the name up then, so a session run under the tracer goes through the
+    """A prover binds ``service_gateway`` to its log when it is built,
+    looking the name up then. ``scenario.run`` builds its provers inside
+    the traced call, so a session run under the tracer goes through the
     wrapper: the traced run's gateway figures come from there."""
     sys.path.insert(0, PERFBENCH)
     try:

@@ -530,12 +530,14 @@ def test_maximal_count_record_is_audited_in_constant_time_and_memory():
 
 def test_a_run_past_the_count_limit_is_walked_in_full():
     # a count-down loop of COUNT_MASK + 3 passes, logged by the engine with
-    # the first COUNT_MASK - 1 repetitions restored from a checkpoint
+    # the first COUNT_MASK - 1 repetitions already in flight in its header
     _, _, dests = oracle_destinations(COUNTDOWN, [5])
     header, exit_arrival, end = dests[0], dests[-2], dests[-1]
-    log = cfa_engine.CfLog(capacity=64)
-    log.append(header)
-    log.restore(cfa_engine.CfLog._STATE.pack(1, 0, COUNT_MASK - 1, header, 0))
+    buf = bytearray(64)
+    buf[:4] = header.to_bytes(4, "big")
+    log = cfa_engine.CfLog(capacity=64, buffer=memoryview(buf), header=bytearray(
+        (4).to_bytes(4, "big")
+        + cfa_engine.CfLog._STATE.pack(1, 0, COUNT_MASK - 1, header, 0)))
     for _ in range(3):
         log.append(header, backward=True)
     log.append(exit_arrival)
