@@ -30,6 +30,9 @@ log built over the same memory after a reset goes on with it.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
+from collections.abc import Sequence
 
 ENTRY_WIDTH = 4
 TAG_BIT = 1 << 31
@@ -66,6 +69,12 @@ _WORD = struct.Struct(">I")
 _get_word = _WORD.unpack_from
 _put_word = _WORD.pack_into
 _put_progress = struct.Struct(">BI").pack_into   # a repetition's pos and count
+
+# a plain slice parses into an array of its words, one item per entry,
+# byteswapped to host order
+if array("I").itemsize != ENTRY_WIDTH:
+    raise ImportError(f"array('I') items are not {ENTRY_WIDTH} bytes on this host")
+_SWAP_WORDS = sys.byteorder == "little"
 
 
 def _address_word(addr: int) -> int:
@@ -235,13 +244,16 @@ def iter_entries(data: bytes):
         yield struct.unpack_from(">I", data, i)[0]
 
 
-Run = tuple[tuple[int, ...], int]
+Run = tuple[Sequence[int], int]   # (unit, count); a unit is a tuple, or an array
 
 
 def runs(data: bytes) -> list[Run]:
     """Parse an entry stream into runs: ``(unit, count)`` stands for the
     unit's destinations repeated ``count`` times, so a count record costs
-    one tuple however large its count. Runs with count 0 are dropped.
+    one run however large its count. A unit is a sequence of ints: a tuple
+    of one or two addresses, or, for a slice of address words alone, an
+    ``array`` of every word in it, which is then the slice's one run, of
+    count 1. Runs with count 0 are dropped, and an empty slice has none.
 
     Raises MalformedLog at the first word that breaks the format (a
     truncated trailing word first of all), or when a count record lacks
@@ -250,10 +262,16 @@ def runs(data: bytes) -> list[Run]:
     n = len(data) // ENTRY_WIDTH
     if data[::ENTRY_WIDTH].isascii():
         # no tag bit (the top bit of each word's first byte) is set: every
-        # word is an address and a run of its own, parsed in bulk
+        # word is an address, parsed in bulk into one run
         if len(data) % ENTRY_WIDTH:
             raise MalformedLog(n, "truncated entry", n)
-        return [(unit, 1) for unit in _WORD.iter_unpack(data)]
+        if not n:
+            return []
+        unit = array("I")
+        unit.frombytes(data)
+        if _SWAP_WORDS:
+            unit.byteswap()
+        return [(unit, 1)]
     words = struct.unpack_from(f">{n}I", data)
     out: list[Run] = []
     decoded = 0

@@ -9,11 +9,12 @@ is a violation, and the device is ordered to remediate.
 
 The walk reads the log as the device wrote it, without expanding it:
 
-- Runs. ``cfa_engine.runs`` turns each slice into ``(unit, count)`` runs,
-  one per address word, count record or static pair (a slice of address
-  words alone is parsed in bulk), and the walker queues them as they come.
-  A count record costs one run however large its count, and a run leaves
-  the queue once it is consumed.
+- Runs. ``cfa_engine.runs`` turns each slice into ``(unit, count)`` runs
+  and the walker queues them as they come. A slice of address words alone
+  is parsed in bulk into one run of count 1 whose unit is every word of it;
+  a slice with a count record gives one run per address word, count record
+  or static pair. A count record costs one run however large its count,
+  and a run leaves the queue once it is consumed.
 - Hops. ``Cfg.hop(pc)`` jumps from ``pc`` to the next instruction that
   reads the log (or ends the walk) in one move, carrying the return
   addresses the direct calls on the way push. Hops are computed on first
@@ -34,11 +35,14 @@ loop record is matched to its loop site in one step the same way.
 
 The hop loop. ``Walker.advance`` is one loop that keeps the cursor (pc,
 position, the head run and the offset into it) in locals. A destination
-costs one memo lookup for its hop, a few comparisons, and a pop from the
-run queue when its run is done; the cursor goes back to the walker only
-where the loop leaves (a pause for evidence, a stop, a violation) and
-around the rare moves: a repetition trial, a loop record's copies. Nothing
-is kept per destination or per slice beyond the runs not yet consumed.
+costs one memo lookup for its hop, a read of the head run's unit at the
+offset, and a few comparisons; the run queue is popped when a run is done,
+so once per plain slice, not once per destination. The cursor goes back
+to the walker only where the loop leaves (a pause for evidence, a stop, a
+violation) and around the rare moves: a repetition trial, a loop record's
+copies, which read only the words they consume however wide the unit.
+Nothing is kept per destination or per slice beyond the runs not yet
+consumed.
 
 Slices stitch: the walker keeps its position, stack, and consumed-entry
 count across reports, so verdicts and violation indices cannot depend on
@@ -57,6 +61,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import cfa_engine, isa, wire
@@ -289,7 +294,14 @@ class Walker:
         while k:
             unit, count = runs[0]
             width = len(unit)
-            if unit.count(header) == width:
+            if count == 1:
+                # a plain slice's unit may be wide: read only what is consumed
+                copies = unit[self.head:self.head + k]
+                n = len(copies)
+                if copies.count(header) != n:
+                    n = next(i for i, d in enumerate(copies) if d != header) + 1
+                e = copies[n - 1]
+            elif unit.count(header) == width:
                 n, e = min(k, width * count - self.head), header
             else:
                 n, e = 1, unit[self.head % width]
@@ -397,7 +409,7 @@ class Walker:
             if head == length:
                 runs.popleft()
                 head = 0
-                if runs:              # _first_run inlined: once per plain destination
+                if runs:              # _first_run inlined: once per run consumed
                     unit, count = runs[0]
                     width = len(unit)
                     length = width * count
@@ -450,7 +462,7 @@ class Walker:
             self._fail(V_MALFORMED, "shadow stack overflow")
 
 
-def _first_run(runs: deque[cfa_engine.Run]) -> tuple[tuple[int, ...], int, int, int]:
+def _first_run(runs: deque[cfa_engine.Run]) -> tuple[Sequence[int], int, int, int]:
     """The first run's unit, count, unit width and expanded length."""
     unit, count = runs[0] if runs else ((), 0)
     return unit, count, len(unit), len(unit) * count

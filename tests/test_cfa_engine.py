@@ -515,9 +515,18 @@ def test_runs_of_a_slice_whose_only_count_record_is_last(last, expected):
         reference_decompress(data)
 
 
+def test_a_plain_slice_is_one_run():
+    words = [A, B, A, C, 0, eng.ADDR_MASK, B]
+    ((unit, count),) = runs(struct.pack(f">{len(words)}I", *words))
+    assert count == 1
+    assert list(unit) == words
+    assert runs(b"") == []
+
+
 def test_runs_at_the_tag_bit_boundary():
     top = eng.ADDR_MASK                        # 0x7fffffff: the highest address
-    assert runs(struct.pack(">3I", A, top, B)) == [((A,), 1), ((top,), 1), ((B,), 1)]
+    ((unit, count),) = runs(struct.pack(">3I", A, top, B))
+    assert (list(unit), count) == ([A, top, B], 1)
     # 0x80000000 is a static count record of limit 0: without a header it
     # is malformed, after one it stands for no destination at all
     with pytest.raises(MalformedLog) as exc:

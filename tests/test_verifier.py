@@ -2,9 +2,12 @@
 walk with its shadow stack, violation localization, and the protocol
 driver's authentication, challenge window, and duplicate handling."""
 
+import copy
 import hashlib
+import random
 import struct
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,12 @@ def cfg_of(asm):
 def as_runs(dests):
     """A destination list as walker input: one run per destination."""
     return [((d,), 1) for d in dests]
+
+
+def as_slice(dests):
+    """A destination list as walker input, parsed from one plain slice:
+    one run of them all."""
+    return cfa_engine.runs(struct.pack(f">{len(dests)}I", *dests))
 
 
 def walked(asm, dests=None, input_words=None):
@@ -312,6 +321,63 @@ def test_violation_index_is_independent_of_slicing():
     assert whole.violation is not None and drip.violation is not None
     assert whole.violation.kind == drip.violation.kind
     assert whole.violation.index == drip.violation.index == 1
+
+
+# --- one wide run or a run per destination ----------------------------------------
+
+def walk_state(w):
+    v = w.violation
+    return w.done, None if v is None else (v.kind, v.index), w.pos, w.pc, w.shadow, w.steps
+
+
+def resumed(w):
+    """A walker that goes on from where ``w`` paused, apart from it."""
+    twin = copy.copy(w)
+    twin.shadow, twin.runs = w.shadow.copy(), deque(w.runs)
+    return twin
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_walk_does_not_depend_on_how_its_runs_are_cut(seed):
+    asm, words = support.generate_program(random.Random(seed))
+    _, _, dests = oracle_destinations(asm, words)
+    cfg = cfg_of(asm)
+    narrow = Walker(cfg)
+    narrow.feed(as_runs(dests))
+    assert narrow.done and narrow.violation is None
+    # whole, and in two plain slices cut at every offset
+    for cut in range(len(dests) + 1):
+        wide = Walker(cfg)
+        for part in (dests[:cut], dests[cut:]) if cut else (dests,):
+            wide.feed(as_slice(part))
+        assert walk_state(wide) == walk_state(narrow), f"cut at {cut}"
+
+
+def test_a_corrupt_destination_is_found_at_its_place_in_a_wide_run():
+    # window_dense with each destination in turn replaced by one no hop
+    # accepts. The walks resume from two clean walks, one fed as plain
+    # slices and one a run per destination, paused every ``stride``
+    # destinations, so the bad word sits anywhere in a wide unit's first
+    # ``stride``.
+    stride = 50
+    asm2, _ = instrument((PROGRAM_DIR / "window_dense.asm").read_text())
+    dests = support.reference_decompress(support.run_instrumented(asm2).log.to_bytes())
+    cfg = build_cfg(asm2)
+    bad = cfg.entry
+    wide, narrow = Walker(cfg), Walker(cfg)
+    for base in range(0, len(dests), stride):
+        for p in range(base, min(base + stride, len(dests))):
+            stream = dests[base:p] + [bad] + dests[p + 1:p + 4]
+            got, want = resumed(wide), resumed(narrow)
+            got.feed(as_slice(stream))
+            want.feed(as_runs(stream))
+            assert walk_state(got) == walk_state(want), f"bad word at {p}"
+            assert got.violation.index == p
+        chunk = dests[base:base + stride]
+        wide.feed(as_slice(chunk))
+        narrow.feed(as_runs(chunk))
+        assert walk_state(wide) == walk_state(narrow)
+    assert wide.done and wide.violation is None and wide.pos == len(dests)
 
 
 # --- protocol driver -------------------------------------------------------------

@@ -11,6 +11,7 @@ fed.
 
 import struct
 import tracemalloc
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,56 @@ def test_a_loop_record_between_plain_runs_at_every_cut():
             drip.append([x])
     w = walk_both(cfg, drip)
     assert w.done and w.violation is None
+
+
+class CountedWords(Sequence):
+    """A unit that counts the words read from it, and fails once more than
+    ``budget`` are read."""
+
+    def __init__(self, words, budget):
+        self.words, self.budget, self.reads = list(words), budget, 0
+
+    def __len__(self):
+        return len(self.words)
+
+    def __getitem__(self, i):
+        got = self.words[i]
+        self.reads += len(got) if isinstance(i, slice) else 1
+        assert self.reads <= self.budget, "the walk reads the unit more than linearly"
+        return got
+
+
+COUNTED = """
+main:
+    mov r1, #0
+loop:
+    add r1, r1, #1
+    cmp r1, #12000
+    blt loop
+    mov r9, r1
+    nsc_call
+"""
+
+
+@pytest.mark.parametrize("bad", [None, 0, 6000, 11998], ids=lambda b: f"bad {b}")
+def test_a_loop_record_s_copies_in_one_plain_slice_are_read_once(bad):
+    # a device may send a counted loop's copies as plain words, so one
+    # slice's unit holds them all: each copy is read once, not the whole
+    # unit once per copy
+    _, _, dests = oracle_destinations(COUNTED)
+    assert len(dests) == 12_001
+    if bad is not None:
+        dests[bad] = dests[-1]
+    unit = CountedWords(dests, budget=2 * len(dests))
+    cfg = build_cfg(instrument(COUNTED)[0])
+    w, ref = Walker(cfg), ReferenceWalker(cfg)
+    w.feed([(unit, 1)])
+    ref.feed(dests)
+    assert outcome(w) == outcome(ref)
+    if bad is None:
+        assert w.done and w.violation is None and w.pos == len(dests)
+    else:
+        assert (w.violation.kind, w.violation.index) == (V_EDGE, bad)
 
 
 def test_a_loop_record_after_a_run_walked_a_repetition_at_a_time():
