@@ -96,8 +96,8 @@ class CfLog:
     writes nothing, and two logs over one buffer and header are one log.
     Without a header the log makes a private one, zeroed: empty and idle."""
 
-    STATE_WIDTH = 24
-    _STATE = struct.Struct(">BBIII10x")     # unit length, pos, count, unit
+    STATE_WIDTH = 14
+    _STATE = struct.Struct(">BBIII")    # unit length, pos, count, unit
     assert _STATE.size == STATE_WIDTH
     IDLE_STATE = _STATE.pack(0, 0, 0, 0, 0)  # no repetition in flight
 

@@ -10,9 +10,16 @@ in-flight repetition, read and written by the engine itself at the offsets
 the prover hands it. The log buffer sits behind a reserved block of
 ``CTX_HEADER_SIZE`` bytes, also written in place by the log engine.
 
+The header holds only what a power cut must carry. Provisioning (the
+policy, the log's capacity, the entry, the image length) is the prover's
+own ``config`` and ``entry``, the same for a prover rebuilt after a cut,
+and is never read back from here: a device re-provisioned between a cut
+and its boot, say with a smaller ``log_max``, is outside this model.
+
 The header outlives a session: a concluded session clears its flags and
 keeps its ``chal``, the freshness floor a new request must exceed, so a
-device that loses its RAM still refuses a replayed request. A region
+device that loses its RAM still refuses a replayed request. ``begin``
+never lowers that floor, whichever of its writes a cut follows. A region
 without the magic holds no session, whatever its other bytes say.
 """
 
@@ -33,26 +40,14 @@ F_REMEDIATION = 1 << 3
 F_FROZEN = 1 << 4
 F_FINAL = 1 << 5          # session must end after the pending report is acked
 
-# remediation policy codes, kept in the context's policy byte
-POLICY_FREEZE = 0
-POLICY_DISABLE = 1
-POLICY_WIPE = 2
-
-# (name, struct format) in header order; a None name is padding
+# (name, struct format) in header order
 FIELDS = (
     ("magic", "4s"),
     ("flags", "I"),
-    ("app_id", "H"),
-    ("policy", "B"),
-    (None, "x"),
-    ("delta", "Q"),
     ("chal", f"{wire.CHAL_WIDTH}s"),
     ("sigma", f"{wire.MAC_WIDTH}s"),
     ("log_size", "I"),
     ("wipe_cursor", "I"),
-    ("log_max", "I"),
-    ("entry", "I"),
-    ("image_len", "I"),
     ("engine_state", f"{CfLog.STATE_WIDTH}s"),
 )
 
@@ -78,11 +73,13 @@ class AuditContext:
     def __init__(self, mem: bytearray):
         self.mem = mem
 
-    def begin(self, **values) -> None:
-        """Write a fresh header: the magic, zeros, then ``values``."""
-        self.mem[:len(_BLANK)] = _BLANK
-        for name, value in values.items():
-            setattr(self, name, value)
+    def begin(self, chal: int) -> None:
+        """Open a session at ``chal``: a blank header that keeps the old
+        floor, then the new challenge, then the flags."""
+        mem = self.mem
+        mem[:len(_BLANK)] = _BLANK[:_CHAL.start] + mem[_CHAL] + _BLANK[_CHAL.stop:]
+        self.chal = chal
+        self.flags = F_VALID
 
     def flag(self, bit: int) -> bool:
         return bool(self.flags & bit)
@@ -95,9 +92,9 @@ class AuditContext:
 OFFSETS: dict[str, int] = {}
 _offset = 0
 for _name, _fmt in FIELDS:
-    if _name is not None:
-        OFFSETS[_name] = _offset
-        setattr(AuditContext, _name, _field(_name, _fmt, _offset))
+    OFFSETS[_name] = _offset
+    setattr(AuditContext, _name, _field(_name, _fmt, _offset))
     _offset += struct.calcsize(">" + _fmt)
 _BLANK = CTX_MAGIC + bytes(_offset - len(CTX_MAGIC))    # magic, then zeros
+_CHAL = slice(OFFSETS["chal"], OFFSETS["chal"] + wire.CHAL_WIDTH)
 assert len(_BLANK) <= CTX_HEADER_SIZE

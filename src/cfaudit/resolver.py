@@ -8,18 +8,19 @@ Three policies, in increasing order of mercy:
 
 Wiping is chunked and records its cursor in retained memory after every
 chunk, so a reset mid-wipe resumes instead of leaving a half-dead image
-that still attests. The healed image is a pure function of the original,
-so the remote side can predict the post-heal digest without trusting the
-device's claim.
+that still attests; the cursor is all it reads back, and the policy and
+the entry come from the prover's provisioning. The healed image is a
+pure function of the original, so the remote side can predict the
+post-heal digest without trusting the device's claim.
 """
 
 from __future__ import annotations
 
 from . import isa
-from .context import (F_FROZEN, POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE,
-                      AuditContext)
+from .context import F_FROZEN, AuditContext
 from .vm import Machine
 
+POLICY_FREEZE, POLICY_DISABLE, POLICY_WIPE = 0, 1, 2     # remediation policy codes
 POLICY_NAMES = {POLICY_FREEZE: "freeze", POLICY_DISABLE: "disable", POLICY_WIPE: "wipe"}
 
 _HALT = isa.Instruction(isa.OP_HALT).encode()
@@ -41,11 +42,12 @@ def healed_image(image: bytes, policy: int, entry_offset: int = 0) -> bytes:
 class Resolver:
     """Applies one policy to the machine, resumable across resets."""
 
-    def __init__(self, machine: Machine, policy: int):
+    def __init__(self, machine: Machine, policy: int, entry: int):
         if policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {policy}")
         self.m = machine
         self.policy = policy
+        self.entry = entry
 
     def step(self, ctx: AuditContext) -> bool:
         """One chunk of remediation work, its progress written to the
@@ -54,13 +56,12 @@ class Resolver:
             ctx.set_flag(F_FROZEN)
             return True
         if self.policy == POLICY_DISABLE:
-            self.m.write_pmem(ctx.entry, _HALT)
+            self.m.write_pmem(self.entry, _HALT)
             return True
         # wipe: zero the next chunk, advance the retained cursor
-        start = ctx.wipe_cursor
-        if start >= ctx.image_len:
-            return True
-        end = min(start + WIPE_CHUNK, ctx.image_len)
-        self.m.write_pmem(isa.PMEM_BASE + start, bytes(end - start))
-        ctx.wipe_cursor = end
-        return end >= ctx.image_len
+        start, image_len = ctx.wipe_cursor, len(self.m.pmem)
+        end = min(start + WIPE_CHUNK, image_len)
+        if start < end:
+            self.m.write_pmem(isa.PMEM_BASE + start, bytes(end - start))
+            ctx.wipe_cursor = end
+        return end >= image_len

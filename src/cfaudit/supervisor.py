@@ -29,7 +29,9 @@ writes it through ``AuditContext``, a view of those bytes, so each write
 is durable when it returns and the prover keeps no copy of it; the log
 reads and writes its own ``log_size`` and ``engine_state`` there too. The
 prover's state is the header's flags, so a prover built on the same
-memories after a power cut carries the session on. A change of state
+memories after a power cut carries the session on. Its provisioning,
+``config`` and ``entry``, is no session state: a rebuilt prover gets the
+same, and builds its log and its resolver from them. A change of state
 writes the flags last. A region without the magic holds no session: boot
 clears its flags and its challenge floor, whatever else it holds.
 """
@@ -43,9 +45,8 @@ from dataclasses import dataclass, field
 from . import isa, wire
 from .cfa_engine import ADDR_MASK, CfLog, DEFAULT_LOG_MAX
 from .context import (CTX_MAGIC, AuditContext, F_FINAL, F_FROZEN, F_REMEDIATION,
-                      F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, OFFSETS,
-                      POLICY_WIPE)
-from .resolver import Resolver
+                      F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, OFFSETS)
+from .resolver import POLICY_WIPE, Resolver
 from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger
 
 # --- gateway service -------------------------------------------------------
@@ -146,6 +147,7 @@ class Prover:
                          size_at=OFFSETS["log_size"], state_at=OFFSETS["engine_state"])
         self._gateway = functools.partial(service_gateway, machine, self.log,
                                           self.metrics.gateway_calls)
+        self.resolver = Resolver(machine, config.policy, entry)
         self._resend_clock = 0
         self._stalled = False      # the full log refused the entry the core is at
 
@@ -229,9 +231,7 @@ class Prover:
         return []
 
     def _setup_app(self, req: wire.AttestRequest) -> list[bytes]:
-        self.ctx.begin(app_id=req.app_id, policy=self.config.policy, delta=req.delta,
-                       chal=req.chal, log_max=self.config.log_max, entry=self.entry,
-                       image_len=len(self.m.pmem), flags=F_VALID)
+        self.ctx.begin(req.chal)
         self.log.active = True     # begin zeroed its size and repetition
         self.m.lock_pmem()
         self.m.timer.arm(req.delta)
@@ -332,7 +332,7 @@ class Prover:
         return ticks, out
 
     def _remediate(self) -> list[bytes]:
-        done = Resolver(self.m, self.ctx.policy).step(self.ctx)
+        done = self.resolver.step(self.ctx)
         if not done:
             return []
         if self.ctx.flag(F_FROZEN):

@@ -444,7 +444,8 @@ def run_per_tick(spec: ScenarioSpec,
                  on_tick: Callable[[Machine], None] | None = None) -> ScenarioResult:
     """``scenario.run`` as a plain per-tick loop: every tick polls both
     channels, steps the device once and ticks the auditor. The scenario
-    clock must give the same result while skipping quiet ticks.
+    clock must give the same result while skipping quiet ticks. A power
+    cut builds a new prover, as ``scenario.run`` does.
     ``on_tick`` is handed the machine at the end of every tick."""
     asm2, _ = instrument(spec.asm_text)
     prog2 = isa.assemble(asm2)
@@ -486,6 +487,8 @@ def run_per_tick(spec: ScenarioSpec,
             ns_at_reset = prover.metrics.total_ns
             seen_at_reset = vrf.audited + vrf.duplicates
             machine.reset()
+            # the cut loses the prover's RAM: only its counters carry over
+            prover = Prover(machine, prover.config, prover.entry, prover.metrics)
             for msg in prover.boot():
                 link.to_verifier.send(now, msg)
         for data in link.to_device.poll(now):

@@ -9,11 +9,10 @@ from pathlib import Path
 import pytest
 
 from cfaudit import isa, scenario, verifier, vm, wire
-from cfaudit.channel import Channel
+from cfaudit.channel import Channel, ChannelConfig
 from cfaudit.cli import WINDOW_MAX_TICKS
-from cfaudit.context import (AuditContext, F_REMEDIATION, LOG_BUFFER_OFFSET,
-                             POLICY_DISABLE, POLICY_FREEZE)
-from cfaudit.resolver import POLICY_NAMES
+from cfaudit.context import AuditContext, F_REMEDIATION, LOG_BUFFER_OFFSET
+from cfaudit.resolver import POLICY_DISABLE, POLICY_FREEZE, POLICY_NAMES
 from cfaudit.scenario import (ScenarioError, ScenarioSpec, parse_scenario,
                               resolve_input, run)
 from cfaudit.supervisor import Prover
@@ -514,8 +513,8 @@ def assert_same_as_per_tick(spec):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")))
 def test_clock_matches_per_tick_loop_under_power_cuts(name):
-    # the clock rebuilds the prover at the cut, the per-tick loop keeps it:
-    # a cut at any tick must leave nothing behind in the prover's RAM
+    # both drivers build a new prover at the cut, so at any tick the
+    # session must carry on from retained memory alone
     spec = bundled(name)
     assert_same_as_per_tick(spec)
     for reset_at in range(1, run(spec).ticks + 1, 4 if name == "lossy_fold" else 1):
@@ -556,6 +555,50 @@ def test_clock_matches_per_tick_loop_under_other_policies(name, policy):
         assert_same_as_per_tick(replace(spec, reset_at=reset_at))
 
 
+# ``main`` follows other code, so halting the entry is not halting the
+# first word; the input steers ``blx`` to ``inner``, which is no call target
+ENTRY_PAST_CODE = """
+helper:
+    mov r6, #1
+inner:
+    add r6, r6, #1
+    bx lr
+main:
+    mov r7, #input_base
+    ldr r8, [r7, #0]
+    blx r8
+    nsc_call
+"""
+
+
+def test_disable_halts_the_apps_own_entry_across_every_cut_after_the_heal():
+    # a link delay keeps the heal order and the post-heal messages in
+    # flight for a few ticks, so cuts land on either side of each
+    delay = 3
+    spec = ScenarioSpec("entry_past_code", ENTRY_PAST_CODE, policy=POLICY_DISABLE,
+                        input_tokens=("@inner",),
+                        channel=ChannelConfig(delay_min=delay, delay_max=delay))
+    cfg = verifier._golden_cfg(scenario._rewrite(spec.asm_text))
+    entry = cfg.entry - isa.PMEM_BASE
+    assert entry > 0
+    healing = []
+    clean = run_per_tick(spec, lambda m: healing.append(
+        AuditContext(m.retained_mem).flag(F_REMEDIATION)))
+    assert clean.violation == "IllegalIndirectTarget"
+    heal_order = healing.index(True) + 1 - delay    # the tick the verifier sent it
+    for reset_at in range(heal_order, clean.ticks + 1):
+        cut = replace(spec, reset_at=reset_at)
+        machines = []
+        res = run_per_tick(cut, on_tick=machines.append)
+        assert res.to_json() == run(cut).to_json(), reset_at
+        assert res.settled and res.verdicts[-1] == "end", reset_at
+        assert res.final_digest == cfg.healed_digest(POLICY_DISABLE).hex()
+        pmem = machines[-1].pmem
+        assert isa.decode(pmem[entry:entry + 4]).op == isa.OP_HALT
+        assert pmem[:entry] == cfg.prog.image[:entry]
+        assert pmem[entry + 4:] == cfg.prog.image[entry + 4:]
+
+
 @pytest.mark.xfail(strict=True, reason="D7: disable overwrites only the entry "
                    "word, so the tampered word stays and every post-heal report "
                    "is condemned again")
@@ -575,7 +618,7 @@ def test_clock_matches_per_tick_loop_on_a_reset_mid_wipe(monkeypatch):
 
     def recording_reset(machine):
         ctx = AuditContext(machine.retained_mem)
-        mid_wipe.append(ctx.flag(F_REMEDIATION) and 0 < ctx.wipe_cursor < ctx.image_len)
+        mid_wipe.append(ctx.flag(F_REMEDIATION) and 0 < ctx.wipe_cursor < len(machine.pmem))
         reset(machine)
 
     monkeypatch.setattr(Machine, "reset", recording_reset)

@@ -11,11 +11,10 @@ import pytest
 from cfaudit import isa, wire
 from cfaudit.cfa_engine import CfLog, decompress
 from cfaudit.instrument import instrument
-from cfaudit.resolver import WIPE_CHUNK
+from cfaudit.resolver import POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE, WIPE_CHUNK
 from cfaudit.isa import LR, NSC_EXIT, TRAMP_COND, TRAMP_ICALL, TRAMP_LOOP, TRAMP_RET
 from cfaudit.context import (AuditContext, CTX_HEADER_SIZE, F_FINAL, F_FROZEN,
-                             F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET,
-                             POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE)
+                             F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET)
 from cfaudit.supervisor import Prover, ProverConfig, ProverState
 from cfaudit.vm import Machine, NscEntry, World
 
@@ -158,11 +157,9 @@ def test_full_log_parks_the_machine():
 # --- retained context block ---------------------------------------------------
 
 def test_context_roundtrip():
-    values = dict(flags=F_VALID | F_REPORT_PENDING, app_id=3,
-                  policy=POLICY_DISABLE, delta=12345, chal=77,
+    values = dict(flags=F_VALID | F_REPORT_PENDING, chal=77,
                   sigma=b"\x42" * 32, log_size=400, wipe_cursor=2048,
-                  log_max=8192, entry=0x1004, image_len=900,
-                  engine_state=bytes(range(24)))
+                  engine_state=bytes(range(14)))
     mem = bytearray(1024)
     ctx = AuditContext(mem)
     for name, value in values.items():
@@ -171,31 +168,29 @@ def test_context_roundtrip():
     assert {name: getattr(back, name) for name in values} == values
 
 
-# one row per 16 bytes of retained memory; the header ends at 0xa0 and
+# one row per 16 bytes of retained memory; the header ends at 0x7e and
 # nothing behind it is written
 GOLDEN_HEADER = bytes.fromhex(
-    "41435458000000210203010004050607"  # magic flags app_id policy pad delta
-    "08090a0b0c0d00000000000000000000"  # delta, then chal
+    "41435458000000210c0d000000000000"  # magic flags chal
     "00000000000000000000000000000000"
     "00000000000000000000000000000000"
     "00000000000000000000000000000000"
-    "00000e0f404142434445464748494a4b"  # chal ends, then sigma
-    "4c4d4e4f505152535455565758595a5b"
-    "5c5d5e5f000001110000022200002000"  # log_size wipe_cursor log_max
-    "00001004000003848081828384858687"  # entry image_len engine_state
-    "88898a8b8c8d8e8f9091929394959697"
+    "0000000000000e0f4041424344454647"  # chal ends, then sigma
+    "48494a4b4c4d4e4f5051525354555657"
+    "58595a5b5c5d5e5f0000011100000222"  # sigma ends, log_size wipe_cursor
+    "808182838485868788898a8b8c8deeee"  # engine_state
     "eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee")
 
 
 def test_context_layout_is_pinned():
-    values = dict(flags=0x21, app_id=0x0203, policy=POLICY_DISABLE,
-                  delta=0x0405060708090a0b, chal=0x0c0d << 496 | 0x0e0f,
+    values = dict(flags=0x21, chal=0x0c0d << 496 | 0x0e0f,
                   sigma=bytes(range(0x40, 0x60)), log_size=0x111,
-                  wipe_cursor=0x222, log_max=0x2000, entry=0x1004,
-                  image_len=0x384, engine_state=bytes(range(0x80, 0x98)))
+                  wipe_cursor=0x222, engine_state=bytes(range(0x80, 0x8e)))
     mem = bytearray(b"\xee") * 256
     ctx = AuditContext(mem)
-    ctx.begin(**values)
+    ctx.begin(values["chal"])
+    for name, value in values.items():
+        setattr(ctx, name, value)
     assert bytes(mem[:len(GOLDEN_HEADER)]) == GOLDEN_HEADER
     assert {name: getattr(ctx, name) for name in values} == values
 
@@ -220,7 +215,7 @@ def test_partial_stores_agree_with_the_full_store():
     p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, 2).pack())
     assert p.step() == []
     cursor = Prover(m, p.config, p.entry).ctx.wipe_cursor
-    assert cursor == WIPE_CHUNK < p.ctx.image_len
+    assert cursor == WIPE_CHUNK < len(m.pmem)
     # a freeze persists the flag
     p, m, _ = build(DIAMOND, policy=POLICY_FREEZE)
     p.boot()
@@ -761,6 +756,35 @@ def test_a_power_cut_in_the_post_heal_wait_concludes_on_the_answer(answer):
     assert (kept.flags, kept.chal) == (0, 3)
 
 
+def test_a_cut_after_begins_blank_keeps_the_freshness_floor(monkeypatch):
+    # a concluded session leaves its floor at 5; power fails after begin
+    # wrote its blank header and before the new challenge
+    p, m, _ = build(DIAMOND)
+    p.boot()
+    p.handle_message(request(chal=4))
+    pump(p)
+    p.handle_message(wire.Response.make(KEY, wire.RESULT_END, 5).pack())
+    assert (p.state, p.ctx.chal) == (ProverState.WAITING, 5)
+
+    class PowerCut(Exception):
+        pass
+
+    def cut(ctx, value):
+        raise PowerCut
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AuditContext, "chal", property(AuditContext.chal.fget, cut))
+        with pytest.raises(PowerCut):
+            p.handle_message(request(chal=6))
+    m.reset()
+    rebooted = Prover(m, p.config, p.entry)
+    assert rebooted.boot() == []
+    assert rebooted.ctx.chal == 5
+    # a replayed request below the floor still opens nothing
+    assert rebooted.handle_message(request(chal=3)) == []
+    assert rebooted.state is ProverState.WAITING
+
+
 def test_the_prover_keeps_in_ram_only_what_a_power_cut_may_lose():
     """The retained header is the prover's only record of a session, and
     ``scenario.run`` builds a new prover at every power cut. A field added
@@ -772,7 +796,7 @@ def test_the_prover_keeps_in_ram_only_what_a_power_cut_may_lose():
     p.handle_message(request(chal=1))
     pump(p)
     assert set(vars(p)) == {"m", "config", "entry", "ctx", "log", "_gateway",
-                            "metrics", "_stalled", "_resend_clock"}
+                            "resolver", "metrics", "_stalled", "_resend_clock"}
 
 
 # --- advance: many ticks per call -------------------------------------------------

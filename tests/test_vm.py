@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from cfaudit import isa, scenario, vm
 from cfaudit.cfa_engine import CfLog
-from cfaudit.context import POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE
 from cfaudit.instrument import instrument
 from cfaudit.isa import DMEM_BASE, NSC_EXIT, PMEM_BASE, STACK_TOP, TRAMP_COND
+from cfaudit.resolver import POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE
 from cfaudit.vm import (AccessKind, Fault, FaultKind, Halted, Machine, NscEntry,
                         TimerTrigger, World, WorldViolation, Executed,
                         load_program)
