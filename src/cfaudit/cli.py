@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import isa
-from .instrument import UnsupportedPattern, instrument
+from .instrument import UnsupportedPattern, rewrite
 from .isa import LinkError, ParseError
 from .scenario import ScenarioError, ScenarioSpec, parse_input, parse_scenario, run
 
@@ -119,9 +119,9 @@ def _cmd_window(args) -> int:
 
 
 def _cmd_instrument(args) -> int:
-    asm2, imap = instrument(Path(args.program).read_text())
-    isa.assemble(asm2)              # rejects what the device could not load
-    print(imap.to_text() if args.map else asm2, end="")
+    lines, imap = rewrite(Path(args.program).read_text())
+    isa.layout(lines)               # rejects what the device could not load
+    print(imap.to_text() if args.map else isa.render(lines), end="")
     return EXIT_OK
 
 

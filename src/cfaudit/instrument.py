@@ -27,10 +27,16 @@ to plain conditional instrumentation, which is always safe.
 The rewriter reads only lines ``isa.parse_lines`` has checked, so a
 malformed line is rejected at its source line, as the assembler rejects
 it, and is never rewritten. What it checks itself is the program's shape:
-a conditional branch needs a fall-through and a program label to go to
-(``UnsupportedPattern``), and r10/r11 need free registers to move to
-(``RegisterPressure``). Symbols and capacity are checked when the
-rewritten text is assembled.
+a conditional branch needs a fall-through and a program label to go to,
+and r10/r11 need free registers to move to (``RegisterPressure``, an
+``UnsupportedPattern`` like the first two).
+
+It writes no text. ``rewrite`` emits the rewritten program as checked
+lines: each is a source line as parsed, with r10/r11 renamed in its
+register fields and operands, or one of the fixed gateway lines, and each
+carries the number of the line ``isa.render`` puts it at. ``isa.layout``
+lays them out as they are, and checks symbols and capacity there;
+``instrument`` renders them for output.
 """
 
 from __future__ import annotations
@@ -40,9 +46,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import isa
-from .isa import BRANCH_MNEMONICS, SourceLine, parse_lines
+from .isa import BRANCH_MNEMONICS, SourceLine
 
-RESERVED = ("r10", "r11")
+RESERVED = (10, 11)             # r10 and r11, the gateway's registers
 
 KIND_COND_TAKEN = "cond_taken"
 KIND_COND_NOT_TAKEN = "cond_not_taken"
@@ -60,7 +66,7 @@ class UnsupportedPattern(Exception):
     """Program shape the rewriter cannot instrument soundly."""
 
 
-class RegisterPressure(Exception):
+class RegisterPressure(UnsupportedPattern):
     """No free registers left to relocate r10/r11 uses."""
 
 
@@ -115,30 +121,32 @@ _REG_TOKEN = re.compile(r"\b(r\d+|sp|lr|pc)\b", re.IGNORECASE)
 # register, however it is spelt
 _TARGET_OPS = frozenset({isa.OP_B, isa.OP_BL, isa.OP_BCOND})
 
+# the fields of ``SourceLine.code`` that hold a register number, by opcode
+_REG_FIELDS = {
+    isa.OP_MOV_IMM: (1,), isa.OP_CMP_RI: (1,), isa.OP_BLX: (1,), isa.OP_PUSH: (1,),
+    isa.OP_POP: (1,), isa.OP_MOV_REG: (1, 2), isa.OP_CMP_RR: (1, 2), isa.OP_LDR: (1, 2),
+    isa.OP_STR: (1, 2), isa.OP_ADD_RI: (1, 2), isa.OP_SUB_RI: (1, 2),
+    isa.OP_ADD_RR: (1, 2, 3), isa.OP_SUB_RR: (1, 2, 3),
+}
 
-def _registers_used(lines: list[SourceLine]) -> set[str]:
-    used = set()
-    for sl in lines:
-        if sl.code[0] in _TARGET_OPS:
-            continue
-        for arg in sl.args:
-            if arg.startswith("#"):
-                continue
-            for tok in _REG_TOKEN.findall(arg):
-                used.add(tok.lower())
-    return used
+
+def _renamed(code: tuple, regs: dict[int, int]) -> tuple:
+    """``code`` with each register field moved as ``regs`` says."""
+    fields = _REG_FIELDS.get(code[0], ())
+    return tuple(regs.get(f, f) if k in fields else f for k, f in enumerate(code))
 
 
 def plan_renames(lines: list[SourceLine]) -> dict[str, str]:
-    used = _registers_used(lines)
+    """Where r10 and r11 move: each that the program names goes to the
+    lowest free one of r0-r9 and r12. Reads the register fields."""
+    used = {sl.code[k] for sl in lines for k in _REG_FIELDS.get(sl.code[0], ())}
+    free = [r for r in (*range(10), 12) if r not in used]
     renames: dict[str, str] = {}
-    pool = [f"r{i}" for i in range(10)] + ["r12"]
     for reserved in RESERVED:
         if reserved in used:
-            free = [r for r in pool if r not in used and r not in renames.values()]
             if not free:
-                raise RegisterPressure(f"no free register to relocate {reserved}")
-            renames[reserved] = free[0]
+                raise RegisterPressure(f"no free register to relocate r{reserved}")
+            renames[f"r{reserved}"] = f"r{free.pop(0)}"
     return renames
 
 
@@ -235,16 +243,18 @@ def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
 
 # --- rewriting -------------------------------------------------------------
 
-def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
+def rewrite(asm_text: str) -> tuple[list[SourceLine], InstrumentationMap]:
     """Rewrite a program for gateway-mediated control-flow logging.
 
-    Returns the rewritten assembly text and the sidecar map. The lines are
-    checked when they are parsed, so a malformed line is rejected at its
-    source line; the text is not assembled here, so a program with an
-    undefined label or too many instructions is rejected when it is.
+    Returns the rewritten program as checked lines, ready for
+    ``isa.layout``, and the sidecar map. The source is read once, by
+    ``isa.parse_lines``, so a malformed line is rejected at its source
+    line; the lines are not laid out here, so a program with an undefined
+    label, too many instructions or none is rejected when they are.
     """
-    lines = parse_lines(asm_text)
+    lines = isa.parse_lines(asm_text)
     renames = plan_renames(lines)
+    regs = {int(old[1:]): int(new[1:]) for old, new in renames.items()}
     # renaming moves r10/r11 to registers the program never names, so the
     # loops found before it are the loops found after it
     loops = detect_static_loops(lines)
@@ -274,42 +284,65 @@ def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
 
     # emit scan: each line as rewritten, with its map entries and addresses
     imap = InstrumentationMap(renames=renames)
-    rows: list[str] = []
-    addr = isa.PMEM_BASE            # of the next instruction in the rewritten image
+    out: list[SourceLine] = []
+    row = 0                         # rendered lines so far, labels included
+
+    def emit(labels: list[str], mnemonic: str, args: list[str], code: tuple) -> None:
+        nonlocal row
+        row += len(labels) + 1
+        out.append(SourceLine(labels, mnemonic, args, row, code))
+
     for i, sl in enumerate(lines):
         lp = headers.get(i)
         if lp is not None:
-            limit = f"#{lp.limit_imm}" if lp.limit_reg is None \
-                else rename(isa.REG_REPR[lp.limit_reg])
-            rows += [f"    mov r10, #{sl.labels[0]}", f"    mov r11, {limit}",
-                     "    bl trampoline_loop"]
-            addr += 3 * isa.INSTR_WIDTH
+            header = sl.labels[0]
+            emit([], "mov", ["r10", f"#{header}"], (isa.OP_MOV_IMM, 10, 0, header))
+            if lp.limit_reg is None:
+                emit([], "mov", ["r11", f"#{lp.limit_imm}"], (isa.OP_MOV_IMM, 11, 0, lp.limit_imm))
+            else:
+                limit = regs.get(lp.limit_reg, lp.limit_reg)
+                emit([], "mov", ["r11", isa.REG_REPR[limit]], (isa.OP_MOV_REG, 11, limit, 0))
+            emit([], "bl", ["trampoline_loop"], _CALL_LOOP)
         # the site label moves to the inserted call so branches land on it
-        rows += [f"{lab}:" for lab in sl.labels]
+        site_labels = sl.labels
         if i in cond_sites:
-            rows.append("    bl trampoline_cond")
-            addr += isa.INSTR_WIDTH
+            emit(site_labels, "bl", ["trampoline_cond"], _CALL_COND)
+            site_labels = []
         origin = isa.PMEM_BASE + i * isa.INSTR_WIDTH
-        op = sl.code[0]
-        args = [rename(a) for a in sl.args] if renames and op not in _TARGET_OPS \
-            else sl.args
+        op, args, code = sl.code[0], sl.args, sl.code
+        if regs and op not in _TARGET_OPS:
+            args = [rename(a) for a in args]
+            code = _renamed(code, regs)
+        imap.line_map[i] = isa.PMEM_BASE + len(out) * isa.INSTR_WIDTH
         if op == isa.OP_BLX:
             imap.entries.append(MapEntry(origin, KIND_INDIRECT_CALL))
-            body = [f"    mov r10, {args[0]}", "    bl trampoline_icall"]
+            emit(site_labels, "mov", ["r10", args[0]], (isa.OP_MOV_REG, 10, code[1], 0))
+            emit([], "bl", ["trampoline_icall"], _CALL_ICALL)
         elif op == isa.OP_BX_LR:
             imap.entries.append(MapEntry(origin, KIND_RETURN_BX_LR))
-            body = ["    b trampoline_ret"]
+            emit(site_labels, "b", ["trampoline_ret"], _JUMP_RET)
         elif _is_pop_pc(sl):
             imap.entries.append(MapEntry(origin, KIND_RETURN_POP_PC))
-            body = ["    pop lr", "    b trampoline_ret"]
+            emit(site_labels, "pop", ["lr"], (isa.OP_POP, isa.LR, 0, 0))
+            emit([], "b", ["trampoline_ret"], _JUMP_RET)
         else:
-            body = [f"    {sl.mnemonic} {', '.join(args)}".rstrip()]
+            emit(site_labels, sl.mnemonic, args, code)
             if op == isa.OP_BCOND:
                 imap.entries += [MapEntry(origin, KIND_STATIC_LOOP if i in loop_branches
                                           else KIND_COND_TAKEN),
                                  MapEntry(origin, KIND_COND_NOT_TAKEN)]
-        rows += body
-        imap.line_map[i] = addr
-        addr += len(body) * isa.INSTR_WIDTH
-        imap.line_end[i] = addr
-    return "\n".join(rows) + "\n", imap
+        imap.line_end[i] = isa.PMEM_BASE + len(out) * isa.INSTR_WIDTH
+    return out, imap
+
+
+# the gateway calls, as ``isa.parse_lines`` encodes them
+_CALL_COND = (isa.OP_BL, 0, 0, "trampoline_cond")
+_CALL_ICALL = (isa.OP_BL, 0, 0, "trampoline_icall")
+_CALL_LOOP = (isa.OP_BL, 0, 0, "trampoline_loop")
+_JUMP_RET = (isa.OP_B, 0, 0, "trampoline_ret")
+
+
+def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
+    """``rewrite``, with the lines rendered as assembly text."""
+    lines, imap = rewrite(asm_text)
+    return isa.render(lines), imap

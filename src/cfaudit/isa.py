@@ -13,9 +13,12 @@ Assembly syntax is known in one place, ``parse_lines``. It checks every
 line on its own: the mnemonic, operand count and form, register names,
 numeric immediates and offsets in range, and labels defined twice or
 shadowing a builtin symbol. A ``SourceLine`` is therefore well formed and
-carries its encoding fields. ``assemble`` only lays the lines out,
-resolves symbols (an undefined one is a ``LinkError``), checks capacity
-and encodes.
+carries its encoding fields. ``layout`` only lays checked lines out,
+resolves symbols (an undefined one is a ``LinkError``), checks that there
+is at least one line and no more than program memory holds, and encodes
+the image in one pack. ``assemble`` is ``parse_lines`` then ``layout``;
+the rewriter's lines, already checked, go to ``layout`` directly, and
+``render`` gives the text they parse back from.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # --- memory map ---------------------------------------------------------
 
@@ -133,8 +137,7 @@ class LinkError(Exception):
         self.label = label
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     op: int
     ra: int = 0
     rb: int = 0
@@ -159,13 +162,15 @@ def decode(word: bytes) -> Instruction | None:
 
 # --- source representation ----------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class SourceLine:
-    """One well-formed instruction with the labels attached to it.
+    """One well-formed instruction with the labels attached to it, at line
+    ``lineno`` of the text it is read from (or, for a rewritten line, of
+    the text ``render`` gives).
 
     ``code`` holds its encoding fields ``(op, ra, rb, imm)``; where ``imm``
     comes from a symbol (a branch target or ``#label``) it holds the
-    symbol's name, which only ``assemble`` resolves.
+    symbol's name, which only ``layout`` resolves.
     """
 
     labels: list[str]
@@ -322,28 +327,51 @@ class Program:
 
 
 def assemble(text: str) -> Program:
-    """Lay out, resolve symbols and encode; the lines come checked from
-    ``parse_lines``. Raises ParseError past program-memory capacity and
-    LinkError on an undefined symbol. Entry point is the label ``main``
-    when defined, otherwise the first instruction."""
-    lines = parse_lines(text)
+    """Parse and lay out assembly text: ``layout(parse_lines(text))``."""
+    return layout(parse_lines(text))
+
+
+def layout(lines: list[SourceLine]) -> Program:
+    """Lay checked lines out from ``PMEM_BASE``, resolve symbols and encode.
+    Raises ParseError on a program with no instruction or past
+    program-memory capacity, and LinkError on an undefined symbol. Entry
+    point is the label ``main`` when defined, otherwise the first
+    instruction."""
+    if not lines:
+        raise ParseError(0, "program has no instruction")
     size = len(lines) * INSTR_WIDTH
     if size > PMEM_CAPACITY:
         raise ParseError(lines[-1].lineno, "program exceeds program-memory capacity")
     line_addrs = list(range(PMEM_BASE, PMEM_BASE + size, INSTR_WIDTH))
     labels = {lab: addr for sl, addr in zip(lines, line_addrs) for lab in sl.labels}
-    symbols = dict(BUILTIN_SYMBOLS)
-    symbols.update(labels)
+    symbols = BUILTIN_SYMBOLS | labels
 
     instrs: list[Instruction] = []
+    words: list[int] = []
     for sl in lines:
-        op, ra, rb, imm = sl.code
-        if isinstance(imm, str):
+        op, ra, rb, imm = code = sl.code
+        if imm.__class__ is str:
             if imm not in symbols:
                 raise LinkError(imm)
             imm = symbols[imm]
-        instrs.append(Instruction(op, ra, rb, imm))
+            code = (op, ra, rb, imm)
+        instrs.append(_new_instruction(Instruction, code))
+        words.append(op << 24 | ra << 20 | rb << 16 | imm & 0xFFFF)
+    image = struct.pack(f">{len(words)}I", *words)
+    return Program(instrs, labels, line_addrs, labels.get("main", PMEM_BASE), image)
 
-    image = b"".join(i.encode() for i in instrs)
-    entry = labels.get("main", PMEM_BASE)
-    return Program(instrs, labels, line_addrs, entry, image)
+
+# builds an Instruction from a 4-tuple without the keyword handling of
+# ``Instruction(...)``
+_new_instruction = tuple.__new__
+
+
+def render(lines: list[SourceLine]) -> str:
+    """The text of checked lines, each label on a line of its own, that
+    ``parse_lines`` reads back as the same lines when each ``lineno`` is
+    the line it is rendered at."""
+    rows: list[str] = []
+    for sl in lines:
+        rows += [f"{lab}:" for lab in sl.labels]
+        rows.append(f"    {sl.mnemonic} {', '.join(sl.args)}".rstrip())
+    return "\n".join(rows) + "\n"

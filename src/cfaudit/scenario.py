@@ -47,6 +47,12 @@ stepping the device once per tick.
 
 A power cut resets the machine and builds a new ``Prover`` on it, so the
 device resumes from retained memory alone; only the counters carry over.
+
+A program is deployed once per source text, by ``deploy``: its text is
+read once, and the rewriter's checked lines are laid out into the golden
+image and digested into the auditor's graph with no text between them.
+The last ``isa.IMAGE_CACHE_SIZE`` deployments are kept, and every session
+of one program shares its deployment.
 """
 
 from __future__ import annotations
@@ -62,10 +68,11 @@ from . import isa, wire
 from .cfa_engine import DEFAULT_LOG_MAX
 from .cfa_engine import decompress  # noqa: F401  perfbench/spans.py wraps scenario.decompress
 from .channel import ChannelConfig, Link
-from .instrument import instrument
+from .instrument import instrument  # noqa: F401  perfbench/spans.py wraps scenario.instrument
+from .instrument import rewrite
 from .resolver import POLICY_NAMES
 from .supervisor import Prover, ProverConfig, ProverState
-from .verifier import Verifier, VerifierConfig
+from .verifier import Cfg, Verifier, VerifierConfig, cfg_of
 from .vm import Machine
 
 _POLICY_BY_NAME = {name: value for value, name in POLICY_NAMES.items()}
@@ -321,17 +328,20 @@ def _quiet_until(now: int, spec: ScenarioSpec, link: Link, vrf: Verifier,
 
 
 @functools.lru_cache(maxsize=isa.IMAGE_CACHE_SIZE)
-def _rewrite(asm_text: str) -> str:
-    """The deployable text of a program, rewritten once per source text."""
-    return instrument(asm_text)[0]
+def deploy(asm_text: str) -> Cfg:
+    """A program as deployed: the golden graph of its rewritten image, with
+    the image in ``Cfg.prog``. The source is read once; the rewriter's
+    checked lines are laid out as they are, with no text between them.
+    Built once per source text and shared by every session of it."""
+    return cfg_of(isa.layout(rewrite(asm_text)[0]))
 
 
 def run(spec: ScenarioSpec) -> ScenarioResult:
-    vrf = Verifier(_rewrite(spec.asm_text), VerifierConfig(
+    vrf = Verifier(deploy(spec.asm_text), VerifierConfig(
         app_id=spec.app_id, delta=spec.delta, policy=spec.policy,
         initial_chal=spec.initial_chal, resend_interval=spec.verifier_resend,
         heal_on_mac_mismatch=spec.heal_on_mac_mismatch))
-    prog2 = vrf.cfg.prog              # the verifier's golden image, not assembled again
+    prog2 = vrf.cfg.prog              # the verifier's golden image, not laid out again
     machine = Machine(prog2.image)
     prover = Prover(machine,
                     ProverConfig(policy=spec.policy, log_max=spec.log_max,

@@ -147,6 +147,8 @@ class Cfg:
                     pc = site.exit
                     continue
                 kind, arg = LOOP, (site.header, site.limit - 1, site.exit)
+            elif imm == isa.NSC_EXIT and (op == isa.OP_B or op == isa.OP_BL):
+                kind = EXIT                     # a jump to the exit door ends the app
             elif op == isa.OP_BL:
                 pushes.append(nxt)
                 pc = imm
@@ -186,27 +188,31 @@ class Cfg:
 
 
 def build_cfg(asm2_text: str) -> Cfg:
-    """Digest the rewritten program into walker tables."""
-    prog = isa.assemble(asm2_text)
+    """Digest rewritten text into walker tables: ``cfg_of`` its assembly."""
+    return cfg_of(isa.assemble(asm2_text))
+
+
+def cfg_of(prog: isa.Program) -> Cfg:
+    """Digest the rewritten program's image into walker tables."""
     label_addrs = set(prog.labels.values())
     code_lo, code_hi = isa.PMEM_BASE, isa.PMEM_BASE + len(prog.image)
+    instructions, line_addrs = prog.instructions, prog.line_addrs
     icall_targets: set[int] = set()
     branches: dict[int, list[int]] = {}       # bcond target -> branch addrs
     loop_calls: list[int] = []                # lines of bl trampoline_loop
-    for line, inst in enumerate(prog.instructions):
-        if inst.op == isa.OP_BCOND:
-            branches.setdefault(inst.imm, []).append(prog.line_addrs[line])
-        elif inst.op == isa.OP_MOV_IMM and code_lo <= inst.imm < code_hi \
-                and inst.imm in label_addrs:
-            icall_targets.add(inst.imm)
-        elif inst.op == isa.OP_BL and inst.imm == isa.TRAMP_LOOP:
+    for line, (op, _, _, imm) in enumerate(instructions):
+        if op == isa.OP_BCOND:
+            branches.setdefault(imm, []).append(line_addrs[line])
+        elif op == isa.OP_MOV_IMM and code_lo <= imm < code_hi and imm in label_addrs:
+            icall_targets.add(imm)
+        elif op == isa.OP_BL and imm == isa.TRAMP_LOOP:
             loop_calls.append(line)
 
     loops: dict[int, LoopSite] = {}
     for line in loop_calls:
-        addr = prog.line_addrs[line]
-        header = prog.instructions[line - 2].imm
-        limit = prog.instructions[line - 1].imm
+        addr = line_addrs[line]
+        header = instructions[line - 2].imm
+        limit = instructions[line - 1].imm
         exits = [b + isa.INSTR_WIDTH for b in branches.get(header, []) if b > addr]
         if len(exits) != 1:
             raise ValueError(f"loop at {addr:#x} lacks a unique backward branch")
@@ -215,7 +221,7 @@ def build_cfg(asm2_text: str) -> Cfg:
         # as a value, and the loop body is walked only through its record
         icall_targets.discard(header)
 
-    return Cfg(prog, prog.entry, hashlib.sha256(bytes(prog.image)).digest(),
+    return Cfg(prog, prog.entry, hashlib.sha256(prog.image).digest(),
                loops, frozenset(icall_targets))
 
 
@@ -488,8 +494,10 @@ class VerifierConfig:
 class Verifier:
     """Holds one attestation session against one device."""
 
-    def __init__(self, asm2_text: str, config: VerifierConfig):
-        self.cfg = _golden_cfg(asm2_text)
+    def __init__(self, golden: Cfg | str, config: VerifierConfig):
+        """``golden`` is the deployed program's graph, or its rewritten
+        text, whose graph is built once per text and shared."""
+        self.cfg = golden if isinstance(golden, Cfg) else _golden_cfg(golden)
         self.config = config
         self.walker = Walker(self.cfg)
         self.post_heal_digest = self.cfg.healed_digest(config.policy)

@@ -432,8 +432,8 @@ def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
 
 
 def clear_image_caches() -> None:
-    """Forget every program's shared rewrite, graph and code."""
-    scenario._rewrite.cache_clear()
+    """Forget every program's shared deployment, graph and code."""
+    scenario.deploy.cache_clear()
     verifier._golden_cfg.cache_clear()
     vm._image_code.cache_clear()
 
@@ -614,7 +614,8 @@ def _inst_at(cfg: Cfg, addr: int) -> isa.Instruction | None:
 class ReferenceWalker:
     """The per-instruction walker the auditor used before it walked log
     runs: it steps one instruction at a time over the expanded destination
-    list. Kept verbatim, except that it looks instructions up itself, as
+    list. Kept verbatim, except that it looks instructions up itself and
+    ends at a direct jump to the exit door as at ``nsc_call`` (D21), as
     the oracle the run walker is checked against."""
 
     def __init__(self, cfg: Cfg):
@@ -692,6 +693,14 @@ class ReferenceWalker:
                     return
                 self.shadow.pop()
                 self.pc = e
+            elif op == isa.OP_NSC_CALL or imm == isa.NSC_EXIT and op in (isa.OP_B, isa.OP_BL):
+                if not self._avail(1):
+                    return
+                e = take()
+                if e != isa.NSC_EXIT:
+                    self._fail(V_EDGE, f"end-door arrival {e:#x}", self.pos - 1)
+                    return
+                self.done = True
             elif op == isa.OP_BL:
                 if len(self.shadow) >= _SHADOW_LIMIT:
                     self._fail(V_MALFORMED, "shadow stack overflow")
@@ -714,14 +723,6 @@ class ReferenceWalker:
                     self._fail(V_EDGE, f"{e:#x} is neither destination of the "
                                f"branch at {self.pc:#x}")
                     return
-            elif op == isa.OP_NSC_CALL:
-                if not self._avail(1):
-                    return
-                e = take()
-                if e != isa.NSC_EXIT:
-                    self._fail(V_EDGE, f"end-door arrival {e:#x}", self.pos - 1)
-                    return
-                self.done = True
             elif op == isa.OP_HALT:
                 self.done = True
             elif op == isa.OP_BLX or op == isa.OP_BX_LR:

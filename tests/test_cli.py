@@ -164,6 +164,29 @@ def test_instrument_rejects_an_undefined_label(tmp_path, capsys):
         assert f"line 4: {msg}" in captured.err
 
 
+# every register r0-r12 is named, so r10 and r11 have nowhere to go
+EVERY_REGISTER = "main:\n" + "".join(f"    mov r{i}, #{i}\n" for i in range(13)) \
+    + "    nsc_call\n"
+
+
+@pytest.mark.parametrize("program,msg", [
+    (EVERY_REGISTER, "no free register to relocate r10"),
+    ("", "program has no instruction"),
+    ("; a comment\n\n", "program has no instruction"),
+], ids=["register-pressure", "empty", "comments-only"])
+@pytest.mark.parametrize("command", ["instrument", "run"])
+def test_a_program_the_rewriter_refuses_exits_two(tmp_path, capsys, command, program, msg):
+    (tmp_path / "p.asm").write_text(program)
+    scn = tmp_path / "p.scn"
+    scn.write_text("[scenario]\nprogram = p.asm\n")
+    code = main([command, str(tmp_path / ("p.asm" if command == "instrument" else "p.scn"))])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("cfaudit: ") and msg in captured.err
+
+
 def test_run_overrides_and_output_file(tmp_path, capsys):
     out_file = tmp_path / "record.json"
     code = main(["run", str(SCENARIO_DIR / "lossy_fold.scn"),

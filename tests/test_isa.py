@@ -110,6 +110,24 @@ def test_capacity_limit_enforced():
         isa.assemble("\n".join(lines))
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "; only a comment\n"])
+def test_a_program_with_no_instruction_is_rejected(text):
+    with pytest.raises(isa.ParseError, match="program has no instruction"):
+        isa.assemble(text)
+    with pytest.raises(isa.ParseError, match="program has no instruction"):
+        isa.layout(isa.parse_lines(text))
+
+
+def test_layout_encodes_each_line_as_its_instruction():
+    text = "main:\n    mov r1, #main\n    add r2, r1, r3\n    b main\n    halt\n"
+    prog = isa.layout(isa.parse_lines(text))
+    assert prog.instructions == [isa.Instruction(isa.OP_MOV_IMM, 1, 0, isa.PMEM_BASE),
+                                 isa.Instruction(isa.OP_ADD_RR, 2, 1, 3),
+                                 isa.Instruction(isa.OP_B, imm=isa.PMEM_BASE),
+                                 isa.Instruction(isa.OP_HALT)]
+    assert prog.image == b"".join(i.encode() for i in prog.instructions)
+
+
 def test_immediate_out_of_range_rejected():
     with pytest.raises(isa.ParseError):
         isa.assemble("mov r0, #65536\n")

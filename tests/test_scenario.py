@@ -544,7 +544,7 @@ def test_clock_matches_per_tick_loop_under_other_policies(name, policy):
         assert res.settled and res.verdicts == ["heal", "end"]
         assert res.violation == "ShadowStackMismatch"
         assert not res.pmem_zeroed
-        cfg = verifier._golden_cfg(scenario._rewrite(spec.asm_text))
+        cfg = scenario.deploy(spec.asm_text)
         assert res.final_digest == cfg.healed_digest(POLICY_DISABLE).hex()
         machines = []
         run_per_tick(spec, on_tick=machines.append)
@@ -578,7 +578,7 @@ def test_disable_halts_the_apps_own_entry_across_every_cut_after_the_heal():
     spec = ScenarioSpec("entry_past_code", ENTRY_PAST_CODE, policy=POLICY_DISABLE,
                         input_tokens=("@inner",),
                         channel=ChannelConfig(delay_min=delay, delay_max=delay))
-    cfg = verifier._golden_cfg(scenario._rewrite(spec.asm_text))
+    cfg = scenario.deploy(spec.asm_text)
     entry = cfg.entry - isa.PMEM_BASE
     assert entry > 0
     healing = []
@@ -785,6 +785,44 @@ def test_a_benign_counted_loop_settles_end(limit):
     assert res.violation == "none" and not res.pmem_zeroed
 
 
+# D21: a direct jump to the exit door ends the app as ``nsc_call`` does;
+# the device logs the exit sentinel and cuts the end slice
+EXIT_BY_JUMP = {
+    "b": "main:\n    mov r9, #1\n    b nsc_exit\n",
+    "bl": "main:\n    mov r9, #1\n    bl nsc_exit\n",
+    "one_arm": """main:
+    mov r7, #input_base
+    ldr r1, [r7, #0]
+    cmp r1, #0
+    beq done
+    mov r9, #2
+    nsc_call
+done:
+    mov r9, #1
+    b nsc_exit
+""",
+}
+
+
+@pytest.mark.parametrize("name,word", [("b", "0"), ("bl", "0"),
+                                       ("one_arm", "0"), ("one_arm", "1")])
+def test_a_jump_to_the_exit_door_settles_end(name, word):
+    spec = ScenarioSpec(name=name, asm_text=EXIT_BY_JUMP[name], input_tokens=(word,))
+    res = run(spec)
+    assert res.settled and res.verdicts == ["end"]
+    assert res.violation == "none" and not res.pmem_zeroed
+    assert res.final_digest == scenario.deploy(spec.asm_text).digest.hex()
+
+
+def test_an_indirect_call_to_the_exit_door_stays_illegal():
+    asm = ("main:\n    mov r7, #input_base\n    ldr r8, [r7, #0]\n"
+           "    blx r8\n    nsc_call\n")
+    res = run(ScenarioSpec(name="blx_exit", asm_text=asm,
+                           input_tokens=(str(isa.NSC_EXIT),)))
+    assert res.violation == "IllegalIndirectTarget" and res.violation_index == 0
+    assert res.verdicts == ["heal", "end"] and res.pmem_zeroed
+
+
 @pytest.mark.xfail(strict=True, reason="D5: the remnant report sent at boot is not "
                    "marked final, so a session cut before the forged return settles exec")
 def test_a_session_cut_short_never_settles_exec():
@@ -806,9 +844,11 @@ def test_window_measurement_budget_counts_ticks():
 # -- static artefacts shared across sessions --------------------------------
 
 def test_sessions_of_one_program_build_its_image_once(monkeypatch):
-    calls = {"instrument": 0, "build_cfg": 0, "assemble": 0}
-    for owner, name in ((scenario, "instrument"), (verifier, "build_cfg"),
-                        (isa, "assemble")):
+    calls = dict.fromkeys(("rewrite", "cfg_of", "parse_lines",
+                           "instrument", "assemble", "build_cfg"), 0)
+    for owner, name in ((scenario, "rewrite"), (scenario, "cfg_of"), (isa, "parse_lines"),
+                        (scenario, "instrument"), (isa, "assemble"),
+                        (verifier, "build_cfg")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -824,13 +864,16 @@ def test_sessions_of_one_program_build_its_image_once(monkeypatch):
                 for i in range(isa.IMAGE_CACHE_SIZE + 1)]
     spec = ScenarioSpec(name="p0", asm_text=programs[0])
     assert run(spec) == run(spec)
-    assert calls == {"instrument": 1, "build_cfg": 1, "assemble": 1}
+    # one deployment, whose text is read once; the text path is not taken
+    assert calls == {"rewrite": 1, "cfg_of": 1, "parse_lines": 1,
+                     "instrument": 0, "assemble": 0, "build_cfg": 0}
     assert built and len(built) == len(set(built))   # each block built once
     # the caches are bounded: the least recently used program is rebuilt
     for text in programs[1:]:
         run(ScenarioSpec(name="p", asm_text=text))
     run(spec)
-    assert calls["instrument"] == calls["build_cfg"] == isa.IMAGE_CACHE_SIZE + 2
+    assert calls["rewrite"] == calls["cfg_of"] == calls["parse_lines"] \
+        == isa.IMAGE_CACHE_SIZE + 2
 
 
 def test_a_tampered_and_a_benign_session_of_one_image_stay_apart():
@@ -857,7 +900,7 @@ def test_an_audit_over_hops_another_session_traced_gives_the_same_verdicts():
     assert alone.ok and alone.violation_index == 6
     clear_image_caches()
     assert run(benign).verdict == "end"
-    cfg = verifier._golden_cfg(scenario._rewrite(attack.asm_text))
+    cfg = scenario.deploy(attack.asm_text)
     traced = dict(cfg.hops)
     assert traced
     assert run(attack) == alone

@@ -87,9 +87,28 @@ leaf:
     bx lr
 """
 
+# the app ends by jumping to the exit door from a called function, on one
+# arm of a conditional (D21)
+EXIT_JUMP = """main:
+    mov r7, #input_base
+    ldr r1, [r7, #0]
+    bl check
+    nsc_call
+check:
+    cmp r1, #0
+    beq quit
+    bx lr
+quit:
+    mov r9, #1
+    {jump} nsc_exit
+"""
+
 HAND_WRITTEN = {"recurse_call": (RECURSE_CALL, [37]),
                 "recurse_icall": (RECURSE_ICALL, [29]),
-                "nested_loops": (NESTED_LOOPS, [23])}
+                "nested_loops": (NESTED_LOOPS, [23]),
+                "exit_by_b": (EXIT_JUMP.format(jump="b"), [0]),
+                "exit_by_bl": (EXIT_JUMP.format(jump="bl"), [0]),
+                "exit_by_return": (EXIT_JUMP.format(jump="b"), [1])}
 
 
 # --- encodings ---------------------------------------------------------------
