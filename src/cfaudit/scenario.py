@@ -51,8 +51,8 @@ device resumes from retained memory alone; only the counters carry over.
 A program is deployed once per source text, by ``deploy``: its text is
 read once, and the rewriter's checked lines are laid out into the golden
 image and digested into the auditor's graph with no text between them.
-The last ``isa.IMAGE_CACHE_SIZE`` deployments are kept, and every session
-of one program shares its deployment.
+The last ``isa.IMAGE_CACHE_SIZE`` deployments are kept; every session of
+one program shares its deployment, and of one input its packed words.
 """
 
 from __future__ import annotations
@@ -106,6 +106,10 @@ class ScenarioSpec:
                 _check_field(name, getattr(self, name))
             except ValueError as exc:
                 raise ScenarioError(f"{name}: {exc}") from None
+        # each response, about one a tick at most, takes the next challenge
+        if _RANGES["initial_chal"][1] - self.initial_chal <= self.max_ticks:
+            raise ScenarioError(f"initial_chal: {self.initial_chal} leaves fewer than "
+                                f"max_ticks + 1 = {self.max_ticks + 1} challenges above it")
 
 
 # the values an integer field must hold to fit the field it fills on the wire
@@ -240,7 +244,10 @@ def parse_scenario(path: str | Path) -> ScenarioSpec:
         link = ChannelConfig(**channel)
     except ValueError as exc:
         raise ScenarioError(f"{path}: [channel] {exc}") from None
-    return ScenarioSpec(asm_text=asm_text, channel=link, expect=expect, **spec)
+    try:
+        return ScenarioSpec(asm_text=asm_text, channel=link, expect=expect, **spec)
+    except ScenarioError as exc:      # the one check across keys left
+        raise ScenarioError(f"{path}: [verifier] {exc}") from None
 
 
 def resolve_input(tokens: tuple[str, ...], labels: dict[str, int]) -> list[int]:
@@ -336,6 +343,14 @@ def deploy(asm_text: str) -> Cfg:
     return cfg_of(isa.layout(rewrite(asm_text)[0]))
 
 
+@functools.lru_cache(maxsize=isa.IMAGE_CACHE_SIZE)
+def _input_image(asm_text: str, tokens: tuple[str, ...]) -> bytes:
+    """A spec's input as data memory holds it, @labels resolved against the
+    deployment: once per program and tokens (a bad token raises each time)."""
+    words = resolve_input(tokens, deploy(asm_text).prog.labels)
+    return struct.pack(f">{len(words)}I", *[w & 0xFFFFFFFF for w in words])
+
+
 def run(spec: ScenarioSpec) -> ScenarioResult:
     vrf = Verifier(deploy(spec.asm_text), VerifierConfig(
         app_id=spec.app_id, delta=spec.delta, policy=spec.policy,
@@ -349,7 +364,8 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
                                  resend_interval=spec.device_resend),
                     prog2.entry)
     prover.boot()
-    load_input(machine, resolve_input(spec.input_tokens, prog2.labels))
+    data = _input_image(spec.asm_text, spec.input_tokens)
+    machine.dmem[:len(data)] = data
     if spec.pmem_flip is not None:
         if not 0 <= spec.pmem_flip < len(machine.pmem):
             raise ScenarioError("pmem_flip offset outside the image")

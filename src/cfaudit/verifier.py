@@ -29,6 +29,17 @@ The walk reads the log as the device wrote it, without expanding it:
   state, every remaining repetition would walk the same way, so the whole
   rest of the run is consumed at once. Otherwise (under recursion, say) the
   walk goes on repetition by repetition.
+- Period skipping. A dense stream comes back to the same few hops every 2
+  to 5 destinations, in a plain run the device cannot count. In a plain
+  run of ``_PERIOD_MIN`` words or more the walk keeps one anchor (pc,
+  offset, stack copy, steps), set after a branch hop consumes a word and
+  renewed every ``_PERIOD_CAP`` words. Back at the anchor's pc ``p`` words
+  on with the same stack, it consumes at once the whole periods ahead that
+  repeat the last ``p`` words. The walk is a function of pc, stack and the
+  words it reads, so every skipped period ends in the state it began in:
+  verdicts, indices, pc, stack and steps are the hop-by-hop walk's. The
+  skip stops a word short of the run's end and an anchor dies with its run;
+  a hop away from the anchor's pc pays one integer comparison.
 
 Auditing thus costs O(log words), not O(instructions executed). A static
 loop record is matched to its loop site in one step the same way.
@@ -76,6 +87,8 @@ V_MALFORMED = "Malformed"
 V_MAC = "MacMismatch"
 
 _SHADOW_LIMIT = 4096
+_PERIOD_CAP = 64      # the longest period the walk looks for, in words
+_PERIOD_MIN = 16      # the shortest plain run it anchors in
 
 # What a hop stops on. The first six read the log; the rest end the walk or
 # park it. The detail a hop carries: for COND the arrival the site logs, for
@@ -353,15 +366,18 @@ class Walker:
         """Hop until the runs run dry, the walk stops or a violation.
 
         One loop with the cursor in locals: ``pc``, ``pos``, ``head``,
-        ``steps`` and the first run's unit, count and expanded length. They
+        ``steps``, the first run's unit, count and expanded length, and
+        ``stop``, the offset where the run ends or is anchored next. They
         go back to ``self`` where the loop leaves and around the rare moves
-        (a repetition trial, a loop record's copies, a stop).
+        (a repetition trial, a loop record's copies, a stop). The anchor
+        (``apc``, -1 for none, ``ahead``, ``ashadow``, ``asteps``) is local.
         """
         cfg = self.cfg
         hops, hop, icall_targets = cfg.hops, cfg.hop, cfg.icall_targets
         shadow, runs = self.shadow, self.runs
         pc, pos, head, steps = self.pc, self.pos, self.head, self.steps
-        unit, count, width, length = _first_run(runs)
+        unit, count, width, length, stop = _first_run(runs, head)
+        apc = -1                      # no anchor yet: no pc is -1
         live = self.violation is None and not self.done
         while live:
             steps += 1
@@ -389,7 +405,7 @@ class Walker:
                 pos, head = self.pos, self.head
                 if not runs:
                     break
-                unit, count, width, length = _first_run(runs)
+                unit, count, width, length, stop = _first_run(runs, head)
             if kind == LOOP:
                 header, copies, exit_pc = arg
                 self.pos, self.head = pos, head
@@ -402,7 +418,8 @@ class Walker:
                                f"header {header:#x}", pos - 1)
                     break
                 pc = exit_pc
-                unit, count, width, length = _first_run(runs)
+                unit, count, width, length, stop = _first_run(runs, head)
+                apc = -1
                 continue
             e = unit[head % width]
             if kind == BRANCH and e not in arg:
@@ -412,15 +429,39 @@ class Walker:
                 break
             pos += 1
             head += 1
-            if head == length:
-                runs.popleft()
-                head = 0
-                if runs:              # _first_run inlined: once per run consumed
-                    unit, count = runs[0]
-                    width = len(unit)
-                    length = width * count
+            if head == stop:
+                if head == length:
+                    runs.popleft()
+                    head, apc = 0, -1
+                    if runs:          # _first_run inlined: once per run consumed
+                        unit, count = runs[0]
+                        width = len(unit)
+                        length = width * count
+                        stop = 1 if count == 1 and width >= _PERIOD_MIN else length
+                elif kind == BRANCH:
+                    # the anchor: the walk goes on from e with this stack
+                    apc, ahead, ashadow, asteps = e, head, shadow.copy(), steps
+                    stop = min(head + _PERIOD_CAP, length)
+                else:
+                    stop += 1
             if kind == BRANCH:
                 pc = e                # past the arrival site e names
+                if pc == apc and head > ahead and unit[head] == unit[ahead] \
+                        and shadow == ashadow:
+                    # back at the anchor, p words on, with the same stack:
+                    # consume the whole periods ahead that repeat the last p
+                    p = head - ahead
+                    k = (length - 1 - head) // p
+                    if unit[head:head + k * p] != unit[ahead:ahead + k * p]:
+                        k = _periods(unit, head, p, k - 1)
+                    if k:
+                        pos += k * p
+                        head += k * p
+                        steps += k * (steps - asteps)
+                        ahead, asteps = head, steps
+                        stop = min(head + _PERIOD_CAP, length)
+                    else:
+                        apc = -1      # not periodic here: anchor anew at stop
             elif kind == RET:
                 if not shadow or shadow[-1] != e:
                     self._fail(V_SHADOW, f"return to {e:#x}", pos - 1)
@@ -468,10 +509,32 @@ class Walker:
             self._fail(V_MALFORMED, "shadow stack overflow")
 
 
-def _first_run(runs: deque[cfa_engine.Run]) -> tuple[Sequence[int], int, int, int]:
-    """The first run's unit, count, unit width and expanded length."""
+def _first_run(runs: deque[cfa_engine.Run],
+               head: int) -> tuple[Sequence[int], int, int, int, int]:
+    """The first run's unit, count, unit width and expanded length, and
+    where its walk anchors first: the next word of a long plain run, else
+    the run's end."""
     unit, count = runs[0] if runs else ((), 0)
-    return unit, count, len(unit), len(unit) * count
+    width = len(unit)
+    stop = head + 1 if count == 1 and width >= _PERIOD_MIN else width * count
+    return unit, count, width, width * count, stop
+
+
+def _periods(unit: Sequence[int], head: int, p: int, most: int) -> int:
+    """How many whole periods of ``p`` words from ``unit[head]`` on, at
+    most ``most``, repeat the ``p`` words before them: a galloping search,
+    each probe one slice comparison, so its cost follows what it finds."""
+    k, step, grow = 0, 1, True
+    while step:
+        a = head + k * p
+        b = a + step * p
+        if k + step <= most and unit[a:b] == unit[a - p:b - p]:
+            k += step
+            step = step * 2 if grow else step // 2
+        else:
+            grow = False
+            step //= 2
+    return k
 
 
 # --- protocol driver ---------------------------------------------------------

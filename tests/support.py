@@ -432,8 +432,9 @@ def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
 
 
 def clear_image_caches() -> None:
-    """Forget every program's shared deployment, graph and code."""
+    """Forget every program's shared deployment, graph, code and input."""
     scenario.deploy.cache_clear()
+    scenario._input_image.cache_clear()
     verifier._golden_cfg.cache_clear()
     vm._image_code.cache_clear()
 

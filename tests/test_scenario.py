@@ -216,11 +216,36 @@ def test_resolve_input_rejects_unknown_label():
     (("4294967297",), "does not fit a 32-bit word"),
 ], ids=["too_many", "not_a_number", "too_wide"])
 def test_input_built_in_code_is_checked_as_a_file_is(tokens, msg):
-    # a spec built in code skips parse_input; the run checks its input
+    # a spec built in code skips parse_input; the run checks its input,
+    # on every run, since a failed check is not memoized
     with pytest.raises(ScenarioError, match=msg):
         resolve_input(tokens, {})
-    with pytest.raises(ScenarioError, match=msg):
-        run(ScenarioSpec("coded", "main:\n    nsc_call\n", input_tokens=tokens))
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match=msg):
+            run(ScenarioSpec("coded", "main:\n    nsc_call\n", input_tokens=tokens))
+
+
+def test_a_spec_s_input_is_resolved_once_per_program_and_tokens(monkeypatch):
+    calls = []
+
+    def counted(tokens, labels, _fn=scenario.resolve_input):
+        calls.append(tokens)
+        return _fn(tokens, labels)
+    monkeypatch.setattr(scenario, "resolve_input", counted)
+    clear_image_caches()
+    spec = parse_scenario(SCENARIO_DIR / "overflow_hijack.scn")
+    first = run(spec)
+    assert first.ok and run(spec) == first
+    assert calls == [spec.input_tokens]
+    # other tokens for the same program resolve anew, and an unknown
+    # label is refused on every run
+    benign = replace(spec, input_tokens=("4", "1", "2", "3", "4"), expect={})
+    assert run(benign).verdict == "end"
+    ghost = replace(spec, input_tokens=("@ghost",))
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="unknown label 'ghost'"):
+            run(ghost)
+    assert calls == [spec.input_tokens, benign.input_tokens] + [("@ghost",)] * 2
 
 
 def test_pmem_flip_outside_image_is_an_error(tmp_path):
@@ -241,6 +266,7 @@ pmem_flip = 100000
     ("scenario", "app_id", "70000"), ("scenario", "app_id", "-1"),
     ("verifier", "initial_chal", "-3"), ("verifier", "initial_chal", "0"),
     ("verifier", "initial_chal", str(2 ** 512)),
+    ("verifier", "initial_chal", str(2 ** 512 - 2)),
     ("scenario", "log_max", "15"),
     ("scenario", "log_max", str(isa.RETAINED_SIZE - LOG_BUFFER_OFFSET + 1)),
     ("channel", "loss", "1.5"), ("channel", "delay_min", "-1"),
@@ -256,6 +282,11 @@ def test_parse_rejects_a_value_its_field_cannot_hold(tmp_path, section, key, tex
         parse_scenario(scn)
 
 
+# the highest first challenge that leaves one for every tick of the
+# default max_ticks, and one more
+TOP_CHAL = 2 ** 512 - 1 - (ScenarioSpec("s", "").max_ticks + 1)
+
+
 def test_parse_takes_each_field_at_its_bounds(tmp_path):
     scn = write_scn(tmp_path, f"""
 [scenario]
@@ -265,10 +296,10 @@ app_id = 65535
 log_max = {isa.RETAINED_SIZE - LOG_BUFFER_OFFSET}
 
 [verifier]
-initial_chal = {2 ** 512 - 1}
+initial_chal = {TOP_CHAL}
 """)
     spec = parse_scenario(scn)
-    assert (spec.delta, spec.app_id, spec.initial_chal) == (2 ** 64 - 1, 0xFFFF, 2 ** 512 - 1)
+    assert (spec.delta, spec.app_id, spec.initial_chal) == (2 ** 64 - 1, 0xFFFF, TOP_CHAL)
     for spec in (replace(spec, initial_chal=1),
                  replace(spec, delta=1, app_id=0, log_max=16, initial_chal=1)):
         res = run(spec)
@@ -284,6 +315,23 @@ def test_a_spec_is_checked_when_built_and_when_replaced(name, value):
         replace(spec, **{name: value})
     with pytest.raises(ScenarioError, match=rf"^{name}: "):
         ScenarioSpec("s", spec.asm_text, **{name: value})
+
+
+def test_a_first_challenge_too_near_the_top_is_refused_not_crashed_on():
+    # D20: each fresh response raises the verifier's challenge by one, so
+    # a spec must leave a challenge for every response its ticks allow
+    with pytest.raises(ScenarioError, match=r"^initial_chal: .* fewer than"):
+        run(ScenarioSpec("d20", "main:\n    nsc_call\n", delta=1,
+                         initial_chal=2 ** 512 - 2))
+    for spec in (ScenarioSpec("top", "main:\n    nsc_call\n", delta=1,
+                              initial_chal=TOP_CHAL),
+                 ScenarioSpec("top", "main:\n    nsc_call\n", delta=1, max_ticks=50,
+                              initial_chal=2 ** 512 - 1 - 51)):
+        res = run(spec)
+        assert res.ok and res.settled and res.verdicts == ["exec", "end"]
+    # the bound is checked across fields, so a replace re-checks it
+    with pytest.raises(ScenarioError, match=r"^initial_chal: "):
+        replace(spec, max_ticks=51)
 
 
 # -- the shipped scenario corpus -------------------------------------------

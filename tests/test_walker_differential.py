@@ -7,6 +7,12 @@ of destinations seen. Logs come from generated programs, recursive programs
 and the bundled scenarios' audited reports. Each is fed whole, cut at
 random word boundaries, re-encoded with one address word per destination,
 re-encoded with every repetition compressed, and with seeded mutations.
+
+The reference walker counts instructions, not hops, so the walker's whole
+state, hop count included, is also checked against the same walker with
+period skipping off. Period skipping works on plain slices alone: the
+re-encoded feeds also carry a word replaced where a skip would pass over
+it, and the bundled probes' periodic streams are fed the same ways.
 """
 
 import random
@@ -16,11 +22,11 @@ from unittest import mock
 
 import pytest
 
-from cfaudit import cfa_engine, isa, scenario
+from cfaudit import cfa_engine, isa, scenario, verifier
 from cfaudit.cfa_engine import (COUNT_MASK, TAG_BIT, UNIT_MASK, UNIT_PAIR,
                                 UNIT_SHIFT, UNIT_SINGLE, UNIT_STATIC, MalformedLog)
 from cfaudit.instrument import instrument
-from cfaudit.verifier import Walker, build_cfg
+from cfaudit.verifier import _PERIOD_CAP, Walker, build_cfg
 
 from support import (ReferenceWalker, generate_program, oracle_destinations,
                      reference_decompress)
@@ -28,6 +34,7 @@ from support import (ReferenceWalker, generate_program, oracle_destinations,
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 PROGRAM_SEEDS = range(120)
 MUTATIONS = 8
+PLAIN_MUTATIONS = 4
 
 # Recursion: the same unit repeats while the shadow stack grows or shrinks,
 # so pc alone must not license a skip.
@@ -105,6 +112,10 @@ quit:
 
 HAND_WRITTEN = {"recurse_call": (RECURSE_CALL, [37]),
                 "recurse_icall": (RECURSE_ICALL, [29]),
+                # deeper than a period is long: pc and arrival repeat on
+                # every level while the stack grows, so nothing is skipped
+                "recurse_call_deep": (RECURSE_CALL, [300]),
+                "recurse_icall_deep": (RECURSE_ICALL, [300]),
                 "nested_loops": (NESTED_LOOPS, [23]),
                 "exit_by_b": (EXIT_JUMP.format(jump="b"), [0]),
                 "exit_by_bl": (EXIT_JUMP.format(jump="bl"), [0]),
@@ -194,21 +205,42 @@ def outcome(w):
     return w.done, w.pos, None if v is None else (v.kind, v.index)
 
 
+def state(w):
+    return outcome(w) + (w.pc, tuple(w.shadow), w.steps, w.fed)
+
+
 def agree(cfg, slices, what):
-    """Feed both walkers slice by slice, as the verifier would: a slice
-    that does not parse is not walked."""
-    new, ref = Walker(cfg), ReferenceWalker(cfg)
+    """Feed each slice to the walker, to the walker with period skipping
+    off (no run is long enough to anchor in) and to the reference walker,
+    as the verifier would: a slice that does not parse is not walked.
+    After every slice the first two agree on their whole state, and the
+    reference walker on the outcome."""
+    new, plain, ref = Walker(cfg), Walker(cfg), ReferenceWalker(cfg)
     for n, data in enumerate(slices):
         try:
             runs = cfa_engine.runs(data)
         except MalformedLog:
             with pytest.raises(MalformedLog):
                 reference_decompress(data)
-            return
+            return new
         new.feed(runs)
+        with mock.patch.object(verifier, "_PERIOD_MIN", 1 << 62):
+            plain.feed(cfa_engine.runs(data))
         ref.feed(reference_decompress(data))
+        assert state(new) == state(plain), f"{what}, after slice {n}"
         assert outcome(new) == outcome(ref), f"{what}, after slice {n}"
         assert new.fed == len(ref.stream), f"{what}, after slice {n}"
+    return new
+
+
+def replace_word(dests, rng, addrs):
+    """The destinations with one replaced by another address, at least two
+    periods in where the stream is long enough: a plain slice's period
+    skip would otherwise pass over it."""
+    bad = list(dests)
+    i = rng.randrange(min(2 * _PERIOD_CAP, len(bad) // 2), len(bad))
+    bad[i] = rng.choice([a for a in addrs if a != bad[i]] or addrs)
+    return bad
 
 
 def feeds(log, dests, rng, addrs):
@@ -223,6 +255,9 @@ def feeds(log, dests, rng, addrs):
         base = rng.choice((words, packed))
         bad = mutate(base, rng, addrs)
         out.append((f"mutation {m}", cut(bad, rng) if rng.random() < 0.5 else [pack(bad)]))
+    for m in range(PLAIN_MUTATIONS if raw else 0):
+        bad = replace_word(raw, rng, addrs)
+        out.append((f"raw, word replaced {m}", cut(bad, rng) if m % 2 else [pack(bad)]))
     return out
 
 
@@ -292,3 +327,51 @@ def test_bundled_scenario_reports(path):
     slices = audited_slices(spec)
     cfg = build_cfg(instrument(spec.asm_text)[0])
     check_log(cfg, slices, random.Random(path.stem))
+
+
+# --- period skipping on plain slices -------------------------------------------
+
+# the bundled probes: dense streams that repeat with a short period
+PROGRAMS = SCENARIOS / "programs"
+PERIODIC = ["window_dense", "window_mid", "window_sparse", "incompressible"]
+
+
+@pytest.mark.parametrize("name", PERIODIC)
+def test_a_bundled_periodic_program(name):
+    asm = (PROGRAMS / f"{name}.asm").read_text()
+    _, run, dests = oracle_destinations(asm)
+    assert not run.faulted and len(dests) > 2 * _PERIOD_CAP
+    check_log(build_cfg(instrument(asm)[0]), [run.log.to_bytes()], random.Random(name))
+
+
+def test_a_skip_stops_at_the_word_that_breaks_the_period():
+    asm = (PROGRAMS / "window_dense.asm").read_text()
+    _, _, dests = oracle_destinations(asm)
+    cfg = build_cfg(instrument(asm)[0])
+    for i in (2 * _PERIOD_CAP, 5000, len(dests) - 3):
+        bad = list(dests)
+        bad[i] = cfg.entry                # the arrival of no branch
+        w = agree(cfg, [pack(bad)], f"word {i} replaced")
+        assert outcome(w) == (False, i, ("IllegalEdge", i))
+
+
+@pytest.mark.parametrize("name, passes", [("window_dense", None), ("nested_loops", 40)])
+def test_a_long_plain_run_then_a_short_one_queued_together(name, passes):
+    # an anchor belongs to its run: once the walk moves on to the next,
+    # by a word or by a loop record's copies, the anchor's offset means
+    # nothing there
+    if passes is None:
+        asm, words = (PROGRAMS / f"{name}.asm").read_text(), []
+    else:
+        asm, words = HAND_WRITTEN[name][0], [passes]
+    _, _, dests = oracle_destinations(asm, words)
+    cfg = build_cfg(instrument(asm)[0])
+    for k in range(2 * _PERIOD_CAP, 2 * _PERIOD_CAP + 24):
+        head, tail = tuple(dests[:k]), tuple(dests[k:k + 5])
+        new, plain, ref = Walker(cfg), Walker(cfg), ReferenceWalker(cfg)
+        new.feed([(head, 1), (tail, 1)])
+        with mock.patch.object(verifier, "_PERIOD_MIN", 1 << 62):
+            plain.feed([(head, 1), (tail, 1)])
+        ref.feed(list(head + tail))
+        assert state(new) == state(plain), f"cut at {k}"
+        assert outcome(new) == outcome(ref) and new.violation is None, f"cut at {k}"

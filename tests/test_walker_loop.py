@@ -468,3 +468,29 @@ def test_a_hop_is_counted_once_however_the_log_is_sliced():
         assert w.done and w.violation is None
         steps[parts] = w.steps
     assert steps[1] == steps[2] == steps[500] == len(dests)
+
+
+class CountedHops(dict):
+    """A hop memo that counts the lookups the hop loop makes."""
+
+    lookups = 0
+
+    def __getitem__(self, pc):
+        self.lookups += 1
+        return super().__getitem__(pc)
+
+
+def test_a_periodic_plain_slice_is_walked_once_per_period():
+    # window_dense's stream repeats with a short period: after one period
+    # the walk is back at its anchor with the same stack, and the repeats
+    # are consumed whole; the hops they stand for still count
+    asm2, _ = instrument((PROGRAM_DIR / "window_dense.asm").read_text())
+    run = support.run_instrumented(asm2)
+    dests = reference_decompress(run.log.to_bytes())
+    cfg = build_cfg(asm2)
+    cfg.hops = CountedHops()
+    w = Walker(cfg)
+    w.feed(cfa_engine.runs(pack(dests)))
+    assert w.done and w.violation is None and w.pos == len(dests)
+    assert w.steps == len(dests)
+    assert cfg.hops.lookups < len(dests) / 4
