@@ -107,15 +107,12 @@ class ScenarioSpec:
             except ValueError as exc:
                 raise ScenarioError(f"{name}: {exc}") from None
         # each response, about one a tick at most, takes the next challenge
-        if _RANGES["initial_chal"][1] - self.initial_chal <= self.max_ticks:
+        if wire.FIELD_RANGES["initial_chal"][1] - self.initial_chal <= self.max_ticks:
             raise ScenarioError(f"initial_chal: {self.initial_chal} leaves fewer than "
                                 f"max_ticks + 1 = {self.max_ticks + 1} challenges above it")
 
 
-# the values an integer field must hold to fit the field it fills on the wire
-_RANGES = {"delta": (1, 2 ** 64 - 1), "app_id": (0, 0xFFFF),
-           "initial_chal": (1, 2 ** (8 * wire.CHAL_WIDTH) - 1)}
-_CHECKED = (*_RANGES, "log_max")
+_CHECKED = (*wire.FIELD_RANGES, "log_max")
 
 
 def _check_field(name: str, value) -> None:
@@ -123,8 +120,8 @@ def _check_field(name: str, value) -> None:
     a field not in ``_CHECKED`` fits any value its parser gives."""
     if name == "log_max":
         ProverConfig(log_max=value)       # the device's own check
-    elif name in _RANGES:
-        low, high = _RANGES[name]
+    elif name in wire.FIELD_RANGES:
+        low, high = wire.FIELD_RANGES[name]
         if not low <= value <= high:
             raise ValueError(f"{value} out of range {low}..{high}")
 

@@ -553,6 +553,12 @@ class VerifierConfig:
     # modelling plain wire corruption can flip this to stay silent instead.
     heal_on_mac_mismatch: bool = True
 
+    def __post_init__(self):
+        for name, (low, high) in wire.FIELD_RANGES.items():
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValueError(f"{name}: {value} out of range {low}..{high}")
+
 
 class Verifier:
     """Holds one attestation session against one device."""
@@ -676,7 +682,6 @@ class Verifier:
 
     def _respond(self, sigma: bytes, result: int) -> bytes:
         self.current_chal += 1
-        resp = wire.Response.make(self.config.key, result, self.current_chal)
-        data = resp.pack()
+        data = wire.response_bytes(self.config.key, result, self.current_chal)
         self.sigma_cache[sigma] = data
         return data

@@ -12,7 +12,9 @@ report's sigma binds the program-memory digest, the log slice, and the
 challenge under HMAC-SHA256, so the receiver recomputes it with the digest
 it EXPECTS and a modified program or log surfaces as a MAC mismatch.
 
-A request or a response is read in one call, ``open``: it checks the
+Each MAC is HMAC-SHA256 (RFC 2104), computed from copies of the SHA-256
+states after the key's inner and outer pad. Messages are named tuples;
+a request or a response is read in one call, ``open``: it checks the
 framing, then the MAC over the bytes received, and decodes only what
 authenticates. Anything else opens to None.
 """
@@ -20,9 +22,10 @@ authenticates. Anything else opens to None.
 from __future__ import annotations
 
 import functools
+import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MSG_REQUEST = 0x00
 MSG_REPORT = 0x01
@@ -42,6 +45,12 @@ REPORT_HEADER_WIDTH = 1 + MAC_WIDTH + 4
 _U32 = struct.Struct(">I")
 _REQUEST_HEAD = struct.Struct(">BHQ")          # type, app_id, delta
 _REPORT_TAG = bytes((MSG_REPORT,))
+_RESPONSE = struct.Struct(f">BB{CHAL_WIDTH}s{MAC_WIDTH}s")   # type, result, chal, sigma
+_RESULT_BYTES = {b: bytes((b,)) for b in range(256)}    # a bad result raises
+
+# the values a config field must hold to fit the request field it fills
+FIELD_RANGES = {"delta": (1, 2 ** 64 - 1), "app_id": (0, 0xFFFF),
+                "initial_chal": (1, 2 ** (8 * CHAL_WIDTH) - 1)}
 
 
 # keys kept keyed: a device's and its verifier's, with room to spare
@@ -49,30 +58,34 @@ KEYED_CACHE_SIZE = 8
 
 
 @functools.lru_cache(maxsize=KEYED_CACHE_SIZE)
-def _keyed(key: bytes) -> hmac.HMAC:
-    """HMAC-SHA256 keyed with ``key`` and fed nothing. Shared: only its
-    copies are fed."""
-    return hmac.new(key, digestmod="sha256")
+def _keyed(key: bytes) -> tuple:
+    """The SHA-256 states fed ``key``'s inner pad and its outer pad. Shared:
+    only their copies are fed."""
+    if len(key) > 64:                   # SHA-256's block
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(64, b"\0")
+    return (hashlib.sha256(bytes(b ^ 0x36 for b in key)),
+            hashlib.sha256(bytes(b ^ 0x5C for b in key)))
 
 
 def mac(key: bytes, *chunks: bytes) -> bytes:
-    """HMAC-SHA256 of the chunks' concatenation, started from a copy of the
-    key's keyed state instead of keying afresh."""
-    state = _keyed(key).copy()
-    state.update(b"".join(chunks))
-    return state.digest()
+    """HMAC-SHA256 of the chunks' concatenation, from the key's padded states."""
+    inner, outer = _keyed(key)
+    inner = inner.copy()
+    inner.update(b"".join(chunks))
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
-def macs_equal(a: bytes, b: bytes) -> bool:
-    return hmac.compare_digest(a, b)
+macs_equal = hmac.compare_digest
 
 
 def chal_bytes(value: int) -> bytes:
     return value.to_bytes(CHAL_WIDTH, "big")
 
 
-@dataclass(frozen=True)
-class AttestRequest:
+class AttestRequest(NamedTuple):
     app_id: int
     delta: int
     chal: int
@@ -94,8 +107,7 @@ class AttestRequest:
         return cls(app_id, delta, int.from_bytes(chal, "big"))
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     sigma: bytes
     log: bytes
 
@@ -117,19 +129,24 @@ def report_sigma(key: bytes, digest: bytes, log: bytes, chal: int) -> bytes:
     return mac(key, digest, _U32.pack(len(log)), log, chal_bytes(chal))
 
 
-@dataclass(frozen=True)
-class Response:
+def response_bytes(key: bytes, result: int, chal: int) -> bytes:
+    """The response ``Response.make(key, result, chal)`` packs to, built in
+    one pass with the challenge encoded once."""
+    chal = chal_bytes(chal)
+    return _RESPONSE.pack(MSG_RESPONSE, result, chal, mac(key, chal, _RESULT_BYTES[result]))
+
+
+class Response(NamedTuple):
     result: int
     chal: int            # challenge for the NEXT report
     sigma: bytes
 
     @classmethod
     def make(cls, key: bytes, result: int, chal: int) -> "Response":
-        return cls(result, chal, mac(key, chal_bytes(chal), bytes((result,))))
+        return cls(result, chal, response_bytes(key, result, chal)[-MAC_WIDTH:])
 
     def pack(self) -> bytes:
-        return b"".join((bytes((MSG_RESPONSE, self.result)), chal_bytes(self.chal),
-                         self.sigma))
+        return _RESPONSE.pack(MSG_RESPONSE, self.result, chal_bytes(self.chal), self.sigma)
 
     @classmethod
     def open(cls, key: bytes, data: bytes) -> "Response | None":

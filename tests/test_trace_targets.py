@@ -24,11 +24,8 @@ def test_every_traced_name_is_in_its_owners_namespace():
     assert spans.targets_intact(originals)
 
 
-def test_a_traced_session_reaches_the_bound_gateway_service():
-    """A prover binds ``service_gateway`` to its log when it is built,
-    looking the name up then. ``scenario.run`` builds its provers inside
-    the traced call, so a session run under the tracer goes through the
-    wrapper: the traced run's gateway figures come from there."""
+def traced_benign_pulse():
+    """The tracer after one ``benign_pulse`` session run under it."""
     sys.path.insert(0, PERFBENCH)
     try:
         import spans
@@ -37,5 +34,26 @@ def test_a_traced_session_reaches_the_bound_gateway_service():
     tracer = spans.Tracer(outside_ns=0)
     with tracer.installed():
         scenario.run(scenario.parse_scenario(SCENARIOS / "benign_pulse.scn"))
+    return tracer
+
+
+def test_a_traced_session_reaches_the_bound_gateway_service():
+    """A prover binds ``service_gateway`` to its log when it is built,
+    looking the name up then. ``scenario.run`` builds its provers inside
+    the traced call, so a session run under the tracer goes through the
+    wrapper: the traced run's gateway figures come from there."""
+    tracer = traced_benign_pulse()
     # every logged transfer of the session: 22 arrivals, the exit door aside
     assert tracer.calls[tracer.index["service_gateway"]] == 22
+
+
+def test_a_traced_session_reaches_the_wrapped_report_sigma():
+    """Both ends reach the evidence MAC through ``wire.report_sigma``, the
+    name the tracer wraps, so the traced run's ``wire.sigma_calls``,
+    ``wire.mac_bytes`` and ``auth_macs_per_report`` count every one. A MAC
+    inlined past that name would leave them reading short, not fail."""
+    tracer = traced_benign_pulse()
+    # one slice: signed by the device, authenticated by the verifier
+    assert tracer.calls[tracer.index["report_sigma"]] == 2
+    assert tracer.counts["auth_macs"] == 1
+    assert tracer.counts["mac_bytes"] == 384

@@ -427,6 +427,27 @@ def test_verifier_full_session_against_device():
     assert p.state is ProverState.WAITING
 
 
+@pytest.mark.parametrize("name, value", [
+    ("initial_chal", -1), ("initial_chal", 0),
+    pytest.param("initial_chal", 2 ** 512, id="initial_chal-2**512"),
+    ("app_id", 70000), ("app_id", -1),
+    ("delta", -5), ("delta", 0), ("delta", 2 ** 64)])
+def test_a_config_the_request_cannot_carry_is_refused_naming_its_field(name, value):
+    # refused when built, not as an OverflowError or struct.error from start()
+    with pytest.raises(ValueError, match=rf"^{name}: {value} out of range"):
+        VerifierConfig(**{name: value})
+
+
+@pytest.mark.parametrize("app_id, delta, chal", [
+    pytest.param(0, 1, 1, id="low"),
+    pytest.param(0xFFFF, 2 ** 64 - 1, 2 ** 512 - 1, id="high")])
+def test_a_config_at_the_wire_s_bounds_is_requested_as_it_is(app_id, delta, chal):
+    asm2, _ = instrument(CALLS)
+    v = Verifier(asm2, VerifierConfig(app_id=app_id, delta=delta, initial_chal=chal))
+    (req,) = v.start(0)
+    assert wire.AttestRequest.open(KEY, req) == wire.AttestRequest(app_id, delta, chal)
+
+
 def test_duplicate_slice_answered_from_cache_without_rewalking():
     v = fresh()
     _, _, dests = oracle_destinations(CALLS)

@@ -142,9 +142,15 @@ MANY_KEYS = [bytes([i]) * (20 + 7 * i) for i in range(wire.KEYED_CACHE_SIZE + 3)
                           st.lists(st.binary(max_size=80), max_size=5)),
                 min_size=1, max_size=20))
 @example(keys=MANY_KEYS, calls=[(i, [b"chunk", bytes([i])]) for i in range(30)])
+@example(keys=[bytes(range(0)), b"k"], calls=[(0, [b"chunk"]), (1, [])])
+@example(keys=[bytes(range(63)), b"k"], calls=[(0, [b"chunk"]), (1, [])])
+@example(keys=[bytes(range(64)), b"k"], calls=[(0, [b"chunk"]), (1, [])])
+@example(keys=[bytes(range(65)), b"k"], calls=[(0, [b"chunk"]), (1, [])])
+@example(keys=[bytes(range(129)), b"k"], calls=[(0, [b"chunk"]), (1, [])])
 def test_mac_equals_one_hmac_over_the_joined_chunks(keys, calls):
-    # keys short, at the block size and longer; a key's keyed state is
-    # copied for each MAC, never fed itself
+    # keys empty, short, at the 64-byte block and longer (hashed first, one
+    # more than two blocks at 129); a key's padded states are copied for
+    # each MAC, never fed themselves
     def check(key, chunks):
         assert wire.mac(key, *chunks) == stdlib_hmac.digest(key, b"".join(chunks), "sha256")
     for pick, chunks in calls:
