@@ -87,6 +87,7 @@ V_MALFORMED = "Malformed"
 V_MAC = "MacMismatch"
 
 _SHADOW_LIMIT = 4096
+_LAST_CHAL = wire.FIELD_RANGES["initial_chal"][1]     # the wire's largest challenge
 _PERIOD_CAP = 64      # the longest period the walk looks for, in words
 _PERIOD_MIN = 16      # the shortest plain run it anchors in
 
@@ -555,6 +556,8 @@ class VerifierConfig:
 
     def __post_init__(self):
         for name, (low, high) in wire.FIELD_RANGES.items():
+            if name == "initial_chal":
+                high -= 1             # the first response takes the one after it
             value = getattr(self, name)
             if not low <= value <= high:
                 raise ValueError(f"{name}: {value} out of range {low}..{high}")
@@ -623,11 +626,11 @@ class Verifier:
         cached = self.sigma_cache.get(report.sigma)
         if cached is not None:
             self.duplicates += 1
-            return [cached]
+            return [cached] if cached else []
         digest = self._authenticate(report)
         if digest is None:
             self.rejected += 1
-            if not self.config.heal_on_mac_mismatch:
+            if not self.config.heal_on_mac_mismatch or self.current_chal == _LAST_CHAL:
                 return []
             if self.violation is None:
                 self.violation = Violation(
@@ -637,7 +640,14 @@ class Verifier:
         self.audited += 1
         self.log_bytes += len(report.log)
         self.last_digest = digest
-        return [self._respond(report.sigma, self._audit(report, digest))]
+        result = self._audit(report, digest)
+        if self.current_chal == _LAST_CHAL:
+            # no challenge is left to answer with: the session ends
+            # unanswered, and so does every duplicate of the report
+            self.session_over = True
+            self.sigma_cache[report.sigma] = b""
+            return []
+        return [self._respond(report.sigma, result)]
 
     def _authenticate(self, report: wire.Report) -> bytes | None:
         """Returns the image digest the evidence binds, or None.

@@ -36,6 +36,42 @@ and ``mov``s (no pc operand, no lr target) folds into one closure that
 gives each register its final 32-bit value, and a ``cmp`` joins the
 ``bcond`` after it.
 
+A counted self-loop runs its iterations in closed form. A block is one
+when its fused ``cmp`` and ``bcond`` branch back to its own start, its
+body is only ``mov``, ``add``/``sub`` (immediate or register) and ``ldr``,
+writes none of pc, sp and lr and names pc nowhere, and one pass over the
+body, reading each value as an expression, shows:
+
+- an ``ldr`` addresses through a base that is invariant, the same every
+  iteration;
+- each register the body writes ends the iteration invariant, or as its
+  own entry value plus an invariant, its step; a written register's entry
+  value is read only on the way to its own end value, and never
+  subtracted;
+- one compared operand steps and the other is invariant.
+
+Such a block is kept in ``_Code.loops``, never in ``blocks``, so only a
+dispatch that misses ``blocks`` and may run two or more instructions
+looks for it. Exactness: an invariant is computed from immediates,
+registers the body never writes, words loaded from invariant addresses of
+memory the body never stores to, and registers written before it in the
+same iteration from those. No entry value of a written register enters
+it, so every iteration computes it alike, the first included; a step is
+a sum of invariants, so the step of one ordinary iteration is the step of
+every later one. ``run`` therefore runs one ordinary iteration, which
+makes each load and takes any fault it raises, and reads the steps from
+it: j more iterations leave each stepping register plus j times its step
+mod 2**32 and every other register as that iteration left it. The
+compared register takes x + i·s at the i-th of them; in the signed
+order, its value biased by 2**31 (and mirrored when s steps down) rises
+strictly until it would wrap, so the i for which the branch stays taken
+form a run that ends where it first meets or passes the bound, in closed
+form. ``run`` takes j of them, no more than that run, stopping short of
+the wrap, and no more than fit whole within the limit and the watchdog
+deadline, then sets the flags by the terminator; the counters, ``last``
+and ``prev``, the cycle count and the timer come out as after j blocks.
+Everything else, the wrap included, runs as ordinary dispatch.
+
 An image's closures and blocks are built on first fetch and shared by
 every machine of it, for the ``isa.IMAGE_CACHE_SIZE`` images used last;
 a machine that writes its program memory builds its own from then on. A
@@ -353,7 +389,17 @@ class Machine:
                             ev = NscEntry(pc)
                             break
                         if budget - n > 1 and code.covers(pc):
-                            blk = code.block(pc)
+                            loop = code.loops.get(pc)
+                            if loop is None:
+                                blk = code.block(pc)
+                            elif loop[2] <= budget - n:
+                                pc, runs = _iterate(loop, pc, regs, st,
+                                                    (budget - n) // loop[2] - 1)
+                                n += runs * loop[2]
+                                prev, last = loop[4], loop[3]
+                                continue
+                            else:
+                                blk = loop[:5]
                         else:                 # one instruction, no block built
                             f = ops.get(pc) or self._fetch(pc)
                             if f.__class__ is Fault:
@@ -638,12 +684,101 @@ def _fold(insts: list[tuple[int, int, int, int]]) -> Callable | None:
     return f
 
 
+_LOOP_BODY = frozenset({OP_MOV_IMM, OP_MOV_REG, OP_ADD_RI, OP_SUB_RI, OP_ADD_RR,
+                        OP_SUB_RR, OP_LDR})
+_INV = -1       # a value that is the same in every iteration
+
+
+def _self_loop(insts: list[tuple[int, int, int, int]]) -> tuple | None:
+    """The closed form of a block whose ``cmp`` and ``bcond`` branch back
+    to its start: (the registers that step, the place among them of the
+    compared one, the other compared register or None, the compared
+    immediate, whether the stepping register is compared second). None
+    when the block is no counted self-loop (see the module docstring)."""
+    *body, (op, ra, rb, imm), _ = insts
+    written = {d for _, d, _, _ in body}
+    if written & {PC, SP, LR} or any(o not in _LOOP_BODY for o, _, _, _ in body):
+        return None
+    # each register, symbolically: _INV, or the written register whose
+    # entry value it is, plus something that is the same every iteration
+    val: dict[int, int] = {}
+
+    def of(r: int) -> int:
+        return val.get(r, r if r in written else _INV)
+
+    for o, d, s, i in body:
+        if o == OP_MOV_IMM:
+            val[d] = _INV
+            continue
+        if s == PC or (o == OP_ADD_RR or o == OP_SUB_RR) and i == PC:
+            return None
+        v = of(s)
+        if o == OP_LDR:
+            if v != _INV:             # a load whose address may move
+                return None
+        elif o == OP_ADD_RR or o == OP_SUB_RR:
+            w = of(i)
+            if w != _INV:
+                if o == OP_SUB_RR or v != _INV:   # not an entry value plus a step
+                    return None
+                v = w
+        val[d] = v
+    if any(of(r) not in (_INV, r) for r in written):
+        return None
+    stepping = tuple(sorted(r for r in written if of(r) == r))
+    left, right = of(ra), _INV if op == OP_CMP_RI else of(rb)
+    if left == ra and right == _INV:
+        x, other, second = ra, None if op == OP_CMP_RI else rb, False
+    elif op == OP_CMP_RR and right == rb and left == _INV:
+        x, other, second = rb, ra, True
+    else:
+        return None
+    return stepping, stepping.index(x), other, imm, second
+
+
+def _iterate(loop: tuple, head: int, regs: list, st: list, room: int) -> tuple[int, int]:
+    """One iteration of the self-loop at ``head`` as its block runs it,
+    then, while its branch stays taken, up to ``room`` more at once: the
+    next pc and the iterations run."""
+    body, term, _, _, _, stepping, x, other, bound, second, taken = loop
+    entry = [regs[r] for r in stepping]
+    for f in body:
+        f(regs, st)
+    nxt = term(regs, st)
+    if nxt != head:
+        return nxt, 1
+    steps = [(r, (regs[r] - e) & MASK32) for r, e in zip(stepping, entry)]
+    step = steps[x][1]
+    a = regs[stepping[x]] ^ _SIGN
+    b = (bound if other is None else regs[other]) ^ _SIGN
+    if step >> 31:                    # a step down: count up in the mirrored order
+        step, a, b, second = -step & MASK32, MASK32 - a, MASK32 - b, not second
+    if step:
+        # the flags of the i-th further compare: below b for i <= lo, at
+        # b for i = lo + 1 when eq, above b after, until a + i * step wraps
+        below, above = (0, 1) if second else (1, 0)
+        wrap, c = (MASK32 - a) // step, b - a
+        lo, eq = ((c - 1) // step, not c % step) if c > 0 else (0, False)
+        k = 0
+        for span, flags in ((lo, below), (eq, 2), (wrap, above)):
+            if span and not taken[flags]:
+                break
+            k += span
+        room = min(room, k, wrap)
+    if room:
+        for r, s in steps:
+            regs[r] = (regs[r] + room * s) & MASK32
+        term(regs, st)
+    return head, 1 + room
+
+
 class _Code:
     """The closures of an image or a machine's own ``pmem``, by pc and
     block, and its SHA-256 once measured."""
 
     def __init__(self, pmem: bytes | bytearray):
-        self.pmem, self.ops, self.blocks = pmem, {}, {}     # ops, blocks: by pc
+        # by pc: closures, blocks, and self-loops (never in ``blocks``)
+        self.pmem, self.ops, self.blocks, self.loops = pmem, {}, {}, {}
         self.digest: bytes | None = None
 
     def covers(self, pc: int) -> bool:
@@ -653,7 +788,8 @@ class _Code:
 
     def block(self, pc: int) -> tuple:
         """(body, terminator returning the next pc, size, last pc, the pc
-        before it or None) of the block at ``pc``."""
+        before it or None) of the block at ``pc``; a self-loop's goes into
+        ``loops`` with its closed form appended."""
         insts, at, end = [], pc, PMEM_BASE + len(self.pmem) - INSTR_WIDTH
         while at <= end:
             insts.append(op := _decode(_load(self.pmem, at - PMEM_BASE)[0]))
@@ -661,9 +797,12 @@ class _Code:
             if op[0] in _CONTROL or op[:2] == (OP_POP, PC):
                 break
         size, (op, ra, _, imm) = len(insts), insts[-1]
+        loop = None
         if op == OP_BCOND and size > 1 and insts[-2][0] in (OP_CMP_RI, OP_CMP_RR) \
                 and PC not in insts[-2][1:3]:
             n, term = size - 2, _compare(insts[-2], _COND_TAKEN[ra], imm, at)
+            if imm == pc:
+                loop = _self_loop(insts)
         elif op in _CONTROL or (op == OP_POP and ra == PC):
             n, term = size - 1, _translate(insts[-1], at - INSTR_WIDTH)
         else:
@@ -677,8 +816,12 @@ class _Code:
             folded = fold and len(run) > 1 and _fold([insts[k] for k in run])
             body += [folded] if folded else [_translate(insts[k], pc + k * INSTR_WIDTH)
                                              for k in run]
-        blk = self.blocks[pc] = (tuple(body), term, size, at - INSTR_WIDTH,
-                                 at - 2 * INSTR_WIDTH if size > 1 else None)
+        blk = (tuple(body), term, size, at - INSTR_WIDTH,
+               at - 2 * INSTR_WIDTH if size > 1 else None)
+        if loop is None:
+            self.blocks[pc] = blk
+        else:
+            self.loops[pc] = blk + (*loop, _COND_TAKEN[ra])
         return blk
 
 

@@ -3,19 +3,20 @@ context block, report generation, retransmission, remediation, and the
 reset/boot recovery path. Verifier-side messages are crafted by hand so
 each device behavior is pinned independently."""
 
+import functools
 import hashlib
 import random
 
 import pytest
 
 from cfaudit import isa, wire
-from cfaudit.cfa_engine import CfLog, decompress
+from cfaudit.cfa_engine import CfLog, decompress, runs
 from cfaudit.instrument import instrument
 from cfaudit.resolver import POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE, WIPE_CHUNK
 from cfaudit.isa import LR, NSC_EXIT, TRAMP_COND, TRAMP_ICALL, TRAMP_LOOP, TRAMP_RET
 from cfaudit.context import (AuditContext, CTX_HEADER_SIZE, F_FINAL, F_FROZEN,
                              F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET)
-from cfaudit.supervisor import Prover, ProverConfig, ProverState
+from cfaudit.supervisor import Prover, ProverConfig, ProverState, service_gateway
 from cfaudit.vm import Machine, NscEntry, World
 
 from support import (advance_by_events, generate_program, load_input,
@@ -144,6 +145,75 @@ def test_loop_service_writes_counted_record():
     assert decompress(log.to_bytes()) == [prog2.labels["loop"]] * 5
     assert len(log.to_bytes()) == 8                   # address + count, once
     assert m.pc == exit_pc
+
+
+WINDOW = """
+main:
+    mov r7, #input_base
+    ldr r5, [r7, #0]
+    mov r2, #0
+window:
+    add r2, r2, #1
+    cmp r2, r5
+    {branch} window
+    nsc_call
+"""
+
+
+def window_traversals(asm, limit):
+    """Run ``asm``, whose counted loop at ``window`` reads its limit from
+    input word 0, to the exit door under the bound gateway service, with
+    no scenario clock. Returns the traversals the loop's static record
+    logs (counts unexpanded) and the backward branches the VM took."""
+    asm2, _ = instrument(asm)
+    prog2 = isa.assemble(asm2)
+    head = prog2.labels["window"]
+
+    def drive(words):
+        m = Machine(prog2.image)
+        load_input(m, words)
+        log = CfLog(capacity=256)
+        m.enter_nonsecure(prog2.entry)
+        n, ev = m.run(None, functools.partial(service_gateway, m, log, {}))
+        assert ev == NscEntry(NSC_EXIT)
+        return n, sum(count for unit, count in runs(log.to_bytes()) if unit == (head,)), m
+
+    once, logged, m = drive([1])       # one iteration: no backward branch
+    assert logged == 0 and head in m._code.loops      # the loop runs in closed form
+    n, logged, _ = drive([limit])
+    return logged, (n - once) // m._code.loops[head][2]    # instructions an iteration
+
+
+@pytest.mark.parametrize("branch, limit", [
+    ("bne", 5),
+    pytest.param("bne", 0, marks=pytest.mark.xfail(
+        strict=True, reason="D2: a runtime limit of 0 wraps 2**32 - 1 times, logged as 0")),
+    pytest.param("blt", 2 ** 29 + 4, marks=pytest.mark.xfail(
+        strict=True, reason="D3: the static record clamps its limit at 2**29 - 1")),
+], ids=["limit-5", "limit-0", "limit-2**29+4"])
+def test_a_static_record_logs_every_backward_branch_the_loop_takes(branch, limit):
+    logged, taken = window_traversals(WINDOW.format(branch=branch), limit)
+    assert logged == taken
+
+
+def test_a_register_limit_loop_of_2_28_iterations_runs_to_the_exit_door():
+    # the particle_count shape; dispatching each iteration would take minutes
+    asm = """
+    main:
+        mov r7, #input_base
+        ldr r5, [r7, #0]
+        mov r4, #0
+        mov r2, #0
+    window:
+        ldr r3, [r7, #0]
+        add r4, r4, r3
+        sub r0, r0, #1
+        add r2, r2, #1
+        cmp r2, r5
+        blt window
+        nsc_call
+    """
+    assert window_traversals(asm, 1 << 28) == ((1 << 28) - 1,) * 2
 
 
 def test_full_log_parks_the_machine():

@@ -429,6 +429,8 @@ def test_verifier_full_session_against_device():
 
 @pytest.mark.parametrize("name, value", [
     ("initial_chal", -1), ("initial_chal", 0),
+    # no challenge would be left for the first response (D22)
+    pytest.param("initial_chal", 2 ** 512 - 1, id="initial_chal-2**512-1"),
     pytest.param("initial_chal", 2 ** 512, id="initial_chal-2**512"),
     ("app_id", 70000), ("app_id", -1),
     ("delta", -5), ("delta", 0), ("delta", 2 ** 64)])
@@ -440,12 +442,40 @@ def test_a_config_the_request_cannot_carry_is_refused_naming_its_field(name, val
 
 @pytest.mark.parametrize("app_id, delta, chal", [
     pytest.param(0, 1, 1, id="low"),
-    pytest.param(0xFFFF, 2 ** 64 - 1, 2 ** 512 - 1, id="high")])
+    # the highest start leaves the wire's last challenge for the first response
+    pytest.param(0xFFFF, 2 ** 64 - 1, 2 ** 512 - 2, id="high")])
 def test_a_config_at_the_wire_s_bounds_is_requested_as_it_is(app_id, delta, chal):
     asm2, _ = instrument(CALLS)
     v = Verifier(asm2, VerifierConfig(app_id=app_id, delta=delta, initial_chal=chal))
     (req,) = v.start(0)
     assert wire.AttestRequest.open(KEY, req) == wire.AttestRequest(app_id, delta, chal)
+
+
+def test_a_report_at_the_last_challenge_ends_the_session_unanswered():
+    # D22's reproduction is refused where the config is built
+    with pytest.raises(ValueError, match=r"^initial_chal: "):
+        Verifier(cfg_of("main:\n nsc_call\n"), VerifierConfig(initial_chal=2 ** 512 - 1))
+    last = 2 ** 512 - 1
+    v = fresh(initial_chal=last - 1)
+    _, _, dests = oracle_destinations(CALLS)
+    first, second = make_report(v, dests[:1], last - 1), make_report(v, dests[1:], last)
+    (answer,) = v.handle(first)
+    assert wire.Response.open(KEY, answer) == wire.Response.make(KEY, wire.RESULT_EXEC, last)
+    assert not v.session_over
+    # authenticated and audited, but no challenge is left to answer with
+    assert v.handle(second) == []
+    assert v.session_over and v.current_chal == last and v.violation is None
+    assert (v.audited, v.destinations_seen) == (2, len(dests))
+    # a duplicate of either is answered as the original was, and not re-audited
+    assert v.handle(second) == [] and v.handle(first) == [answer]
+    assert (v.audited, v.duplicates, v.destinations_seen) == (2, 2, len(dests))
+    # a forged report there changes nothing: no heal can be answered
+    v = fresh(initial_chal=last - 1)
+    v.handle(first)
+    forged = wire.Report(b"\x00" * 32, b"").pack()
+    assert v.handle(forged) == [] and v.handle(forged) == []
+    assert v.rejected == 2 and v.violation is None and not v.session_over
+    assert v.handle(second) == [] and v.session_over
 
 
 def test_duplicate_slice_answered_from_cache_without_rewalking():

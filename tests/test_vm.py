@@ -3,6 +3,7 @@ window, and the closures checked against the opcode chain they replaced."""
 
 import gc
 import hashlib
+import itertools
 import random
 import weakref
 from dataclasses import replace
@@ -399,15 +400,17 @@ def test_write_pmem_refreshes_decode_cache():
 
 
 def test_machines_of_one_image_keep_their_own_predecoded_words():
-    prog = isa.assemble("main:\n mov r0, #7\n mov r1, #9\n halt\n")
+    prog = isa.assemble("main:\n mov r0, #7\n mov r1, #9\n"
+                        "loop:\n add r1, r1, #1\n cmp r1, #20\n blt loop\n halt\n")
+    head = prog.labels["loop"]
     a, b = Machine(prog.image), Machine(prog.image)
     shared = b._code
     assert a._code is shared and shared is vm._image_code(prog.image)
-    probe = Machine(prog.image)                 # builds the image's block
+    probe = Machine(prog.image)                 # builds the image's blocks and loop
     probe.pc = prog.entry
-    assert probe.run() == (2, Halted())
-    built = dict(shared.blocks)
-    assert built
+    assert probe.run() == (2 + 3 * 11, Halted())
+    built, loops = dict(shared.blocks), dict(shared.loops)
+    assert built and list(loops) == [head]
     image_digest = hashlib.sha256(prog.image).digest()
     assert a.hash_pmem() == b.hash_pmem() == image_digest    # measured once, shared
     halt_word = isa.Instruction(isa.OP_HALT, 0, 0, 0).encode()
@@ -426,8 +429,15 @@ def test_machines_of_one_image_keep_their_own_predecoded_words():
         m.pc = prog.entry
         assert isinstance(m.step(), Executed) and isinstance(m.step(), Executed)
         assert (m.regs[0], m.regs[1]) == (7, 9)
-        assert isinstance(m.step(), Halted)
+        assert m.run() == (3 * 11, Halted()) and m.regs[1] == 20     # the loop, shared
     assert b._code is shared and all(shared.blocks[pc] is blk for pc, blk in built.items())
+    assert shared.loops == loops and shared.loops[head] is loops[head]
+    # the patched machine runs the loop from entries of its own
+    a.reset()
+    a.pc = head
+    assert a.run() == (3 * 20, Halted()) and a.regs[1] == 20
+    assert list(a._code.loops) == [head] and a._code.loops[head] is not loops[head]
+    assert shared.loops == loops and shared.loops[head] is loops[head]
 
 
 def test_push_pop_pair():
@@ -875,6 +885,149 @@ def test_a_deadline_at_every_offset_of_a_block(limit):
         events = assert_blocks_match_steps(make, limit)
         assert TimerTrigger() in events
         assert events[-1].addr == NSC_EXIT
+
+
+# --- counted self-loops against the reference chain ----------------------------
+
+# r2 steps and is compared, by an immediate or by r6; r5 is its bound, or is
+# loaded into each iteration from [r7, #8]; r0, r1 and r4 may step too
+INDUCTIONS = [lambda i: I(isa.OP_ADD_RI, 2, 2, i), lambda i: I(isa.OP_SUB_RI, 2, 2, i),
+              lambda i: I(isa.OP_ADD_RR, 2, 2, 6), lambda i: I(isa.OP_ADD_RR, 2, 6, 2),
+              lambda i: I(isa.OP_SUB_RR, 2, 2, 6)]
+LOOP_FILLER = st.sampled_from([
+    I(isa.OP_ADD_RI, 0, 0, 3), I(isa.OP_SUB_RI, 0, 0, 1), I(isa.OP_MOV_IMM, 1, 0, 9),
+    I(isa.OP_LDR, 3, 7, 0), I(isa.OP_LDR, 3, 7, 4), I(isa.OP_ADD_RR, 4, 4, 3),
+    I(isa.OP_SUB_RR, 4, 4, 1), I(isa.OP_MOV_REG, 1, 3), I(isa.OP_ADD_RR, 1, 1, 5),
+    I(isa.OP_LDR, 5, 7, 8),
+    # none of these is a counted self-loop: the loop keeps the block path
+    (I(isa.OP_ADD_RI, 0, 0, 3), I(isa.OP_MOV_REG, 8, 0)), I(isa.OP_ADD_RR, 0, 0, 0),
+    I(isa.OP_SUB_RR, 0, 1, 0), I(isa.OP_LDR, 7, 7, 0),
+]).map(lambda f: (f,) if isinstance(f, I) else f)
+COMPARES = [I(isa.OP_CMP_RR, 2, 5), I(isa.OP_CMP_RR, 5, 2)]
+NEAR_EDGE = st.one_of(
+    st.builds(lambda edge, off: (edge + off) & vm.MASK32,
+              st.sampled_from([0, 1 << 31, 1 << 32]), st.integers(-80, 80)),
+    st.integers(0, vm.MASK32))
+ITERATIONS = st.tuples(st.integers(0, 50), st.integers(-2, 2))
+STEP = st.one_of(st.integers(-9, 9).map(lambda s: s & vm.MASK32),
+                 st.sampled_from([(1 << 31) - 1, 1 << 31, (1 << 31) + 1]),
+                 st.integers(0, vm.MASK32))
+
+
+@settings(max_examples=600, deadline=None)
+@given(prefix=st.booleans(), induction=st.sampled_from(range(5)), imm=IMM, step=STEP,
+       filler=st.lists(st.tuples(st.booleans(), LOOP_FILLER), max_size=5),
+       compare=st.sampled_from(range(3)), cond=st.sampled_from(range(6)),
+       x=NEAR_EDGE, bound=NEAR_EDGE,
+       aim=st.one_of(st.none(), st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 40)),
+                                          st.sampled_from([0, 0, 0, -2, -1, 1, 2]))),
+       words=st.one_of(st.none(), st.lists(NEAR_EDGE, min_size=3, max_size=3)),
+       base=st.sampled_from([DMEM_BASE + 64, DMEM_BASE + 66, MATRIX_UNMAPPED]),
+       world=st.sampled_from(["ns", "secure"]), delta=ITERATIONS,
+       limits=st.lists(ITERATIONS, min_size=1, max_size=4))
+def test_counted_self_loops_run_as_the_reference_chain(
+        prefix, induction, imm, step, filler, compare, cond, x, bound, aim, words, base,
+        world, delta, limits):
+    head = PMEM_BASE + 4 * prefix
+    body = [i for first, f in filler if first for i in f] + [INDUCTIONS[induction](imm)] \
+        + [i for first, f in filler if not first for i in f]
+    if compare == 2:
+        bound &= 0xFFFF
+    cmp = COMPARES[compare] if compare < 2 else I(isa.OP_CMP_RI, 2, 0, bound)
+    if aim is not None:
+        # the bound is ``trips`` steps of r2 away, give or take ``skew``
+        trips, skew = aim
+        s = (imm, -imm, step, step, -step)[induction]
+        x = (bound - trips * s - skew) & vm.MASK32
+    if words is None:             # a chain: a load through r7 moves it on
+        words = [DMEM_BASE + 68, DMEM_BASE + 72, DMEM_BASE + 76]
+    # whole iterations, give or take a few instructions
+    delta, *limits = [max(1, (len(body) + 2) * whole + part) for whole, part in [delta, *limits]]
+    assert_loop_runs_as_the_reference_chain(
+        [I(isa.OP_MOV_IMM, 1, 0, 5)] * prefix + body + [cmp, I(isa.OP_BCOND, cond, 0, head)],
+        [7, 0, x, 0, 11, bound, step, base, 0], words[:2] + [bound if aim else words[2]],
+        limits * 3, delta if world == "ns" else None)
+
+
+def assert_loop_runs_as_the_reference_chain(code, regs, words, limits, delta=None):
+    """Run ``code`` and an exit door from pmem's start, with ``regs`` from
+    r0 and ``words`` at dmem_base + 64, in calls of each of ``limits`` on
+    a machine and on the reference chain, and compare their whole states
+    after every call. With ``delta`` they run Non-Secure under a watchdog,
+    re-armed at every deadline."""
+    image = b"".join(i.encode() for i in [*code, I(isa.OP_NSC_CALL)])
+
+    def make(cls):
+        m = cls(image)
+        m.regs[:len(regs)] = regs
+        load_input(m, [0] * 16 + words)
+        if delta is not None:
+            m.timer.arm(delta)
+            m.enter_nonsecure(PMEM_BASE)
+        return m
+
+    a, b = make(Machine), make(ReferenceMachine)
+    for limit in limits:
+        ran = a.run(limit)
+        assert ran == b.run(limit)
+        assert full_state(a) == full_state(b)
+        if isinstance(ran[1], TimerTrigger):
+            for m in (a, b):
+                m.timer.resume()
+                m.enter_nonsecure(m.pc)
+        elif ran[1] is not None:
+            break
+
+
+@pytest.mark.parametrize("cond", range(6))
+def test_counted_self_loops_meet_their_bound_as_the_reference_chain(cond):
+    # each side of the compare, steps up and down, bounds met or passed at
+    # the first iterations, and a bound near the signed wrap
+    compares = [(cmp, bound) for cmp in COMPARES for bound in (5, (1 << 31) - 2)]
+    for (cmp, bound), step, trips, skew in itertools.product(
+            compares + [(I(isa.OP_CMP_RI, 2, 0, 5), 5)], (1, 3, -1, -3, (1 << 31) + 1),
+            (1, 2, 3, 6), (-1, 0, 1)):
+        x = (bound - trips * step - skew) & vm.MASK32
+        assert_loop_runs_as_the_reference_chain(
+            [I(isa.OP_ADD_RR, 2, 2, 6), cmp, I(isa.OP_BCOND, cond, 0, PMEM_BASE)],
+            [0, 0, x, 0, 0, bound, step & vm.MASK32], [], [3 * 9, 3 * 4 + 1, 30])
+
+
+# a counted self-loop's body, and bodies that break one of its rules, each
+# run with r2 compared to r5 under every condition and limit
+NEAR_LOOPS = {
+    "particle_count": [I(isa.OP_LDR, 3, 7, 0), I(isa.OP_ADD_RR, 4, 4, 3),
+                       I(isa.OP_SUB_RI, 0, 0, 1), I(isa.OP_ADD_RI, 2, 2, 1)],
+    "moving_load": [I(isa.OP_LDR, 7, 7, 0), I(isa.OP_ADD_RI, 2, 2, 1)],
+    "copy_after_step": [I(isa.OP_ADD_RI, 0, 0, 3), I(isa.OP_MOV_REG, 8, 0),
+                        I(isa.OP_ADD_RI, 2, 2, 1)],
+    "copy_before_step": [I(isa.OP_MOV_REG, 8, 0), I(isa.OP_ADD_RI, 0, 0, 3),
+                         I(isa.OP_ADD_RI, 2, 2, 1)],
+    "negated": [I(isa.OP_SUB_RR, 0, 1, 0), I(isa.OP_ADD_RI, 2, 2, 1)],
+    "doubled": [I(isa.OP_ADD_RR, 0, 0, 0), I(isa.OP_ADD_RI, 2, 2, 1)],
+    "both_step": [I(isa.OP_ADD_RI, 5, 5, 1), I(isa.OP_ADD_RI, 2, 2, 2)],
+    "bound_stepped_before": [I(isa.OP_ADD_RI, 2, 2, 1), I(isa.OP_MOV_REG, 5, 2)],
+    "bound_loaded": [I(isa.OP_LDR, 5, 7, 8), I(isa.OP_ADD_RI, 2, 2, 1)],
+}
+
+
+@pytest.mark.parametrize("body", NEAR_LOOPS.values(), ids=NEAR_LOOPS)
+def test_loops_near_a_counted_self_loop_run_as_the_reference_chain(body):
+    size = len(body) + 2
+    for cond, limit in itertools.product(range(6), range(1, 5 * size + 2)):
+        assert_loop_runs_as_the_reference_chain(
+            body + [I(isa.OP_CMP_RR, 2, 5), I(isa.OP_BCOND, cond, 0, PMEM_BASE)],
+            [1, 0, 0, 0, 0, 9, 0, DMEM_BASE + 64],
+            [DMEM_BASE + 68, DMEM_BASE + 72, 7], [limit, 17 * size])
+
+
+def test_a_counted_self_loop_runs_its_iterations_at_once():
+    # 2**32 iterations, far more than dispatching each could run
+    m = load_program("main:\n mov r2, #0\nloop:\n add r2, r2, #1\n"
+                     " cmp r2, #0\n bne loop\n halt\n")
+    assert m.run() == (1 + 3 * (1 << 32), Halted())
+    assert m.regs[2] == 0 and m.flag_z
+    assert list(m._code.loops) == [PMEM_BASE + 4] and PMEM_BASE + 4 not in m._code.blocks
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
