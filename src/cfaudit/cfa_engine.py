@@ -15,6 +15,9 @@ so no repetition goes unlogged. A static-loop record is the pair
 occurrences of the header, the number of backward traversals a canonical
 counted loop performs.
 
+``repeat`` logs many rounds of the repetition in flight in one call, as
+that many appends of its unit would, for a loop that takes them at once.
+
 Compression only collapses immediate repetition anchored at a backward
 edge whose destination matches the last one or two committed entries; no
 general pattern mining. Appends that merely extend a pending repetition
@@ -174,6 +177,27 @@ class CfLog:
         _put_word(self.buf, size, dest)
         _put_word(header, self._size_at, size + ENTRY_WIDTH)
         return True
+
+    def repeat(self, arrivals: tuple[int, ...], k: int) -> int:
+        """Log ``k`` more rounds of the repetition in flight at once, when
+        ``arrivals`` are its unit once round from the element it expects
+        next: as ``k`` times those appends would, but for the flush. It
+        stops one round short of COUNT_MASK, so the append that fills the
+        record is an ordinary one and flushes it. Returns the rounds
+        taken: 0 when nothing is in flight or the arrivals are not that
+        round."""
+        if not self.active:
+            raise InactiveEngine("audit engine is inactive")
+        header, at = self.header, self._state_at
+        unit_len, pos, count, u0, u1 = _get_state(header, at)
+        unit = (u0, u1)[:unit_len]
+        if not unit_len or arrivals != unit[pos:] + unit[:pos]:
+            return 0
+        k = min(k, COUNT_MASK - 1 - count)
+        if k <= 0:
+            return 0
+        _put_progress(header, at + 1, pos, count + k)
+        return k
 
     def _start_repetition(self, dest: int, size: int) -> bool:
         """Put in flight the repetition a backward ``dest`` starts, if any:

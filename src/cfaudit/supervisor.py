@@ -89,6 +89,17 @@ def service_gateway(m: Machine, log: CfLog, calls: dict, addr: int, caller_pc: i
     return resume
 
 
+def repeat_passes(log: CfLog, calls: dict, arrivals: tuple[int, ...], k: int) -> int:
+    """Log up to ``k`` more passes of a loop whose passes each enter
+    ``trampoline_cond`` and resume at ``arrivals``, at once, as the rounds
+    of the log's repetition in flight; counts their calls in ``calls``.
+    Returns the passes the log took."""
+    k = log.repeat(arrivals, k)
+    if k:
+        calls[isa.TRAMP_COND] = calls.get(isa.TRAMP_COND, 0) + k * len(arrivals)
+    return k
+
+
 # --- prover ------------------------------------------------------------------
 
 class ProverState(enum.Enum):
@@ -147,6 +158,8 @@ class Prover:
                          size_at=OFFSETS["log_size"], state_at=OFFSETS["engine_state"])
         self._gateway = functools.partial(service_gateway, machine, self.log,
                                           self.metrics.gateway_calls)
+        self._gateway.repeat = functools.partial(repeat_passes, self.log,
+                                                 self.metrics.gateway_calls)
         self.resolver = Resolver(machine, config.policy, entry)
         self._resend_clock = 0
         self._stalled = False      # the full log refused the entry the core is at

@@ -36,41 +36,66 @@ and ``mov``s (no pc operand, no lr target) folds into one closure that
 gives each register its final 32-bit value, and a ``cmp`` joins the
 ``bcond`` after it.
 
-A counted self-loop runs its iterations in closed form. A block is one
-when its fused ``cmp`` and ``bcond`` branch back to its own start, its
-body is only ``mov``, ``add``/``sub`` (immediate or register) and ``ldr``,
-writes none of pc, sp and lr and names pc nowhere, and one pass over the
-body, reading each value as an expression, shows:
+A counted loop runs its passes in closed form. A block is a loop's head
+when the code from it runs straight on to one closing ``cmp`` and
+``bcond`` whose target is the head, or a ``bl trampoline_cond`` just
+before it: straight on through ``mov``, ``add``/``sub`` (immediate or
+register), ``ldr``, ``cmp``, ``bl trampoline_cond`` sites and conditional
+branches to their own fall-through. A pass starts with no gateway call,
+so a loop has one head, and makes at most two, the longest log unit. It
+writes none of pc, sp and lr and names pc nowhere in its arithmetic, and
+one symbolic pass over its arithmetic and loads, reading each value as
+an expression, shows:
 
 - an ``ldr`` addresses through a base that is invariant, the same every
-  iteration;
-- each register the body writes ends the iteration invariant, or as its
-  own entry value plus an invariant, its step; a written register's entry
-  value is read only on the way to its own end value, and never
-  subtracted;
+  pass;
+- each register the pass writes ends it invariant, or as its own entry
+  value plus an invariant, its step; a written register's entry value is
+  read only on the way to its own end value, and never subtracted;
 - one compared operand steps and the other is invariant.
 
 Such a block is kept in ``_Code.loops``, never in ``blocks``, so only a
 dispatch that misses ``blocks`` and may run two or more instructions
 looks for it. Exactness: an invariant is computed from immediates,
-registers the body never writes, words loaded from invariant addresses of
-memory the body never stores to, and registers written before it in the
-same iteration from those. No entry value of a written register enters
-it, so every iteration computes it alike, the first included; a step is
-a sum of invariants, so the step of one ordinary iteration is the step of
-every later one. ``run`` therefore runs one ordinary iteration, which
-makes each load and takes any fault it raises, and reads the steps from
-it: j more iterations leave each stepping register plus j times its step
-mod 2**32 and every other register as that iteration left it. The
-compared register takes x + i·s at the i-th of them; in the signed
-order, its value biased by 2**31 (and mirrored when s steps down) rises
-strictly until it would wrap, so the i for which the branch stays taken
-form a run that ends where it first meets or passes the bound, in closed
-form. ``run`` takes j of them, no more than that run, stopping short of
-the wrap, and no more than fit whole within the limit and the watchdog
-deadline, then sets the flags by the terminator; the counters, ``last``
-and ``prev``, the cycle count and the timer come out as after j blocks.
-Everything else, the wrap included, runs as ordinary dispatch.
+registers the pass never writes, words loaded from invariant addresses of
+memory the pass never stores to, and registers written before it in the
+same pass from those. No entry value of a written register enters it, so
+every pass computes it alike, the first included; a step is a sum of
+invariants, so the step of one ordinary pass is the step of every later
+one. A gateway call writes lr and the previous lr; a handler that takes
+passes at once resumes it at the next word and gives the app its lr
+back, as ``service_gateway`` does, so every pass leaves lr as it found it
+and the previous lr equal to it. A compare on the way sets only flags,
+which the closing one, the last of the pass, sets again.
+
+``run`` notes the registers, the instructions run and the entries
+serviced at a head. Back at it with one pass's instructions and entries
+more, and the pass's last two pcs as its own, it ran one ordinary pass:
+from the head the code runs only straight on to the closing branch, and a
+path that left there and came back would have run that branch twice.
+That pass made each load, took any fault it raised and had each entry
+serviced, or refused, which ends the run as dispatch does. j more passes
+leave each stepping register plus j times its step mod 2**32 and every
+other register as that pass left it. The compared register takes x + i·s
+at the i-th of them; in the signed order, its value biased by 2**31 (and
+mirrored when s steps down) rises strictly until it would wrap, so the i
+for which the branch stays taken form a run that ends where it first
+meets or passes the bound, in closed form. ``run`` takes j of them, no
+more than that run, stopping short of the wrap, and no more than fit
+whole: with S instructions and G entries a pass, n + j·S within the
+watchdog deadline, below it when G > 0 (an entry is serviced only while
+an instruction could still run), and n + j·(S + G) within the limit. A
+pass with entries also goes to the handler's ``repeat(arrivals, j)``,
+which returns how many the log takes at once: only passes whose arrivals
+are its repetition in flight once round from the element it expects
+next, each adding one to the count, and one short of a full count
+record, so the append that commits it is an ordinary one. The closing
+compare then sets the flags; the counters, the cycle count (which counts
+each entry) and the timer (which does not) come out as after j passes,
+and ``last`` and ``prev`` as after any. Everything else runs as ordinary
+dispatch: a wrap, arrivals the log does not take, and entries under no
+handler (each ends the run with an ``NscEntry``), under a handler without
+``repeat``, or in the Secure World, where none is serviced.
 
 An image's closures and blocks are built on first fetch and shared by
 every machine of it, for the ``isa.IMAGE_CACHE_SIZE`` images used last;
@@ -92,6 +117,7 @@ import struct
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import isa
 from .isa import (
@@ -346,7 +372,11 @@ class Machine:
         at, or None to end the block with the ``NscEntry`` event. A
         serviced entry is one cycle of ``limit`` that the watchdog and the
         returned count leave out. The handler must not write program
-        memory.
+        memory. A handler with ``repeat(arrivals, k)`` services a loop's
+        passes at once (see the module docstring): it logs up to ``k``
+        more passes whose ``trampoline_cond`` entries resume at
+        ``arrivals`` and returns how many it took; it must service each
+        such entry alone as ``service_gateway`` does.
         """
         limit = _UNBOUNDED if limit is None else limit
         if limit <= 0:
@@ -366,6 +396,7 @@ class Machine:
         pc = regs[PC]
         last, prev = self.last_exec_pc, self.prev_exec_pc
         n = served = halt_counted = 0
+        armed = None        # (loop, n, served, registers) at its head
         ev: Event | None = None
 
         while True:
@@ -388,18 +419,32 @@ class Machine:
                             self.world = World.SECURE
                             ev = NscEntry(pc)
                             break
-                        if budget - n > 1 and code.covers(pc):
-                            loop = code.loops.get(pc)
+                        if budget - n > 1 and ((loop := code.loops.get(pc)) is not None
+                                               or code.covers(pc)):
                             if loop is None:
                                 blk = code.block(pc)
-                            elif loop[2] <= budget - n:
-                                pc, runs = _iterate(loop, pc, regs, st,
-                                                    (budget - n) // loop[2] - 1)
-                                n += runs * loop[2]
-                                prev, last = loop[4], loop[3]
-                                continue
                             else:
-                                blk = loop[:5]
+                                g = len(loop.arrivals)
+                                if armed is not None and armed[0] is loop \
+                                        and n - armed[1] == loop.size \
+                                        and served - armed[2] == g \
+                                        and last == loop.last and prev == loop.prev:
+                                    # one ordinary pass since the head: take
+                                    # the further ones that fit whole at once
+                                    room = (limit - n) // (loop.size + g)
+                                    if counting:
+                                        room = min(room, (timer.delta - timer.elapsed
+                                                          - n - (g > 0)) // loop.size)
+                                    k = _iterate(loop, regs, st, armed[3], room, gateway)
+                                    n += k * loop.size
+                                    served += k * g
+                                    limit -= k * g
+                                    if limit < budget:
+                                        budget = limit
+                                    if n == budget:
+                                        continue
+                                armed = loop, n, served, regs[:]
+                                blk = loop.block
                         else:                 # one instruction, no block built
                             f = ops.get(pc) or self._fetch(pc)
                             if f.__class__ is Fault:
@@ -686,18 +731,76 @@ def _fold(insts: list[tuple[int, int, int, int]]) -> Callable | None:
 
 _LOOP_BODY = frozenset({OP_MOV_IMM, OP_MOV_REG, OP_ADD_RI, OP_SUB_RI, OP_ADD_RR,
                         OP_SUB_RR, OP_LDR})
+_COMPARES = frozenset({OP_CMP_RI, OP_CMP_RR})
 _INV = -1       # a value that is the same in every iteration
 
 
-def _self_loop(insts: list[tuple[int, int, int, int]]) -> tuple | None:
-    """The closed form of a block whose ``cmp`` and ``bcond`` branch back
-    to its start: (the registers that step, the place among them of the
-    compared one, the other compared register or None, the compared
-    immediate, whether the stepping register is compared second). None
-    when the block is no counted self-loop (see the module docstring)."""
-    *body, (op, ra, rb, imm), _ = insts
+class _Loop(NamedTuple):
+    """A loop head's block, and the pass from it in closed form: the fields
+    of ``_closed_form``, then the closing branch's truth table and its
+    compare as a terminator, the instructions of a pass, the pcs its
+    gateway entries resume at, and its last two pcs."""
+
+    block: tuple
+    stepping: tuple
+    x: int
+    other: int | None
+    bound: int
+    second: bool
+    taken: tuple
+    close: Callable
+    size: int
+    arrivals: tuple
+    last: int
+    prev: int
+
+
+def _loop(pmem: bytes | bytearray, head: int, blk: tuple) -> _Loop | None:
+    """The loop whose head is ``head``, with ``blk`` the block there; None
+    when the pass from it is no counted pass (see the module docstring)."""
+    insts, arrivals, at = [], [], head
+    end = PMEM_BASE + len(pmem) - INSTR_WIDTH
+    while at <= end:
+        inst = _decode(_load(pmem, at - PMEM_BASE)[0])
+        op, target, at = inst[0], inst[3], at + INSTR_WIDTH
+        if op == OP_BL and target == isa.TRAMP_COND:
+            arrivals.append(at)
+        elif op == OP_BCOND and target != at:
+            break                     # the closing branch
+        elif op not in _LOOP_BODY and op not in _COMPARES and op != OP_BCOND:
+            return None
+        insts.append(inst)
+    else:
+        return None
+    if not insts or insts[-1][0] not in _COMPARES or PC in insts[-1][1:3]:
+        return None
+    size, last, prev = len(insts) + 1, at - INSTR_WIDTH, at - 2 * INSTR_WIDTH
+    if target == head - INSTR_WIDTH and target >= PMEM_BASE and \
+            _decode(_load(pmem, target - PMEM_BASE)[0])[::3] == (OP_BL, isa.TRAMP_COND):
+        arrivals.append(head)         # through the entry just before the head
+        size, last, prev = size + 1, target, last
+    elif target != head:
+        return None
+    if len(arrivals) > 2:             # no log unit is longer
+        return None
+    form = _closed_form([i for i in insts if i[0] in _LOOP_BODY], insts[-1])
+    if form is None:
+        return None
+    taken = _COND_TAKEN[inst[1]]
+    return _Loop(blk, *form, taken, _compare(insts[-1], taken, target, at), size,
+                 tuple(arrivals), last, prev)
+
+
+def _closed_form(body: list[tuple[int, int, int, int]],
+                 cmp: tuple[int, int, int, int]) -> tuple | None:
+    """The closed form of a pass whose register arithmetic and loads are
+    ``body`` and whose closing compare is ``cmp``: (the registers that
+    step, the place among them of the compared one, the other compared
+    register or None, the compared immediate, whether the stepping
+    register is compared second). None when there is none."""
+    op, ra, rb, imm = cmp
     written = {d for _, d, _, _ in body}
-    if written & {PC, SP, LR} or any(o not in _LOOP_BODY for o, _, _, _ in body):
+    if written & {PC, SP, LR}:
         return None
     # each register, symbolically: _INV, or the written register whose
     # entry value it is, plus something that is the same every iteration
@@ -736,18 +839,13 @@ def _self_loop(insts: list[tuple[int, int, int, int]]) -> tuple | None:
     return stepping, stepping.index(x), other, imm, second
 
 
-def _iterate(loop: tuple, head: int, regs: list, st: list, room: int) -> tuple[int, int]:
-    """One iteration of the self-loop at ``head`` as its block runs it,
-    then, while its branch stays taken, up to ``room`` more at once: the
-    next pc and the iterations run."""
-    body, term, _, _, _, stepping, x, other, bound, second, taken = loop
-    entry = [regs[r] for r in stepping]
-    for f in body:
-        f(regs, st)
-    nxt = term(regs, st)
-    if nxt != head:
-        return nxt, 1
-    steps = [(r, (regs[r] - e) & MASK32) for r, e in zip(stepping, entry)]
+def _iterate(loop: _Loop, regs: list, st: list, entry: list, room: int,
+             gateway: Callable | None) -> int:
+    """After one ordinary pass of ``loop`` that began with the registers at
+    ``entry``, take up to ``room`` further passes at once, as many as stay
+    taken and the gateway's ``repeat`` logs: the passes taken."""
+    _, stepping, x, other, bound, second, taken, close, _, arrivals, _, _ = loop
+    steps = [(r, (regs[r] - entry[r]) & MASK32) for r in stepping]
     step = steps[x][1]
     a = regs[stepping[x]] ^ _SIGN
     b = (bound if other is None else regs[other]) ^ _SIGN
@@ -765,11 +863,14 @@ def _iterate(loop: tuple, head: int, regs: list, st: list, room: int) -> tuple[i
                 break
             k += span
         room = min(room, k, wrap)
+    if room and arrivals:
+        repeat = getattr(gateway, "repeat", None)
+        room = repeat(arrivals, room) if repeat is not None else 0
     if room:
         for r, s in steps:
             regs[r] = (regs[r] + room * s) & MASK32
-        term(regs, st)
-    return head, 1 + room
+        close(regs, st)
+    return room
 
 
 class _Code:
@@ -788,8 +889,8 @@ class _Code:
 
     def block(self, pc: int) -> tuple:
         """(body, terminator returning the next pc, size, last pc, the pc
-        before it or None) of the block at ``pc``; a self-loop's goes into
-        ``loops`` with its closed form appended."""
+        before it or None) of the block at ``pc``; a loop head's goes into
+        ``loops`` with the closed form of its pass."""
         insts, at, end = [], pc, PMEM_BASE + len(self.pmem) - INSTR_WIDTH
         while at <= end:
             insts.append(op := _decode(_load(self.pmem, at - PMEM_BASE)[0]))
@@ -797,12 +898,9 @@ class _Code:
             if op[0] in _CONTROL or op[:2] == (OP_POP, PC):
                 break
         size, (op, ra, _, imm) = len(insts), insts[-1]
-        loop = None
-        if op == OP_BCOND and size > 1 and insts[-2][0] in (OP_CMP_RI, OP_CMP_RR) \
+        if op == OP_BCOND and size > 1 and insts[-2][0] in _COMPARES \
                 and PC not in insts[-2][1:3]:
             n, term = size - 2, _compare(insts[-2], _COND_TAKEN[ra], imm, at)
-            if imm == pc:
-                loop = _self_loop(insts)
         elif op in _CONTROL or (op == OP_POP and ra == PC):
             n, term = size - 1, _translate(insts[-1], at - INSTR_WIDTH)
         else:
@@ -818,10 +916,16 @@ class _Code:
                                              for k in run]
         blk = (tuple(body), term, size, at - INSTR_WIDTH,
                at - 2 * INSTR_WIDTH if size > 1 else None)
+        # a pass goes on through a gateway call or a branch to its fall-through,
+        # or closes back to its head; a gateway call alone starts none, so a
+        # loop has one head
+        goes_on = op == OP_BL and imm == isa.TRAMP_COND and size > 1 \
+            or op == OP_BCOND and imm in (at, pc, pc - INSTR_WIDTH)
+        loop = _loop(self.pmem, pc, blk) if goes_on else None
         if loop is None:
             self.blocks[pc] = blk
         else:
-            self.loops[pc] = blk + (*loop, _COND_TAKEN[ra])
+            self.loops[pc] = loop
         return blk
 
 

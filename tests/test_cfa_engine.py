@@ -198,6 +198,81 @@ def test_a_repetition_reaching_the_count_limit_is_committed_not_truncated(unit):
     assert counts[0] == eng.COUNT_MASK
 
 
+# --- repeat: many rounds of the repetition in flight at once --------------------
+
+def twin_logs(unit, count, pos=0):
+    """Two logs alike, each with ``unit`` committed once and a repetition
+    of it in flight, ``count`` done and ``pos`` elements matched."""
+    logs = [log_in_flight(unit, count) for _ in range(2)]
+    for log in logs:
+        put_repetition(log.header, unit, count, pos)
+    return logs
+
+
+def log_state(log):
+    return bytes(log.header), log.to_bytes()
+
+
+@pytest.mark.parametrize("unit, pos", [((A,), 0), ((A, B), 0), ((A, B), 1)],
+                         ids=["single", "pair-pos-0", "pair-pos-1"])
+def test_repeat_takes_rounds_from_the_element_expected_next(unit, pos):
+    at_once, by_append = twin_logs(unit, 3, pos)
+    rotated = unit[pos:] + unit[:pos]
+    assert at_once.repeat(rotated, 5) == 5
+    for _ in range(5):
+        for d in rotated:
+            assert by_append.append(d)
+    assert log_state(at_once) == log_state(by_append)
+    at_once.flush()
+    by_append.flush()
+    assert log_state(at_once) == log_state(by_append)
+
+
+@pytest.mark.parametrize("unit, pos, arrivals", [
+    ((A, B), 1, (A, B)),       # the unit, not from the element expected next
+    ((A, B), 0, (A,)),         # too short
+    ((A,), 0, (A, A)),         # too long
+    ((A,), 0, (B,)),           # another address
+    ((A, B), 0, (A, C)),
+], ids=["pair-unrotated", "pair-short", "single-long", "single-other", "pair-other"])
+def test_repeat_of_arrivals_that_are_not_a_round_takes_nothing(unit, pos, arrivals):
+    log, untouched = twin_logs(unit, 3, pos)
+    assert log.repeat(arrivals, 5) == 0
+    assert log_state(log) == log_state(untouched)
+
+
+def test_repeat_with_nothing_in_flight_takes_nothing():
+    log = header_log(64)
+    log.append(A)
+    before = log_state(log)
+    assert log.repeat((A,), 5) == 0 and log.repeat((), 5) == 0
+    assert log_state(log) == before
+
+
+@pytest.mark.parametrize("unit", [(A,), (A, B)], ids=["single", "pair"])
+def test_repeat_stops_one_round_short_of_the_count_limit(unit):
+    """The round that fills the record is left to ``append``, which
+    commits it: from COUNT_MASK - 2 one round is taken at once, then none."""
+    at_once, by_append = twin_logs(unit, eng.COUNT_MASK - 2)
+    assert at_once.repeat(unit, 5) == 1
+    assert at_once.repeat(unit, 5) == 0
+    for log in (at_once, by_append):
+        for _ in range(3 if log is by_append else 2):
+            for d in unit:
+                assert log.append(d)
+    assert log_state(at_once) == log_state(by_append)
+    counts = [w & eng.COUNT_MASK for w in eng.iter_entries(at_once.to_bytes())
+              if w & eng.TAG_BIT]
+    assert counts == [eng.COUNT_MASK]
+
+
+def test_repeat_on_an_inactive_log_raises():
+    log = log_in_flight((A,), 3)
+    log.active = False
+    with pytest.raises(InactiveEngine):
+        log.repeat((A,), 1)
+
+
 def test_full_then_flush_still_fits():
     log = CfLog(capacity=16)
     log.append(A)

@@ -6,16 +6,18 @@ each device behavior is pinned independently."""
 import functools
 import hashlib
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfaudit import isa, wire
-from cfaudit.cfa_engine import CfLog, decompress, runs
+from cfaudit.cfa_engine import COUNT_MASK, CfLog, decompress, runs
 from cfaudit.instrument import instrument
 from cfaudit.resolver import POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE, WIPE_CHUNK
 from cfaudit.isa import LR, NSC_EXIT, TRAMP_COND, TRAMP_ICALL, TRAMP_LOOP, TRAMP_RET
 from cfaudit.context import (AuditContext, CTX_HEADER_SIZE, F_FINAL, F_FROZEN,
-                             F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET)
+                             F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, OFFSETS)
 from cfaudit.supervisor import Prover, ProverConfig, ProverState, service_gateway
 from cfaudit.vm import Machine, NscEntry, World
 
@@ -181,7 +183,7 @@ def window_traversals(asm, limit):
     once, logged, m = drive([1])       # one iteration: no backward branch
     assert logged == 0 and head in m._code.loops      # the loop runs in closed form
     n, logged, _ = drive([limit])
-    return logged, (n - once) // m._code.loops[head][2]    # instructions an iteration
+    return logged, (n - once) // m._code.loops[head].size    # instructions an iteration
 
 
 @pytest.mark.parametrize("branch, limit", [
@@ -948,8 +950,8 @@ fin:
 def device_state(p):
     m = p.m
     return (p.state, bytes(m.retained_mem), list(m.regs), m.flag_z,
-            m.flag_n, m.cycle_count, m.timer.elapsed, m.world, p.metrics,
-            p._resend_clock)
+            m.flag_n, m.prev_lr, m.last_exec_pc, m.prev_exec_pc, m.cycle_count,
+            m.timer.elapsed, m.world, bytes(m.dmem), p.metrics, p._resend_clock)
 
 
 def instructions_to_first_gateway(asm, words):
@@ -1018,6 +1020,170 @@ def test_advance_services_gateways_in_block_as_the_event_path_does(log_max, budg
     assert on_gateway >= len(programs) // 2 and served > 5 * len(programs)
     # a log of any of these sizes fills up, and its refusal is replayed
     _, metrics = drive_against_events(DISTINCT_ARRIVALS, [], log_max, 100_000, budget)
+    assert metrics.triggers["capacity"] > 0
+
+
+# --- loops whose passes enter the conditional gateway ---------------------------
+
+CONDS = ("beq", "bne", "blt", "bge", "bgt", "ble")
+# straight-line fillers; r5 and r6 are the bound and the counter, r7 the
+# input. The last reads a stepping register's entry value: no closed form.
+FILLERS = ("add r0, r0, #3", "sub r1, r1, #2", "mov r3, #9", "sub r4, r4, r5",
+           "ldr r8, [r7, #8]", "mov r9, #4", "add r9, r9, r5", "add r4, r4, r0")
+
+
+def gateway_loop(body, step, fall=None, compare="cmp r6, r5", cond="bgt", prefix=()):
+    """The pool's count-down shape: ``body`` and the counter's ``step``
+    (one line) in a loop on r6 from input word 0, closed by ``compare`` and
+    ``cond``. With ``fall`` = (position, condition), a conditional branch
+    to its own fall-through sits at that position of the body, which makes
+    it the pool's pair shape: two logged arrivals a pass. ``prefix`` runs
+    before the loop."""
+    lines = list(body)
+    lines.insert(min(len(lines), step[0]), step[1])
+    if fall is not None:
+        at, how = fall
+        lines[at:at] = ["cmp r0, #5", f"{how} mark", "mark:"]
+    return "\n".join(["main:", "mov r7, #input_base", "ldr r6, [r7, #0]",
+                      "ldr r5, [r7, #4]", *prefix, "spin:", *lines, compare, f"{cond} spin",
+                      "nsc_call"]) + "\n"
+
+
+@st.composite
+def gateway_loops(draw):
+    """(a loop of ``gateway_loop``'s shapes, its input words). Half of them
+    run on while the counter moves toward the bound; the rest take any
+    condition, which may leave at once or run on to a wrap."""
+    body = draw(st.lists(st.sampled_from(FILLERS[:-1]) | st.just(FILLERS[-1]), max_size=6))
+    up, size = draw(st.booleans()), draw(st.integers(1, 5))
+    step = (draw(st.integers(0, len(body))), f"{'add' if up else 'sub'} r6, r6, #{size}")
+    fall = draw(st.none() | st.tuples(st.integers(0, len(body) + 1),
+                                      st.sampled_from(CONDS)))
+    first = draw(st.booleans())        # whether the counter is compared first
+    words = draw(st.lists(st.integers(0, 300), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        cond = draw(st.sampled_from(CONDS))
+    else:
+        cond = draw(st.sampled_from(("blt", "ble", "bne") if up == first
+                                    else ("bgt", "bge", "bne")))
+        # the bound some passes ahead, give or take a few
+        trips, skew = draw(st.integers(2, 150)), draw(st.integers(-3, 3))
+        words[0] = trips * size + 3 if not up else words[0]
+        words[1] = words[0] + (trips * size if up else -trips * size) + skew
+    if first and draw(st.booleans()):
+        compare = f"cmp r6, #{words[1]}"
+    else:
+        compare = "cmp r6, r5" if first else "cmp r5, r6"
+    return gateway_loop(body, step, fall, compare, cond), words
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop=gateway_loops(), log_max=st.sampled_from([16, 20, 28, 4096, 4096, 4096]),
+       delta=st.integers(1, 120) | st.integers(120, 3000) | st.just(100_000),
+       budget=st.integers(1, 60) | st.integers(60, 1000) | st.just(5000))
+def test_gateway_loops_advance_as_the_event_path_does(loop, log_max, delta, budget):
+    """Passes taken at once by ``Machine.run`` and ``CfLog.repeat`` leave
+    the device, its retained bytes and its gateway call counts as the
+    event path's pass-by-pass service does, after every call: whatever the
+    shape, the steps, the condition, the log's room, the limit and the
+    deadline."""
+    asm, words = loop
+    drive_against_events(asm, words, log_max, delta, budget, ticks=3000)
+
+
+POOL_SHAPES = {
+    "countdown": dict(step=(5, "sub r6, r6, #1"), compare="cmp r6, #0", cond="bgt"),
+    "pair": dict(step=(5, "add r6, r6, #1"), fall=(2, "bge"), compare="cmp r6, r5",
+                 cond="blt"),
+}
+POOL_LOOPS = {shape: gateway_loop(FILLERS[:6], **kw) for shape, kw in POOL_SHAPES.items()}
+
+
+def loop_head(prog2):
+    """The resume pc of the gateway entry the loop's backward branch makes."""
+    return prog2.labels["spin"] + 4
+
+
+@pytest.mark.parametrize("shape", POOL_LOOPS)
+def test_a_gateway_loop_of_2_28_passes_runs_to_the_exit_door(shape):
+    # dispatching each pass through the gateway would take many minutes
+    passes = 1 << 28
+    words = [passes, 0] if shape == "countdown" else [0, passes]
+    p, m, prog2 = build(POOL_LOOPS[shape], input_words=words)
+    p.boot()
+    p.handle_message(request(chal=1, delta=1 << 40))
+    p.advance(200)
+    assert loop_head(prog2) in m._code.loops       # else it runs pass by pass
+    start = time.perf_counter()
+    p.advance(1 << 24)            # pass by pass, this alone takes seconds
+    assert time.perf_counter() - start < 0.5
+    _, out = p.advance(1 << 40)
+    assert time.perf_counter() - start < 0.5
+    arrivals = 1 if shape == "countdown" else 2
+    assert p.metrics.gateway_calls == {TRAMP_COND: arrivals * passes + 1, NSC_EXIT: 1}
+    logged = runs(wire.Report.parse(out[0]).log)
+    assert sum(len(unit) * count for unit, count in logged) == arrivals * passes + 2
+
+
+def test_a_filled_count_record_flushes_on_an_ordinary_pass():
+    """A repetition whose count nears COUNT_MASK: the passes taken at once
+    stop one short of it, and the ordinary pass after them commits the
+    full record, as the event path does."""
+    asm = POOL_LOOPS["countdown"]
+    twins = [build(asm, input_words=[40, 0])[::2] for _ in range(2)]
+    for p, prog2 in twins:
+        p.boot()
+        p.handle_message(request(chal=1, delta=1 << 20))
+        # the loop's head word, its repetition in flight three short of full
+        head = loop_head(prog2)
+        assert p.log.append(head)
+        state = OFFSETS["engine_state"]
+        p.m.retained_mem[state:state + CfLog.STATE_WIDTH] = CfLog._STATE.pack(
+            1, 0, COUNT_MASK - 3, head, 0)
+    (inline, _), (events, _) = twins
+    out = []
+    while not out:
+        n, out = inline.advance(5000)
+        assert advance_by_events(events, 5000) == (n, out)
+        assert device_state(inline) == device_state(events)
+    logged = runs(wire.Report.parse(out[0]).log)
+    assert logged[:3] == [((head,), 1), ((head,), COUNT_MASK), ((head,), 1)]
+
+
+# a pass that calls a function or stores to memory keeps the block path,
+# also past a gateway site, where only the walk of the pass sees it
+OFF_PATH = {
+    f"{name}{'_after_a_site' if fall else ''}": gateway_loop(
+        [line], (1, "sub r6, r6, #1"), fall, "cmp r6, #0") + tail
+    for name, line, tail in [("calls_a_leaf", "bl leaf", "leaf:\nadd r0, r0, #1\nbx lr\n"),
+                             ("stores", "str r0, [r7, #12]", "")]
+    for fall in (None, (0, "bge"))
+}
+
+
+@pytest.mark.parametrize("asm", OFF_PATH.values(), ids=OFF_PATH)
+def test_a_pass_that_calls_or_stores_keeps_the_block_path(asm):
+    p, m, _ = build(asm, input_words=[30, 0])
+    p.boot()
+    p.handle_message(request(chal=1))
+    p.advance(400)
+    assert m._code.loops == {}
+    drive_against_events(asm, [30, 0], 4096, 100_000, 1000)
+
+
+# two logged arrivals before the loop
+DIAMONDS = ["cmp r0, #0", "beq one", "one:", "cmp r0, #0", "bne two", "two:"]
+
+
+@pytest.mark.parametrize("shape, log_max", [("countdown", 16), ("pair", 16), ("pair", 20)],
+                         ids=["countdown", "pair-second-arrival", "pair-first-arrival"])
+def test_a_full_log_stops_gateway_loops_as_the_event_path_does(shape, log_max):
+    """The log has no room for a repetition's reserve when the loop's
+    first backward arrival comes, so no repetition starts and no pass is
+    taken at once; the full log then refuses the pass's first (or second)
+    arrival, and the core parks there as dispatch parks it."""
+    asm = gateway_loop(FILLERS[:6], prefix=DIAMONDS, **POOL_SHAPES[shape])
+    _, metrics = drive_against_events(asm, [25, 30], log_max, 100_000, 1000, ticks=4000)
     assert metrics.triggers["capacity"] > 0
 
 

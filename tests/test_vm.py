@@ -1021,6 +1021,106 @@ def test_loops_near_a_counted_self_loop_run_as_the_reference_chain(body):
             [DMEM_BASE + 68, DMEM_BASE + 72, 7], [limit, 17 * size])
 
 
+# --- passes through the conditional gateway against the reference chain ---------
+
+class ServingGateway:
+    """Services a ``trampoline_cond`` entry as ``service_gateway`` does,
+    with no log: resumes at lr and gives the app its lr back, refusing
+    every entry after the first ``left``. ``repeat`` takes up to ``cap``
+    of the passes offered, and no more than are left; ``entries`` counts
+    each entry serviced, one at a time or in a pass taken at once."""
+
+    def __init__(self, m, cap, left):
+        self.m, self.cap, self.left, self.entries = m, cap, left, 0
+
+    def __call__(self, addr, caller_pc, pre_caller_pc, prev_lr):
+        if self.entries == self.left:
+            return None
+        self.entries += 1
+        resume, self.m.regs[isa.LR] = self.m.regs[isa.LR], prev_lr
+        return resume
+
+    def repeat(self, arrivals, k):
+        k = min(k, self.cap, (self.left - self.entries) // len(arrivals))
+        self.entries += k * len(arrivals)
+        return k
+
+
+# whole passes, mostly many, give or take a few instructions
+PASSES = st.tuples(st.integers(2, 60) | st.integers(2, 60) | st.integers(0, 2),
+                   st.integers(-2, 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(induction=st.sampled_from(range(5)), imm=IMM,
+       step=st.integers(-9, 9).map(lambda s: s & vm.MASK32) | STEP,
+       filler=st.lists(LOOP_FILLER, max_size=4), closing=st.booleans(),
+       site=st.one_of(st.none(), st.integers(0, 5)), fall=st.one_of(st.none(), st.integers(0, 5)),
+       compare=st.sampled_from(range(3)), cond=st.sampled_from(range(6)), x=NEAR_EDGE,
+       bound=NEAR_EDGE, trips=st.none() | st.integers(1, 40) | st.integers(8, 40)
+       | st.integers(8, 40),
+       pick=st.integers(0, 2),
+       cap=st.sampled_from([0, 1, 3, 1 << 40, 1 << 40]),
+       left=st.sampled_from([3, 40, 1 << 40, 1 << 40]),
+       world=st.sampled_from(["ns", "ns", "ns", "secure"]), delta=PASSES,
+       limits=st.lists(PASSES, min_size=1, max_size=4))
+def test_gateway_passes_run_as_the_reference_chain(
+        induction, imm, step, filler, closing, site, fall, compare, cond, x, bound, trips,
+        pick, cap, left, world, delta, limits):
+    """A counted loop whose passes enter ``trampoline_cond`` (through the
+    closing branch's target just before the head, a site in the body, or
+    both) and run through a branch to its own fall-through: passes taken
+    at once leave the machine, and the entries serviced, as the reference
+    chain's entry-by-entry service does. With ``trips`` the counter starts
+    that many steps off the bound, and the condition holds while it moves
+    toward it."""
+    body = [i for f in filler for i in f] + [INDUCTIONS[induction](imm)]
+    insert = [(site, I(isa.OP_BL, 0, 0, TRAMP_COND))] if site is not None else []
+    if fall is not None:
+        insert.append((fall, None))           # a cmp and a branch to the next word
+    for at, inst in sorted(insert, key=lambda p: p[0], reverse=True):
+        at = min(at, len(body))
+        body[at:at] = [inst] if inst is not None else [I(isa.OP_CMP_RI, 0, 0, 5), None]
+    if compare == 2:
+        bound &= 0xFFFF
+    if trips is not None:
+        s = (imm, -imm, step, step, -step)[induction] & vm.MASK32
+        x = (bound - trips * s) & vm.MASK32
+        rising = s < 1 << 31
+        cond = ((isa.COND_LT, isa.COND_LE, isa.COND_NE) if rising == (compare != 1)
+                else (isa.COND_GT, isa.COND_GE, isa.COND_NE))[pick]
+    head = PMEM_BASE + 4
+    code = [I(isa.OP_BL, 0, 0, TRAMP_COND) if closing else I(isa.OP_MOV_IMM, 1, 0, 5)]
+    for inst in body:
+        code.append(inst if inst is not None
+                    else I(isa.OP_BCOND, cond, 0, PMEM_BASE + 4 * (len(code) + 1)))
+    code += [COMPARES[compare] if compare < 2 else I(isa.OP_CMP_RI, 2, 0, bound),
+             I(isa.OP_BCOND, cond, 0, PMEM_BASE if closing else head), I(isa.OP_NSC_CALL)]
+    image = b"".join(i.encode() for i in code)
+    size = len(code) - 1 if closing else len(code) - 2
+
+    def make(cls):
+        m = cls(image)
+        m.regs[:9] = [7, 0, x, 0, 11, bound, step, DMEM_BASE + 64, 0]
+        load_input(m, [0] * 16 + [DMEM_BASE + 68, DMEM_BASE + 72, bound])
+        if world == "ns":
+            m.timer.arm(max(1, size * delta[0] + delta[1]))
+            m.enter_nonsecure(PMEM_BASE)
+        return m, ServingGateway(m, cap, left)
+
+    (a, gw_a), (b, gw_b) = make(Machine), make(ReferenceMachine)
+    for limit in [max(1, (size + 2) * whole + part) for whole, part in limits * 3] + [5000]:
+        ran = a.run(limit, gw_a)
+        assert ran == b.run(limit, gw_b)
+        assert full_state(a) == full_state(b) and gw_a.entries == gw_b.entries
+        if isinstance(ran[1], TimerTrigger):
+            for m in (a, b):
+                m.timer.resume()
+                m.enter_nonsecure(m.pc)
+        elif ran[1] is not None:
+            break
+
+
 def test_a_counted_self_loop_runs_its_iterations_at_once():
     # 2**32 iterations, far more than dispatching each could run
     m = load_program("main:\n mov r2, #0\nloop:\n add r2, r2, #1\n"
