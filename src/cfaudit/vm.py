@@ -97,14 +97,38 @@ dispatch: a wrap, arrivals the log does not take, and entries under no
 handler (each ends the run with an ``NscEntry``), under a handler without
 ``repeat``, or in the Secure World, where none is serviced.
 
-An image's closures and blocks are built on first fetch and shared by
-every machine of it, for the ``isa.IMAGE_CACHE_SIZE`` images used last;
-a machine that writes its program memory builds its own from then on. A
-gateway entry ends the block with an ``NscEntry`` event, unless ``run``
-is given a gateway handler: a logging entry it services stays inside.
-The event carries only the entry address; the parked core holds the
-gateway state, in ``regs``, ``last_exec_pc``, ``prev_exec_pc`` and
-``prev_lr``.
+An armed head lives within one ``run`` call, so each call runs one
+ordinary pass before any closed form. Keeping it armed from one call to
+the next is not done: a pass that spans two calls could straddle a
+Secure-World write to data memory made between them (a monitor's pokes,
+say), and every invariant load of the closed form rests on memory the
+pass alone may write. A version that kept the armed head gained only
+about 3% more on counted-loop sessions.
+
+A block is built only where control enters it. When a run leaves the
+core partway through a block (its limit or the watchdog deadline falls
+inside it, or a single step falls through to the next word) the machine
+notes that the core stands inside a block; any control transfer, a reset
+and a program-memory write clear the note. A dispatch that misses
+``blocks`` while the note stands runs one instruction at a time through
+``ops`` up to the block's end: it builds no block and arms no loop head,
+though a head already in ``loops`` is still used. Either path leaves the
+same state, since a block runs the very instructions the other path runs
+one by one, with the same counters, faults and flags (a folded run gives
+each register its final value, a fused compare sets the flags the
+``cmp`` sets). So the note only chooses the path, and a stale one changes
+no result. Resumed runs are common: a session's driver cuts it into a
+run call at each message the device handles, and a block built where
+one stopped would run once.
+
+An image's words are decoded once, on its first block; its closures and
+blocks are built on first fetch and shared by every machine of it, for
+the ``isa.IMAGE_CACHE_SIZE`` images used last; a machine that writes its
+program memory builds its own from then on. A gateway entry ends the
+block with an ``NscEntry`` event, unless ``run`` is given a gateway
+handler: a logging entry it services stays inside. The event carries
+only the entry address; the parked core holds the gateway state, in
+``regs``, ``last_exec_pc``, ``prev_exec_pc`` and ``prev_lr``.
 """
 
 from __future__ import annotations
@@ -284,6 +308,7 @@ class Machine:
         _store(store, off, value & MASK32)
         if store is self.pmem:
             self._code = _Code(self.pmem)
+            self._inside = False
 
     def write_pmem(self, addr: int, data: bytes) -> None:
         """Secure-side program-memory write (provisioning, remediation)."""
@@ -292,6 +317,7 @@ class Machine:
             raise UnmappedAddress(addr)
         self.pmem[off:off + len(data)] = data
         self._code = _Code(self.pmem)
+        self._inside = False
 
     # -- secure-world operations -----------------------------------------
 
@@ -323,6 +349,7 @@ class Machine:
         self.cycle_count = 0
         self.last_exec_pc = 0
         self.prev_exec_pc = 0
+        self._inside = False      # the core stands partway through a block
         self._st[:_MACHINE] = [0, 0, self.dmem]
 
     def enter_nonsecure(self, entry: int) -> None:
@@ -395,6 +422,7 @@ class Machine:
         blocks, ops = (code := self._code).blocks, code.ops
         pc = regs[PC]
         last, prev = self.last_exec_pc, self.prev_exec_pc
+        inside = self._inside
         n = served = halt_counted = 0
         armed = None        # (loop, n, served, registers) at its head
         ev: Event | None = None
@@ -420,7 +448,7 @@ class Machine:
                             ev = NscEntry(pc)
                             break
                         if budget - n > 1 and ((loop := code.loops.get(pc)) is not None
-                                               or code.covers(pc)):
+                                               or not inside and code.covers(pc)):
                             if loop is None:
                                 blk = code.block(pc)
                             else:
@@ -445,14 +473,18 @@ class Machine:
                                         continue
                                 armed = loop, n, served, regs[:]
                                 blk = loop.block
-                        else:                 # one instruction, no block built
+                        else:
+                            # one instruction, no block built: a single step,
+                            # or a resume partway through a block, which
+                            # steps on to the block's end
                             f = ops.get(pc) or self._fetch(pc)
                             if f.__class__ is Fault:
                                 ev = f
                                 break
                             nxt = f(regs, st)
                             prev, last = last, pc
-                            pc = pc + INSTR_WIDTH if nxt is None else nxt
+                            inside = nxt is None
+                            pc = pc + INSTR_WIDTH if inside else nxt
                             n += 1
                             continue
                     body, term, size, b_last, b_prev = blk
@@ -463,6 +495,7 @@ class Machine:
                         n += size
                         prev = b_prev or last     # None: a one-instruction block
                         last = b_last
+                        inside = False
                     else:
                         # the limit falls inside the block: no control
                         # instruction among the ones it leaves room for
@@ -470,6 +503,7 @@ class Machine:
                         for at in range(pc, pc + k * INSTR_WIDTH, INSTR_WIDTH):
                             (ops.get(at) or self._fetch(at))(regs, st)
                         n = budget
+                        inside = True
                         prev = pc + (k - 2) * INSTR_WIDTH if k > 1 else last
                         last = pc + (k - 1) * INSTR_WIDTH
                         pc += k * INSTR_WIDTH
@@ -479,6 +513,7 @@ class Machine:
                 if k:
                     n += k
                     prev, last = at - 2 * INSTR_WIDTH if k > 1 else last, at - INSTR_WIDTH
+                    inside = True
                 pc = at
                 if ev is None:
                     # a store into program memory: done, but the rest of the
@@ -486,6 +521,7 @@ class Machine:
                     prev, last = last, at
                     pc += INSTR_WIDTH
                     n += 1
+                    inside = False
                     blocks, ops = (code := self._code).blocks, code.ops
                     continue
                 if ev.__class__ is Halted:
@@ -500,6 +536,7 @@ class Machine:
 
         regs[PC] = pc
         self.last_exec_pc, self.prev_exec_pc = last, prev
+        self._inside = inside
         if counting:
             timer.elapsed += n + halt_counted
         self.cycle_count += n + served if ev is None else n + served + 1
@@ -590,7 +627,7 @@ def _translate(inst: tuple[int, int, int, int], pc: int) -> Callable:
         def f(regs, st):
             regs[ra] = (regs[rb] - regs[imm]) & MASK32
     elif op == OP_CMP_RI or op == OP_CMP_RR:
-        f = _compare(inst, (False,) * 4, ret, ret)    # a cmp alone goes on to pc + 4
+        f = _compare(inst, (False,) * 4, None, None)  # a cmp alone transfers nothing
     elif op == OP_LDR:
         def f(regs, st):
             addr = (regs[rb] + imm) & MASK32
@@ -755,13 +792,12 @@ class _Loop(NamedTuple):
     prev: int
 
 
-def _loop(pmem: bytes | bytearray, head: int, blk: tuple) -> _Loop | None:
-    """The loop whose head is ``head``, with ``blk`` the block there; None
-    when the pass from it is no counted pass (see the module docstring)."""
+def _loop(words: list, head: int, blk: tuple) -> _Loop | None:
+    """The loop whose head is ``head`` in the image decoded as ``words``,
+    with ``blk`` the block there; None when the pass from it is no counted
+    pass (see the module docstring)."""
     insts, arrivals, at = [], [], head
-    end = PMEM_BASE + len(pmem) - INSTR_WIDTH
-    while at <= end:
-        inst = _decode(_load(pmem, at - PMEM_BASE)[0])
+    for inst in itertools.islice(words, (head - PMEM_BASE) // INSTR_WIDTH, None):
         op, target, at = inst[0], inst[3], at + INSTR_WIDTH
         if op == OP_BL and target == isa.TRAMP_COND:
             arrivals.append(at)
@@ -776,7 +812,7 @@ def _loop(pmem: bytes | bytearray, head: int, blk: tuple) -> _Loop | None:
         return None
     size, last, prev = len(insts) + 1, at - INSTR_WIDTH, at - 2 * INSTR_WIDTH
     if target == head - INSTR_WIDTH and target >= PMEM_BASE and \
-            _decode(_load(pmem, target - PMEM_BASE)[0])[::3] == (OP_BL, isa.TRAMP_COND):
+            words[(target - PMEM_BASE) // INSTR_WIDTH][::3] == (OP_BL, isa.TRAMP_COND):
         arrivals.append(head)         # through the entry just before the head
         size, last, prev = size + 1, target, last
     elif target != head:
@@ -880,6 +916,7 @@ class _Code:
     def __init__(self, pmem: bytes | bytearray):
         # by pc: closures, blocks, and self-loops (never in ``blocks``)
         self.pmem, self.ops, self.blocks, self.loops = pmem, {}, {}, {}
+        self.words: list | None = None     # every word decoded, on the first block
         self.digest: bytes | None = None
 
     def covers(self, pc: int) -> bool:
@@ -891,13 +928,16 @@ class _Code:
         """(body, terminator returning the next pc, size, last pc, the pc
         before it or None) of the block at ``pc``; a loop head's goes into
         ``loops`` with the closed form of its pass."""
-        insts, at, end = [], pc, PMEM_BASE + len(self.pmem) - INSTR_WIDTH
-        while at <= end:
-            insts.append(op := _decode(_load(self.pmem, at - PMEM_BASE)[0]))
-            at += INSTR_WIDTH
-            if op[0] in _CONTROL or op[:2] == (OP_POP, PC):
+        if (words := self.words) is None:
+            self.words = words = list(map(_decode, struct.unpack_from(
+                f">{len(self.pmem) // INSTR_WIDTH}I", self.pmem)))
+        start = end = (pc - PMEM_BASE) // INSTR_WIDTH
+        for op, ra, _, _ in itertools.islice(words, start, None):
+            end += 1
+            if op in _CONTROL or op == OP_POP and ra == PC:
                 break
-        size, (op, ra, _, imm) = len(insts), insts[-1]
+        insts, at = words[start:end], PMEM_BASE + end * INSTR_WIDTH
+        size, (op, ra, _, imm) = end - start, insts[-1]
         if op == OP_BCOND and size > 1 and insts[-2][0] in _COMPARES \
                 and PC not in insts[-2][1:3]:
             n, term = size - 2, _compare(insts[-2], _COND_TAKEN[ra], imm, at)
@@ -905,15 +945,20 @@ class _Code:
             n, term = size - 1, _translate(insts[-1], at - INSTR_WIDTH)
         else:
             n, term = size, lambda regs, st: at     # cut by the end of the image
-        # what folds: register arithmetic with no pc operand, no lr target
-        foldable = [(op in _ARITH and rb != PC or op == OP_MOV_IMM) and ra != PC and ra != LR
-                    for op, ra, rb, _ in insts]
-        body = []
-        for fold, run in itertools.groupby(range(n), foldable.__getitem__) if n else ():
-            run = list(run)
-            folded = fold and len(run) > 1 and _fold([insts[k] for k in run])
-            body += [folded] if folded else [_translate(insts[k], pc + k * INSTR_WIDTH)
-                                             for k in run]
+        # what folds: register arithmetic with no pc operand, no lr target;
+        # insts[run:k] is the run of it before k
+        body, run = [], 0
+        for k in range(n + 1):
+            if k < n:
+                o, d, s, _ = insts[k]
+                if (o in _ARITH and s != PC or o == OP_MOV_IMM) and d != PC and d != LR:
+                    continue
+            folded = k - run > 1 and _fold(insts[run:k])
+            body += [folded] if folded else [_translate(insts[j], pc + j * INSTR_WIDTH)
+                                             for j in range(run, k)]
+            if k < n:
+                body.append(_translate(insts[k], pc + k * INSTR_WIDTH))
+            run = k + 1
         blk = (tuple(body), term, size, at - INSTR_WIDTH,
                at - 2 * INSTR_WIDTH if size > 1 else None)
         # a pass goes on through a gateway call or a branch to its fall-through,
@@ -921,7 +966,7 @@ class _Code:
         # loop has one head
         goes_on = op == OP_BL and imm == isa.TRAMP_COND and size > 1 \
             or op == OP_BCOND and imm in (at, pc, pc - INSTR_WIDTH)
-        loop = _loop(self.pmem, pc, blk) if goes_on else None
+        loop = _loop(words, pc, blk) if goes_on else None
         if loop is None:
             self.blocks[pc] = blk
         else:

@@ -3,6 +3,7 @@
 import hashlib
 import heapq
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from cfaudit.scenario import (ScenarioError, ScenarioSpec, parse_scenario,
 from cfaudit.supervisor import Prover
 from cfaudit.vm import Machine
 
-from support import clear_image_caches, run_per_tick
+from support import clear_image_caches, generate_program, run_per_tick
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PROGRAM_DIR = SCENARIO_DIR / "programs"
@@ -908,7 +909,9 @@ def test_sessions_of_one_program_build_its_image_once(monkeypatch):
         return _fn(code, pc)
     monkeypatch.setattr(vm._Code, "block", block)
     clear_image_caches()
-    programs = [f"main:\n    mov r0, #{i}\n    nsc_call\n"
+    # a conditional branch, so that the run builds blocks at its targets
+    programs = [f"main:\n    mov r0, #{i + 3}\nloop:\n    sub r0, r0, #1\n"
+                "    cmp r0, #0\n    bgt loop\n    nsc_call\n"
                 for i in range(isa.IMAGE_CACHE_SIZE + 1)]
     spec = ScenarioSpec(name="p0", asm_text=programs[0])
     assert run(spec) == run(spec)
@@ -922,6 +925,67 @@ def test_sessions_of_one_program_build_its_image_once(monkeypatch):
     run(spec)
     assert calls["rewrite"] == calls["cfg_of"] == calls["parse_lines"] \
         == isa.IMAGE_CACHE_SIZE + 2
+
+
+CONTROL_OPS = {isa.OP_B, isa.OP_BCOND, isa.OP_BL, isa.OP_BLX, isa.OP_BX_LR,
+               isa.OP_NSC_CALL, isa.OP_HALT}
+
+
+def leaders(pmem, prog):
+    """Where control enters the code in ``pmem``, laid out as ``prog``: the
+    entry, each direct branch or call target, each ``#label`` operand, and
+    the word after each control instruction (an illegal word ends a block
+    too)."""
+    labels, out = set(prog.labels.values()), {prog.entry}
+    for off in range(0, len(pmem) // 4 * 4, 4):
+        inst, pc = isa.decode(bytes(pmem[off:off + 4])), isa.PMEM_BASE + off
+        if inst is None or inst.op in CONTROL_OPS \
+                or (inst.op, inst.ra) == (isa.OP_POP, isa.PC):
+            out.add(pc + 4)
+        if inst is not None and (inst.op in (isa.OP_B, isa.OP_BCOND, isa.OP_BL)
+                                 or inst.op == isa.OP_MOV_IMM and inst.imm in labels):
+            out.add(inst.imm)
+    return out
+
+
+def test_blocks_are_built_only_where_control_enters(monkeypatch):
+    """A run resumed partway through a block steps to the block's end: no
+    block or loop head is kept at a pc where an earlier run call stopped,
+    only at leaders. Runs that fault or write program memory are left out."""
+    specs = [bundled(p.stem) for p in sorted(SCENARIO_DIR.glob("*.scn"))]
+    for seed in range(30):
+        asm, words = generate_program(random.Random(seed))
+        specs.append(ScenarioSpec(name=f"generated-{seed}", asm_text=asm,
+                                  input_tokens=tuple(map(str, words)),
+                                  delta=3 + seed % 7 * 11, log_max=16 + seed % 3 * 8))
+    seen, left_out, stops = {}, set(), {}
+    prog = None
+    original = vm.Machine.run
+
+    def recorded(self, *args, **kwargs):
+        code = self._code
+        n, ev = original(self, *args, **kwargs)
+        seen[id(code)] = code, prog
+        if isinstance(ev, vm.Fault) or self._code is not code:
+            left_out.add(id(code))
+        stops.setdefault(id(code), set()).add(self.pc)
+        return n, ev
+    monkeypatch.setattr(vm.Machine, "run", recorded)
+    clear_image_caches()
+    for spec in specs:
+        prog = scenario.deploy(spec.asm_text).prog
+        run(spec)
+    checked = stopped_inside = 0
+    for key, (code, laid_out) in seen.items():
+        if key in left_out:
+            continue
+        entered = leaders(code.pmem, laid_out)
+        built = set(code.blocks) | set(code.loops)
+        assert built <= entered, sorted(map(hex, built - entered))
+        stopped_inside += len(stops[key] - entered)
+        checked += 1
+    # the sessions do stop partway through blocks and resume there
+    assert checked > len(specs) // 2 and stopped_inside > len(specs)
 
 
 def test_a_tampered_and_a_benign_session_of_one_image_stay_apart():

@@ -1070,7 +1070,7 @@ def gateway_loops(draw):
         trips, skew = draw(st.integers(2, 150)), draw(st.integers(-3, 3))
         words[0] = trips * size + 3 if not up else words[0]
         words[1] = words[0] + (trips * size if up else -trips * size) + skew
-    if first and draw(st.booleans()):
+    if first and words[1] >= 0 and draw(st.booleans()):   # an immediate is unsigned
         compare = f"cmp r6, #{words[1]}"
     else:
         compare = "cmp r6, r5" if first else "cmp r5, r6"

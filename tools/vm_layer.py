@@ -5,11 +5,14 @@ two checkouts side by side.
 
 Each run is one fresh process over one checkout's ``src`` and
 ``perfbench``: it builds the seeded ``compute_loop`` pool, runs it once to
-warm up, then ``--passes`` times, timing each session and the time spent
-inside ``Machine.run`` (which includes the gateway service it calls).
-Each pool item's median over the passes is taken, then the median over
-the items of each kind. Runs alternate between the checkouts, the parent
-first in even pairs, and the medians over runs are printed per kind.
+warm up, then ``--passes`` times, timing each session, the time spent
+inside ``Machine.run`` (which includes the gateway service it calls), and
+the blocks ``_Code.block`` builds and the time spent building them. The
+pool holds more programs than the image cache, so every session builds
+its blocks cold. Each pool item's median over the passes is taken, then
+the median over the items of each kind. Runs alternate between the
+checkouts, the parent first in even pairs, and the medians over runs are
+printed per kind.
 """
 
 from __future__ import annotations
@@ -27,13 +30,18 @@ KINDS = {0: "pair_loop", 1: "counted_loop, immediate limit", 2: "countdown_loop"
          3: "counted_loop, register limit"}
 
 
+FIGURES = ("run_ms", "session_ms", "blocks_built", "block_ms")
+
+
 def measure(seed: int, passes: int) -> dict:
-    """{kind: {"run_ms", "session_ms"}} for the checkout on ``sys.path``."""
+    """{kind: {figure: median}} for the checkout on ``sys.path``, with the
+    figures of ``FIGURES``, each per session."""
     from cfaudit import vm
     from workloads import ComputeLoop
 
-    inside = [0.0]
-    run = vm.Machine.run
+    # seconds inside Machine.run, blocks built, seconds inside _Code.block
+    inside = [0.0, 0, 0.0]
+    run, block = vm.Machine.run, vm._Code.block
 
     def timed_run(self, *args, **kwargs):
         start = time.perf_counter()
@@ -42,26 +50,32 @@ def measure(seed: int, passes: int) -> dict:
         finally:
             inside[0] += time.perf_counter() - start
 
-    vm.Machine.run = timed_run
+    def timed_block(self, pc):
+        start = time.perf_counter()
+        try:
+            return block(self, pc)
+        finally:
+            inside[1] += 1
+            inside[2] += time.perf_counter() - start
+
+    vm.Machine.run, vm._Code.block = timed_run, timed_block
     wl = ComputeLoop()
     items = wl.setup(seed).items
-    per_item = [([], []) for _ in items]
+    per_item = [{figure: [] for figure in FIGURES} for _ in items]
     for rep in range(passes + 1):                 # the first pass warms up
         for i, item in enumerate(items):
-            inside[0] = 0.0
+            inside[:] = [0.0, 0, 0.0]
             start = time.perf_counter()
             wl.run(item)
             session = time.perf_counter() - start
             if rep:
-                per_item[i][0].append(inside[0] * 1e3)
-                per_item[i][1].append(session * 1e3)
-    out = {}
-    for kind in KINDS:
-        mine = per_item[kind::wl.period]
-        out[str(kind)] = {
-            "run_ms": statistics.median(statistics.median(r) for r, _ in mine),
-            "session_ms": statistics.median(statistics.median(s) for _, s in mine)}
-    return out
+                for figure, value in zip(FIGURES, (inside[0] * 1e3, session * 1e3,
+                                                   inside[1], inside[2] * 1e3)):
+                    per_item[i][figure].append(value)
+    return {str(kind): {figure: statistics.median(statistics.median(item[figure])
+                                                  for item in per_item[kind::wl.period])
+                        for figure in FIGURES}
+            for kind in KINDS}
 
 
 def run_side(checkout: Path, seed: int, passes: int) -> dict:
@@ -99,12 +113,13 @@ def main(argv=None) -> int:
             runs[side].append(run_side(getattr(args, side), args.seed, args.passes))
     by_kind = {
         kind: {side: {f"{key}_median": round(statistics.median(
-            r[kind][key] for r in runs[side]), 4) for key in ("run_ms", "session_ms")}
+            r[kind][key] for r in runs[side]), 4) for key in FIGURES}
             for side in runs}
         for kind in map(str, KINDS)}
     for kind, sides in by_kind.items():
         print(f"{KINDS[int(kind)]:32}" + "".join(
-            f"  {side}: run {v['run_ms_median']:.3f} ms, session {v['session_ms_median']:.3f} ms"
+            f"  {side}: run {v['run_ms_median']:.3f} ms, session {v['session_ms_median']:.3f}"
+            f" ms, {v['blocks_built_median']:.2f} blocks in {v['block_ms_median']:.3f} ms"
             for side, v in sides.items()))
     print(json.dumps({"seed": args.seed, "by_kind": by_kind, "runs": runs}))
     return 0
