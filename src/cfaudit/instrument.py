@@ -46,7 +46,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import isa
-from .isa import BRANCH_MNEMONICS, SourceLine
+from .isa import (CTL_COND, CTL_ICALL, CTL_NONE, CTL_POP_PC, CTL_RETURN, OPS,
+                  SourceLine, control, written)
 
 RESERVED = (10, 11)             # r10 and r11, the gateway's registers
 
@@ -117,29 +118,16 @@ class InstrumentationMap:
 
 _REG_TOKEN = re.compile(r"\b(r\d+|sp|lr|pc)\b", re.IGNORECASE)
 
-# branches whose one operand is the symbol ``code[3]`` names, never a
-# register, however it is spelt
-_TARGET_OPS = frozenset({isa.OP_B, isa.OP_BL, isa.OP_BCOND})
-
-# the fields of ``SourceLine.code`` that hold a register number, by opcode
-_REG_FIELDS = {
-    isa.OP_MOV_IMM: (1,), isa.OP_CMP_RI: (1,), isa.OP_BLX: (1,), isa.OP_PUSH: (1,),
-    isa.OP_POP: (1,), isa.OP_MOV_REG: (1, 2), isa.OP_CMP_RR: (1, 2), isa.OP_LDR: (1, 2),
-    isa.OP_STR: (1, 2), isa.OP_ADD_RI: (1, 2), isa.OP_SUB_RI: (1, 2),
-    isa.OP_ADD_RR: (1, 2, 3), isa.OP_SUB_RR: (1, 2, 3),
-}
-
-
 def _renamed(code: tuple, regs: dict[int, int]) -> tuple:
     """``code`` with each register field moved as ``regs`` says."""
-    fields = _REG_FIELDS.get(code[0], ())
+    fields = OPS[code[0]].regs
     return tuple(regs.get(f, f) if k in fields else f for k, f in enumerate(code))
 
 
 def plan_renames(lines: list[SourceLine]) -> dict[str, str]:
     """Where r10 and r11 move: each that the program names goes to the
     lowest free one of r0-r9 and r12. Reads the register fields."""
-    used = {sl.code[k] for sl in lines for k in _REG_FIELDS.get(sl.code[0], ())}
+    used = {sl.code[k] for sl in lines for k in OPS[sl.code[0]].regs}
     free = [r for r in (*range(10), 12) if r not in used]
     renames: dict[str, str] = {}
     for reserved in RESERVED:
@@ -152,35 +140,19 @@ def plan_renames(lines: list[SourceLine]) -> dict[str, str]:
 
 # --- structural helpers ----------------------------------------------------
 
-# opcodes whose ``ra`` is the register they write
-_WRITES_RA = frozenset({isa.OP_MOV_IMM, isa.OP_MOV_REG, isa.OP_LDR, isa.OP_ADD_RI,
-                        isa.OP_ADD_RR, isa.OP_SUB_RI, isa.OP_SUB_RR, isa.OP_POP})
-
-
-def _writes_reg(sl: SourceLine) -> int | None:
-    """Register a data instruction writes."""
-    return sl.code[1] if sl.code[0] in _WRITES_RA else None
-
-
-def _is_pop_pc(sl: SourceLine) -> bool:
-    return sl.code[0] == isa.OP_POP and sl.code[1] == isa.PC
-
-
-def _is_branch(sl: SourceLine) -> bool:
-    return sl.mnemonic in BRANCH_MNEMONICS or sl.mnemonic == "halt" or _is_pop_pc(sl)
-
-
 def _label_lines(lines: list[SourceLine]) -> dict[str, int]:
-    out = {}
-    for i, sl in enumerate(lines):
-        for lab in sl.labels:
-            out[lab] = i
-    return out
+    return {lab: i for i, sl in enumerate(lines) for lab in sl.labels}
 
 
 def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
     """Find canonical counted loops eligible for single-record logging."""
-    labels = _label_lines(lines)
+    return _static_loops(lines, _label_lines(lines), [control(sl.code) for sl in lines])
+
+
+def _static_loops(lines: list[SourceLine], labels: dict[str, int],
+                  ctls: list[str]) -> list[LoopDescriptor]:
+    """``detect_static_loops``, given the line of each label and the control
+    class of each line."""
     # lines naming each symbol, as a branch target or a ``#label`` operand
     mentions = Counter(sl.code[3] for sl in lines if isinstance(sl.code[3], str))
     loops: list[LoopDescriptor] = []
@@ -209,26 +181,26 @@ def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
         # body checks: lines h .. i-1, no branches, no labels past the
         # header, exactly one canonical counter increment, limit untouched
         body = lines[h:i]
-        if any(_is_branch(b) for b in body):
+        if any(c != CTL_NONE for c in ctls[h:i]):
             continue
         if any(b.labels for b in body[1:]) or sl.labels:
             continue
-        increments = [b for b in body if _writes_reg(b) == counter]
+        increments = [b for b in body if counter in written(b.code)]
         if len(increments) != 1 or increments[0].code != (isa.OP_ADD_RI, counter, counter, 1):
             continue
-        if limit_reg is not None and any(_writes_reg(b) == limit_reg for b in body):
+        if limit_reg is not None and any(limit_reg in written(b.code) for b in body):
             continue
         # dominating init: nearest preceding write to the counter must be
         # ``mov ri, #0`` reached by straight-line flow
         init = None
         j = h - 1
         while j >= 0:
-            w = _writes_reg(lines[j])
-            if w == counter:
+            w = written(lines[j].code)
+            if counter in w:
                 if lines[j].code == (isa.OP_MOV_IMM, counter, 0, 0):
                     init = j
                 break
-            if _is_branch(lines[j]) or (limit_reg is not None and w == limit_reg):
+            if ctls[j] != CTL_NONE or limit_reg in w:
                 break
             if j != h - 1 and lines[j].labels:
                 break
@@ -257,15 +229,15 @@ def rewrite(asm_text: str) -> tuple[list[SourceLine], InstrumentationMap]:
     regs = {int(old[1:]): int(new[1:]) for old, new in renames.items()}
     # renaming moves r10/r11 to registers the program never names, so the
     # loops found before it are the loops found after it
-    loops = detect_static_loops(lines)
+    labels, ctls = _label_lines(lines), [control(sl.code) for sl in lines]
+    loops = _static_loops(lines, labels, ctls)
 
     # site scan: the lines that gain a ``bl trampoline_cond``
-    labels = _label_lines(lines)
     headers = {lp.header_line: lp for lp in loops}
     loop_branches = {lp.branch_line for lp in loops}
     cond_sites: set[int] = set()
     for i, sl in enumerate(lines):
-        if sl.code[0] != isa.OP_BCOND:
+        if ctls[i] != CTL_COND:
             continue
         if i + 1 == len(lines):
             raise UnsupportedPattern(f"line {sl.lineno}: conditional branch has no fall-through")
@@ -284,6 +256,8 @@ def rewrite(asm_text: str) -> tuple[list[SourceLine], InstrumentationMap]:
 
     # emit scan: each line as rewritten, with its map entries and addresses
     imap = InstrumentationMap(renames=renames)
+    entries, line_map, line_end = imap.entries, imap.line_map, imap.line_end
+    base, width = isa.PMEM_BASE, isa.INSTR_WIDTH
     out: list[SourceLine] = []
     row = 0                         # rendered lines so far, labels included
 
@@ -308,30 +282,30 @@ def rewrite(asm_text: str) -> tuple[list[SourceLine], InstrumentationMap]:
         if i in cond_sites:
             emit(site_labels, "bl", ["trampoline_cond"], _CALL_COND)
             site_labels = []
-        origin = isa.PMEM_BASE + i * isa.INSTR_WIDTH
-        op, args, code = sl.code[0], sl.args, sl.code
-        if regs and op not in _TARGET_OPS:
+        origin = base + i * width
+        args, code, ctl = sl.args, sl.code, ctls[i]
+        if regs and OPS[code[0]].regs:        # a label operand is never renamed
             args = [rename(a) for a in args]
             code = _renamed(code, regs)
-        imap.line_map[i] = isa.PMEM_BASE + len(out) * isa.INSTR_WIDTH
-        if op == isa.OP_BLX:
-            imap.entries.append(MapEntry(origin, KIND_INDIRECT_CALL))
+        line_map[i] = base + len(out) * width
+        if ctl == CTL_ICALL:
+            entries.append(MapEntry(origin, KIND_INDIRECT_CALL))
             emit(site_labels, "mov", ["r10", args[0]], (isa.OP_MOV_REG, 10, code[1], 0))
             emit([], "bl", ["trampoline_icall"], _CALL_ICALL)
-        elif op == isa.OP_BX_LR:
-            imap.entries.append(MapEntry(origin, KIND_RETURN_BX_LR))
+        elif ctl == CTL_RETURN:
+            entries.append(MapEntry(origin, KIND_RETURN_BX_LR))
             emit(site_labels, "b", ["trampoline_ret"], _JUMP_RET)
-        elif _is_pop_pc(sl):
-            imap.entries.append(MapEntry(origin, KIND_RETURN_POP_PC))
+        elif ctl == CTL_POP_PC:
+            entries.append(MapEntry(origin, KIND_RETURN_POP_PC))
             emit(site_labels, "pop", ["lr"], (isa.OP_POP, isa.LR, 0, 0))
             emit([], "b", ["trampoline_ret"], _JUMP_RET)
         else:
             emit(site_labels, sl.mnemonic, args, code)
-            if op == isa.OP_BCOND:
-                imap.entries += [MapEntry(origin, KIND_STATIC_LOOP if i in loop_branches
-                                          else KIND_COND_TAKEN),
-                                 MapEntry(origin, KIND_COND_NOT_TAKEN)]
-        imap.line_end[i] = isa.PMEM_BASE + len(out) * isa.INSTR_WIDTH
+            if ctl == CTL_COND:
+                entries += [MapEntry(origin, KIND_STATIC_LOOP if i in loop_branches
+                                     else KIND_COND_TAKEN),
+                            MapEntry(origin, KIND_COND_NOT_TAKEN)]
+        line_end[i] = base + len(out) * width
     return out, imap
 
 

@@ -9,16 +9,23 @@ Every instruction occupies exactly 4 bytes (big-endian word):
 All memory regions sit below 2**31 so any code address fits the 31-bit
 payload of an audit-log entry.
 
-Assembly syntax is known in one place, ``parse_lines``. It checks every
-line on its own: the mnemonic, operand count and form, register names,
-numeric immediates and offsets in range, and labels defined twice or
-shadowing a builtin symbol. A ``SourceLine`` is therefore well formed and
-carries its encoding fields. ``layout`` only lays checked lines out,
-resolves symbols (an undefined one is a ``LinkError``), checks that there
-is at least one line and no more than program memory holds, and encodes
-the image in one pack. ``assemble`` is ``parse_lines`` then ``layout``;
-the rewriter's lines, already checked, go to ``layout`` directly, and
-``render`` gives the text they parse back from.
+The facts of the instruction set have one home, ``OPS``: a row per opcode
+with its mnemonic, operand form, the code fields that name registers, the
+registers it writes (``sp`` for ``push`` and ``pop`` and ``lr`` for ``bl``
+and ``blx`` besides) and its control class. The parser, the decoder, the
+rewriter, the machine and the auditor's graph read them there; what each
+opcode does is the machine's alone (``vm._translate``).
+
+Assembly syntax is read in one place, ``parse_lines``. It looks each
+mnemonic's row up once and checks every line on its own, by its form: the
+operand count, register names, numeric immediates and offsets in range,
+and labels defined twice or shadowing a builtin symbol. A ``SourceLine``
+is therefore well formed and carries its encoding fields. ``layout`` only
+lays checked lines out, resolves symbols (an undefined one is a
+``LinkError``), checks that there is at least one line and no more than
+program memory holds, and encodes the image in one pack. ``assemble`` is
+``parse_lines`` then ``layout``; the rewriter's lines, already checked, go
+to ``layout`` directly, and ``render`` gives the text they parse back from.
 """
 
 from __future__ import annotations
@@ -85,30 +92,7 @@ REG_NAMES = {f"r{i}": i for i in range(13)}
 REG_NAMES.update(sp=SP, lr=LR, pc=PC)
 REG_REPR = {v: k for k, v in REG_NAMES.items()}
 
-# --- opcodes ------------------------------------------------------------
-
-OP_ILLEGAL = 0x00
-OP_MOV_IMM = 0x01
-OP_MOV_REG = 0x02
-OP_LDR = 0x03
-OP_STR = 0x04
-OP_ADD_RI = 0x05
-OP_ADD_RR = 0x06
-OP_SUB_RI = 0x07
-OP_SUB_RR = 0x08
-OP_CMP_RI = 0x09
-OP_CMP_RR = 0x0A
-OP_B = 0x0B
-OP_BCOND = 0x0C
-OP_BL = 0x0D
-OP_BLX = 0x0E
-OP_BX_LR = 0x0F
-OP_PUSH = 0x10
-OP_POP = 0x11
-OP_NSC_CALL = 0x12
-OP_HALT = 0x13
-
-VALID_OPCODES = frozenset(range(OP_MOV_IMM, OP_HALT + 1))
+# --- the instruction set: one row per opcode ----------------------------
 
 # Condition codes for bcond, derived from the flags a preceding cmp set.
 COND_EQ, COND_NE, COND_LT, COND_GE, COND_GT, COND_LE = range(6)
@@ -116,8 +100,76 @@ COND_NAMES = {"eq": COND_EQ, "ne": COND_NE, "lt": COND_LT,
               "ge": COND_GE, "gt": COND_GT, "le": COND_LE}
 COND_REPR = {v: k for k, v in COND_NAMES.items()}
 
-# Opcodes that may redirect control flow when executed.
-BRANCH_MNEMONICS = frozenset({"b", "bl", "blx", "bx", "nsc_call"} | {"b" + c for c in COND_NAMES})
+# Operand forms, as in ``halt``, ``push r1``, ``add r1, r2, r3`` or ``add
+# r1, r2, #3``, ``ldr r1, [r2, #4]``, ``bl f`` and ``bx lr``.
+FORM_NONE, FORM_REG, FORM_REG_OR_IMM = "none", "register", "register-or-immediate"
+FORM_MEM, FORM_LABEL, FORM_LR = "memory", "label", "lr"
+
+# Control classes, by where control goes next: the next word; a fixed
+# address; either, by the flags; a fixed address or a register's value,
+# with the next word in lr; lr's value; the popped word, when the register
+# popped is pc; the Secure World, by the protected return; nowhere.
+CTL_NONE, CTL_JUMP, CTL_COND = "none", "jump", "cond"
+CTL_CALL, CTL_ICALL, CTL_RETURN, CTL_POP_PC = "call", "icall", "return", "pop-pc"
+CTL_EXIT, CTL_HALT = "exit", "halt"
+
+RA = -1     # in ``Op.writes``: the register that field ra names
+
+
+class Op(NamedTuple):
+    """An opcode's row: its facts, which every module reads here."""
+
+    op: int
+    mnemonic: str               # a conditional branch's, followed by its condition
+    form: str                   # a ``FORM_*``
+    regs: tuple[int, ...]       # the fields of ``(op, ra, rb, imm)`` that name a register
+    writes: tuple[int, ...]     # the registers written: ``RA`` first, then implicit ones
+    control: str                # a ``CTL_*``; see ``control`` for a pop
+
+
+# Each opcode is defined in its row. OP_ILLEGAL has none: the machine
+# decodes every ill-formed word to it.
+OP_ILLEGAL = 0x00
+_ROWS = (
+    Op(OP_MOV_IMM := 0x01, "mov", FORM_REG_OR_IMM, (1,), (RA,), CTL_NONE),
+    Op(OP_MOV_REG := 0x02, "mov", FORM_REG_OR_IMM, (1, 2), (RA,), CTL_NONE),
+    Op(OP_LDR := 0x03, "ldr", FORM_MEM, (1, 2), (RA,), CTL_NONE),
+    Op(OP_STR := 0x04, "str", FORM_MEM, (1, 2), (), CTL_NONE),
+    Op(OP_ADD_RI := 0x05, "add", FORM_REG_OR_IMM, (1, 2), (RA,), CTL_NONE),
+    Op(OP_ADD_RR := 0x06, "add", FORM_REG_OR_IMM, (1, 2, 3), (RA,), CTL_NONE),
+    Op(OP_SUB_RI := 0x07, "sub", FORM_REG_OR_IMM, (1, 2), (RA,), CTL_NONE),
+    Op(OP_SUB_RR := 0x08, "sub", FORM_REG_OR_IMM, (1, 2, 3), (RA,), CTL_NONE),
+    Op(OP_CMP_RI := 0x09, "cmp", FORM_REG_OR_IMM, (1,), (), CTL_NONE),
+    Op(OP_CMP_RR := 0x0A, "cmp", FORM_REG_OR_IMM, (1, 2), (), CTL_NONE),
+    Op(OP_B := 0x0B, "b", FORM_LABEL, (), (), CTL_JUMP),
+    Op(OP_BCOND := 0x0C, "b", FORM_LABEL, (), (), CTL_COND),     # ra holds the condition
+    Op(OP_BL := 0x0D, "bl", FORM_LABEL, (), (LR,), CTL_CALL),
+    Op(OP_BLX := 0x0E, "blx", FORM_REG, (1,), (LR,), CTL_ICALL),
+    Op(OP_BX_LR := 0x0F, "bx", FORM_LR, (), (), CTL_RETURN),
+    Op(OP_PUSH := 0x10, "push", FORM_REG, (1,), (SP,), CTL_NONE),
+    Op(OP_POP := 0x11, "pop", FORM_REG, (1,), (RA, SP), CTL_POP_PC),
+    Op(OP_NSC_CALL := 0x12, "nsc_call", FORM_NONE, (), (), CTL_EXIT),
+    Op(OP_HALT := 0x13, "halt", FORM_NONE, (), (), CTL_HALT),
+)
+OPS = {row.op: row for row in _ROWS}
+
+VALID_OPCODES = frozenset(OPS)
+
+
+def control(code: tuple) -> str | None:
+    """The control class of the instruction with fields ``code``: its row's,
+    but a pop transfers control only into pc; None for an opcode with no row."""
+    row = OPS.get(code[0])
+    if row is None:
+        return None
+    c = row.control
+    return CTL_NONE if c == CTL_POP_PC and code[1] != PC else c
+
+
+def written(code: tuple) -> tuple[int, ...]:
+    """The registers the instruction with fields ``code`` writes."""
+    w = OPS[code[0]].writes
+    return (code[1],) + w[1:] if RA in w else w
 
 
 class ParseError(Exception):
@@ -148,14 +200,14 @@ class Instruction(NamedTuple):
 
 
 def decode(word: bytes) -> Instruction | None:
-    """Decode 4 bytes; None when the word is not a well-formed instruction."""
+    """Decode 4 bytes; None when the word is not a well-formed instruction:
+    no row, no condition for a ``bcond``, or an ``imm`` register field > 15."""
     op, regs, imm = struct.unpack(">BBH", word)
-    if op not in VALID_OPCODES:
+    row = OPS.get(op)
+    if row is None:
         return None
     ra, rb = regs >> 4, regs & 0x0F
-    if op == OP_BCOND and ra not in COND_REPR:
-        return None
-    if op in (OP_ADD_RR, OP_SUB_RR) and imm > 15:
+    if row.control == CTL_COND and ra not in COND_REPR or imm > 15 and 3 in row.regs:
         return None
     return Instruction(op, ra, rb, imm)
 
@@ -184,13 +236,25 @@ _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):\s*(.*)$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _MEM_RE = re.compile(r"^\[\s*(\w+)\s*(?:,\s*#(\w+)\s*)?\]$")
 
-# branches to a symbol: mnemonic -> (opcode, ra)
-_BRANCHES = {"b": (OP_B, 0), "bl": (OP_BL, 0)}
-_BRANCHES.update({"b" + c: (OP_BCOND, cc) for c, cc in COND_NAMES.items()})
 
-# operand counts of the mnemonics that take a fixed number
-_ARITY = dict.fromkeys([*_BRANCHES, "blx", "bx", "push", "pop"], 1)
-_ARITY.update(mov=2, cmp=2, nsc_call=0, halt=0)
+def _syntax() -> dict[str, tuple[str, int, int, int, int]]:
+    """mnemonic -> (form, operand count, opcode, its immediate form's
+    opcode, the ``ra`` it fixes). Operands name the register fields in
+    order; a register-or-immediate pair shares a mnemonic, and its register
+    form names one register more."""
+    out: dict[str, tuple[str, int, int, int, int]] = {}
+    for row in sorted(OPS.values(), key=lambda r: len(r.regs)):     # immediate forms first
+        k = len(row.regs) + (row.form == FORM_LABEL or row.form == FORM_LR)
+        if row.control == CTL_COND:
+            out.update({row.mnemonic + c: (row.form, k, row.op, 0, cc)
+                        for c, cc in COND_NAMES.items()})
+        else:
+            imm = out[row.mnemonic][2] if row.mnemonic in out else 0
+            out[row.mnemonic] = (row.form, k, row.op, imm, 0)
+    return out
+
+
+_SYNTAX = _syntax()
 
 
 def parse_lines(text: str) -> list[SourceLine]:
@@ -227,60 +291,53 @@ def parse_lines(text: str) -> list[SourceLine]:
 
 
 def _encode(n: str, a: list[str], ln: int) -> tuple[int, int, int, int | str]:
-    """The ``SourceLine.code`` of one instruction; raises ParseError."""
-    k = _ARITY.get(n)
-    if k is not None and len(a) != k:
-        raise ParseError(ln, f"{n} expects {k} operand(s), got {len(a)}")
-    if n == "mov" or n == "cmp":
-        r = _parse_reg(a[0], ln)
-        if a[1].startswith("#"):
-            return (OP_MOV_IMM if n == "mov" else OP_CMP_RI), r, 0, _parse_imm(a[1], ln)
-        return (OP_MOV_REG if n == "mov" else OP_CMP_RR), r, _parse_reg(a[1], ln), 0
-    if n == "ldr" or n == "str":
+    """The ``SourceLine.code`` of one instruction, parsed by the form of its
+    mnemonic's row; raises ParseError."""
+    syntax = _SYNTAX.get(n)
+    if syntax is None:
+        raise ParseError(ln, f"unknown mnemonic {n!r}")
+    form, k, op, imm_op, ra = syntax
+    if form == FORM_REG_OR_IMM:
+        if len(a) == 2 < k:             # add rd, #imm  =>  add rd, rd, #imm
+            a = [a[0], *a]
+        elif len(a) != k:
+            raise ParseError(ln, f"{n} expects 2 or 3 operands" if k == 3
+                             else f"{n} expects {k} operand(s), got {len(a)}")
+        rd, last = _parse_reg(a[0], ln), a[-1]
+        rs = _parse_reg(a[1], ln) if k == 3 else 0
+        if last.startswith("#"):
+            return imm_op, rd, rs, _parse_imm(last, ln)
+        return (op, rd, rs, _parse_reg(last, ln)) if k == 3 else (op, rd, _parse_reg(last, ln), 0)
+    if form == FORM_MEM:
         if len(a) < 2:
-            raise ParseError(ln, "ldr expects rd, [rs(, #off)]" if n == "ldr"
-                             else "str expects rs, [rb(, #off)]")
-        r = _parse_reg(a[0], ln)
-        return (OP_LDR if n == "ldr" else OP_STR), r, *_parse_mem(a[1:], ln)
-    if n == "add" or n == "sub":
-        if len(a) == 2:          # add rd, #imm  =>  add rd, rd, #imm
-            a = [a[0], a[0], a[1]]
-        if len(a) != 3:
-            raise ParseError(ln, f"{n} expects 2 or 3 operands")
-        rd, rs = _parse_reg(a[0], ln), _parse_reg(a[1], ln)
-        if a[2].startswith("#"):
-            return (OP_ADD_RI if n == "add" else OP_SUB_RI), rd, rs, _parse_imm(a[2], ln)
-        return (OP_ADD_RR if n == "add" else OP_SUB_RR), rd, rs, _parse_reg(a[2], ln)
-    if n in _BRANCHES:
+            raise ParseError(ln, f"{n} expects {'rd, [rs' if OPS[op].writes else 'rs, [rb'}(, #off)]")
+        return op, _parse_reg(a[0], ln), *_parse_mem(a[1:], ln)
+    if len(a) != k:
+        raise ParseError(ln, f"{n} expects {k} operand(s), got {len(a)}")
+    if form == FORM_LABEL:
         if not _NAME_RE.match(a[0]):
             raise ParseError(ln, f"bad branch target {a[0]!r}")
-        return *_BRANCHES[n], 0, a[0]
-    if n == "blx":
-        return OP_BLX, _parse_reg(a[0], ln), 0, 0
-    if n == "bx":
-        if a[0].lower() != "lr":
-            raise ParseError(ln, "only 'bx lr' is supported")
-        return OP_BX_LR, 0, 0, 0
-    if n == "push" or n == "pop":
-        return (OP_PUSH if n == "push" else OP_POP), _parse_reg(a[0].strip("{}"), ln), 0, 0
-    if n == "nsc_call":
-        return OP_NSC_CALL, 0, 0, 0
-    if n == "halt":
-        return OP_HALT, 0, 0, 0
-    raise ParseError(ln, f"unknown mnemonic {n!r}")
+        return op, ra, 0, a[0]
+    if form == FORM_REG:
+        return op, _parse_reg(a[0].strip("{}"), ln), 0, 0
+    if form == FORM_LR and a[0].lower() != "lr":
+        raise ParseError(ln, f"only '{n} lr' is supported")
+    return op, 0, 0, 0
 
 
 def _parse_reg(tok: str, line: int) -> int:
-    r = REG_NAMES.get(tok.lower())
+    r = REG_NAMES.get(tok)
     if r is None:
-        raise ParseError(line, f"expected register, got {tok!r}")
+        r = REG_NAMES.get(tok.lower())
+        if r is None:
+            raise ParseError(line, f"expected register, got {tok!r}")
     return r
 
 
 def _parse_imm(tok: str, line: int) -> int | str:
     """A ``#`` operand's value, or the name of the symbol it stands for."""
     body = tok[1:]
-    if _NAME_RE.match(body):
+    if not body[:1].isdigit() and _NAME_RE.match(body):     # a name starts with no digit
         return body
     try:
         val = int(body, 0)

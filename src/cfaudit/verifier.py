@@ -148,38 +148,38 @@ class Cfg:
             if line is None:
                 return (LEFT, pc, None, tuple(pushes))
             inst = prog.instructions[line]
-            op, imm = inst.op, inst.imm
+            ctl, imm = isa.control(inst), inst.imm
             nxt = pc + isa.INSTR_WIDTH
             arg: object = None
-            if op == isa.OP_BL and imm == isa.TRAMP_COND:
+            if ctl == isa.CTL_CALL and imm == isa.TRAMP_COND:
                 kind, arg = COND, nxt
-            elif op == isa.OP_BL and imm == isa.TRAMP_ICALL:
+            elif ctl == isa.CTL_CALL and imm == isa.TRAMP_ICALL:
                 kind, arg = ICALL, nxt
-            elif op == isa.OP_BL and imm == isa.TRAMP_LOOP:
+            elif ctl == isa.CTL_CALL and imm == isa.TRAMP_LOOP:
                 site = self.loops[pc]
                 if site.limit <= 1:             # no copies to read
                     pc = site.exit
                     continue
                 kind, arg = LOOP, (site.header, site.limit - 1, site.exit)
-            elif imm == isa.NSC_EXIT and (op == isa.OP_B or op == isa.OP_BL):
+            elif imm == isa.NSC_EXIT and (ctl == isa.CTL_JUMP or ctl == isa.CTL_CALL):
                 kind = EXIT                     # a jump to the exit door ends the app
-            elif op == isa.OP_BL:
+            elif ctl == isa.CTL_CALL:
                 pushes.append(nxt)
                 pc = imm
                 continue
-            elif op == isa.OP_B and imm == isa.TRAMP_RET:
+            elif ctl == isa.CTL_JUMP and imm == isa.TRAMP_RET:
                 kind = RET
-            elif op == isa.OP_B:
+            elif ctl == isa.CTL_JUMP:
                 pc = imm
                 continue
-            elif op == isa.OP_BCOND:
+            elif ctl == isa.CTL_COND:
                 arrivals = (self._arrival(imm), self._arrival(nxt))
                 kind, arg = (UNREWRITTEN, None) if None in arrivals else (BRANCH, arrivals)
-            elif op == isa.OP_NSC_CALL:
+            elif ctl == isa.CTL_EXIT:
                 kind = EXIT
-            elif op == isa.OP_HALT:
+            elif ctl == isa.CTL_HALT:
                 kind = HALT
-            elif op == isa.OP_BLX or op == isa.OP_BX_LR:
+            elif ctl != isa.CTL_NONE:           # blx, bx lr, pop pc
                 kind = UNREWRITTEN
             else:
                 pc = nxt

@@ -28,13 +28,14 @@ before its last write, dmem, a weak handle on the machine for the checked
 path of a non-dmem access, and the world. A control instruction's closure
 returns the next pc; a fault, a halt, or a store into program memory (the
 rest of the block may be stale) raises ``_Stop``. A block is the closures
-from a pc through the first control instruction; it runs whole when it
-fits the limit and the watchdog budget, otherwise (and under ``step``) its
-closures run one at a time, so counters and faults are exactly those of
-one instruction at a time. A run of two or more ``add``/``sub`` immediates
-and ``mov``s (no pc operand, no lr target) folds into one closure that
-gives each register its final 32-bit value, and a ``cmp`` joins the
-``bcond`` after it.
+from a pc through the first control instruction or illegal word, one a
+word, except that a ``cmp`` joins the ``bcond`` after it. Which words end
+a block, and which a counted pass may run through, the machine reads from
+their rows in ``isa.OPS``; what each opcode does is ``_translate``'s
+alone. A block runs whole when it fits the limit and the watchdog budget;
+otherwise, and under ``step``, the machine runs one instruction at a
+time, so counters and faults are exactly those of one instruction at a
+time.
 
 A counted loop runs its passes in closed form. A block is a loop's head
 when the code from it runs straight on to one closing ``cmp`` and
@@ -113,22 +114,22 @@ and a program-memory write clear the note. A dispatch that misses
 ``blocks`` while the note stands runs one instruction at a time through
 ``ops`` up to the block's end: it builds no block and arms no loop head,
 though a head already in ``loops`` is still used. Either path leaves the
-same state, since a block runs the very instructions the other path runs
-one by one, with the same counters, faults and flags (a folded run gives
-each register its final value, a fused compare sets the flags the
-``cmp`` sets). So the note only chooses the path, and a stale one changes
-no result. Resumed runs are common: a session's driver cuts it into a
-run call at each message the device handles, and a block built where
-one stopped would run once.
+same state, since a block runs the very closures the other path runs one
+by one, with the same counters, faults and flags (a fused compare sets
+the flags the ``cmp`` sets). So the note only chooses the path, and a
+stale one changes no result. Resumed runs are common: a session's driver
+cuts it into a run call at each message the device handles, and a block
+built where one stopped would run once.
 
-An image's words are decoded once, on its first block; its closures and
-blocks are built on first fetch and shared by every machine of it, for
-the ``isa.IMAGE_CACHE_SIZE`` images used last; a machine that writes its
-program memory builds its own from then on. A gateway entry ends the
-block with an ``NscEntry`` event, unless ``run`` is given a gateway
-handler: a logging entry it services stays inside. The event carries
-only the entry address; the parked core holds the gateway state, in
-``regs``, ``last_exec_pc``, ``prev_exec_pc`` and ``prev_lr``.
+An image's words are decoded once, on its first fetch, and each word is
+translated once, into the closure a block and a single step share. Its
+closures and blocks are built on first fetch and shared by every machine
+of it, for the ``isa.IMAGE_CACHE_SIZE`` images used last; a machine that
+writes its program memory builds its own from then on. A gateway entry
+ends the block with an ``NscEntry`` event, unless ``run`` is given a
+gateway handler: a logging entry it services stays inside. The event
+carries only the entry address; the parked core holds the gateway state,
+in ``regs``, ``last_exec_pc``, ``prev_exec_pc`` and ``prev_lr``.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ from . import isa
 from .isa import (
     DMEM_BASE, DMEM_SIZE, INSTR_WIDTH, LR, NSC_EXIT, PC,
     PMEM_BASE, PMEM_CAPACITY, RETAINED_BASE, RETAINED_SIZE, SECURE_BASE,
-    SECURE_SIZE, SP, STACK_TOP,
+    SECURE_SIZE, SP, STACK_TOP, CTL_COND, CTL_NONE, OPS, RA,
     OP_ADD_RI, OP_ADD_RR, OP_B, OP_BCOND, OP_BL, OP_BLX, OP_BX_LR, OP_CMP_RI,
     OP_CMP_RR, OP_HALT, OP_ILLEGAL, OP_LDR, OP_MOV_IMM, OP_MOV_REG, OP_NSC_CALL,
     OP_POP, OP_PUSH, OP_STR, OP_SUB_RI, OP_SUB_RR,
@@ -367,8 +368,7 @@ class Machine:
         """The closure of the word at ``pc``, or the fault its fetch takes;
         the Secure World's words outside pmem are translated every fetch."""
         if (code := self._code).covers(pc):
-            return code.ops.setdefault(
-                pc, _translate(_decode(_load(code.pmem, pc - PMEM_BASE)[0]), pc))
+            return code.op(pc)
         if pc % INSTR_WIDTH:
             return Fault(FaultKind.UNALIGNED, pc)
         fk = self._checked(pc, AccessKind.EXECUTE)
@@ -473,22 +473,8 @@ class Machine:
                                         continue
                                 armed = loop, n, served, regs[:]
                                 blk = loop.block
-                        else:
-                            # one instruction, no block built: a single step,
-                            # or a resume partway through a block, which
-                            # steps on to the block's end
-                            f = ops.get(pc) or self._fetch(pc)
-                            if f.__class__ is Fault:
-                                ev = f
-                                break
-                            nxt = f(regs, st)
-                            prev, last = last, pc
-                            inside = nxt is None
-                            pc = pc + INSTR_WIDTH if inside else nxt
-                            n += 1
-                            continue
-                    body, term, size, b_last, b_prev = blk
-                    if size <= budget - n:
+                    if blk is not None and blk[2] <= budget - n:
+                        body, term, size, b_last, b_prev = blk
                         for f in body:
                             f(regs, st)
                         pc = term(regs, st)
@@ -496,17 +482,19 @@ class Machine:
                         prev = b_prev or last     # None: a one-instruction block
                         last = b_last
                         inside = False
-                    else:
-                        # the limit falls inside the block: no control
-                        # instruction among the ones it leaves room for
-                        k = budget - n
-                        for at in range(pc, pc + k * INSTR_WIDTH, INSTR_WIDTH):
-                            (ops.get(at) or self._fetch(at))(regs, st)
-                        n = budget
-                        inside = True
-                        prev = pc + (k - 2) * INSTR_WIDTH if k > 1 else last
-                        last = pc + (k - 1) * INSTR_WIDTH
-                        pc += k * INSTR_WIDTH
+                        continue
+                    # one instruction: a single step, a block the limit falls
+                    # inside, or a resume partway through a block, which steps
+                    # on to the block's end without building one
+                    f = ops.get(pc) or self._fetch(pc)
+                    if f.__class__ is Fault:
+                        ev = f
+                        break
+                    nxt = f(regs, st)
+                    prev, last = last, pc
+                    inside = nxt is None
+                    pc = pc + INSTR_WIDTH if inside else nxt
+                    n += 1
             except _Stop as stop:
                 at, ev = stop.args
                 k = (at - pc) // INSTR_WIDTH  # executed before it in this dispatch
@@ -694,7 +682,7 @@ def _translate(inst: tuple[int, int, int, int], pc: int) -> Callable:
     else:
         def f(regs, st):
             raise _Stop(pc, Fault(FaultKind.ILLEGAL_INSTRUCTION, pc))
-    if PC in (ra, rb) or (op in (OP_ADD_RR, OP_SUB_RR) and imm == PC):
+    if _names_pc(inst):
         inner = f
 
         def f(regs, st):
@@ -722,11 +710,6 @@ def _compare(cmp: tuple[int, int, int, int], taken: tuple, target: int,
     return f
 
 
-_CONTROL = frozenset({OP_ILLEGAL, OP_B, OP_BCOND, OP_BL, OP_BLX, OP_BX_LR,
-                      OP_NSC_CALL, OP_HALT})
-_ARITH = frozenset({OP_ADD_RI, OP_SUB_RI, OP_MOV_REG})
-
-
 @functools.lru_cache(maxsize=1 << 12)
 def _decode(word: int) -> tuple[int, int, int, int]:
     """(op, ra, rb, imm) of an instruction word; an illegal one has op 0."""
@@ -734,41 +717,14 @@ def _decode(word: int) -> tuple[int, int, int, int]:
     return (OP_ILLEGAL, 0, 0, 0) if inst is None else (inst.op, inst.ra, inst.rb, inst.imm)
 
 
-def _fold(insts: list[tuple[int, int, int, int]]) -> Callable | None:
-    """One closure for a run of register arithmetic: each register it writes
-    gets its final value, an entry value plus a constant, or a constant.
-    None when the copies form a cycle."""
-    val: dict[int, tuple[int | None, int]] = {}
-    for op, ra, rb, imm in insts:
-        if op == OP_MOV_IMM:
-            val[ra] = (None, imm)
-            continue
-        src, c = val.get(rb) or (rb, 0)
-        val[ra] = (src, c if op == OP_MOV_REG else
-                   (c + imm if op == OP_ADD_RI else c - imm) & MASK32)
-    consts = tuple((d, c) for d, (s, c) in val.items() if s is None)
-    moves = {d: (s, c) for d, (s, c) in val.items() if s is not None and (s != d or c)}
-    adds = []
-    while moves:
-        # write a register once no pending move still reads its entry value
-        read = {s for d, (s, _) in moves.items() if s != d}
-        ready = [d for d in moves if d not in read]
-        if not ready:
-            return None
-        adds += [(d, *moves.pop(d)) for d in ready]
-    adds = tuple(adds)
-
-    def f(regs, st):
-        for d, s, c in adds:
-            regs[d] = (regs[s] + c) & MASK32
-        for d, c in consts:
-            regs[d] = c
-    return f
+def _names_pc(inst: tuple[int, int, int, int]) -> bool:
+    """Whether a register field of ``inst`` names pc."""
+    if PC not in inst[1:]:              # no field holds its number
+        return False
+    row = OPS.get(inst[0])
+    return row is not None and any(inst[k] == PC for k in row.regs)
 
 
-_LOOP_BODY = frozenset({OP_MOV_IMM, OP_MOV_REG, OP_ADD_RI, OP_SUB_RI, OP_ADD_RR,
-                        OP_SUB_RR, OP_LDR})
-_COMPARES = frozenset({OP_CMP_RI, OP_CMP_RR})
 _INV = -1       # a value that is the same in every iteration
 
 
@@ -796,19 +752,29 @@ def _loop(words: list, head: int, blk: tuple) -> _Loop | None:
     """The loop whose head is ``head`` in the image decoded as ``words``,
     with ``blk`` the block there; None when the pass from it is no counted
     pass (see the module docstring)."""
-    insts, arrivals, at = [], [], head
+    # straight on through gateway calls, branches to their fall-through,
+    # compares, and register arithmetic and loads (``body``)
+    insts, body, arrivals, at = [], [], [], head
     for inst in itertools.islice(words, (head - PMEM_BASE) // INSTR_WIDTH, None):
         op, target, at = inst[0], inst[3], at + INSTR_WIDTH
+        row = OPS.get(op)
+        if row is None:
+            return None
         if op == OP_BL and target == isa.TRAMP_COND:
             arrivals.append(at)
-        elif op == OP_BCOND and target != at:
-            break                     # the closing branch
-        elif op not in _LOOP_BODY and op not in _COMPARES and op != OP_BCOND:
+        elif row.control == CTL_COND:
+            if target != at:
+                break                 # the closing branch
+        elif row.control != CTL_NONE:
+            return None
+        elif row.writes == (RA,):
+            body.append(inst)
+        elif row.mnemonic != "cmp":
             return None
         insts.append(inst)
     else:
         return None
-    if not insts or insts[-1][0] not in _COMPARES or PC in insts[-1][1:3]:
+    if not insts or OPS[insts[-1][0]].mnemonic != "cmp" or _names_pc(insts[-1]):
         return None
     size, last, prev = len(insts) + 1, at - INSTR_WIDTH, at - 2 * INSTR_WIDTH
     if target == head - INSTR_WIDTH and target >= PMEM_BASE and \
@@ -819,7 +785,7 @@ def _loop(words: list, head: int, blk: tuple) -> _Loop | None:
         return None
     if len(arrivals) > 2:             # no log unit is longer
         return None
-    form = _closed_form([i for i in insts if i[0] in _LOOP_BODY], insts[-1])
+    form = _closed_form(body, insts[-1])
     if form is None:
         return None
     taken = _COND_TAKEN[inst[1]]
@@ -845,11 +811,12 @@ def _closed_form(body: list[tuple[int, int, int, int]],
     def of(r: int) -> int:
         return val.get(r, r if r in written else _INV)
 
-    for o, d, s, i in body:
+    for inst in body:
+        o, d, s, i = inst
         if o == OP_MOV_IMM:
             val[d] = _INV
             continue
-        if s == PC or (o == OP_ADD_RR or o == OP_SUB_RR) and i == PC:
+        if _names_pc(inst):
             return None
         v = of(s)
         if o == OP_LDR:
@@ -914,58 +881,57 @@ class _Code:
     block, and its SHA-256 once measured."""
 
     def __init__(self, pmem: bytes | bytearray):
-        # by pc: closures, blocks, and self-loops (never in ``blocks``)
+        # by pc: closures, blocks, and loop heads (never in ``blocks``)
         self.pmem, self.ops, self.blocks, self.loops = pmem, {}, {}, {}
-        self.words: list | None = None     # every word decoded, on the first block
         self.digest: bytes | None = None
+
+    @functools.cached_property
+    def words(self) -> list[tuple[int, int, int, int]]:
+        """Every word of the image, decoded once."""
+        return list(map(_decode, struct.unpack_from(
+            f">{len(self.pmem) // INSTR_WIDTH}I", self.pmem)))
 
     def covers(self, pc: int) -> bool:
         """Whether ``pc`` is a whole, aligned program-memory word."""
         off = pc - PMEM_BASE
         return 0 <= off <= len(self.pmem) - INSTR_WIDTH and not off % INSTR_WIDTH
 
+    def op(self, pc: int) -> Callable:
+        """The closure of the word at ``pc``, translated once."""
+        f = self.ops.get(pc)
+        if f is None:
+            f = self.ops[pc] = _translate(self.words[(pc - PMEM_BASE) // INSTR_WIDTH], pc)
+        return f
+
     def block(self, pc: int) -> tuple:
         """(body, terminator returning the next pc, size, last pc, the pc
         before it or None) of the block at ``pc``; a loop head's goes into
         ``loops`` with the closed form of its pass."""
-        if (words := self.words) is None:
-            self.words = words = list(map(_decode, struct.unpack_from(
-                f">{len(self.pmem) // INSTR_WIDTH}I", self.pmem)))
+        words = self.words
         start = end = (pc - PMEM_BASE) // INSTR_WIDTH
-        for op, ra, _, _ in itertools.islice(words, start, None):
+        for inst in itertools.islice(words, start, None):
             end += 1
-            if op in _CONTROL or op == OP_POP and ra == PC:
+            if (ctl := isa.control(inst)) != CTL_NONE:     # None: an illegal word
                 break
         insts, at = words[start:end], PMEM_BASE + end * INSTR_WIDTH
         size, (op, ra, _, imm) = end - start, insts[-1]
-        if op == OP_BCOND and size > 1 and insts[-2][0] in _COMPARES \
-                and PC not in insts[-2][1:3]:
+        if ctl == CTL_COND and size > 1 and OPS[insts[-2][0]].mnemonic == "cmp" \
+                and not _names_pc(insts[-2]):
             n, term = size - 2, _compare(insts[-2], _COND_TAKEN[ra], imm, at)
-        elif op in _CONTROL or (op == OP_POP and ra == PC):
-            n, term = size - 1, _translate(insts[-1], at - INSTR_WIDTH)
+        elif ctl != CTL_NONE:
+            n, term = size - 1, self.op(at - INSTR_WIDTH)
         else:
             n, term = size, lambda regs, st: at     # cut by the end of the image
-        # what folds: register arithmetic with no pc operand, no lr target;
-        # insts[run:k] is the run of it before k
-        body, run = [], 0
-        for k in range(n + 1):
-            if k < n:
-                o, d, s, _ = insts[k]
-                if (o in _ARITH and s != PC or o == OP_MOV_IMM) and d != PC and d != LR:
-                    continue
-            folded = k - run > 1 and _fold(insts[run:k])
-            body += [folded] if folded else [_translate(insts[j], pc + j * INSTR_WIDTH)
-                                             for j in range(run, k)]
-            if k < n:
-                body.append(_translate(insts[k], pc + k * INSTR_WIDTH))
-            run = k + 1
-        blk = (tuple(body), term, size, at - INSTR_WIDTH,
+        # a tuple of a list: one of an iterator is sized by resizing, and the
+        # blocks that leaves behind raise a long run's peak RSS by megabytes
+        body = tuple([self.op(a) for a in range(pc, pc + n * INSTR_WIDTH, INSTR_WIDTH)])
+        blk = (body, term, size, at - INSTR_WIDTH,
                at - 2 * INSTR_WIDTH if size > 1 else None)
         # a pass goes on through a gateway call or a branch to its fall-through,
         # or closes back to its head; a gateway call alone starts none, so a
         # loop has one head
         goes_on = op == OP_BL and imm == isa.TRAMP_COND and size > 1 \
-            or op == OP_BCOND and imm in (at, pc, pc - INSTR_WIDTH)
+            or ctl == CTL_COND and imm in (at, pc, pc - INSTR_WIDTH)
         loop = _loop(words, pc, blk) if goes_on else None
         if loop is None:
             self.blocks[pc] = blk

@@ -615,9 +615,10 @@ def _inst_at(cfg: Cfg, addr: int) -> isa.Instruction | None:
 class ReferenceWalker:
     """The per-instruction walker the auditor used before it walked log
     runs: it steps one instruction at a time over the expanded destination
-    list. Kept verbatim, except that it looks instructions up itself and
-    ends at a direct jump to the exit door as at ``nsc_call`` (D21), as
-    the oracle the run walker is checked against."""
+    list. Kept verbatim, except that it looks instructions up itself,
+    ends at a direct jump to the exit door as at ``nsc_call`` (D21) and
+    fails at a pop into pc as at the other unrewritten indirects, as the
+    oracle the run walker is checked against."""
 
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
@@ -726,7 +727,7 @@ class ReferenceWalker:
                     return
             elif op == isa.OP_HALT:
                 self.done = True
-            elif op == isa.OP_BLX or op == isa.OP_BX_LR:
+            elif op == isa.OP_BLX or op == isa.OP_BX_LR or op == OP_POP and inst.ra == PC:
                 self._fail(V_MALFORMED, f"unrewritten indirect at {self.pc:#x}")
                 return
             else:
@@ -977,15 +978,19 @@ def _predecoded(image: bytes) -> dict[int, tuple]:
 
 def _predecode(word: bytes) -> tuple:
     """(op, ra, rb, imm) for the interpreter; a conditional branch carries
-    its truth table as ra and a compare its immediate with the sign flipped."""
-    inst = isa.decode(word)
-    if inst is None:
+    its truth table as ra and a compare its immediate with the sign flipped.
+    The word is checked by rules of its own, not by ``isa.decode``, which
+    reads ``isa.OPS``, so that a wrong row cannot hide here too."""
+    op, regs, imm = struct.unpack(">BBH", word)
+    ra, rb = regs >> 4, regs & 0x0F
+    if not OP_MOV_IMM <= op <= OP_HALT or op == OP_BCOND and ra not in _COND_TAKEN \
+            or op in (OP_ADD_RR, OP_SUB_RR) and imm > 15:
         return (isa.OP_ILLEGAL, 0, 0, 0)
-    if inst.op == OP_BCOND:
-        return (OP_BCOND, _COND_TAKEN[inst.ra], 0, inst.imm)
-    if inst.op == OP_CMP_RI:
-        return (OP_CMP_RI, inst.ra, 0, inst.imm ^ _SIGN)
-    return (inst.op, inst.ra, inst.rb, inst.imm)
+    if op == OP_BCOND:
+        return (OP_BCOND, _COND_TAKEN[ra], 0, imm)
+    if op == OP_CMP_RI:
+        return (OP_CMP_RI, ra, 0, imm ^ _SIGN)
+    return (op, ra, rb, imm)
 
 
 def load_reference(asm_text: str) -> ReferenceMachine:

@@ -193,6 +193,27 @@ def test_limit_register_written_in_body_rejected():
     assert detect_static_loops(parse_lines(asm)) == []
 
 
+@pytest.mark.parametrize("write, counter, limit", [
+    ("push r0", "r2", "sp"), ("pop r0", "r2", "sp"), ("push r0", "sp", "#5")])
+def test_a_loop_register_written_by_push_or_pop_falls_back(write, counter, limit):
+    # push and pop write sp: a limit in sp changes every pass, and a counter
+    # in sp steps more than once a pass
+    asm = f"""
+    main:
+        mov {counter}, #0
+    loop:
+        {write}
+        add {counter}, {counter}, #1
+        cmp {counter}, {limit}
+        blt loop
+        nsc_call
+    """
+    assert detect_static_loops(parse_lines(asm)) == []
+    asm2, imap = instrument(asm)
+    assert count_calls(asm2, "trampoline_loop") == 0
+    assert [e.kind for e in imap.entries] == ["cond_taken", "cond_not_taken"]
+
+
 def test_missing_zero_init_rejected():
     asm = """
     main:

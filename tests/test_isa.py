@@ -3,9 +3,12 @@
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cfaudit import isa
+from cfaudit.vm import Executed, Fault
+
+from support import ReferenceMachine
 
 
 def test_memory_map_constants():
@@ -243,3 +246,80 @@ def test_a_misplaced_label_is_rejected_at_its_line(text, line, msg):
     with pytest.raises(isa.ParseError) as caught:
         isa.assemble(text)
     assert (caught.value.line, caught.value.msg) == (line, msg)
+
+
+# --- the table against the reference machine and the parser -----------------
+
+NAMES = [f"r{i}" for i in range(13)] + ["sp", "lr", "pc"]
+WORD_VALUE = st.one_of(
+    st.integers(0, 0x1FF).map(lambda k: isa.DMEM_BASE + 4 * k),
+    st.integers(0, 3).map(lambda k: isa.PMEM_BASE + 4 * k),
+    st.integers(0, 0xFFFFFFFF))
+
+
+OP_NAMES = {v: k for k, v in vars(isa).items() if k.startswith("OP_")}
+
+
+@pytest.mark.parametrize("op", sorted(isa.OPS), ids=OP_NAMES.get)
+@settings(max_examples=40, deadline=None)
+@given(ra=st.integers(0, 15), rb=st.integers(0, 15), imm=st.integers(0, 0xFFFF),
+       regs=st.lists(WORD_VALUE, min_size=15, max_size=15), secure=st.booleans())
+def test_a_step_writes_only_what_its_row_says(op, ra, rb, imm, regs, secure):
+    row = isa.OPS[op]
+    inst = isa.Instruction(op, ra % 6 if row.control == isa.CTL_COND else ra, rb,
+                           imm & 15 if 3 in row.regs else imm)
+    m = ReferenceMachine(inst.encode() + isa.Instruction(isa.OP_HALT).encode())
+    m.regs[:15] = regs
+    m.dmem[:] = bytes(range(256)) * (len(m.dmem) // 256)
+    if not secure:
+        m.enter_nonsecure(isa.PMEM_BASE)
+    ev = m.step()
+    changed = {r for r in range(15) if m.regs[r] != regs[r]}
+    if not isinstance(ev, Executed):          # a fault or a halt writes nothing
+        assert changed == set()
+    assert changed <= set(isa.written(inst))
+    if m.pc != isa.PMEM_BASE + 4:
+        assert isa.control(inst) != isa.CTL_NONE or isinstance(ev, Fault)
+
+
+# each opcode's assembly, with the fields it names
+SYNTAX = {
+    isa.OP_MOV_IMM: "mov {ra}, #{imm}", isa.OP_MOV_REG: "mov {ra}, {rb}",
+    isa.OP_LDR: "ldr {ra}, [{rb}, #{imm}]", isa.OP_STR: "str {ra}, [{rb}, #{imm}]",
+    isa.OP_ADD_RI: "add {ra}, {rb}, #{imm}", isa.OP_ADD_RR: "add {ra}, {rb}, {rt}",
+    isa.OP_SUB_RI: "sub {ra}, {rb}, #{imm}", isa.OP_SUB_RR: "sub {ra}, {rb}, {rt}",
+    isa.OP_CMP_RI: "cmp {ra}, #{imm}", isa.OP_CMP_RR: "cmp {ra}, {rb}",
+    isa.OP_B: "b main", isa.OP_BCOND: "b{cond} main", isa.OP_BL: "bl main",
+    isa.OP_BLX: "blx {ra}", isa.OP_BX_LR: "bx lr", isa.OP_PUSH: "push {ra}",
+    isa.OP_POP: "pop {ra}", isa.OP_NSC_CALL: "nsc_call", isa.OP_HALT: "halt",
+}
+FORMS = [isa.FORM_NONE, isa.FORM_REG, isa.FORM_REG_OR_IMM, isa.FORM_MEM,
+         isa.FORM_LABEL, isa.FORM_LR]
+
+
+def test_every_opcode_has_a_row_and_a_form():
+    assert set(isa.OPS) == set(SYNTAX) == isa.VALID_OPCODES
+    assert {row.form for row in isa.OPS.values()} == set(FORMS)
+    assert all(op == row.op for op, row in isa.OPS.items())
+
+
+@pytest.mark.parametrize("form", FORMS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ra=st.integers(0, 15), rb=st.integers(0, 15),
+       rt=st.integers(0, 15), imm=st.integers(0, 0xFFFF), cond=st.integers(0, 5))
+def test_each_form_round_trips_through_render_layout_and_decode(data, form, ra, rb, rt,
+                                                                 imm, cond):
+    op = data.draw(st.sampled_from(sorted(o for o, row in isa.OPS.items() if row.form == form)))
+    template = SYNTAX[op]
+    text = "main:\n    " + template.format(ra=NAMES[ra], rb=NAMES[rb], rt=NAMES[rt], imm=imm,
+                                           cond=isa.COND_REPR[cond]) + "\n"
+    lines = isa.parse_lines(text)
+    again = isa.parse_lines(isa.render(lines))
+    assert again == lines
+    expected = isa.Instruction(
+        op,
+        cond if "{cond}" in template else ra if "{ra}" in template else 0,
+        rb if "{rb}" in template else 0,
+        isa.PMEM_BASE if "main" in template else rt if "{rt}" in template
+        else imm if "{imm}" in template else 0)
+    assert isa.decode(isa.layout(again).image) == expected

@@ -292,6 +292,20 @@ def test_walker_rejects_unrewritten_indirects():
     assert w.violation.kind == V_MALFORMED
 
 
+def test_walker_rejects_an_unrewritten_pop_into_pc():
+    # a pop into pc goes where the popped word says, so the walk must not
+    # go on straight past it, here to a halt that would end it with no log
+    cfg = build_cfg("main:\n    bl fn\n    nsc_call\nfn:\n    push lr\n    pop pc\n"
+                    "    halt\n")
+    pop = cfg.prog.labels["fn"] + isa.INSTR_WIDTH
+    w, ref = Walker(cfg), support.ReferenceWalker(cfg)
+    w.feed([])
+    ref.feed([])
+    assert w.violation == vf.Violation(V_MALFORMED, 0, f"unrewritten transfer at {pop:#x}")
+    assert ref.violation is not None and ref.violation.kind == V_MALFORMED
+    assert not w.done and not ref.done
+
+
 def test_walk_outcome_is_independent_of_slicing():
     rng = __import__("random").Random(20)
     for _ in range(15):

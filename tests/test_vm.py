@@ -440,6 +440,25 @@ def test_machines_of_one_image_keep_their_own_predecoded_words():
     assert shared.loops == loops and shared.loops[head] is loops[head]
 
 
+def test_each_word_of_an_image_is_decoded_once(monkeypatch):
+    prog = isa.assemble("main:\n mov r0, #7\n mov r1, #9\n"
+                        "loop:\n add r1, r1, #1\n cmp r1, #20\n blt loop\n nsc_call\n")
+    words = [int.from_bytes(prog.image[k:k + 4], "big") for k in range(0, len(prog.image), 4)]
+    decoded, decode = [], vm._decode
+    monkeypatch.setattr(vm, "_decode", lambda word: decoded.append(word) or decode(word))
+    clear_image_caches()
+    m = Machine(prog.image)
+    m.pc = prog.entry
+    assert m.run() == (2 + 3 * 11, Halted())          # builds its blocks and loop
+    assert m._code.blocks
+    for pc in prog.line_addrs:                         # then steps every word alone
+        m.reset()
+        m.pc = pc
+        m.step()
+    assert decoded == words
+    assert sorted(m._code.ops) == prog.line_addrs     # one closure a word
+
+
 def test_push_pop_pair():
     m = load_program("""
     main:
