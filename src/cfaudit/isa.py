@@ -76,10 +76,10 @@ BUILTIN_SYMBOLS = dict(
 
 INSTR_WIDTH = 4
 
-# What is derived from a program's text or image alone (its rewrite, the
-# auditor's graph, the machine's code: per-instruction closures and
-# blocks) is built once and shared by every session of that program. Each
-# such cache keeps the programs used last, up to this many.
+# A program's deployment (the auditor's graph of its rewritten image, the
+# machine's closures and blocks) is built once and shared by every session
+# of it: ``scenario.deploy`` keeps those of this many programs used last,
+# and the text path, ``verifier._golden_cfg``, as many rewritten texts' graphs.
 IMAGE_CACHE_SIZE = 16
 
 # --- registers ----------------------------------------------------------

@@ -51,8 +51,8 @@ device resumes from retained memory alone; only the counters carry over.
 A program is deployed once per source text, by ``deploy``: its text is
 read once, and the rewriter's checked lines are laid out into the golden
 image and digested into the auditor's graph with no text between them.
-The last ``isa.IMAGE_CACHE_SIZE`` deployments are kept; every session of
-one program shares its deployment, and of one input its packed words.
+The last ``isa.IMAGE_CACHE_SIZE`` deployments are kept; a session reads
+its program's graph, VM code and packed input from its one ``Deployment``.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ import configparser
 import functools
 import json
 import struct
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -73,7 +74,7 @@ from .instrument import rewrite
 from .resolver import POLICY_NAMES
 from .supervisor import Prover, ProverConfig, ProverState
 from .verifier import Cfg, Verifier, VerifierConfig, cfg_of
-from .vm import Machine
+from .vm import Machine, _Code
 
 _POLICY_BY_NAME = {name: value for value, name in POLICY_NAMES.items()}
 
@@ -331,37 +332,43 @@ def _quiet_until(now: int, spec: ScenarioSpec, link: Link, vrf: Verifier,
     return max(last, now)
 
 
-@functools.lru_cache(maxsize=isa.IMAGE_CACHE_SIZE)
-def deploy(asm_text: str) -> Cfg:
-    """A program as deployed: the golden graph of its rewritten image, with
-    the image in ``Cfg.prog``. The source is read once; the rewriter's
-    checked lines are laid out as they are, with no text between them.
-    Built once per source text and shared by every session of it."""
-    return cfg_of(isa.layout(rewrite(asm_text)[0]))
+@dataclass(frozen=True)
+class Deployment:
+    """A program as its sessions read it: the golden graph of its rewritten
+    image (the image is ``cfg.prog``), the code every machine of the image
+    shares, and the input as data memory holds it, for the last tokens given."""
+
+    cfg: Cfg
+    code: _Code
+    input_image: Callable[[tuple[str, ...]], bytes]
 
 
 @functools.lru_cache(maxsize=isa.IMAGE_CACHE_SIZE)
-def _input_image(asm_text: str, tokens: tuple[str, ...]) -> bytes:
-    """A spec's input as data memory holds it, @labels resolved against the
-    deployment: once per program and tokens (a bad token raises each time)."""
-    words = resolve_input(tokens, deploy(asm_text).prog.labels)
-    return struct.pack(f">{len(words)}I", *[w & 0xFFFFFFFF for w in words])
+def deploy(asm_text: str) -> Deployment:
+    """A program's deployment, built once per source text."""
+    cfg = cfg_of(isa.layout(rewrite(asm_text)[0]))
+
+    @functools.lru_cache(maxsize=1)       # a bad token raises on every call
+    def input_image(tokens: tuple[str, ...]) -> bytes:
+        words = resolve_input(tokens, cfg.prog.labels)
+        return struct.pack(f">{len(words)}I", *[w & 0xFFFFFFFF for w in words])
+    return Deployment(cfg, _Code(cfg.prog.image, cfg.digest), input_image)
 
 
 def run(spec: ScenarioSpec) -> ScenarioResult:
-    vrf = Verifier(deploy(spec.asm_text), VerifierConfig(
+    dep = deploy(spec.asm_text)
+    vrf = Verifier(dep.cfg, VerifierConfig(
         app_id=spec.app_id, delta=spec.delta, policy=spec.policy,
         initial_chal=spec.initial_chal, resend_interval=spec.verifier_resend,
         heal_on_mac_mismatch=spec.heal_on_mac_mismatch))
-    prog2 = vrf.cfg.prog              # the verifier's golden image, not laid out again
-    machine = Machine(prog2.image)
+    machine = Machine(dep.cfg.prog.image, dep.code)
     prover = Prover(machine,
                     ProverConfig(policy=spec.policy, log_max=spec.log_max,
                                  app_id=spec.app_id,
                                  resend_interval=spec.device_resend),
-                    prog2.entry)
+                    dep.cfg.entry)
     prover.boot()
-    data = _input_image(spec.asm_text, spec.input_tokens)
+    data = dep.input_image(spec.input_tokens)
     machine.dmem[:len(data)] = data
     if spec.pmem_flip is not None:
         if not 0 <= spec.pmem_flip < len(machine.pmem):

@@ -567,8 +567,8 @@ class Verifier:
     """Holds one attestation session against one device."""
 
     def __init__(self, golden: Cfg | str, config: VerifierConfig):
-        """``golden`` is the deployed program's graph, or its rewritten
-        text, whose graph is built once per text and shared."""
+        """``golden`` is the program's deployed graph, ``Deployment.cfg``, or
+        its rewritten text, whose graph ``_golden_cfg`` builds once and shares."""
         self.cfg = golden if isinstance(golden, Cfg) else _golden_cfg(golden)
         self.config = config
         self.walker = Walker(self.cfg)

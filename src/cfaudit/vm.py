@@ -123,13 +123,13 @@ built where one stopped would run once.
 
 An image's words are decoded once, on its first fetch, and each word is
 translated once, into the closure a block and a single step share. Its
-closures and blocks are built on first fetch and shared by every machine
-of it, for the ``isa.IMAGE_CACHE_SIZE`` images used last; a machine that
-writes its program memory builds its own from then on. A gateway entry
-ends the block with an ``NscEntry`` event, unless ``run`` is given a
-gateway handler: a logging entry it services stays inside. The event
-carries only the entry address; the parked core holds the gateway state,
-in ``regs``, ``last_exec_pc``, ``prev_exec_pc`` and ``prev_lr``.
+closures and blocks are built on first fetch into the ``_Code`` shared by
+every machine handed it (a session's is its program's deployment's); a
+machine handed none, or that writes its program memory, builds its own. A
+gateway entry ends the block with an ``NscEntry`` event, unless ``run`` is
+given a gateway handler: a logging entry it services stays inside. The
+event carries only the entry address; the parked core holds the gateway
+state, in ``regs``, ``last_exec_pc``, ``prev_exec_pc`` and ``prev_lr``.
 """
 
 from __future__ import annotations
@@ -252,14 +252,14 @@ class SecureTimer:
 class Machine:
     """Registers, the four memories of the fixed map, and secure timer."""
 
-    def __init__(self, pmem: bytes):
+    def __init__(self, pmem: bytes, code: _Code | None = None):
         if len(pmem) > PMEM_CAPACITY:
             raise ValueError("program exceeds pmem capacity")
         self.pmem = bytearray(pmem)
         self.retained_mem = bytearray(RETAINED_SIZE)
         self._st = [0, 0, None, weakref.ref(self), False]
         self.reset()
-        self._code = _image_code(bytes(pmem))
+        self._code = _Code(self.pmem) if code is None else code
 
     # -- registers ------------------------------------------------------
 
@@ -878,12 +878,12 @@ def _iterate(loop: _Loop, regs: list, st: list, entry: list, room: int,
 
 class _Code:
     """The closures of an image or a machine's own ``pmem``, by pc and
-    block, and its SHA-256 once measured."""
+    block, and its SHA-256 once measured (or ``digest``, when known)."""
 
-    def __init__(self, pmem: bytes | bytearray):
+    def __init__(self, pmem: bytes | bytearray, digest: bytes | None = None):
         # by pc: closures, blocks, and loop heads (never in ``blocks``)
         self.pmem, self.ops, self.blocks, self.loops = pmem, {}, {}, {}
-        self.digest: bytes | None = None
+        self.digest = digest
 
     @functools.cached_property
     def words(self) -> list[tuple[int, int, int, int]]:
@@ -938,10 +938,6 @@ class _Code:
         else:
             self.loops[pc] = loop
         return blk
-
-
-# The code of the images used last, shared by every machine loaded with one.
-_image_code = functools.lru_cache(maxsize=isa.IMAGE_CACHE_SIZE)(_Code)
 
 
 def load_program(asm_text: str) -> Machine:

@@ -432,11 +432,9 @@ def advance_by_events(prover: Prover, budget: int) -> tuple[int, list[bytes]]:
 
 
 def clear_image_caches() -> None:
-    """Forget every program's shared deployment, graph, code and input."""
+    """Forget every program's deployment and every rewritten text's graph."""
     scenario.deploy.cache_clear()
-    scenario._input_image.cache_clear()
     verifier._golden_cfg.cache_clear()
-    vm._image_code.cache_clear()
 
 
 # --- per-tick reference scenario driver -------------------------------------
@@ -754,8 +752,8 @@ class ReferenceMachine(Machine):
     flag_z = flag_n = False
     prev_lr = 0
 
-    def __init__(self, pmem: bytes):
-        super().__init__(pmem)
+    def __init__(self, pmem: bytes, code=None):
+        super().__init__(pmem, code)
         self._decode_cache = _predecoded(bytes(pmem))
 
     def reset(self) -> None:

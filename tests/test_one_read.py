@@ -102,7 +102,7 @@ def test_laid_out_lines_give_the_assembled_rewrite(name):
     assert got.entry == want.entry
     assert got.instructions == want.instructions
     cfg, golden = cfg_of(got), build_cfg(asm2)
-    for deployed in (cfg, scenario.deploy(text)):
+    for deployed in (cfg, scenario.deploy(text).cfg):
         assert deployed.digest == golden.digest
         assert deployed.loops == golden.loops
         assert deployed.icall_targets == golden.icall_targets

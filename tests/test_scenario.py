@@ -593,7 +593,7 @@ def test_clock_matches_per_tick_loop_under_other_policies(name, policy):
         assert res.settled and res.verdicts == ["heal", "end"]
         assert res.violation == "ShadowStackMismatch"
         assert not res.pmem_zeroed
-        cfg = scenario.deploy(spec.asm_text)
+        cfg = scenario.deploy(spec.asm_text).cfg
         assert res.final_digest == cfg.healed_digest(POLICY_DISABLE).hex()
         machines = []
         run_per_tick(spec, on_tick=machines.append)
@@ -627,7 +627,7 @@ def test_disable_halts_the_apps_own_entry_across_every_cut_after_the_heal():
     spec = ScenarioSpec("entry_past_code", ENTRY_PAST_CODE, policy=POLICY_DISABLE,
                         input_tokens=("@inner",),
                         channel=ChannelConfig(delay_min=delay, delay_max=delay))
-    cfg = scenario.deploy(spec.asm_text)
+    cfg = scenario.deploy(spec.asm_text).cfg
     entry = cfg.entry - isa.PMEM_BASE
     assert entry > 0
     healing = []
@@ -860,7 +860,7 @@ def test_a_jump_to_the_exit_door_settles_end(name, word):
     res = run(spec)
     assert res.settled and res.verdicts == ["end"]
     assert res.violation == "none" and not res.pmem_zeroed
-    assert res.final_digest == scenario.deploy(spec.asm_text).digest.hex()
+    assert res.final_digest == scenario.deploy(spec.asm_text).cfg.digest.hex()
 
 
 def test_an_indirect_call_to_the_exit_door_stays_illegal():
@@ -973,7 +973,7 @@ def test_blocks_are_built_only_where_control_enters(monkeypatch):
     monkeypatch.setattr(vm.Machine, "run", recorded)
     clear_image_caches()
     for spec in specs:
-        prog = scenario.deploy(spec.asm_text).prog
+        prog = scenario.deploy(spec.asm_text).cfg.prog
         run(spec)
     checked = stopped_inside = 0
     for key, (code, laid_out) in seen.items():
@@ -1003,6 +1003,65 @@ def test_a_tampered_and_a_benign_session_of_one_image_stay_apart():
         assert run(second) == fresh[second.name]
 
 
+def recording(made: list, cls):
+    """``cls``, keeping each object it builds in ``made``."""
+    def make(*args):
+        made.append(cls(*args))
+        return made[-1]
+    return make
+
+
+def test_one_deployment_serves_a_whole_session(monkeypatch):
+    # a power cut too, so that the machine outlives a reset and the device
+    # measures its image again
+    spec = parse_scenario(SCENARIO_DIR / "power_cut.scn")
+    machines, verifiers, resolved, hashed = [], [], [], []
+    monkeypatch.setattr(scenario, "Machine", recording(machines, Machine))
+    monkeypatch.setattr(scenario, "Verifier", recording(verifiers, verifier.Verifier))
+
+    def counted(tokens, labels, _fn=scenario.resolve_input):
+        resolved.append(tokens)
+        return _fn(tokens, labels)
+    monkeypatch.setattr(scenario, "resolve_input", counted)
+
+    def sha256(*data, _fn=hashlib.sha256):
+        hashed.extend(bytes(d) for d in data)
+        return _fn(*data)
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+    clear_image_caches()
+    first = run(spec)
+    assert first.ok and run(spec) == first
+    assert scenario.deploy.cache_info().misses == 1
+    dep = scenario.deploy(spec.asm_text)
+    for m, vrf in zip(machines, verifiers, strict=True):
+        assert m._code is dep.code and vrf.cfg is dep.cfg
+    assert len(machines) == 2 and dep.code.blocks
+    assert resolved == [spec.input_tokens]
+    # the image is hashed once, for the graph; the machines read that digest
+    assert hashed.count(dep.cfg.prog.image) == 1
+    assert dep.code.digest == dep.cfg.digest == hashlib.sha256(dep.cfg.prog.image).digest()
+
+
+def test_a_healed_image_leaves_its_deployment_s_code_as_it_was(monkeypatch):
+    tamper = parse_scenario(SCENARIO_DIR / "image_tamper.scn")
+    benign = replace(tamper, name="particle_count", pmem_flip=None, expect={})
+    machines = []
+    monkeypatch.setattr(scenario, "Machine", recording(machines, Machine))
+    clear_image_caches()
+    dep = scenario.deploy(benign.asm_text)
+    assert run(benign).ok
+    blocks, loops = dict(dep.code.blocks), dict(dep.code.loops)
+    assert blocks and machines[-1]._code is dep.code
+    res = run(tamper)
+    assert res.ok and res.heal_issued and res.pmem_zeroed
+    assert machines[-1]._code is not dep.code           # the flip gave it its own
+    assert run(benign).ok
+    assert scenario.deploy(benign.asm_text) is dep and machines[-1]._code is dep.code
+    assert dep.code.blocks == blocks and dep.code.loops == loops
+    assert all(dep.code.blocks[pc] is blk for pc, blk in blocks.items())
+    assert dep.code.digest == dep.cfg.digest == hashlib.sha256(dep.cfg.prog.image).digest()
+
+
 def test_an_audit_over_hops_another_session_traced_gives_the_same_verdicts():
     attack = parse_scenario(SCENARIO_DIR / "overflow_hijack.scn")
     benign = replace(attack, name="benign", input_tokens=("4", "1", "2", "3", "4"),
@@ -1012,7 +1071,7 @@ def test_an_audit_over_hops_another_session_traced_gives_the_same_verdicts():
     assert alone.ok and alone.violation_index == 6
     clear_image_caches()
     assert run(benign).verdict == "end"
-    cfg = scenario.deploy(attack.asm_text)
+    cfg = scenario.deploy(attack.asm_text).cfg
     traced = dict(cfg.hops)
     assert traced
     assert run(attack) == alone

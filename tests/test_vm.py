@@ -403,10 +403,11 @@ def test_machines_of_one_image_keep_their_own_predecoded_words():
     prog = isa.assemble("main:\n mov r0, #7\n mov r1, #9\n"
                         "loop:\n add r1, r1, #1\n cmp r1, #20\n blt loop\n halt\n")
     head = prog.labels["loop"]
-    a, b = Machine(prog.image), Machine(prog.image)
-    shared = b._code
-    assert a._code is shared and shared is vm._image_code(prog.image)
-    probe = Machine(prog.image)                 # builds the image's blocks and loop
+    shared = vm._Code(prog.image)
+    a, b = Machine(prog.image, shared), Machine(prog.image, shared)
+    assert a._code is shared and b._code is shared
+    assert Machine(prog.image)._code is not shared     # one handed none builds its own
+    probe = Machine(prog.image, shared)         # builds the image's blocks and loop
     probe.pc = prog.entry
     assert probe.run() == (2 + 3 * 11, Halted())
     built, loops = dict(shared.blocks), dict(shared.loops)
@@ -425,7 +426,7 @@ def test_machines_of_one_image_keep_their_own_predecoded_words():
         assert isinstance(a.step(), Halted)
     assert a._code is not shared
     assert b._code is shared and shared.blocks == built   # b's blocks stay in place
-    for m in (b, Machine(prog.image)):        # an old and a new twin
+    for m in (b, Machine(prog.image, shared)):    # an old and a new twin
         m.pc = prog.entry
         assert isinstance(m.step(), Executed) and isinstance(m.step(), Executed)
         assert (m.regs[0], m.regs[1]) == (7, 9)
@@ -446,8 +447,7 @@ def test_each_word_of_an_image_is_decoded_once(monkeypatch):
     words = [int.from_bytes(prog.image[k:k + 4], "big") for k in range(0, len(prog.image), 4)]
     decoded, decode = [], vm._decode
     monkeypatch.setattr(vm, "_decode", lambda word: decoded.append(word) or decode(word))
-    clear_image_caches()
-    m = Machine(prog.image)
+    m = Machine(prog.image)                            # builds code of its own
     m.pc = prog.entry
     assert m.run() == (2 + 3 * 11, Halted())          # builds its blocks and loop
     assert m._code.blocks
@@ -457,6 +457,9 @@ def test_each_word_of_an_image_is_decoded_once(monkeypatch):
         m.step()
     assert decoded == words
     assert sorted(m._code.ops) == prog.line_addrs     # one closure a word
+    twin = Machine(prog.image, m._code)                # shares what is decoded
+    twin.pc = prog.entry
+    assert twin.run() == (2 + 3 * 11, Halted()) and decoded == words
 
 
 def test_push_pop_pair():
