@@ -366,7 +366,7 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
                     ProverConfig(policy=spec.policy, log_max=spec.log_max,
                                  app_id=spec.app_id,
                                  resend_interval=spec.device_resend),
-                    dep.cfg.entry)
+                    dep.cfg.prog.entry)
     prover.boot()
     data = dep.input_image(spec.input_tokens)
     machine.dmem[:len(data)] = data

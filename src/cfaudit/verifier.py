@@ -23,23 +23,21 @@ The walk reads the log as the device wrote it, without expanding it:
   Each hop reads at most one destination: a conditional branch checks the
   entry against the arrivals both its successors log and resumes past the
   site that entry names, so the site's own read is never repeated.
-- Repetition skipping. When a run has at least two repetitions of its
-  unit left, the walker notes its pc and shadow stack at the start of one
-  and walks it. If it is about to read the next repetition in the same
-  state, every remaining repetition would walk the same way, so the whole
-  rest of the run is consumed at once. Otherwise (under recursion, say) the
-  walk goes on repetition by repetition.
 - Period skipping. A dense stream comes back to the same few hops every 2
-  to 5 destinations, in a plain run the device cannot count. In a plain
-  run of ``_PERIOD_MIN`` words or more the walk keeps one anchor (pc,
-  offset, stack copy, steps), set after a branch hop consumes a word and
-  renewed every ``_PERIOD_CAP`` words. Back at the anchor's pc ``p`` words
-  on with the same stack, it consumes at once the whole periods ahead that
-  repeat the last ``p`` words. The walk is a function of pc, stack and the
-  words it reads, so every skipped period ends in the state it began in:
-  verdicts, indices, pc, stack and steps are the hop-by-hop walk's. The
-  skip stops a word short of the run's end and an anchor dies with its run;
-  a hop away from the anchor's pc pays one integer comparison.
+  to 5 destinations, and a loop's count record repeats its unit however
+  many times. In a run of ``_PERIOD_MIN`` destinations or more, plain or
+  counted, the walk keeps one anchor (pc, offset, stack copy, steps), set
+  after a hop that reads consumes a word and renewed every ``_PERIOD_CAP``
+  words. Back at the anchor's pc ``p`` words on with the same stack, it
+  consumes at once the whole periods ahead that repeat the last ``p``
+  words: a plain run compares them, and a counted run, periodic by
+  construction, repeats them whenever ``p`` is a whole number of its units.
+  The walk is a function of pc, stack and the words it reads, so every
+  skipped period ends in the state it began in: verdicts, indices, pc,
+  stack and steps are the hop-by-hop walk's. The skip stops a word short of
+  the run's end and an anchor dies with its run; a hop away from the
+  anchor's pc pays one integer comparison. Under recursion the stack moves
+  and the walk goes on hop by hop.
 
 Auditing thus costs O(log words), not O(instructions executed). A static
 loop record is matched to its loop site in one step the same way.
@@ -50,10 +48,9 @@ costs one memo lookup for its hop, a read of the head run's unit at the
 offset, and a few comparisons; the run queue is popped when a run is done,
 so once per plain slice, not once per destination. The cursor goes back
 to the walker only where the loop leaves (a pause for evidence, a stop, a
-violation) and around the rare moves: a repetition trial, a loop record's
-copies, which read only the words they consume however wide the unit.
-Nothing is kept per destination or per slice beyond the runs not yet
-consumed.
+violation) and around a loop record's copies, which read only the words
+they consume however wide the unit. Nothing is kept per destination or per
+slice beyond the runs not yet consumed.
 
 Slices stitch: the walker keeps its position, stack, and consumed-entry
 count across reports, so verdicts and violation indices cannot depend on
@@ -89,7 +86,7 @@ V_MAC = "MacMismatch"
 _SHADOW_LIMIT = 4096
 _LAST_CHAL = wire.FIELD_RANGES["initial_chal"][1]     # the wire's largest challenge
 _PERIOD_CAP = 64      # the longest period the walk looks for, in words
-_PERIOD_MIN = 16      # the shortest plain run it anchors in
+_PERIOD_MIN = 16      # the shortest run it anchors in, in words expanded
 
 # What a hop stops on. The first six read the log; the rest end the walk or
 # park it. The detail a hop carries: for COND the arrival the site logs, for
@@ -114,7 +111,6 @@ class Cfg:
     """Everything the walker needs, extracted from the golden image."""
 
     prog: isa.Program
-    entry: int
     digest: bytes
     loops: dict[int, LoopSite]               # addr of bl trampoline_loop -> info
     icall_targets: frozenset[int]
@@ -134,7 +130,7 @@ class Cfg:
         behind. Memoized."""
         d = self.heal_digests.get(policy)
         if d is None:
-            image = healed_image(self.prog.image, policy, self.entry - isa.PMEM_BASE)
+            image = healed_image(self.prog.image, policy, self.prog.entry - isa.PMEM_BASE)
             d = self.heal_digests[policy] = hashlib.sha256(image).digest()
         return d
 
@@ -235,7 +231,7 @@ def cfg_of(prog: isa.Program) -> Cfg:
         # as a value, and the loop body is walked only through its record
         icall_targets.discard(header)
 
-    return Cfg(prog, prog.entry, hashlib.sha256(prog.image).digest(),
+    return Cfg(prog, hashlib.sha256(prog.image).digest(),
                loops, frozenset(icall_targets))
 
 
@@ -263,13 +259,13 @@ class Walker:
     consumed, counted in the expanded stream; ``fed`` adds those still
     queued and is summed when read, so feeding a slice is one
     ``deque.extend``. A consumed run leaves the queue at once, so a paused
-    walker holds its position, its shadow stack (and a repetition trial's
-    copy of it) and the runs still unread, nothing per destination.
+    walker holds its position, its shadow stack and the runs still unread,
+    nothing per destination.
     """
 
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
-        self.pc = cfg.entry
+        self.pc = cfg.prog.entry
         self.shadow: list[int] = []
         self.runs: deque[cfa_engine.Run] = deque()
         self.head = 0
@@ -277,8 +273,6 @@ class Walker:
         self.done = False
         self.violation: Violation | None = None
         self.steps = 0
-        # repetition under trial: (pos of the next repetition, pc, shadow)
-        self._trial: tuple[int, int, list[int]] | None = None
 
     @property
     def fed(self) -> int:
@@ -335,43 +329,21 @@ class Walker:
             k -= n
         return None
 
-    def _repetition(self) -> None:
-        """At a read of a run with count two or more: finish or start a
-        repetition trial.
-
-        A trial starts at the first repetition of a run with two or more
-        left. When the walk first reads the next repetition and pc and the
-        shadow stack are those at the trial's start, the remaining
-        repetitions would replay the same walk, so they are skipped. A
-        trial that a loop record's copies jumped past is dropped here.
-        """
-        trial = self._trial
-        if trial is not None:
-            end, pc, shadow = trial
-            if self.pos < end:
-                return
-            self._trial = None
-            if self.pos == end and self.pc == pc and self.shadow == shadow:
-                unit, count = self.runs.popleft()
-                self.pos += len(unit) * count - self.head
-                self.head = 0
-        if self.runs:
-            unit, count = self.runs[0]
-            width = len(unit)
-            if self.head % width == 0 and count - self.head // width >= 2:
-                self._trial = (self.pos + width, self.pc, self.shadow.copy())
-
     # -- the walk -----------------------------------------------------------
 
     def advance(self) -> None:
         """Hop until the runs run dry, the walk stops or a violation.
 
         One loop with the cursor in locals: ``pc``, ``pos``, ``head``,
-        ``steps``, the first run's unit, count and expanded length, and
-        ``stop``, the offset where the run ends or is anchored next. They
-        go back to ``self`` where the loop leaves and around the rare moves
-        (a repetition trial, a loop record's copies, a stop). The anchor
-        (``apc``, -1 for none, ``ahead``, ``ashadow``, ``asteps``) is local.
+        ``steps``, the first run's unit, count, width and expanded length,
+        and ``stop``, the offset where the run ends or is anchored next.
+        They go back to ``self`` where the loop leaves and around a loop
+        record's copies. The anchor is local: ``apc`` (-1 for none) and
+        ``ashadow``, the pc and stack a reading hop left at offset
+        ``ahead``, and ``asteps``, the hops walked by then. Back at the
+        anchor's pc with its stack, the walk skips whole periods of the run
+        and counts the hops they stand for, so ``steps`` is the hop-by-hop
+        walk's however the log was written.
         """
         cfg = self.cfg
         hops, hop, icall_targets = cfg.hops, cfg.hop, cfg.icall_targets
@@ -399,14 +371,6 @@ class Walker:
                 break
             if not runs:
                 break
-            if count > 1:
-                # a repetition trial only ever spans a run of two or more
-                self.pc, self.pos, self.head = pc, pos, head
-                self._repetition()
-                pos, head = self.pos, self.head
-                if not runs:
-                    break
-                unit, count, width, length, stop = _first_run(runs, head)
             if kind == LOOP:
                 header, copies, exit_pc = arg
                 self.pos, self.head = pos, head
@@ -430,39 +394,18 @@ class Walker:
                 break
             pos += 1
             head += 1
-            if head == stop:
-                if head == length:
-                    runs.popleft()
-                    head, apc = 0, -1
-                    if runs:          # _first_run inlined: once per run consumed
-                        unit, count = runs[0]
-                        width = len(unit)
-                        length = width * count
-                        stop = 1 if count == 1 and width >= _PERIOD_MIN else length
-                elif kind == BRANCH:
-                    # the anchor: the walk goes on from e with this stack
-                    apc, ahead, ashadow, asteps = e, head, shadow.copy(), steps
-                    stop = min(head + _PERIOD_CAP, length)
-                else:
-                    stop += 1
+            if head == length:
+                # popped before the checks below: an EXIT leaves queued
+                # only the runs after the one it finished
+                runs.popleft()
+                head, apc = 0, -1
+                if runs:              # _first_run inlined: once per run consumed
+                    unit, count = runs[0]
+                    width = len(unit)
+                    length = width * count
+                    stop = 1 if length >= _PERIOD_MIN else length
             if kind == BRANCH:
                 pc = e                # past the arrival site e names
-                if pc == apc and head > ahead and unit[head] == unit[ahead] \
-                        and shadow == ashadow:
-                    # back at the anchor, p words on, with the same stack:
-                    # consume the whole periods ahead that repeat the last p
-                    p = head - ahead
-                    k = (length - 1 - head) // p
-                    if unit[head:head + k * p] != unit[ahead:ahead + k * p]:
-                        k = _periods(unit, head, p, k - 1)
-                    if k:
-                        pos += k * p
-                        head += k * p
-                        steps += k * (steps - asteps)
-                        ahead, asteps = head, steps
-                        stop = min(head + _PERIOD_CAP, length)
-                    else:
-                        apc = -1      # not periodic here: anchor anew at stop
             elif kind == RET:
                 if not shadow or shadow[-1] != e:
                     self._fail(V_SHADOW, f"return to {e:#x}", pos - 1)
@@ -490,6 +433,29 @@ class Walker:
             else:
                 self.done = True
                 break
+            if head == stop:
+                # the anchor: the walk goes on from pc with this stack
+                apc, ahead, ashadow, asteps = pc, head, shadow.copy(), steps
+                stop = min(head + _PERIOD_CAP, length)
+            elif pc == apc and unit[head % width] == unit[ahead % width] \
+                    and shadow == ashadow:
+                # back at the anchor, p words on, with the same stack:
+                # consume the whole periods ahead that repeat the last p
+                p = head - ahead
+                k = (length - 1 - head) // p
+                if count > 1:
+                    if p % width:
+                        k = 0         # part of a unit: walk on to a whole one
+                elif unit[head:head + k * p] != unit[ahead:ahead + k * p]:
+                    k = _periods(unit, head, p, k - 1)
+                    if not k:
+                        apc = -1      # not periodic here: anchor anew at stop
+                if k:
+                    pos += k * p
+                    head += k * p
+                    steps += k * (steps - asteps)
+                    ahead, asteps = head, steps
+                    stop = min(head + _PERIOD_CAP, length)
         if live and self.violation is None and not self.done:
             steps -= 1                # paused: the next slice takes this hop again
         self.pc, self.pos, self.head, self.steps = pc, pos, head, steps
@@ -513,12 +479,12 @@ class Walker:
 def _first_run(runs: deque[cfa_engine.Run],
                head: int) -> tuple[Sequence[int], int, int, int, int]:
     """The first run's unit, count, unit width and expanded length, and
-    where its walk anchors first: the next word of a long plain run, else
-    the run's end."""
+    where its walk anchors first: the next word of a long run, else the
+    run's end."""
     unit, count = runs[0] if runs else ((), 0)
     width = len(unit)
-    stop = head + 1 if count == 1 and width >= _PERIOD_MIN else width * count
-    return unit, count, width, width * count, stop
+    length = width * count
+    return unit, count, width, length, head + 1 if length >= _PERIOD_MIN else length
 
 
 def _periods(unit: Sequence[int], head: int, p: int, most: int) -> int:

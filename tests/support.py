@@ -2,8 +2,8 @@
 generator, a minimal gateway-service harness, the event-path reference
 for ``Prover.advance``, a per-tick reference scenario runner, log-word
 encoders, the per-destination log decoder and walker the auditor used
-before it walked log runs, and the opcode chain the machine ran before
-it ran closures.
+before it walked log runs, a hop memo that counts the walk's lookups, and
+the opcode chain the machine ran before it ran closures.
 
 The oracle runs the ORIGINAL (uninstrumented) program and predicts the raw
 dynamic destination sequence the instrumented twin must log, expressed in
@@ -620,7 +620,7 @@ class ReferenceWalker:
 
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
-        self.pc = cfg.entry
+        self.pc = cfg.prog.entry
         self.shadow: list[int] = []
         self.stream: list[int] = []
         self.pos = 0
@@ -739,6 +739,23 @@ class ReferenceWalker:
     def _take(self) -> int:
         self.pos += 1
         return self.stream[self.pos - 1]
+
+
+class CountedHops(dict):
+    """A hop memo that counts the lookups the hop loop makes: the hops a
+    walk takes, not those it skips. Past ``budget`` lookups it fails, so a
+    walk that should skip fails fast where it would walk on."""
+
+    lookups = 0
+
+    def __init__(self, budget: float = float("inf")):
+        super().__init__()
+        self.budget = budget
+
+    def __getitem__(self, pc):
+        self.lookups += 1
+        assert self.lookups <= self.budget, "the walk takes more hops than its budget"
+        return super().__getitem__(pc)
 
 
 # --- reference machine ------------------------------------------------------

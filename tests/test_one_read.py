@@ -106,7 +106,7 @@ def test_laid_out_lines_give_the_assembled_rewrite(name):
         assert deployed.digest == golden.digest
         assert deployed.loops == golden.loops
         assert deployed.icall_targets == golden.icall_targets
-        assert deployed.entry == golden.entry
+        assert deployed.prog.entry == golden.prog.entry
 
 
 def test_only_the_gateway_lines_name_r10_and_r11():

@@ -597,7 +597,7 @@ def test_clock_matches_per_tick_loop_under_other_policies(name, policy):
         assert res.final_digest == cfg.healed_digest(POLICY_DISABLE).hex()
         machines = []
         run_per_tick(spec, on_tick=machines.append)
-        entry = cfg.entry - isa.PMEM_BASE
+        entry = cfg.prog.entry - isa.PMEM_BASE
         assert isa.decode(machines[-1].pmem[entry:entry + 4]).op == isa.OP_HALT
     assert_same_as_per_tick(spec)
     for reset_at in range(1, min(res.ticks, 200) + 1, 16):
@@ -628,7 +628,7 @@ def test_disable_halts_the_apps_own_entry_across_every_cut_after_the_heal():
                         input_tokens=("@inner",),
                         channel=ChannelConfig(delay_min=delay, delay_max=delay))
     cfg = scenario.deploy(spec.asm_text).cfg
-    entry = cfg.entry - isa.PMEM_BASE
+    entry = cfg.prog.entry - isa.PMEM_BASE
     assert entry > 0
     healing = []
     clean = run_per_tick(spec, lambda m: healing.append(

@@ -9,6 +9,7 @@ import struct
 import tracemalloc
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -150,7 +151,7 @@ def test_cfg_digest_and_icall_targets():
     prog2 = isa.assemble(asm2)
     import hashlib
     assert cfg.digest == hashlib.sha256(bytes(prog2.image)).digest()
-    assert cfg.entry == prog2.entry
+    assert cfg.prog.entry == prog2.entry
     assert prog2.labels["helper"] in cfg.icall_targets
 
 
@@ -185,7 +186,7 @@ def test_walker_pauses_on_truncated_trace():
 def test_walker_flags_foreign_branch_arrival():
     _, _, dests = oracle_destinations(CALLS)
     bad = list(dests)
-    bad[0] = walked(CALLS).cfg.entry                  # a real address, wrong place
+    bad[0] = walked(CALLS).cfg.prog.entry             # a real address, wrong place
     w = walked(CALLS, dests=bad)
     assert w.violation is not None
     assert w.violation.kind == V_EDGE
@@ -207,7 +208,7 @@ def test_walker_flags_cross_frame_return():
 def test_walker_flags_untargeted_indirect_call():
     _, _, dests = oracle_destinations(ICALL)
     bad = list(dests)
-    bad[0] = walked(ICALL).cfg.entry + isa.INSTR_WIDTH  # code, but not a target
+    bad[0] = walked(ICALL).cfg.prog.entry + isa.INSTR_WIDTH  # code, but not a target
     w = walked(ICALL, dests=bad)
     assert w.violation is not None
     assert w.violation.kind == V_ICALL
@@ -245,7 +246,7 @@ def test_walker_parks_in_nonconsuming_cycles():
     w.feed([])
     w.feed([])
     assert w.violation is None and not w.done
-    w.feed(as_runs([cfg.entry, cfg.entry]))
+    w.feed(as_runs([cfg.prog.entry, cfg.prog.entry]))
     assert w.violation is not None
     assert w.violation.kind == V_EDGE
     assert w.violation.index == 0
@@ -325,7 +326,7 @@ def test_walk_outcome_is_independent_of_slicing():
 def test_violation_index_is_independent_of_slicing():
     _, _, dests = oracle_destinations(NESTED)
     bad = list(dests)
-    bad[1] = walked(NESTED).cfg.entry
+    bad[1] = walked(NESTED).cfg.prog.entry
     cfg = build_cfg(instrument(NESTED)[0])
     whole, drip = Walker(cfg), Walker(cfg)
     whole.feed(as_runs(bad))
@@ -377,7 +378,7 @@ def test_a_corrupt_destination_is_found_at_its_place_in_a_wide_run():
     asm2, _ = instrument((PROGRAM_DIR / "window_dense.asm").read_text())
     dests = support.reference_decompress(support.run_instrumented(asm2).log.to_bytes())
     cfg = build_cfg(asm2)
-    bad = cfg.entry
+    bad = cfg.prog.entry
     wide, narrow = Walker(cfg), Walker(cfg)
     for base in range(0, len(dests), stride):
         for p in range(base, min(base + stride, len(dests))):
@@ -589,7 +590,7 @@ def test_non_report_messages_ignored():
 def test_verdict_and_index_survive_slice_splitting():
     _, _, dests = oracle_destinations(NESTED)
     bad = list(dests)
-    bad[1] = build_cfg(instrument(NESTED)[0]).entry
+    bad[1] = build_cfg(instrument(NESTED)[0]).prog.entry
 
     v_whole = fresh(asm=NESTED)
     (resp,) = v_whole.handle(make_report(v_whole, bad, 1))
@@ -636,6 +637,26 @@ spin:
 """
 
 
+# a loop that calls a function and jumps back: the function's return alone
+# reads its passes, and it runs until a report's deadline cuts it
+RETURNS = """
+main:
+    bl work
+    b main
+work:
+    bx lr
+"""
+
+
+def hops_walked(cfg, words):
+    """The hops a walk that skips nothing takes over the destinations the
+    log ``words`` stand for, written out as one plain slice."""
+    with mock.patch.object(vf, "_PERIOD_MIN", 1 << 62):
+        w = Walker(cfg)
+        w.feed(as_slice(support.reference_decompress(raw_log(words))))
+    return w.steps
+
+
 def test_maximal_count_record_is_audited_in_constant_time_and_memory():
     # the log a count-down loop of COUNT_MASK + 1 passes leaves: the first
     # arrival at the loop header, a count record for the other passes, the
@@ -643,20 +664,37 @@ def test_maximal_count_record_is_audited_in_constant_time_and_memory():
     _, run, _ = oracle_destinations(COUNTDOWN, [5])
     words = [w for (w,) in struct.iter_unpack(">I", run.log.to_bytes())]
     assert words[1] == count_word(UNIT_SINGLE, 4) and len(words) == 4
-    words[1] = count_word(UNIT_SINGLE, COUNT_MASK)
-    v = fresh(asm=COUNTDOWN)
-    report = log_report(v, raw_log(words), 1)
-    tracemalloc.start()
-    try:
-        (resp,) = v.handle(report)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert wire.response_result(resp) == wire.RESULT_END
-    assert v.violation is None
-    assert v.destinations_seen == COUNT_MASK + 3
-    assert v.walker.steps < 100
-    assert peak < 1 << 20
+    # the returns loop's COUNT_MASK + 1 passes: the return address, a count
+    # record for the other passes
+    cfg = cfg_of(RETURNS)
+    kind, _, _, (back,) = cfg.hop(cfg.prog.entry)
+    assert kind == vf.RET
+    logs = {COUNTDOWN: (words, wire.RESULT_END),
+            RETURNS: ([back, count_word(UNIT_SINGLE, 4)], wire.RESULT_EXEC)}
+    for asm, (words, result) in logs.items():
+        cfg = cfg_of(asm)
+        # every pass takes as many hops, so the hop-by-hop walk's count
+        # follows from two short walks
+        short = hops_walked(cfg, words)
+        per_pass = hops_walked(cfg, [words[0], count_word(UNIT_SINGLE, 5)] + words[2:]) - short
+        assert per_pass > 0
+        words[1] = count_word(UNIT_SINGLE, COUNT_MASK)
+        cfg.hops = support.CountedHops(budget=100)
+        v = Verifier(cfg, VerifierConfig())
+        v.start(0)
+        report = log_report(v, raw_log(words), 1)
+        tracemalloc.start()
+        try:
+            (resp,) = v.handle(report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wire.response_result(resp) == result
+        assert v.violation is None
+        assert v.destinations_seen == COUNT_MASK + len(words) - 1
+        assert v.walker.steps == short + (COUNT_MASK - 4) * per_pass
+        assert cfg.hops.lookups < 100
+        assert peak < 1 << 20
 
 
 def test_a_run_past_the_count_limit_is_walked_in_full():
@@ -686,7 +724,7 @@ def test_verifiers_of_one_image_share_its_graph_and_heal_by_their_own_policy():
     shared = set()
     for policy in POLICY_NAMES:
         v = Verifier(asm2, VerifierConfig(policy=policy))
-        healed = healed_image(v.cfg.prog.image, policy, v.cfg.entry - isa.PMEM_BASE)
+        healed = healed_image(v.cfg.prog.image, policy, v.cfg.prog.entry - isa.PMEM_BASE)
         assert v.post_heal_digest == hashlib.sha256(healed).digest()
         shared.add(id(v.cfg))
     assert len(shared) == 1

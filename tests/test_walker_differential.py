@@ -10,9 +10,11 @@ re-encoded with every repetition compressed, and with seeded mutations.
 
 The reference walker counts instructions, not hops, so the walker's whole
 state, hop count included, is also checked against the same walker with
-period skipping off. Period skipping works on plain slices alone: the
-re-encoded feeds also carry a word replaced where a skip would pass over
-it, and the bundled probes' periodic streams are fed the same ways.
+period skipping off, which skips no run, plain or counted. A skip in a
+plain slice compares the words it passes over: the re-encoded feeds also
+carry a word replaced where a skip would pass over it, and the bundled
+probes' periodic streams are fed the same ways. However a log is fed,
+whole, cut or re-encoded, the walk ends in one state, hop count included.
 """
 
 import random
@@ -211,10 +213,11 @@ def state(w):
 
 def agree(cfg, slices, what):
     """Feed each slice to the walker, to the walker with period skipping
-    off (no run is long enough to anchor in) and to the reference walker,
-    as the verifier would: a slice that does not parse is not walked.
-    After every slice the first two agree on their whole state, and the
-    reference walker on the outcome."""
+    off (no run is long enough to anchor in, so it skips nothing, plain or
+    counted) and to the reference walker, as the verifier would: a slice
+    that does not parse is not walked. After every slice the first two
+    agree on their whole state, hop count included, and the reference
+    walker on the outcome."""
     new, plain, ref = Walker(cfg), Walker(cfg), ReferenceWalker(cfg)
     for n, data in enumerate(slices):
         try:
@@ -243,14 +246,24 @@ def replace_word(dests, rng, addrs):
     return bad
 
 
+def unmutated_feeds(log, dests, rng):
+    """(name, slices) pairs for the ways one log is fed unchanged: as the
+    device wrote it, written out plain and with every repetition
+    compressed, each whole and cut."""
+    words = list(cfa_engine.iter_entries(log))
+    raw = list(dests)
+    packed = compress_all(dests)
+    return [("whole", [log]), ("cut", cut(words, rng)),
+            ("raw", [pack(raw)]), ("raw cut", cut(raw, rng)),
+            ("compressed", [pack(packed)]), ("compressed cut", cut(packed, rng))]
+
+
 def feeds(log, dests, rng, addrs):
     """(name, slices) pairs for every way one log is fed."""
     words = list(cfa_engine.iter_entries(log))
     raw = list(dests)
     packed = compress_all(dests)
-    out = [("whole", [log]), ("cut", cut(words, rng)),
-           ("raw", [pack(raw)]), ("raw cut", cut(raw, rng)),
-           ("compressed", [pack(packed)]), ("compressed cut", cut(packed, rng))]
+    out = unmutated_feeds(log, dests, rng)
     for m in range(MUTATIONS):
         base = rng.choice((words, packed))
         bad = mutate(base, rng, addrs)
@@ -265,7 +278,7 @@ def check_log(cfg, slices, rng):
     log = b"".join(slices)
     dests = reference_decompress(log)
     addrs = sorted(set(dests) | set(cfg.prog.labels.values())
-                   | {cfg.entry, isa.NSC_EXIT})
+                   | {cfg.prog.entry, isa.NSC_EXIT})
     agree(cfg, slices, "as captured")
     for what, fed in feeds(log, dests, rng, addrs):
         agree(cfg, fed, what)
@@ -329,6 +342,32 @@ def test_bundled_scenario_reports(path):
     check_log(cfg, slices, random.Random(path.stem))
 
 
+# --- one state however a log is fed --------------------------------------------
+
+BUNDLED = sorted(p.stem for p in (SCENARIOS / "programs").glob("*.asm"))
+STATE_SEEDS = range(150)
+
+
+@pytest.mark.parametrize("program", BUNDLED + [f"seed {s}" for s in STATE_SEEDS])
+def test_a_walk_s_state_depends_only_on_the_destination_stream(program):
+    # the hop count too: a skip counts the hops it stands for, so a device
+    # log and its written-out expansion are walked alike
+    if program in BUNDLED:
+        asm, words = (SCENARIOS / "programs" / f"{program}.asm").read_text(), None
+    else:
+        asm, words = generate_program(random.Random(int(program.split()[1])))
+    _, run, _ = oracle_destinations(asm, words)
+    log = run.log.to_bytes()
+    cfg = build_cfg(instrument(asm)[0])
+    states = {}
+    for what, slices in unmutated_feeds(log, reference_decompress(log), random.Random(program)):
+        w = Walker(cfg)
+        for data in slices:
+            w.feed(cfa_engine.runs(data))
+        states[what] = state(w)
+    assert len(set(states.values())) == 1, states
+
+
 # --- period skipping on plain slices -------------------------------------------
 
 # the bundled probes: dense streams that repeat with a short period
@@ -350,7 +389,7 @@ def test_a_skip_stops_at_the_word_that_breaks_the_period():
     cfg = build_cfg(instrument(asm)[0])
     for i in (2 * _PERIOD_CAP, 5000, len(dests) - 3):
         bad = list(dests)
-        bad[i] = cfg.entry                # the arrival of no branch
+        bad[i] = cfg.prog.entry           # the arrival of no branch
         w = agree(cfg, [pack(bad)], f"word {i} replaced")
         assert outcome(w) == (False, i, ("IllegalEdge", i))
 

@@ -2,7 +2,7 @@
 
 ``Walker.advance`` keeps its cursor in locals and hands it back to the
 walker where the loop leaves: a pause for more evidence, a stop, a
-violation, and around the repetition trial and a loop record's copies.
+violation, and around a loop record's copies.
 Each case below feeds a log slice by slice to ``Walker`` and to
 ``support.ReferenceWalker``, which must agree after every slice on
 ``done``, ``pos``, the violation's kind and index, and the destinations
@@ -23,7 +23,8 @@ from cfaudit.verifier import (BRANCH, COND, ICALL, RET, V_EDGE, V_MALFORMED,
                               Walker, _SHADOW_LIMIT, build_cfg)
 
 import support
-from support import ReferenceWalker, oracle_destinations, reference_decompress
+from support import (CountedHops, ReferenceWalker, oracle_destinations,
+                     reference_decompress)
 
 PROGRAM_DIR = Path(__file__).resolve().parent.parent / "scenarios" / "programs"
 
@@ -113,7 +114,7 @@ BOTTOMS = {"cond": ("bl cond_entry", COND), "ret": ("bl leaf", RET),
 
 def overflow_stream(cfg, levels):
     """Destinations that take ``down`` ``levels`` deep, then to bottom."""
-    kind, _, (_, fall_in), _ = cfg.hop(cfg.entry)
+    kind, _, (_, fall_in), _ = cfg.hop(cfg.prog.entry)
     assert kind == BRANCH
     kind, _, (taken, fall), pushes = cfg.hop(fall_in)
     assert kind == BRANCH and len(pushes) == 1
@@ -226,8 +227,9 @@ def test_a_pair_run_cut_by_a_slice_is_walked_into_the_plain_words_after_it():
 
 
 def test_a_single_run_cut_by_a_slice_is_skipped_then_walked_plain():
-    # a dynamic loop's repetitions are skipped once one of them walked the
-    # same way; the ones the next slice carries as plain words are walked
+    # a dynamic loop's repetitions are skipped once the walk is back where
+    # one of them began; the ones the next slice carries as plain words are
+    # walked
     words, cfg = device_words(COUNTDOWN, [40])
     rec = next(i for i, w in enumerate(words) if w & TAG_BIT)
     unit = words[rec - 1]
@@ -383,23 +385,16 @@ def test_a_loop_record_pauses_until_all_its_copies_arrive():
     assert paused == list(range(len(copies) - 1))
 
 
-def test_plain_runs_are_walked_while_a_repetition_trial_is_in_flight():
-    # reading the loop record's run of copies starts a repetition trial;
-    # the copies are consumed at once, past the trial's end, and the
-    # arrivals after them are plain runs, walked with the trial still held
-    # until the dynamic loop's count run drops it
+def test_plain_runs_between_a_loop_record_and_a_count_run_are_walked():
+    # the loop record's run of copies is consumed at once; the arrivals
+    # after it are plain runs, each too short to anchor in, and the
+    # dynamic loop's count run comes in a slice of its own
     words, cfg = device_words(LOOP_AMID, [9])
     static = next(i for i, w in enumerate(words) if w & TAG_BIT)
     rec = next(i for i, w in enumerate(words) if w & TAG_BIT and i > static)
-    trials = []
-
-    def check(n, w):
-        trials.append(w._trial is not None)
-
     slices = [words[:static + 2], words[static + 2:rec - 1], words[rec - 1:]]
-    w = walk_both(cfg, slices, check)
+    w = walk_both(cfg, slices)
     assert w.done and w.violation is None
-    assert trials == [True, True, False]
 
 
 # --- a branch refusing a slice's first word ------------------------------------
@@ -417,7 +412,7 @@ def test_a_branch_refuses_the_first_word_of_a_slice_with_nothing_consumed():
         probe.feed([((dests[p],), 1)])
     assert len(cuts) >= 5
     for p in cuts:
-        bad = cfg.entry
+        bad = cfg.prog.entry
         assert bad not in cfg.hop(walk_both(cfg, [dests[:p]]).pc)[2]
         w = walk_both(cfg, [dests[:p], [bad] + dests[p + 1:p + 4]])
         assert outcome(w) == (False, p, (V_EDGE, p))
@@ -468,16 +463,6 @@ def test_a_hop_is_counted_once_however_the_log_is_sliced():
         assert w.done and w.violation is None
         steps[parts] = w.steps
     assert steps[1] == steps[2] == steps[500] == len(dests)
-
-
-class CountedHops(dict):
-    """A hop memo that counts the lookups the hop loop makes."""
-
-    lookups = 0
-
-    def __getitem__(self, pc):
-        self.lookups += 1
-        return super().__getitem__(pc)
 
 
 def test_a_periodic_plain_slice_is_walked_once_per_period():

@@ -10,20 +10,18 @@ pools it takes each distinct program once and times
 the auditor's graph, with no cache in the way), once to warm up, then
 ``--passes`` times. Each program's median over the passes is taken, then
 the median over the programs of each pool. Runs alternate between the
-checkouts, the parent first in even pairs, and the medians over runs are
-printed per pool.
+checkouts, the parent first in even pairs (``ab.py``), and each side's
+median over runs is printed per pool, with its minimum and quartiles.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
+
+import ab
 
 POOLS = ("compute_loop", "dense_evidence")
 
@@ -51,49 +49,17 @@ def measure(seed: int, passes: int) -> dict:
     return out
 
 
-def run_side(checkout: Path, seed: int, passes: int) -> dict:
-    checkout = checkout.resolve()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(checkout / "src"), str(checkout / "perfbench")]))
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--measure",
-         "--seed", str(seed), "--passes", str(passes)],
-        env=env, cwd=checkout, capture_output=True, text=True)
-    if proc.returncode:
-        raise RuntimeError(f"{checkout}: {proc.stderr}")
-    return json.loads(proc.stdout)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", nargs="?", type=Path)
-    parser.add_argument("change", nargs="?", type=Path)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--passes", type=int, default=5)
-    parser.add_argument("--measure", action="store_true",
-                        help="time the checkout on sys.path and print JSON")
-    args = parser.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure(args.seed, args.passes)))
-        return 0
-    if args.parent is None or args.change is None:
-        parser.error("give the PARENT and CHANGE checkouts")
-    runs = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_side(getattr(args, side), args.seed, args.passes))
+def report(seed: int, runs: dict[str, list[dict]]) -> None:
     by_pool = {pool: {side: round(statistics.median(r[pool]["deploy_us"] for r in runs[side]), 2)
                       for side in runs}
                for pool in POOLS}
-    for pool, sides in by_pool.items():
+    for pool in POOLS:
         programs = runs["change"][0][pool]["programs"]
-        print(f"{pool:16} {programs:4} programs  cold deploy: parent {sides['parent']:.1f} us,"
-              f" change {sides['change']:.1f} us")
-    print(json.dumps({"seed": args.seed, "deploy_us_median": by_pool, "runs": runs}))
-    return 0
+        print(f"{pool:16} {programs:4} programs  cold deploy (us):" + "".join(
+            f"  {side} {ab.shown([r[pool]['deploy_us'] for r in runs[side]], 1)}"
+            for side in runs))
+    print(json.dumps({"seed": seed, "deploy_us_median": by_pool, "runs": runs}))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(ab.main(__file__, __doc__, measure, report))

@@ -11,20 +11,18 @@ the blocks ``_Code.block`` builds and the time spent building them. The
 pool holds more programs than the image cache, so every session builds
 its blocks cold. Each pool item's median over the passes is taken, then
 the median over the items of each kind. Runs alternate between the
-checkouts, the parent first in even pairs, and the medians over runs are
-printed per kind.
+checkouts, the parent first in even pairs (``ab.py``), and each side's
+median over runs is printed per kind, with its minimum and quartiles.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
+
+import ab
 
 KINDS = {0: "pair_loop", 1: "counted_loop, immediate limit", 2: "countdown_loop",
          3: "counted_loop, register limit"}
@@ -78,52 +76,21 @@ def measure(seed: int, passes: int) -> dict:
             for kind in KINDS}
 
 
-def run_side(checkout: Path, seed: int, passes: int) -> dict:
-    checkout = checkout.resolve()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(checkout / "src"), str(checkout / "perfbench")]))
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--measure",
-         "--seed", str(seed), "--passes", str(passes)],
-        env=env, cwd=checkout, capture_output=True, text=True)
-    if proc.returncode:
-        raise RuntimeError(f"{checkout}: {proc.stderr}")
-    return json.loads(proc.stdout)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", nargs="?", type=Path)
-    parser.add_argument("change", nargs="?", type=Path)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--passes", type=int, default=5)
-    parser.add_argument("--measure", action="store_true",
-                        help="time the checkout on sys.path and print JSON")
-    args = parser.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure(args.seed, args.passes)))
-        return 0
-    if args.parent is None or args.change is None:
-        parser.error("give the PARENT and CHANGE checkouts")
-    runs = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_side(getattr(args, side), args.seed, args.passes))
+def report(seed: int, runs: dict[str, list[dict]]) -> None:
     by_kind = {
         kind: {side: {f"{key}_median": round(statistics.median(
             r[kind][key] for r in runs[side]), 4) for key in FIGURES}
             for side in runs}
         for kind in map(str, KINDS)}
-    for kind, sides in by_kind.items():
+    for kind in by_kind:
         print(f"{KINDS[int(kind)]:32}" + "".join(
-            f"  {side}: run {v['run_ms_median']:.3f} ms, session {v['session_ms_median']:.3f}"
-            f" ms, {v['blocks_built_median']:.2f} blocks in {v['block_ms_median']:.3f} ms"
-            for side, v in sides.items()))
-    print(json.dumps({"seed": args.seed, "by_kind": by_kind, "runs": runs}))
-    return 0
+            f"  {side}: run {ab.shown([r[kind]['run_ms'] for r in rs], 3)} ms,"
+            f" session {ab.shown([r[kind]['session_ms'] for r in rs], 3)} ms,"
+            f" {statistics.median(r[kind]['blocks_built'] for r in rs):.2f} blocks in"
+            f" {ab.shown([r[kind]['block_ms'] for r in rs], 3)} ms"
+            for side, rs in runs.items()))
+    print(json.dumps({"seed": seed, "by_kind": by_kind, "runs": runs}))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(ab.main(__file__, __doc__, measure, report))
