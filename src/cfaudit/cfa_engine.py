@@ -27,7 +27,9 @@ The log is a view of retained memory: its words sit in a buffer and its
 size and in-flight repetition in a header beside it, and it keeps no other
 copy of them. Each operation reads them there and writes what it changes
 before it returns, so what the log acknowledged is durable on return and a
-log built over the same memory after a reset goes on with it.
+log built over the same memory after a reset goes on with it. Nor does it
+keep a session flag: the prover's retained flags alone say whether a
+session is open, and the prover logs only while they say so.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ ADDR_MASK = TAG_BIT - 1
 PENDING_RESERVE = 8
 
 DEFAULT_LOG_MAX = 50 * 1024
-
-
-class InactiveEngine(Exception):
-    """Append attempted while the audit status flag is inactive."""
 
 
 class MalformedLog(Exception):
@@ -115,7 +113,6 @@ class CfLog:
             else bytearray(ENTRY_WIDTH + self.STATE_WIDTH)
         self._size_at = size_at
         self._state_at = state_at
-        self.active = True
 
     @property
     def size(self) -> int:
@@ -145,8 +142,6 @@ class CfLog:
     def append(self, dest: int, backward: bool = False) -> bool:
         """Log one dynamic branch destination. Returns False, leaving the
         log unmodified, when the entry cannot fit."""
-        if not self.active:
-            raise InactiveEngine("audit engine is inactive")
         header, at = self.header, self._state_at
         if header[at]:                  # the unit length: a repetition in flight
             unit_len, pos, count, u0, u1 = _get_state(header, at)
@@ -186,8 +181,6 @@ class CfLog:
         record is an ordinary one and flushes it. Returns the rounds
         taken: 0 when nothing is in flight or the arrivals are not that
         round."""
-        if not self.active:
-            raise InactiveEngine("audit engine is inactive")
         header, at = self.header, self._state_at
         unit_len, pos, count, u0, u1 = _get_state(header, at)
         unit = (u0, u1)[:unit_len]
@@ -219,8 +212,6 @@ class CfLog:
     def log_static_loop(self, dest: int, limit: int) -> bool:
         """Record a counted loop as (header address, limit): 8 bytes total.
         Returns False, leaving the log unmodified, when it cannot fit."""
-        if not self.active:
-            raise InactiveEngine("audit engine is inactive")
         need = self._flush_bytes_needed() + 2 * ENTRY_WIDTH
         if self.size + need > self.capacity:
             return False

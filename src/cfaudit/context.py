@@ -16,6 +16,15 @@ own ``config`` and ``entry``, the same for a prover rebuilt after a cut,
 and is never read back from here: a device re-provisioned between a cut
 and its boot, say with a smaller ``log_max``, is outside this model.
 
+The flags word alone says whether a session is open and in which state.
+Every protocol transition commits the same way: it writes the other
+fields it changes (``chal``, ``sigma``, ``wipe_cursor``) first, then the
+whole flags word, once. So a power cut leaves the flags of the state
+before the transition or of the state after it, never of a state between
+the two. The log's two fields are its own: it writes them whenever it
+logs, and a transition that seals or clears the log does so ahead of the
+flags.
+
 The header outlives a session: a concluded session clears its flags and
 keeps its ``chal``, the freshness floor a new request must exceed, so a
 device that loses its RAM still refuses a replayed request. ``begin``
@@ -80,13 +89,6 @@ class AuditContext:
         mem[:len(_BLANK)] = _BLANK[:_CHAL.start] + mem[_CHAL] + _BLANK[_CHAL.stop:]
         self.chal = chal
         self.flags = F_VALID
-
-    def flag(self, bit: int) -> bool:
-        return bool(self.flags & bit)
-
-    def set_flag(self, bit: int, on: bool = True) -> None:
-        flags = self.flags
-        self.flags = (flags | bit) if on else (flags & ~bit)
 
 
 OFFSETS: dict[str, int] = {}

@@ -53,7 +53,7 @@ class Resolver:
         """One chunk of remediation work, its progress written to the
         retained header ``ctx``. True when the image is healed."""
         if self.policy == POLICY_FREEZE:
-            ctx.set_flag(F_FROZEN)
+            ctx.flags |= F_FROZEN
             return True
         if self.policy == POLICY_DISABLE:
             self.m.write_pmem(self.entry, _HALT)

@@ -31,9 +31,10 @@ reads and writes its own ``log_size`` and ``engine_state`` there too. The
 prover's state is the header's flags, so a prover built on the same
 memories after a power cut carries the session on. Its provisioning,
 ``config`` and ``entry``, is no session state: a rebuilt prover gets the
-same, and builds its log and its resolver from them. A change of state
-writes the flags last. A region without the magic holds no session: boot
-clears its flags and its challenge floor, whatever else it holds.
+same, and builds its log and its resolver from them. A transition writes
+its fields, then one whole flags word (``context`` states the rule). A
+region without the magic holds no session: boot clears its challenge
+floor, then its flags, whatever else it holds.
 """
 
 from __future__ import annotations
@@ -180,14 +181,15 @@ class Prover:
 
     # -- helpers ----------------------------------------------------------
 
-    def _sign_slice(self) -> None:
+    def _sign_slice(self, final: int = 0) -> None:
         """Seal the log as the pending report: materialize any in-flight
-        repetition and bind the slice to the image digest and the
-        challenge."""
+        repetition, bind the slice to the image digest and the challenge,
+        then commit it, ``final`` (0 or F_FINAL) with it, in one flags
+        write."""
         self.log.flush()
         self.ctx.sigma = wire.report_sigma(self.config.key, self.m.hash_pmem(),
                                            self.log.to_bytes(), self.ctx.chal)
-        self.ctx.set_flag(F_REPORT_PENDING)
+        self.ctx.flags |= F_REPORT_PENDING | final
 
     # -- boot --------------------------------------------------------------
 
@@ -197,8 +199,9 @@ class Prover:
         self._stalled = False
         ctx = self.ctx
         if ctx.magic != CTX_MAGIC:
-            # no session, whatever the region holds: no flags, no floor
-            ctx.flags = ctx.chal = 0
+            # no session, whatever the region holds: no floor, then no
+            # flags (chained targets are written left to right)
+            ctx.chal = ctx.flags = 0
             return []
         state = self.state
         if state is ProverState.WAITING:
@@ -212,8 +215,9 @@ class Prover:
         if state is ProverState.EXECUTING:
             # a repetition in flight in the header still needs
             # materializing so the remnant covers every append
-            self._sign_slice()
-        ctx.set_flag(F_FINAL)
+            self._sign_slice(F_FINAL)
+        else:
+            ctx.flags |= F_FINAL
         self.metrics.remnant_reports += 1
         return self._emit_report()
 
@@ -244,8 +248,7 @@ class Prover:
         return []
 
     def _setup_app(self, req: wire.AttestRequest) -> list[bytes]:
-        self.ctx.begin(req.chal)
-        self.log.active = True     # begin zeroed its size and repetition
+        self.ctx.begin(req.chal)   # zeroes the log's size and repetition too
         self.m.lock_pmem()
         self.m.timer.arm(req.delta)
         self.m.enter_nonsecure(self.entry)
@@ -262,8 +265,7 @@ class Prover:
             self.metrics.ns_at_heal = self.metrics.total_ns
             ctx.chal = resp.chal
             ctx.wipe_cursor = 0
-            ctx.set_flag(F_REPORT_PENDING, False)
-            ctx.set_flag(F_REMEDIATION)
+            ctx.flags = flags & ~F_REPORT_PENDING | F_REMEDIATION
             return []
         if resp.result == wire.RESULT_END or flags & F_FINAL or post_heal:
             return self._conclude(resp.chal)
@@ -274,25 +276,25 @@ class Prover:
     def _conclude(self, chal: int) -> list[bytes]:
         """Session over: clear the retained flags and keep the concluding
         challenge, the floor every later request must clear."""
-        self.log.active = False
         self.ctx.chal = chal
         self.ctx.flags = 0
         self.m.timer.deactivate()
         return []
 
     def _resume_execution(self, new_chal: int) -> list[bytes]:
+        """Start the next slice at ``new_chal``, replaying the entry the
+        full log refused, if any, from the parked core. A replayed exit
+        door seals the slice at once, in the seal's one flags write."""
         self.log.clear()
-        self.ctx.chal = new_chal
-        self.ctx.set_flag(F_REPORT_PENDING, False)
-        m = self.m
+        ctx, m = self.ctx, self.m
+        ctx.chal = new_chal
         m.timer.resume()           # a replayed exit door ends a window of 0
-        if self._stalled:
-            # replay the refused entry from the parked core; the cleared
-            # log has room for it
-            self._stalled = False
-            if m.pc == isa.NSC_EXIT:
-                self.log.append(_EXIT_SENTINEL)
-                return self._trigger_report("end")
+        stalled, self._stalled = self._stalled, False
+        if stalled and m.pc == isa.NSC_EXIT:
+            self.log.append(_EXIT_SENTINEL)
+            return self._trigger_report("end")
+        ctx.flags &= ~F_REPORT_PENDING
+        if stalled:
             m.pc = self._gateway(m.pc, m.last_exec_pc, m.prev_exec_pc, m.prev_lr)
         m.enter_nonsecure(m.pc)    # every trigger left the core in the Secure World
         return []
@@ -348,7 +350,7 @@ class Prover:
         done = self.resolver.step(self.ctx)
         if not done:
             return []
-        if self.ctx.flag(F_FROZEN):
+        if self.ctx.flags & F_FROZEN:
             self.m.halted = True
             return []
         return self._post_heal_report()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cfaudit import cfa_engine as eng
-from cfaudit.cfa_engine import (CfLog, InactiveEngine, MalformedLog,
+from cfaudit.cfa_engine import (CfLog, MalformedLog,
                                 decompress, runs, UNIT_PAIR, UNIT_SINGLE, UNIT_STATIC)
 
 from support import encode_address, encode_count, reference_decompress
@@ -266,13 +266,6 @@ def test_repeat_stops_one_round_short_of_the_count_limit(unit):
     assert counts == [eng.COUNT_MASK]
 
 
-def test_repeat_on_an_inactive_log_raises():
-    log = log_in_flight((A,), 3)
-    log.active = False
-    with pytest.raises(InactiveEngine):
-        log.repeat((A,), 1)
-
-
 def test_full_then_flush_still_fits():
     log = CfLog(capacity=16)
     log.append(A)
@@ -485,8 +478,7 @@ def test_a_log_keeps_no_copy_of_its_size_or_repetition():
     log = header_log(64)
     log.append(A)
     log.append(A, backward=True)
-    assert set(vars(log)) == {"capacity", "buf", "header", "_size_at", "_state_at",
-                              "active"}
+    assert set(vars(log)) == {"capacity", "buf", "header", "_size_at", "_state_at"}
 
 
 def test_the_forward_fast_path_keeps_every_check():
@@ -499,13 +491,6 @@ def test_the_forward_fast_path_keeps_every_check():
     assert log.append(B)
     before = bytes(log.header), log.to_bytes()
     assert not log.append(C)
-    assert (bytes(log.header), log.to_bytes()) == before
-    log.active = False
-    for backward in (False, True):
-        with pytest.raises(InactiveEngine):
-            log.append(A, backward=backward)
-    with pytest.raises(InactiveEngine):
-        log.log_static_loop(A, 3)
     assert (bytes(log.header), log.to_bytes()) == before
 
 

@@ -632,7 +632,7 @@ def test_disable_halts_the_apps_own_entry_across_every_cut_after_the_heal():
     assert entry > 0
     healing = []
     clean = run_per_tick(spec, lambda m: healing.append(
-        AuditContext(m.retained_mem).flag(F_REMEDIATION)))
+        bool(AuditContext(m.retained_mem).flags & F_REMEDIATION)))
     assert clean.violation == "IllegalIndirectTarget"
     heal_order = healing.index(True) + 1 - delay    # the tick the verifier sent it
     for reset_at in range(heal_order, clean.ticks + 1):
@@ -667,7 +667,8 @@ def test_clock_matches_per_tick_loop_on_a_reset_mid_wipe(monkeypatch):
 
     def recording_reset(machine):
         ctx = AuditContext(machine.retained_mem)
-        mid_wipe.append(ctx.flag(F_REMEDIATION) and 0 < ctx.wipe_cursor < len(machine.pmem))
+        mid_wipe.append(bool(ctx.flags & F_REMEDIATION)
+                        and 0 < ctx.wipe_cursor < len(machine.pmem))
         reset(machine)
 
     monkeypatch.setattr(Machine, "reset", recording_reset)
@@ -703,6 +704,64 @@ def retained_digests() -> dict[str, str]:
 
 def test_retained_memory_matches_the_pinned_digests_at_every_tick():
     assert retained_digests() == json.loads(RETAINED.read_text())
+
+
+# -- one write commits each protocol transition ---------------------------------
+
+# the header fields a transition writes ahead of the flags that commit it
+COMMITTED_FIELDS = ("chal", "sigma", "wipe_cursor")
+
+
+def recorded_header_writes(patch) -> list[list[str]]:
+    """Patch ``AuditContext``'s setters of the flags and of
+    ``COMMITTED_FIELDS`` to record each write, and ``Prover``'s entry
+    points to open one record per outermost call of ``boot``,
+    ``handle_message`` or ``advance``. Returns the records, in call order,
+    each the names written, in write order."""
+    calls: list[list[str]] = []
+    depth = [0]
+    for name in ("flags", *COMMITTED_FIELDS):
+        prop = getattr(AuditContext, name)
+
+        def recorded(ctx, value, name=name, fset=prop.fset):
+            if depth[0]:
+                calls[-1].append(name)
+            fset(ctx, value)
+        patch.setattr(AuditContext, name, property(prop.fget, recorded))
+    for name in ("boot", "handle_message", "advance"):
+        def outermost(prover, *args, method=getattr(Prover, name)):
+            if not depth[0]:
+                calls.append([])
+            depth[0] += 1
+            try:
+                return method(prover, *args)
+            finally:
+                depth[0] -= 1
+        patch.setattr(Prover, name, outermost)
+    return calls
+
+
+def test_each_transition_writes_its_fields_then_the_flags_once(monkeypatch):
+    """Within one call into the prover the flags are written at most once,
+    and no other header field after them: a power cut then leaves either
+    the state before the transition or the state after it, never a flags
+    word that names a state between the two. Every bundled scenario, under
+    each policy, at its own ``log_max`` and at 16, uncut and cut at every
+    7th tick up to 200."""
+    calls = recorded_header_writes(monkeypatch)
+    bad = []
+    for name in sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")):
+        base = bundled(name)
+        for policy in sorted(POLICY_NAMES):
+            for log_max in sorted({base.log_max, 16}):
+                for reset_at in (None, *range(7, 201, 7)):
+                    del calls[:]
+                    run(replace(base, policy=policy, log_max=log_max, reset_at=reset_at,
+                                max_ticks=min(base.max_ticks, 40_000)))
+                    # a write of anything, the flags too, after the flags
+                    bad += [(name, policy, log_max, reset_at, writes)
+                            for writes in calls if "flags" in writes[:-1]]
+    assert not bad, (len(bad), bad[:5])
 
 
 # -- every message, byte for byte ---------------------------------------------

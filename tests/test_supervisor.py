@@ -296,7 +296,7 @@ def test_partial_stores_agree_with_the_full_store():
     p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, 2).pack())
     assert p.step() == []
     rebooted = Prover(m, p.config, p.entry)
-    assert rebooted.ctx.flag(F_FROZEN)
+    assert bool(rebooted.ctx.flags & F_FROZEN)
     assert rebooted.state is ProverState.FROZEN
 
 

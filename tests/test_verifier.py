@@ -14,7 +14,8 @@ from unittest import mock
 import pytest
 
 from cfaudit import cfa_engine, isa, wire
-from cfaudit.cfa_engine import COUNT_MASK, TAG_BIT, UNIT_SHIFT, UNIT_SINGLE, UNIT_STATIC
+from cfaudit.cfa_engine import (COUNT_MASK, TAG_BIT, UNIT_PAIR, UNIT_SHIFT, UNIT_SINGLE,
+                                UNIT_STATIC)
 from cfaudit.instrument import instrument
 from cfaudit.resolver import POLICY_NAMES, healed_image
 from cfaudit.supervisor import Prover, ProverConfig, ProverState
@@ -695,6 +696,37 @@ def test_maximal_count_record_is_audited_in_constant_time_and_memory():
         assert v.walker.steps == short + (COUNT_MASK - 4) * per_pass
         assert cfg.hops.lookups < 100
         assert peak < 1 << 20
+
+
+def test_a_pair_unit_of_one_address_skips_at_its_whole_units():
+    # a pair count record over two copies of one address, which no device
+    # writes (it writes a single unit), stands for a count-down loop's
+    # passes: the walk is back at its anchor one word on, part of a unit,
+    # walks on, and skips from the next whole unit
+    _, run, _ = oracle_destinations(COUNTDOWN, [5])
+    words = [w for (w,) in struct.iter_unpack(">I", run.log.to_bytes())]
+    assert words[1] == count_word(UNIT_SINGLE, 4)
+
+    def forged(n):
+        return [words[0], words[0], count_word(UNIT_PAIR, n)] + words[2:]
+
+    cfg = cfg_of(COUNTDOWN)
+    for n in range(1, 40):
+        log = raw_log(forged(n))
+        w, ref = Walker(cfg), support.ReferenceWalker(cfg)
+        w.feed(cfa_engine.runs(log))
+        ref.feed(support.reference_decompress(log))
+        assert (w.done, w.violation, w.pos) == (ref.done, ref.violation, ref.pos) \
+            == (True, None, 2 * n + 4)
+        assert w.steps == hops_walked(cfg, forged(n))
+    short = hops_walked(cfg, forged(1))
+    per_unit = hops_walked(cfg, forged(2)) - short
+    cfg.hops = support.CountedHops(budget=100)
+    w = Walker(cfg)
+    w.feed(cfa_engine.runs(raw_log(forged(COUNT_MASK))))
+    assert w.done and w.violation is None and w.pos == 2 * COUNT_MASK + 4
+    assert w.steps == short + (COUNT_MASK - 1) * per_unit
+    assert cfg.hops.lookups < 100
 
 
 def test_a_run_past_the_count_limit_is_walked_in_full():

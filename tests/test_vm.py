@@ -971,13 +971,16 @@ def test_counted_self_loops_run_as_the_reference_chain(
         limits * 3, delta if world == "ns" else None)
 
 
-def assert_loop_runs_as_the_reference_chain(code, regs, words, limits, delta=None):
+def assert_loop_runs_as_the_reference_chain(code, regs, words, limits, delta=None,
+                                            door=True, served=False):
     """Run ``code`` and an exit door from pmem's start, with ``regs`` from
     r0 and ``words`` at dmem_base + 64, in calls of each of ``limits`` on
     a machine and on the reference chain, and compare their whole states
     after every call. With ``delta`` they run Non-Secure under a watchdog,
-    re-armed at every deadline."""
-    image = b"".join(i.encode() for i in [*code, I(isa.OP_NSC_CALL)])
+    re-armed at every deadline. Without ``door`` the image ends with
+    ``code``; with ``served`` each side has every ``trampoline_cond``
+    entry serviced by a ``ServingGateway``. Returns the machine."""
+    image = b"".join(i.encode() for i in [*code, *[I(isa.OP_NSC_CALL)] * door])
 
     def make(cls):
         m = cls(image)
@@ -986,19 +989,21 @@ def assert_loop_runs_as_the_reference_chain(code, regs, words, limits, delta=Non
         if delta is not None:
             m.timer.arm(delta)
             m.enter_nonsecure(PMEM_BASE)
-        return m
+        return m, ServingGateway(m, 1 << 40, 1 << 40) if served else None
 
-    a, b = make(Machine), make(ReferenceMachine)
+    (a, gw_a), (b, gw_b) = make(Machine), make(ReferenceMachine)
     for limit in limits:
-        ran = a.run(limit)
-        assert ran == b.run(limit)
+        ran = a.run(limit, gw_a)
+        assert ran == b.run(limit, gw_b)
         assert full_state(a) == full_state(b)
+        assert (gw_a and gw_a.entries) == (gw_b and gw_b.entries)
         if isinstance(ran[1], TimerTrigger):
             for m in (a, b):
                 m.timer.resume()
                 m.enter_nonsecure(m.pc)
         elif ran[1] is not None:
             break
+    return a
 
 
 @pytest.mark.parametrize("cond", range(6))
@@ -1041,6 +1046,39 @@ def test_loops_near_a_counted_self_loop_run_as_the_reference_chain(body):
             body + [I(isa.OP_CMP_RR, 2, 5), I(isa.OP_BCOND, cond, 0, PMEM_BASE)],
             [1, 0, 0, 0, 0, 9, 0, DMEM_BASE + 64],
             [DMEM_BASE + 68, DMEM_BASE + 72, 7], [limit, 17 * size])
+
+
+BLT_HEAD = I(isa.OP_BCOND, isa.COND_LT, 0, PMEM_BASE)
+BL_COND = I(isa.OP_BL, 0, 0, TRAMP_COND)
+CMP_R2 = I(isa.OP_CMP_RI, 2, 0, PMEM_BASE)
+
+# code from pmem's start, the head, whose pass ``vm._loop`` refuses, by the
+# rule each breaks; the flag says whether an exit door follows the code
+REFUSED_PASSES = {
+    "no_row": ([I(isa.OP_ADD_RI, 2, 2, 1), BL_COND, I(isa.OP_ILLEGAL)], True),
+    "off_the_end": ([I(isa.OP_ADD_RI, 2, 2, 1), BL_COND], False),
+    "last_not_a_cmp": ([I(isa.OP_ADD_RI, 1, 1, 1), I(isa.OP_CMP_RI, 1, 0, PMEM_BASE),
+                        I(isa.OP_MOV_REG, 2, 1), BLT_HEAD], True),
+    "cmp_names_pc": ([I(isa.OP_ADD_RI, 2, 2, 1), I(isa.OP_CMP_RR, 2, isa.PC), BLT_HEAD],
+                     True),
+    "three_entries": ([I(isa.OP_ADD_RI, 2, 2, 1), BL_COND, BL_COND, BL_COND, CMP_R2,
+                       BLT_HEAD], True),
+    "writes_sp": ([I(isa.OP_ADD_RI, isa.SP, isa.SP, 0), I(isa.OP_ADD_RI, 2, 2, 1), CMP_R2,
+                   BLT_HEAD], True),
+    "operand_names_pc": ([I(isa.OP_ADD_RI, 3, isa.PC, 0), I(isa.OP_ADD_RI, 2, 2, 1), CMP_R2,
+                          BLT_HEAD], True),
+}
+
+
+@pytest.mark.parametrize("code, door", REFUSED_PASSES.values(), ids=REFUSED_PASSES)
+def test_passes_with_no_closed_form_run_as_the_reference_chain(code, door):
+    # the compared register starts a few passes below pmem's base and pc;
+    # a first call of 2 instructions or more builds the head's block
+    for limit in (2, 3, 5, 50_000):
+        m = assert_loop_runs_as_the_reference_chain(
+            code, [0, PMEM_BASE - 3, PMEM_BASE - 3], [], [limit, 50_000], door=door,
+            served=True)
+        assert PMEM_BASE in m._code.blocks and PMEM_BASE not in m._code.loops
 
 
 # --- passes through the conditional gateway against the reference chain ---------

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from cfaudit import cfa_engine
+from cfaudit import cfa_engine, isa
 from cfaudit.cfa_engine import TAG_BIT, UNIT_PAIR, UNIT_SHIFT, UNIT_SINGLE, UNIT_STATIC
 from cfaudit.instrument import instrument
-from cfaudit.verifier import (BRANCH, COND, ICALL, RET, V_EDGE, V_MALFORMED,
-                              Walker, _SHADOW_LIMIT, build_cfg)
+from cfaudit.isa import INSTR_WIDTH, NSC_EXIT
+from cfaudit.verifier import (BRANCH, COND, HALT, ICALL, LEFT, RET, UNREWRITTEN, V_EDGE,
+                              V_MALFORMED, Walker, _SHADOW_LIMIT, build_cfg)
 
 import support
 from support import (CountedHops, ReferenceWalker, oracle_destinations,
@@ -241,6 +242,71 @@ def test_a_single_run_cut_by_a_slice_is_skipped_then_walked_plain():
         assert w.done and w.violation is None
         w = walk_both(cfg, [first] + [[d] for d in second])
         assert w.done and w.violation is None
+
+
+# --- hops that end the walk, and graphs that are no rewritten program ---------
+
+# the input takes the halt, the exit door, or the way that runs on past
+# the image's last word
+ENDS = """
+main:
+    mov r7, #input_base
+    ldr r0, [r7, #0]
+    cmp r0, #0
+    beq stop
+    cmp r0, #1
+    beq away
+    nsc_call
+stop:
+    halt
+away:
+    mov r1, #1
+"""
+
+
+def test_a_halt_ends_the_walk_and_a_walk_off_the_image_is_malformed():
+    cfg = build_cfg(instrument(ENDS)[0])
+    kind, _, _, _ = cfg.hop(cfg.prog.entry)
+    assert kind == BRANCH
+    stop, on = cfg.hop(cfg.prog.entry)[2]
+    away, door = cfg.hop(on)[2]
+    assert cfg.hop(stop)[0] == HALT and cfg.hop(away)[0] == LEFT
+    streams = {(stop,): None, (on, door, NSC_EXIT): None,
+               (stop, door): "entries beyond the end of execution",
+               (on, away): "walk left the program", (on, away, NSC_EXIT): "walk left the program"}
+    for stream, fault in streams.items():
+        for slices in ([list(stream)], [[d] for d in stream], [[], list(stream)]):
+            w = walk_both(cfg, slices)
+            if fault is None:
+                assert w.done and w.violation is None and w.pos == len(stream)
+            else:
+                assert w.violation.kind == V_MALFORMED and fault in w.violation.detail
+    # a program that runs off its end at once fails before any evidence
+    cfg = build_cfg(instrument("main:\n    mov r0, #1\n")[0])
+    w = walk_both(cfg, [[]])
+    assert (w.violation.kind, w.violation.index, w.pos) == (V_MALFORMED, 0, 0)
+
+
+def test_a_branch_whose_fall_through_is_past_the_image_is_unrewritten():
+    # no arrival site can follow the last word: the branch is unrewritten,
+    # and the walk fails where it stands, with no word read for it; the
+    # reference walker reads the fall-through's arrival and fails as it
+    # follows the branch off the image, at the same index
+    main = isa.PMEM_BASE
+    cfg = build_cfg("main:\n    bl trampoline_cond\n    cmp r0, #0\n    beq main\n")
+    assert cfg.hop(main + INSTR_WIDTH)[0] == UNREWRITTEN
+    w = walk_both(cfg, [[main + INSTR_WIDTH, main + 4 * INSTR_WIDTH]])
+    assert w.violation.kind == V_MALFORMED and w.violation.index == 1 == w.pos
+
+
+@pytest.mark.parametrize("body", ["    add r1, r1, #1\n",
+                                  "    cmp r1, #2\n    beq loop\n    cmp r1, #4\n    blt loop\n"],
+                         ids=["none", "two"])
+def test_a_loop_record_without_one_backward_branch_is_refused(body):
+    text = ("main:\n    mov r10, #loop\n    mov r11, #4\n    bl trampoline_loop\n"
+            f"loop:\n{body}    nsc_call\n")
+    with pytest.raises(ValueError, match="lacks a unique backward branch"):
+        build_cfg(text)
 
 
 # --- a loop record among plain runs -------------------------------------------

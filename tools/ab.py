@@ -8,6 +8,12 @@ prints ``measure``'s JSON; run with PARENT and CHANGE it starts itself
 with ``--measure`` in one fresh process over each checkout's ``src`` and
 ``perfbench`` at a time, ``--pairs`` times each, the parent first in even
 pairs, and hands ``report`` the runs of each side.
+
+Each ``--measure`` process also samples the host's speed around its
+measurement, with ``hostspeed.HostSpeed`` from the checkout's
+``perfbench``, and adds ``QUIET`` to its JSON: the factor that takes its
+wall times to a quiet host's. ``shown`` prints a timed figure both raw and
+so scaled, so a slow spell on the host shows as such and not as a change.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from collections.abc import Callable
 from pathlib import Path
 
 SIDES = ("parent", "change")
+QUIET = "quiet_scale"     # wall time times this is the time on a quiet host
+HOST_SAMPLES = 5          # host-speed samples before and after a measurement
 
 
 def run_side(script: Path, checkout: Path, seed: int, passes: int) -> dict:
@@ -47,11 +55,29 @@ def spread(values) -> dict[str, float]:
     return {"min": values[0], "q1": q1, "median": median, "q3": q3}
 
 
-def shown(values, digits: int = 2) -> str:
-    """``median [min, q1..q3]`` of one figure over a side's processes."""
-    s = spread(values)
-    return (f"{s['median']:.{digits}f} [min {s['min']:.{digits}f},"
-            f" q {s['q1']:.{digits}f}..{s['q3']:.{digits}f}]")
+def shown(runs: list[dict], figure: Callable[[dict], float], digits: int = 2) -> str:
+    """``median [min, q1..q3]`` of the timed ``figure`` of a side's runs
+    over its processes, raw, then at a quiet host's speed."""
+    def text(values) -> str:
+        s = spread(values)
+        return (f"{s['median']:.{digits}f} [min {s['min']:.{digits}f},"
+                f" q {s['q1']:.{digits}f}..{s['q3']:.{digits}f}]")
+    return (f"{text(figure(r) for r in runs)}"
+            f" (quiet host {text(figure(r) * r[QUIET] for r in runs)})")
+
+
+def measured(measure: Callable[[int, int], dict], seed: int, passes: int) -> dict:
+    """``measure``'s figures, with ``QUIET`` from host-speed samples taken
+    before and after it."""
+    import hostspeed
+
+    speed = hostspeed.HostSpeed()
+    for _ in range(HOST_SAMPLES):
+        speed.sample()
+    out = measure(seed, passes)
+    for _ in range(HOST_SAMPLES):
+        speed.sample()
+    return {**out, QUIET: hostspeed.REF_QUIET_S / statistics.median(speed.samples)}
 
 
 def main(script: str, doc: str, measure: Callable[[int, int], dict],
@@ -66,7 +92,7 @@ def main(script: str, doc: str, measure: Callable[[int, int], dict],
                         help="time the checkout on sys.path and print JSON")
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(args.seed, args.passes)))
+        print(json.dumps(measured(measure, args.seed, args.passes)))
         return 0
     if args.parent is None or args.change is None:
         parser.error("give the PARENT and CHANGE checkouts")

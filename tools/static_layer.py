@@ -11,7 +11,8 @@ the auditor's graph, with no cache in the way), once to warm up, then
 ``--passes`` times. Each program's median over the passes is taken, then
 the median over the programs of each pool. Runs alternate between the
 checkouts, the parent first in even pairs (``ab.py``), and each side's
-median over runs is printed per pool, with its minimum and quartiles.
+median over runs is printed per pool, with its minimum and quartiles, raw
+and at a quiet host's speed.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def report(seed: int, runs: dict[str, list[dict]]) -> None:
     for pool in POOLS:
         programs = runs["change"][0][pool]["programs"]
         print(f"{pool:16} {programs:4} programs  cold deploy (us):" + "".join(
-            f"  {side} {ab.shown([r[pool]['deploy_us'] for r in runs[side]], 1)}"
+            f"  {side} {ab.shown(runs[side], lambda r: r[pool]['deploy_us'], 1)}"
             for side in runs))
     print(json.dumps({"seed": seed, "deploy_us_median": by_pool, "runs": runs}))
 

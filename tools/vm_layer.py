@@ -12,7 +12,8 @@ pool holds more programs than the image cache, so every session builds
 its blocks cold. Each pool item's median over the passes is taken, then
 the median over the items of each kind. Runs alternate between the
 checkouts, the parent first in even pairs (``ab.py``), and each side's
-median over runs is printed per kind, with its minimum and quartiles.
+median over runs is printed per kind, with its minimum and quartiles, raw
+and at a quiet host's speed.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ def report(seed: int, runs: dict[str, list[dict]]) -> None:
         for kind in map(str, KINDS)}
     for kind in by_kind:
         print(f"{KINDS[int(kind)]:32}" + "".join(
-            f"  {side}: run {ab.shown([r[kind]['run_ms'] for r in rs], 3)} ms,"
-            f" session {ab.shown([r[kind]['session_ms'] for r in rs], 3)} ms,"
+            f"  {side}: run {ab.shown(rs, lambda r: r[kind]['run_ms'], 3)} ms,"
+            f" session {ab.shown(rs, lambda r: r[kind]['session_ms'], 3)} ms,"
             f" {statistics.median(r[kind]['blocks_built'] for r in rs):.2f} blocks in"
-            f" {ab.shown([r[kind]['block_ms'] for r in rs], 3)} ms"
+            f" {ab.shown(rs, lambda r: r[kind]['block_ms'], 3)} ms"
             for side, rs in runs.items()))
     print(json.dumps({"seed": seed, "by_kind": by_kind, "runs": runs}))
 

@@ -12,8 +12,8 @@ the walk alone, with no parsing, MAC or device in it. A last pass counts
 the hops walked (hop-memo lookups), the walkers' ``steps`` and the
 destinations fed. Runs alternate between the checkouts, the parent first
 in even pairs (``ab.py``); each side's median walk time over runs is
-printed with its minimum and quartiles, beside the counts, which must be
-the same in every run of a side.
+printed with its minimum and quartiles, raw and at a quiet host's speed,
+beside the counts, which must be the same in every run of a side.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def report(seed: int, runs: dict[str, list[dict]]) -> None:
             counts[side, name] = got.pop()
     for name in WORKLOADS:
         print(f"{name:15}" + "".join(
-            f"  {side}: walk {ab.shown([r[name]['walk_ms'] for r in rs])} ms,"
+            f"  {side}: walk {ab.shown(rs, lambda r: r[name]['walk_ms'])} ms,"
             f" {counts[side, name][0]} hops walked, steps {counts[side, name][1]},"
             f" {counts[side, name][2]} dests"
             for side, rs in runs.items()))
