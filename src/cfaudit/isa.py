@@ -19,13 +19,16 @@ opcode does is the machine's alone (``vm._translate``).
 Assembly syntax is read in one place, ``parse_lines``. It looks each
 mnemonic's row up once and checks every line on its own, by its form: the
 operand count, register names, numeric immediates and offsets in range,
-and labels defined twice or shadowing a builtin symbol. A ``SourceLine``
-is therefore well formed and carries its encoding fields. ``layout`` only
-lays checked lines out, resolves symbols (an undefined one is a
-``LinkError``), checks that there is at least one line and no more than
-program memory holds, and encodes the image in one pack. ``assemble`` is
-``parse_lines`` then ``layout``; the rewriter's lines, already checked, go
-to ``layout`` directly, and ``render`` gives the text they parse back from.
+and labels defined twice or shadowing a builtin symbol. A register operand
+may be pc only in ``pop pc``, the one write to pc the model runs as a
+branch, and ``decode`` refuses any other word that names pc. A
+``SourceLine`` is therefore well formed and carries its encoding fields.
+``layout`` only lays checked lines out, resolves symbols (an undefined one
+is a ``LinkError``), checks that there is at least one line and no more
+than program memory holds, and encodes the image in one pack.
+``assemble`` is ``parse_lines`` then ``layout``; the rewriter's lines,
+already checked, go to ``layout`` directly, and ``render`` gives the text
+they parse back from.
 """
 
 from __future__ import annotations
@@ -201,15 +204,17 @@ class Instruction(NamedTuple):
 
 def decode(word: bytes) -> Instruction | None:
     """Decode 4 bytes; None when the word is not a well-formed instruction:
-    no row, no condition for a ``bcond``, or an ``imm`` register field > 15."""
+    no row, no condition for a ``bcond``, or a register field (``imm``'s
+    included) past lr, but for the pc a ``pop`` may name."""
     op, regs, imm = struct.unpack(">BBH", word)
     row = OPS.get(op)
     if row is None:
         return None
-    ra, rb = regs >> 4, regs & 0x0F
-    if row.control == CTL_COND and ra not in COND_REPR or imm > 15 and 3 in row.regs:
+    code = op, regs >> 4, regs & 0x0F, imm
+    if row.control == CTL_COND and code[1] not in COND_REPR \
+            or op != OP_POP and any(code[k] >= PC for k in row.regs):
         return None
-    return Instruction(op, ra, rb, imm)
+    return Instruction(*code)
 
 
 # --- source representation ----------------------------------------------
@@ -319,18 +324,21 @@ def _encode(n: str, a: list[str], ln: int) -> tuple[int, int, int, int | str]:
             raise ParseError(ln, f"bad branch target {a[0]!r}")
         return op, ra, 0, a[0]
     if form == FORM_REG:
-        return op, _parse_reg(a[0].strip("{}"), ln), 0, 0
+        return op, _parse_reg(a[0].strip("{}"), ln, op == OP_POP), 0, 0
     if form == FORM_LR and a[0].lower() != "lr":
         raise ParseError(ln, f"only '{n} lr' is supported")
     return op, 0, 0, 0
 
 
-def _parse_reg(tok: str, line: int) -> int:
+def _parse_reg(tok: str, line: int, pc_ok: bool = False) -> int:
+    """The register ``tok`` names; pc only where ``pc_ok`` (``pop``'s operand)."""
     r = REG_NAMES.get(tok)
     if r is None:
         r = REG_NAMES.get(tok.lower())
         if r is None:
             raise ParseError(line, f"expected register, got {tok!r}")
+    if r == PC and not pc_ok:
+        raise ParseError(line, "only 'pop pc' may name pc")
     return r
 
 

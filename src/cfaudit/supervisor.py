@@ -269,9 +269,7 @@ class Prover:
             return []
         if resp.result == wire.RESULT_END or flags & F_FINAL or post_heal:
             return self._conclude(resp.chal)
-        if resp.result == wire.RESULT_EXEC:
-            return self._resume_execution(resp.chal)
-        return []
+        return self._resume_execution(resp.chal)
 
     def _conclude(self, chal: int) -> list[bytes]:
         """Session over: clear the retained flags and keep the concluding
@@ -378,7 +376,6 @@ class Prover:
     def _trigger_report(self, reason: str) -> list[bytes]:
         self.metrics.triggers[reason] += 1
         self.metrics.windows.append(self.m.timer.elapsed)
-        self.m.enter_secure()
         return self._generate_report()
 
     def _generate_report(self) -> list[bytes]:

@@ -44,9 +44,8 @@ before it: straight on through ``mov``, ``add``/``sub`` (immediate or
 register), ``ldr``, ``cmp``, ``bl trampoline_cond`` sites and conditional
 branches to their own fall-through. A pass starts with no gateway call,
 so a loop has one head, and makes at most two, the longest log unit. It
-writes none of pc, sp and lr and names pc nowhere in its arithmetic, and
-one symbolic pass over its arithmetic and loads, reading each value as
-an expression, shows:
+writes neither sp nor lr, and one symbolic pass over its arithmetic and
+loads, reading each value as an expression, shows:
 
 - an ``ldr`` addresses through a base that is invariant, the same every
   pass;
@@ -359,9 +358,6 @@ class Machine:
         self.world = World.NONSECURE
         self.pc = entry
 
-    def enter_secure(self) -> None:
-        self.world = World.SECURE
-
     # -- execution --------------------------------------------------------
 
     def _fetch(self, pc: int) -> Callable | Fault:
@@ -589,8 +585,7 @@ def _store_word(m: Machine, pc: int, addr: int, value: int) -> None:
 
 def _translate(inst: tuple[int, int, int, int], pc: int) -> Callable:
     """The factory table: the closure of one instruction at ``pc``, by
-    opcode. One that names pc as an operand sees the pc of the instruction,
-    as every read of it would; a data access outside dmem is checked."""
+    opcode; a data access outside dmem is checked."""
     op, ra, rb, imm = inst
     ret, taken = pc + INSTR_WIDTH, _COND_TAKEN.get(ra)
     if (op == OP_MOV_IMM or op == OP_MOV_REG) and ra == LR:
@@ -682,12 +677,6 @@ def _translate(inst: tuple[int, int, int, int], pc: int) -> Callable:
     else:
         def f(regs, st):
             raise _Stop(pc, Fault(FaultKind.ILLEGAL_INSTRUCTION, pc))
-    if _names_pc(inst):
-        inner = f
-
-        def f(regs, st):
-            regs[PC] = pc
-            return inner(regs, st)
     return f
 
 
@@ -715,14 +704,6 @@ def _decode(word: int) -> tuple[int, int, int, int]:
     """(op, ra, rb, imm) of an instruction word; an illegal one has op 0."""
     inst = isa.decode(word.to_bytes(INSTR_WIDTH, "big"))
     return (OP_ILLEGAL, 0, 0, 0) if inst is None else (inst.op, inst.ra, inst.rb, inst.imm)
-
-
-def _names_pc(inst: tuple[int, int, int, int]) -> bool:
-    """Whether a register field of ``inst`` names pc."""
-    if PC not in inst[1:]:              # no field holds its number
-        return False
-    row = OPS.get(inst[0])
-    return row is not None and any(inst[k] == PC for k in row.regs)
 
 
 _INV = -1       # a value that is the same in every iteration
@@ -774,7 +755,7 @@ def _loop(words: list, head: int, blk: tuple) -> _Loop | None:
         insts.append(inst)
     else:
         return None
-    if not insts or OPS[insts[-1][0]].mnemonic != "cmp" or _names_pc(insts[-1]):
+    if not insts or OPS[insts[-1][0]].mnemonic != "cmp":
         return None
     size, last, prev = len(insts) + 1, at - INSTR_WIDTH, at - 2 * INSTR_WIDTH
     if target == head - INSTR_WIDTH and target >= PMEM_BASE and \
@@ -802,7 +783,7 @@ def _closed_form(body: list[tuple[int, int, int, int]],
     register is compared second). None when there is none."""
     op, ra, rb, imm = cmp
     written = {d for _, d, _, _ in body}
-    if written & {PC, SP, LR}:
+    if written & {SP, LR}:
         return None
     # each register, symbolically: _INV, or the written register whose
     # entry value it is, plus something that is the same every iteration
@@ -811,13 +792,10 @@ def _closed_form(body: list[tuple[int, int, int, int]],
     def of(r: int) -> int:
         return val.get(r, r if r in written else _INV)
 
-    for inst in body:
-        o, d, s, i = inst
+    for o, d, s, i in body:
         if o == OP_MOV_IMM:
             val[d] = _INV
             continue
-        if _names_pc(inst):
-            return None
         v = of(s)
         if o == OP_LDR:
             if v != _INV:             # a load whose address may move
@@ -915,8 +893,7 @@ class _Code:
                 break
         insts, at = words[start:end], PMEM_BASE + end * INSTR_WIDTH
         size, (op, ra, _, imm) = end - start, insts[-1]
-        if ctl == CTL_COND and size > 1 and OPS[insts[-2][0]].mnemonic == "cmp" \
-                and not _names_pc(insts[-2]):
+        if ctl == CTL_COND and size > 1 and OPS[insts[-2][0]].mnemonic == "cmp":
             n, term = size - 2, _compare(insts[-2], _COND_TAKEN[ra], imm, at)
         elif ctl != CTL_NONE:
             n, term = size - 1, self.op(at - INSTR_WIDTH)

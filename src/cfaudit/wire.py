@@ -46,7 +46,7 @@ _U32 = struct.Struct(">I")
 _REQUEST_HEAD = struct.Struct(">BHQ")          # type, app_id, delta
 _REPORT_TAG = bytes((MSG_REPORT,))
 _RESPONSE = struct.Struct(f">BB{CHAL_WIDTH}s{MAC_WIDTH}s")   # type, result, chal, sigma
-_RESULT_BYTES = {b: bytes((b,)) for b in range(256)}    # a bad result raises
+_RESULT_BYTES = {b: bytes((b,)) for b in RESULT_NAMES}    # any other result raises
 
 # the values a config field must hold to fit the request field it fills
 FIELD_RANGES = {"delta": (1, 2 ** 64 - 1), "app_id": (0, 0xFFFF),
@@ -167,8 +167,8 @@ def message_type(data: bytes) -> int | None:
 
 
 def response_result(data: bytes) -> int | None:
-    """The result byte of a well-framed response, read without parsing it;
-    None for any other message."""
-    if len(data) != RESPONSE_WIDTH or data[0] != MSG_RESPONSE:
+    """The result of a well-framed response, one of ``RESULT_NAMES``, read
+    without parsing it; None for any other message."""
+    if len(data) != RESPONSE_WIDTH or data[0] != MSG_RESPONSE or data[1] not in RESULT_NAMES:
         return None
     return data[1]

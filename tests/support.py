@@ -991,15 +991,24 @@ def _predecoded(image: bytes) -> dict[int, tuple]:
             for off in range(0, len(image) - INSTR_WIDTH + 1, INSTR_WIDTH)}
 
 
+# the opcodes whose ra, rb and imm fields name a register
+_RA_NAMES = {OP_MOV_IMM, OP_MOV_REG, OP_LDR, OP_STR, OP_ADD_RI, OP_ADD_RR, OP_SUB_RI,
+             OP_SUB_RR, OP_CMP_RI, OP_CMP_RR, OP_BLX, OP_PUSH}
+_RB_NAMES = _RA_NAMES - {OP_MOV_IMM, OP_CMP_RI, OP_BLX, OP_PUSH}
+_IMM_NAMES = {OP_ADD_RR, OP_SUB_RR}
+
+
 def _predecode(word: bytes) -> tuple:
     """(op, ra, rb, imm) for the interpreter; a conditional branch carries
     its truth table as ra and a compare its immediate with the sign flipped.
     The word is checked by rules of its own, not by ``isa.decode``, which
-    reads ``isa.OPS``, so that a wrong row cannot hide here too."""
+    reads ``isa.OPS``, so that a wrong row cannot hide here too: a register
+    field names r0 to lr, and only a ``pop``'s names pc too."""
     op, regs, imm = struct.unpack(">BBH", word)
     ra, rb = regs >> 4, regs & 0x0F
     if not OP_MOV_IMM <= op <= OP_HALT or op == OP_BCOND and ra not in _COND_TAKEN \
-            or op in (OP_ADD_RR, OP_SUB_RR) and imm > 15:
+            or ra == PC and op in _RA_NAMES or rb == PC and op in _RB_NAMES \
+            or imm >= PC and op in _IMM_NAMES:
         return (isa.OP_ILLEGAL, 0, 0, 0)
     if op == OP_BCOND:
         return (OP_BCOND, _COND_TAKEN[ra], 0, imm)

@@ -225,6 +225,14 @@ BAD_LINES = [
     ("halt r0", "halt expects 0 operand(s), got 1"),
     ("jmp main", "unknown mnemonic 'jmp'"),
     ("MOVE r1, r2", "unknown mnemonic 'move'"),
+    ("mov r1, pc", "only 'pop pc' may name pc"),
+    ("mov pc, r1", "only 'pop pc' may name pc"),
+    ("add r2, pc, #4", "only 'pop pc' may name pc"),
+    ("ldr pc, [r1, #0]", "only 'pop pc' may name pc"),
+    ("str r1, [pc, #0]", "only 'pop pc' may name pc"),
+    ("push pc", "only 'pop pc' may name pc"),
+    ("blx pc", "only 'pop pc' may name pc"),
+    ("cmp pc, #0", "only 'pop pc' may name pc"),
 ]
 
 
@@ -233,6 +241,13 @@ def test_a_malformed_line_is_rejected_at_its_line(bad, msg):
     with pytest.raises(isa.ParseError) as caught:
         isa.assemble(f"main:\n    nsc_call\n    {bad}\n    halt\n")
     assert (caught.value.line, caught.value.msg) == (3, msg)
+
+
+@pytest.mark.parametrize("text", ["pop pc", "pop {pc}", "POP PC", "pop {pc} ; return"])
+def test_pop_is_the_one_instruction_that_names_pc(text):
+    (line,) = isa.parse_lines(f"main: {text}\n")
+    assert line.code == (isa.OP_POP, isa.PC, 0, 0)
+    assert isa.decode(isa.layout([line]).image) == isa.Instruction(isa.OP_POP, isa.PC)
 
 
 @pytest.mark.parametrize("text, line, msg", [
@@ -303,6 +318,11 @@ def test_every_opcode_has_a_row_and_a_form():
     assert all(op == row.op for op, row in isa.OPS.items())
 
 
+def names_of(template: str, ra: int, rb: int, rt: int) -> list[int]:
+    """The registers an instruction written as ``template`` names."""
+    return [r for r, field in ((ra, "{ra}"), (rb, "{rb}"), (rt, "{rt}")) if field in template]
+
+
 @pytest.mark.parametrize("form", FORMS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), ra=st.integers(0, 15), rb=st.integers(0, 15),
@@ -313,13 +333,32 @@ def test_each_form_round_trips_through_render_layout_and_decode(data, form, ra, 
     template = SYNTAX[op]
     text = "main:\n    " + template.format(ra=NAMES[ra], rb=NAMES[rb], rt=NAMES[rt], imm=imm,
                                            cond=isa.COND_REPR[cond]) + "\n"
-    lines = isa.parse_lines(text)
-    again = isa.parse_lines(isa.render(lines))
-    assert again == lines
     expected = isa.Instruction(
         op,
         cond if "{cond}" in template else ra if "{ra}" in template else 0,
         rb if "{rb}" in template else 0,
         isa.PMEM_BASE if "main" in template else rt if "{rt}" in template
         else imm if "{imm}" in template else 0)
+    if op != isa.OP_POP and isa.PC in names_of(template, ra, rb, rt):
+        with pytest.raises(isa.ParseError, match="only 'pop pc' may name pc"):
+            isa.parse_lines(text)
+        assert isa.decode(expected.encode()) is None
+        return
+    lines = isa.parse_lines(text)
+    again = isa.parse_lines(isa.render(lines))
+    assert again == lines
     assert isa.decode(isa.layout(again).image) == expected
+
+
+@pytest.mark.parametrize("op", sorted(isa.OPS), ids=OP_NAMES.get)
+def test_a_word_names_pc_only_as_pop_s_operand(op):
+    # pc in each of the three fields in turn: refused where the field names
+    # a register, the instruction as encoded where it holds anything else
+    for field in range(1, 4):
+        if op == isa.OP_BCOND and field == 1:
+            continue                          # ra holds the condition
+        code = [op, 0, 0, 0]
+        code[field] = isa.PC
+        inst = isa.Instruction(*code)
+        refused = op != isa.OP_POP and isa.PC in names_of(SYNTAX[op], *code[1:])
+        assert isa.decode(inst.encode()) == (None if refused else inst)

@@ -2,6 +2,7 @@
 
 import hashlib
 import heapq
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -183,6 +184,16 @@ def test_a_malformed_program_is_reported_at_its_source_line(bad, msg):
     with pytest.raises(isa.ParseError) as caught:
         run(ScenarioSpec("bad", asm))
     assert (caught.value.line, caught.value.msg) == (4, msg)
+
+
+def test_a_write_to_pc_is_refused_not_run_as_straight_line_code():
+    # on the core ``mov pc, r1`` jumps to ``target`` unlogged; the model
+    # names pc only in ``pop pc``, which it rewrites and logs
+    asm = ("main:\n    mov r1, #target\n    mov pc, r1\n    mov r9, #1\n    nsc_call\n"
+           "target:\n    mov r9, #2\n    nsc_call\n")
+    with pytest.raises(isa.ParseError) as caught:
+        run(ScenarioSpec("pc_write", asm))
+    assert (caught.value.line, caught.value.msg) == (3, "only 'pop pc' may name pc")
 
 
 def test_expected_booleans_read_in_any_case(tmp_path):
@@ -762,6 +773,34 @@ def test_each_transition_writes_its_fields_then_the_flags_once(monkeypatch):
                     bad += [(name, policy, log_max, reset_at, writes)
                             for writes in calls if "flags" in writes[:-1]]
     assert not bad, (len(bad), bad[:5])
+
+
+def test_every_report_trigger_finds_the_core_in_the_secure_world(monkeypatch):
+    """A report is signed in the Secure World, and no trigger needs to switch
+    there: the block run that ended on the deadline or a gateway entry
+    switched, and an exit door replayed at a slice's start is still parked
+    there. Every bundled scenario, under each policy, at its own
+    ``log_max`` and at 16, at its own ``delta`` and at 50, uncut and cut
+    at every 7th tick up to 200."""
+    seen, bad = [], []
+    trigger = Prover._trigger_report
+
+    def checked(prover, reason):
+        seen.append(reason)
+        if prover.m.world is not vm.World.SECURE:
+            bad.append((case, reason))
+        return trigger(prover, reason)
+    monkeypatch.setattr(Prover, "_trigger_report", checked)
+    for name in sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")):
+        base = bundled(name)
+        for policy in sorted(POLICY_NAMES):
+            for log_max, delta in itertools.product({base.log_max, 16}, {base.delta, 50}):
+                for reset_at in (None, *range(7, 201, 7)):
+                    case = name, policy, log_max, delta, reset_at
+                    run(replace(base, policy=policy, log_max=log_max, delta=delta,
+                                reset_at=reset_at, max_ticks=min(base.max_ticks, 40_000)))
+    assert not bad, (len(bad), bad[:5])
+    assert {"deadline", "capacity", "end"} <= set(seen)
 
 
 # -- every message, byte for byte ---------------------------------------------

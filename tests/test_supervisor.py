@@ -3,6 +3,7 @@ context block, report generation, retransmission, remediation, and the
 reset/boot recovery path. Verifier-side messages are crafted by hand so
 each device behavior is pinned independently."""
 
+import copy
 import functools
 import hashlib
 import random
@@ -615,6 +616,38 @@ def test_wipe_heal_zeroes_image_and_attests_it():
     assert p.state is ProverState.WAITING
     kept = AuditContext(m.retained_mem)
     assert (kept.flags, kept.chal) == (0, 3)
+
+
+def undefined_response(chal, result=0x07):
+    """A response that authenticates under the device key and holds a
+    result the protocol does not define."""
+    body = wire.chal_bytes(chal)
+    return bytes((wire.MSG_RESPONSE, result)) + body + wire.mac(KEY, body, bytes((result,)))
+
+
+def test_a_response_with_no_defined_result_changes_nothing():
+    # the concluding answers of a remnant (F_FINAL) and of the post-heal
+    # wait (F_REMEDIATION) are any of the three results, and no other
+    p, m, _ = build(DIAMOND, policy=POLICY_WIPE)
+    p.boot()
+    p.handle_message(request(chal=1))
+    pump(p)
+    m.reset()
+    assert len(p.boot()) == 1 and p.ctx.flags & F_FINAL
+    with pytest.raises(KeyError):
+        wire.Response.make(KEY, 0x07, 2)
+
+    def ignored(chal):
+        header, metrics = bytes(m.retained_mem[:CTX_HEADER_SIZE]), copy.deepcopy(p.metrics)
+        assert p.handle_message(undefined_response(chal)) == []
+        assert (bytes(m.retained_mem[:CTX_HEADER_SIZE]), p.metrics) == (header, metrics)
+
+    ignored(2)
+    heal_then_collect(p, chal=2)
+    assert p.state is ProverState.TRANSMIT_WAIT
+    ignored(3)
+    p.handle_message(wire.Response.make(KEY, wire.RESULT_END, 3).pack())
+    assert (p.state, p.ctx.chal) == (ProverState.WAITING, 3)
 
 
 # big enough that one wipe chunk cannot cover it

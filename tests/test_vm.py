@@ -1059,14 +1059,10 @@ REFUSED_PASSES = {
     "off_the_end": ([I(isa.OP_ADD_RI, 2, 2, 1), BL_COND], False),
     "last_not_a_cmp": ([I(isa.OP_ADD_RI, 1, 1, 1), I(isa.OP_CMP_RI, 1, 0, PMEM_BASE),
                         I(isa.OP_MOV_REG, 2, 1), BLT_HEAD], True),
-    "cmp_names_pc": ([I(isa.OP_ADD_RI, 2, 2, 1), I(isa.OP_CMP_RR, 2, isa.PC), BLT_HEAD],
-                     True),
     "three_entries": ([I(isa.OP_ADD_RI, 2, 2, 1), BL_COND, BL_COND, BL_COND, CMP_R2,
                        BLT_HEAD], True),
     "writes_sp": ([I(isa.OP_ADD_RI, isa.SP, isa.SP, 0), I(isa.OP_ADD_RI, 2, 2, 1), CMP_R2,
                    BLT_HEAD], True),
-    "operand_names_pc": ([I(isa.OP_ADD_RI, 3, isa.PC, 0), I(isa.OP_ADD_RI, 2, 2, 1), CMP_R2,
-                          BLT_HEAD], True),
 }
 
 

@@ -5,6 +5,7 @@ import hashlib
 import hmac as stdlib_hmac
 import struct
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -108,6 +109,20 @@ def test_message_type_dispatch():
     # well-framed response
     assert wire.response_result(resp) == wire.RESULT_END
     assert [wire.response_result(m) for m in (req, rep, resp[:-1], b"")] == [None] * 4
+
+
+def test_a_response_holds_one_of_the_three_results():
+    for result in range(256):
+        body = wire.chal_bytes(2)
+        data = bytes((wire.MSG_RESPONSE, result)) + body + raw_hmac(KEY, body + bytes((result,)))
+        opened = wire.Response.open(KEY, data)
+        if result in wire.RESULT_NAMES:
+            assert opened == wire.Response.make(KEY, result, 2)
+            assert wire.response_bytes(KEY, result, 2) == data
+        else:
+            assert opened is None and wire.response_result(data) is None
+            with pytest.raises(KeyError):
+                wire.response_bytes(KEY, result, 2)
 
 
 def test_challenge_is_64_byte_big_endian():

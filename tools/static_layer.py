@@ -11,8 +11,7 @@ the auditor's graph, with no cache in the way), once to warm up, then
 ``--passes`` times. Each program's median over the passes is taken, then
 the median over the programs of each pool. Runs alternate between the
 checkouts, the parent first in even pairs (``ab.py``), and each side's
-median over runs is printed per pool, with its minimum and quartiles, raw
-and at a quiet host's speed.
+median over runs is printed per pool, with its minimum and quartiles.
 """
 
 from __future__ import annotations

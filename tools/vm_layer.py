@@ -12,8 +12,7 @@ pool holds more programs than the image cache, so every session builds
 its blocks cold. Each pool item's median over the passes is taken, then
 the median over the items of each kind. Runs alternate between the
 checkouts, the parent first in even pairs (``ab.py``), and each side's
-median over runs is printed per kind, with its minimum and quartiles, raw
-and at a quiet host's speed.
+median over runs is printed per kind, with its minimum and quartiles.
 """
 
 from __future__ import annotations

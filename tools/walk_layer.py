@@ -12,8 +12,8 @@ the walk alone, with no parsing, MAC or device in it. A last pass counts
 the hops walked (hop-memo lookups), the walkers' ``steps`` and the
 destinations fed. Runs alternate between the checkouts, the parent first
 in even pairs (``ab.py``); each side's median walk time over runs is
-printed with its minimum and quartiles, raw and at a quiet host's speed,
-beside the counts, which must be the same in every run of a side.
+printed with its minimum and quartiles, beside the counts, which must be
+the same in every run of a side.
 """
 
 from __future__ import annotations
