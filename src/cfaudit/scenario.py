@@ -42,8 +42,18 @@ a tick a power cut and deliveries to the device come first, then one unit
 of device work, then deliveries to the auditor and its request re-send.
 Until the next of those scheduled moments only the device can act, so the
 runner hands it the whole stretch in one ``Prover.advance`` call and polls
-the link only where something is due. Results are tick for tick those of
-stepping the device once per tick.
+the link only where something is due. A device that executes or
+remediates is not listening (``ProverState.listening``): it acts on no
+datagram, and the settle check cannot end the session while it works.
+So it runs ahead of its peers (the lookahead of conservative
+co-simulation) up to the next delivery to the auditor or the tick before
+a power cut, through the auditor's re-sends and the deliveries to it;
+the runner then makes each re-send that fell due in the stretch at its
+own tick and drops what reached the device unread. A tick runs alone
+only when power was cut or something was delivered to a device that now
+waits or is frozen, the states the settle check can end a session in, so
+it sees that very tick. Results are tick for tick those of stepping the
+device once per tick.
 
 A power cut resets the machine and builds a new ``Prover`` on it, so the
 device resumes from retained memory alone; only the counters carry over.
@@ -113,7 +123,9 @@ class ScenarioSpec:
                                 f"max_ticks + 1 = {self.max_ticks + 1} challenges above it")
 
 
-_CHECKED = (*wire.FIELD_RANGES, "log_max")
+# the re-send intervals, in ticks; 0 re-sends every tick
+_RESENDS = ("device_resend", "verifier_resend")
+_CHECKED = (*wire.FIELD_RANGES, "log_max", *_RESENDS)
 
 
 def _check_field(name: str, value) -> None:
@@ -125,6 +137,8 @@ def _check_field(name: str, value) -> None:
         low, high = wire.FIELD_RANGES[name]
         if not low <= value <= high:
             raise ValueError(f"{value} out of range {low}..{high}")
+    elif name in _RESENDS and value < 0:
+        raise ValueError(f"{value} is negative; 0 re-sends every tick")
 
 
 def _flag(text: str) -> bool:
@@ -316,20 +330,41 @@ def _check_expectations(spec: ScenarioSpec, res: ScenarioResult) -> list[str]:
 
 
 def _quiet_until(now: int, spec: ScenarioSpec, link: Link, vrf: Verifier,
-                 did_reset: bool) -> int:
+                 did_reset: bool, deaf: bool) -> int:
     """Last tick, from ``now`` on, on which only the device can act: a
     delivery to the device or a power cut happens before the device's
-    work in a tick, a delivery to the auditor or a request re-send after."""
+    work in a tick, a delivery to the auditor or a request re-send after.
+    A ``deaf`` device acts on no datagram and cannot settle, so deliveries
+    to it and the re-sends that make them do not stop it; ``_catch_up``
+    makes them once it has run."""
     last = spec.max_ticks
-    due = link.to_device.next_due()
+    due = link.to_verifier.next_due()
     if due is not None:
-        last = min(last, due - 1)
-    for due in (link.to_verifier.next_due(), vrf.next_resend()):
+        last = min(last, due)
+    if not deaf:
+        due = link.to_device.next_due()
+        if due is not None:
+            last = min(last, due - 1)
+        due = vrf.next_resend()
         if due is not None:
             last = min(last, due)
     if spec.reset_at is not None and not did_reset and spec.reset_at > now:
         last = min(last, spec.reset_at - 1)
     return max(last, now)
+
+
+def _catch_up(now: int, end: int, link: Link, vrf: Verifier) -> None:
+    """Make what ticks ``now`` to ``end`` of a per-tick run make around a
+    deaf device, short of tick ``end``'s own re-send: each request re-send
+    due before ``end`` at its own tick, after the deliveries of that tick,
+    and last the deliveries of ``end``. Every delivery is dropped unread."""
+    tick = now
+    while (due := vrf.next_resend()) is not None and (tick := max(due, tick)) < end:
+        link.to_device.poll(tick)
+        for out in vrf.tick(tick):
+            link.to_device.send(tick, out)
+        tick += 1
+    link.to_device.poll(end)
 
 
 @dataclass(frozen=True)
@@ -391,9 +426,9 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
 
     while now < spec.max_ticks:
         now += 1
-        busy = False
+        cut = delivered = False
         if spec.reset_at is not None and now == spec.reset_at and not did_reset:
-            busy = did_reset = True
+            cut = did_reset = True
             ns_at_reset = prover.metrics.total_ns
             seen_at_reset = vrf.audited + vrf.duplicates
             machine.reset()
@@ -402,15 +437,22 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
             for msg in prover.boot():
                 link.to_verifier.send(now, msg)
         for data in link.to_device.poll(now):
-            busy = True
+            delivered = True
             for out in prover.handle_message(data):
                 link.to_verifier.send(now, out)
         # the device runs alone up to the next scheduled moment, stopping
         # early on a tick that emits output or changes its state; a tick
-        # that delivered something or cut power runs alone, so the settle
-        # check below sees its effect on that very tick
-        last_tick = now if busy else _quiet_until(now, spec, link, vrf, did_reset)
+        # that cut power, or delivered something to a device the settle
+        # check below could find settled, runs alone so the check sees its
+        # effect on that very tick
+        state = prover.state
+        settling = state is ProverState.WAITING or state is ProverState.FROZEN
+        deaf = not (settling or state.listening)
+        last_tick = now if cut or delivered and settling \
+            else _quiet_until(now, spec, link, vrf, did_reset, deaf)
         ticks, outs = prover.advance(last_tick - now + 1)
+        if deaf and ticks > 1:
+            _catch_up(now, now + ticks - 1, link, vrf)
         now += ticks - 1
         for out in outs:
             link.to_verifier.send(now, out)

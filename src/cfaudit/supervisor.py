@@ -110,6 +110,13 @@ class ProverState(enum.Enum):
     REMEDIATE = "remediate"
     FROZEN = "frozen"
 
+    @property
+    def listening(self) -> bool:
+        """Whether a datagram delivered in this state could change anything:
+        a waiting device takes a fresh request, one in transmit-wait a
+        response or a re-sent request, and no other acts on any."""
+        return self is ProverState.WAITING or self is ProverState.TRANSMIT_WAIT
+
 
 @dataclass
 class ProverConfig:
@@ -142,7 +149,12 @@ class ProverMetrics:
 class Prover:
     """Device-side protocol driver around one Machine. The retained header
     ``ctx`` is its only record of a session: what else it holds in RAM is
-    what a power cut may lose."""
+    what a power cut may lose.
+
+    The device listens only while it waits or awaits the response to a
+    report (``ProverState.listening``): executing, remediating or frozen,
+    it acts on no datagram, so ``scenario.run`` may run it through a
+    stretch in which datagrams reach it and drop them unread afterwards."""
 
     def __init__(self, machine: Machine, config: ProverConfig, entry: int,
                  metrics: ProverMetrics | None = None):
@@ -224,21 +236,25 @@ class Prover:
     # -- message handling ----------------------------------------------------
 
     def handle_message(self, data: bytes) -> list[bytes]:
-        """Act on a datagram only once it opens as a request or a response
-        under the device key: anything else changes nothing."""
+        """Act on a datagram only while the state is ``listening``, and
+        only once it opens as a request or a response under the device
+        key: anything else changes nothing, and a device that is not
+        listening does not even check the MAC."""
+        state = self.state
+        if not state.listening:
+            return []
         key = self.config.key
         req = wire.AttestRequest.open(key, data)
         if req is not None:
-            return self._handle_request(req)
+            return self._handle_request(req, state)
         resp = wire.Response.open(key, data)
         if resp is not None:
-            return self._handle_response(resp)
+            return self._handle_response(resp, state)
         return []
 
-    def _handle_request(self, req: wire.AttestRequest) -> list[bytes]:
+    def _handle_request(self, req: wire.AttestRequest, state: ProverState) -> list[bytes]:
         if req.app_id != self.config.app_id:
             return []
-        state = self.state
         if state is ProverState.WAITING and req.chal > self.ctx.chal:
             return self._setup_app(req)
         if req.chal == self.ctx.chal and state is ProverState.TRANSMIT_WAIT:
@@ -254,9 +270,9 @@ class Prover:
         self.m.enter_nonsecure(self.entry)
         return []
 
-    def _handle_response(self, resp: wire.Response) -> list[bytes]:
+    def _handle_response(self, resp: wire.Response, state: ProverState) -> list[bytes]:
         ctx = self.ctx
-        if resp.chal <= ctx.chal or self.state is not ProverState.TRANSMIT_WAIT:
+        if resp.chal <= ctx.chal or state is not ProverState.TRANSMIT_WAIT:
             return []                     # stale, replayed, or unexpected
         # F_REMEDIATION stays set from the heal order to the session's end
         flags = ctx.flags

@@ -102,8 +102,9 @@ ordinary pass before any closed form. Keeping it armed from one call to
 the next is not done: a pass that spans two calls could straddle a
 Secure-World write to data memory made between them (a monitor's pokes,
 say), and every invariant load of the closed form rests on memory the
-pass alone may write. A version that kept the armed head gained only
-about 3% more on counted-loop sessions.
+pass alone may write. It would gain little: ``scenario.run`` runs a
+device at work through the datagrams it ignores, so a slice is one call
+unless a power cut or a delivery to the auditor falls inside it.
 
 A block is built only where control enters it. When a run leaves the
 core partway through a block (its limit or the watchdog deadline falls
@@ -116,9 +117,9 @@ though a head already in ``loops`` is still used. Either path leaves the
 same state, since a block runs the very closures the other path runs one
 by one, with the same counters, faults and flags (a fused compare sets
 the flags the ``cmp`` sets). So the note only chooses the path, and a
-stale one changes no result. Resumed runs are common: a session's driver
-cuts it into a run call at each message the device handles, and a block
-built where one stopped would run once.
+stale one changes no result. Runs still resume partway through a block:
+a watchdog deadline stops one wherever it falls and the next slice
+resumes there, and a block built where one stopped would run once.
 
 An image's words are decoded once, on its first fetch, and each word is
 translated once, into the closure a block and a single step share. Its

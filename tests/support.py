@@ -850,7 +850,6 @@ class ReferenceMachine(Machine):
                     ev = inst
                     break
             op, ra, rb, imm = inst
-            regs[PC] = pc
             nxt = pc + INSTR_WIDTH
 
             if op == OP_ADD_RI:

@@ -76,6 +76,19 @@ def test_an_override_its_field_cannot_hold_exits_two(argv, capsys):
     assert argv[-2].lstrip("-").replace("-", "_") in err
 
 
+@pytest.mark.parametrize("section", ["scenario", "verifier"])
+def test_a_negative_resend_interval_exits_two(tmp_path, capsys, section):
+    scn = tmp_path / "bad.scn"
+    body = "[scenario]\nprogram = p.asm\n"
+    body += f"\n[{section}]\n" * (section != "scenario") + "resend_interval = -1\n"
+    scn.write_text(body)
+    (tmp_path / "p.asm").write_text("main:\n    nsc_call\n")
+    code = main(["run", str(scn)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"[{section}] resend_interval: -1 is negative" in err
+
+
 def test_run_malformed_scenario_exits_two(tmp_path, capsys):
     scn = tmp_path / "bad.scn"
     scn.write_text("[scenario]\nprogram = p.asm\nbogus = 1\n")

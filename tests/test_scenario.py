@@ -1,5 +1,6 @@
 """End-to-end runs driven by scenario files, and the file format itself."""
 
+import copy
 import hashlib
 import heapq
 import itertools
@@ -17,7 +18,7 @@ from cfaudit.context import AuditContext, F_REMEDIATION, LOG_BUFFER_OFFSET
 from cfaudit.resolver import POLICY_DISABLE, POLICY_FREEZE, POLICY_NAMES
 from cfaudit.scenario import (ScenarioError, ScenarioSpec, parse_scenario,
                               resolve_input, run)
-from cfaudit.supervisor import Prover
+from cfaudit.supervisor import Prover, ProverConfig, ProverState
 from cfaudit.vm import Machine
 
 from support import clear_image_caches, generate_program, run_per_tick
@@ -282,6 +283,7 @@ pmem_flip = 100000
     ("scenario", "log_max", "15"),
     ("scenario", "log_max", str(isa.RETAINED_SIZE - LOG_BUFFER_OFFSET + 1)),
     ("channel", "loss", "1.5"), ("channel", "delay_min", "-1"),
+    ("scenario", "resend_interval", "-1"), ("verifier", "resend_interval", "-5"),
 ])
 def test_parse_rejects_a_value_its_field_cannot_hold(tmp_path, section, key, text):
     # a delta, app_id or challenge that the wire cannot carry, a log the
@@ -292,6 +294,20 @@ def test_parse_rejects_a_value_its_field_cannot_hold(tmp_path, section, key, tex
     scn = write_scn(tmp_path, body)
     with pytest.raises(ScenarioError, match=rf"case\.scn: \[{section}\] {key}"):
         parse_scenario(scn)
+
+
+def test_a_resend_interval_of_zero_re_sends_every_tick(tmp_path):
+    # 0 is the one every-tick interval; a negative one is refused above
+    scn = write_scn(tmp_path, "[scenario]\nprogram = prog.asm\nresend_interval = 0\n"
+                    "\n[verifier]\nresend_interval = 0\n\n[channel]\ndelay_min = 3\n"
+                    "delay_max = 3\n")
+    spec = parse_scenario(scn)
+    assert (spec.device_resend, spec.verifier_resend) == (0, 0)
+    res = run(spec)
+    assert res.ok and res.verdict == "end" and res.retransmissions > 0
+    assert res.to_json() == run(replace(spec, device_resend=1,
+                                        verifier_resend=1)).to_json()
+    assert res.to_json() == run_per_tick(spec).to_json()
 
 
 # the highest first challenge that leaves one for every tick of the
@@ -320,7 +336,7 @@ initial_chal = {TOP_CHAL}
 
 @pytest.mark.parametrize("name, value", [
     ("delta", -1), ("delta", 0), ("app_id", 70000), ("initial_chal", -3),
-    ("log_max", 8)])
+    ("log_max", 8), ("device_resend", -1), ("verifier_resend", -1)])
 def test_a_spec_is_checked_when_built_and_when_replaced(name, value):
     spec = ScenarioSpec("s", "main:\n    nsc_call\n")
     with pytest.raises(ScenarioError, match=rf"^{name}: "):
@@ -686,6 +702,132 @@ def test_clock_matches_per_tick_loop_on_a_reset_mid_wipe(monkeypatch):
     for reset_at in range(1, run(spec).ticks + 1):
         assert_same_as_per_tick(replace(spec, reset_at=reset_at))
     assert any(mid_wipe)
+
+
+# -- a device at work listens to nothing ---------------------------------------
+
+SCENARIO_NAMES = sorted(p.stem for p in SCENARIO_DIR.glob("*.scn"))
+# what a sender without the device key can make of each message kind
+FORGED_KEY = b"\x22" * 32
+FORGED = (wire.AttestRequest(1, 500_000, 2 ** 100).pack(FORGED_KEY),
+          wire.response_bytes(FORGED_KEY, wire.RESULT_END, 2 ** 100),
+          wire.Report(b"\x5a" * wire.MAC_WIDTH, b"\x00" * 8).pack())
+
+
+def carried_datagrams(spec, monkeypatch) -> list[bytes]:
+    """Every datagram ``spec``'s link carries either way, lost ones too,
+    each once, in the order first sent."""
+    sent: dict[bytes, None] = {}
+    send = Channel.send
+
+    def recording(channel, now, data):
+        sent[data] = None
+        send(channel, now, data)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Channel, "send", recording)
+        run(spec)
+    return list(sent)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_NAMES), ids=POLICY_NAMES.get)
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_a_device_at_work_acts_on_no_datagram(monkeypatch, name, policy):
+    # the clock runs an executing or remediating device through every
+    # delivery to it: whatever arrives then, from the auditor, the device
+    # itself or a forger, and under the device key with a challenge far
+    # above any used, changes nothing and answers nothing
+    key = ProverConfig().key
+    spec = replace(bundled(name), policy=policy, max_ticks=5000)
+    datagrams = carried_datagrams(spec, monkeypatch) + [
+        *FORGED, wire.AttestRequest(spec.app_id, spec.delta, 2 ** 100).pack(key),
+        *(wire.response_bytes(key, result, 2 ** 100) for result in wire.RESULT_NAMES)]
+    at_work = {ProverState.EXECUTING: 0, ProverState.REMEDIATE: 0}
+    step = Prover.step
+
+    def delivering_step(prover):
+        state = prover.state
+        if state in at_work:
+            at_work[state] += 1
+            m = prover.m
+            before = bytes(m.retained_mem), copy.deepcopy(prover.metrics), list(m.regs)
+            for data in datagrams:
+                assert prover.handle_message(data) == [], (state, data.hex())
+            assert (bytes(m.retained_mem), prover.metrics, list(m.regs)) == before, state
+        return step(prover)
+
+    monkeypatch.setattr(Prover, "step", delivering_step)
+    run_per_tick(spec)
+    assert at_work[ProverState.EXECUTING]
+    if bundled(name).pmem_flip is not None or name == "overflow_hijack":
+        assert at_work[ProverState.REMEDIATE]     # a heal is ordered
+
+
+# -- re-sends and deliveries inside a device's stretch ---------------------------
+
+# a lossy link that drops, copies and delays datagrams in both directions
+LOSSY_LINKS = [ChannelConfig(loss=0.3, duplicate=0.2, delay_min=0, delay_max=5, seed=seed)
+               for seed in range(5)]
+
+
+@pytest.mark.parametrize("resend", [0, 1, 7, 50])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_clock_matches_per_tick_loop_with_resends_inside_stretches(monkeypatch, name, resend):
+    # the auditor's re-sends and the deliveries they make fall inside the
+    # stretches an executing or remediating device runs in one call, on an
+    # ideal link and a lossy one, with a power cut at every 16th tick; a
+    # device that re-sends its report every 97 ticks keeps lossy sessions short
+    dropped = []
+    catch_up = scenario._catch_up
+
+    def counting(now, end, link, vrf):
+        delivered = link.to_device.stats.delivered
+        catch_up(now, end, link, vrf)
+        dropped.append(link.to_device.stats.delivered - delivered)
+
+    monkeypatch.setattr(scenario, "_catch_up", counting)
+    base = replace(bundled(name), verifier_resend=resend, device_resend=97,
+                   max_ticks=20_000)
+    for link in (base.channel, *LOSSY_LINKS):
+        spec = replace(base, channel=link)
+        assert_same_as_per_tick(spec)
+        for reset_at in range(1, run(spec).ticks + 1, 16):
+            assert_same_as_per_tick(replace(spec, reset_at=reset_at))
+    assert sum(dropped)          # datagrams did reach a device at work
+
+
+@pytest.mark.parametrize("name", ["image_tamper", "overflow_hijack"])
+def test_clock_matches_per_tick_loop_on_a_frozen_device(name):
+    # a frozen device acts on no datagram either, but the deliveries to it
+    # empty the link the settle check reads, so they still end its stretch
+    for resend in (0, 1, 7, 50):
+        base = replace(bundled(name), policy=POLICY_FREEZE, verifier_resend=resend,
+                       device_resend=97, max_ticks=20_000)
+        for link in (base.channel, *LOSSY_LINKS):
+            assert_same_as_per_tick(replace(base, channel=link))
+
+
+def test_a_device_at_work_makes_one_run_call_a_slice(monkeypatch):
+    # a long counted loop and one slice over an ideal link, while the
+    # auditor re-sends its request every 50 ticks: neither those re-sends
+    # nor their deliveries cut the device's run
+    asm = ("main:\n    mov r2, #0\nspin:\n    add r2, r2, #1\n"
+           "    cmp r2, #20000\n    bne spin\n    nsc_call\n")
+    spec = ScenarioSpec("one_run", asm, delta=10 ** 9, verifier_resend=50)
+    calls = []
+    machine_run = Machine.run
+
+    def counting_run(machine, *args):
+        calls.append(args)
+        return machine_run(machine, *args)
+
+    monkeypatch.setattr(Machine, "run", counting_run)
+    res = run(spec)
+    assert res.ok and res.verdict == "end" and res.ticks > 20 * 50
+    assert res.channel_stats["to_device"]["sent"] > 20   # the re-sends were made
+    assert len(calls) == res.device_slices == 1
+    monkeypatch.undo()
+    assert res.to_json() == run_per_tick(spec).to_json()
 
 
 # -- retained memory, tick for tick ------------------------------------------
