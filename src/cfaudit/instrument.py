@@ -31,18 +31,18 @@ a conditional branch needs a fall-through and a program label to go to,
 and r10/r11 need free registers to move to (``RegisterPressure``, an
 ``UnsupportedPattern`` like the first two).
 
-It writes no text. ``rewrite`` emits the rewritten program as checked
-lines: each is a source line as parsed, with r10/r11 renamed in its
-register fields and operands, or one of the fixed gateway lines, and each
-carries the number of the line ``isa.render`` puts it at. ``isa.layout``
-lays them out as they are, and checks symbols and capacity there;
-``instrument`` renders them for output.
+It writes no text. ``rewrite`` scans the checked lines once for their
+sites and once to emit their words: each is a source line's fields as
+parsed, with r10/r11 renamed, or one of the fixed gateway lines, placed at
+its address, with each label's address recorded as it goes. ``isa.layout``
+resolves and packs the placed words, and checks symbols and capacity
+there; ``instrument`` renders the same words and maps the source lines to
+them.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import isa
@@ -124,10 +124,15 @@ def _renamed(code: tuple, regs: dict[int, int]) -> tuple:
     return tuple(regs.get(f, f) if k in fields else f for k, f in enumerate(code))
 
 
-def plan_renames(lines: list[SourceLine]) -> dict[str, str]:
-    """Where r10 and r11 move: each that the program names goes to the
-    lowest free one of r0-r9 and r12. Reads the register fields."""
-    used = {sl.code[k] for sl in lines for k in OPS[sl.code[0]].regs}
+def _rename(arg: str, renames: dict[str, str]) -> str:
+    """A register operand's text with r10/r11 moved as ``renames`` says."""
+    if not renames or arg.startswith("#"):
+        return arg
+    return _REG_TOKEN.sub(lambda m: renames.get(m.group(1).lower(), m.group(1)), arg)
+
+
+def _renames(used: set[int]) -> dict[str, str]:
+    """Where r10 and r11 move: each in ``used`` to the lowest free of r0-r9 and r12."""
     free = [r for r in (*range(10), 12) if r not in used]
     renames: dict[str, str] = {}
     for reserved in RESERVED:
@@ -140,38 +145,48 @@ def plan_renames(lines: list[SourceLine]) -> dict[str, str]:
 
 # --- structural helpers ----------------------------------------------------
 
-def _label_lines(lines: list[SourceLine]) -> dict[str, int]:
-    return {lab: i for i, sl in enumerate(lines) for lab in sl.labels}
+def _scan(lines: list[SourceLine]) -> tuple:
+    """The site scan: each label's line, each line's control class, the
+    registers named, the lines naming each symbol, the conditional branches'
+    lines, and the (branch, header) lines of each ``bne``/``blt`` back."""
+    labels, ctls, used, mentions, conds, candidates = {}, [], set(), {}, [], []
+    for i, sl in enumerate(lines):
+        for lab in sl.labels:
+            labels[lab] = i
+        code = sl.code
+        for k in OPS[code[0]].regs:
+            used.add(code[k])
+        if (target := code[3]).__class__ is str:
+            mentions[target] = mentions.get(target, 0) + 1
+        ctls.append(ctl := control(code))
+        if ctl == CTL_COND:
+            conds.append(i)
+            h = labels.get(target)
+            if h is not None and h < i and code[1] in (isa.COND_NE, isa.COND_LT):
+                candidates.append((i, h))
+    return labels, ctls, used, mentions, conds, candidates
 
 
 def detect_static_loops(lines: list[SourceLine]) -> list[LoopDescriptor]:
     """Find canonical counted loops eligible for single-record logging."""
-    return _static_loops(lines, _label_lines(lines), [control(sl.code) for sl in lines])
+    return _static_loops(lines, _scan(lines))
 
 
-def _static_loops(lines: list[SourceLine], labels: dict[str, int],
-                  ctls: list[str]) -> list[LoopDescriptor]:
-    """``detect_static_loops``, given the line of each label and the control
-    class of each line."""
-    # lines naming each symbol, as a branch target or a ``#label`` operand
-    mentions = Counter(sl.code[3] for sl in lines if isinstance(sl.code[3], str))
+def _static_loops(lines: list[SourceLine], scan: tuple) -> list[LoopDescriptor]:
+    """``detect_static_loops``, over the candidates of the site scan."""
+    _, ctls, _, mentions, _, candidates = scan
     loops: list[LoopDescriptor] = []
-    for i, sl in enumerate(lines):
-        if sl.mnemonic not in ("bne", "blt"):
-            continue
-        h = labels.get(sl.args[0])
-        if h is None or h >= i or i < 2:
-            continue
+    for i, h in candidates:
         # the header may only be entered by fall-in and this one branch: no
         # other reference to any of its labels, and it is not the entry
         header_labels = lines[h].labels
-        if "main" in header_labels or sum(mentions[lab] for lab in header_labels) != 1:
+        if "main" in header_labels or sum(mentions.get(lab, 0) for lab in header_labels) != 1:
             continue
         op, counter, limit_reg, limit_imm = lines[i - 1].code
         if op == isa.OP_CMP_RI:
             if isinstance(limit_imm, str):
                 continue
-            if limit_imm == 0 and sl.mnemonic == "bne":
+            if limit_imm == 0 and lines[i].code[1] == isa.COND_NE:
                 continue            # the counter wraps: ~2**32 passes, not 0
             limit_reg = None
         elif op == isa.OP_CMP_RR and limit_reg != counter:
@@ -183,7 +198,7 @@ def _static_loops(lines: list[SourceLine], labels: dict[str, int],
         body = lines[h:i]
         if any(c != CTL_NONE for c in ctls[h:i]):
             continue
-        if any(b.labels for b in body[1:]) or sl.labels:
+        if any(b.labels for b in body[1:]) or lines[i].labels:
             continue
         increments = [b for b in body if counter in written(b.code)]
         if len(increments) != 1 or increments[0].code != (isa.OP_ADD_RI, counter, counter, 1):
@@ -215,30 +230,29 @@ def _static_loops(lines: list[SourceLine], labels: dict[str, int],
 
 # --- rewriting -------------------------------------------------------------
 
-def rewrite(asm_text: str) -> tuple[list[SourceLine], InstrumentationMap]:
+def rewrite(asm_text: str) -> tuple:
     """Rewrite a program for gateway-mediated control-flow logging.
 
-    Returns the rewritten program as checked lines, ready for
-    ``isa.layout``, and the sidecar map. The source is read once, by
-    ``isa.parse_lines``, so a malformed line is rejected at its source
-    line; the lines are not laid out here, so a program with an undefined
-    label, too many instructions or none is rejected when they are.
+    Returns the words as ``isa.layout`` takes them, then what ``instrument``
+    renders and maps them from: each word's source line or text, each source
+    line's words by index with its map entries' kinds, and the renames.
+    ``isa.parse_lines`` rejects a malformed line, ``isa.layout`` the rest.
     """
     lines = isa.parse_lines(asm_text)
-    renames = plan_renames(lines)
+    scan = _scan(lines)
+    labels, ctls, used, _, conds, _ = scan
+    renames = _renames(used)
     regs = {int(old[1:]): int(new[1:]) for old, new in renames.items()}
     # renaming moves r10/r11 to registers the program never names, so the
     # loops found before it are the loops found after it
-    labels, ctls = _label_lines(lines), [control(sl.code) for sl in lines]
-    loops = _static_loops(lines, labels, ctls)
-
-    # site scan: the lines that gain a ``bl trampoline_cond``
+    loops = _static_loops(lines, scan)
     headers = {lp.header_line: lp for lp in loops}
     loop_branches = {lp.branch_line for lp in loops}
+
+    # the lines that gain a ``bl trampoline_cond``
     cond_sites: set[int] = set()
-    for i, sl in enumerate(lines):
-        if ctls[i] != CTL_COND:
-            continue
+    for i in conds:
+        sl = lines[i]
         if i + 1 == len(lines):
             raise UnsupportedPattern(f"line {sl.lineno}: conditional branch has no fall-through")
         if i not in loop_branches:
@@ -249,74 +263,62 @@ def rewrite(asm_text: str) -> tuple[list[SourceLine], InstrumentationMap]:
             cond_sites.add(t)
         cond_sites.add(i + 1)
 
-    def rename(arg: str) -> str:
-        if arg.startswith("#"):
-            return arg
-        return _REG_TOKEN.sub(lambda m: renames.get(m.group(1).lower(), m.group(1)), arg)
-
-    # emit scan: each line as rewritten, with its map entries and addresses
-    imap = InstrumentationMap(renames=renames)
-    entries, line_map, line_end = imap.entries, imap.line_map, imap.line_end
+    # emit scan: each word with its text, each label's address, each line's words
+    codes, texts, spans, addrs = [], [], [], {}
     base, width = isa.PMEM_BASE, isa.INSTR_WIDTH
-    out: list[SourceLine] = []
-    row = 0                         # rendered lines so far, labels included
-
-    def emit(labels: list[str], mnemonic: str, args: list[str], code: tuple) -> None:
-        nonlocal row
-        row += len(labels) + 1
-        out.append(SourceLine(labels, mnemonic, args, row, code))
-
     for i, sl in enumerate(lines):
-        lp = headers.get(i)
-        if lp is not None:
-            header = sl.labels[0]
-            emit([], "mov", ["r10", f"#{header}"], (isa.OP_MOV_IMM, 10, 0, header))
-            if lp.limit_reg is None:
-                emit([], "mov", ["r11", f"#{lp.limit_imm}"], (isa.OP_MOV_IMM, 11, 0, lp.limit_imm))
-            else:
-                limit = regs.get(lp.limit_reg, lp.limit_reg)
-                emit([], "mov", ["r11", isa.REG_REPR[limit]], (isa.OP_MOV_REG, 11, limit, 0))
-            emit([], "bl", ["trampoline_loop"], _CALL_LOOP)
+        if i in headers:
+            lp, header = headers[i], sl.labels[0]
+            limit = regs.get(lp.limit_reg, lp.limit_reg)
+            codes += ((isa.OP_MOV_IMM, 10, 0, header), (isa.OP_MOV_IMM, 11, 0, lp.limit_imm)
+                      if limit is None else (isa.OP_MOV_REG, 11, limit, 0),
+                      (isa.OP_BL, 0, 0, "trampoline_loop"))
+            texts += (("mov", ("r10", f"#{header}")), ("mov", ("r11", f"#{lp.limit_imm}"
+                      if limit is None else isa.REG_REPR[limit])), ("bl", ("trampoline_loop",)))
         # the site label moves to the inserted call so branches land on it
-        site_labels = sl.labels
+        for lab in sl.labels:
+            addrs[lab] = base + len(codes) * width
         if i in cond_sites:
-            emit(site_labels, "bl", ["trampoline_cond"], _CALL_COND)
-            site_labels = []
-        origin = base + i * width
-        args, code, ctl = sl.args, sl.code, ctls[i]
+            codes.append((isa.OP_BL, 0, 0, "trampoline_cond"))
+            texts.append(("bl", ("trampoline_cond",)))
+        start, code, ctl, kinds = len(codes), sl.code, ctls[i], ()
         if regs and OPS[code[0]].regs:        # a label operand is never renamed
-            args = [rename(a) for a in args]
             code = _renamed(code, regs)
-        line_map[i] = base + len(out) * width
         if ctl == CTL_ICALL:
-            entries.append(MapEntry(origin, KIND_INDIRECT_CALL))
-            emit(site_labels, "mov", ["r10", args[0]], (isa.OP_MOV_REG, 10, code[1], 0))
-            emit([], "bl", ["trampoline_icall"], _CALL_ICALL)
-        elif ctl == CTL_RETURN:
-            entries.append(MapEntry(origin, KIND_RETURN_BX_LR))
-            emit(site_labels, "b", ["trampoline_ret"], _JUMP_RET)
-        elif ctl == CTL_POP_PC:
-            entries.append(MapEntry(origin, KIND_RETURN_POP_PC))
-            emit(site_labels, "pop", ["lr"], (isa.OP_POP, isa.LR, 0, 0))
-            emit([], "b", ["trampoline_ret"], _JUMP_RET)
+            codes += (isa.OP_MOV_REG, 10, code[1], 0), (isa.OP_BL, 0, 0, "trampoline_icall")
+            texts += ("mov", ("r10", _rename(sl.args[0], renames))), ("bl", ("trampoline_icall",))
+            kinds = (KIND_INDIRECT_CALL,)
+        elif ctl == CTL_RETURN or ctl == CTL_POP_PC:
+            pop = ctl == CTL_POP_PC         # ``pop lr`` first, then the gateway jump
+            codes += ((isa.OP_POP, isa.LR, 0, 0),) * pop + ((isa.OP_B, 0, 0, "trampoline_ret"),)
+            texts += (("pop", ("lr",)),) * pop + (("b", ("trampoline_ret",)),)
+            kinds = (KIND_RETURN_POP_PC if pop else KIND_RETURN_BX_LR,)
         else:
-            emit(site_labels, sl.mnemonic, args, code)
+            codes.append(code)
+            texts.append(sl)
             if ctl == CTL_COND:
-                entries += [MapEntry(origin, KIND_STATIC_LOOP if i in loop_branches
-                                     else KIND_COND_TAKEN),
-                            MapEntry(origin, KIND_COND_NOT_TAKEN)]
-        line_end[i] = base + len(out) * width
-    return out, imap
-
-
-# the gateway calls, as ``isa.parse_lines`` encodes them
-_CALL_COND = (isa.OP_BL, 0, 0, "trampoline_cond")
-_CALL_ICALL = (isa.OP_BL, 0, 0, "trampoline_icall")
-_CALL_LOOP = (isa.OP_BL, 0, 0, "trampoline_loop")
-_JUMP_RET = (isa.OP_B, 0, 0, "trampoline_ret")
+                kinds = (KIND_STATIC_LOOP if i in loop_branches else KIND_COND_TAKEN,
+                         KIND_COND_NOT_TAKEN)
+        spans.append((start, len(codes), kinds))
+    # each label and each word is a line of the rendered text
+    return (codes, addrs, len(codes) + len(addrs)), texts, spans, renames
 
 
 def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
-    """``rewrite``, with the lines rendered as assembly text."""
-    lines, imap = rewrite(asm_text)
-    return isa.render(lines), imap
+    """``rewrite``'s words rendered as assembly text, and its sidecar map."""
+    (codes, addrs, _), texts, spans, renames = rewrite(asm_text)
+    base, width = isa.PMEM_BASE, isa.INSTR_WIDTH
+    at: dict[int, list[str]] = {}
+    for lab, addr in addrs.items():
+        at.setdefault(addr, []).append(lab)
+    rows = []
+    for k, (code, text) in enumerate(zip(codes, texts)):
+        if text.__class__ is not tuple:       # a source line, copied
+            text = text.mnemonic, [_rename(a, renames) for a in text.args] \
+                if OPS[code[0]].regs else text.args
+        rows.append((at.get(base + k * width, ()), *text))
+    imap = InstrumentationMap(renames=renames)
+    for i, (start, end, kinds) in enumerate(spans):
+        imap.line_map[i], imap.line_end[i] = base + start * width, base + end * width
+        imap.entries += [MapEntry(base + i * width, kind) for kind in kinds]
+    return isa.render(rows), imap

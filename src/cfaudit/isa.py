@@ -23,12 +23,11 @@ and labels defined twice or shadowing a builtin symbol. A register operand
 may be pc only in ``pop pc``, the one write to pc the model runs as a
 branch, and ``decode`` refuses any other word that names pc. A
 ``SourceLine`` is therefore well formed and carries its encoding fields.
-``layout`` only lays checked lines out, resolves symbols (an undefined one
-is a ``LinkError``), checks that there is at least one line and no more
-than program memory holds, and encodes the image in one pack.
-``assemble`` is ``parse_lines`` then ``layout``; the rewriter's lines,
-already checked, go to ``layout`` directly, and ``render`` gives the text
-they parse back from.
+``layout`` only resolves the symbols of placed words (an undefined one is
+a ``LinkError``), checks that there is at least one word and no more than
+program memory holds, and encodes the image in one pack. ``assemble`` is
+``parse_lines``, ``place`` and ``layout``; the rewriter places its words
+itself, and ``render`` gives the text they parse back from.
 """
 
 from __future__ import annotations
@@ -94,6 +93,7 @@ PC = 15
 REG_NAMES = {f"r{i}": i for i in range(13)}
 REG_NAMES.update(sp=SP, lr=LR, pc=PC)
 REG_REPR = {v: k for k, v in REG_NAMES.items()}
+_REGS = {name: r for name, r in REG_NAMES.items() if r != PC}     # read by ``_encode`` itself
 
 # --- the instruction set: one row per opcode ----------------------------
 
@@ -222,8 +222,7 @@ def decode(word: bytes) -> Instruction | None:
 @dataclass(slots=True)
 class SourceLine:
     """One well-formed instruction with the labels attached to it, at line
-    ``lineno`` of the text it is read from (or, for a rewritten line, of
-    the text ``render`` gives).
+    ``lineno`` of the text it is read from.
 
     ``code`` holds its encoding fields ``(op, ra, rb, imm)``; where ``imm``
     comes from a symbol (a branch target or ``#label``) it holds the
@@ -237,8 +236,6 @@ class SourceLine:
     code: tuple[int, int, int, int | str]
 
 
-_LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):\s*(.*)$")
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _MEM_RE = re.compile(r"^\[\s*(\w+)\s*(?:,\s*#(\w+)\s*)?\]$")
 
 
@@ -269,13 +266,13 @@ def parse_lines(text: str) -> list[SourceLine]:
     pending_labels: list[str] = []
     defined: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split(";", 1)[0].strip()
+        code = (raw[:raw.index(";")] if ";" in raw else raw).strip()
         while ":" in code:
-            m = _LABEL_RE.match(code)
-            if not m:
+            name, _, rest = code.partition(":")
+            if not (name.isidentifier() and name.isascii()):
                 break
-            pending_labels.append(m.group(1))
-            code = m.group(2).strip()
+            pending_labels.append(name)
+            code = rest.strip()
         if not code:
             continue
         for lab in pending_labels:
@@ -284,8 +281,9 @@ def parse_lines(text: str) -> list[SourceLine]:
             defined.add(lab)
         parts = code.split(None, 1)
         mnemonic = parts[0].lower()
-        rest = parts[1] if len(parts) > 1 else ""
-        args = [a.strip() for a in rest.split(",")] if rest.strip() else []
+        args = parts[1].split(",") if len(parts) > 1 else []
+        if len(args) > 1:               # a lone operand has no space around it
+            args = [a.strip() for a in args]
         lines.append(SourceLine(pending_labels, mnemonic, args, lineno,
                                 _encode(mnemonic, args, lineno)))
         pending_labels = []
@@ -308,11 +306,14 @@ def _encode(n: str, a: list[str], ln: int) -> tuple[int, int, int, int | str]:
         elif len(a) != k:
             raise ParseError(ln, f"{n} expects 2 or 3 operands" if k == 3
                              else f"{n} expects {k} operand(s), got {len(a)}")
-        rd, last = _parse_reg(a[0], ln), a[-1]
-        rs = _parse_reg(a[1], ln) if k == 3 else 0
-        if last.startswith("#"):
+        rd, rs, last = _REGS.get(a[0]), _REGS.get(a[1]) if k == 3 else 0, a[-1]
+        if rd is None or rs is None:
+            rd, rs = _parse_reg(a[0], ln), _parse_reg(a[1], ln) if k == 3 else 0
+        if last[:1] == "#":
             return imm_op, rd, rs, _parse_imm(last, ln)
-        return (op, rd, rs, _parse_reg(last, ln)) if k == 3 else (op, rd, _parse_reg(last, ln), 0)
+        if (rt := _REGS.get(last)) is None:
+            rt = _parse_reg(last, ln)
+        return (op, rd, rs, rt) if k == 3 else (op, rd, rt, 0)
     if form == FORM_MEM:
         if len(a) < 2:
             raise ParseError(ln, f"{n} expects {'rd, [rs' if OPS[op].writes else 'rs, [rb'}(, #off)]")
@@ -320,7 +321,7 @@ def _encode(n: str, a: list[str], ln: int) -> tuple[int, int, int, int | str]:
     if len(a) != k:
         raise ParseError(ln, f"{n} expects {k} operand(s), got {len(a)}")
     if form == FORM_LABEL:
-        if not _NAME_RE.match(a[0]):
+        if not (a[0].isidentifier() and a[0].isascii()):
             raise ParseError(ln, f"bad branch target {a[0]!r}")
         return op, ra, 0, a[0]
     if form == FORM_REG:
@@ -345,7 +346,7 @@ def _parse_reg(tok: str, line: int, pc_ok: bool = False) -> int:
 def _parse_imm(tok: str, line: int) -> int | str:
     """A ``#`` operand's value, or the name of the symbol it stands for."""
     body = tok[1:]
-    if not body[:1].isdigit() and _NAME_RE.match(body):     # a name starts with no digit
+    if body.isidentifier() and body.isascii():      # a name starts with no digit
         return body
     try:
         val = int(body, 0)
@@ -391,39 +392,44 @@ class Program:
         return off // INSTR_WIDTH
 
 
+def place(lines: list[SourceLine]) -> tuple:
+    """Checked lines placed as they stand, a word each, as ``layout`` takes them."""
+    labels = {lab: PMEM_BASE + i * INSTR_WIDTH for i, sl in enumerate(lines) for lab in sl.labels}
+    return [sl.code for sl in lines], labels, lines[-1].lineno if lines else 0
+
+
 def assemble(text: str) -> Program:
-    """Parse and lay out assembly text: ``layout(parse_lines(text))``."""
-    return layout(parse_lines(text))
+    """Parse, place and lay out assembly text."""
+    return layout(place(parse_lines(text)))
 
 
-def layout(lines: list[SourceLine]) -> Program:
-    """Lay checked lines out from ``PMEM_BASE``, resolve symbols and encode.
+def layout(placed: tuple) -> Program:
+    """Resolve the symbols of words placed from ``PMEM_BASE`` and encode
+    them, in one pass. ``placed`` is their fields (``imm`` a symbol's name
+    where it is one), each label's address and the last word's line.
     Raises ParseError on a program with no instruction or past
     program-memory capacity, and LinkError on an undefined symbol. Entry
     point is the label ``main`` when defined, otherwise the first
     instruction."""
-    if not lines:
+    codes, labels, last_line = placed
+    if not codes:
         raise ParseError(0, "program has no instruction")
-    size = len(lines) * INSTR_WIDTH
+    size = len(codes) * INSTR_WIDTH
     if size > PMEM_CAPACITY:
-        raise ParseError(lines[-1].lineno, "program exceeds program-memory capacity")
-    line_addrs = list(range(PMEM_BASE, PMEM_BASE + size, INSTR_WIDTH))
-    labels = {lab: addr for sl, addr in zip(lines, line_addrs) for lab in sl.labels}
+        raise ParseError(last_line, "program exceeds program-memory capacity")
     symbols = BUILTIN_SYMBOLS | labels
-
     instrs: list[Instruction] = []
     words: list[int] = []
-    for sl in lines:
-        op, ra, rb, imm = code = sl.code
+    for op, ra, rb, imm in codes:
         if imm.__class__ is str:
             if imm not in symbols:
                 raise LinkError(imm)
             imm = symbols[imm]
-            code = (op, ra, rb, imm)
-        instrs.append(_new_instruction(Instruction, code))
+        instrs.append(_new_instruction(Instruction, (op, ra, rb, imm)))
         words.append(op << 24 | ra << 20 | rb << 16 | imm & 0xFFFF)
     image = struct.pack(f">{len(words)}I", *words)
-    return Program(instrs, labels, line_addrs, labels.get("main", PMEM_BASE), image)
+    return Program(instrs, labels, list(range(PMEM_BASE, PMEM_BASE + size, INSTR_WIDTH)),
+                   labels.get("main", PMEM_BASE), image)
 
 
 # builds an Instruction from a 4-tuple without the keyword handling of
@@ -431,12 +437,12 @@ def layout(lines: list[SourceLine]) -> Program:
 _new_instruction = tuple.__new__
 
 
-def render(lines: list[SourceLine]) -> str:
-    """The text of checked lines, each label on a line of its own, that
-    ``parse_lines`` reads back as the same lines when each ``lineno`` is
-    the line it is rendered at."""
-    rows: list[str] = []
-    for sl in lines:
-        rows += [f"{lab}:" for lab in sl.labels]
-        rows.append(f"    {sl.mnemonic} {', '.join(sl.args)}".rstrip())
-    return "\n".join(rows) + "\n"
+def render(rows) -> str:
+    """The text of rows of labels, mnemonic and operands, each label on a
+    line of its own, that ``parse_lines`` reads back as lines with those
+    fields."""
+    out: list[str] = []
+    for labels, mnemonic, args in rows:
+        out += [f"{lab}:" for lab in labels]
+        out.append(f"    {mnemonic} {', '.join(args)}".rstrip())
+    return "\n".join(out) + "\n"

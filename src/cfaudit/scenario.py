@@ -59,10 +59,10 @@ A power cut resets the machine and builds a new ``Prover`` on it, so the
 device resumes from retained memory alone; only the counters carry over.
 
 A program is deployed once per source text, by ``deploy``: its text is
-read once, and the rewriter's checked lines are laid out into the golden
-image and digested into the auditor's graph with no text between them.
-The last ``isa.IMAGE_CACHE_SIZE`` deployments are kept; a session reads
-its program's graph, VM code and packed input from its one ``Deployment``.
+read once, the rewriter's words are laid out into the golden image, which
+is digested into the auditor's graph, and the VM code takes the laid-out
+instructions as its decoded words. The last ``isa.IMAGE_CACHE_SIZE`` are
+kept; a session reads its graph, VM code and packed input from them.
 """
 
 from __future__ import annotations
@@ -387,7 +387,7 @@ def deploy(asm_text: str) -> Deployment:
     def input_image(tokens: tuple[str, ...]) -> bytes:
         words = resolve_input(tokens, cfg.prog.labels)
         return struct.pack(f">{len(words)}I", *[w & 0xFFFFFFFF for w in words])
-    return Deployment(cfg, _Code(cfg.prog.image, cfg.digest), input_image)
+    return Deployment(cfg, _Code(cfg.prog.image, cfg.digest, cfg.prog.instructions), input_image)
 
 
 def run(spec: ScenarioSpec) -> ScenarioResult:

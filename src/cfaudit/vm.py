@@ -859,10 +859,12 @@ class _Code:
     """The closures of an image or a machine's own ``pmem``, by pc and
     block, and its SHA-256 once measured (or ``digest``, when known)."""
 
-    def __init__(self, pmem: bytes | bytearray, digest: bytes | None = None):
+    def __init__(self, pmem: bytes | bytearray, digest: bytes | None = None, words=None):
         # by pc: closures, blocks, and loop heads (never in ``blocks``)
         self.pmem, self.ops, self.blocks, self.loops = pmem, {}, {}, {}
         self.digest = digest
+        if words is not None:           # the image's instructions as laid out
+            self.words = words
 
     @functools.cached_property
     def words(self) -> list[tuple[int, int, int, int]]:

@@ -5,7 +5,7 @@ import pytest
 
 from cfaudit import isa
 from cfaudit.instrument import (RegisterPressure, UnsupportedPattern,
-                                detect_static_loops, instrument, plan_renames)
+                                detect_static_loops, instrument, rewrite)
 from cfaudit.isa import parse_lines
 from cfaudit.scenario import ScenarioSpec, run
 
@@ -291,7 +291,7 @@ def test_rename_pool_exhaustion_raises():
     uses = "\n".join(f"    mov r{i}, #0" for i in list(range(10)) + [12])
     asm = f"main:\n{uses}\n    mov r10, #1\n    nsc_call\n"
     with pytest.raises(RegisterPressure):
-        plan_renames(parse_lines(asm))
+        rewrite(asm)
 
 
 @pytest.mark.parametrize("bad", ["bx r3", "bx", "blx", "blx #5", "blx r3, r4",

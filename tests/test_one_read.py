@@ -4,13 +4,15 @@ when it is parsed and assembled again, in every field of the image and
 the auditor's graph, and fail with the same error where the text fails."""
 
 import random
+import struct
 from pathlib import Path
 
 import pytest
 
-from cfaudit import isa, scenario
-from cfaudit.instrument import instrument, rewrite
+from cfaudit import isa, scenario, vm
+from cfaudit.instrument import RegisterPressure, UnsupportedPattern, instrument, rewrite
 from cfaudit.verifier import build_cfg, cfg_of
+from cfaudit.vm import Halted, Machine
 
 from support import generate_program
 
@@ -90,12 +92,11 @@ PROGRAMS = dict(_programs())
 @pytest.mark.parametrize("name", list(PROGRAMS))
 def test_laid_out_lines_give_the_assembled_rewrite(name):
     text = PROGRAMS[name]
-    lines, imap = rewrite(text)
-    asm2, imap2 = instrument(text)
-    assert imap == imap2
-    # the lines are those their rendering parses back to
-    assert isa.parse_lines(asm2) == lines
-    got, want = isa.layout(lines), isa.assemble(asm2)
+    placed = rewrite(text)[0]
+    asm2, _ = instrument(text)
+    # the words are those their rendering parses back to
+    assert isa.place(isa.parse_lines(asm2)) == placed
+    got, want = isa.layout(placed), isa.assemble(asm2)
     assert got.image == want.image
     assert got.labels == want.labels
     assert got.line_addrs == want.line_addrs
@@ -110,7 +111,8 @@ def test_laid_out_lines_give_the_assembled_rewrite(name):
 
 
 def test_only_the_gateway_lines_name_r10_and_r11():
-    lines, imap = rewrite(HANDWRITTEN["reserved"])
+    asm2, imap = instrument(HANDWRITTEN["reserved"])
+    lines = isa.parse_lines(asm2)
     assert imap.renames == {"r10": "r0", "r11": "r1"}
     named = [sl for sl in lines
              if {"r10", "r11"} & {a.lower().strip("[]{} ") for a in sl.args}]
@@ -137,3 +139,63 @@ def test_the_one_read_path_fails_as_the_text_does(text):
     got = _failure(lambda: isa.layout(rewrite(text)[0]))
     assert got == _failure(lambda: isa.assemble(instrument(text)[0]))
     assert got == _failure(scenario.deploy, text)
+
+
+# every register r0-r12 named, so a reserved one has nowhere to go
+_ALL_NAMED = "".join(f"    mov r{r}, #1\n" for r in range(13))
+
+
+@pytest.mark.parametrize("text, kind, msg", [
+    ("main:\n    cmp r0, #0\n    beq main\n", UnsupportedPattern,
+     "line 3: conditional branch has no fall-through"),
+    ("main:\n    cmp r0, #0\n    beq stack_top\n    halt\n", UnsupportedPattern,
+     "line 3: conditional target 'stack_top' is not a program label"),
+    ("main:\n    mov r1, #2\n    cmp r1, #0\n    beq input_base\n    halt\n",
+     UnsupportedPattern, "line 4: conditional target 'input_base' is not a program label"),
+    ("main:\n" + _ALL_NAMED + "    nsc_call\n", RegisterPressure,
+     "no free register to relocate r10"),
+    ("main:\n" + _ALL_NAMED.replace("r10", "r11", 1) + "    nsc_call\n", RegisterPressure,
+     "no free register to relocate r11"),
+], ids=["no-fall-through", "stack_top", "input_base", "pressure-r10", "pressure-r11"])
+def test_each_path_refuses_a_shape_the_rewriter_cannot_instrument(text, kind, msg):
+    def refusal(fn):
+        with pytest.raises(UnsupportedPattern) as info:
+            fn()
+        exc = info.value
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+    want = (kind, msg, None)
+    assert refusal(lambda: instrument(text)) == want
+    assert refusal(lambda: isa.layout(rewrite(text)[0])) == want
+    assert refusal(lambda: scenario.deploy(text)) == want
+
+
+def _decoded(image: bytes) -> list:
+    return [vm._decode(w) for w in struct.unpack(f">{len(image) // isa.INSTR_WIDTH}I", image)]
+
+
+def test_the_machine_takes_the_words_the_layout_decoded():
+    texts = [path.read_text() for path in sorted(PROGRAM_DIR.glob("*.asm"))]
+    texts += [generate_program(random.Random(seed))[0] for seed in range(300)]
+    for text in texts:
+        dep = scenario.deploy(text)
+        assert dep.code.words is dep.cfg.prog.instructions      # handed over, not decoded
+        assert dep.code.words == _decoded(dep.cfg.prog.image)
+
+
+def test_a_machine_whose_program_memory_is_written_decodes_its_own_bytes():
+    # the program stores a halt word, its input, over its own next line
+    text = ("main:\n    mov r7, #input_base\n    ldr r2, [r7, #0]\n    mov r1, #patch\n"
+            "    str r2, [r1, #0]\npatch:\n    mov r3, #1\n    nsc_call\n")
+    dep = scenario.deploy(text)
+    image, halt = dep.cfg.prog.image, isa.Instruction(isa.OP_HALT).encode()
+    stored = Machine(image, dep.code)
+    stored.dmem[:4] = halt
+    stored.enter_nonsecure(dep.cfg.prog.entry)
+    assert stored.run() == (4, Halted()) and stored.regs[3] == 0
+    written = Machine(image, dep.code)
+    written.write_pmem(dep.cfg.prog.labels["patch"], halt)
+    for m in (stored, written):
+        assert m._code is not dep.code
+        assert m._code.words == _decoded(bytes(m.pmem)) != dep.code.words
+    assert dep.code.words == _decoded(image)

@@ -807,6 +807,24 @@ def test_clock_matches_per_tick_loop_on_a_frozen_device(name):
             assert_same_as_per_tick(replace(base, channel=link))
 
 
+@pytest.mark.xfail(strict=True, reason="D23: Verifier.next_resend keeps re-sending after "
+                   "the heal order it answers a MAC mismatch with, so at an interval of 0 "
+                   "or 1 ticks the link to a frozen device is never empty and it never settles")
+def test_a_frozen_device_settles_whatever_the_resend_interval():
+    for resend in (0, 1):
+        res = run(replace(bundled("image_tamper"), policy=POLICY_FREEZE,
+                          verifier_resend=resend, max_ticks=20_000))
+        assert res.settled and res.ticks <= 5
+
+
+def test_a_frozen_device_settles_at_resend_intervals_past_one():
+    # D23's counterpart: from an interval of 2 ticks on the link empties
+    for resend, ticks in ((2, 5), (1000, 4)):
+        res = run(replace(bundled("image_tamper"), policy=POLICY_FREEZE,
+                          verifier_resend=resend, max_ticks=20_000))
+        assert (res.settled, res.ticks, res.device_state) == (True, ticks, "frozen")
+
+
 def test_a_device_at_work_makes_one_run_call_a_slice(monkeypatch):
     # a long counted loop and one slice over an ideal link, while the
     # auditor re-sends its request every 50 ticks: neither those re-sends
