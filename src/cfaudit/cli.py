@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import isa
-from .instrument import UnsupportedPattern, instrument, rewrite
+from .instrument import UnsupportedPattern, rendered, rewrite
 from .isa import LinkError, ParseError
 from .scenario import ScenarioError, ScenarioSpec, parse_input, parse_scenario, run
 
@@ -119,8 +119,9 @@ def _cmd_window(args) -> int:
 
 
 def _cmd_instrument(args) -> int:
-    asm2, imap = instrument(asm_text := Path(args.program).read_text())
-    isa.layout(rewrite(asm_text)[0])        # rejects what the device could not load
+    rewritten = rewrite(Path(args.program).read_text())
+    isa.layout(rewritten[0])                # rejects what the device could not load
+    asm2, imap = rendered(rewritten)
     print(imap.to_text() if args.map else asm2, end="")
     return EXIT_OK
 

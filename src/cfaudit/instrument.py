@@ -36,7 +36,7 @@ sites and once to emit their words: each is a source line's fields as
 parsed, with r10/r11 renamed, or one of the fixed gateway lines, placed at
 its address, with each label's address recorded as it goes. ``isa.layout``
 resolves and packs the placed words, and checks symbols and capacity
-there; ``instrument`` renders the same words and maps the source lines to
+there; ``rendered`` renders the same words and maps the source lines to
 them.
 """
 
@@ -233,7 +233,7 @@ def _static_loops(lines: list[SourceLine], scan: tuple) -> list[LoopDescriptor]:
 def rewrite(asm_text: str) -> tuple:
     """Rewrite a program for gateway-mediated control-flow logging.
 
-    Returns the words as ``isa.layout`` takes them, then what ``instrument``
+    Returns the words as ``isa.layout`` takes them, then what ``rendered``
     renders and maps them from: each word's source line or text, each source
     line's words by index with its map entries' kinds, and the renames.
     ``isa.parse_lines`` rejects a malformed line, ``isa.layout`` the rest.
@@ -306,7 +306,12 @@ def rewrite(asm_text: str) -> tuple:
 
 def instrument(asm_text: str) -> tuple[str, InstrumentationMap]:
     """``rewrite``'s words rendered as assembly text, and its sidecar map."""
-    (codes, addrs, _), texts, spans, renames = rewrite(asm_text)
+    return rendered(rewrite(asm_text))
+
+
+def rendered(rewritten: tuple) -> tuple[str, InstrumentationMap]:
+    """The assembly text and sidecar map of one ``rewrite`` result."""
+    (codes, addrs, _), texts, spans, renames = rewritten
     base, width = isa.PMEM_BASE, isa.INSTR_WIDTH
     at: dict[int, list[str]] = {}
     for lab, addr in addrs.items():

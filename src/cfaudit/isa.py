@@ -381,7 +381,6 @@ class Program:
 
     instructions: list[Instruction]
     labels: dict[str, int]
-    line_addrs: list[int]          # address of each SourceLine's instruction
     entry: int
     image: bytes = field(repr=False, default=b"")
 
@@ -428,8 +427,7 @@ def layout(placed: tuple) -> Program:
         instrs.append(_new_instruction(Instruction, (op, ra, rb, imm)))
         words.append(op << 24 | ra << 20 | rb << 16 | imm & 0xFFFF)
     image = struct.pack(f">{len(words)}I", *words)
-    return Program(instrs, labels, list(range(PMEM_BASE, PMEM_BASE + size, INSTR_WIDTH)),
-                   labels.get("main", PMEM_BASE), image)
+    return Program(instrs, labels, labels.get("main", PMEM_BASE), image)
 
 
 # builds an Instruction from a 4-tuple without the keyword handling of

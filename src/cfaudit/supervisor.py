@@ -48,7 +48,7 @@ from .cfa_engine import ADDR_MASK, CfLog, DEFAULT_LOG_MAX
 from .context import (CTX_MAGIC, AuditContext, F_FINAL, F_FROZEN, F_REMEDIATION,
                       F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, OFFSETS)
 from .resolver import POLICY_WIPE, Resolver
-from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger
+from .vm import _GATEWAY_ENTRIES, Fault, FaultKind, Halted, Machine, NscEntry, TimerTrigger
 
 # --- gateway service -------------------------------------------------------
 
@@ -297,7 +297,8 @@ class Prover:
 
     def _resume_execution(self, new_chal: int) -> list[bytes]:
         """Start the next slice at ``new_chal``, replaying the entry the
-        full log refused, if any, from the parked core. A replayed exit
+        full log refused, if any, from the parked core: one that resumes
+        at a gateway entry faults, as in ``Machine.run``. A replayed exit
         door seals the slice at once, in the seal's one flags write."""
         self.log.clear()
         ctx, m = self.ctx, self.m
@@ -310,6 +311,8 @@ class Prover:
         ctx.flags &= ~F_REPORT_PENDING
         if stalled:
             m.pc = self._gateway(m.pc, m.last_exec_pc, m.prev_exec_pc, m.prev_lr)
+            if m.pc in _GATEWAY_ENTRIES:
+                return self._on_app_event(Fault(FaultKind.EXEC_VIOLATION, m.pc))
         m.enter_nonsecure(m.pc)    # every trigger left the core in the Secure World
         return []
 

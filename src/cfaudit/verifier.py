@@ -206,13 +206,13 @@ def cfg_of(prog: isa.Program) -> Cfg:
     """Digest the rewritten program's image into walker tables."""
     label_addrs = set(prog.labels.values())
     code_lo, code_hi = isa.PMEM_BASE, isa.PMEM_BASE + len(prog.image)
-    instructions, line_addrs = prog.instructions, prog.line_addrs
+    instructions, width = prog.instructions, isa.INSTR_WIDTH
     icall_targets: set[int] = set()
     branches: dict[int, list[int]] = {}       # bcond target -> branch addrs
     loop_calls: list[int] = []                # lines of bl trampoline_loop
     for line, (op, _, _, imm) in enumerate(instructions):
         if op == isa.OP_BCOND:
-            branches.setdefault(imm, []).append(line_addrs[line])
+            branches.setdefault(imm, []).append(code_lo + line * width)
         elif op == isa.OP_MOV_IMM and code_lo <= imm < code_hi and imm in label_addrs:
             icall_targets.add(imm)
         elif op == isa.OP_BL and imm == isa.TRAMP_LOOP:
@@ -220,7 +220,7 @@ def cfg_of(prog: isa.Program) -> Cfg:
 
     loops: dict[int, LoopSite] = {}
     for line in loop_calls:
-        addr = line_addrs[line]
+        addr = code_lo + line * width
         header = instructions[line - 2].imm
         limit = instructions[line - 1].imm
         exits = [b + isa.INSTR_WIDTH for b in branches.get(header, []) if b > addr]

@@ -106,20 +106,12 @@ pass alone may write. It would gain little: ``scenario.run`` runs a
 device at work through the datagrams it ignores, so a slice is one call
 unless a power cut or a delivery to the auditor falls inside it.
 
-A block is built only where control enters it. When a run leaves the
-core partway through a block (its limit or the watchdog deadline falls
-inside it, or a single step falls through to the next word) the machine
-notes that the core stands inside a block; any control transfer, a reset
-and a program-memory write clear the note. A dispatch that misses
-``blocks`` while the note stands runs one instruction at a time through
-``ops`` up to the block's end: it builds no block and arms no loop head,
-though a head already in ``loops`` is still used. Either path leaves the
-same state, since a block runs the very closures the other path runs one
-by one, with the same counters, faults and flags (a fused compare sets
-the flags the ``cmp`` sets). So the note only chooses the path, and a
-stale one changes no result. Runs still resume partway through a block:
-a watchdog deadline stops one wherever it falls and the next slice
-resumes there, and a block built where one stopped would run once.
+A dispatch that misses ``blocks`` and may run two or more instructions
+builds the block at its pc, wherever a run stopped: at a leader, or
+partway through a block, where a limit or the watchdog deadline fell. A
+block runs the very closures the one-instruction path runs one by one,
+with the same counters, faults and flags (a fused compare sets the flags
+the ``cmp`` sets), so the path taken changes no result.
 
 An image's words are decoded once, on its first fetch, and each word is
 translated once, into the closure a block and a single step share. Its
@@ -130,6 +122,11 @@ gateway entry ends the block with an ``NscEntry`` event, unless ``run`` is
 given a gateway handler: a logging entry it services stays inside. The
 event carries only the entry address; the parked core holds the gateway
 state, in ``regs``, ``last_exec_pc``, ``prev_exec_pc`` and ``prev_lr``.
+A serviced entry that resumes at a gateway entry ends the run with
+``Fault(EXEC_VIOLATION)`` at that address, as a ``BXNS`` into Secure
+memory faults on a Cortex-M33; the entry stays logged. Were it serviced,
+entries could chain with no Non-Secure instruction between them, and the
+watchdog, which counts only those, would never end the slice.
 """
 
 from __future__ import annotations
@@ -309,7 +306,6 @@ class Machine:
         _store(store, off, value & MASK32)
         if store is self.pmem:
             self._code = _Code(self.pmem)
-            self._inside = False
 
     def write_pmem(self, addr: int, data: bytes) -> None:
         """Secure-side program-memory write (provisioning, remediation)."""
@@ -318,7 +314,6 @@ class Machine:
             raise UnmappedAddress(addr)
         self.pmem[off:off + len(data)] = data
         self._code = _Code(self.pmem)
-        self._inside = False
 
     # -- secure-world operations -----------------------------------------
 
@@ -350,7 +345,6 @@ class Machine:
         self.cycle_count = 0
         self.last_exec_pc = 0
         self.prev_exec_pc = 0
-        self._inside = False      # the core stands partway through a block
         self._st[:_MACHINE] = [0, 0, self.dmem]
 
     def enter_nonsecure(self, entry: int) -> None:
@@ -419,7 +413,6 @@ class Machine:
         blocks, ops = (code := self._code).blocks, code.ops
         pc = regs[PC]
         last, prev = self.last_exec_pc, self.prev_exec_pc
-        inside = self._inside
         n = served = halt_counted = 0
         armed = None        # (loop, n, served, registers) at its head
         ev: Event | None = None
@@ -432,6 +425,10 @@ class Machine:
                         if ns and pc in _GATEWAY_ENTRIES:
                             if gateway is not None and pc != NSC_EXIT:
                                 resume = gateway(pc, last, prev, st[_PREV_LR])
+                                if resume in _GATEWAY_ENTRIES:
+                                    # a BXNS into Secure memory, in the entry's cycle
+                                    pc, ev = resume, Fault(FaultKind.EXEC_VIOLATION, resume)
+                                    break
                                 if resume is not None:
                                     # one cycle of the limit, not of the deadline
                                     pc = resume
@@ -445,7 +442,7 @@ class Machine:
                             ev = NscEntry(pc)
                             break
                         if budget - n > 1 and ((loop := code.loops.get(pc)) is not None
-                                               or not inside and code.covers(pc)):
+                                               or code.covers(pc)):
                             if loop is None:
                                 blk = code.block(pc)
                             else:
@@ -478,19 +475,16 @@ class Machine:
                         n += size
                         prev = b_prev or last     # None: a one-instruction block
                         last = b_last
-                        inside = False
                         continue
-                    # one instruction: a single step, a block the limit falls
-                    # inside, or a resume partway through a block, which steps
-                    # on to the block's end without building one
+                    # one instruction: a single step, or a block the limit or
+                    # the deadline falls inside
                     f = ops.get(pc) or self._fetch(pc)
                     if f.__class__ is Fault:
                         ev = f
                         break
                     nxt = f(regs, st)
                     prev, last = last, pc
-                    inside = nxt is None
-                    pc = pc + INSTR_WIDTH if inside else nxt
+                    pc = pc + INSTR_WIDTH if nxt is None else nxt
                     n += 1
             except _Stop as stop:
                 at, ev = stop.args
@@ -498,7 +492,6 @@ class Machine:
                 if k:
                     n += k
                     prev, last = at - 2 * INSTR_WIDTH if k > 1 else last, at - INSTR_WIDTH
-                    inside = True
                 pc = at
                 if ev is None:
                     # a store into program memory: done, but the rest of the
@@ -506,7 +499,6 @@ class Machine:
                     prev, last = last, at
                     pc += INSTR_WIDTH
                     n += 1
-                    inside = False
                     blocks, ops = (code := self._code).blocks, code.ops
                     continue
                 if ev.__class__ is Halted:
@@ -521,7 +513,6 @@ class Machine:
 
         regs[PC] = pc
         self.last_exec_pc, self.prev_exec_pc = last, prev
-        self._inside = inside
         if counting:
             timer.elapsed += n + halt_counted
         self.cycle_count += n + served if ev is None else n + served + 1

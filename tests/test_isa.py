@@ -157,7 +157,7 @@ def test_line_addr_round_trip():
     text = "main:\n mov r0, #1\n add r0, r0, #1\n halt\n"
     prog = isa.assemble(text)
     for i in range(len(prog.instructions)):
-        assert prog.line_at_addr(prog.line_addrs[i]) == i
+        assert prog.line_at_addr(isa.PMEM_BASE + i * isa.INSTR_WIDTH) == i
     assert prog.line_at_addr(isa.PMEM_BASE - 4) is None
     assert prog.line_at_addr(isa.PMEM_BASE + 1) is None
 

@@ -5,7 +5,6 @@ import hashlib
 import heapq
 import itertools
 import json
-import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from cfaudit.scenario import (ScenarioError, ScenarioSpec, parse_scenario,
 from cfaudit.supervisor import Prover, ProverConfig, ProverState
 from cfaudit.vm import Machine
 
-from support import clear_image_caches, generate_program, run_per_tick
+from support import clear_image_caches, run_per_tick
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PROGRAM_DIR = SCENARIO_DIR / "programs"
@@ -1185,67 +1184,6 @@ def test_sessions_of_one_program_build_its_image_once(monkeypatch):
         == isa.IMAGE_CACHE_SIZE + 2
 
 
-CONTROL_OPS = {isa.OP_B, isa.OP_BCOND, isa.OP_BL, isa.OP_BLX, isa.OP_BX_LR,
-               isa.OP_NSC_CALL, isa.OP_HALT}
-
-
-def leaders(pmem, prog):
-    """Where control enters the code in ``pmem``, laid out as ``prog``: the
-    entry, each direct branch or call target, each ``#label`` operand, and
-    the word after each control instruction (an illegal word ends a block
-    too)."""
-    labels, out = set(prog.labels.values()), {prog.entry}
-    for off in range(0, len(pmem) // 4 * 4, 4):
-        inst, pc = isa.decode(bytes(pmem[off:off + 4])), isa.PMEM_BASE + off
-        if inst is None or inst.op in CONTROL_OPS \
-                or (inst.op, inst.ra) == (isa.OP_POP, isa.PC):
-            out.add(pc + 4)
-        if inst is not None and (inst.op in (isa.OP_B, isa.OP_BCOND, isa.OP_BL)
-                                 or inst.op == isa.OP_MOV_IMM and inst.imm in labels):
-            out.add(inst.imm)
-    return out
-
-
-def test_blocks_are_built_only_where_control_enters(monkeypatch):
-    """A run resumed partway through a block steps to the block's end: no
-    block or loop head is kept at a pc where an earlier run call stopped,
-    only at leaders. Runs that fault or write program memory are left out."""
-    specs = [bundled(p.stem) for p in sorted(SCENARIO_DIR.glob("*.scn"))]
-    for seed in range(30):
-        asm, words = generate_program(random.Random(seed))
-        specs.append(ScenarioSpec(name=f"generated-{seed}", asm_text=asm,
-                                  input_tokens=tuple(map(str, words)),
-                                  delta=3 + seed % 7 * 11, log_max=16 + seed % 3 * 8))
-    seen, left_out, stops = {}, set(), {}
-    prog = None
-    original = vm.Machine.run
-
-    def recorded(self, *args, **kwargs):
-        code = self._code
-        n, ev = original(self, *args, **kwargs)
-        seen[id(code)] = code, prog
-        if isinstance(ev, vm.Fault) or self._code is not code:
-            left_out.add(id(code))
-        stops.setdefault(id(code), set()).add(self.pc)
-        return n, ev
-    monkeypatch.setattr(vm.Machine, "run", recorded)
-    clear_image_caches()
-    for spec in specs:
-        prog = scenario.deploy(spec.asm_text).cfg.prog
-        run(spec)
-    checked = stopped_inside = 0
-    for key, (code, laid_out) in seen.items():
-        if key in left_out:
-            continue
-        entered = leaders(code.pmem, laid_out)
-        built = set(code.blocks) | set(code.loops)
-        assert built <= entered, sorted(map(hex, built - entered))
-        stopped_inside += len(stops[key] - entered)
-        checked += 1
-    # the sessions do stop partway through blocks and resume there
-    assert checked > len(specs) // 2 and stopped_inside > len(specs)
-
-
 def test_a_tampered_and_a_benign_session_of_one_image_stay_apart():
     tamper = parse_scenario(SCENARIO_DIR / "image_tamper.scn")
     benign = replace(tamper, name="particle_count", pmem_flip=None, expect={})
@@ -1334,3 +1272,35 @@ def test_an_audit_over_hops_another_session_traced_gives_the_same_verdicts():
     assert traced
     assert run(attack) == alone
     assert cfg.hops.items() >= traced.items()
+
+
+# --- a gateway returns as a BXNS: resuming at a gateway entry faults ----------
+
+# D24: the cond gateway's lr restore gives back 0x100 (the second mov puts it
+# in the previous lr too), so each serviced entry resumed at the next one and
+# the device never reported
+D24 = "main:\n    mov r1, #256\n    mov lr, r1\n    mov lr, r1\n    bx lr\n"
+
+
+@pytest.mark.parametrize("delta", [10, 500_000])
+def test_a_return_into_the_cond_gateway_is_condemned(delta):
+    res = run(ScenarioSpec(name="d24", asm_text=D24, delta=delta, max_ticks=100_000))
+    assert res.settled and res.verdicts == ["heal", "end"]
+    assert (res.violation, res.violation_index) == ("ShadowStackMismatch", 0)
+    assert res.triggers["fault"] == 1 and res.pmem_zeroed
+
+
+TRANSFERS = {
+    "bx": "    mov lr, r1\n    mov lr, r1\n    bx lr\n",
+    "pop": "    push r1\n    pop pc\n",
+    "blx": "    blx r1\n",
+}
+
+
+@pytest.mark.parametrize("transfer", list(TRANSFERS))
+@pytest.mark.parametrize("entry", list(isa.NSC_SYMBOLS))
+def test_a_transfer_into_each_gateway_entry_is_reported(entry, transfer):
+    asm = f"main:\n    mov r1, #{isa.NSC_SYMBOLS[entry]}\n" + TRANSFERS[transfer]
+    res = run(ScenarioSpec(name=entry, asm_text=asm, delta=10, max_ticks=100_000))
+    assert res.settled and res.verdicts == ["heal", "end"]
+    assert res.violation_index == 0 and res.triggers["fault"] == 1

@@ -558,6 +558,24 @@ def test_a_log_filled_at_each_gateway_kind_replays_that_entry(kind):
     assert refused_at[0] == kind
 
 
+def test_a_refused_return_into_a_gateway_entry_faults_at_its_replay():
+    # a full 16-byte log refuses the fifth entry, a return into
+    # trampoline_cond; its replay logs it, resumes at an entry and faults
+    asm = ("main:\n    mov r0, #1\n" + arrivals(4)
+           + "    mov r1, #256\n    mov lr, r1\n    mov lr, r1\n    bx lr\n")
+    p, m, _ = build(asm, log_max=16)
+    p.boot()
+    p.handle_message(request(chal=1))
+    pump(p)
+    assert p.metrics.triggers["capacity"] == 1 and m.pc == TRAMP_RET
+    (report_bytes,) = p.handle_message(
+        wire.Response.make(KEY, wire.RESULT_EXEC, 2).pack())
+    assert p.metrics.triggers["fault"] == 1
+    assert p.metrics.remnant_reports == 1     # the reset's boot reports the slice
+    assert decompress(wire.Report.parse(report_bytes).log) == [TRAMP_COND]
+    assert p.metrics.gateway_calls == {TRAMP_COND: 4, TRAMP_RET: 1}
+
+
 def test_deadline_trigger_fires_exactly_on_budget():
     delta = 7
     p, _, _ = build(DIAMOND)

@@ -111,7 +111,7 @@ loop:
 def control_stops(cfg):
     """The kind of every instruction a hop from it stops on at once."""
     stops = {}
-    for addr in cfg.prog.line_addrs:
+    for addr in range(isa.PMEM_BASE, isa.PMEM_BASE + len(cfg.prog.image), isa.INSTR_WIDTH):
         kind, stop, _, _ = cfg.hop(addr)
         if stop == addr:
             stops[kind] = stops.get(kind, 0) + 1
@@ -135,7 +135,7 @@ def test_cfg_classifies_every_control_instruction():
 def test_cfg_branch_edge_names_both_successors():
     cfg = cfg_of(CALLS)
     prog = cfg.prog
-    (addr,) = [a for a, inst in zip(prog.line_addrs, prog.instructions)
+    (addr,) = [isa.PMEM_BASE + i * isa.INSTR_WIDTH for i, inst in enumerate(prog.instructions)
                if inst.op == isa.OP_BCOND]
     kind, stop, (taken_arrival, fall_arrival), pushes = cfg.hop(addr)
     assert (kind, stop, pushes) == (vf.BRANCH, addr, ())

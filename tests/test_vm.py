@@ -299,6 +299,19 @@ def test_run_handler_refusal_yields_the_event_of_no_handler():
     assert machine_state(refused) == machine_state(plain)
 
 
+@pytest.mark.parametrize("entry", sorted(isa.NSC_SYMBOLS.values()))
+def test_run_a_serviced_entry_resuming_at_an_entry_faults(entry):
+    # a gateway returns as a BXNS does: into Secure memory it faults, with
+    # the entry serviced and its one cycle the fault's
+    for limit in (1, 100):
+        m, gw = at_gateway_call(delta=1000)
+        assert m.run(2) == (2, None) and m.pc == TRAMP_COND
+        m.regs[isa.LR] = entry
+        assert m.run(limit, gw) == (0, Fault(FaultKind.EXEC_VIOLATION, entry))
+        assert len(gw.calls) == 1
+        assert m.pc == entry and m.cycle_count == 3 and m.timer.elapsed == 2
+
+
 def test_nsc_call_from_nonsecure_lands_on_exit_door():
     m = load_program("main:\n nsc_call\n")
     m.enter_nonsecure(PMEM_BASE)
@@ -451,12 +464,13 @@ def test_each_word_of_an_image_is_decoded_once(monkeypatch):
     m.pc = prog.entry
     assert m.run() == (2 + 3 * 11, Halted())          # builds its blocks and loop
     assert m._code.blocks
-    for pc in prog.line_addrs:                         # then steps every word alone
+    addrs = list(range(PMEM_BASE, PMEM_BASE + len(prog.image), 4))
+    for pc in addrs:                                   # then steps every word alone
         m.reset()
         m.pc = pc
         m.step()
     assert decoded == words
-    assert sorted(m._code.ops) == prog.line_addrs     # one closure a word
+    assert sorted(m._code.ops) == addrs               # one closure a word
     twin = Machine(prog.image, m._code)                # shares what is decoded
     twin.pc = prog.entry
     assert twin.run() == (2 + 3 * 11, Halted()) and decoded == words
@@ -615,6 +629,22 @@ def test_run_stops_at_a_deadline_inside_the_block():
     assert m.timer.elapsed == 10 and m.cycle_count == 11
     assert m.world is World.SECURE
     assert m.run(0) == (0, None)
+
+
+def test_a_run_resumed_partway_through_a_block_builds_the_block_there():
+    text = "main:\n" + "".join(f" add r{i % 5}, r{i % 5}, #{i + 1}\n" for i in range(12)) \
+        + " cmp r0, #40\n blt main\n halt\n"
+    m, stepped = load_program(text), load_program(text)
+    for x in (m, stepped):
+        x.enter_nonsecure(PMEM_BASE)
+    assert m.run(7) == (7, None)
+    stop = PMEM_BASE + 7 * 4
+    assert m.pc == stop and stop not in m._code.blocks
+    n, ev = m.run()
+    assert ev == Halted() and stop in m._code.blocks
+    events = [stepped.step() for _ in range(7 + n + 1)]
+    assert events[-1] == Halted() and Halted() not in events[:-1]
+    assert machine_state(m) == machine_state(stepped)
 
 
 SELF_PATCH = """

@@ -1,16 +1,21 @@
-"""Line coverage of ``src/cfaudit`` under pytest, with the standard library
-alone: no coverage package is needed.
+"""Line coverage of ``src/cfaudit``, with the standard library alone: no
+coverage package is needed.
 
     python3 tools/linecov.py [PYTEST ARGS ...]     # e.g. tests -q -p no:cacheprovider
+    python3 tools/linecov.py --workloads SEED      # e.g. --workloads 1
 
-Runs pytest in this process under a ``sys.settrace`` collector that traces
-only frames of code in ``src/cfaudit``. It is set before pytest imports
-anything, so module-level lines count when they run at import. Then, for
-each module, it prints the lines that carry compiled code (the
-``co_lines`` of the module's code and of every code object in it) and
-never ran, as ranges. A line is counted once, however many statements or
-parts of one it holds, so a short-circuited operand on a line of its own
-shows as unrun. The exit status is pytest's.
+The first form runs pytest in this process. The second runs, in place of
+pytest, the set-up and one pool pass of each perfbench workload at SEED,
+through ``perfbench/run.py``'s own ``workloads`` and ``run_sessions``, so
+it shows which lines the benchmark's traffic never runs. Either runs under
+a ``sys.settrace`` collector that traces only frames of code in
+``src/cfaudit``. It is set before anything imports the package, so
+module-level lines count when they run at import. Then, for each module,
+it prints the lines that carry compiled code (the ``co_lines`` of the
+module's code and of every code object in it) and never ran, as ranges. A
+line is counted once, however many statements or parts of one it holds,
+so a short-circuited operand on a line of its own shows as unrun. The exit
+status is pytest's, or 0 after the workloads.
 
 Tracing slows the suite several times over (tier-1 took 160 to 250 s
 against 34 to 36 s untraced on a shared VM), so the report is opt-in and
@@ -19,12 +24,14 @@ is no part of tier-1.
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 import types
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 PACKAGE = SRC / "cfaudit"
 
 
@@ -38,11 +45,9 @@ def code_lines(path: Path) -> set[int]:
     return lines
 
 
-def collect(argv: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest with ``argv`` under the collector: its exit status, and
-    the lines run, by file."""
-    import pytest
-
+def collect(body) -> tuple[int, dict[str, set[int]]]:
+    """Call ``body`` under the collector: its exit status, and the lines
+    run, by file."""
     prefix = str(PACKAGE) + "/"
     run: dict[str, set[int]] = {}
 
@@ -61,11 +66,21 @@ def collect(argv: list[str]) -> tuple[int, dict[str, set[int]]]:
     threading.settrace(traced)
     sys.settrace(traced)
     try:
-        status = pytest.main(argv)
+        status = body()
     finally:
         sys.settrace(None)
         threading.settrace(None)
     return int(status), run
+
+
+def workloads_pass(seed: int) -> int:
+    """Set up each perfbench workload at ``seed`` and run one pass of its pool."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run as bench
+
+    for wl in bench.workloads().values():
+        bench.run_sessions(wl, wl.setup(seed), wl.pool_size)
+    return 0
 
 
 def ranges(lines: list[int]) -> str:
@@ -93,7 +108,12 @@ def report(run: dict[str, set[int]]) -> None:
 
 
 def main(argv: list[str]) -> int:
-    status, run = collect(argv)
+    if argv[:1] == ["--workloads"] and len(argv) == 2:
+        body = functools.partial(workloads_pass, int(argv[1]))
+    else:
+        import pytest
+        body = functools.partial(pytest.main, argv)
+    status, run = collect(body)
     report(run)
     return status
 
