@@ -156,8 +156,6 @@ _ROWS = (
 )
 OPS = {row.op: row for row in _ROWS}
 
-VALID_OPCODES = frozenset(OPS)
-
 
 def control(code: tuple) -> str | None:
     """The control class of the instruction with fields ``code``: its row's,

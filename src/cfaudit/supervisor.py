@@ -7,11 +7,12 @@ handling that gates further execution. Every logged transfer goes through
 one function, ``service_gateway``, which logs the destination, counts the
 call and names the pc the app resumes at, or answers None when the full
 log refuses it. The prover builds its log once, over the retained
-window, binds the service to it and calls that binding from two places,
-both reading the gateway state from the parked core: ``Machine.run``'s
-block, and the replay of an entry the full log refused, once the next
-slice starts. The log is a view of the retained header and window: what
-it acknowledged is there when it returns, so neither writes anything
+window, binds the service to it and hands that binding to ``Machine.run``,
+its one caller, which reads the gateway state from the parked core: in a
+block, and when the next slice starts at an entry the full log refused.
+Every entry is counted when the log takes it, the exit door once its
+sentinel is logged. The log is a view of the retained header and window:
+what it acknowledged is there when it returns, so nothing writes anything
 after it.
 
 Report cadence has three causes, all funneled through one path:
@@ -48,11 +49,9 @@ from .cfa_engine import ADDR_MASK, CfLog, DEFAULT_LOG_MAX
 from .context import (CTX_MAGIC, AuditContext, F_FINAL, F_FROZEN, F_REMEDIATION,
                       F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, OFFSETS)
 from .resolver import POLICY_WIPE, Resolver
-from .vm import _GATEWAY_ENTRIES, Fault, FaultKind, Halted, Machine, NscEntry, TimerTrigger
+from .vm import Fault, Halted, Machine, NscEntry, TimerTrigger
 
 # --- gateway service -------------------------------------------------------
-
-_EXIT_SENTINEL = isa.NSC_EXIT
 
 
 def service_gateway(m: Machine, log: CfLog, calls: dict, addr: int, caller_pc: int,
@@ -296,25 +295,21 @@ class Prover:
         return []
 
     def _resume_execution(self, new_chal: int) -> list[bytes]:
-        """Start the next slice at ``new_chal``, replaying the entry the
-        full log refused, if any, from the parked core: one that resumes
-        at a gateway entry faults, as in ``Machine.run``. A replayed exit
-        door seals the slice at once, in the seal's one flags write."""
+        """Start the next slice at ``new_chal``. A core parked at an entry
+        the full log refused re-enters it for one ``Machine.run`` cycle,
+        which services it as in a block. The exit door's ``NscEntry`` seals
+        the slice in the seal's one flags write; any other event finds the
+        pending flag cleared, so a fault boots into a remnant report."""
         self.log.clear()
         ctx, m = self.ctx, self.m
         ctx.chal = new_chal
         m.timer.resume()           # a replayed exit door ends a window of 0
-        stalled, self._stalled = self._stalled, False
-        if stalled and m.pc == isa.NSC_EXIT:
-            self.log.append(_EXIT_SENTINEL)
-            return self._trigger_report("end")
-        ctx.flags &= ~F_REPORT_PENDING
-        if stalled:
-            m.pc = self._gateway(m.pc, m.last_exec_pc, m.prev_exec_pc, m.prev_lr)
-            if m.pc in _GATEWAY_ENTRIES:
-                return self._on_app_event(Fault(FaultKind.EXEC_VIOLATION, m.pc))
         m.enter_nonsecure(m.pc)    # every trigger left the core in the Secure World
-        return []
+        stalled, self._stalled = self._stalled, False
+        ev = m.run(1, self._gateway)[1] if stalled else None
+        if ev.__class__ is not NscEntry or ev.addr != isa.NSC_EXIT:
+            ctx.flags &= ~F_REPORT_PENDING
+        return [] if ev is None else self._on_app_event(ev)
 
     # -- execution ------------------------------------------------------------
 
@@ -373,17 +368,16 @@ class Prover:
         return self._post_heal_report()
 
     def _on_app_event(self, ev: TimerTrigger | NscEntry | Fault | Halted) -> list[bytes]:
-        """The event that ended a block run with the gateway handler: a
-        logging entry there is one the full log refused, counted when its
-        replay logs it; the exit door is counted here."""
+        """The event that ended a run with the gateway handler. A logging
+        entry here is one the full log refused, counted at its replay; the
+        exit door is counted here once its sentinel is logged."""
         if isinstance(ev, TimerTrigger):
             return self._trigger_report("deadline")
         if isinstance(ev, NscEntry):
-            if ev.addr == isa.NSC_EXIT:
+            if ev.addr == isa.NSC_EXIT and self.log.append(isa.NSC_EXIT):
                 calls = self.metrics.gateway_calls
                 calls[ev.addr] = calls.get(ev.addr, 0) + 1
-                if self.log.append(_EXIT_SENTINEL):
-                    return self._trigger_report("end")
+                return self._trigger_report("end")
             self._stalled = True
             return self._trigger_report("capacity")
         # hardware faults reset the device outright; the boot path then
@@ -414,5 +408,5 @@ class Prover:
     def _post_heal_report(self) -> list[bytes]:
         """Attest the remediated image so the verifier can confirm the heal."""
         self.log.clear()
-        self.log.append(_EXIT_SENTINEL)
+        self.log.append(isa.NSC_EXIT)
         return self._generate_report()

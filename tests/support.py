@@ -26,7 +26,7 @@ from cfaudit.cfa_engine import (ADDR_MASK, COUNT_MASK, TAG_BIT, UNIT_MASK,
 from cfaudit.channel import Link
 from cfaudit.instrument import InstrumentationMap, detect_static_loops, instrument
 from cfaudit.scenario import (ScenarioError, ScenarioResult, ScenarioSpec,
-                              _check_expectations, resolve_input)
+                              _check_expectations, load_input, resolve_input)
 from cfaudit.supervisor import Prover, ProverConfig, ProverState, service_gateway
 from cfaudit.verifier import (V_EDGE, V_ICALL, V_MALFORMED, V_SHADOW, _SHADOW_LIMIT,
                               Cfg, Verifier, VerifierConfig, Violation)
@@ -41,11 +41,6 @@ from cfaudit.vm import (_COND_TAKEN, _DMEM_END, _GATEWAY_ENTRIES, _SIGN, _UNBOUN
                         NscEntry, TimerTrigger, World, _load, _store)
 
 SCRATCH_BASE = DMEM_BASE + 4096
-
-
-def load_input(m: Machine, words: list[int]) -> None:
-    for i, w in enumerate(words):
-        struct.pack_into(">I", m.dmem, i * 4, w & 0xFFFFFFFF)
 
 
 # --- reference oracle ------------------------------------------------------
@@ -190,10 +185,12 @@ class InstrumentedRun:
 
 
 def service_event(m: Machine, log: CfLog, ev: vm.NscEntry) -> str | None:
-    """A logging gateway's ``NscEntry`` event serviced the way the prover
-    replays one: ``service_gateway`` on the parked core's state, its call
-    count thrown away, then back into the app. Returns None once resumed,
-    or "full" with the machine left parked at the gateway."""
+    """A logging gateway's ``NscEntry`` event serviced by
+    ``service_gateway`` on the parked core's state, as ``Machine.run``
+    services one with the prover's binding, its call count thrown away,
+    then back into the app; a resume at a gateway entry is entered, where
+    ``run`` faults. Returns None once resumed, or "full" with the machine
+    left parked at the gateway."""
     resume = service_gateway(m, log, {}, ev.addr, m.last_exec_pc, m.prev_exec_pc,
                              m.prev_lr)
     if resume is None:

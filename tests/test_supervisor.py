@@ -19,11 +19,11 @@ from cfaudit.resolver import POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE, WIPE_CH
 from cfaudit.isa import LR, NSC_EXIT, TRAMP_COND, TRAMP_ICALL, TRAMP_LOOP, TRAMP_RET
 from cfaudit.context import (AuditContext, CTX_HEADER_SIZE, F_FINAL, F_FROZEN,
                              F_REPORT_PENDING, F_VALID, LOG_BUFFER_OFFSET, OFFSETS)
+from cfaudit.scenario import load_input
 from cfaudit.supervisor import Prover, ProverConfig, ProverState, service_gateway
 from cfaudit.vm import Machine, NscEntry, World
 
-from support import (advance_by_events, generate_program, load_input,
-                     run_instrumented, service_event)
+from support import advance_by_events, generate_program, run_instrumented, service_event
 
 KEY = ProverConfig().key
 
@@ -475,18 +475,23 @@ def test_refused_events_are_replayed_and_counted_once(n):
     assert p.metrics.triggers["capacity"] == n // 4
 
 
-def test_a_refused_entry_is_counted_only_once_its_replay_logs_it():
-    # the fifth arrival is refused; a heal ends the session on that slice,
-    # so it is never replayed, logged or counted
-    p, _, _ = build(chained_conditionals(11), log_max=16)
+@pytest.mark.parametrize("n, answered", [(11, 0), (12, 2)])
+def test_a_refused_entry_is_counted_only_once_its_replay_logs_it(n, answered):
+    # four entries per slice: with 11 arrivals the first slice refuses the
+    # fifth, with 12 the third refuses the exit door; a heal ends the
+    # session on that slice, so it is never replayed, logged or counted
+    p, _, _ = build(chained_conditionals(n), log_max=16)
     p.boot()
     p.handle_message(request(chal=1))
+    for chal in range(2, answered + 2):
+        pump(p)
+        p.handle_message(wire.Response.make(KEY, wire.RESULT_EXEC, chal).pack())
     pump(p)
-    assert p.metrics.triggers["capacity"] == 1
-    p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, 2).pack())
+    assert p.metrics.triggers["capacity"] == answered + 1
+    p.handle_message(wire.Response.make(KEY, wire.RESULT_HEAL, answered + 2).pack())
     (report_bytes,) = pump(p)                 # the post-heal report
     assert decompress(wire.Report.parse(report_bytes).log) == [NSC_EXIT]
-    assert p.metrics.gateway_calls == {TRAMP_COND: 4}
+    assert p.metrics.gateway_calls == {TRAMP_COND: 4 * (answered + 1)}
 
 
 def run_sliced(asm, words, log_max):
@@ -558,22 +563,33 @@ def test_a_log_filled_at_each_gateway_kind_replays_that_entry(kind):
     assert refused_at[0] == kind
 
 
-def test_a_refused_return_into_a_gateway_entry_faults_at_its_replay():
-    # a full 16-byte log refuses the fifth entry, a return into
-    # trampoline_cond; its replay logs it, resumes at an entry and faults
+# a transfer into r1, and the logging entry it enters once rewritten
+REFUSED_TRANSFERS = {
+    "bx": ("    mov lr, r1\n    mov lr, r1\n    bx lr\n", TRAMP_RET),
+    "pop": ("    push r1\n    pop pc\n", TRAMP_RET),
+    "blx": ("    blx r1\n", TRAMP_ICALL),
+}
+
+
+@pytest.mark.parametrize("transfer", list(REFUSED_TRANSFERS))
+@pytest.mark.parametrize("entry", list(isa.NSC_SYMBOLS))
+def test_a_refused_return_into_a_gateway_entry_faults_at_its_replay(entry, transfer):
+    # a full 16-byte log refuses the fifth entry, a transfer into a
+    # gateway entry; its replay logs it, resumes at that entry and faults
+    text, kind = REFUSED_TRANSFERS[transfer]
     asm = ("main:\n    mov r0, #1\n" + arrivals(4)
-           + "    mov r1, #256\n    mov lr, r1\n    mov lr, r1\n    bx lr\n")
+           + f"    mov r1, #{isa.NSC_SYMBOLS[entry]}\n" + text)
     p, m, _ = build(asm, log_max=16)
     p.boot()
     p.handle_message(request(chal=1))
     pump(p)
-    assert p.metrics.triggers["capacity"] == 1 and m.pc == TRAMP_RET
+    assert p.metrics.triggers["capacity"] == 1 and m.pc == kind
     (report_bytes,) = p.handle_message(
         wire.Response.make(KEY, wire.RESULT_EXEC, 2).pack())
     assert p.metrics.triggers["fault"] == 1
     assert p.metrics.remnant_reports == 1     # the reset's boot reports the slice
-    assert decompress(wire.Report.parse(report_bytes).log) == [TRAMP_COND]
-    assert p.metrics.gateway_calls == {TRAMP_COND: 4, TRAMP_RET: 1}
+    assert decompress(wire.Report.parse(report_bytes).log) == [isa.NSC_SYMBOLS[entry]]
+    assert p.metrics.gateway_calls == {TRAMP_COND: 4, kind: 1}
 
 
 def test_deadline_trigger_fires_exactly_on_budget():

@@ -17,11 +17,12 @@ from cfaudit.cfa_engine import CfLog
 from cfaudit.instrument import instrument
 from cfaudit.isa import DMEM_BASE, NSC_EXIT, PMEM_BASE, STACK_TOP, TRAMP_COND
 from cfaudit.resolver import POLICY_DISABLE, POLICY_FREEZE, POLICY_WIPE
+from cfaudit.scenario import load_input
 from cfaudit.vm import (AccessKind, Fault, FaultKind, Halted, Machine, NscEntry,
                         TimerTrigger, World, WorldViolation, Executed,
                         load_program)
 
-from support import (ReferenceMachine, clear_image_caches, generate_program, load_input,
+from support import (ReferenceMachine, clear_image_caches, generate_program,
                      load_reference, service_event)
 
 
